@@ -1,7 +1,7 @@
 //! `simpool` — a deterministic scoped-OS-thread worker pool for
 //! independent simulation points.
 //!
-//! Every figure bin, the chaos sweep and selfperf fan dozens-to-hundreds
+//! Every figure bin and the chaos sweep fan dozens-to-hundreds
 //! of mutually independent `(workload, mode, threads, seed, knobs)`
 //! simulation points through this pool. The contract that makes the
 //! parallelism safe to gate CI on is **pool-size invariance**: results

@@ -1,7 +1,7 @@
 //! `bench::runner` — shared config-sweep scaffolding for every bench
 //! binary.
 //!
-//! All twelve bins (`fig4_micro` … `extensions`, `chaos`, `selfperf`)
+//! The bins (`fig4_micro` … `extensions`, `chaos`)
 //! used to hand-roll the same three things: flag parsing, a serial loop
 //! over their sweep points, and `RunReport` collection for
 //! `--report-json`. This module centralizes them on top of the

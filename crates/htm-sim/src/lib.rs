@@ -55,4 +55,4 @@ pub use predictor::OverflowPredictor;
 pub use refimpl::ReferenceTxMemory;
 pub use stats::HtmStats;
 pub use trace::{RingBufferSink, TraceEvent, TraceSink};
-pub use txmem::{Budgets, TxMemory};
+pub use txmem::{Budgets, MemoryImage, TxMemory};

@@ -52,6 +52,15 @@
 //! bumps the epoch slots of exactly the leases it can invalidate: the
 //! affected thread's slot for its own transaction boundaries and dooms,
 //! the shared plain slot for any begin, every slot for global events.
+//!
+//! Building a memory costs a fill of every word, tearing it down a walk of
+//! every word. A caller that builds many memories in sequence can avoid
+//! both: a page-granular **dirty bitmap** records where a non-`init` word
+//! may live, [`TxMemory::take_image`] resets exactly those pages and hands
+//! out the two large buffers as a [`MemoryImage`], and
+//! [`TxMemory::recycled`] builds the next memory on top of it. Where the
+//! image is parked between the two calls is the caller's business; this
+//! module holds no global state.
 
 use machine_sim::ThreadId;
 
@@ -110,6 +119,26 @@ struct LineState {
 
 const EMPTY_LINE: LineState = LineState { readers: 0, writer: NO_WRITER };
 
+/// Granularity of the dirty bitmap: 512-word pages, a multiple of every
+/// line size, so a cache line never straddles two pages.
+const PAGE_SHIFT: u32 = 9;
+const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
+
+/// The word and directory buffers of a torn-down [`TxMemory`]. Every word
+/// equals the `init` passed to [`TxMemory::take_image`] — the one place
+/// that establishes it; [`TxMemory::recycled`] relies on it.
+#[derive(Debug)]
+pub struct MemoryImage<W> {
+    words: Vec<W>,
+    dir: Vec<LineState>,
+}
+
+impl<W> Default for MemoryImage<W> {
+    fn default() -> Self {
+        MemoryImage { words: Vec::new(), dir: Vec::new() }
+    }
+}
+
 /// Per-thread transaction slot. The buffers are retained (cleared, not
 /// dropped) when a transaction ends, so repeated transactions on a thread
 /// reuse their capacity and steady-state `begin` allocates nothing.
@@ -165,6 +194,13 @@ pub struct TxMemory<W: Clone> {
     line_shift: u32,
     /// One ownership record per cache line, indexed by line number.
     dir: Vec<LineState>,
+    /// One bit per [`PAGE_WORDS`]-word page: set before any word of the
+    /// page can differ from the memory's `init`. Only paths that already
+    /// do bookkeeping set it — [`Self::poke`], [`Self::materialize`], the
+    /// word-path [`Self::write`] and write-lease grants (every leased
+    /// write lands on a granted line; rollback rewrites only addresses
+    /// written before) — so `lease_read`/`lease_write` never see it.
+    dirty: Vec<u64>,
     txs: Vec<TxSlot>,
     memos: Vec<LineMemo>,
     /// Undo payloads, one arena per thread (index-linked from
@@ -215,16 +251,63 @@ impl<W: Clone> TxMemory<W> {
     /// cache lines of `line_words` words, supporting up to `max_threads`
     /// hardware threads.
     pub fn new(size: usize, line_words: usize, max_threads: usize, init: W) -> Self {
-        assert!(line_words.is_power_of_two(), "line size must be 2^k words");
+        Self::on_image(MemoryImage::default(), size, line_words, max_threads, init)
+    }
+
+    /// [`Self::new`] on top of the buffers of a torn-down memory: the
+    /// result is indistinguishable from a fresh one, but an `image` large
+    /// enough is cut to `size` instead of allocated and filled. One that
+    /// is too small is freed *before* the new buffer is allocated, so the
+    /// two never coexist. `init` must be the value the image was reset to.
+    pub fn recycled(
+        image: Option<MemoryImage<W>>,
+        size: usize,
+        line_words: usize,
+        max_threads: usize,
+        init: W,
+    ) -> Self
+    where
+        W: PartialEq,
+    {
+        let image = image.filter(|i| i.words.capacity() >= size).unwrap_or_default();
+        debug_assert!(image.words.iter().all(|w| *w == init), "spare image holds a non-init word");
+        Self::on_image(image, size, line_words, max_threads, init)
+    }
+
+    fn on_image(
+        image: MemoryImage<W>,
+        size: usize,
+        line_words: usize,
+        max_threads: usize,
+        init: W,
+    ) -> Self {
+        assert!(
+            line_words.is_power_of_two() && line_words <= PAGE_WORDS,
+            "line size must be 2^k words, at most a dirty page"
+        );
         assert!(
             max_threads <= MAX_THREADS,
             "ownership directory tracks at most {MAX_THREADS} threads"
         );
+        let MemoryImage { mut words, mut dir } = image;
+        words.truncate(size);
+        words.resize(size, init);
+        let lines = size.div_ceil(line_words);
+        if dir.capacity() != lines {
+            // Exactly sized, the old one freed first: a sweep that
+            // alternates line sizes must not carry its largest directory
+            // through every run.
+            dir = Vec::new();
+            dir.reserve_exact(lines);
+        }
+        dir.clear();
+        dir.resize(lines, EMPTY_LINE);
         TxMemory {
-            words: vec![init; size],
+            words,
             line_words,
             line_shift: line_words.trailing_zeros(),
-            dir: vec![EMPTY_LINE; size.div_ceil(line_words)],
+            dir,
+            dirty: vec![0; size.div_ceil(PAGE_WORDS).div_ceil(64)],
             txs: (0..max_threads).map(|_| TxSlot::new()).collect(),
             memos: vec![LineMemo::INVALID; max_threads],
             undo_words: (0..max_threads).map(|_| Vec::new()).collect(),
@@ -241,6 +324,30 @@ impl<W: Clone> TxMemory<W> {
             pending_writes: 0,
             bug_dirty_read: false,
         }
+    }
+
+    /// Tear the memory down to its buffers: every dirty page is reset to
+    /// `init` (the value the memory was built with), then the word and
+    /// directory buffers are handed out for [`Self::recycled`]. Costs the
+    /// pages touched, not the memory's size. The memory is left empty
+    /// (size 0); call this from the owner's `Drop`.
+    pub fn take_image(&mut self, init: W) -> MemoryImage<W> {
+        let mut words = std::mem::take(&mut self.words);
+        for (i, mut bits) in std::mem::take(&mut self.dirty).into_iter().enumerate() {
+            while bits != 0 {
+                let start = (i * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                bits &= bits - 1;
+                let end = (start + PAGE_WORDS).min(words.len());
+                words[start..end].fill(init.clone());
+            }
+        }
+        MemoryImage { words, dir: std::mem::take(&mut self.dir) }
+    }
+
+    #[inline]
+    fn mark_dirty(&mut self, addr: usize) {
+        let page = addr >> PAGE_SHIFT;
+        self.dirty[page >> 6] |= 1 << (page & 63);
     }
 
     /// Arm (or disarm) the test-only dirty-read bug — see the field doc.
@@ -317,8 +424,12 @@ impl<W: Clone> TxMemory<W> {
         assert!(self.active_txs == 0, "memory growth with active transactions");
         self.bump_all_slots(); // leases cache end-of-line clamps against the old size
         let new = self.words.len() + extra;
+        // `resize` alone would double the capacity — of a buffer that is
+        // most of the process's memory.
+        self.words.reserve_exact(extra);
         self.words.resize(new, init);
         self.dir.resize(new.div_ceil(self.line_words), EMPTY_LINE);
+        self.dirty.resize(new.div_ceil(PAGE_WORDS).div_ceil(64), 0);
     }
 
     /// Immutable view of the aggregate statistics.
@@ -533,6 +644,7 @@ impl<W: Clone> TxMemory<W> {
             out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.writes += 1;
+        self.mark_dirty(addr);
         if self.active_txs == 0 && self.pending_dooms == 0 {
             // Non-transactional fast path: nothing to doom, nothing doomed.
             self.words[addr] = value;
@@ -672,6 +784,18 @@ impl<W: Clone> TxMemory<W> {
     /// Write bypassing transaction machinery — initialization only.
     pub fn poke(&mut self, addr: usize, value: W) {
         debug_assert!(self.active_txs == 0, "poke with active transactions");
+        self.mark_dirty(addr);
+        self.words[addr] = value;
+    }
+
+    /// Store the value a word *logically already holds*: the owner defines
+    /// part of the initial image by rule and writes it down on demand,
+    /// before anything reads it. Not an access — no thread, no counter, no
+    /// conflict, no undo record — and legal with transactions active: no
+    /// one can have observed the word, and a rollback of a later write
+    /// restores exactly this value.
+    pub fn materialize(&mut self, addr: usize, value: W) {
+        self.mark_dirty(addr);
         self.words[addr] = value;
     }
 
@@ -744,6 +868,9 @@ impl<W: Clone> TxMemory<W> {
         }
         let start = line << self.line_shift;
         let end = (start + self.line_words).min(self.words.len());
+        if write {
+            self.mark_dirty(start);
+        }
         let slot = if self.txs[t].active { t } else { self.txs.len() };
         LineLease { epoch: self.epochs[slot], slot, start, end, write, owner: t }
     }
@@ -1229,6 +1356,7 @@ mod tests {
         assert_eq!(m.size(), old + 512);
         m.write(0, old + 511, 5).unwrap();
         assert_eq!(m.read(0, old + 511).unwrap(), 5);
+        assert_eq!(m.words.capacity(), old + 512, "growth reserves exactly, never doubles");
     }
 
     #[test]
@@ -1635,5 +1763,76 @@ mod tests {
         let mut m = mem();
         let lease = m.try_lease(0, 99_999, false);
         assert!(!m.lease_valid(&lease));
+    }
+
+    /// Words written through every path that can leave a non-`init` value
+    /// behind, in pages the test never names to the bitmap itself.
+    fn dirtied() -> TxMemory<u64> {
+        let mut m: TxMemory<u64> = TxMemory::new(4096, 8, 2, 0);
+        m.poke(3, 1);
+        m.materialize(600, 2);
+        m.write(0, 1100, 3).unwrap();
+        let plain = m.try_lease(0, 1700, true);
+        m.lease_write(&plain, 1701, 4);
+        m.grow(1000, 0);
+        m.write(0, 5000, 5).unwrap();
+        // Torn down mid-transaction: speculative words in place, directory
+        // entries owned, an undo log pending.
+        m.begin(1, big_budgets()).unwrap();
+        m.write(1, 2600, 6).unwrap();
+        let tx = m.try_lease(1, 2600, true);
+        m.lease_write(&tx, 2601, 7);
+        let _ = m.read(1, 3300).unwrap();
+        m
+    }
+
+    fn assert_same_as_fresh(m: &TxMemory<u64>, size: usize, line_words: usize, threads: usize) {
+        let fresh: TxMemory<u64> = TxMemory::new(size, line_words, threads, 0);
+        assert_eq!(m.words, fresh.words);
+        assert_eq!(m.dir, fresh.dir);
+        assert_eq!(m.dirty, fresh.dirty);
+        assert_eq!((m.size(), m.line_words(), m.active_tx_count()), (size, line_words, 0));
+        assert_eq!(m.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn take_image_resets_every_write_path() {
+        let mut m = dirtied();
+        let image = m.take_image(0);
+        assert_eq!(m.size(), 0, "the memory is left empty");
+        assert_eq!(image.words.len(), 5096);
+        assert!(image.words.iter().all(|w| *w == 0), "every word back to init");
+    }
+
+    #[test]
+    fn recycled_memory_equals_a_fresh_one_at_any_geometry() {
+        // Smaller, with longer lines and more threads; then larger within
+        // the image's capacity (5096 words), back on short lines.
+        for (size, line_words, threads) in [(3000, 32, 4), (5096, 8, 1)] {
+            let image = dirtied().take_image(0);
+            let m = TxMemory::recycled(Some(image), size, line_words, threads, 0);
+            assert_same_as_fresh(&m, size, line_words, threads);
+        }
+        assert_same_as_fresh(&TxMemory::recycled(None, 777, 8, 2, 0), 777, 8, 2);
+    }
+
+    #[test]
+    fn too_small_an_image_is_replaced_not_regrown() {
+        let image = dirtied().take_image(0);
+        let m = TxMemory::recycled(Some(image), 9000, 8, 2, 0);
+        assert_same_as_fresh(&m, 9000, 8, 2);
+        assert_eq!(m.words.capacity(), 9000, "a fresh exact buffer, not a regrown spare");
+    }
+
+    #[test]
+    fn a_recycled_memory_recycles_again() {
+        let image = dirtied().take_image(0);
+        let mut m = TxMemory::recycled(Some(image), 4000, 8, 2, 0);
+        m.write(0, 3999, 9).unwrap();
+        m.grow(500, 0);
+        assert_eq!(m.words.capacity(), 5096, "growth inside the spare's capacity keeps the buffer");
+        m.poke(4400, 9);
+        let again = TxMemory::recycled(Some(m.take_image(0)), 4500, 8, 2, 0);
+        assert_same_as_fresh(&again, 4500, 8, 2);
     }
 }

@@ -216,17 +216,14 @@ mod tests {
             c.tl_lazy_sweep = true;
             c.max_threads = 2;
         });
-        // Plant garbage inside thread 1's partition.
+        // A mark phase points thread 1's cursor at its partition.
+        vm.gc(1).unwrap();
+        // Plant garbage inside it: a live header that nothing marked.
         let (lo, hi) = vm.sweep_partition(1);
         assert!(hi > lo + 4);
         let slot = vm.slot_addr(lo + 2);
-        // Detach the slot from the free list structure by writing a live
-        // header (it is "garbage" because nothing marks it).
         vm.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
         vm.mem.poke(slot + 1, Word::F64(1.0));
-        // Point the cursor at the partition and sweep.
-        let cur = vm.layout.thread_struct(1) + ts::TL_SWEEP_CURSOR;
-        vm.mem.poke(cur, Word::Int(lo as i64));
         let found = vm.tl_lazy_sweep(1, hi - lo).unwrap();
         assert_eq!(found, Some(slot), "garbage in own partition reclaimed");
     }

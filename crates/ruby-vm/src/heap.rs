@@ -20,11 +20,47 @@
 
 use machine_sim::ThreadId;
 
+use crate::compile::CompileError;
 use crate::layout::{ts, Layout, SLOT_WORDS};
 use crate::value::{Addr, ObjHeader, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
 
 impl Vm {
+    // ---- the initial free list, written down on demand ---------------------
+    //
+    // The initial image of the boot slot range is *defined* as the
+    // address-ordered global free list: slot `i` holds a `Free` header and
+    // a link to slot `i + 1` (the last one to 0). Only the leading
+    // `threaded` slots hold those two words in memory. Until the first
+    // collection nothing but pops from the head touches the list, so its
+    // unwritten part is always a suffix of it, and a walk from the head
+    // follows at most `free_list_refill` links: writing that far ahead
+    // before the walk keeps every simulated read on a written word.
+    // Writing a word down is not a simulated access (`TxMemory::materialize`).
+
+    /// Write down the initial free-list words of boot slots
+    /// `threaded..upto`.
+    pub(crate) fn thread_slots(&mut self, upto: usize) {
+        let (base, n) = self.slot_ranges[0];
+        let upto = upto.min(n);
+        for i in self.threaded..upto {
+            let slot = base + i * SLOT_WORDS;
+            let next = if i + 1 < n { slot + SLOT_WORDS } else { 0 };
+            self.mem.materialize(slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }));
+            self.mem.materialize(slot + 1, Word::Int(next as i64));
+        }
+        self.threaded = self.threaded.max(upto);
+    }
+
+    /// Called with the global head before a walk reads links from it.
+    fn thread_ahead_of(&mut self, head: Addr) {
+        let (base, n) = self.slot_ranges[0];
+        if self.threaded < n && head >= base {
+            let idx = (head - base) / SLOT_WORDS;
+            self.thread_slots(idx.saturating_add(self.config.free_list_refill).saturating_add(1));
+        }
+    }
+
     // ---- slot allocation -------------------------------------------------
 
     /// Allocate one object slot for thread `t`. May trigger lazy sweeping;
@@ -84,19 +120,27 @@ impl Vm {
         self.pop_global_free(t)?.ok_or_else(|| VmAbort::fatal("heap exhausted even after growth"))
     }
 
-    /// Boot-time slot allocation (no thread, no transactions).
-    pub(crate) fn alloc_slot_boot(&mut self) -> Option<Addr> {
+    /// Boot-time slot allocation (no thread, no transactions) on behalf
+    /// of `what`; a heap too small for the boot image is the caller's
+    /// configuration error, not a panic.
+    pub(crate) fn alloc_slot_boot(&mut self, what: &str) -> Result<Addr, CompileError> {
         let head = self.mem.peek(self.layout.free_head).clone();
         if let Word::Int(h) = head {
             if h != 0 {
                 let slot = h as Addr;
+                self.thread_ahead_of(slot);
                 let next = self.mem.peek(slot + 1).clone();
                 self.mem.poke(self.layout.free_head, next);
                 self.allocations += 1;
-                return Some(slot);
+                return Ok(slot);
             }
         }
-        None
+        Err(CompileError {
+            msg: format!(
+                "heap too small for {what} ({} slots; raise VmConfig::heap_slots)",
+                self.config.heap_slots
+            ),
+        })
     }
 
     /// Pop one slot from the global free list.
@@ -105,6 +149,7 @@ impl Vm {
         if let Word::Int(h) = head {
             if h != 0 {
                 let slot = h as Addr;
+                self.thread_ahead_of(slot);
                 let next = self.rd(t, slot + 1)?;
                 self.wr(t, self.layout.free_head, next)?;
                 return Ok(Some(slot));
@@ -118,25 +163,23 @@ impl Vm {
     fn refill_thread_local(&mut self, t: ThreadId) -> Result<bool, VmAbort> {
         let ts_addr = self.layout.thread_struct(t) + ts::TL_FREE_HEAD;
         let head = self.rd(t, self.layout.free_head)?;
-        let Word::Int(mut h) = head else { return Ok(false) };
-        if h == 0 {
+        let Word::Int(first) = head else { return Ok(false) };
+        if first == 0 {
             return Ok(false);
         }
-        let first = h;
-        let mut last = h as Addr;
+        self.thread_ahead_of(first as Addr);
+        let mut last = first as Addr;
         let mut taken = 1usize;
         while taken < self.config.free_list_refill {
             let next = self.rd(t, last + 1)?;
             match next {
                 Word::Int(n) if n != 0 => {
                     last = n as Addr;
-                    h = n;
                     taken += 1;
                 }
                 _ => break,
             }
         }
-        let _ = h;
         // Detach: global head ← last.next; last.next ← old TL head (0).
         let after = self.rd(t, last + 1)?;
         self.wr(t, self.layout.free_head, after)?;
@@ -234,6 +277,10 @@ impl Vm {
     /// transactions.
     pub fn gc(&mut self, t: ThreadId) -> Result<(), VmAbort> {
         debug_assert!(!self.mem.in_tx(t), "GC inside a transaction");
+        // The sweep reads every slot's header: none may still be unwritten.
+        // (A collection the allocator triggers finds the list dry and
+        // therefore fully written; this is for explicit calls.)
+        self.thread_slots(usize::MAX);
         self.in_gc = true;
         self.gc_runs += 1;
         let mut worklist: Vec<Addr> = Vec::new();
@@ -466,6 +513,7 @@ impl Vm {
             )));
         }
         let add = (current / 2).max(1024).min(self.config.max_heap_slots - current);
+        debug_assert_eq!(self.threaded, self.slot_ranges[0].1, "heap growth precedes its GC");
         let base = self.mem.size();
         self.mem.grow(add * SLOT_WORDS, Word::Uninit);
         self.attribution.register_region(base, crate::layout::LineOwner::HeapSlots);
@@ -674,5 +722,129 @@ mod tests {
         }
         assert_eq!(vm.gc_runs, before_gc, "no GC inside a transaction");
         assert!(!vm.mem.in_tx(0), "transaction rolled back");
+    }
+    // ---- the lazily written free list ≡ the eager one ----------------------
+
+    fn free_hdr() -> Word {
+        Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false })
+    }
+
+    /// Boot gives the VM its free list already written down — what an eager
+    /// `init_memory` loop would have left.
+    fn boot_eager(cfg: VmConfig) -> Vm {
+        let mut vm = Vm::boot("nil", cfg, &MachineProfile::generic(2)).unwrap();
+        vm.thread_slots(usize::MAX);
+        vm
+    }
+
+    #[test]
+    fn written_down_free_list_is_the_eager_image() {
+        let lazy = Vm::boot("nil", VmConfig::default(), &MachineProfile::generic(2)).unwrap();
+        let (base, n) = lazy.slot_ranges[0];
+        let booted = lazy.allocations as usize;
+        assert!(lazy.threaded < n, "boot must not thread the whole heap");
+        assert_eq!(
+            *lazy.mem.peek(lazy.layout.free_head),
+            Word::Int((base + booted * SLOT_WORDS) as i64)
+        );
+        let eager = boot_eager(VmConfig::default());
+        for i in booted..n {
+            let slot = base + i * SLOT_WORDS;
+            let next = if i + 1 < n { slot + SLOT_WORDS } else { 0 };
+            assert_eq!(*eager.mem.peek(slot), free_hdr(), "slot {i} header");
+            assert_eq!(*eager.mem.peek(slot + 1), Word::Int(next as i64), "slot {i} link");
+            for w in 2..SLOT_WORDS {
+                assert_eq!(*eager.mem.peek(slot + w), Word::Uninit, "slot {i} word {w}");
+            }
+        }
+        // Writing the rest down changed nothing the lazy VM holds.
+        for addr in 0..base + lazy.threaded * SLOT_WORDS {
+            assert_eq!(lazy.mem.peek(addr), eager.mem.peek(addr), "addr {addr}");
+        }
+    }
+
+    /// One allocation as the interpreter makes it: the slot gets a header
+    /// (so a later sweep sees an object, garbage unless rooted).
+    fn alloc_float(vm: &mut Vm, t: ThreadId, root: bool) -> Result<Addr, VmAbort> {
+        let slot = vm.alloc_slot(t)?;
+        vm.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }))?;
+        vm.wr(t, slot + 1, Word::F64(0.5))?;
+        if root {
+            vm.pooled_objs.push(Word::Obj(slot));
+        }
+        Ok(slot)
+    }
+
+    /// The allocation script of the sequence test: two threads, a
+    /// transaction that crosses a refill boundary and aborts, its retry
+    /// that commits, then plain allocation across `n` more slots.
+    fn allocation_trace(vm: &mut Vm, n: usize) -> Vec<Addr> {
+        let budgets = htm_sim::Budgets { read_lines: 1 << 20, write_lines: 1 << 20 };
+        let mut seq = Vec::new();
+        for i in 0..40 {
+            seq.push(alloc_float(vm, i % 2, false).unwrap());
+        }
+        for attempt in 0..2 {
+            vm.mem.begin(1, budgets).unwrap();
+            for _ in 0..300 {
+                seq.push(alloc_float(vm, 1, false).unwrap());
+            }
+            if attempt == 0 {
+                vm.mem.tabort(1, 1);
+            } else {
+                vm.mem.commit(1).unwrap();
+            }
+        }
+        for i in 0..n {
+            seq.push(alloc_float(vm, i % 2, i % 3 == 0).unwrap());
+        }
+        seq
+    }
+
+    #[test]
+    fn allocation_addresses_and_traffic_match_the_eager_list() {
+        let tl_sweep = VmConfig { tl_lazy_sweep: true, ..VmConfig::default().small_heap() };
+        for (name, cfg, n) in [
+            ("default", VmConfig::default(), 1_500),
+            ("original_cruby", VmConfig::default().original_cruby(), 1_500),
+            ("small_heap", VmConfig::default().small_heap(), 6_000),
+            ("tl_lazy_sweep", tl_sweep, 6_000),
+        ] {
+            let mut lazy = Vm::boot("nil", cfg.clone(), &MachineProfile::generic(2)).unwrap();
+            let mut eager = boot_eager(cfg);
+            assert_eq!(allocation_trace(&mut lazy, n), allocation_trace(&mut eager, n), "{name}");
+            assert_eq!(lazy.mem.stats(), eager.mem.stats(), "{name}: simulated traffic");
+            assert_eq!((lazy.gc_runs, lazy.allocations), (eager.gc_runs, eager.allocations));
+            if n > 4_000 {
+                assert!(lazy.gc_runs >= 1, "{name}: the trace must reach the first GC");
+            }
+            lazy.thread_slots(usize::MAX);
+            assert_eq!(lazy.mem.size(), eager.mem.size());
+            for addr in 0..lazy.mem.size() {
+                assert_eq!(lazy.mem.peek(addr), eager.mem.peek(addr), "{name}: addr {addr}");
+            }
+        }
+    }
+
+    #[test]
+    fn gc_of_a_fresh_heap_frees_and_links_nothing() {
+        let mut vm = vm();
+        let (_, n) = vm.slot_ranges[0];
+        let head = vm.mem.peek(vm.layout.free_head).clone();
+        vm.gc(0).unwrap();
+        assert_eq!(vm.threaded, n, "the sweep may now read every header");
+        assert_eq!(vm.lazy_sweep(0, usize::MAX).unwrap(), None, "nothing was garbage");
+        assert_eq!(*vm.mem.peek(vm.layout.free_head), head, "nothing was pushed");
+        // The list is still the address-ordered run of never-allocated slots.
+        let mut at = head.as_int().unwrap() as Addr;
+        let mut free = 0;
+        while at != 0 {
+            assert_eq!(*vm.mem.peek(at), free_hdr());
+            let next = vm.mem.peek(at + 1).as_int().unwrap() as Addr;
+            assert!(next == 0 || next == at + SLOT_WORDS);
+            free += 1;
+            at = next;
+        }
+        assert_eq!(free, n - vm.allocations as usize);
     }
 }

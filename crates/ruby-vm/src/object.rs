@@ -26,6 +26,8 @@
 
 use machine_sim::ThreadId;
 
+use crate::compile::CompileError;
+
 use crate::symbols::SymId;
 use crate::value::{Addr, ObjHeader, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
@@ -738,34 +740,34 @@ impl Vm {
 
     /// Create the core class hierarchy and install builtins. Boot-time
     /// only (uses `poke`, no transactions active).
-    pub fn bootstrap_classes(&mut self) {
-        let object = self.boot_class("Object", 0);
+    pub fn bootstrap_classes(&mut self) -> Result<(), CompileError> {
+        let object = self.boot_class("Object", 0)?;
         self.classes.object = object;
-        self.classes.class_cls = self.boot_class("Class", object);
-        self.classes.integer = self.boot_class("Integer", object);
-        self.classes.float_cls = self.boot_class("Float", object);
-        self.classes.string = self.boot_class("String", object);
-        self.classes.array = self.boot_class("Array", object);
-        self.classes.hash = self.boot_class("Hash", object);
-        self.classes.range = self.boot_class("Range", object);
-        self.classes.symbol = self.boot_class("Symbol", object);
-        self.classes.nil_cls = self.boot_class("NilClass", object);
-        self.classes.true_cls = self.boot_class("TrueClass", object);
-        self.classes.false_cls = self.boot_class("FalseClass", object);
-        self.classes.thread_cls = self.boot_class("Thread", object);
-        self.classes.mutex_cls = self.boot_class("Mutex", object);
-        self.classes.barrier_cls = self.boot_class("Barrier", object);
-        self.classes.regexp = self.boot_class("Regexp", object);
-        self.classes.matchdata = self.boot_class("MatchData", object);
-        self.classes.proc_cls = self.boot_class("Proc", object);
-        self.classes.math = self.boot_class("Math", object);
-        self.classes.store = self.boot_class("Store", object);
+        self.classes.class_cls = self.boot_class("Class", object)?;
+        self.classes.integer = self.boot_class("Integer", object)?;
+        self.classes.float_cls = self.boot_class("Float", object)?;
+        self.classes.string = self.boot_class("String", object)?;
+        self.classes.array = self.boot_class("Array", object)?;
+        self.classes.hash = self.boot_class("Hash", object)?;
+        self.classes.range = self.boot_class("Range", object)?;
+        self.classes.symbol = self.boot_class("Symbol", object)?;
+        self.classes.nil_cls = self.boot_class("NilClass", object)?;
+        self.classes.true_cls = self.boot_class("TrueClass", object)?;
+        self.classes.false_cls = self.boot_class("FalseClass", object)?;
+        self.classes.thread_cls = self.boot_class("Thread", object)?;
+        self.classes.mutex_cls = self.boot_class("Mutex", object)?;
+        self.classes.barrier_cls = self.boot_class("Barrier", object)?;
+        self.classes.regexp = self.boot_class("Regexp", object)?;
+        self.classes.matchdata = self.boot_class("MatchData", object)?;
+        self.classes.proc_cls = self.boot_class("Proc", object)?;
+        self.classes.math = self.boot_class("Math", object)?;
+        self.classes.store = self.boot_class("Store", object)?;
         // Numeric alias used by some sources.
         let fixnum_sym = self.program.intern("Fixnum");
         let addr = self.const_define_addr(fixnum_sym);
         self.mem.poke(addr, Word::Obj(self.classes.integer));
         // The top-level main object.
-        let main = self.alloc_slot_boot().expect("heap too small for bootstrap");
+        let main = self.alloc_slot_boot("the main object")?;
         self.mem.poke(main, Word::Hdr(ObjHeader { kind: ObjKind::Object, marked: false }));
         self.mem.poke(main + 1, Word::Obj(object));
         self.mem.poke(main + 2, Word::Int(0));
@@ -773,10 +775,11 @@ impl Vm {
         self.mem.poke(main + 4, Word::Int(0));
         self.classes.main_obj = main;
         crate::builtins::install(self);
+        Ok(())
     }
 
-    fn boot_class(&mut self, name: &str, superclass: Addr) -> Addr {
-        let slot = self.alloc_slot_boot().expect("heap too small for bootstrap classes");
+    fn boot_class(&mut self, name: &str, superclass: Addr) -> Result<Addr, CompileError> {
+        let slot = self.alloc_slot_boot("the core classes")?;
         let name_sym = self.program.intern(name);
         self.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Class, marked: false }));
         self.mem.poke(slot + 1, if superclass == 0 { Word::Nil } else { Word::Obj(superclass) });
@@ -788,7 +791,7 @@ impl Vm {
         self.mem.poke(slot + 7, Word::Int(0));
         let caddr = self.const_define_addr(name_sym);
         self.mem.poke(caddr, Word::Obj(slot));
-        slot
+        Ok(slot)
     }
 
     /// Boot-time method installation (used by `builtins::install`).
@@ -907,7 +910,7 @@ mod tests {
     fn method_definition_and_lookup_chain() {
         let mut vm = vm();
         let obj_cls = vm.classes.object;
-        let sub = vm.boot_class("Sub", obj_cls);
+        let sub = vm.boot_class("Sub", obj_cls).unwrap();
         let sym = vm.program.intern("zzz_test_method");
         vm.define_method(0, obj_cls, sym, MethodEntry::Builtin(1234), false).unwrap();
         // Inherited through the chain:
@@ -934,7 +937,7 @@ mod tests {
     #[test]
     fn ivar_index_allocation_is_per_class() {
         let mut vm = vm();
-        let cls = vm.boot_class("IvarTest", vm.classes.object);
+        let cls = vm.boot_class("IvarTest", vm.classes.object).unwrap();
         let a = vm.program.intern("a");
         let b = vm.program.intern("b");
         assert_eq!(vm.ivar_index(0, cls, a, true).unwrap(), Some(0));
@@ -964,8 +967,8 @@ mod tests {
     #[test]
     fn cvar_walks_superclass_chain() {
         let mut vm = vm();
-        let base = vm.boot_class("CvBase", vm.classes.object);
-        let sub = vm.boot_class("CvSub", base);
+        let base = vm.boot_class("CvBase", vm.classes.object).unwrap();
+        let sub = vm.boot_class("CvSub", base).unwrap();
         let name = vm.program.intern("count");
         vm.cvar_set(0, base, name, Word::Int(1)).unwrap();
         assert_eq!(vm.cvar_get(0, sub, name).unwrap(), Word::Int(1));

@@ -8,6 +8,54 @@
 //! loops. The Iterator micro-benchmark of Fig. 4 specifically measures this
 //! path.
 
+use std::sync::OnceLock;
+
+use crate::bytecode::IseqId;
+use crate::compile::{compile_source, CompileError};
+use crate::program::Program;
+
+/// The program every boot starts from — operator names interned, the
+/// prelude compiled — and the prelude's top-level iseq. Built once per
+/// process; each boot compiles only the user source on top of its copy.
+pub fn compiled() -> Result<(Program, IseqId), CompileError> {
+    static COMPILED: OnceLock<Result<(Program, IseqId), CompileError>> = OnceLock::new();
+    COMPILED
+        .get_or_init(|| {
+            let mut program = Program::default();
+            // Pre-intern operator names used by generic fallbacks.
+            for op in [
+                "+",
+                "-",
+                "*",
+                "/",
+                "%",
+                "==",
+                "!=",
+                "<",
+                "<=",
+                ">",
+                ">=",
+                "<=>",
+                "<<",
+                ">>",
+                "&",
+                "|",
+                "^",
+                "**",
+                "initialize",
+                "new",
+                "each",
+                "times",
+                "to_s",
+            ] {
+                program.intern(op);
+            }
+            let prelude_iseq = compile_source(PRELUDE, &mut program)?;
+            Ok((program, prelude_iseq))
+        })
+        .clone()
+}
+
 /// Prelude source (compiled before user code; defines no threads).
 pub const PRELUDE: &str = r#"
 class Integer

@@ -17,7 +17,7 @@ pub enum PoolLiteral {
 /// Everything the compiler produces; immutable at run time (CRuby iseqs
 /// are shared read-only across threads too — code fetch is not modelled as
 /// memory traffic).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Program {
     pub iseqs: Vec<ISeq>,
     pub symbols: SymbolTable,

@@ -2,17 +2,26 @@
 //! shared by the interpreter, heap and builtins (which are all `impl Vm`
 //! blocks in their own modules).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use htm_sim::{AbortReason, LineLease, TxMemory};
+use htm_sim::{AbortReason, LineLease, MemoryImage, TxMemory};
 use machine_sim::{MachineProfile, ThreadId};
 
 use crate::bytecode::IseqId;
 use crate::compile::{compile_source, CompileError};
-use crate::layout::{ts, Layout, SLOT_WORDS};
+use crate::layout::{ts, Layout};
 use crate::program::{PoolLiteral, Program};
 use crate::symbols::SymId;
 use crate::value::{Addr, ObjHeader, ObjKind, Word};
+
+thread_local! {
+    /// Memory buffers of the last VM torn down on this thread, every word
+    /// `Word::Uninit` ([`TxMemory::take_image`]); the next [`Vm::boot`]
+    /// here builds its memory on them instead of allocating and filling a
+    /// new one.
+    static SPARE_IMAGE: RefCell<Option<MemoryImage<Word>>> = const { RefCell::new(None) };
+}
 
 /// Configuration knobs — each maps to a lever the paper turns.
 #[derive(Debug, Clone)]
@@ -308,6 +317,10 @@ pub struct Vm {
     pub pooled_objs: Vec<Word>,
     /// Slot ranges: (base addr, slot count) — grows with the heap.
     pub slot_ranges: Vec<(Addr, usize)>,
+    /// Leading slots of the boot range whose initial free-list words are
+    /// written down in memory; the rest hold them by definition only (see
+    /// `heap`: "the initial free list").
+    pub(crate) threaded: usize,
     /// Compiled-regex cache keyed by pattern (host-side, like onig's).
     pub regex_cache: HashMap<String, crate::regexlite::Regex>,
     /// Memory references made by the current step (the executor charges
@@ -385,6 +398,16 @@ pub struct Vm {
     pub(crate) use_leases: bool,
 }
 
+impl Drop for Vm {
+    /// Hand the memory's buffers to the thread's spare slot — reset page by
+    /// dirty page — instead of walking and freeing every word.
+    fn drop(&mut self) {
+        let image = self.mem.take_image(Word::Uninit);
+        // A VM that outlives the thread-local frees its buffers instead.
+        let _ = SPARE_IMAGE.try_with(|s| s.replace(Some(image)));
+    }
+}
+
 impl Vm {
     /// Build a VM for `source`, compiled against the prelude, sized by
     /// `config`, with the cache geometry of `profile`.
@@ -393,36 +416,7 @@ impl Vm {
         config: VmConfig,
         profile: &MachineProfile,
     ) -> Result<Vm, CompileError> {
-        let mut program = Program::default();
-        // Pre-intern operator names used by generic fallbacks.
-        for op in [
-            "+",
-            "-",
-            "*",
-            "/",
-            "%",
-            "==",
-            "!=",
-            "<",
-            "<=",
-            ">",
-            ">=",
-            "<=>",
-            "<<",
-            ">>",
-            "&",
-            "|",
-            "^",
-            "**",
-            "initialize",
-            "new",
-            "each",
-            "times",
-            "to_s",
-        ] {
-            program.intern(op);
-        }
-        let prelude_iseq = compile_source(crate::prelude::PRELUDE, &mut program)?;
+        let (mut program, prelude_iseq) = crate::prelude::compiled()?;
         let main_iseq = compile_source(source, &mut program)?;
         program.finalize();
 
@@ -440,7 +434,14 @@ impl Vm {
             config.padded_thread_structs,
             ic_copies,
         );
-        let mem = TxMemory::new(layout.total_words, line_words, config.max_threads, Word::Uninit);
+        let spare = SPARE_IMAGE.with(|s| s.borrow_mut().take());
+        let mem = TxMemory::recycled(
+            spare,
+            layout.total_words,
+            line_words,
+            config.max_threads,
+            Word::Uninit,
+        );
         let attribution = crate::layout::AttributionMap::from_layout(&layout);
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
@@ -466,6 +467,7 @@ impl Vm {
             const_map: HashMap::new(),
             pooled_objs: Vec::new(),
             slot_ranges: Vec::new(),
+            threaded: 0,
             regex_cache: HashMap::new(),
             step_mem_refs: 0,
             step_native_cost: 0,
@@ -491,8 +493,8 @@ impl Vm {
             use_leases,
         };
         vm.init_memory();
-        vm.bootstrap_classes();
-        vm.alloc_literal_pool();
+        vm.bootstrap_classes()?;
+        vm.alloc_literal_pool()?;
         // Main thread runs the prelude first, then the program: chain by
         // running the prelude to completion synchronously at boot (it only
         // defines methods — cheap and conflict-free).
@@ -504,7 +506,7 @@ impl Vm {
         Ok(vm)
     }
 
-    /// Initialize heap metadata and free lists.
+    /// Initialize heap metadata and the free-list head.
     fn init_memory(&mut self) {
         let l = &self.layout;
         self.mem.poke(l.gil, Word::Int(0));
@@ -517,17 +519,12 @@ impl Vm {
         for c in 0..crate::layout::MALLOC_CLASSES {
             self.mem.poke(l.malloc_class_base + c, Word::Int(0));
         }
-        // Link every slot into the global free list.
+        // Every slot is on the global free list, in address order; the
+        // links themselves are written on demand (`Vm::thread_slots`).
         let base = l.slots_base;
         let n = l.initial_slots;
         self.slot_ranges.push((base, n));
-        for i in 0..n {
-            let slot = base + i * SLOT_WORDS;
-            let next = if i + 1 < n { slot + SLOT_WORDS } else { 0 };
-            self.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }));
-            self.mem.poke(slot + 1, Word::Int(next as i64));
-        }
-        self.mem.poke(l.free_head, Word::Int(base as i64));
+        self.mem.poke(l.free_head, Word::Int(if n > 0 { base as i64 } else { 0 }));
         // Thread structs.
         for t in 0..l.max_threads {
             let s = l.thread_struct(t);
@@ -545,12 +542,12 @@ impl Vm {
     }
 
     /// Resolve pooled literals into shared heap objects.
-    fn alloc_literal_pool(&mut self) {
+    fn alloc_literal_pool(&mut self) -> Result<(), CompileError> {
         for i in 0..self.program.pooled.len() {
             let lit = self.program.pooled[i].clone();
             let w = match lit {
                 PoolLiteral::Float(f) => {
-                    let slot = self.alloc_slot_boot().expect("heap too small for literal pool");
+                    let slot = self.alloc_slot_boot("the literal pool")?;
                     self.mem
                         .poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
                     self.mem.poke(slot + 1, Word::F64(f));
@@ -560,6 +557,7 @@ impl Vm {
             };
             self.pooled_objs.push(w);
         }
+        Ok(())
     }
 
     /// Register the main thread.
@@ -866,6 +864,23 @@ mod tests {
         assert_ne!(vm.classes.object, 0);
         assert_ne!(vm.classes.integer, 0);
         assert_ne!(vm.classes.thread_cls, 0);
+    }
+
+    /// A heap the boot image does not fit in is a configuration error the
+    /// caller gets back, wherever the boot free list runs dry.
+    #[test]
+    fn boot_on_too_small_a_heap_is_an_error_not_a_panic() {
+        let floats = "x = 0.5 + 1.5 + 2.5 + 3.5 + 4.5 + 5.5 + 6.5 + 7.5 + 8.5 + 9.5";
+        let boot = |heap_slots| {
+            let cfg = VmConfig { heap_slots, ..VmConfig::default() };
+            Vm::boot(floats, cfg, &MachineProfile::generic(2)).map(|_| ())
+        };
+        for (slots, dry_at) in [(0, "core classes"), (8, "core classes"), (24, "literal pool")] {
+            let err = boot(slots).expect_err("the boot image cannot fit");
+            assert!(err.msg.contains("heap too small"), "{slots} slots: {err}");
+            assert!(err.msg.contains(dry_at), "{slots} slots: {err}");
+        }
+        assert_eq!(boot(64), Ok(()));
     }
 
     #[test]
