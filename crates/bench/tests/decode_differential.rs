@@ -1,92 +1,140 @@
-//! Decode differential: the pre-decoded dispatch path and the un-decoded
-//! reference interpreter (`VmConfig::slow_dispatch`, the path CI forces
-//! with `HTMGIL_FORCE_SLOW_DISPATCH=1`) must produce **identical** run
-//! reports — same stdout, same cycle counts, same abort statistics, same
-//! conflict attribution — for every workload shape and runtime mode.
+//! Fast-path differential: the pre-decoded dispatch path against the
+//! un-decoded reference interpreter (`VmConfig::slow_dispatch`), and the
+//! line-lease access path against the per-word one
+//! (`VmConfig::force_word_access`), must produce **identical** run reports
+//! — same stdout, same cycle counts, same abort statistics, same conflict
+//! attribution — for every workload shape and runtime mode, in all four
+//! combinations of the two knobs.
 //!
-//! The comparison is on the serialized report JSON, which contains only
-//! simulated quantities, so a single string equality covers every counter
-//! the harness exposes. Pre-decoding is a host-side representation change;
-//! any divergence here means the decoder or a superinstruction leaked into
-//! simulated behaviour.
+//! The comparison is on the report JSON, which contains only simulated
+//! quantities, so one equality covers every counter the harness exposes.
+//! The only fields allowed to differ are `lease_hits` / `lease_misses`,
+//! which describe the access path itself (a per-word run records zero
+//! hits); `epoch_bumps` is path-independent and stays in the comparison.
+//! Pre-decoding and leasing are host-side representation changes; any
+//! divergence here means one of them leaked into simulated behaviour.
 
 use bench::{run_workload_with, vm_config_for};
 use htm_gil_core::{ExecConfig, Json, LengthPolicy, RuntimeMode};
 use machine_sim::MachineProfile;
 use workloads::Workload;
 
-/// Run `w` in `mode` with the given dispatch path and return the report
-/// JSON (compact — the comparison artifact).
-fn report_json(w: &Workload, mode: RuntimeMode, slow: bool) -> String {
-    let profile = MachineProfile::zec12();
-    let cfg = ExecConfig::new(mode, &profile);
+const DYNAMIC: RuntimeMode = RuntimeMode::Htm { length: LengthPolicy::Dynamic };
+
+/// Run `w` in `mode` on the given dispatch and access paths and return the
+/// report JSON.
+fn report(
+    w: &Workload,
+    profile: &MachineProfile,
+    mode: RuntimeMode,
+    slow: bool,
+    word: bool,
+) -> Json {
+    let cfg = ExecConfig::new(mode, profile);
     let mut vm_config = vm_config_for(w.threads);
     vm_config.slow_dispatch = slow;
-    run_workload_with(w, &profile, cfg, vm_config).to_json().to_compact()
+    vm_config.force_word_access = word;
+    run_workload_with(w, profile, cfg, vm_config).to_json()
+}
+
+fn without_lease_counters(j: Json) -> Json {
+    match j {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "lease_hits" && k != "lease_misses")
+                .map(|(k, v)| (k, without_lease_counters(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(without_lease_counters).collect()),
+        other => other,
+    }
+}
+
+fn assert_paths_agree_on(w: &Workload, profile: &MachineProfile, mode: RuntimeMode) {
+    let fast = report(w, profile, mode, false, false);
+    let fast_sans_lease = without_lease_counters(fast.clone());
+    for (slow, word) in [(true, false), (false, true), (true, true)] {
+        let what = format!("{} on {} [{mode:?}] slow={slow} word={word}", w.name, profile.name);
+        let got = report(w, profile, mode, slow, word);
+        let (want, got) =
+            if word { (&fast_sans_lease, without_lease_counters(got)) } else { (&fast, got) };
+        if *want == got {
+            continue;
+        }
+        // Point at the first differing field instead of dumping two blobs.
+        let (Json::Obj(wf), Json::Obj(gf)) = (want, &got) else {
+            panic!("{what}: reports are not objects");
+        };
+        for ((wk, wv), (gk, gv)) in wf.iter().zip(gf.iter()) {
+            assert_eq!(wk, gk, "{what}: field order diverged");
+            assert_eq!(wv.to_compact(), gv.to_compact(), "{what}: paths disagree on {wk:?}");
+        }
+        panic!("{what}: reports differ but fields match?");
+    }
 }
 
 fn assert_paths_agree(w: &Workload, mode: RuntimeMode) {
-    let fast = report_json(w, mode, false);
-    let slow = report_json(w, mode, true);
-    if fast != slow {
-        // Point at the first differing field instead of dumping two blobs.
-        let f = Json::parse(&fast).expect("fast report parses");
-        let s = Json::parse(&slow).expect("slow report parses");
-        let (Json::Obj(ff), Json::Obj(sf)) = (&f, &s) else {
-            panic!("{} [{mode:?}]: reports are not objects", w.name);
-        };
-        for ((fk, fv), (sk, sv)) in ff.iter().zip(sf.iter()) {
-            assert_eq!(fk, sk, "{} [{mode:?}]: field order diverged", w.name);
-            assert_eq!(
-                fv.to_compact(),
-                sv.to_compact(),
-                "{} [{mode:?}]: decoded and reference dispatch disagree on {fk:?}",
-                w.name
-            );
-        }
-        panic!("{} [{mode:?}]: reports differ but fields match?", w.name);
-    }
+    assert_paths_agree_on(w, &MachineProfile::zec12(), mode);
 }
 
-/// Quick fig8-shaped slice: the abort-investigation workloads at small
-/// scale, where conflicts, overflows and the GIL fallback all fire.
+/// Quick slice: the micro-benchmarks, servers and all seven NPB kernels
+/// at small scale, where conflicts, overflows and the GIL fallback all
+/// fire.
 fn quick_slice() -> Vec<Workload> {
-    vec![
+    let mut slice = vec![
         workloads::micro::while_bench(4, 200),
         workloads::micro::iterator_bench(4, 120),
-        workloads::npb::cg(4, 1),
         workloads::webrick::webrick(3, 24),
         workloads::taskserver::taskserver(4, 2, 16, 48, false),
-    ]
+    ];
+    slice.extend(workloads::npb_all(4, 1));
+    slice
 }
 
 #[test]
-fn decoded_dispatch_matches_reference_under_htm_dynamic() {
+fn fast_paths_match_reference_under_htm_dynamic() {
     for w in quick_slice() {
-        assert_paths_agree(&w, RuntimeMode::Htm { length: LengthPolicy::Dynamic });
+        assert_paths_agree(&w, DYNAMIC);
     }
 }
 
 #[test]
-fn decoded_dispatch_matches_reference_under_htm_fixed() {
+fn fast_paths_match_reference_under_htm_fixed() {
     for w in quick_slice() {
         assert_paths_agree(&w, RuntimeMode::Htm { length: LengthPolicy::Fixed(16) });
     }
 }
 
 #[test]
-fn decoded_dispatch_matches_reference_under_gil() {
+fn fast_paths_match_reference_under_gil() {
     for w in quick_slice() {
         assert_paths_agree(&w, RuntimeMode::Gil);
     }
 }
 
 #[test]
-fn decoded_dispatch_matches_reference_in_single_thread_fusion_regime() {
+fn fast_paths_match_reference_on_the_other_quick_fig8_points() {
+    // What `HTMGIL_QUICK=1 fig8_aborts` runs beyond the slice above: the
+    // NPB at two threads, and the Xeon profile (64-byte lines, learning
+    // predictor).
+    for w in workloads::npb_all(2, 1) {
+        assert_paths_agree(&w, DYNAMIC);
+    }
+    let xeon = MachineProfile::xeon_e3_1275_v3();
+    for n in [2, 4] {
+        for w in workloads::npb_all(n, 1) {
+            assert_paths_agree_on(&w, &xeon, DYNAMIC);
+        }
+    }
+}
+
+#[test]
+fn fast_paths_match_reference_in_single_thread_fusion_regime() {
     // One live thread is where superinstruction fusion actually engages;
     // the fused pairs must leave every simulated number untouched.
     for w in [workloads::micro::while_bench(1, 500), workloads::npb::cg(1, 1)] {
-        assert_paths_agree(&w, RuntimeMode::Htm { length: LengthPolicy::Dynamic });
+        assert_paths_agree(&w, DYNAMIC);
         assert_paths_agree(&w, RuntimeMode::Gil);
     }
 }

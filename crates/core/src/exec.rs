@@ -10,9 +10,11 @@
 //! * *parked* — on the GIL queue, a mutex/barrier/join, or sleeping on
 //!   simulated I/O.
 //!
-//! Cycle accounting follows the paper's Fig. 8 categories; work done
-//! inside a transaction is held in escrow and lands in `tx_success` or
-//! `aborted` at commit/abort time.
+//! Cycle accounting follows the paper's Fig. 8 categories. Whatever a
+//! step does outside simulated memory — its work cycles included — is an
+//! [`Escrow`]: published at once outside a transaction, held by the
+//! transaction inside one and published at commit or discarded on abort
+//! (DESIGN.md §4, "Commit escrow and host-side state").
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -21,6 +23,7 @@ use htm_sim::abort::abort_codes;
 use htm_sim::trace::{RingBufferSink, TraceEvent};
 use htm_sim::{AbortReason, Budgets, OverflowPredictor, SpuriousCause};
 use machine_sim::{Cycles, InterruptTimer, MachineProfile, Scheduler, ThreadId};
+use ruby_vm::vm::WakeKey;
 use ruby_vm::{BlockOn, StepOk, Vm, VmAbort, VmConfig, Word};
 
 use crate::config::{ExecConfig, LengthPolicy, RuntimeMode, YieldPolicy};
@@ -70,28 +73,40 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// What a run of steps did outside simulated memory, where the undo log
+/// cannot reach it. One step's worth is collected by
+/// [`Executor::settle`]; an open transaction accumulates its steps' and
+/// the whole value is then published at commit or discarded on abort, so
+/// the slice stays all-or-nothing on the host side too.
+#[derive(Debug, Clone, Default)]
+struct Escrow {
+    /// Work cycles, bound for a Fig. 8 category.
+    work: Cycles,
+    /// Instructions retired.
+    insns: u64,
+    /// Method-table version bumps (redefinitions): the table words become
+    /// visible to other threads at commit, and so does the version that
+    /// kills their inline caches.
+    method_bumps: u32,
+    /// `srv_mark` lifecycle events; they take the clock of their
+    /// publication, and an aborted slice leaves no phantom latency events.
+    marks: Vec<(u8, i64)>,
+    /// Wake keys (a transactional `Mutex#unlock`'s owner-word write is
+    /// invisible until commit, so its wake must be too). A phantom wake
+    /// from an uncommitted unlock revives the whole waiter herd against a
+    /// still-locked mutex, and each woken thread's GIL fallback then dooms
+    /// the unlocking transaction before it can commit: a self-sustaining
+    /// livelock at high thread counts.
+    wakes: Vec<WakeKey>,
+}
+
 /// Active-transaction bookkeeping.
 #[derive(Debug, Clone)]
 struct TxInfo {
     /// Global pc of the yield point the transaction started at.
     start_pc: u32,
     snapshot: ruby_vm::vm::RegSnapshot,
-    /// Work cycles accumulated inside the transaction (escrow).
-    work: Cycles,
-    /// Instructions retired inside the transaction (escrow).
-    insns: u64,
-    /// `srv_mark` lifecycle events emitted inside the transaction
-    /// (escrow): recorded with the commit-time clock on commit, dropped
-    /// on abort — an aborted slice leaves no phantom latency events.
-    marks: Vec<(u8, i64)>,
-    /// Wake keys produced inside the transaction (a transactional
-    /// `Mutex#unlock`'s owner-word write is invisible until commit, so
-    /// its wake must be too). Published at commit, dropped on abort — a
-    /// phantom wake from an uncommitted unlock revives the whole waiter
-    /// herd against a still-locked mutex, and each woken thread's
-    /// GIL fallback then dooms the unlocking transaction before it can
-    /// commit: a self-sustaining livelock at high thread counts.
-    wakes: Vec<ruby_vm::vm::WakeKey>,
+    escrow: Escrow,
 }
 
 /// Per-thread TLE controller state (paper Fig. 1's local variables).
@@ -356,8 +371,6 @@ impl Executor {
                 RuntimeMode::Htm { .. } => self.step_htm(t)?,
                 RuntimeMode::FineGrained | RuntimeMode::Ideal => self.step_free(t)?,
             }
-            // Wakes produced by the VM (mutex unlock, barrier release).
-            self.drain_wakes(t);
             // Forward-progress invariant: the retry/watchdog machinery
             // must keep instructions committing; a long stall is livelock.
             if self.cfg.progress_bound_steps != 0 {
@@ -470,49 +483,90 @@ impl Executor {
         }
     }
 
-    /// Execute one VM step and charge its cycles to `t`. Returns the VM
-    /// outcome and the charged work cycles. A step retires one bytecode —
-    /// or two when superinstruction fusion is permitted, which it is only
-    /// when the interleaving cannot matter (no other live thread), no
+    /// Execute one VM step, charge its cycles to `t` and settle its
+    /// host-side effects. A step retires one bytecode — or two when
+    /// superinstruction fusion is permitted, which it is only when the
+    /// interleaving cannot matter (no other live thread), no
     /// transaction's escrow could straddle the pair, and no trace sink
     /// observes per-access ordering. The charge is per retired bytecode
     /// (`dispatch × step_insns` plus the accumulated memory/native costs),
     /// so a fused pair lands on the simulated clock exactly where the two
     /// separate steps would have.
-    fn raw_step(&mut self, t: ThreadId) -> (Result<StepOk, VmAbort>, Cycles) {
-        self.vm.fuse_allowed = if self.trace.is_none()
-            && self.tle[t].tx.is_none()
-            && self.sched.other_live_threads(t) == 0
-        {
-            self.fuse_bit
-        } else {
-            0
-        };
+    fn raw_step(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
+        let tx = self.tle[t].tx.as_ref();
+        self.vm.fuse_allowed =
+            if self.trace.is_none() && tx.is_none() && self.sched.other_live_threads(t) == 0 {
+                self.fuse_bit
+            } else {
+                0
+            };
+        self.vm.tx_method_bumps = tx.map_or(0, |tx| tx.escrow.method_bumps);
         self.vm.reset_step_counters();
         let r = self.vm.step(t);
         let cost = self.profile.cost.dispatch * Cycles::from(self.vm.step_insns)
             + Cycles::from(self.vm.step_mem_refs) * self.profile.cost.mem_ref
             + self.vm.step_native_cost;
         self.sched.advance(t, cost);
-        (r, cost)
+        self.settle(t, cost);
+        r
     }
 
-    /// Drain the marks the last step emitted. Outside any transaction
-    /// they are externally visible now; inside one they go to escrow and
-    /// surface (or vanish) with the transaction.
-    fn drain_marks(&mut self, t: ThreadId) {
-        if self.vm.pending_marks.is_empty() {
-            return;
-        }
-        let marks = std::mem::take(&mut self.vm.pending_marks);
-        if let Some(tx) = self.tle.get_mut(t).and_then(|x| x.tx.as_mut()) {
-            tx.marks.extend(marks);
+    /// Collect what the step that just ran emitted, leaving the VM's
+    /// per-step outputs empty: into the open transaction's escrow — where
+    /// the effects of a step that aborted land too, and are discarded with
+    /// it — or, outside any transaction, straight to publication.
+    fn settle(&mut self, t: ThreadId, cost: Cycles) {
+        let vm = &mut self.vm;
+        let insns = u64::from(vm.step_insns);
+        let method_bumps = std::mem::take(&mut vm.pending_method_bumps);
+        if let Some(tx) = self.tle[t].tx.as_mut() {
+            let e = &mut tx.escrow;
+            e.work += cost;
+            e.insns += insns;
+            e.method_bumps = e.method_bumps.wrapping_add(method_bumps);
+            e.marks.append(&mut vm.pending_marks);
+            e.wakes.append(&mut vm.pending_wakes);
         } else {
-            let now = self.sched.clock(t);
-            for (kind, id) in marks {
-                self.latency.on_mark(kind, id, now);
-            }
+            let step = Escrow {
+                work: cost,
+                insns,
+                method_bumps,
+                marks: std::mem::take(&mut vm.pending_marks),
+                wakes: std::mem::take(&mut vm.pending_wakes),
+            };
+            self.publish(t, step, false);
         }
+    }
+
+    /// Make an escrow's effects real at `t`'s current clock: the work of a
+    /// committed transaction (and of the modes that run no GIL at all) is
+    /// `tx_success`, anything else ran under the GIL. Inlined because
+    /// `settle` calls it once per bytecode outside transactions, where a
+    /// call that moves the (empty) vectors costs GIL-mode runs ~4 %.
+    #[inline(always)]
+    fn publish(&mut self, t: ThreadId, e: Escrow, committed_tx: bool) {
+        let free = matches!(self.cfg.mode, RuntimeMode::FineGrained | RuntimeMode::Ideal);
+        if committed_tx || free {
+            self.breakdown.tx_success += e.work;
+        } else {
+            self.breakdown.gil_held += e.work;
+        }
+        self.committed_insns += e.insns;
+        self.vm.method_version = self.vm.method_version.wrapping_add(e.method_bumps);
+        let now = self.sched.clock(t);
+        for (kind, id) in e.marks {
+            self.latency.on_mark(kind, id, now);
+        }
+        if !e.wakes.is_empty() {
+            self.publish_wakes(t, e.wakes);
+        }
+    }
+
+    /// Drop an aborted transaction's escrow: its work was wasted, and its
+    /// marks, wakes and version bumps never happened.
+    fn discard(&mut self, e: Escrow) {
+        self.breakdown.aborted += e.work;
+        self.wasted_insns += e.insns;
     }
 
     /// Classify a conflicting line into a VM region, consulting the
@@ -601,32 +655,18 @@ impl Executor {
         }
     }
 
-    fn drain_wakes(&mut self, t: ThreadId) {
-        if self.vm.pending_wakes.is_empty() {
-            return;
-        }
-        let wakes = std::mem::take(&mut self.vm.pending_wakes);
-        if let Some(tx) = self.tle.get_mut(t).and_then(|x| x.tx.as_mut()) {
-            // The writes that justify these wakes are uncommitted:
-            // escrow them with the transaction (see `TxInfo::wakes`).
-            tx.wakes.extend(wakes);
-        } else {
-            self.publish_wakes(t, wakes);
-        }
-    }
-
     /// Unpark every thread waiting on the given keys, at `t`'s clock.
     ///
     /// Under exploration, a wake-order decision may rotate the waiter
     /// list and stagger the unpark times by one cycle each, so the
     /// rotation actually changes the downstream ready-time tie-breaks;
     /// choice 0 (and no controller) is the exact legacy publish.
-    fn publish_wakes(&mut self, t: ThreadId, wakes: Vec<ruby_vm::vm::WakeKey>) {
+    fn publish_wakes(&mut self, t: ThreadId, wakes: Vec<WakeKey>) {
         let now = self.sched.clock(t);
         for key in wakes {
             let pk = match key {
-                ruby_vm::vm::WakeKey::Mutex(a) => ParkKey::Mutex(a),
-                ruby_vm::vm::WakeKey::Barrier(a) => ParkKey::Barrier(a),
+                WakeKey::Mutex(a) => ParkKey::Mutex(a),
+                WakeKey::Barrier(a) => ParkKey::Barrier(a),
             };
             if let Some(mut waiters) = self.parked.remove(&pk) {
                 let rot = self.sched.explore_wake_order(waiters.len()) as usize;
@@ -703,13 +743,8 @@ impl Executor {
                 return Ok(());
             }
         }
-        let (r, cost) = self.raw_step(t);
-        self.breakdown.gil_held += cost;
-        self.drain_marks(t);
-        match r {
+        match self.raw_step(t) {
             Ok(ok) => {
-                self.committed_insns += u64::from(self.vm.step_insns);
-                self.vm.publish_method_bumps();
                 let was_block = matches!(ok, StepOk::Block(_));
                 let finished = matches!(ok, StepOk::Finished);
                 if was_block || finished {
@@ -728,9 +763,7 @@ impl Executor {
     // ---- free modes (FineGrained / Ideal) ------------------------------------------
 
     fn step_free(&mut self, t: ThreadId) -> Result<(), RunError> {
-        let (r, cost) = self.raw_step(t);
-        self.breakdown.tx_success += cost;
-        self.drain_marks(t);
+        let r = self.raw_step(t);
         // JRuby-like allocation serialization.
         if self.cfg.mode == RuntimeMode::FineGrained {
             let allocs = self.vm.allocations;
@@ -743,11 +776,7 @@ impl Executor {
             }
         }
         match r {
-            Ok(ok) => {
-                self.committed_insns += u64::from(self.vm.step_insns);
-                self.vm.publish_method_bumps();
-                self.handle_outcome(t, ok)
-            }
+            Ok(ok) => self.handle_outcome(t, ok),
             Err(VmAbort::Err(e)) => Err(RunError::Vm(e.to_string())),
             Err(VmAbort::Tx(r)) => {
                 Err(RunError::Vm(format!("transaction abort without transactions: {r:?}")))
@@ -812,7 +841,7 @@ impl Executor {
             };
             self.sched.advance(t, 2 * self.profile.cost.mem_ref);
             if let Some(tx) = self.tle[t].tx.as_mut() {
-                tx.work += 2 * self.profile.cost.mem_ref;
+                tx.escrow.work += 2 * self.profile.cost.mem_ref;
             } else {
                 self.breakdown.gil_held += 2 * self.profile.cost.mem_ref;
             }
@@ -826,22 +855,7 @@ impl Executor {
             }
         }
         // 3. Execute the instruction.
-        let (r, cost) = self.raw_step(t);
-        if let Some(tx) = self.tle[t].tx.as_mut() {
-            tx.work += cost;
-            tx.insns += u64::from(self.vm.step_insns);
-        } else {
-            self.breakdown.gil_held += cost;
-            self.committed_insns += u64::from(self.vm.step_insns);
-            // A method defined under the GIL is externally visible now:
-            // its version bump publishes with it.
-            self.vm.publish_method_bumps();
-        }
-        // Marks from a step that aborted (`r` is `Err(Tx)`) land in the
-        // still-open transaction's escrow here and are dropped with it in
-        // `on_tx_abort` below.
-        self.drain_marks(t);
-        match r {
+        match self.raw_step(t) {
             Ok(ok) => {
                 let finished = matches!(ok, StepOk::Finished);
                 let was_block = matches!(ok, StepOk::Block(_));
@@ -865,11 +879,12 @@ impl Executor {
         }
     }
 
-    /// Commit `t`'s transaction, moving escrowed work to `tx_success`.
+    /// Commit `t`'s transaction and publish its escrow. On `Err` the
+    /// memory is already rolled back and the transaction stays installed:
+    /// the caller's `on_tx_abort` runs the normal rollback/retry path.
     fn commit_tx(&mut self, t: ThreadId) -> Result<(), AbortReason> {
         // Explored interrupt slot in the commit window: kill the
-        // transaction right before TEND. The tx stays in `self.tle` so
-        // the caller's `on_tx_abort` runs the normal rollback/retry path.
+        // transaction right before TEND.
         if self.sched.explore_commit_kill() {
             let reason = match self.vm.mem.poll_doomed(t) {
                 Some(r) => r,
@@ -877,42 +892,15 @@ impl Executor {
             };
             return Err(reason);
         }
-        let info = self.tle[t].tx.take().expect("commit without tx");
         self.sched.advance(t, self.profile.cost.tend);
         self.breakdown.tx_begin_end += self.profile.cost.tend;
-        match self.vm.mem.commit(t) {
-            Ok(()) => {
-                self.breakdown.tx_success += info.work;
-                self.committed_insns += info.insns;
-                // Escrowed method-version bumps become visible with the
-                // writes that earned them (exactly like marks and wakes).
-                self.vm.publish_method_bumps();
-                // Escrowed lifecycle marks become externally visible at
-                // the commit, so they carry the commit-time clock.
-                let now = self.sched.clock(t);
-                for (kind, id) in info.marks {
-                    self.latency.on_mark(kind, id, now);
-                }
-                // Escrowed wakes: the unlocks behind them just became
-                // visible, so the waiters can be revived.
-                if !info.wakes.is_empty() {
-                    self.publish_wakes(t, info.wakes);
-                }
-                // A commit is forward progress: stand the watchdog down.
-                self.tle[t].consecutive_aborts = 0;
-                self.tle[t].backoff = self.cfg.watchdog.cooldown_base;
-                Ok(())
-            }
-            Err(reason) => {
-                // Already rolled back; restore registers and report.
-                self.vm.restore(t, info.snapshot);
-                self.vm.drop_method_bumps();
-                self.breakdown.aborted += info.work;
-                self.wasted_insns += info.insns;
-                self.tle[t].resume_pc = Some(info.start_pc);
-                Err(reason)
-            }
-        }
+        self.vm.mem.commit(t)?;
+        let info = self.tle[t].tx.take().expect("commit without tx");
+        self.publish(t, info.escrow, true);
+        // A commit is forward progress: stand the watchdog down.
+        self.tle[t].consecutive_aborts = 0;
+        self.tle[t].backoff = self.cfg.watchdog.cooldown_base;
+        Ok(())
     }
 
     /// Paper Fig. 2 lines 11–13: end the current context and begin a new
@@ -1042,34 +1030,23 @@ impl Executor {
             self.abort_path(t, pc, reason)?;
             return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
         }
-        self.tle[t].tx = Some(TxInfo {
-            start_pc: pc,
-            snapshot,
-            work: 0,
-            insns: 0,
-            marks: Vec::new(),
-            wakes: Vec::new(),
-        });
+        self.tle[t].tx = Some(TxInfo { start_pc: pc, snapshot, escrow: Escrow::default() });
         self.tle[t].fresh = true;
         Ok(true)
     }
 
-    /// A transaction abort surfaced while stepping (the VM already rolled
-    /// the memory back). Restore registers and run the Fig. 1 abort path.
+    /// A transaction abort surfaced (the memory is already rolled back):
+    /// restore the registers, discard the escrow — every step, the
+    /// aborting one included, has settled into it — and run the Fig. 1
+    /// abort path.
     fn on_tx_abort(&mut self, t: ThreadId, reason: AbortReason) -> Result<(), RunError> {
         let Some(info) = self.tle[t].tx.take() else {
             return Err(RunError::Vm(format!("abort {reason:?} outside any transaction")));
         };
-        // Marks, wakes, and method-version bumps from the aborted slice
-        // vanish with it: the escrow in `info` is dropped, and anything
-        // the aborting step pushed but never drained is discarded too.
-        self.vm.pending_marks.clear();
-        self.vm.pending_wakes.clear();
-        self.vm.drop_method_bumps();
         self.vm.restore(t, info.snapshot);
+        self.discard(info.escrow);
         self.sched.advance(t, self.profile.cost.abort_penalty);
-        self.breakdown.aborted += info.work + self.profile.cost.abort_penalty;
-        self.wasted_insns += info.insns;
+        self.breakdown.aborted += self.profile.cost.abort_penalty;
         self.tle[t].resume_pc = Some(info.start_pc);
         self.abort_path(t, info.start_pc, reason)
     }
@@ -1077,16 +1054,6 @@ impl Executor {
     /// Paper Fig. 1 lines 16-37. May retry (arming `resume_pc`), park on
     /// the GIL, or acquire the GIL.
     fn abort_path(&mut self, t: ThreadId, pc: u32, reason: AbortReason) -> Result<(), RunError> {
-        #[cfg(debug_assertions)]
-        if std::env::var_os("HTMGIL_TRACE").is_some() {
-            eprintln!(
-                "[{}] t{t} abort pc={pc} {reason:?} tr={} gr={} gil={:?}",
-                self.sched.clock(t),
-                self.tle[t].transient_retries,
-                self.tle[t].gil_retries,
-                self.gil.holder
-            );
-        }
         self.record_conflict(reason);
         self.tables.record_abort(pc, reason);
         // Livelock watchdog: aborts accumulate across attempt sequences;
@@ -1149,14 +1116,6 @@ impl Executor {
 
     /// `gil_acquire()` with parking. Returns true when the GIL was taken.
     fn gil_acquire_or_park(&mut self, t: ThreadId) -> bool {
-        #[cfg(debug_assertions)]
-        if std::env::var_os("HTMGIL_TRACE").is_some() {
-            eprintln!(
-                "[{}] t{t} gil_acquire_or_park held_by={:?}",
-                self.sched.clock(t),
-                self.gil.holder
-            );
-        }
         if self.gil.is_held() {
             self.tle[t].want_gil = true;
             self.gil.push_waiter(t, GilWait::Acquire);

@@ -32,18 +32,12 @@
 //!
 //! The memory is generic over the word type `W` so the Ruby VM can store
 //! its `Word` values directly while unit tests use plain integers.
-//!
-//! An inline-assembly RTM backend for real x86 TSX hardware is included
-//! behind the `rtm-hardware` feature ([`rtm`]) for completeness; it is not
-//! used by any experiment (no TSX-capable host).
 
 pub mod abort;
 pub mod inject;
 pub mod lease;
 pub mod predictor;
 pub mod refimpl;
-#[cfg(feature = "rtm-hardware")]
-pub mod rtm;
 pub mod stats;
 pub mod trace;
 pub mod txmem;

@@ -284,7 +284,7 @@ fn bi_rand(
     args: Vec<Word>,
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let r = vm.next_rand();
+    let r = vm.next_rand(t);
     match args.first() {
         Some(Word::Int(n)) if *n > 0 => Ok(BResult::Value(Word::Int((r % *n as u64) as i64))),
         None => {
@@ -1417,6 +1417,7 @@ fn bi_thread_new(
         thread_obj: tobj_w.as_obj().unwrap(),
         result: Word::Nil,
         barrier_token: None,
+        rand_state: ThreadCtx::rand_seed(new_tid),
     };
     vm.push_root_frame(&mut ctx, iseq, self_w, 0, captured_fp);
     // Pass Thread.new's arguments as block parameters.

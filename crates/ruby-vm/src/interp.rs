@@ -286,7 +286,7 @@ impl Vm {
         if self.threads[t].finished {
             return Ok(StepOk::Finished);
         }
-        if self.slow_dispatch {
+        if self.config.slow_dispatch {
             return self.step_slow(t);
         }
         let gpc = {
@@ -580,8 +580,8 @@ impl Vm {
 
     /// The un-decoded reference interpreter: fetches the original [`Insn`]
     /// and dispatches on it, exactly as before pre-decoding existed. Kept
-    /// behind `slow_dispatch` so CI can diff the two paths
-    /// (`HTMGIL_FORCE_SLOW_DISPATCH=1`).
+    /// behind [`crate::VmConfig::slow_dispatch`] as the reference the
+    /// decoded path is compared against.
     fn step_slow(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
         use crate::decode::NO_SYM;
         let (iseq, pc) = {

@@ -492,11 +492,11 @@ impl Vm {
 
     /// Define a method on `cls` (instance table, or static when
     /// `on_self`). Replacing an existing definition bumps the global
-    /// method-table version — escrowed in
-    /// [`crate::vm::Vm::pending_method_bumps`] until the enclosing
-    /// transaction commits (the table words themselves roll back via the
-    /// undo log, so an aborted definition leaves neither the entry nor
-    /// the bump behind).
+    /// method-table version — a step output
+    /// ([`crate::vm::Vm::pending_method_bumps`]) the executor escrows until
+    /// the enclosing transaction commits (the table words themselves roll
+    /// back via the undo log, so an aborted definition leaves neither the
+    /// entry nor the bump behind).
     pub fn define_method(
         &mut self,
         t: ThreadId,

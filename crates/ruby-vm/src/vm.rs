@@ -68,16 +68,15 @@ pub struct VmConfig {
     /// Seed of the deterministic connection-latency model behind
     /// `Kernel#conn_wait` (task-server scenario).
     pub conn_seed: u64,
-    /// Force the un-decoded reference interpreter (`Vm::step_slow`);
-    /// also settable via `HTMGIL_FORCE_SLOW_DISPATCH=1`. The decoded
-    /// fast path and this reference path must be observationally
-    /// identical — CI diffs figure reports across the two.
+    /// Force the un-decoded reference interpreter (`Vm::step_slow`). The
+    /// decoded fast path and this reference path must be observationally
+    /// identical — `crates/bench/tests/decode_differential.rs` compares
+    /// run reports across the two.
     pub slow_dispatch: bool,
     /// Disable the line-lease batched access path: every `Vm::rd`/`Vm::wr`
-    /// goes through the full per-word `TxMemory` accounting. Also settable
-    /// via `HTMGIL_FORCE_WORD_ACCESS=1`. The leased and per-word paths
-    /// must be observationally identical — CI diffs figure reports across
-    /// the two, exactly like the dispatch knob above.
+    /// goes through the full per-word `TxMemory` accounting. The leased
+    /// and per-word paths must be observationally identical — the same
+    /// differential test compares them, like the dispatch knob above.
     pub force_word_access: bool,
 }
 
@@ -234,6 +233,18 @@ pub struct ThreadCtx {
     pub result: Word,
     /// Barrier re-entry token: (barrier addr, generation at arrival).
     pub barrier_token: Option<(Addr, i64)>,
+    /// State of this thread's `Kernel#rand` stream (xorshift, seeded by
+    /// [`ThreadCtx::rand_seed`]). A register like `pc`: one stream per
+    /// thread, so the draws an aborted transaction takes back are its own
+    /// and no other thread's.
+    pub(crate) rand_state: u64,
+}
+
+impl ThreadCtx {
+    /// Seed of thread `tid`'s `Kernel#rand` stream.
+    pub(crate) fn rand_seed(tid: ThreadId) -> u64 {
+        0x1234_5678_9abc_def0 ^ (tid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
 }
 
 /// Register snapshot taken at transaction begin; memory words roll back
@@ -244,6 +255,7 @@ pub struct RegSnapshot {
     pub sp: Addr,
     pub pc: usize,
     pub iseq: IseqId,
+    pub(crate) rand_state: u64,
 }
 
 /// Well-known classes created at boot (heap addresses).
@@ -328,7 +340,12 @@ pub struct Vm {
     pub step_mem_refs: u32,
     /// Extra native cycles requested by the current step (regex, store…).
     pub step_native_cost: u64,
-    /// Wakes to drain after the step (mutex unlocks, barrier releases).
+    /// Wakes emitted by the current step (mutex unlocks, barrier
+    /// releases). Like [`Vm::pending_marks`] and
+    /// [`Vm::pending_method_bumps`] a per-step output: whoever drives
+    /// `step` collects all three after every step, so between steps they
+    /// are empty. The executor publishes them at once outside a
+    /// transaction and holds them in the transaction's escrow inside one.
     pub pending_wakes: Vec<WakeKey>,
     /// GC statistics.
     pub gc_runs: u64,
@@ -337,8 +354,6 @@ pub struct Vm {
     pub allocations: u64,
     /// True while the GC mark/sweep itself runs (for cycle attribution).
     pub in_gc: bool,
-    /// Deterministic RNG for `rand` (seeded per run).
-    pub(crate) rand_state: u64,
     /// Builtin dispatch table (ids are indices; see `builtins::install`).
     pub builtins: Vec<crate::builtins::BFn>,
     /// Heap-promoted block environments (one chain per spawned thread);
@@ -358,13 +373,8 @@ pub struct Vm {
     /// Deterministic connection-latency model behind `Kernel#conn_wait`.
     pub conn: machine_sim::ConnModel,
     /// Server-scenario marks (`Kernel#srv_mark`: kind, task id) emitted by
-    /// the current step; the executor drains them after every step and —
-    /// inside a transaction — holds them in escrow until commit, so an
-    /// aborted slice leaves no phantom latency events.
+    /// the current step.
     pub pending_marks: Vec<(u8, i64)>,
-    /// True when the un-decoded reference interpreter is forced (config
-    /// flag or `HTMGIL_FORCE_SLOW_DISPATCH`).
-    pub slow_dispatch: bool,
     /// Superinstruction gate: a decoded insn whose fusion bits intersect
     /// this mask may execute its fused pair in one step. The executor only
     /// raises it when fusion is invisible (single live thread, no active
@@ -379,10 +389,14 @@ pub struct Vm {
     /// [`Vm::effective_method_version`]; bumped when a method definition
     /// shadows or replaces a resolvable one.
     pub method_version: u32,
-    /// Version bumps made inside the current transaction, escrowed exactly
-    /// like marks and wakes: published at commit, dropped on abort (the
-    /// method-table words themselves roll back via the undo log).
+    /// Version bumps made by the current step (the method-table words
+    /// themselves are simulated memory and roll back via the undo log).
     pub pending_method_bumps: u32,
+    /// Version bumps the running thread's open transaction has made in
+    /// earlier steps — a per-step input like [`Vm::fuse_allowed`], set by
+    /// the executor from that transaction's escrow (0 outside one), so a
+    /// thread sees its own uncommitted redefinitions and nobody else's.
+    pub tx_method_bumps: u32,
     /// Per-thread line-lease cache ([`LEASE_WAYS`] ways, direct-mapped by
     /// line number). Stale entries are harmless — validity is re-checked
     /// against the memory's epoch on every use.
@@ -392,9 +406,9 @@ pub struct Vm {
     /// way cache so per-instruction counter traffic cannot thrash the
     /// interpreter's hot lines.
     pub(crate) runtime_leases: Vec<LeasePair>,
-    /// False when the batched lease path is disabled (config flag,
-    /// `HTMGIL_FORCE_WORD_ACCESS`, or `refcount_writes` — whose extra
-    /// traffic per store needs the full path anyway).
+    /// False when the batched lease path is disabled
+    /// ([`VmConfig::force_word_access`], or `refcount_writes` — whose
+    /// extra traffic per store needs the full path anyway).
     pub(crate) use_leases: bool,
 }
 
@@ -445,13 +459,7 @@ impl Vm {
         let attribution = crate::layout::AttributionMap::from_layout(&layout);
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
-        let slow_dispatch = config.slow_dispatch
-            || std::env::var_os("HTMGIL_FORCE_SLOW_DISPATCH")
-                .is_some_and(|v| v != "0" && !v.is_empty());
-        let force_word_access = config.force_word_access
-            || std::env::var_os("HTMGIL_FORCE_WORD_ACCESS")
-                .is_some_and(|v| v != "0" && !v.is_empty());
-        let use_leases = !force_word_access && !config.refcount_writes;
+        let use_leases = !config.force_word_access && !config.refcount_writes;
         let lease_cache = vec![[LeasePair::default(); LEASE_WAYS]; config.max_threads];
         let runtime_leases = vec![LeasePair::default(); config.max_threads];
         let mut vm = Vm {
@@ -476,18 +484,17 @@ impl Vm {
             heap_grows: 0,
             allocations: 0,
             in_gc: false,
-            rand_state: 0x1234_5678_9abc_def0,
             builtins: Vec::new(),
             promoted_envs: Vec::new(),
             gc_sweep_total: config_slots,
             temp_roots: Vec::new(),
             conn: machine_sim::ConnModel::new(conn_seed),
             pending_marks: Vec::new(),
-            slow_dispatch,
             fuse_allowed: 0,
             step_insns: 1,
             method_version: 0,
             pending_method_bumps: 0,
+            tx_method_bumps: 0,
             lease_cache,
             runtime_leases,
             use_leases,
@@ -577,6 +584,7 @@ impl Vm {
             thread_obj: 0,
             result: Word::Nil,
             barrier_token: None,
+            rand_state: ThreadCtx::rand_seed(0),
         };
         self.push_root_frame(&mut ctx, iseq, Word::Obj(self.classes.main_obj), 0, 0);
         self.threads.push(ctx);
@@ -628,7 +636,7 @@ impl Vm {
     /// Take a register snapshot (transaction begin).
     pub fn snapshot(&self, tid: ThreadId) -> RegSnapshot {
         let c = &self.threads[tid];
-        RegSnapshot { fp: c.fp, sp: c.sp, pc: c.pc, iseq: c.iseq }
+        RegSnapshot { fp: c.fp, sp: c.sp, pc: c.pc, iseq: c.iseq, rand_state: c.rand_state }
     }
 
     /// Restore registers after an abort (memory already rolled back).
@@ -640,6 +648,7 @@ impl Vm {
         c.pc = s.pc;
         c.iseq = s.iseq;
         c.base = base;
+        c.rand_state = s.rand_state;
     }
 
     // ---- memory access helpers (count refs for cycle charging) ----------
@@ -786,37 +795,30 @@ impl Vm {
         self.program.decoded_flags(c.base as usize + c.pc)
     }
 
-    /// Method-table version as seen by in-flight code: committed version
-    /// plus this thread's escrowed (uncommitted) bumps.
+    /// Method-table version as seen by the running step: the committed
+    /// version plus the running thread's own uncommitted bumps.
     #[inline]
     pub fn effective_method_version(&self) -> u32 {
-        self.method_version.wrapping_add(self.pending_method_bumps)
+        self.method_version
+            .wrapping_add(self.tx_method_bumps)
+            .wrapping_add(self.pending_method_bumps)
     }
 
-    /// Commit escrowed method-version bumps (transaction commit, or any
-    /// step taken outside a transaction).
+    /// Make the last step's version bumps the committed version — for a
+    /// driver that runs no transactions (boot, a VM-only loop).
     #[inline]
     pub fn publish_method_bumps(&mut self) {
-        if self.pending_method_bumps != 0 {
-            self.method_version = self.method_version.wrapping_add(self.pending_method_bumps);
-            self.pending_method_bumps = 0;
-        }
+        let bumps = std::mem::take(&mut self.pending_method_bumps);
+        self.method_version = self.method_version.wrapping_add(bumps);
     }
 
-    /// Discard escrowed bumps after an abort (the method-table words
-    /// themselves roll back via the undo log).
-    #[inline]
-    pub fn drop_method_bumps(&mut self) {
-        self.pending_method_bumps = 0;
-    }
-
-    /// Deterministic xorshift for `rand`.
-    pub(crate) fn next_rand(&mut self) -> u64 {
-        let mut x = self.rand_state;
+    /// Deterministic xorshift for `rand`: the next draw of `t`'s stream.
+    pub(crate) fn next_rand(&mut self, t: ThreadId) -> u64 {
+        let mut x = self.threads[t].rand_state;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        self.rand_state = x;
+        self.threads[t].rand_state = x;
         x
     }
 

@@ -8,7 +8,10 @@
 //! identical across GIL, HTM-static and HTM-dynamic, both as stdout and
 //! as the canonical heap digest. A chaos point at a 25 % injection rate
 //! exercises the escrow: cache fills and version bumps performed inside a
-//! transaction that aborts must vanish without a trace.
+//! transaction that aborts must vanish without a trace. The last four
+//! tests move the redefinition (and `rand` streams) into worker threads
+//! whose transactions overlap other threads' aborts and GIL tenures: the
+//! host-side half of a slice must be as per-transaction as its memory.
 
 use htm_gil::core::{check_against_gil, oracle};
 use htm_gil::{
@@ -20,10 +23,13 @@ fn profile() -> MachineProfile {
     MachineProfile::generic(4)
 }
 
-fn modes() -> [RuntimeMode; 3] {
+/// The GIL first — the reference the others are compared with.
+fn modes() -> [RuntimeMode; 5] {
     [
         RuntimeMode::Gil,
+        RuntimeMode::Htm { length: LengthPolicy::Fixed(1) },
         RuntimeMode::Htm { length: LengthPolicy::Fixed(16) },
+        RuntimeMode::Htm { length: LengthPolicy::Fixed(256) },
         RuntimeMode::Htm { length: LengthPolicy::Dynamic },
     ]
 }
@@ -151,32 +157,38 @@ puts(total)
 /// Per thread: Σ(tid+i) = 8·tid+28, then the same again plus Σ10i = 280.
 const SHAPE_STDOUT: &str = "1440";
 
-/// Run `src` under every mode, asserting the expected stdout and that
-/// all modes end in the same canonical heap state.
-fn assert_identical_across_modes(src: &str, expected_stdout: &str) {
+/// What a run leaves behind that every mode must agree on: stdout,
+/// canonical heap digest, committed method-table version.
+type Observed = (String, String, u32);
+
+/// Run `src` under every mode, asserting that each HTM run leaves exactly
+/// what the GIL run leaves, which is returned.
+fn assert_identical_across_modes(src: &str, what: &str) -> Observed {
     let p = profile();
-    let mut digests = Vec::new();
-    for mode in modes() {
+    let observe = |mode: RuntimeMode| -> Observed {
         let cfg = ExecConfig::new(mode, &p);
         let mut ex = Executor::new(src, VmConfig::default(), p.clone(), cfg).unwrap();
-        let r = ex.run().unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
-        assert_eq!(r.stdout, expected_stdout, "mode {}", mode.label());
-        digests.push((mode.label(), oracle::heap_digest(&ex.vm)));
+        let r = ex.run().unwrap_or_else(|e| panic!("{what}: {}: {e}", mode.label()));
+        (r.stdout, oracle::heap_digest(&ex.vm), ex.vm.method_version)
+    };
+    let [gil, htm @ ..] = modes();
+    let reference = observe(gil);
+    for mode in htm {
+        assert_eq!(observe(mode), reference, "{what}: {} diverged from the GIL", mode.label());
     }
-    let (ref first_label, ref first) = digests[0];
-    for (label, d) in &digests[1..] {
-        assert_eq!(d, first, "heap digest of {label} differs from {first_label}");
-    }
+    reference
 }
 
 #[test]
 fn method_redefinition_invalidates_send_caches_in_all_modes() {
-    assert_identical_across_modes(REDEFINE_SRC, REDEFINE_STDOUT);
+    let gil = assert_identical_across_modes(REDEFINE_SRC, "two redefinitions on main");
+    assert_eq!(gil.0, REDEFINE_STDOUT);
 }
 
 #[test]
 fn shape_mutation_invalidates_ivar_caches_in_all_modes() {
-    assert_identical_across_modes(SHAPE_SRC, SHAPE_STDOUT);
+    let gil = assert_identical_across_modes(SHAPE_SRC, "ivar-table growth");
+    assert_eq!(gil.0, SHAPE_STDOUT);
 }
 
 #[test]
@@ -191,6 +203,21 @@ fn redefinition_matches_the_gil_oracle_under_both_htm_policies() {
     }
 }
 
+/// HTM-dynamic under 25 % spurious injection, footprint shrinks, timer
+/// interrupts and the watchdog: the suite's chaos point.
+fn chaos_cfg(p: &MachineProfile) -> ExecConfig {
+    let mut cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Dynamic }, p);
+    cfg.fault_plan = Some(FaultPlan {
+        seed: 0x1C_CAFE,
+        spurious_rate: 0.25,
+        shrink_rate: 0.05,
+        restricted_rate: 0.0,
+    });
+    cfg.interrupt_interval = 50_000;
+    cfg.watchdog = WatchdogConstants::enabled();
+    cfg
+}
+
 #[test]
 fn chaos_point_at_25_percent_exercises_escrowed_cache_fills() {
     // 25 % spurious injection on the redefinition workload: transactions
@@ -200,15 +227,7 @@ fn chaos_point_at_25_percent_exercises_escrowed_cache_fills() {
     // from the escrow — a leak of either diverges the cache guards and,
     // with them, the observable run.
     let p = profile();
-    let mut cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Dynamic }, &p);
-    cfg.fault_plan = Some(FaultPlan {
-        seed: 0x1C_CAFE,
-        spurious_rate: 0.25,
-        shrink_rate: 0.05,
-        restricted_rate: 0.0,
-    });
-    cfg.interrupt_interval = 50_000;
-    cfg.watchdog = WatchdogConstants::enabled();
+    let cfg = chaos_cfg(&p);
     let v = check_against_gil(REDEFINE_SRC, VmConfig::default(), p, cfg)
         .expect("chaos redefinition run failed");
     assert!(v.matches(), "{}", v.mismatch.unwrap());
@@ -216,4 +235,147 @@ fn chaos_point_at_25_percent_exercises_escrowed_cache_fills() {
     assert!(v.subject.htm.begins > 0, "threads must speculate before the watchdog parks them");
     assert!(v.subject.htm.spurious > 0, "25 % injection must fire");
     assert!(v.subject.htm.total_aborts() > 0, "aborts must roll escrowed fills back");
+}
+
+/// Main warms `probe`'s send site against `m` → 7, thread 0 runs
+/// `worker_body`, and three more threads abort each other on `$counter`
+/// — under a mutex, so the final count is the same in every schedule
+/// (a bare `$counter += 1` loses updates across the extended yield
+/// points, under the GIL too).
+fn contended(worker_body: &str, epilogue: &str) -> String {
+    format!(
+        r#"
+class C
+  def m()
+    7
+  end
+end
+
+def probe(o)
+  o.m
+end
+
+$o = C.new()
+$counter = 0
+$lock = Mutex.new()
+probe($o)
+threads = []
+threads << Thread.new(0) do |x|
+{worker_body}
+end
+3.times do |k|
+  threads << Thread.new(k) do |x|
+    j = 0
+    while j < 300
+      $lock.lock()
+      $counter += 1
+      $lock.unlock()
+      j += 1
+    end
+  end
+end
+threads.each do |t|
+  t.join()
+end
+{epilogue}
+"#
+    )
+}
+
+/// Thread 0 redefines `m` → 11 after `delay` loop iterations, inside a
+/// transaction of its own, while the other threads' transactions abort
+/// and fall back on the GIL around it. The redefinition commits, so the
+/// version bump must too — nobody else's abort may drop it, nobody else's
+/// step publish it early — or `probe` keeps answering from the stale
+/// cache entry.
+#[test]
+fn redefinition_in_a_worker_survives_other_threads_aborts() {
+    for delay in 0..120 {
+        let body = format!(
+            r#"
+  i = 0
+  while i < {delay}
+    i += 1
+  end
+  class C
+    def m()
+      11
+    end
+  end"#
+        );
+        let src = contended(&body, "puts(probe($o))");
+        let gil = assert_identical_across_modes(&src, &format!("delay {delay}"));
+        assert_eq!((gil.0.as_str(), gil.2), ("11", 1), "delay {delay}");
+    }
+}
+
+/// Forty redefinitions in the worker: every one commits exactly once, so
+/// the committed version ends where the GIL run's does.
+#[test]
+fn repeated_redefinition_in_a_worker_commits_every_version_bump() {
+    let body = r#"
+  k = 0
+  while k < 40
+    class C
+      def m()
+        11
+      end
+    end
+    k += 1
+  end"#;
+    let src = contended(body, "puts(probe($o))");
+    let gil = assert_identical_across_modes(&src, "forty redefinitions");
+    assert_eq!((gil.0.as_str(), gil.2), ("11", 40));
+}
+
+/// One thread sums 200 draws of `rand` while the others abort around it:
+/// a draw taken inside a transaction that aborts is taken back with it,
+/// so every mode — and the chaos point — sums the same stream.
+#[test]
+fn rand_draws_of_an_aborted_transaction_are_taken_back() {
+    let body = r#"
+  s = 0
+  n = 0
+  while n < 200
+    s += rand(1000)
+    $lock.lock()
+    $counter += 1
+    $lock.unlock()
+    n += 1
+  end
+  $sum = s"#;
+    let src = contended(body, "puts($sum)");
+    assert_identical_across_modes(&src, "one drawing thread");
+    let p = profile();
+    let v = check_against_gil(&src, VmConfig::default(), p.clone(), chaos_cfg(&p))
+        .expect("chaos rand run failed");
+    assert!(v.matches(), "{}", v.mismatch.unwrap());
+    assert!(v.subject.htm.total_aborts() > 0, "aborts must take draws back");
+}
+
+/// Four threads draw at once and only the order-independent total is
+/// published: each thread has its own stream, so no abort can take back
+/// (or replay) a draw another thread has committed.
+#[test]
+fn concurrent_rand_streams_do_not_rewind_each_other() {
+    let src = r#"
+$slots = Array.new(4, 0)
+threads = []
+4.times do |i|
+  threads << Thread.new(i) do |tid|
+    s = 0
+    n = 0
+    while n < 150
+      s += rand(1000)
+      $slots[tid] = s
+      n += 1
+    end
+  end
+end
+threads.each do |t|
+  t.join()
+end
+puts($slots[0] + $slots[1] + $slots[2] + $slots[3])
+"#;
+    assert_identical_across_modes(src, "four drawing threads");
 }
