@@ -80,6 +80,16 @@ pub struct Scheduler {
     ready: Vec<Cycles>,
     /// Threads not yet finished (O(1) `other_live_threads`).
     unfinished: usize,
+    /// `Runnable` threads holding no hardware slot — the threads a quantum
+    /// hand-over can serve: zero means no hand-over and no waiter walk.
+    slotless: usize,
+    /// Thread the last full pick in [`Scheduler::next`] returned.
+    last_pick: ThreadId,
+    /// Smallest `(ready, tid)` among the threads other than `last_pick`
+    /// when learnt, [`NO_HORIZON`] when unknown. Those only rise while it
+    /// stands (what could lower one drops it), so while `last_pick` is
+    /// below it `next` returns `last_pick` without scanning.
+    horizon: (Cycles, ThreadId),
     /// Schedule-exploration controller; `None` (the default) leaves every
     /// decision-point hook a no-op and the schedule byte-identical to the
     /// pre-exploration scheduler.
@@ -89,6 +99,10 @@ pub struct Scheduler {
     /// next decision point (or parks/sleeps/finishes).
     pinned: Option<ThreadId>,
 }
+
+/// No `(ready, tid)` sorts below this, so the run-ahead test in
+/// [`Scheduler::next`] always falls through to the full pick.
+const NO_HORIZON: (Cycles, ThreadId) = (0, 0);
 
 /// Alternate runnable threads offered per preemption decision (plus
 /// choice 0 = natural schedule). Caps decision arity at 4 so the branch
@@ -109,6 +123,9 @@ impl Scheduler {
             context_switch,
             ready: Vec::new(),
             unfinished: 0,
+            slotless: 0,
+            last_pick: ThreadId::MAX,
+            horizon: NO_HORIZON,
             explore: None,
             pinned: None,
         }
@@ -132,6 +149,8 @@ impl Scheduler {
         });
         self.ready.push(start);
         self.unfinished += 1;
+        self.slotless += 1;
+        self.horizon = NO_HORIZON;
         tid
     }
 
@@ -195,19 +214,27 @@ impl Scheduler {
     /// Put `t` to sleep until simulated time `until` (blocking I/O).
     /// Releases its hardware slot.
     pub fn sleep_until(&mut self, t: ThreadId, until: Cycles) {
-        self.unpin(t);
-        self.release_slot(t);
-        let th = &mut self.threads[t];
-        th.state = ThreadState::Sleeping { until: until.max(th.clock) };
-        self.ready[t] = until.max(th.clock);
+        let until = until.max(self.threads[t].clock);
+        self.stop(t, ThreadState::Sleeping { until }, until);
     }
 
     /// Park `t` until an explicit [`Scheduler::unpark`]. Releases its slot.
     pub fn park(&mut self, t: ThreadId) {
+        self.stop(t, ThreadState::Parked, NEVER_READY);
+    }
+
+    /// Take `t` off the processor into the non-runnable `state`, ready
+    /// again at `ready`. Drops the horizon: `t` may be the remembered
+    /// thread, or a sleeper now due earlier than it.
+    fn stop(&mut self, t: ThreadId, state: ThreadState, ready: Cycles) {
         self.unpin(t);
         self.release_slot(t);
-        self.threads[t].state = ThreadState::Parked;
-        self.ready[t] = NEVER_READY;
+        if self.threads[t].state == ThreadState::Runnable {
+            self.slotless -= 1;
+        }
+        self.horizon = NO_HORIZON;
+        self.threads[t].state = state;
+        self.ready[t] = ready;
     }
 
     /// Wake a parked or sleeping thread; it becomes runnable no earlier
@@ -219,6 +246,8 @@ impl Scheduler {
                 th.clock = th.clock.max(at);
                 th.state = ThreadState::Runnable;
                 self.ready[t] = th.clock;
+                self.slotless += 1;
+                self.horizon = NO_HORIZON;
             }
             ThreadState::Runnable => {
                 // Spurious wake-up: harmless.
@@ -229,18 +258,20 @@ impl Scheduler {
 
     /// Mark `t` terminated and release its slot.
     pub fn finish(&mut self, t: ThreadId) {
-        self.unpin(t);
-        self.release_slot(t);
         if self.threads[t].state != ThreadState::Finished {
             self.unfinished -= 1;
         }
-        self.threads[t].state = ThreadState::Finished;
-        self.ready[t] = NEVER_READY;
+        self.stop(t, ThreadState::Finished, NEVER_READY);
     }
 
     /// True when every registered thread has finished.
     pub fn all_finished(&self) -> bool {
-        self.threads.iter().all(|t| t.state == ThreadState::Finished)
+        debug_assert_eq!(
+            self.unfinished,
+            self.threads.iter().filter(|t| t.state != ThreadState::Finished).count(),
+            "unfinished counter out of sync"
+        );
+        self.unfinished == 0
     }
 
     /// Number of threads currently runnable or sleeping (i.e. that will run
@@ -291,6 +322,7 @@ impl Scheduler {
     /// external wake (deadlock or completion).
     #[allow(clippy::should_implement_trait)] // scheduler step, not an Iterator
     pub fn next(&mut self) -> Option<ThreadId> {
+        debug_assert_eq!(self.slotless, self.slotless_recount(), "slotless counter out of sync");
         // Exploration pin: a forced preemption keeps its target running
         // (quantum handover suspended — the pin *is* the quantum) until
         // the target reaches its own next decision point or stops being
@@ -301,6 +333,18 @@ impl Scheduler {
                 return Some(p);
             }
             self.pinned = None;
+        }
+        // Run-ahead: the remembered thread is still first and no hand-over
+        // is due, so the full pick below would return it unchanged (it is
+        // runnable and holds its slot: what takes either drops the horizon).
+        let last = self.last_pick;
+        if self.horizon != NO_HORIZON
+            && (self.ready[last], last) < self.horizon
+            && (self.threads[last].slot_usage < OVERSUB_QUANTUM || self.slotless == 0)
+        {
+            debug_assert_eq!(Some((self.ready[last], last)), self.min_ready_recount());
+            debug_assert!(self.threads[last].slot.is_some());
+            return Some(last);
         }
         // Pass 1: find the best candidate by (ready_time, tid) — a plain
         // min-scan over the cached ready array (strict `<` keeps the
@@ -318,51 +362,75 @@ impl Scheduler {
         }
         debug_assert_eq!(
             Some((ready, tid)),
-            self.threads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, th)| match th.state {
-                    ThreadState::Runnable => Some((th.clock, i)),
-                    ThreadState::Sleeping { until } => Some((th.clock.max(until), i)),
-                    _ => None,
-                })
-                .min(),
+            self.min_ready_recount(),
             "ready cache out of sync with thread states"
         );
         // Wake if sleeping.
-        {
-            let th = &mut self.threads[tid];
+        let th = &mut self.threads[tid];
+        if th.state != ThreadState::Runnable {
             th.clock = ready;
             th.state = ThreadState::Runnable;
-            self.ready[tid] = ready;
+            self.slotless += 1;
         }
         // Ensure it holds a hardware slot.
         self.acquire_slot(tid);
         // Quantum accounting: if others are waiting for slots and this
         // thread exhausted its quantum, hand the slot over instead.
-        if self.threads[tid].slot_usage >= OVERSUB_QUANTUM {
-            let waiter = self
+        if self.threads[tid].slot_usage >= OVERSUB_QUANTUM && self.slotless > 0 {
+            let w = self
                 .threads
                 .iter()
-                .enumerate()
-                .find(|&(i, th)| th.state == ThreadState::Runnable && th.slot.is_none() && i != tid)
-                .map(|(i, _)| i);
-            if let Some(w) = waiter {
-                let slot = self.threads[tid].slot.take().expect("holder slot");
-                self.threads[tid].slot_usage = 0;
-                let switch_at = self.threads[tid].clock;
-                self.slots[slot] = Some(w);
-                let wt = &mut self.threads[w];
-                wt.slot = Some(slot);
-                wt.slot_usage = 0;
-                wt.clock = wt.clock.max(switch_at) + self.context_switch;
-                wt.busy += self.context_switch;
-                self.ready[w] = wt.clock;
-                // Re-select: the waiter may now be the best candidate.
-                return self.next();
-            }
+                .position(|th| th.state == ThreadState::Runnable && th.slot.is_none())
+                .expect("slotless > 0");
+            let slot = self.threads[tid].slot.take().expect("holder slot");
+            self.threads[tid].slot_usage = 0;
+            let switch_at = self.threads[tid].clock;
+            self.slots[slot] = Some(w);
+            let wt = &mut self.threads[w];
+            wt.slot = Some(slot);
+            wt.slot_usage = 0;
+            wt.clock = wt.clock.max(switch_at) + self.context_switch;
+            wt.busy += self.context_switch;
+            self.ready[w] = wt.clock;
+            // Re-select: the waiter may now be the best candidate, and
+            // `tid` no longer holds a slot to run ahead on.
+            self.horizon = NO_HORIZON;
+            return self.next();
         }
+        // Learn the horizon lazily, by a second scan only for a thread
+        // picked twice running: lock-step threads are almost never first
+        // twice, and a runner-up tracked in pass 1 would tax their every pick.
+        self.horizon = NO_HORIZON;
+        if tid == self.last_pick {
+            let mut best = (NEVER_READY, ThreadId::MAX);
+            for (i, &r) in self.ready.iter().enumerate() {
+                if r < best.0 && i != tid {
+                    best = (r, i);
+                }
+            }
+            self.horizon = best;
+        }
+        self.last_pick = tid;
         Some(tid)
+    }
+
+    /// What `slotless` caches (debug cross-check).
+    fn slotless_recount(&self) -> usize {
+        self.threads.iter().filter(|t| t.state == ThreadState::Runnable && t.slot.is_none()).count()
+    }
+
+    /// The pick [`Scheduler::next`] must make, spelt per state from the
+    /// thread table (debug cross-check of the ready cache and the horizon).
+    fn min_ready_recount(&self) -> Option<(Cycles, ThreadId)> {
+        self.threads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, th)| match th.state {
+                ThreadState::Runnable => Some((th.clock, i)),
+                ThreadState::Sleeping { until } => Some((th.clock.max(until), i)),
+                _ => None,
+            })
+            .min()
     }
 
     /// Give `t` a hardware slot if it lacks one: a free slot when
@@ -377,6 +445,7 @@ impl Scheduler {
             self.slots[free] = Some(t);
             self.threads[t].slot = Some(free);
             self.threads[t].slot_usage = 0;
+            self.slotless -= 1;
         } else {
             let victim = self
                 .slots
@@ -403,6 +472,7 @@ impl Scheduler {
         if let Some(s) = self.threads[t].slot.take() {
             self.slots[s] = None;
             self.threads[t].slot_usage = 0;
+            self.slotless += 1;
         }
     }
 
@@ -421,6 +491,7 @@ impl Scheduler {
     pub fn set_explore(&mut self, ctl: ExploreCtl) {
         self.explore = Some(ctl);
         self.pinned = None;
+        self.horizon = NO_HORIZON;
     }
 
     /// The installed controller, if any (trail/stats inspection).
@@ -445,19 +516,26 @@ impl Scheduler {
     pub fn explore_preempt(&mut self, t: ThreadId) -> Option<ThreadId> {
         self.unpin(t); // t reached its own next decision point
         self.explore.as_ref()?;
-        let mut cands: Vec<(Cycles, ThreadId)> = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|&(i, th)| i != t && th.state == ThreadState::Runnable)
-            .map(|(i, th)| (th.clock, i))
-            .collect();
-        if cands.is_empty() {
+        // The MAX_ALTERNATES smallest `(clock, tid)`, in order: each
+        // candidate bubbles through the array.
+        let mut cands = [(NEVER_READY, ThreadId::MAX); MAX_ALTERNATES];
+        let mut n = 0;
+        for (i, th) in self.threads.iter().enumerate() {
+            if i == t || th.state != ThreadState::Runnable {
+                continue;
+            }
+            n += 1;
+            let mut c = (th.clock, i);
+            for kept in &mut cands {
+                if c < *kept {
+                    std::mem::swap(&mut c, kept);
+                }
+            }
+        }
+        if n == 0 {
             return None;
         }
-        cands.sort_unstable();
-        cands.truncate(MAX_ALTERNATES);
-        let arity = (1 + cands.len()) as u8;
+        let arity = (1 + n.min(MAX_ALTERNATES)) as u8;
         let ctl = self.explore.as_mut().expect("checked above");
         let choice = ctl.decide(DecisionKind::Sched, arity);
         if choice == 0 {
@@ -465,6 +543,7 @@ impl Scheduler {
         }
         let pin = cands[choice as usize - 1].1;
         self.pinned = Some(pin);
+        self.horizon = NO_HORIZON;
         Some(pin)
     }
 
@@ -823,6 +902,162 @@ mod tests {
         assert_eq!(s.explore_preempt(a), Some(b));
         s.park(b);
         assert_eq!(s.next(), Some(a), "pin on a parked thread dissolves");
+    }
+
+    /// `next` must return `t` `n` times running, `t` advancing by `cost`
+    /// after each; from the second pick on the horizon must be live.
+    fn streak(s: &mut Scheduler, t: ThreadId, n: usize, cost: Cycles) {
+        for i in 0..n {
+            assert_eq!(s.next(), Some(t), "pick {i} of the streak");
+            assert!(i == 0 || s.horizon != NO_HORIZON, "horizon learnt by pick {i}");
+            s.advance(t, cost);
+        }
+    }
+
+    #[test]
+    fn unpark_at_an_earlier_time_ends_the_streak() {
+        let mut s = sched(2, 1);
+        let a = s.spawn(0);
+        let b = s.spawn(0);
+        s.park(b);
+        streak(&mut s, a, 5, 100);
+        s.unpark(b, 120);
+        assert_eq!(s.horizon, NO_HORIZON);
+        assert_eq!(s.next(), Some(b), "b (ready at 120) precedes a (clock 500)");
+        assert_eq!(s.clock(b), 120);
+    }
+
+    #[test]
+    fn spawn_mid_streak_loses_the_tie_then_runs_as_soon_as_it_is_behind() {
+        let mut s = sched(2, 1);
+        let a = s.spawn(0);
+        streak(&mut s, a, 3, 100);
+        let c = s.spawn(s.clock(a));
+        assert_eq!(s.next(), Some(a), "tie at 300 goes to the spawner (smaller tid)");
+        s.advance(a, 1);
+        assert_eq!(s.next(), Some(c));
+        assert_eq!(s.clock(c), 300);
+    }
+
+    #[test]
+    fn sleeper_due_inside_a_streak_wakes_exactly_at_its_deadline() {
+        let mut s = sched(2, 1);
+        let a = s.spawn(0);
+        let b = s.spawn(0);
+        assert_eq!(s.next(), Some(a));
+        s.advance(a, 10);
+        assert_eq!(s.next(), Some(b));
+        s.sleep_until(b, 1_000);
+        streak(&mut s, a, 11, 90); // 10 → 1000
+        assert_eq!(s.horizon, (1_000, b));
+        assert_eq!(s.next(), Some(a), "tie at the deadline goes to the smaller tid");
+        s.advance(a, 1);
+        assert_eq!(s.next(), Some(b));
+        assert_eq!((s.clock(b), s.busy(b), s.state(b)), (1_000, 0, ThreadState::Runnable));
+    }
+
+    #[test]
+    fn tie_at_the_horizon_goes_to_the_smaller_tid_from_both_sides() {
+        let mut s = sched(3, 1);
+        let a = s.spawn(1_000);
+        let b = s.spawn(0);
+        let c = s.spawn(1_000);
+        streak(&mut s, b, 2, 500);
+        // b reaches the horizon set by a smaller tid: a wins the tie.
+        assert_eq!(s.horizon, (1_000, a));
+        assert_eq!(s.next(), Some(a));
+        s.advance(a, 10);
+        // b's horizon is now c, a larger tid: b wins the tie, running ahead.
+        streak(&mut s, b, 3, 0);
+        assert_eq!(s.horizon, (1_000, c));
+        s.advance(b, 1);
+        assert_eq!(s.next(), Some(c));
+    }
+
+    #[test]
+    fn quantum_expiry_mid_streak_hands_over_at_the_same_pick() {
+        let mut s = sched(1, 1);
+        let a = s.spawn(0);
+        let b = s.spawn(0);
+        s.park(b);
+        assert_eq!(s.next(), Some(a));
+        // A runnable slot waiter that is not due yet: a keeps running ahead
+        // of it until the quantum is spent, not a pick longer.
+        s.unpark(b, 1_000_000);
+        assert_eq!(s.slotless, 1);
+        streak(&mut s, a, 5, 10_000);
+        assert_eq!(s.clock(a), OVERSUB_QUANTUM);
+        // Hand-over to b at its wake time plus the switch; a, still first,
+        // is re-selected and takes the only slot straight back (b's clock
+        // is the switch point), paying a switch of its own.
+        assert_eq!(s.next(), Some(a));
+        assert_eq!((s.clock(b), s.busy(b)), (1_001_000, 1_000));
+        assert_eq!((s.clock(a), s.busy(a)), (1_002_000, OVERSUB_QUANTUM + 1_000));
+        assert_eq!(s.threads[a].slot_usage, 0);
+        assert!(s.threads[b].slot.is_none());
+        assert_eq!(s.next(), Some(b));
+    }
+
+    #[test]
+    fn pin_installed_mid_streak_overrides_the_horizon() {
+        use crate::explore::SchedPath;
+        let mut s = sched(2, 1);
+        let a = s.spawn(0);
+        let b = s.spawn(1_000);
+        s.set_explore(ExploreCtl::new(SchedPath::new(vec![0, 0, 1]), false));
+        for _ in 0..2 {
+            assert_eq!(s.next(), Some(a));
+            assert_eq!(s.explore_preempt(a), None);
+            s.advance(a, 10);
+        }
+        assert_eq!(s.next(), Some(a));
+        assert_eq!(s.horizon, (1_000, b), "choice 0 leaves the horizon standing");
+        assert_eq!(s.explore_preempt(a), Some(b));
+        assert_eq!(s.next(), Some(b), "the pin beats a (clock 20) being first");
+        s.advance(b, 5);
+        assert_eq!(s.next(), Some(b));
+        assert_eq!(s.explore_preempt(b), None);
+        assert_eq!(s.next(), Some(a), "min-clock scheduling resumes");
+    }
+
+    #[test]
+    fn slotless_matches_the_recount_after_every_call() {
+        let mut s = sched(1, 1);
+        let check = |s: &Scheduler, want: usize| {
+            assert_eq!((s.slotless, s.slotless_recount()), (want, want));
+        };
+        let a = s.spawn(0);
+        let b = s.spawn(0);
+        let c = s.spawn(0);
+        check(&s, 3);
+        assert_eq!(s.next(), Some(a)); // a takes the free slot
+        check(&s, 2);
+        s.park(b); // slotless waiter leaves
+        check(&s, 1);
+        s.advance(a, 10);
+        assert_eq!(s.next(), Some(c)); // c preempts a: net zero
+        check(&s, 1);
+        s.sleep_until(c, 5_000); // holder leaves, slot freed
+        check(&s, 1);
+        s.unpark(b, 0);
+        s.unpark(b, 0); // spurious second wake counts nothing
+        check(&s, 2);
+        assert_eq!(s.next(), Some(b));
+        check(&s, 1);
+        s.finish(a); // slotless waiter finishes
+        check(&s, 0);
+        s.finish(a);
+        check(&s, 0);
+        s.advance(b, 10_000);
+        assert_eq!(s.next(), Some(c)); // sleeper wakes slotless, preempts b
+        check(&s, 1);
+        s.park(c);
+        assert_eq!(s.next(), Some(b)); // b retakes the freed slot
+        check(&s, 0);
+        s.finish(b);
+        s.finish(c);
+        check(&s, 0);
+        assert!(s.all_finished());
     }
 
     #[test]
