@@ -612,7 +612,7 @@ impl Executor {
     fn on_thread_finished(&mut self, t: ThreadId) {
         let (obj, result) = {
             let c = &self.vm.threads[t];
-            (c.thread_obj, c.result.clone())
+            (c.thread_obj, c.result)
         };
         if obj != 0 {
             // Non-transactional state publication; dooms stale readers.

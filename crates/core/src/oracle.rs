@@ -114,9 +114,12 @@ fn render(vm: &Vm, w: &Word, out: &mut String, seen: &mut HashSet<usize>) {
         Word::Sym(s) => {
             let _ = write!(out, ":{}", vm.program.symbols.name(*s));
         }
-        Word::Str(s) => {
-            let _ = write!(out, "{:?}", &**s);
-        }
+        Word::Str(id) => match vm.strings.get(*id) {
+            Some(s) => {
+                let _ = write!(out, "{:?}", &**s);
+            }
+            None => out.push_str("<freed string>"),
+        },
         Word::Hdr(_) => out.push_str("<header>"),
         Word::Obj(addr) => render_obj(vm, *addr, out, seen),
     }

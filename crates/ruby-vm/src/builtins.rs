@@ -13,6 +13,8 @@
 //! HTM transaction — so the TLE runtime falls back to the GIL and the
 //! operation re-executes there, mirroring CRuby's blocking regions.
 
+use std::rc::Rc;
+
 use machine_sim::ThreadId;
 
 use crate::interp::BResult;
@@ -187,8 +189,7 @@ fn recv_slot(vm: &mut Vm, t: ThreadId, recv: &Word, kind: ObjKind) -> Result<Add
 }
 
 fn str_arg(vm: &mut Vm, t: ThreadId, args: &[Word], i: usize) -> Result<String, VmAbort> {
-    let w =
-        args.get(i).ok_or_else(|| VmAbort::fatal(format!("missing string argument {i}")))?.clone();
+    let w = *args.get(i).ok_or_else(|| VmAbort::fatal(format!("missing string argument {i}")))?;
     let slot = recv_slot(vm, t, &w, ObjKind::String)?;
     Ok(vm.string_content(t, slot)?.to_string())
 }
@@ -407,7 +408,7 @@ fn bi_class_new(
     match vm.lookup_method(t, cls, init)? {
         Some(MethodEntry::Iseq(iseq)) => Ok(BResult::Frame {
             iseq,
-            self_w: obj.clone(),
+            self_w: obj,
             args,
             block,
             under: Some(obj),
@@ -756,7 +757,7 @@ fn bi_str_split(
     let mut words = Vec::with_capacity(parts.len());
     for p in parts {
         let w = vm.make_string(t, &p)?;
-        vm.temp_roots.push(w.clone()); // pin across the following allocs
+        vm.temp_roots.push(w); // pin across the following allocs
         words.push(w);
     }
     Ok(BResult::Value(vm.make_array(t, &words)?))
@@ -1656,18 +1657,16 @@ impl Vm {
         &mut self,
         t: ThreadId,
         slot: Addr,
-    ) -> Result<crate::regexlite::Regex, VmAbort> {
-        let pat = self
-            .rd(t, slot + 1)?
-            .as_str()
-            .cloned()
-            .ok_or_else(|| VmAbort::fatal("corrupt Regexp"))?;
+    ) -> Result<Rc<crate::regexlite::Regex>, VmAbort> {
+        let w = self.rd(t, slot + 1)?;
+        let pat = self.str_text(w)?;
         if let Some(r) = self.regex_cache.get(&*pat) {
-            return Ok(r.clone());
+            return Ok(Rc::clone(r));
         }
-        let r =
-            crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?;
-        self.regex_cache.insert(pat.to_string(), r.clone());
+        let r = Rc::new(
+            crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?,
+        );
+        self.regex_cache.insert(pat.to_string(), Rc::clone(&r));
         Ok(r)
     }
 }
@@ -1683,7 +1682,8 @@ fn bi_regexp_new(
     crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Regexp)?;
-    vm.wr(t, slot + 1, Word::Str(pat.into()))?;
+    let id = vm.strings.alloc(&pat);
+    vm.wr(t, slot + 1, Word::Str(id))?;
     Ok(BResult::Value(Word::Obj(slot)))
 }
 
@@ -1695,8 +1695,8 @@ fn bi_regexp_source(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = recv_slot(vm, t, &recv, ObjKind::Regexp)?;
-    let pat =
-        vm.rd(t, slot + 1)?.as_str().cloned().ok_or_else(|| VmAbort::fatal("corrupt Regexp"))?;
+    let w = vm.rd(t, slot + 1)?;
+    let pat = vm.str_text(w)?;
     Ok(BResult::Value(vm.make_string(t, &pat)?))
 }
 
@@ -1734,7 +1734,7 @@ fn bi_regexp_match(
                         let text: String = chars[*s..*e].iter().collect();
                         let w = vm.make_string(t, &text)?;
                         // Pin: the next group's allocation may GC.
-                        vm.temp_roots.push(w.clone());
+                        vm.temp_roots.push(w);
                         groups.push(w);
                     }
                     None => groups.push(Word::Nil),

@@ -124,12 +124,12 @@ impl Vm {
     /// of `what`; a heap too small for the boot image is the caller's
     /// configuration error, not a panic.
     pub(crate) fn alloc_slot_boot(&mut self, what: &str) -> Result<Addr, CompileError> {
-        let head = self.mem.peek(self.layout.free_head).clone();
+        let head = *self.mem.peek(self.layout.free_head);
         if let Word::Int(h) = head {
             if h != 0 {
                 let slot = h as Addr;
                 self.thread_ahead_of(slot);
-                let next = self.mem.peek(slot + 1).clone();
+                let next = *self.mem.peek(slot + 1);
                 self.mem.poke(self.layout.free_head, next);
                 self.allocations += 1;
                 return Ok(slot);
@@ -191,7 +191,7 @@ impl Vm {
 
     /// Sweep up to `budget` slots from the sweep cursor, freeing garbage.
     /// Returns a freshly freed slot if one was found (fast-path reuse).
-    fn lazy_sweep(&mut self, t: ThreadId, budget: usize) -> Result<Option<Addr>, VmAbort> {
+    pub fn lazy_sweep(&mut self, t: ThreadId, budget: usize) -> Result<Option<Addr>, VmAbort> {
         let cursor_addr = self.layout.sweep_cursor;
         let Word::Int(mut cursor) = self.rd(t, cursor_addr)? else {
             return Err(VmAbort::fatal("corrupt sweep cursor"));
@@ -284,71 +284,53 @@ impl Vm {
         self.in_gc = true;
         self.gc_runs += 1;
         let mut worklist: Vec<Addr> = Vec::new();
+        let mut root = |w: Word| {
+            if let Word::Obj(a) = w {
+                worklist.push(a);
+            }
+        };
         // Roots: literal pool, constants, globals, all thread stacks.
-        for w in self.pooled_objs.clone() {
-            if let Word::Obj(a) = w {
-                worklist.push(a);
-            }
-        }
+        self.pooled_objs.iter().copied().for_each(&mut root);
         for idx in 0..self.const_map.len() {
-            let w = self.rd(t, self.layout.cnst(idx))?;
-            if let Word::Obj(a) = w {
-                worklist.push(a);
-            }
+            root(self.rd(t, self.layout.cnst(idx))?);
         }
         for idx in 0..self.gvar_map.len() {
-            let w = self.rd(t, self.layout.gvar(idx))?;
-            if let Word::Obj(a) = w {
-                worklist.push(a);
-            }
+            root(self.rd(t, self.layout.gvar(idx))?);
         }
-        let stacks: Vec<(Addr, Addr, bool, Word)> = self
-            .threads
-            .iter()
-            .map(|c| (c.stack_base, c.sp, c.finished, c.result.clone()))
-            .collect();
-        for (base, sp, finished, result) in stacks {
-            if let Word::Obj(a) = result {
-                worklist.push(a);
-            }
-            if finished {
+        for i in 0..self.threads.len() {
+            let c = &self.threads[i];
+            root(c.result);
+            if c.finished {
                 continue;
             }
-            for addr in base..sp {
-                let w = self.rd(t, addr)?;
-                if let Word::Obj(a) = w {
-                    worklist.push(a);
-                }
+            for addr in c.stack_base..c.sp {
+                root(self.rd(t, addr)?);
             }
         }
-        let thread_objs: Vec<Addr> =
-            self.threads.iter().filter(|c| c.thread_obj != 0).map(|c| c.thread_obj).collect();
-        worklist.extend(thread_objs);
+        for c in self.threads.iter().filter(|c| c.thread_obj != 0) {
+            root(Word::Obj(c.thread_obj));
+        }
         // Rust-local temporaries of the in-flight step (conservative
         // C-stack analogue).
-        for w in self.temp_roots.clone() {
-            if let Word::Obj(a) = w {
-                worklist.push(a);
-            }
-        }
+        self.temp_roots.iter().copied().for_each(&mut root);
         // Heap-promoted block environments (see `Vm::promote_env`).
-        for (region, total) in self.promoted_envs.clone() {
-            for i in 0..total {
-                let w = self.rd(t, region + i)?;
-                if let Word::Obj(a) = w {
-                    worklist.push(a);
-                }
+        for i in 0..self.promoted_envs.len() {
+            let (region, total) = self.promoted_envs[i];
+            for addr in region..region + total {
+                root(self.rd(t, addr)?);
             }
         }
-        // Mark. Traversal termination uses a host-side visited set, NOT
-        // the mark bit: objects are *born* with the mark bit set (so an
-        // in-progress lazy sweep cannot reclaim them), and relying on the
-        // bit here would skip their children.
-        let mut visited: std::collections::HashSet<Addr> = std::collections::HashSet::new();
+        // Mark. Traversal termination uses a host-side visited set (one
+        // bit per word address), NOT the mark bit: objects are *born* with
+        // the mark bit set (so an in-progress lazy sweep cannot reclaim
+        // them), and relying on the bit here would skip their children.
+        let mut visited = vec![0u64; self.mem.size().div_ceil(64)];
         while let Some(obj) = worklist.pop() {
-            if !visited.insert(obj) {
+            let (word, bit) = (obj / 64, 1u64 << (obj % 64));
+            if visited[word] & bit != 0 {
                 continue;
             }
+            visited[word] |= bit;
             let hdr = self.rd(t, obj)?;
             let Some(h) = hdr.as_header() else {
                 // Conservative root scan can hit non-slot addresses if a
@@ -362,6 +344,11 @@ impl Vm {
                 self.wr(t, obj, Word::Hdr(ObjHeader { kind: h.kind, marked: true }))?;
             }
             self.scan_children(t, obj, h.kind, &mut worklist)?;
+        }
+        // With a transaction open (lazy subscription lets one outlive the
+        // GIL acquisition) an undo record may name an id the image does not.
+        if self.mem.active_tx_count() == 0 {
+            self.release_unnamed_strings();
         }
         // Restart the lazy-sweep cursor(s): allocation sweeps from the
         // top (per-thread partition starts under the §5.6 extension).
@@ -379,6 +366,21 @@ impl Vm {
         Ok(())
     }
 
+    /// Release every string-table id that no word of the image names.
+    /// Only payload word 1 of a slot ever holds one, and what decides is
+    /// the word, not the mark: a String outlives its reachability until
+    /// the sweep reaches it, and the mark itself can miss what a doomed
+    /// thread's retry will read (its registers are stale until it takes
+    /// the abort). `peek`, not `rd`: host-side bookkeeping must not move a
+    /// simulated cycle.
+    fn release_unnamed_strings(&mut self) {
+        let slots = self
+            .slot_ranges
+            .iter()
+            .flat_map(|&(base, n)| (0..n).map(move |i| base + i * SLOT_WORDS));
+        self.strings.retain(slots.filter_map(|slot| self.mem.peek(slot + 1).as_str_id()));
+    }
+
     fn scan_children(
         &mut self,
         t: ThreadId,
@@ -386,9 +388,9 @@ impl Vm {
         kind: ObjKind,
         out: &mut Vec<Addr>,
     ) -> Result<(), VmAbort> {
-        let push = |w: &Word, out: &mut Vec<Addr>| {
+        let mut push = |w: Word| {
             if let Word::Obj(a) = w {
-                out.push(*a);
+                out.push(a);
             }
         };
         match kind {
@@ -396,75 +398,47 @@ impl Vm {
             | ObjKind::Float
             | ObjKind::String
             | ObjKind::Regexp
-            | ObjKind::Mutex
-            | ObjKind::Barrier => {
-                // Mutex owner is a thread object — scan it.
-                if kind == ObjKind::Mutex {
-                    let w = self.rd(t, obj + 1)?;
-                    push(&w, out);
-                }
-            }
+            | ObjKind::Barrier => {}
+            // Mutex owner is a thread object — scan it.
+            ObjKind::Mutex | ObjKind::MatchData | ObjKind::Table => push(self.rd(t, obj + 1)?),
             ObjKind::Array => {
                 let len = self.rd(t, obj + 1)?.as_int().unwrap_or(0) as usize;
                 let buf = self.rd(t, obj + 3)?.as_int().unwrap_or(0) as Addr;
                 for i in 0..len {
-                    let w = self.rd(t, buf + i)?;
-                    push(&w, out);
+                    push(self.rd(t, buf + i)?);
                 }
             }
             ObjKind::Hash => {
                 let n = self.rd(t, obj + 1)?.as_int().unwrap_or(0) as usize;
                 let buf = self.rd(t, obj + 3)?.as_int().unwrap_or(0) as Addr;
                 for i in 0..2 * n {
-                    let w = self.rd(t, buf + i)?;
-                    push(&w, out);
+                    push(self.rd(t, buf + i)?);
                 }
             }
             ObjKind::Object => {
-                let cls = self.rd(t, obj + 1)?;
-                push(&cls, out);
+                push(self.rd(t, obj + 1)?);
                 let nivars = self.rd(t, obj + 3)?.as_int().unwrap_or(0) as usize;
                 let buf = self.rd(t, obj + 2)?.as_int().unwrap_or(0) as Addr;
                 for i in 0..nivars {
-                    let w = self.rd(t, buf + i)?;
-                    push(&w, out);
+                    push(self.rd(t, buf + i)?);
                 }
             }
             ObjKind::Class => {
-                let sup = self.rd(t, obj + 1)?;
-                push(&sup, out);
+                push(self.rd(t, obj + 1)?);
                 // Class variables hold values.
                 let cv = self.rd(t, obj + 5)?.as_int().unwrap_or(0) as Addr;
                 if cv != 0 {
                     let n = self.rd(t, cv)?.as_int().unwrap_or(0) as usize;
                     for i in 0..n {
-                        let w = self.rd(t, cv + 2 + 2 * i + 1)?;
-                        push(&w, out);
+                        push(self.rd(t, cv + 2 + 2 * i + 1)?);
                     }
                 }
             }
             ObjKind::Range => {
-                let lo = self.rd(t, obj + 1)?;
-                let hi = self.rd(t, obj + 2)?;
-                push(&lo, out);
-                push(&hi, out);
+                push(self.rd(t, obj + 1)?);
+                push(self.rd(t, obj + 2)?);
             }
-            ObjKind::Thread => {
-                let r = self.rd(t, obj + 3)?;
-                push(&r, out);
-            }
-            ObjKind::Proc => {
-                let s = self.rd(t, obj + 3)?;
-                push(&s, out);
-            }
-            ObjKind::MatchData => {
-                let g = self.rd(t, obj + 1)?;
-                push(&g, out);
-            }
-            ObjKind::Table => {
-                let rows = self.rd(t, obj + 1)?;
-                push(&rows, out);
-            }
+            ObjKind::Thread | ObjKind::Proc => push(self.rd(t, obj + 3)?),
         }
         Ok(())
     }
@@ -640,7 +614,7 @@ mod tests {
         // First allocation triggers a bulk refill; the global head moves by
         // ~refill slots at once.
         let _ = vm.alloc_slot(1).unwrap();
-        let tl = vm.mem.peek(vm.layout.thread_struct(1) + ts::TL_FREE_HEAD).clone();
+        let tl = *vm.mem.peek(vm.layout.thread_struct(1) + ts::TL_FREE_HEAD);
         assert!(matches!(tl, Word::Int(h) if h != 0), "local list holds the rest");
     }
 
@@ -648,7 +622,7 @@ mod tests {
     fn global_list_mode_pops_head() {
         let cfg = VmConfig { thread_local_free_lists: false, ..VmConfig::default() };
         let mut vm = Vm::boot("nil", cfg, &MachineProfile::generic(2)).unwrap();
-        let before = vm.mem.peek(vm.layout.free_head).clone();
+        let before = *vm.mem.peek(vm.layout.free_head);
         let a = vm.alloc_slot(0).unwrap();
         assert_eq!(before, Word::Int(a as i64), "allocates from the head");
     }
@@ -830,7 +804,7 @@ mod tests {
     fn gc_of_a_fresh_heap_frees_and_links_nothing() {
         let mut vm = vm();
         let (_, n) = vm.slot_ranges[0];
-        let head = vm.mem.peek(vm.layout.free_head).clone();
+        let head = *vm.mem.peek(vm.layout.free_head);
         vm.gc(0).unwrap();
         assert_eq!(vm.threaded, n, "the sweep may now read every header");
         assert_eq!(vm.lazy_sweep(0, usize::MAX).unwrap(), None, "nothing was garbage");

@@ -348,7 +348,7 @@ impl Vm {
                 self.advance(t);
             }
             Op::PutPooled => {
-                let w = self.pooled_objs[d.a as usize].clone();
+                let w = self.pooled_objs[d.a as usize];
                 self.push(t, w)?;
                 self.advance(t);
             }
@@ -615,7 +615,7 @@ impl Vm {
                 self.advance(t);
             }
             Insn::PutPooled(i) => {
-                let w = self.pooled_objs[i as usize].clone();
+                let w = self.pooled_objs[i as usize];
                 self.push(t, w)?;
                 self.advance(t);
             }
@@ -898,7 +898,7 @@ impl Vm {
                 let p = self.make_proc(t, bi, fp, self_w)?;
                 // Pin until a frame's F_BLOCK word (or the builtin) roots
                 // it — allocations inside the callee setup can GC.
-                self.temp_roots.push(p.clone());
+                self.temp_roots.push(p);
                 p.as_obj().unwrap()
             }
             None => 0,
@@ -922,7 +922,7 @@ impl Vm {
                 for i in 0..argc {
                     args.push(self.rd(t, recv_pos + 1 + i)?);
                 }
-                let r = crate::builtins::call(self, t, id, recv.clone(), args, block_addr)?;
+                let r = crate::builtins::call(self, t, id, recv, args, block_addr)?;
                 self.apply_bresult(t, r, argc)
             }
         }
@@ -1432,14 +1432,14 @@ impl Vm {
             match self.kind_of(t, slot)? {
                 ObjKind::Array => {
                     if let Word::Int(i) = idx {
-                        self.array_set(t, slot, i, value.clone())?;
+                        self.array_set(t, slot, i, value)?;
                         self.push(t, value)?;
                         self.advance(t);
                         return Ok(StepOk::Normal);
                     }
                 }
                 ObjKind::Hash => {
-                    self.hash_set(t, slot, idx, value.clone())?;
+                    self.hash_set(t, slot, idx, value)?;
                     self.push(t, value)?;
                     self.advance(t);
                     return Ok(StepOk::Normal);

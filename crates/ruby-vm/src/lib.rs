@@ -26,12 +26,12 @@
 //!   words roll back via the undo log; the thread's registers are
 //!   snapshotted by the TLE runtime).
 //!
-//! One deliberate simplification: string *content* is kept in host `Rc<str>`
-//! for convenience, but every string carries a "shadow buffer" in simulated
-//! memory sized to its byte length, and string/regex operations touch that
-//! buffer — so string-heavy code (WEBrick parsing, Rails templating)
-//! generates the same footprint (and the same overflow aborts) it does in
-//! CRuby. See DESIGN.md §2.
+//! One deliberate simplification: string *content* is kept host-side, in the
+//! VM's string table (see [`value`]), but every string carries a "shadow
+//! buffer" in simulated memory sized to its byte length, and string/regex
+//! operations touch that buffer — so string-heavy code (WEBrick parsing,
+//! Rails templating) generates the same footprint (and the same overflow
+//! aborts) it does in CRuby. See DESIGN.md §2.
 //!
 //! The crate is driven one bytecode at a time by the `core` crate's
 //! executor ([`vm::Vm::step`]); it never blocks the host thread.
@@ -57,5 +57,5 @@ pub use bytecode::{ISeq, Insn, IseqId};
 pub use layout::{AttributionMap, LineOwner};
 pub use program::Program;
 pub use symbols::{SymId, SymbolTable};
-pub use value::{ObjKind, Word};
+pub use value::{ObjKind, StrId, Word};
 pub use vm::{BlockOn, StepOk, ThreadCtx, Vm, VmAbort, VmConfig, VmError};

@@ -24,6 +24,8 @@
 //! malloc regions: `[len, cap, (key, value) × cap]`. Method-table values
 //! encode user iseqs as non-negative ints and builtins as `-(id + 1)`.
 
+use std::rc::Rc;
+
 use machine_sim::ThreadId;
 
 use crate::compile::CompileError;
@@ -89,15 +91,16 @@ impl Vm {
             self.wr(t, buf + i, Word::Int(0))?;
         }
         self.set_header(t, slot, ObjKind::String)?;
-        self.wr(t, slot + 1, Word::Str(s.into()))?;
+        let id = self.strings.alloc(s);
+        self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         self.wr(t, slot + 3, Word::Int(buf as i64))?;
         self.wr(t, slot + 4, Word::Int(cap as i64))?;
         Ok(Word::Obj(slot))
     }
 
-    /// Replace a String's content in place (`<<`, `sub!`…): new `Rc`, new
-    /// length, shadow grown if needed and rewritten.
+    /// Replace a String's content in place (`<<`, `sub!`…): new table
+    /// entry, new length, shadow grown if needed and rewritten.
     pub fn string_replace(&mut self, t: ThreadId, slot: Addr, s: &str) -> Result<(), VmAbort> {
         let len = s.len();
         let need = len.div_ceil(8).max(1);
@@ -118,13 +121,28 @@ impl Vm {
         for i in 0..need {
             self.wr(t, buf + i, Word::Int(0))?;
         }
-        self.wr(t, slot + 1, Word::Str(s.into()))?;
+        // With no transaction open no undo record exists, so the replaced
+        // id is named by this word alone (`peek`: not a simulated access).
+        if let (0, Word::Str(old)) = (self.mem.active_tx_count(), *self.mem.peek(slot + 1)) {
+            self.strings.release(old);
+        }
+        let id = self.strings.alloc(s);
+        self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         Ok(())
     }
 
+    /// Text of the `Str` payload word `w`. A word that is no `Str`, or
+    /// names a released id, is a corrupt image: fatal, not a panic.
+    pub(crate) fn str_text(&self, w: Word) -> Result<Rc<str>, VmAbort> {
+        w.as_str_id()
+            .and_then(|id| self.strings.get(id))
+            .cloned()
+            .ok_or_else(|| VmAbort::fatal("corrupt string payload"))
+    }
+
     /// Read a String's content (touching its shadow buffer for footprint).
-    pub fn string_content(&mut self, t: ThreadId, slot: Addr) -> Result<std::rc::Rc<str>, VmAbort> {
+    pub fn string_content(&mut self, t: ThreadId, slot: Addr) -> Result<Rc<str>, VmAbort> {
         let w = self.rd(t, slot + 1)?;
         let len = self.rd(t, slot + 2)?.as_int().unwrap_or(0) as usize;
         let buf = self.rd(t, slot + 3)?.as_int().unwrap_or(0) as Addr;
@@ -133,7 +151,7 @@ impl Vm {
                 let _ = self.rd(t, buf + i)?;
             }
         }
-        w.as_str().cloned().ok_or_else(|| VmAbort::fatal("corrupt string payload"))
+        self.str_text(w)
     }
 
     /// Allocate an Array with the given elements.
@@ -145,7 +163,7 @@ impl Vm {
         let cap = elems.len().max(4);
         let (buf, cap) = self.malloc(t, cap)?;
         for (i, w) in elems.iter().enumerate() {
-            self.wr(t, buf + i, w.clone())?;
+            self.wr(t, buf + i, *w)?;
         }
         self.set_header(t, slot, ObjKind::Array)?;
         self.wr(t, slot + 1, Word::Int(elems.len() as i64))?;
@@ -206,16 +224,16 @@ impl Vm {
     /// Allocate a Hash from `pairs`.
     pub fn make_hash(&mut self, t: ThreadId, pairs: &[(Word, Word)]) -> Result<Word, VmAbort> {
         for (k, v) in pairs {
-            self.temp_roots.push(k.clone());
-            self.temp_roots.push(v.clone());
+            self.temp_roots.push(*k);
+            self.temp_roots.push(*v);
         }
         let slot = self.alloc_slot(t)?;
         let cap = pairs.len().max(4);
         let (buf, capw) = self.malloc(t, 2 * cap)?;
         let cap = capw / 2;
         for (i, (k, v)) in pairs.iter().enumerate() {
-            self.wr(t, buf + 2 * i, k.clone())?;
-            self.wr(t, buf + 2 * i + 1, v.clone())?;
+            self.wr(t, buf + 2 * i, *k)?;
+            self.wr(t, buf + 2 * i + 1, *v)?;
         }
         self.set_header(t, slot, ObjKind::Hash)?;
         self.wr(t, slot + 1, Word::Int(pairs.len() as i64))?;
@@ -848,6 +866,39 @@ mod tests {
         assert!(cap >= 25, "shadow must cover 200 bytes, got {cap} words");
     }
 
+    /// The replaced id goes at once only when no undo record can exist;
+    /// inside a transaction it stays, and the rollback finds its text.
+    #[test]
+    fn string_replace_releases_the_old_id_only_outside_transactions() {
+        let mut vm = vm();
+        let slot = vm.make_string(0, "a").unwrap().as_obj().unwrap();
+        let live = vm.strings.live_ids().count();
+        for _ in 0..100 {
+            vm.string_replace(0, slot, "b").unwrap();
+        }
+        assert_eq!(vm.strings.live_ids().count(), live);
+        let budgets = htm_sim::Budgets { read_lines: 1 << 20, write_lines: 1 << 20 };
+        vm.mem.begin(0, budgets).unwrap();
+        vm.string_replace(0, slot, "c").unwrap();
+        assert_eq!(vm.strings.live_ids().count(), live + 1);
+        vm.mem.tabort(0, 1);
+        assert_eq!(&*vm.string_content(0, slot).unwrap(), "b");
+        // The aborted transaction's id waits for the next collection.
+        vm.pooled_objs.push(Word::Obj(slot));
+        vm.gc(0).unwrap();
+        assert!(vm.strings.live_ids().count() <= live);
+        assert_eq!(&*vm.string_content(0, slot).unwrap(), "b");
+    }
+
+    #[test]
+    fn a_released_id_is_a_fatal_error() {
+        let mut vm = vm();
+        let slot = vm.make_string(0, "a").unwrap().as_obj().unwrap();
+        let id = vm.mem.peek(slot + 1).as_str_id().unwrap();
+        vm.strings.release(id);
+        assert_eq!(vm.string_content(0, slot), Err(VmAbort::fatal("corrupt string payload")));
+    }
+
     #[test]
     fn array_growth_preserves_elements() {
         let mut vm = vm();
@@ -988,7 +1039,7 @@ mod tests {
         let s = vm.make_string(0, "hey").unwrap();
         assert_eq!(vm.display(0, &s).unwrap(), "hey");
         assert_eq!(vm.inspect(0, &s).unwrap(), "\"hey\"");
-        let arr = vm.make_array(0, &[Word::Int(1), s.clone()]).unwrap();
+        let arr = vm.make_array(0, &[Word::Int(1), s]).unwrap();
         assert_eq!(vm.display(0, &arr).unwrap(), "[1, \"hey\"]");
     }
 

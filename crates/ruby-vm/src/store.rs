@@ -40,7 +40,7 @@ impl Vm {
 
     /// `table.insert(row_array)` — append a row.
     pub fn store_insert(&mut self, t: ThreadId, table: Word, row: Word) -> Result<Word, VmAbort> {
-        let rows = self.table_rows(t, table.clone())?;
+        let rows = self.table_rows(t, table)?;
         if row.as_obj().is_none() {
             return Err(VmAbort::fatal("insert expects an Array row"));
         }
@@ -178,10 +178,10 @@ mod tests {
         {
             let t_w = vm.make_string(0, title).unwrap();
             let row = vm.make_array(0, &[Word::Int(id), t_w, Word::Int(year)]).unwrap();
-            vm.store_insert(0, table.clone(), row).unwrap();
+            vm.store_insert(0, table, row).unwrap();
         }
-        assert_eq!(vm.store_count(0, table.clone()).unwrap(), Word::Int(3));
-        let hits = vm.store_scan_eq(0, table.clone(), 2, Word::Int(1984)).unwrap();
+        assert_eq!(vm.store_count(0, table).unwrap(), Word::Int(3));
+        let hits = vm.store_scan_eq(0, table, 2, Word::Int(1984)).unwrap();
         let slot = hits.as_obj().unwrap();
         assert_eq!(vm.array_len(0, slot).unwrap(), 2);
         let all = vm.store_all(0, table).unwrap();
@@ -202,7 +202,7 @@ mod tests {
         let table = vm.store_create(0, 1).unwrap();
         for i in 0..50 {
             let row = vm.make_array(0, &[Word::Int(i)]).unwrap();
-            vm.store_insert(0, table.clone(), row).unwrap();
+            vm.store_insert(0, table, row).unwrap();
         }
         vm.step_native_cost = 0;
         vm.store_scan_eq(0, table, 0, Word::Int(7)).unwrap();

@@ -10,6 +10,24 @@
 //! * **Payload words** inside objects: slot headers, raw `F64` float
 //!   payloads, `Str` string content, and free-list links, all of which
 //!   occupy simulated cache lines like any other data.
+//!
+//! A `Word` is 16 bytes and `Copy`, like the machine word it stands for:
+//! a String's host-side text is not in the word but behind a [`StrId`]
+//! into the VM's [`StrTable`], the way CRuby's bytes sit behind a pointer.
+//! `make_string`, `string_replace` and `Regexp.new` allocate an id and
+//! write it to payload word 1 of their object, the only word that ever
+//! holds it. An id may be released only when no word of the image and no
+//! undo record can name it, so there is one reclaimer: the end of
+//! `Vm::gc`'s mark walks payload word 1 of every slot and frees each id
+//! none of them holds — an id lives as long as the word, not as long as
+//! the object is reachable. The walk uses `TxMemory::peek` — not a
+//! simulated access, so the table moves no simulated cycle — and is
+//! skipped while a transaction is open (lazy subscription lets one
+//! outlive a GIL acquisition): a speculative `<<` leaves the replaced id
+//! in an undo log only, and the rollback brings it back. Likewise
+//! `string_replace` releases the id it replaces at once only while no
+//! transaction is open anywhere. Ids of aborted transactions wait for the
+//! next collection.
 
 use std::rc::Rc;
 
@@ -49,8 +67,67 @@ pub struct ObjHeader {
     pub marked: bool,
 }
 
+/// Index of a string's text in the VM's [`StrTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct StrId(u32);
+
+/// Host-side text of every `Str` word (module docs: who owns an entry).
+/// Ids are handed out in program order, lowest free id first after a
+/// collection, so two runs of one program name their strings alike.
+#[derive(Debug, Default)]
+pub struct StrTable {
+    entries: Vec<Option<Rc<str>>>,
+    free: Vec<u32>,
+}
+
+impl StrTable {
+    pub fn alloc(&mut self, s: &str) -> StrId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            u32::try_from(self.entries.len() - 1).expect("string table overflow")
+        });
+        self.entries[id as usize] = Some(Rc::from(s));
+        StrId(id)
+    }
+
+    /// `None` for an id that was released: a dangling `Str` word.
+    pub fn get(&self, id: StrId) -> Option<&Rc<str>> {
+        self.entries.get(id.0 as usize)?.as_ref()
+    }
+
+    pub fn release(&mut self, id: StrId) {
+        if self.entries[id.0 as usize].take().is_some() {
+            self.free.push(id.0);
+        }
+    }
+
+    /// Release every id not among `named`.
+    pub(crate) fn retain(&mut self, named: impl Iterator<Item = StrId>) {
+        let mut keep = vec![false; self.entries.len()];
+        named.for_each(|id| keep[id.0 as usize] = true);
+        self.free.clear();
+        for id in (0..self.entries.len()).rev() {
+            if !keep[id] {
+                self.entries[id] = None;
+            }
+            if self.entries[id].is_none() {
+                self.free.push(id as u32);
+            }
+        }
+    }
+
+    /// Ids ever in use at once (live and free).
+    pub fn id_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn live_ids(&self) -> impl Iterator<Item = StrId> + '_ {
+        (0..self.entries.len()).filter(|&i| self.entries[i].is_some()).map(|i| StrId(i as u32))
+    }
+}
+
 /// One word of simulated memory.
-#[derive(Debug, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Word {
     /// Untouched memory.
     #[default]
@@ -66,34 +143,13 @@ pub enum Word {
     Obj(Addr),
     /// Raw float payload (inside a `Float` object only).
     F64(f64),
-    /// String content payload (inside a `String` object only). The bytes
-    /// additionally have a shadow buffer in simulated memory for footprint
-    /// accounting (see crate docs).
-    Str(Rc<str>),
+    /// String content payload (inside a `String` or `Regexp` object
+    /// only): the text is `Vm::strings[id]`. The bytes additionally have a
+    /// shadow buffer in simulated memory for footprint accounting (see
+    /// crate docs).
+    Str(StrId),
     /// Slot header.
     Hdr(ObjHeader),
-}
-
-/// Hand-written so the clone on the memory read path inlines to a plain
-/// 16-byte copy for every immediate variant, with the `Rc` refcount bump
-/// isolated in the one heap-carrying arm (`Str`) instead of dominating the
-/// whole match.
-impl Clone for Word {
-    #[inline(always)]
-    fn clone(&self) -> Word {
-        match self {
-            Word::Uninit => Word::Uninit,
-            Word::Nil => Word::Nil,
-            Word::True => Word::True,
-            Word::False => Word::False,
-            Word::Int(i) => Word::Int(*i),
-            Word::Sym(s) => Word::Sym(*s),
-            Word::Obj(a) => Word::Obj(*a),
-            Word::F64(f) => Word::F64(*f),
-            Word::Str(s) => Word::Str(Rc::clone(s)),
-            Word::Hdr(h) => Word::Hdr(*h),
-        }
-    }
 }
 
 impl Word {
@@ -131,9 +187,9 @@ impl Word {
         }
     }
 
-    pub fn as_str(&self) -> Option<&Rc<str>> {
+    pub fn as_str_id(&self) -> Option<StrId> {
         match self {
-            Word::Str(s) => Some(s),
+            Word::Str(id) => Some(*id),
             _ => None,
         }
     }
@@ -186,6 +242,26 @@ pub fn ruby_mod(a: i64, b: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const _: () = assert!(std::mem::size_of::<Word>() == 16);
+
+    #[test]
+    fn string_table_reuses_released_ids_lowest_first() {
+        let mut t = StrTable::default();
+        let ids: Vec<StrId> = ["a", "b", "c", "d"].iter().map(|s| t.alloc(s)).collect();
+        assert_eq!(ids, [StrId(0), StrId(1), StrId(2), StrId(3)]);
+        t.retain([ids[3], ids[1]].into_iter());
+        assert_eq!(t.live_ids().collect::<Vec<_>>(), [ids[1], ids[3]]);
+        assert_eq!(t.get(ids[0]), None, "a released id answers nothing");
+        assert_eq!(&**t.get(ids[3]).unwrap(), "d");
+        assert_eq!(t.alloc("e"), ids[0]);
+        t.release(ids[1]);
+        t.release(ids[1]); // a second release frees nothing twice
+        assert_eq!(t.alloc("f"), ids[1]);
+        assert_eq!(t.alloc("g"), ids[2]);
+        assert_eq!(t.alloc("h"), StrId(4));
+        assert_eq!(t.id_count(), 5);
+    }
 
     #[test]
     fn truthiness() {

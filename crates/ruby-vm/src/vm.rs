@@ -4,6 +4,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use htm_sim::{AbortReason, LineLease, MemoryImage, TxMemory};
 use machine_sim::{MachineProfile, ThreadId};
@@ -13,7 +14,7 @@ use crate::compile::{compile_source, CompileError};
 use crate::layout::{ts, Layout};
 use crate::program::{PoolLiteral, Program};
 use crate::symbols::SymId;
-use crate::value::{Addr, ObjHeader, ObjKind, Word};
+use crate::value::{Addr, ObjHeader, ObjKind, StrTable, Word};
 
 thread_local! {
     /// Memory buffers of the last VM torn down on this thread, every word
@@ -285,11 +286,13 @@ pub struct CoreClasses {
     pub main_obj: Addr,
 }
 
-/// Ways in the per-thread lease cache, direct-mapped by cache-line number.
-/// Four cover the hot working set of a step — the frame-locals line, the
-/// operand-stack top line, and an inline-cache or ivar line — without
-/// making the lookup more than an index-and-compare.
-const LEASE_WAYS: usize = 4;
+/// Ways in the per-thread lease cache, direct-mapped by cache-line number;
+/// the lookup is an index-and-compare at any size. Sized by measurement
+/// (EXPERIMENTS.md, "Host cost"): on the Xeon's 8-word lines a frame, its
+/// operand stack, an object and its buffers are a dozen lines, and four
+/// ways missed on 34 % of `webrick_xeon`'s accesses. Sixteen win on every
+/// workload; sixty-four gain 4 % more on two and lose 1–2 % on three.
+const LEASE_WAYS: usize = 16;
 const LEASE_MASK: usize = LEASE_WAYS - 1;
 
 /// One lease-cache way: the read and write leases a thread holds for one
@@ -333,8 +336,10 @@ pub struct Vm {
     /// written down in memory; the rest hold them by definition only (see
     /// `heap`: "the initial free list").
     pub(crate) threaded: usize,
+    /// Text of the image's `Str` words (see [`crate::value`]).
+    pub strings: StrTable,
     /// Compiled-regex cache keyed by pattern (host-side, like onig's).
-    pub regex_cache: HashMap<String, crate::regexlite::Regex>,
+    pub regex_cache: HashMap<String, Rc<crate::regexlite::Regex>>,
     /// Memory references made by the current step (the executor charges
     /// cycles from this).
     pub step_mem_refs: u32,
@@ -476,6 +481,7 @@ impl Vm {
             pooled_objs: Vec::new(),
             slot_ranges: Vec::new(),
             threaded: 0,
+            strings: StrTable::default(),
             regex_cache: HashMap::new(),
             step_mem_refs: 0,
             step_native_cost: 0,
@@ -695,16 +701,16 @@ impl Vm {
     }
 
     /// Read that classifies the word in place: `Ok(i)` for an immediate
-    /// integer, `Err(word)` (cloned) otherwise — one counted access either
-    /// way. The arithmetic/compare superinstructions use it to reach the
-    /// `(Int, Int)` fast lane without cloning through the generic path.
+    /// integer, `Err(word)` otherwise — one counted access either way. The
+    /// arithmetic/compare superinstructions use it to reach the
+    /// `(Int, Int)` fast lane.
     #[inline]
     pub fn rd_int(&mut self, t: ThreadId, addr: Addr) -> Result<Result<i64, Word>, VmAbort> {
         #[inline(always)]
         fn probe(w: &Word) -> Result<i64, Word> {
             match w {
                 Word::Int(i) => Ok(*i),
-                other => Err(other.clone()),
+                other => Err(*other),
             }
         }
         self.step_mem_refs += 1;

@@ -45,7 +45,7 @@ fn run_vm(src: &str) -> Vm {
                         // Publish result into the Thread object, as the
                         // real executor does.
                         let ctx = &vm.threads[t];
-                        let (obj, result) = (ctx.thread_obj, ctx.result.clone());
+                        let (obj, result) = (ctx.thread_obj, ctx.result);
                         if obj != 0 {
                             vm.mem.write(t, obj + 2, ruby_vm::Word::Int(1)).unwrap();
                             vm.mem.write(t, obj + 3, result).unwrap();

@@ -17,6 +17,9 @@ pub enum Body {
     DisjointSlots { iters: u8 },
     /// Float accumulation (allocator pressure).
     FloatSum { iters: u8 },
+    /// Per-thread string building (`<<`, `+`, `sub`, `split`,
+    /// `Regexp.new`): string-table pressure.
+    StringChurn { iters: u8 },
 }
 
 pub fn body_strategy() -> impl Strategy<Value = Body> {
@@ -25,6 +28,7 @@ pub fn body_strategy() -> impl Strategy<Value = Body> {
         (1u8..12).prop_map(|iters| Body::MutexCount { iters }),
         (1u8..25).prop_map(|iters| Body::DisjointSlots { iters }),
         (1u8..20).prop_map(|iters| Body::FloatSum { iters }),
+        (1u8..15).prop_map(|iters| Body::StringChurn { iters }),
     ]
 }
 
@@ -68,6 +72,18 @@ pub fn render(threads: usize, body: &Body) -> (String, String) {
             "total",
             // trunc(iters·0.5)·2 per thread: odd iteration counts floor.
             format!("{}", (i64::from(*iters) / 2) * 2 * threads as i64),
+        ),
+        Body::StringChurn { iters } => (
+            format!(
+                "    s = \"t\"\n    n = 0\n    j = 0\n    while j < {iters}\n      s << \"ab\"\n      u = s + j.to_s\n      if Regexp.new(\"a(b+)\" + j.to_s).match(u)\n        n += 1\n      end\n      n += u.sub(\"ab\", \"-\").split(\"b\").length\n      j += 1\n    end\n    out[tid] = n\n"
+            ),
+            "total",
+            {
+                // Round j: the match hits, and "t-" + "ab"·j + digits
+                // splits on "b" into j + 1 pieces.
+                let iters = i64::from(*iters);
+                format!("{}", (2 * iters + iters * (iters - 1) / 2) * threads as i64)
+            },
         ),
     };
     let src = format!(

@@ -52,7 +52,7 @@ impl Job {
 const HTM_DYNAMIC: RuntimeMode = RuntimeMode::Htm { length: LengthPolicy::Dynamic };
 
 /// Everything observable about a finished run, in a form that can leave
-/// the thread it ran on (`Word` holds an `Rc`).
+/// the thread it ran on (the VM's string table holds `Rc`s).
 struct Observed {
     /// The full report, or the error with its dump.
     outcome: String,
