@@ -345,9 +345,9 @@ impl Executor {
                     self.gil.next_timer += self.profile.cost.timer_interval;
                     if let Some(h) = self.gil.holder {
                         let flag = self.vm.layout.thread_struct(h) + ruby_vm::layout::ts::INTERRUPT;
-                        self.vm.wr_untimed(h, flag, Word::Int(1)).map_err(|r| {
-                            RunError::Vm(format!("timer flag write aborted unexpectedly: {r:?}"))
-                        })?;
+                        self.vm
+                            .wr_untimed(h, flag, Word::Int(1))
+                            .map_err(|r| self.plain_access_failed("timer flag write", r))?;
                     }
                 }
             }
@@ -426,6 +426,16 @@ impl Executor {
             let _ = writeln!(out, "  sched decisions (tail): {trail}");
         }
         out
+    }
+
+    /// A plain runtime access outside any transaction aborted — only a
+    /// broken memory invariant does that. A run error with the thread
+    /// dump, not a torn-down process.
+    fn plain_access_failed(&self, what: &str, reason: AbortReason) -> RunError {
+        RunError::Vm(format!(
+            "{what} aborted outside any transaction: {reason:?}\n{}",
+            self.deadlock_dump()
+        ))
     }
 
     fn report(&self) -> RunReport {
@@ -591,10 +601,7 @@ impl Executor {
     fn handle_outcome(&mut self, t: ThreadId, ok: StepOk) -> Result<(), RunError> {
         match ok {
             StepOk::Normal => Ok(()),
-            StepOk::Finished => {
-                self.on_thread_finished(t);
-                Ok(())
-            }
+            StepOk::Finished => self.on_thread_finished(t),
             StepOk::Spawned { tid } => {
                 let s = self.sched.spawn(self.sched.clock(t));
                 debug_assert_eq!(s, tid, "scheduler/vm thread ids must stay in lockstep");
@@ -609,15 +616,19 @@ impl Executor {
     }
 
     /// Publish thread completion: thread-object state, scheduler, joiners.
-    fn on_thread_finished(&mut self, t: ThreadId) {
+    fn on_thread_finished(&mut self, t: ThreadId) -> Result<(), RunError> {
         let (obj, result) = {
             let c = &self.vm.threads[t];
             (c.thread_obj, c.result)
         };
         if obj != 0 {
             // Non-transactional state publication; dooms stale readers.
-            self.vm.mem.write(t, obj + 2, Word::Int(1)).expect("state");
-            self.vm.mem.write(t, obj + 3, result).expect("result");
+            for (addr, word, what) in [
+                (obj + 2, Word::Int(1), "finished thread's state write"),
+                (obj + 3, result, "finished thread's result write"),
+            ] {
+                self.vm.mem.write(t, addr, word).map_err(|r| self.plain_access_failed(what, r))?;
+            }
         }
         self.sched.finish(t);
         let now = self.sched.clock(t);
@@ -626,6 +637,7 @@ impl Executor {
                 self.sched.unpark(w, now);
             }
         }
+        Ok(())
     }
 
     fn park_on(&mut self, t: ThreadId, on: BlockOn) {
@@ -721,20 +733,16 @@ impl Executor {
             // settle any batched lease deltas before deciding to switch.
             self.vm.mem.flush_lease_stats();
             let flag_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::INTERRUPT;
-            // GIL mode runs no transactions, so these plain accesses can
-            // only fail if the memory invariants are broken — surface
-            // that as a run error instead of tearing down the process.
-            let flag = self.vm.rd_untimed(t, flag_addr).map_err(|r| {
-                RunError::Vm(format!("interrupt flag read aborted outside any transaction: {r:?}"))
-            })?;
+            let flag = self
+                .vm
+                .rd_untimed(t, flag_addr)
+                .map_err(|r| self.plain_access_failed("interrupt flag read", r))?;
             self.sched.advance(t, 2 * self.profile.cost.mem_ref);
             self.breakdown.gil_held += 2 * self.profile.cost.mem_ref;
             if flag == Word::Int(1) {
-                self.vm.wr_untimed(t, flag_addr, Word::Int(0)).map_err(|r| {
-                    RunError::Vm(format!(
-                        "interrupt flag clear aborted outside any transaction: {r:?}"
-                    ))
-                })?;
+                self.vm
+                    .wr_untimed(t, flag_addr, Word::Int(0))
+                    .map_err(|r| self.plain_access_failed("interrupt flag clear", r))?;
                 self.gil_release(t);
                 self.sched.advance(t, self.profile.cost.sched_yield);
                 self.breakdown.gil_wait += self.profile.cost.sched_yield;
@@ -793,7 +801,7 @@ impl Executor {
                 // A forcible acquisition is in progress (Fig. 1 line 27 /
                 // persistent-abort fallback): finish it before anything
                 // else.
-                if !self.gil_acquire_or_park(t) {
+                if !self.gil_acquire_or_park(t)? {
                     return Ok(());
                 }
             } else if !self.transaction_begin(t)? {
@@ -924,7 +932,7 @@ impl Executor {
     fn transaction_begin(&mut self, t: ThreadId) -> Result<bool, RunError> {
         // Line 2: single-thread fast path — just take the GIL.
         if self.sched.other_live_threads(t) == 0 {
-            return Ok(self.gil_acquire_or_park(t));
+            return self.gil_acquire_or_park(t);
         }
         // Watchdog cooldown: speculation has been failing persistently on
         // this thread — go straight to the GIL for the remaining tenures
@@ -932,7 +940,7 @@ impl Executor {
         if self.tle[t].cooldown > 0 {
             self.tle[t].cooldown -= 1;
             self.tle[t].retrying = false;
-            return Ok(self.gil_acquire_or_park(t));
+            return self.gil_acquire_or_park(t);
         }
         let pc = self.tle[t].resume_pc.take().unwrap_or_else(|| self.global_pc(t));
         // Fig. 1 lines 5 and 9-11: a *fresh* begin consults the length
@@ -1068,8 +1076,7 @@ impl Executor {
                 let backoff = self.tle[t].backoff.max(w.cooldown_base).max(1);
                 self.tle[t].cooldown = backoff;
                 self.tle[t].backoff = backoff.saturating_mul(2).min(w.cooldown_max.max(1));
-                self.gil_acquire_or_park(t);
-                return Ok(());
+                return self.gil_acquire_or_park(t).map(drop);
             }
         }
         // Lines 17-20: first abort of this transaction adjusts the length.
@@ -1094,18 +1101,16 @@ impl Executor {
                 return Ok(());
             }
             // Line 27: forcibly acquire.
-            self.gil_acquire_or_park(t);
-            return Ok(());
+            return self.gil_acquire_or_park(t).map(drop);
         }
         // Lines 28-29: persistent → GIL.
         if reason.is_persistent() {
-            self.gil_acquire_or_park(t);
-            return Ok(());
+            return self.gil_acquire_or_park(t).map(drop);
         }
         // Lines 31-35: transient retry.
         self.tle[t].transient_retries = self.tle[t].transient_retries.saturating_sub(1);
         if self.tle[t].transient_retries == 0 {
-            self.gil_acquire_or_park(t);
+            self.gil_acquire_or_park(t)?;
         } else {
             self.tle[t].retrying = true;
         }
@@ -1115,12 +1120,12 @@ impl Executor {
     }
 
     /// `gil_acquire()` with parking. Returns true when the GIL was taken.
-    fn gil_acquire_or_park(&mut self, t: ThreadId) -> bool {
+    fn gil_acquire_or_park(&mut self, t: ThreadId) -> Result<bool, RunError> {
         if self.gil.is_held() {
             self.tle[t].want_gil = true;
             self.gil.push_waiter(t, GilWait::Acquire);
             self.sched.park(t);
-            return false;
+            return Ok(false);
         }
         self.tle[t].want_gil = false;
         self.sched.advance(t, self.profile.cost.gil_acquire);
@@ -1144,9 +1149,9 @@ impl Executor {
         self.vm
             .mem
             .write(t, counter_addr, Word::Int(i64::from(len)))
-            .expect("counter write outside transaction");
+            .map_err(|r| self.plain_access_failed("yield counter install under the GIL", r))?;
         self.tle[t].fresh = true;
-        true
+        Ok(true)
     }
 }
 
@@ -1162,6 +1167,24 @@ mod tests {
         let cfg = ExecConfig::new(mode, &profile);
         let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).unwrap();
         ex.run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one mapping behind every plain runtime access (timer flag,
+    /// interrupt flag, a finished thread's state and result words, the
+    /// yield counter of a GIL tenure): what was attempted, the abort, the
+    /// thread dump. `tests/run_errors.rs` forces the sites that can be
+    /// reached from outside; the result word shares its line with the
+    /// state word, so it can only fail through this mapping.
+    #[test]
+    fn a_failed_plain_access_maps_to_a_vm_error_with_the_dump() {
+        let profile = MachineProfile::generic(2);
+        let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+        let ex = Executor::new("nil", VmConfig::default(), profile, cfg).unwrap();
+        let e = ex.plain_access_failed("finished thread's result write", AbortReason::Restricted);
+        let RunError::Vm(msg) = e else { panic!("{e:?}") };
+        let head = "finished thread's result write aborted outside any transaction: Restricted\n";
+        assert!(msg.starts_with(head), "{msg}");
+        assert_eq!(&msg[head.len()..], ex.deadlock_dump());
     }
 
     const COUNT_SRC: &str = "x = 0\ni = 1\nwhile i <= 500\n  x += i\n  i += 1\nend\nputs(x)";

@@ -21,7 +21,6 @@ use machine_sim::ThreadId;
 
 use crate::abort::{AbortReason, ExplicitCode, SpuriousCause};
 use crate::inject::{Fault, FaultInjector, FaultPlan};
-use crate::lease::LineLease;
 use crate::predictor::OverflowPredictor;
 use crate::stats::HtmStats;
 use crate::trace::{TraceEvent, TraceSink};
@@ -55,12 +54,6 @@ pub struct ReferenceTxMemory<W: Clone> {
     /// differential pair see the same fault stream.
     injector: Option<FaultInjector>,
     now: u64,
-    /// Per-slot lease epochs, bumped in lockstep with
-    /// [`crate::TxMemory`]'s (same events, same slots, same per-victim
-    /// granularity) so `epoch_bumps` compares strictly in the
-    /// differential test. Slot `t` guards thread `t`'s in-transaction
-    /// leases; the last slot guards plain (out-of-transaction) leases.
-    epochs: Vec<u64>,
 }
 
 impl<W: Clone> ReferenceTxMemory<W> {
@@ -80,7 +73,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
             trace: None,
             injector: None,
             now: 0,
-            epochs: vec![1; max_threads + 1],
         }
     }
 
@@ -369,89 +361,20 @@ impl<W: Clone> ReferenceTxMemory<W> {
         self.words[addr] = value;
     }
 
-    // ---- line leases (degenerate per-word fallback) ---------------------
-    //
-    // The reference never grants a lease: `try_lease` returns a token that
-    // can never validate, and the `lease_*` accessors fall back to the full
-    // per-word path through the token's recorded owner. This is the
-    // executable specification of the lease API — the differential test
-    // drives both implementations with the same lease operations and the
-    // degenerate fallback must produce identical memory images, abort
-    // behaviour, and (lease_hits aside) statistics.
-
-    /// Current epoch of one lease slot (bumped in lockstep with the
-    /// directory impl).
-    #[inline]
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.epochs[slot]
-    }
-
-    /// True when `lease` is still current — never, for leases issued here.
-    #[inline]
-    pub fn lease_valid(&self, lease: &LineLease) -> bool {
-        lease.epoch == self.epochs[lease.slot]
-    }
-
-    /// Mirror of [`crate::TxMemory::try_lease`] that always declines:
-    /// counts the miss, then returns an epoch-0 token that still carries
-    /// the addressing (owner/line bounds/mode) so the `lease_*` fallbacks
-    /// know how to route the access.
-    pub fn try_lease(&mut self, t: ThreadId, addr: usize, write: bool) -> LineLease {
-        self.stats.lease_misses += 1;
-        if addr >= self.words.len() {
-            return LineLease::INVALID;
-        }
-        let start = self.line_of(addr) * self.line_words;
-        let end = (start + self.line_words).min(self.words.len());
-        let slot = if self.txs[t].is_some() { t } else { self.txs.len() };
-        LineLease { epoch: 0, slot, start, end, write, owner: t }
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_read`]: a full per-word read by
-    /// the token's owner. Infallible for the same reason the directory
-    /// impl's direct path is: while the *directory* lease is valid no doom,
-    /// fault, or overflow can hit this access — the `expect` doubles as a
-    /// soundness check in the differential test.
-    pub fn lease_read(&mut self, lease: &LineLease, addr: usize) -> W {
-        self.read(lease.owner, addr).expect("degenerate lease read aborted")
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_read_with`].
-    pub fn lease_read_with<R>(
-        &mut self,
-        lease: &LineLease,
-        addr: usize,
-        f: impl FnOnce(&W) -> R,
-    ) -> R {
-        self.read_with(lease.owner, addr, f).expect("degenerate lease read aborted")
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_write`]: a full per-word write.
-    pub fn lease_write(&mut self, lease: &LineLease, addr: usize, value: W) {
-        self.write(lease.owner, addr, value).expect("degenerate lease write aborted");
-    }
-
-    /// No-op mirror of [`crate::TxMemory::flush_lease_stats`]: the fallback
-    /// counts every access eagerly, so there is never anything to flush.
-    pub fn flush_lease_stats(&mut self) {}
-
     // ---- internals ------------------------------------------------------
 
-    /// Mirror of the directory impl's per-slot epoch bump (minus the
-    /// stats flush, which the eager fallback never needs).
+    /// Count the lease-epoch bump the directory impl makes at the same
+    /// event for the same slot, so `epoch_bumps` compares strictly in the
+    /// differential test. The reference grants no lease and keeps no epoch.
     #[inline]
-    fn bump_slot(&mut self, slot: usize) {
-        self.epochs[slot] += 1;
+    fn bump_slot(&mut self, _slot: usize) {
         self.stats.epoch_bumps += 1;
     }
 
-    /// Mirror of the directory impl's bump-every-slot path (fault-plan
-    /// installation and memory growth).
+    /// The bump-every-slot events (fault-plan installation, growth): one
+    /// slot per thread plus the plain slot.
     fn bump_all_slots(&mut self) {
-        for e in &mut self.epochs {
-            *e += 1;
-        }
-        self.stats.epoch_bumps += self.epochs.len() as u64;
+        self.stats.epoch_bumps += self.txs.len() as u64 + 1;
     }
 
     /// Consult the fault injector for one transactional access by `t` —

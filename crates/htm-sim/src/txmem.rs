@@ -41,17 +41,14 @@
 //! stores; the victim thread learns of the abort at its next access or at
 //! an explicit [`TxMemory::poll_doomed`].
 //!
-//! On top of the per-word entry points sits the **line-lease** batched
-//! path ([`TxMemory::try_lease`] / [`TxMemory::lease_read`] /
-//! [`TxMemory::lease_write`], see [`crate::lease`] and `DESIGN.md` §13):
-//! once an access has settled a line's bookkeeping, the interpreter can
-//! take an epoch-stamped token for that `(thread, line, mode)` and access
-//! further words on the line directly, batching the read/write counters
-//! until [`TxMemory::flush_lease_stats`]. Any event that could change the
-//! answer — begin, commit, abort, doom, fault-plan install, growth —
-//! bumps the epoch slots of exactly the leases it can invalidate: the
-//! affected thread's slot for its own transaction boundaries and dooms,
-//! the shared plain slot for any begin, every slot for global events.
+//! The entry points are split where the state of the memory splits the
+//! work: while it is **quiescent** ([`TxMemory::quiescent`] — no
+//! transaction active, no doom undelivered) an access owes its counter
+//! and nothing else, and that much is the `#[inline]` head of
+//! [`TxMemory::read_with`]/[`TxMemory::write`]; steps 1–3 are the
+//! out-of-line tail behind it. Between the two sits the **line-lease**
+//! batched path ([`TxMemory::try_lease`] / [`TxMemory::lease_read`] /
+//! [`TxMemory::lease_write`]): see [`crate::lease`] and `DESIGN.md` §13.
 //!
 //! Building a memory costs a fill of every word, tearing it down a walk of
 //! every word. A caller that builds many memories in sequence can avoid
@@ -422,7 +419,7 @@ impl<W: Clone> TxMemory<W> {
     /// doomed by the GIL-word write.
     pub fn grow(&mut self, extra: usize, init: W) {
         assert!(self.active_txs == 0, "memory growth with active transactions");
-        self.bump_all_slots(); // leases cache end-of-line clamps against the old size
+        self.bump_all_slots(); // a global event: no lease outlives it
         let new = self.words.len() + extra;
         // `resize` alone would double the capacity — of a buffer that is
         // most of the process's memory.
@@ -451,6 +448,15 @@ impl<W: Clone> TxMemory<W> {
     /// Number of currently active transactions.
     pub fn active_tx_count(&self) -> usize {
         self.active_txs
+    }
+
+    /// True while no transaction is active (nothing to doom, no footprint
+    /// to grow, no fault to draw) and no doom waits for its victim. A
+    /// counted access then owes only its counter — tier 0, the inlined head
+    /// of [`Self::read_with`]/[`Self::write`] — and callers consult no lease.
+    #[inline]
+    pub fn quiescent(&self) -> bool {
+        self.active_txs == 0 && self.pending_dooms == 0
     }
 
     /// (read lines, write lines) of `t`'s active transaction.
@@ -569,13 +575,14 @@ impl<W: Clone> TxMemory<W> {
     }
 
     /// [`Self::read`] that applies `f` to the word in place instead of
-    /// cloning it out — the full accounting path, one counted access. Lets
-    /// callers probe a word (e.g. "is it an immediate integer?") without
-    /// paying the clone of heap-carrying variants.
+    /// cloning it out — the full accounting path, one counted access.
+    /// Inlined, this is tier 0 — the bounds check, the counter and the word
+    /// of a quiescent memory — and a call to [`Self::read_tail`] otherwise.
     ///
     /// # Panics
     ///
     /// As [`Self::read`]: out-of-bounds `addr` panics with context.
+    #[inline]
     pub fn read_with<R>(
         &mut self,
         t: ThreadId,
@@ -586,10 +593,18 @@ impl<W: Clone> TxMemory<W> {
             out_of_bounds("read", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.reads += 1;
-        if self.active_txs == 0 && self.pending_dooms == 0 {
-            // Non-transactional fast path: nothing to doom, nothing doomed.
-            return Ok(f(&self.words[addr]));
+        if !self.quiescent() {
+            self.read_tail(t, addr, true)?;
         }
+        Ok(f(&self.words[addr]))
+    }
+
+    /// What a counted read owes when the memory is not quiescent: abort
+    /// delivery, the fault draw, requester-wins dooming and — unless the
+    /// read is the lock monitor's (`join` false) — the read set.
+    #[cold]
+    #[inline(never)]
+    fn read_tail(&mut self, t: ThreadId, addr: usize, join: bool) -> Result<(), AbortReason> {
         if let Some(reason) = self.take_doom(t) {
             return Err(reason);
         }
@@ -598,24 +613,24 @@ impl<W: Clone> TxMemory<W> {
         }
         let line = addr >> self.line_shift;
         let memo = self.memos[t];
-        if memo.line == line && memo.in_read {
+        if join && memo.line == line && memo.in_read {
             // Line already in our read set ⇒ no remote writer can exist
             // (its write would have doomed us), and the footprint cannot
             // grow — skip the directory entirely.
-            return Ok(f(&self.words[addr]));
+            return Ok(());
         }
         // Requester wins: kill a remote writer of this line. (The
         // test-only dirty-read bug skips exactly this doom, letting the
         // read observe the writer's speculative in-place state.)
         let st = self.dir[line];
-        if st.writer != NO_WRITER && st.writer as usize != t && !self.bug_dirty_read {
+        if st.writer != NO_WRITER && st.writer as usize != t && !(join && self.bug_dirty_read) {
             let in_tx = self.txs[t].active;
             self.doom(st.writer as usize, AbortReason::ConflictWrite { with: t, line }, line);
             if !in_tx {
                 self.stats.nontx_dooms += 1;
             }
         }
-        if self.txs[t].active {
+        if join && self.txs[t].active {
             let bit = 1u32 << t;
             if self.dir[line].readers & bit == 0 {
                 self.dir[line].readers |= bit;
@@ -630,26 +645,35 @@ impl<W: Clone> TxMemory<W> {
             self.memos[t] =
                 LineMemo { line, in_read: true, in_write: self.dir[line].writer as usize == t };
         }
-        Ok(f(&self.words[addr]))
+        Ok(())
     }
 
-    /// Transactional or plain write of one word by thread `t`.
+    /// Transactional or plain write of one word by thread `t`. Like
+    /// [`Self::read_with`], tier 0 inline and [`Self::write_tail`] behind it.
     ///
     /// # Panics
     ///
     /// Panics (also in release builds) when `addr` is out of bounds, with
     /// addr/line context — see [`Self::read`].
+    #[inline]
     pub fn write(&mut self, t: ThreadId, addr: usize, value: W) -> Result<(), AbortReason> {
         if addr >= self.words.len() {
             out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.writes += 1;
         self.mark_dirty(addr);
-        if self.active_txs == 0 && self.pending_dooms == 0 {
-            // Non-transactional fast path: nothing to doom, nothing doomed.
-            self.words[addr] = value;
-            return Ok(());
+        if !self.quiescent() {
+            self.write_tail(t, addr)?;
         }
+        self.words[addr] = value;
+        Ok(())
+    }
+
+    /// The write-side tail: abort delivery, the fault draw, dooming of the
+    /// line's remote readers and writer, the footprint and the undo record.
+    #[cold]
+    #[inline(never)]
+    fn write_tail(&mut self, t: ThreadId, addr: usize) -> Result<(), AbortReason> {
         if let Some(reason) = self.take_doom(t) {
             return Err(reason);
         }
@@ -663,7 +687,6 @@ impl<W: Clone> TxMemory<W> {
             // the undo log needs to grow.
             self.undo_words[t].push(self.words[addr].clone());
             self.txs[t].undo.push(addr);
-            self.words[addr] = value;
             return Ok(());
         }
         // Kill remote readers *and* the remote writer of this line, in
@@ -707,7 +730,6 @@ impl<W: Clone> TxMemory<W> {
             self.memos[t] =
                 LineMemo { line, in_read: self.dir[line].readers & own != 0, in_write: true };
         }
-        self.words[addr] = value;
         Ok(())
     }
 
@@ -728,23 +750,8 @@ impl<W: Clone> TxMemory<W> {
             out_of_bounds("arm_lock_monitor", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.reads += 1;
-        if self.active_txs == 0 && self.pending_dooms == 0 {
-            return Ok(self.words[addr].clone());
-        }
-        if let Some(reason) = self.take_doom(t) {
-            return Err(reason);
-        }
-        if let Some(reason) = self.inject_fault(t) {
-            return Err(reason);
-        }
-        let line = addr >> self.line_shift;
-        let st = self.dir[line];
-        if st.writer != NO_WRITER && st.writer as usize != t {
-            let in_tx = self.txs[t].active;
-            self.doom(st.writer as usize, AbortReason::ConflictWrite { with: t, line }, line);
-            if !in_tx {
-                self.stats.nontx_dooms += 1;
-            }
+        if !self.quiescent() {
+            self.read_tail(t, addr, false)?;
         }
         Ok(self.words[addr].clone())
     }
@@ -801,14 +808,6 @@ impl<W: Clone> TxMemory<W> {
 
     // ---- line leases (batched accounting fast path) ---------------------
 
-    /// Current value of one lease epoch slot (thread index, or
-    /// `threads()` for the plain slot). A [`LineLease`] is valid iff its
-    /// stamp equals its slot's current value.
-    #[inline]
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.epochs[slot]
-    }
-
     /// True when `lease` is still current: its stamp matches its epoch
     /// slot. Events bump exactly the slots whose leases they can
     /// invalidate — the owner's slot at its own begin/commit/abort and
@@ -816,7 +815,7 @@ impl<W: Clone> TxMemory<W> {
     /// at fault-plan installs and memory growth.
     #[inline]
     pub fn lease_valid(&self, lease: &LineLease) -> bool {
-        lease.epoch == self.epochs[lease.slot]
+        lease.epoch == self.epochs[lease.slot as usize]
     }
 
     /// Try to take a lease on the line containing `addr` for thread `t`,
@@ -866,18 +865,23 @@ impl<W: Clone> TxMemory<W> {
         if !grantable {
             return LineLease::INVALID;
         }
-        let start = line << self.line_shift;
-        let end = (start + self.line_words).min(self.words.len());
         if write {
-            self.mark_dirty(start);
+            self.mark_dirty(addr);
         }
         let slot = if self.txs[t].active { t } else { self.txs.len() };
-        LineLease { epoch: self.epochs[slot], slot, start, end, write, owner: t }
+        LineLease {
+            epoch: self.epochs[slot],
+            line: line as u32,
+            slot: slot as u8,
+            owner: t as u8,
+            write,
+        }
     }
 
     /// Read a word through a valid read lease — no accounting beyond a
     /// batched counter. The caller must have checked [`Self::lease_valid`]
-    /// and [`LineLease::covers`]; both are debug-asserted.
+    /// and [`LineLease::covers`]; both are debug-asserted. Panics like
+    /// [`Self::read`] on an `addr` past the (possibly cut-short) last line.
     #[inline]
     pub fn lease_read(&mut self, lease: &LineLease, addr: usize) -> W {
         self.lease_read_with(lease, addr, W::clone)
@@ -892,9 +896,12 @@ impl<W: Clone> TxMemory<W> {
         f: impl FnOnce(&W) -> R,
     ) -> R {
         debug_assert!(self.lease_valid(lease), "read through a stale lease");
-        debug_assert!(!lease.write && lease.covers(addr), "lease does not cover this read");
+        debug_assert!(!lease.write && lease.covers(self.line_of(addr)), "wrong lease for a read");
+        let Some(word) = self.words.get(addr) else {
+            out_of_bounds("read", addr, addr >> self.line_shift, self.words.len());
+        };
         self.pending_reads += 1;
-        f(&self.words[addr])
+        f(word)
     }
 
     /// Write a word through a valid write lease. In a transaction the old
@@ -902,16 +909,19 @@ impl<W: Clone> TxMemory<W> {
     /// already this address — replaying backward makes the older record
     /// win, so intermediate values need no entry); what the lease skips is
     /// the doom/fault/conflict/footprint bookkeeping. Same caller
-    /// obligations as [`Self::lease_read`].
+    /// obligations, and the same panic, as [`Self::lease_read`].
     #[inline]
     pub fn lease_write(&mut self, lease: &LineLease, addr: usize, value: W) {
         debug_assert!(self.lease_valid(lease), "write through a stale lease");
-        debug_assert!(lease.write && lease.covers(addr), "lease does not cover this write");
+        debug_assert!(lease.write && lease.covers(self.line_of(addr)), "wrong lease for a write");
+        if addr >= self.words.len() {
+            out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
+        }
         self.pending_writes += 1;
-        let t = lease.owner;
+        let t = lease.owner as usize;
         // slot == owner exactly for in-transaction leases (the plain slot
         // is one past the last thread index).
-        if lease.slot == t && self.txs[t].undo.last() != Some(&addr) {
+        if lease.slot == lease.owner && self.txs[t].undo.last() != Some(&addr) {
             self.undo_words[t].push(self.words[addr].clone());
             self.txs[t].undo.push(addr);
         }
@@ -1473,6 +1483,34 @@ mod tests {
         assert_eq!(m.stats().nontx_dooms, 1);
     }
 
+    /// Tier 0 is open only while nobody has an abort to collect: a doom
+    /// closes it until the *victim* takes delivery, whoever else polls.
+    #[test]
+    fn quiescent_is_false_from_a_doom_until_the_victim_polls_it() {
+        let mut m = mem();
+        assert!(m.quiescent());
+        m.begin(0, big_budgets()).unwrap();
+        assert!(!m.quiescent(), "an active transaction");
+        m.write(0, 50, 1).unwrap();
+        m.write(1, 50, 2).unwrap(); // dooms 0: nothing active, one doom parked
+        assert_eq!(m.active_tx_count(), 0);
+        assert!(!m.quiescent(), "a parked doom");
+        assert_eq!(m.poll_doomed(1), None);
+        assert_eq!(m.read(1, 60), Ok(0));
+        assert!(!m.quiescent(), "bystanders' polls and accesses deliver nothing");
+        assert!(m.poll_doomed(0).is_some());
+        assert!(m.quiescent(), "delivered");
+        let before = m.stats().clone();
+        m.write(0, 50, 3).unwrap();
+        assert_eq!(m.read(0, 50), Ok(3));
+        let after = m.stats();
+        assert_eq!((after.reads, after.writes), (before.reads + 1, before.writes + 1));
+        assert_eq!(
+            (after.lease_hits, after.lease_misses),
+            (before.lease_hits, before.lease_misses)
+        );
+    }
+
     #[test]
     fn plain_accesses_take_fast_path_with_full_stats() {
         // With no transactions anywhere, reads and writes are plain stores
@@ -1561,18 +1599,55 @@ mod tests {
         assert_eq!(m.stats().total_aborts(), 0);
     }
 
-    #[test]
-    #[should_panic(expected = "read out of bounds: addr 99999")]
-    fn read_out_of_bounds_panics_with_context() {
-        let mut m = mem();
-        let _ = m.read(0, 99_999);
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the access must panic");
+        payload.downcast_ref::<String>().expect("a formatted panic").clone()
+    }
+
+    /// 1020 words on 8-word lines: line 127 is cut short after word 1019.
+    /// Thread 0 holds both leases on it; `busy` keeps a transaction open on
+    /// thread 1 so thread 0's full-path accesses go through the tail.
+    fn cut_short(busy: bool) -> (TxMemory<u64>, LineLease, LineLease) {
+        let mut m: TxMemory<u64> = TxMemory::new(1020, 8, 2, 0);
+        let leases = (m.try_lease(0, 1016, false), m.try_lease(0, 1016, true));
+        if busy {
+            m.begin(1, big_budgets()).unwrap();
+        }
+        assert_eq!(m.quiescent(), !busy);
+        (m, leases.0, leases.1)
     }
 
     #[test]
-    #[should_panic(expected = "write out of bounds: addr 4096 (line 512)")]
+    fn read_out_of_bounds_panics_with_context() {
+        let far = "read out of bounds: addr 99999 (line 12499) >= memory size 1020";
+        let cut = "read out of bounds: addr 1021 (line 127) >= memory size 1020";
+        for busy in [false, true] {
+            let (mut m, ..) = cut_short(busy);
+            assert!(panic_message(|| _ = m.read(0, 99_999)).contains(far), "busy={busy}");
+            let (mut m, ..) = cut_short(busy);
+            assert!(panic_message(|| _ = m.read(0, 1021)).contains(cut), "busy={busy}");
+        }
+        let (mut m, rl, _) = cut_short(false);
+        assert_eq!(m.lease_read(&rl, 1019), 0, "the line's last real word is served");
+        assert!(panic_message(|| _ = m.lease_read(&rl, 1021)).contains(cut));
+    }
+
+    #[test]
     fn write_out_of_bounds_panics_with_context() {
-        let mut m = mem();
-        let _ = m.write(0, 4096, 1);
+        let far = "write out of bounds: addr 4096 (line 512) >= memory size 1020";
+        let cut = "write out of bounds: addr 1020 (line 127) >= memory size 1020";
+        for busy in [false, true] {
+            let (mut m, ..) = cut_short(busy);
+            assert!(panic_message(|| _ = m.write(0, 4096, 1)).contains(far), "busy={busy}");
+            let (mut m, ..) = cut_short(busy);
+            assert!(panic_message(|| _ = m.write(0, 1020, 1)).contains(cut), "busy={busy}");
+        }
+        let (mut m, _, wl) = cut_short(false);
+        m.lease_write(&wl, 1019, 7);
+        assert!(panic_message(|| m.lease_write(&wl, 1020, 7)).contains(cut));
+        assert_eq!(*m.peek(1019), 7);
     }
 
     #[test]
@@ -1591,7 +1666,7 @@ mod tests {
         let rl = m.try_lease(0, 10, false);
         let wl = m.try_lease(0, 10, true);
         assert!(m.lease_valid(&rl) && m.lease_valid(&wl));
-        assert_eq!((rl.start, rl.end), (8, 16), "line-aligned half-open range");
+        assert_eq!((rl.line, wl.line), (1, 1), "a lease names the line of the address");
         m.lease_write(&wl, 10, 5);
         assert_eq!(m.lease_read(&rl, 10), 5);
         // Batched counters are invisible until flushed...

@@ -21,6 +21,11 @@
 //! This is the equivalence proof the rewrite leans on: any divergence in
 //! conflict attribution, victim choice, overflow ordering, statistics, or
 //! rollback behaviour shows up here as a minimal counterexample.
+//!
+//! The last test, `tiers_match_the_full_path`, holds the three access tiers
+//! (DESIGN.md §13) to the same standard: a memory that picks its tier the
+//! way `Vm::rd`/`Vm::wr` do against one that never leaves the full path,
+//! and both against the reference.
 
 use htm_sim::{Budgets, FaultPlan, LineLease, ReferenceTxMemory, RingBufferSink, TxMemory};
 use proptest::prelude::*;
@@ -49,7 +54,7 @@ enum Op {
 
 /// Operations for the lease differential test: the base interleaving plus
 /// lease acquisition, accesses through a held lease (direct path on the
-/// directory impl, degenerate per-word fallback on the reference), and the
+/// directory impl, the per-word path on the reference), and the
 /// epoch-invalidating events — spurious interrupt kills and fault-plan
 /// toggles — the lease protocol must survive.
 #[derive(Debug, Clone)]
@@ -60,8 +65,8 @@ enum LOp {
     Commit(usize),
     Tabort(usize),
     Poll(usize),
-    /// `try_lease(t, addr, write)` on both sides; the pair is held in the
-    /// thread's lease slot (replacing any previous one).
+    /// `try_lease(t, addr, write)`; the token is held in the thread's
+    /// lease slot (replacing any previous one).
     Acquire(usize, usize, bool),
     /// Access through the thread's held lease: direct path while the
     /// directory lease is valid, full per-word path once it went stale.
@@ -117,6 +122,101 @@ fn op_strategy(threads: usize) -> impl Strategy<Value = Op> {
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Arm(t, a)),
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::DoomAll(t, a)),
     ]
+}
+
+/// Operations of the tier-equivalence test. Addresses are (page, offset)
+/// pairs folded into a few hot lines of each dirty-bitmap page, so that
+/// conflicts develop *and* some page of a script is written on tier 0 only.
+#[derive(Debug, Clone)]
+enum TOp {
+    Begin(usize, usize, usize),
+    Read(usize, usize),
+    Write(usize, usize, u64),
+    Commit(usize),
+    Tabort(usize),
+    Poll(usize),
+    DoomAll(usize, usize),
+    SetPlan(bool),
+}
+
+const TIER_PAGES: usize = 4;
+const TIER_WORDS: usize = TIER_PAGES * 512;
+const TIER_LINE_WORDS: usize = 4;
+const TIER_WAYS: usize = 4;
+
+fn tier_addr(raw: usize) -> usize {
+    (raw % TIER_PAGES) * 512 + (raw / TIER_PAGES) % 32
+}
+
+fn tier_op_strategy() -> impl Strategy<Value = TOp> {
+    let unbound = |b: usize| if b == 6 { 1 << 20 } else { b };
+    let addr = || (0usize..TIER_PAGES * 32).prop_map(tier_addr);
+    prop_oneof![
+        (0..5usize, 1usize..7, 1usize..7).prop_map(move |(t, r, w)| TOp::Begin(
+            t,
+            unbound(r),
+            unbound(w)
+        )),
+        (0..5usize, addr()).prop_map(|(t, a)| TOp::Read(t, a)),
+        (0..5usize, addr()).prop_map(|(t, a)| TOp::Read(t, a)),
+        (0..5usize, addr()).prop_map(|(t, a)| TOp::Read(t, a)),
+        (0..5usize, addr(), any::<u64>()).prop_map(|(t, a, v)| TOp::Write(t, a, v)),
+        (0..5usize, addr(), any::<u64>()).prop_map(|(t, a, v)| TOp::Write(t, a, v)),
+        (0..5usize, addr(), any::<u64>()).prop_map(|(t, a, v)| TOp::Write(t, a, v)),
+        (0..5usize).prop_map(TOp::Commit),
+        (0..5usize).prop_map(TOp::Commit),
+        (0..5usize).prop_map(TOp::Tabort),
+        (0..5usize).prop_map(TOp::Poll),
+        (0..5usize).prop_map(TOp::Poll),
+        (0..5usize, addr()).prop_map(|(t, a)| TOp::DoomAll(t, a)),
+        any::<bool>().prop_map(TOp::SetPlan),
+    ]
+}
+
+/// A `TxMemory` behind the tier choice of `Vm::rd`/`Vm::wr`: quiescent →
+/// the full path's head and no lease; a valid covering lease → the leased
+/// path; else the full access, then `try_lease` into a small per-thread
+/// cache. Neighbouring lines share a way (as all lines share the VM's
+/// runtime pair), so `covers` is what tells a hit from a stale neighbour.
+struct Tiered {
+    mem: TxMemory<u64>,
+    cache: Vec<[(LineLease, LineLease); TIER_WAYS]>,
+}
+
+impl Tiered {
+    /// Two neighbouring lines to a way.
+    fn way(line: usize) -> usize {
+        (line >> 1) % TIER_WAYS
+    }
+
+    fn read(&mut self, t: usize, a: usize) -> Result<u64, htm_sim::AbortReason> {
+        if self.mem.quiescent() {
+            return self.mem.read(t, a);
+        }
+        let line = self.mem.line_of(a);
+        let lease = self.cache[t][Self::way(line)].0;
+        if self.mem.lease_valid(&lease) && lease.covers(line) {
+            return Ok(self.mem.lease_read(&lease, a));
+        }
+        let v = self.mem.read(t, a)?;
+        self.cache[t][Self::way(line)].0 = self.mem.try_lease(t, a, false);
+        Ok(v)
+    }
+
+    fn write(&mut self, t: usize, a: usize, v: u64) -> Result<(), htm_sim::AbortReason> {
+        if self.mem.quiescent() {
+            return self.mem.write(t, a, v);
+        }
+        let line = self.mem.line_of(a);
+        let lease = self.cache[t][Self::way(line)].1;
+        if self.mem.lease_valid(&lease) && lease.covers(line) {
+            self.mem.lease_write(&lease, a, v);
+            return Ok(());
+        }
+        self.mem.write(t, a, v)?;
+        self.cache[t][Self::way(line)].1 = self.mem.try_lease(t, a, true);
+        Ok(())
+    }
 }
 
 proptest! {
@@ -394,15 +494,15 @@ proptest! {
 
     /// Lease differential: the directory impl serving accesses through
     /// epoch-validated line leases (batched direct path, span undo) must be
-    /// observationally identical to the reference serving the *same* lease
-    /// operations through its degenerate per-word fallback — across
-    /// interleaved transactions, dooms, mid-lease aborts, interrupt kills,
-    /// and fault-plan toggles. Compared per op: results, abort reasons,
+    /// observationally identical to the reference serving the *same*
+    /// accesses through its per-word path — across interleaved
+    /// transactions, dooms, mid-lease aborts, interrupt kills, and
+    /// fault-plan toggles. Compared per op: results, abort reasons,
     /// `in_tx`/footprints, fault-draw counts, and the full stats struct
-    /// with only `lease_hits` masked (the fallback never hits); compared at
-    /// the end: trace streams and the byte-exact memory image.
+    /// with only the lease counters masked (the reference has no leases);
+    /// compared at the end: trace streams and the byte-exact memory image.
     #[test]
-    fn leases_match_reference_degenerate_fallback(
+    fn leases_match_the_reference(
         threads in 2usize..6,
         seed in any::<u64>(),
         ops in proptest::collection::vec(lease_op_strategy(5), 1..250),
@@ -416,8 +516,8 @@ proptest! {
         dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
         reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
 
-        // One held (directory lease, reference lease) pair per thread.
-        let mut held: Vec<Option<(LineLease, LineLease)>> = vec![None; threads];
+        // The lease each thread holds on the directory impl.
+        let mut held: Vec<Option<LineLease>> = vec![None; threads];
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 LOp::Begin(t, r, w) => {
@@ -457,32 +557,30 @@ proptest! {
                 }
                 LOp::Acquire(t, a, write) => {
                     let (t, a) = (t % threads, a % 32);
-                    let d = dut.try_lease(t, a, write);
-                    let r = reference.try_lease(t, a, write);
-                    prop_assert!(!reference.lease_valid(&r),
-                        "reference must never grant a lease (op {})", i);
-                    held[t] = Some((d, r));
+                    held[t] = Some(dut.try_lease(t, a, write));
                 }
                 LOp::Access(t, off, v) => {
                     let t = t % threads;
-                    let Some((d, r)) = held[t] else { continue };
+                    let Some(d) = held[t] else { continue };
                     if dut.lease_valid(&d) {
-                        let a = d.start + off % (d.end - d.start);
+                        let a = d.line as usize * line_words + off % line_words;
+                        // While the lease is valid no doom, fault or overflow
+                        // can hit the reference's full-path access either.
                         if d.write {
                             dut.lease_write(&d, a, v);
-                            reference.lease_write(&r, a, v);
+                            prop_assert_eq!(reference.write(t, a, v), Ok(()),
+                                "leased write diverged at op {}", i);
                         } else {
-                            prop_assert_eq!(
-                                dut.lease_read(&d, a), reference.lease_read(&r, a),
+                            prop_assert_eq!(Ok(dut.lease_read(&d, a)), reference.read(t, a),
                                 "leased read diverged at op {}", i);
                         }
                     } else {
                         // Stale token: the interpreter falls back to the
                         // full per-word path on both sides.
-                        let a = if d.end > d.start {
-                            d.start + off % (d.end - d.start)
-                        } else {
+                        let a = if d == LineLease::INVALID {
                             off % 32
+                        } else {
+                            d.line as usize * line_words + off % line_words
                         };
                         if d.write {
                             prop_assert_eq!(dut.write(t, a, v), reference.write(t, a, v),
@@ -521,13 +619,13 @@ proptest! {
                     "footprint({}) at op {}", u, i);
             }
             // Settle the directory impl's batched counters, then compare
-            // every stats field except lease_hits (zero in the fallback).
+            // every stats field except the lease counters (the reference
+            // has no leases).
             dut.flush_lease_stats();
             let mut ds = dut.stats().clone();
-            let mut rs = reference.stats().clone();
             ds.lease_hits = 0;
-            rs.lease_hits = 0;
-            prop_assert_eq!(ds, rs, "stats at op {}", i);
+            ds.lease_misses = 0;
+            prop_assert_eq!(&ds, reference.stats(), "stats at op {}", i);
             prop_assert_eq!(dut.faults_injected(), reference.faults_injected(),
                 "injection streams diverged at op {}", i);
         }
@@ -537,6 +635,120 @@ proptest! {
         prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
         for a in 0..MEM_WORDS {
             prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
+        }
+    }
+
+    /// Tier equivalence: one script drives a tiered `TxMemory`, a
+    /// `TxMemory` that only ever takes the full path, and the reference.
+    /// After every op: equal results and abort reasons, `in_tx`/footprints,
+    /// statistics (the tiered side's lease counters masked — nothing else
+    /// may tell the tiers apart) and injector draw counts; at the end:
+    /// equal images, and both torn-down images all-`init` (every write,
+    /// whichever tier served it, reached the dirty bitmap).
+    #[test]
+    fn tiers_match_the_full_path(
+        threads in 2usize..6,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(tier_op_strategy(), 1..250),
+    ) {
+        let new = || TxMemory::<u64>::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+        let invalid = [(LineLease::INVALID, LineLease::INVALID); TIER_WAYS];
+        let mut dut = Tiered { mem: new(), cache: vec![invalid; threads] };
+        let mut full = new();
+        let mut reference: ReferenceTxMemory<u64> =
+            ReferenceTxMemory::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                TOp::Begin(t, r, w) => {
+                    let t = t % threads;
+                    if !full.in_tx(t) {
+                        let b = Budgets { read_lines: r, write_lines: w };
+                        let want = reference.begin(t, b);
+                        prop_assert_eq!(dut.mem.begin(t, b), want, "tiered begin at op {}", i);
+                        prop_assert_eq!(full.begin(t, b), want, "begin at op {}", i);
+                    }
+                }
+                TOp::Read(t, a) => {
+                    let t = t % threads;
+                    let want = reference.read(t, a);
+                    prop_assert_eq!(dut.read(t, a), want, "tiered read at op {}", i);
+                    prop_assert_eq!(full.read(t, a), want, "read at op {}", i);
+                }
+                TOp::Write(t, a, v) => {
+                    let t = t % threads;
+                    let want = reference.write(t, a, v);
+                    prop_assert_eq!(dut.write(t, a, v), want, "tiered write at op {}", i);
+                    prop_assert_eq!(full.write(t, a, v), want, "write at op {}", i);
+                }
+                TOp::Commit(t) => {
+                    let t = t % threads;
+                    if full.in_tx(t) {
+                        let want = reference.commit(t);
+                        prop_assert_eq!(dut.mem.commit(t), want, "tiered commit at op {}", i);
+                        prop_assert_eq!(full.commit(t), want, "commit at op {}", i);
+                    }
+                }
+                TOp::Tabort(t) => {
+                    let t = t % threads;
+                    let want = reference.tabort(t, 7);
+                    prop_assert_eq!(dut.mem.tabort(t, 7), want, "tiered tabort at op {}", i);
+                    prop_assert_eq!(full.tabort(t, 7), want, "tabort at op {}", i);
+                }
+                TOp::Poll(t) => {
+                    let t = t % threads;
+                    let want = reference.poll_doomed(t);
+                    prop_assert_eq!(dut.mem.poll_doomed(t), want, "tiered poll at op {}", i);
+                    prop_assert_eq!(full.poll_doomed(t), want, "poll at op {}", i);
+                }
+                TOp::DoomAll(t, a) => {
+                    let t = t % threads;
+                    dut.mem.doom_all_active(t, a);
+                    full.doom_all_active(t, a);
+                    reference.doom_all_active(t, a);
+                }
+                TOp::SetPlan(on) => {
+                    let plan = if on {
+                        FaultPlan { seed, spurious_rate: 0.10, shrink_rate: 0.05, restricted_rate: 0.05 }
+                    } else {
+                        FaultPlan::none()
+                    };
+                    dut.mem.set_fault_plan(plan);
+                    full.set_fault_plan(plan);
+                    reference.set_fault_plan(plan);
+                }
+            }
+            prop_assert_eq!(dut.mem.quiescent(), full.quiescent(), "quiescent at op {}", i);
+            for u in 0..threads {
+                prop_assert_eq!(dut.mem.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
+                prop_assert_eq!(full.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
+                prop_assert_eq!(dut.mem.footprint(u), reference.footprint(u),
+                    "tiered footprint({}) at op {}", u, i);
+                prop_assert_eq!(full.footprint(u), reference.footprint(u),
+                    "footprint({}) at op {}", u, i);
+            }
+            dut.mem.flush_lease_stats();
+            let mut ds = dut.mem.stats().clone();
+            ds.lease_hits = 0;
+            ds.lease_misses = 0;
+            prop_assert_eq!(&ds, reference.stats(), "tiered stats at op {}", i);
+            prop_assert_eq!(full.stats(), reference.stats(), "stats at op {}", i);
+            prop_assert_eq!(dut.mem.faults_injected(), reference.faults_injected(),
+                "tiered injection stream at op {}", i);
+            prop_assert_eq!(full.faults_injected(), reference.faults_injected(),
+                "injection stream at op {}", i);
+        }
+
+        for a in 0..TIER_WORDS {
+            prop_assert_eq!(dut.mem.peek(a), reference.peek(a), "tiered image at {}", a);
+            prop_assert_eq!(full.peek(a), reference.peek(a), "image at {}", a);
+        }
+        for mut m in [dut.mem, full] {
+            let image = m.take_image(0);
+            let again = TxMemory::recycled(Some(image), TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+            for a in 0..TIER_WORDS {
+                prop_assert_eq!(*again.peek(a), 0, "word {} survived take_image", a);
+            }
         }
     }
 }

@@ -32,6 +32,7 @@
 //! The mechanisms live here; the flags default off so the baseline
 //! reproduction is untouched.
 
+use htm_sim::AbortReason;
 use machine_sim::ThreadId;
 
 use crate::layout::ts;
@@ -164,16 +165,16 @@ impl Vm {
         t: ThreadId,
         old: &Word,
         new: &Word,
-    ) -> Result<(), VmAbort> {
+    ) -> Result<(), AbortReason> {
         if let Word::Obj(a) = new {
             let rc_addr = *a + RC_OFFSET;
-            let rc = self.rd(t, rc_addr)?.as_int().unwrap_or(0);
-            self.wr(t, rc_addr, Word::Int(rc + 1))?;
+            let rc = self.read_word::<true, _>(t, rc_addr, Word::as_int)?.unwrap_or(0);
+            self.write_word::<true>(t, rc_addr, Word::Int(rc + 1))?;
         }
         if let Word::Obj(a) = old {
             let rc_addr = *a + RC_OFFSET;
-            let rc = self.rd(t, rc_addr)?.as_int().unwrap_or(1);
-            self.wr(t, rc_addr, Word::Int(rc - 1))?;
+            let rc = self.read_word::<true, _>(t, rc_addr, Word::as_int)?.unwrap_or(1);
+            self.write_word::<true>(t, rc_addr, Word::Int(rc - 1))?;
         }
         Ok(())
     }

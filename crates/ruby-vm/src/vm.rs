@@ -1,6 +1,15 @@
 //! The VM proper: configuration, thread contexts, boot, and the helpers
 //! shared by the interpreter, heap and builtins (which are all `impl Vm`
 //! blocks in their own modules).
+//!
+//! Every word the interpreter or the runtime touches goes through one
+//! read helper and one write helper (`rd`, `rd_int`, `wr`, `rd_untimed`,
+//! `wr_untimed` are their faces), and the memory's *state* — not the run
+//! mode — picks one of three tiers (DESIGN.md §13): **0**, the memory is
+//! quiescent: the inlined head of the full path, no lease consulted;
+//! **1**, the thread holds a valid lease on the line: the leased path,
+//! checked inline; **2**, neither: the full access plus a lease for the
+//! next one, out of line. All three count and charge alike.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -74,10 +83,11 @@ pub struct VmConfig {
     /// identical — `crates/bench/tests/decode_differential.rs` compares
     /// run reports across the two.
     pub slow_dispatch: bool,
-    /// Disable the line-lease batched access path: every `Vm::rd`/`Vm::wr`
-    /// goes through the full per-word `TxMemory` accounting. The leased
-    /// and per-word paths must be observationally identical — the same
-    /// differential test compares them, like the dispatch knob above.
+    /// Disable the line-lease batched access path (tier 1): every
+    /// `Vm::rd`/`Vm::wr` goes through the full per-word `TxMemory`
+    /// accounting, whose head is tier 0. The leased and per-word paths
+    /// must be observationally identical — the same differential test
+    /// compares them, like the dispatch knob above.
     pub force_word_access: bool,
 }
 
@@ -288,12 +298,22 @@ pub struct CoreClasses {
 
 /// Ways in the per-thread lease cache, direct-mapped by cache-line number;
 /// the lookup is an index-and-compare at any size. Sized by measurement
-/// (EXPERIMENTS.md, "Host cost"): on the Xeon's 8-word lines a frame, its
-/// operand stack, an object and its buffers are a dozen lines, and four
-/// ways missed on 34 % of `webrick_xeon`'s accesses. Sixteen win on every
-/// workload; sixty-four gain 4 % more on two and lose 1–2 % on three.
+/// (EXPERIMENTS.md, "Host cost") over the accesses that consult it at
+/// all: a quiescent memory serves every word of a GIL run and 41 % of
+/// `webrick_xeon`'s without one. Of the rest, sixteen ways hit on 99.7 %
+/// (`while_htm`), 86 % (`cg_htm`), 80 % (`webrick_xeon`) and 74 %
+/// (`taskserver_htm`); most misses are the first touch after a begin or
+/// commit bumped the owner's epoch, so sixty-four ways lift those to
+/// 88 %, 84 % and 75 % only. They gain 1–2 % of throughput on
+/// `webrick_xeon` and `cg_htm` and lose 4 % on `while_htm`, 1 % on
+/// `fig4_sweep` and `taskserver_htm`, so sixteen stay.
 const LEASE_WAYS: usize = 16;
 const LEASE_MASK: usize = LEASE_WAYS - 1;
+/// The extra way behind the cache: a thread's pair for runtime-level words
+/// (yield counter, interrupt flag — the thread-struct line), kept out of
+/// the mapped ways so per-instruction counter traffic cannot thrash the
+/// interpreter's hot lines.
+const RUNTIME_WAY: usize = LEASE_WAYS;
 
 /// One lease-cache way: the read and write leases a thread holds for one
 /// line. The modes are separate tokens because `TxMemory` accounts read
@@ -402,18 +422,15 @@ pub struct Vm {
     /// the executor from that transaction's escrow (0 outside one), so a
     /// thread sees its own uncommitted redefinitions and nobody else's.
     pub tx_method_bumps: u32,
-    /// Per-thread line-lease cache ([`LEASE_WAYS`] ways, direct-mapped by
-    /// line number). Stale entries are harmless — validity is re-checked
-    /// against the memory's epoch on every use.
-    pub(crate) lease_cache: Vec<[LeasePair; LEASE_WAYS]>,
-    /// Dedicated per-thread lease pair for runtime-level words (yield
-    /// counter, interrupt flag — the thread-struct line), kept out of the
-    /// way cache so per-instruction counter traffic cannot thrash the
-    /// interpreter's hot lines.
-    pub(crate) runtime_leases: Vec<LeasePair>,
+    /// Per-thread line leases: [`LEASE_WAYS`] ways direct-mapped by line
+    /// number for the interpreter, then [`RUNTIME_WAY`]. Stale entries are
+    /// harmless — validity is re-checked against the memory's epoch on
+    /// every use.
+    pub(crate) leases: Vec<[LeasePair; LEASE_WAYS + 1]>,
     /// False when the batched lease path is disabled
     /// ([`VmConfig::force_word_access`], or `refcount_writes` — whose
-    /// extra traffic per store needs the full path anyway).
+    /// extra traffic per store needs the full path anyway): a miss then
+    /// stores no lease, so every cached one stays `INVALID` and never hits.
     pub(crate) use_leases: bool,
 }
 
@@ -465,8 +482,7 @@ impl Vm {
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
         let use_leases = !config.force_word_access && !config.refcount_writes;
-        let lease_cache = vec![[LeasePair::default(); LEASE_WAYS]; config.max_threads];
-        let runtime_leases = vec![LeasePair::default(); config.max_threads];
+        let leases = vec![[LeasePair::default(); LEASE_WAYS + 1]; config.max_threads];
         let mut vm = Vm {
             mem,
             layout,
@@ -501,8 +517,7 @@ impl Vm {
             method_version: 0,
             pending_method_bumps: 0,
             tx_method_bumps: 0,
-            lease_cache,
-            runtime_leases,
+            leases,
             use_leases,
         };
         vm.init_memory();
@@ -659,45 +674,116 @@ impl Vm {
 
     // ---- memory access helpers (count refs for cycle charging) ----------
     //
-    // Every interpreter word access — both dispatch paths, all opcodes —
-    // funnels through `rd`/`wr`/`rd_int`. `step_mem_refs` is counted here
-    // at the wrapper level, identically on the leased and per-word paths,
-    // so simulated cycle charges (and with them every figure golden) are
-    // byte-identical whichever path serves the access.
+    // Every word access of the interpreter and the runtime funnels through
+    // `read_word`/`write_word`; the memory's state picks the tier (module
+    // doc). `step_mem_refs` is counted before that choice, so simulated
+    // cycle charges (and with them every figure golden) are byte-identical
+    // whichever tier serves the access.
+
+    /// One counted read. `TIMED` accesses are the interpreter's: they
+    /// charge `step_mem_refs` and lease through the way cache. Untimed
+    /// ones are the runtime's (yield counter, interrupt flag — the
+    /// executor charges their cycles itself) and lease through
+    /// [`RUNTIME_WAY`].
+    #[inline(always)]
+    pub(crate) fn read_word<const TIMED: bool, R>(
+        &mut self,
+        t: ThreadId,
+        addr: Addr,
+        f: impl FnOnce(&Word) -> R,
+    ) -> Result<R, AbortReason> {
+        if TIMED {
+            self.step_mem_refs += 1;
+        }
+        if self.mem.quiescent() {
+            return self.mem.read_with(t, addr, f);
+        }
+        let line = self.mem.line_of(addr);
+        let way = if TIMED { line & LEASE_MASK } else { RUNTIME_WAY };
+        let lease = &self.leases[t][way].rd;
+        if self.mem.lease_valid(lease) && lease.covers(line) {
+            return Ok(self.mem.lease_read_with(lease, addr, f));
+        }
+        self.read_miss(t, addr, way).map(|w| f(&w))
+    }
+
+    /// Tier 2 of a read: the full access, then a lease for the next one.
+    #[cold]
+    #[inline(never)]
+    fn read_miss(&mut self, t: ThreadId, addr: Addr, way: usize) -> Result<Word, AbortReason> {
+        let w = self.mem.read(t, addr)?;
+        if self.use_leases {
+            self.leases[t][way].rd = self.mem.try_lease(t, addr, false);
+        }
+        Ok(w)
+    }
+
+    /// One counted write; tiers and `TIMED` as in [`Self::read_word`].
+    #[inline(always)]
+    pub(crate) fn write_word<const TIMED: bool>(
+        &mut self,
+        t: ThreadId,
+        addr: Addr,
+        w: Word,
+    ) -> Result<(), AbortReason> {
+        if TIMED {
+            self.step_mem_refs += 1;
+        }
+        let line = self.mem.line_of(addr);
+        let way = if TIMED { line & LEASE_MASK } else { RUNTIME_WAY };
+        if self.mem.quiescent() {
+            if TIMED && self.config.refcount_writes {
+                return self.write_miss(t, addr, w, way);
+            }
+            return self.mem.write(t, addr, w);
+        }
+        let lease = &self.leases[t][way].wr;
+        if self.mem.lease_valid(lease) && lease.covers(line) {
+            self.mem.lease_write(lease, addr, w);
+            return Ok(());
+        }
+        self.write_miss(t, addr, w, way)
+    }
+
+    /// Tier 2 of a write — and the whole of an interpreter write under
+    /// `refcount_writes`, which holds no lease and skips tier 0: a store
+    /// CPython-style also reads the word it replaces and touches the
+    /// referents' count words (see `extensions`).
+    #[cold]
+    #[inline(never)]
+    fn write_miss(
+        &mut self,
+        t: ThreadId,
+        addr: Addr,
+        w: Word,
+        way: usize,
+    ) -> Result<(), AbortReason> {
+        if way != RUNTIME_WAY && self.config.refcount_writes {
+            // The caller's charge pays for this read; the write's follows.
+            let old = self.mem.read(t, addr)?;
+            if matches!(old, Word::Obj(_)) || matches!(w, Word::Obj(_)) {
+                self.refcount_store(t, &old, &w)?;
+            }
+            self.step_mem_refs += 1;
+        }
+        self.mem.write(t, addr, w)?;
+        if self.use_leases {
+            self.leases[t][way].wr = self.mem.try_lease(t, addr, true);
+        }
+        Ok(())
+    }
 
     #[inline]
     pub fn rd(&mut self, t: ThreadId, addr: Addr) -> Result<Word, VmAbort> {
-        self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read(&lease, addr));
-            }
-            let w = self.mem.read(t, addr)?;
-            self.lease_cache[t][way].rd = self.mem.try_lease(t, addr, false);
-            return Ok(w);
-        }
-        Ok(self.mem.read(t, addr)?)
+        Ok(self.read_word::<true, _>(t, addr, |w| *w)?)
     }
 
     /// [`Self::rd`] without the `step_mem_refs` charge — for runtime-level
     /// accesses (yield counters, interrupt flags) whose cycle cost the
-    /// executor charges explicitly. Still leased — through the dedicated
-    /// runtime pair, so per-instruction counter traffic cannot thrash the
-    /// interpreter's way cache — and still one counted statistics access.
+    /// executor charges explicitly. Still one counted statistics access.
     #[inline]
     pub fn rd_untimed(&mut self, t: ThreadId, addr: Addr) -> Result<Word, AbortReason> {
-        if self.use_leases {
-            let lease = self.runtime_leases[t].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read(&lease, addr));
-            }
-            let w = self.mem.read(t, addr)?;
-            self.runtime_leases[t].rd = self.mem.try_lease(t, addr, false);
-            return Ok(w);
-        }
-        self.mem.read(t, addr)
+        self.read_word::<false, _>(t, addr, |w| *w)
     }
 
     /// Read that classifies the word in place: `Ok(i)` for an immediate
@@ -706,54 +792,12 @@ impl Vm {
     /// `(Int, Int)` fast lane.
     #[inline]
     pub fn rd_int(&mut self, t: ThreadId, addr: Addr) -> Result<Result<i64, Word>, VmAbort> {
-        #[inline(always)]
-        fn probe(w: &Word) -> Result<i64, Word> {
-            match w {
-                Word::Int(i) => Ok(*i),
-                other => Err(*other),
-            }
-        }
-        self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read_with(&lease, addr, probe));
-            }
-            let r = self.mem.read_with(t, addr, probe)?;
-            self.lease_cache[t][way].rd = self.mem.try_lease(t, addr, false);
-            return Ok(r);
-        }
-        Ok(self.mem.read_with(t, addr, probe)?)
+        Ok(self.read_word::<true, _>(t, addr, |w| w.as_int().ok_or(*w))?)
     }
 
     #[inline]
     pub fn wr(&mut self, t: ThreadId, addr: Addr, w: Word) -> Result<(), VmAbort> {
-        if self.config.refcount_writes {
-            // CPython-style: a store of an object reference also touches
-            // the referents' count words (see `extensions`). This traffic
-            // forces `use_leases` off, so the plain path below serves it.
-            let old = {
-                self.step_mem_refs += 1;
-                self.mem.read(t, addr)?
-            };
-            if matches!(old, Word::Obj(_)) || matches!(w, Word::Obj(_)) {
-                self.refcount_store(t, &old, &w)?;
-            }
-        }
-        self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].wr;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                self.mem.lease_write(&lease, addr, w);
-                return Ok(());
-            }
-            self.mem.write(t, addr, w)?;
-            self.lease_cache[t][way].wr = self.mem.try_lease(t, addr, true);
-            return Ok(());
-        }
-        Ok(self.mem.write(t, addr, w)?)
+        Ok(self.write_word::<true>(t, addr, w)?)
     }
 
     /// [`Self::wr`] without the `step_mem_refs` charge (and without the
@@ -761,17 +805,7 @@ impl Vm {
     /// in) — the write-side companion of [`Self::rd_untimed`].
     #[inline]
     pub fn wr_untimed(&mut self, t: ThreadId, addr: Addr, w: Word) -> Result<(), AbortReason> {
-        if self.use_leases {
-            let lease = self.runtime_leases[t].wr;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                self.mem.lease_write(&lease, addr, w);
-                return Ok(());
-            }
-            self.mem.write(t, addr, w)?;
-            self.runtime_leases[t].wr = self.mem.try_lease(t, addr, true);
-            return Ok(());
-        }
-        self.mem.write(t, addr, w)
+        self.write_word::<false>(t, addr, w)
     }
 
     /// Address of inline-cache site `site` as seen by thread `t`

@@ -1,0 +1,74 @@
+//! A plain access the executor makes on its own behalf — publishing a
+//! finished thread's state, installing the yield counter of a GIL tenure —
+//! cannot abort while the memory invariants hold. When they do not, the
+//! run ends in a `RunError::Vm` carrying the thread dump, not in an unwind
+//! (ROADMAP "total robustness").
+//!
+//! The invariant is broken from outside: `Executor::vm` is public, so a
+//! test can open a transaction the executor knows nothing about and give
+//! it a write budget that bursts at exactly the access under test.
+
+use htm_gil::core::RunError;
+use htm_gil::htm::Budgets;
+use htm_gil::{ExecConfig, Executor, LengthPolicy, MachineProfile, RuntimeMode, VmConfig};
+
+/// Boot `source`, run it until thread `t` exists (a cycle limit stops a
+/// run between two scheduler steps, and `run` picks up where it stopped),
+/// open a phantom transaction on `t` with room for `write_lines` lines,
+/// and run on.
+fn run_with_phantom_tx(
+    source: &str,
+    mode: RuntimeMode,
+    t: usize,
+    write_lines: usize,
+) -> Result<htm_gil::RunReport, RunError> {
+    let profile = MachineProfile::generic(4);
+    let cfg = ExecConfig::new(mode, &profile);
+    let mut ex = Executor::new(source, VmConfig::default(), profile, cfg).expect("boot");
+    while ex.vm.threads.len() <= t {
+        ex.cfg.max_cycles += 20;
+        let stopped = ex.run();
+        assert!(matches!(stopped, Err(RunError::CycleLimit { .. })), "{stopped:?}");
+    }
+    ex.cfg.max_cycles = 10_000_000; // hang guard
+    ex.vm.mem.begin(t, Budgets { read_lines: 1 << 20, write_lines }).expect("phantom begin");
+    ex.run()
+}
+
+fn vm_error(outcome: Result<htm_gil::RunReport, RunError>) -> Option<String> {
+    match outcome {
+        Err(RunError::Vm(msg)) => Some(msg),
+        _ => None,
+    }
+}
+
+/// Under `Ideal` (no GIL traffic) a spawned thread that computes on its
+/// stack writes one line; the executor publishes its completion on a
+/// second. A budget of none bursts inside a bytecode, a budget of one at
+/// the completion write — and both come back as errors.
+#[test]
+fn a_finishing_thread_whose_state_write_aborts_is_a_run_error() {
+    let source = "t = Thread.new { 1 + 1 }\nt.join\nputs(3)";
+    let in_step =
+        vm_error(run_with_phantom_tx(source, RuntimeMode::Ideal, 1, 0)).expect("vm error");
+    assert!(in_step.contains("transaction abort without transactions"), "{in_step}");
+    let at_finish =
+        vm_error(run_with_phantom_tx(source, RuntimeMode::Ideal, 1, 1)).expect("vm error");
+    assert!(
+        at_finish.contains("finished thread's state write aborted outside any transaction"),
+        "{at_finish}"
+    );
+    assert!(at_finish.contains("WriteOverflow"), "{at_finish}");
+    assert!(at_finish.contains("\n  t1: "), "the dump names every thread: {at_finish}");
+}
+
+/// A single-threaded HTM run takes the GIL at once (Fig. 1 line 2): the
+/// lock word fills a one-line budget, the counter install bursts it.
+#[test]
+fn a_gil_tenure_whose_counter_install_aborts_is_a_run_error() {
+    let mode = RuntimeMode::Htm { length: LengthPolicy::Dynamic };
+    let msg = vm_error(run_with_phantom_tx("puts(1)", mode, 0, 1)).expect("a vm error");
+    assert!(msg.contains("yield counter install under the GIL aborted"), "{msg}");
+    assert!(msg.contains("WriteOverflow"), "{msg}");
+    assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
+}
