@@ -1,6 +1,8 @@
-//! The deterministic executor: drives the Ruby VM one bytecode at a time
-//! over the discrete-event scheduler, implementing the paper's Figures 1–3
-//! as a per-thread state machine.
+//! The deterministic executor: drives the Ruby VM over the discrete-event
+//! scheduler a *burst* at a time — the picked thread runs bytecodes up to
+//! its event horizon, the first moment anything here has a decision to
+//! make (`Executor::burst_budget`, DESIGN.md §4 "Scheduling") —
+//! implementing the paper's Figures 1–3 as a per-thread state machine.
 //!
 //! State per thread (HTM modes): exactly one of
 //! * *in transaction* — registers snapshotted at begin; aborts roll the
@@ -170,7 +172,7 @@ impl TleThread {
 }
 
 /// What a thread parked on (beyond the GIL queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum ParkKey {
     Mutex(usize),
     Barrier(usize),
@@ -206,10 +208,10 @@ pub struct Executor {
     watchdog_escalations: u64,
     /// Task-latency accounting fed by committed `srv_mark` events.
     latency: crate::latency::LatencyRecorder,
-    /// `committed_insns` at the last scheduler step that made progress.
-    progress_watermark: u64,
     /// Scheduler steps since `committed_insns` last advanced.
     stalled_steps: u64,
+    /// Bursts run (a host-work counter).
+    bursts: u64,
     /// Shared handle on the trace ring buffer when
     /// `ExecConfig::trace_capacity > 0`; the other clone lives inside the
     /// transactional memory as its sink.
@@ -223,6 +225,9 @@ pub struct Executor {
     /// to the VM only when fusion is trace-transparent (no other live
     /// thread, no open transaction, no trace sink) — see `raw_step`.
     fuse_bit: u8,
+    /// No trace sink, exploration controller or `FineGrained` charge
+    /// observes steps one by one (see `burst_budget`).
+    burst_ok: bool,
 }
 
 impl Executor {
@@ -280,6 +285,8 @@ impl Executor {
             YieldPolicy::Original => (ruby_vm::decode::YP_ORIG, ruby_vm::decode::FUSE_ORIG),
             YieldPolicy::Extended => (ruby_vm::decode::YP_EXT, ruby_vm::decode::FUSE_EXT),
         };
+        let burst_ok =
+            trace.is_none() && cfg.explore_path.is_none() && cfg.mode != RuntimeMode::FineGrained;
         Ok(Executor {
             vm,
             sched,
@@ -299,12 +306,20 @@ impl Executor {
             interrupts,
             watchdog_escalations: 0,
             latency: crate::latency::LatencyRecorder::new(),
-            progress_watermark: 0,
             stalled_steps: 0,
+            bursts: 0,
             trace,
             yp_bit,
             fuse_bit,
+            burst_ok,
         })
+    }
+
+    /// The host's own work, none of it in the report: scheduler picks that
+    /// scanned, picks that ran ahead, bursts, the bytecodes they retired.
+    pub fn host_counters(&self) -> [u64; 4] {
+        let (full, ahead) = self.sched.pick_counts();
+        [full, ahead, self.bursts, self.committed_insns + self.wasted_insns]
     }
 
     /// Snapshot of the retained trace events (empty when tracing is off).
@@ -366,26 +381,22 @@ impl Executor {
                 self.on_tx_abort(t, reason)?;
                 continue;
             }
+            // Forward-progress invariant: the retry/watchdog machinery
+            // must keep instructions committing; a long stall is livelock.
+            // A round is a stalled step, and so is every further step of a
+            // burst in a transaction; a publication restarts the count.
+            self.stalled_steps += 1;
             match self.cfg.mode {
                 RuntimeMode::Gil => self.step_gil(t)?,
                 RuntimeMode::Htm { .. } => self.step_htm(t)?,
                 RuntimeMode::FineGrained | RuntimeMode::Ideal => self.step_free(t)?,
             }
-            // Forward-progress invariant: the retry/watchdog machinery
-            // must keep instructions committing; a long stall is livelock.
-            if self.cfg.progress_bound_steps != 0 {
-                if self.committed_insns != self.progress_watermark {
-                    self.progress_watermark = self.committed_insns;
-                    self.stalled_steps = 0;
-                } else {
-                    self.stalled_steps += 1;
-                    if self.stalled_steps >= self.cfg.progress_bound_steps {
-                        return Err(RunError::NoProgress {
-                            steps: self.stalled_steps,
-                            dump: self.deadlock_dump(),
-                        });
-                    }
-                }
+            let bound = self.cfg.progress_bound_steps;
+            if bound != 0 && self.stalled_steps >= bound {
+                return Err(RunError::NoProgress {
+                    steps: self.stalled_steps,
+                    dump: self.deadlock_dump(),
+                });
             }
         }
         // Leased accesses batch their stats deltas; fold them in so the
@@ -413,12 +424,13 @@ impl Executor {
                 c.pc,
             );
         }
+        // Sorted: the map's order differs from run to run.
+        let mut parked_keys: Vec<_> = self.parked.keys().collect();
+        parked_keys.sort();
         let _ = writeln!(
             out,
-            "  gil holder={:?} waiters={:?} parked_keys={:?}",
-            self.gil.holder,
-            self.gil.waiters,
-            self.parked.keys().collect::<Vec<_>>()
+            "  gil holder={:?} waiters={:?} parked_keys={parked_keys:?}",
+            self.gil.holder, self.gil.waiters,
         );
         // Under exploration, append the trailing scheduler decision trail
         // so a stuck explored run is diagnosable without a rerun.
@@ -493,82 +505,104 @@ impl Executor {
         }
     }
 
-    /// Execute one VM step, charge its cycles to `t` and settle its
-    /// host-side effects. A step retires one bytecode — or two when
-    /// superinstruction fusion is permitted, which it is only when the
-    /// interleaving cannot matter (no other live thread), no
+    /// Run `t` for one burst of VM steps, charge its cycles and settle its
+    /// host-side effects — once for the burst. A step retires one bytecode
+    /// — or two when superinstruction fusion is permitted, which it is
+    /// only when the interleaving cannot matter (no other live thread), no
     /// transaction's escrow could straddle the pair, and no trace sink
     /// observes per-access ordering. The charge is per retired bytecode
     /// (`dispatch × step_insns` plus the accumulated memory/native costs),
-    /// so a fused pair lands on the simulated clock exactly where the two
-    /// separate steps would have.
+    /// so a burst, like a fused pair, lands on the simulated clock exactly
+    /// where its separate steps would have.
     fn raw_step(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
         let tx = self.tle[t].tx.as_ref();
+        let alone = self.sched.other_live_threads(t) == 0;
         self.vm.fuse_allowed =
-            if self.trace.is_none() && tx.is_none() && self.sched.other_live_threads(t) == 0 {
-                self.fuse_bit
-            } else {
-                0
-            };
+            if self.trace.is_none() && tx.is_none() && alone { self.fuse_bit } else { 0 };
         self.vm.tx_method_bumps = tx.map_or(0, |tx| tx.escrow.method_bumps);
         self.vm.reset_step_counters();
-        let r = self.vm.step(t);
-        let cost = self.profile.cost.dispatch * Cycles::from(self.vm.step_insns)
-            + Cycles::from(self.vm.step_mem_refs) * self.profile.cost.mem_ref
-            + self.vm.step_native_cost;
+        let yield_bit = if alone { 0 } else { self.yp_bit };
+        let r = self.vm.burst(t, self.burst_budget(t), yield_bit);
+        let cost = self.vm.step_cost();
         self.sched.advance(t, cost);
         self.settle(t, cost);
         r
     }
 
-    /// Collect what the step that just ran emitted, leaving the VM's
+    /// Cycles the burst about to run on `t` may cost: none past the point
+    /// where another thread would be picked ([`Scheduler::run_ahead`]) or
+    /// an event of the run loop's prologue falls due — GIL timer tick,
+    /// cycle limit, §5.6 interrupt — and too few to overshoot the progress
+    /// bound or the VM's `u32` counters (a step costs a cycle at least).
+    /// Zero — one step — where steps are observed one by one
+    /// (`burst_ok`), and under `fresh`: left set by a restart at this
+    /// very yield point, it exempts the *next* call's instruction (§8).
+    fn burst_budget(&self, t: ThreadId) -> Cycles {
+        let room = self.sched.run_ahead(t);
+        if room == 0 || !self.burst_ok || self.tle[t].fresh {
+            return 0;
+        }
+        // The first value past a limit for which 0 means none.
+        let past = |limit: u64| limit.wrapping_sub(1).saturating_add(2);
+        let tick = if self.cfg.mode == RuntimeMode::Gil { self.gil.next_timer } else { u64::MAX };
+        let due = tick.min(past(self.cfg.max_cycles)).min(self.interrupts.deadline(t));
+        let steps = past(self.cfg.progress_bound_steps) - self.stalled_steps;
+        room.min(due.saturating_sub(self.sched.clock(t))).min(steps).min(1 << 20)
+    }
+
+    /// Collect what the burst that just ran emitted, leaving the VM's
     /// per-step outputs empty: into the open transaction's escrow — where
     /// the effects of a step that aborted land too, and are discarded with
     /// it — or, outside any transaction, straight to publication.
     fn settle(&mut self, t: ThreadId, cost: Cycles) {
         let vm = &mut self.vm;
         let insns = u64::from(vm.step_insns);
-        let method_bumps = std::mem::take(&mut vm.pending_method_bumps);
+        self.bursts += 1;
         if let Some(tx) = self.tle[t].tx.as_mut() {
             let e = &mut tx.escrow;
             e.work += cost;
             e.insns += insns;
-            e.method_bumps = e.method_bumps.wrapping_add(method_bumps);
+            e.method_bumps =
+                e.method_bumps.wrapping_add(std::mem::take(&mut vm.pending_method_bumps));
             e.marks.append(&mut vm.pending_marks);
             e.wakes.append(&mut vm.pending_wakes);
+            // No pair fuses inside a transaction: a bytecode is a step.
+            self.stalled_steps += insns - 1;
         } else {
-            let step = Escrow {
-                work: cost,
-                insns,
-                method_bumps,
-                marks: std::mem::take(&mut vm.pending_marks),
-                wakes: std::mem::take(&mut vm.pending_wakes),
-            };
-            self.publish(t, step, false);
+            vm.publish_method_bumps();
+            self.publish_work(cost, insns, false);
+            if !(self.vm.pending_marks.is_empty() && self.vm.pending_wakes.is_empty()) {
+                let marks = std::mem::take(&mut self.vm.pending_marks);
+                let wakes = std::mem::take(&mut self.vm.pending_wakes);
+                self.publish_events(t, marks, wakes);
+            }
         }
     }
 
-    /// Make an escrow's effects real at `t`'s current clock: the work of a
-    /// committed transaction (and of the modes that run no GIL at all) is
-    /// `tx_success`, anything else ran under the GIL. Inlined because
-    /// `settle` calls it once per bytecode outside transactions, where a
-    /// call that moves the (empty) vectors costs GIL-mode runs ~4 %.
-    #[inline(always)]
-    fn publish(&mut self, t: ThreadId, e: Escrow, committed_tx: bool) {
+    /// Make retired work real: that of a committed transaction (and of the
+    /// modes that run no GIL at all) is `tx_success`, anything else ran
+    /// under the GIL. Published instructions are forward progress.
+    fn publish_work(&mut self, work: Cycles, insns: u64, committed_tx: bool) {
         let free = matches!(self.cfg.mode, RuntimeMode::FineGrained | RuntimeMode::Ideal);
         if committed_tx || free {
-            self.breakdown.tx_success += e.work;
+            self.breakdown.tx_success += work;
         } else {
-            self.breakdown.gil_held += e.work;
+            self.breakdown.gil_held += work;
         }
-        self.committed_insns += e.insns;
-        self.vm.method_version = self.vm.method_version.wrapping_add(e.method_bumps);
+        self.committed_insns += insns;
+        self.stalled_steps = 0;
+    }
+
+    /// Make marks and wakes real at `t`'s current clock. Out of line: few
+    /// steps emit either.
+    #[cold]
+    fn publish_events(&mut self, t: ThreadId, marks: Vec<(u8, i64)>, wakes: Vec<WakeKey>) {
         let now = self.sched.clock(t);
-        for (kind, id) in e.marks {
+        for (kind, id) in marks {
             self.latency.on_mark(kind, id, now);
         }
-        if !e.wakes.is_empty() {
-            self.publish_wakes(t, e.wakes);
+        if !wakes.is_empty() {
+            self.publish_wakes(t, wakes);
         }
     }
 
@@ -596,8 +630,8 @@ impl Executor {
         }
     }
 
-    /// Handle StepOk common to all modes. Returns true when the thread
-    /// can continue normally.
+    /// Handle the rare outcomes common to all modes (the callers dispatch
+    /// `Normal` themselves, without a call).
     fn handle_outcome(&mut self, t: ThreadId, ok: StepOk) -> Result<(), RunError> {
         match ok {
             StepOk::Normal => Ok(()),
@@ -752,10 +786,9 @@ impl Executor {
             }
         }
         match self.raw_step(t) {
+            Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => {
-                let was_block = matches!(ok, StepOk::Block(_));
-                let finished = matches!(ok, StepOk::Finished);
-                if was_block || finished {
+                if matches!(ok, StepOk::Block(_) | StepOk::Finished) {
                     // Blocking region / exit: release the GIL first.
                     self.gil_release(t);
                 }
@@ -784,6 +817,7 @@ impl Executor {
             }
         }
         match r {
+            Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => self.handle_outcome(t, ok),
             Err(VmAbort::Err(e)) => Err(RunError::Vm(e.to_string())),
             Err(VmAbort::Tx(r)) => {
@@ -864,10 +898,9 @@ impl Executor {
         }
         // 3. Execute the instruction.
         match self.raw_step(t) {
+            Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => {
-                let finished = matches!(ok, StepOk::Finished);
-                let was_block = matches!(ok, StepOk::Block(_));
-                if finished || was_block {
+                if matches!(ok, StepOk::Block(_) | StepOk::Finished) {
                     // Commit any open transaction before leaving/parking.
                     if self.tle[t].tx.is_some() {
                         match self.commit_tx(t) {
@@ -903,8 +936,10 @@ impl Executor {
         self.sched.advance(t, self.profile.cost.tend);
         self.breakdown.tx_begin_end += self.profile.cost.tend;
         self.vm.mem.commit(t)?;
-        let info = self.tle[t].tx.take().expect("commit without tx");
-        self.publish(t, info.escrow, true);
+        let e = self.tle[t].tx.take().expect("commit without tx").escrow;
+        self.publish_work(e.work, e.insns, true);
+        self.vm.method_version = self.vm.method_version.wrapping_add(e.method_bumps);
+        self.publish_events(t, e.marks, e.wakes);
         // A commit is forward progress: stand the watchdog down.
         self.tle[t].consecutive_aborts = 0;
         self.tle[t].backoff = self.cfg.watchdog.cooldown_base;
@@ -1157,7 +1192,7 @@ impl Executor {
 
 // When a thread holding the GIL parks (blocking builtin), `step_htm`
 // releases it first; when it finishes, likewise — see the
-// finished/was_block branch in `step_htm`.
+// `Block | Finished` branch in `step_htm`.
 
 #[cfg(test)]
 mod tests {
@@ -1594,6 +1629,42 @@ puts(counters.join(","))
         // no transaction to abort), so the trace matches total_aborts
         // exactly.
         assert_eq!(aborts, r.htm.total_aborts());
+    }
+
+    /// `fresh` outlives the call that sets it when a yield-point restart
+    /// sets it (DESIGN.md §8): the *next* `step_htm` call consumes it, and
+    /// if the instruction standing there is a yield point too — here the
+    /// loop head after the back-edge — its Fig. 2 decrement is skipped and
+    /// the transaction spans one yield point more than its length. Pinned,
+    /// not endorsed: changing it moves simulated cycles (ROADMAP aim 3).
+    #[test]
+    fn a_restart_at_a_yield_point_exempts_the_yield_point_right_after_it() {
+        let src = "t = Thread.new() do\n  i = 0\n  while i < 6\n    i += 1\n  end\nend\nt.join()";
+        let profile = MachineProfile::generic(4);
+        let cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Fixed(2) }, &profile);
+        let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).unwrap();
+        let counter = |ex: &Executor| {
+            let addr = ex.vm.layout.thread_struct(1) + ruby_vm::layout::ts::YIELD_COUNTER;
+            ex.vm.mem.peek(addr).as_int().unwrap()
+        };
+        // `YIELD_COUNTER` of the worker, before>after, around every round
+        // that found it standing at a yield point.
+        let mut trace = Vec::new();
+        while let Some(t) = ex.sched.next() {
+            if ex.vm.threads[t].finished {
+                ex.sched.finish(t);
+            } else if t == 1 && ex.at_yield_point(t) {
+                let before = counter(&ex);
+                ex.step_htm(t).unwrap();
+                trace.push(format!("{before}>{}", counter(&ex)));
+            } else {
+                ex.step_htm(t).unwrap();
+            }
+        }
+        // Length 2: decrement, restart, decrement, restart at the back-edge
+        // — and the loop head right after it goes by uncounted (2>2), so
+        // that transaction ends at its third yield point.
+        assert_eq!(trace[..8].join(" "), "2>1 1>2 2>1 1>2 2>2 2>1 1>2 2>1");
     }
 
     #[test]

@@ -41,6 +41,15 @@ impl InterruptTimer {
         self.interval
     }
 
+    /// Local time at which [`Self::due`] next fires for `t`: never when
+    /// disabled, at once for a thread `due` has not seen yet.
+    pub fn deadline(&self, t: ThreadId) -> Cycles {
+        match self.interval {
+            0 => Cycles::MAX,
+            _ => self.next.get(t).copied().unwrap_or(0),
+        }
+    }
+
     /// Has thread `t` crossed its interrupt deadline at local time `now`?
     /// On true, the deadline advances past `now` (one interrupt is
     /// delivered no matter how far the clock jumped — coalescing, like a

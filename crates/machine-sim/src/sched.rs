@@ -2,11 +2,12 @@
 //!
 //! Each virtual thread carries its own cycle clock. The executor repeatedly
 //! asks [`Scheduler::next`] for the runnable thread with the *smallest*
-//! clock, executes one unit of work for it (one bytecode, one runtime
-//! operation, …), and charges the cost via [`Scheduler::advance`]. Because
-//! the thread with the least-advanced clock always runs next, concurrent
-//! threads interleave exactly as they would on real silicon with the given
-//! cost model — but fully deterministically (ties break by thread id).
+//! clock, executes one unit of work for it (a burst of bytecodes within
+//! [`Scheduler::run_ahead`], one runtime operation, …), and charges the
+//! cost via [`Scheduler::advance`]. Because the least-advanced thread
+//! always runs next, concurrent threads interleave exactly as they would
+//! on real silicon with the given cost model — but fully
+//! deterministically (ties break by thread id).
 //!
 //! Hardware topology matters in two ways:
 //!
@@ -90,6 +91,8 @@ pub struct Scheduler {
     /// stands (what could lower one drops it), so while `last_pick` is
     /// below it `next` returns `last_pick` without scanning.
     horizon: (Cycles, ThreadId),
+    /// Picks made by scanning and picks the horizon answered (host work).
+    picks: (u64, u64),
     /// Schedule-exploration controller; `None` (the default) leaves every
     /// decision-point hook a no-op and the schedule byte-identical to the
     /// pre-exploration scheduler.
@@ -126,6 +129,7 @@ impl Scheduler {
             slotless: 0,
             last_pick: ThreadId::MAX,
             horizon: NO_HORIZON,
+            picks: (0, 0),
             explore: None,
             pinned: None,
         }
@@ -330,6 +334,7 @@ impl Scheduler {
         if let Some(p) = self.pinned {
             if self.threads[p].state == ThreadState::Runnable {
                 self.acquire_slot(p);
+                self.picks.0 += 1;
                 return Some(p);
             }
             self.pinned = None;
@@ -344,6 +349,7 @@ impl Scheduler {
         {
             debug_assert_eq!(Some((self.ready[last], last)), self.min_ready_recount());
             debug_assert!(self.threads[last].slot.is_some());
+            self.picks.1 += 1;
             return Some(last);
         }
         // Pass 1: find the best candidate by (ready_time, tid) — a plain
@@ -411,7 +417,29 @@ impl Scheduler {
             self.horizon = best;
         }
         self.last_pick = tid;
+        self.picks.0 += 1;
         Some(tid)
+    }
+
+    /// Cycles `t`, the thread [`Scheduler::next`] just returned, may
+    /// consume and still be its next pick: the room below the horizon (a
+    /// tie goes to the smaller tid), and below the quantum while a slot
+    /// waiter exists. Zero when unknown: no horizon learnt (a pin drops
+    /// it), `t` not the remembered thread, or `t` at or past the horizon
+    /// already — a charge since the pick may have carried it there.
+    pub fn run_ahead(&self, t: ThreadId) -> Cycles {
+        let (now, (until, other)) = (self.threads[t].clock, self.horizon);
+        if t != self.last_pick || (now, t) >= (until, other) {
+            return 0;
+        }
+        let quantum = OVERSUB_QUANTUM.saturating_sub(self.threads[t].slot_usage);
+        let room = (until - now).saturating_add(Cycles::from(t < other));
+        room.min(if self.slotless == 0 { Cycles::MAX } else { quantum })
+    }
+
+    /// `(full picks, run-ahead picks)` made so far.
+    pub fn pick_counts(&self) -> (u64, u64) {
+        self.picks
     }
 
     /// What `slotless` caches (debug cross-check).
@@ -1018,6 +1046,88 @@ mod tests {
         assert_eq!(s.next(), Some(b));
         assert_eq!(s.explore_preempt(b), None);
         assert_eq!(s.next(), Some(a), "min-clock scheduling resumes");
+    }
+
+    #[test]
+    fn run_ahead_is_zero_until_a_horizon_is_learnt_and_for_any_other_thread() {
+        let mut s = sched(3, 1);
+        let a = s.spawn(1_000);
+        let b = s.spawn(0);
+        assert_eq!(s.next(), Some(b));
+        assert_eq!(s.run_ahead(b), 0, "a first pick learns no horizon");
+        s.advance(b, 10);
+        assert_eq!(s.next(), Some(b));
+        assert_eq!(s.run_ahead(b), 990);
+        assert_eq!(s.run_ahead(a), 0, "a is not the thread next() returned");
+        s.park(a);
+        assert_eq!(s.run_ahead(b), 0, "a state change drops the horizon");
+    }
+
+    #[test]
+    fn run_ahead_counts_the_tie_from_both_tids_and_saturates_past_the_horizon() {
+        let mut s = sched(3, 1);
+        let a = s.spawn(1_000);
+        let b = s.spawn(0);
+        let c = s.spawn(1_000);
+        streak(&mut s, b, 2, 400);
+        assert_eq!(s.next(), Some(b));
+        // a, the smaller tid, wins a tie at 1000: b may use 200 cycles, not 201.
+        assert_eq!((s.horizon, s.run_ahead(b)), ((1_000, a), 200));
+        s.advance(b, 200);
+        assert_eq!(s.run_ahead(b), 0, "at the horizon behind a smaller tid");
+        s.advance(b, 50);
+        assert_eq!(s.run_ahead(b), 0, "a charge past the horizon must not wrap");
+        assert_eq!(s.next(), Some(a));
+        s.advance(a, 100);
+        s.finish(a);
+        s.skip_to(c, 2_000);
+        streak(&mut s, b, 2, 0);
+        // c, the larger tid, loses a tie at 2000: b may use 950 + 1 cycles.
+        assert_eq!((s.horizon, s.run_ahead(b)), ((2_000, c), 951));
+        s.advance(b, 950);
+        assert_eq!(s.run_ahead(b), 1);
+        assert_eq!(s.next(), Some(b));
+        s.advance(b, 1);
+        assert_eq!(s.run_ahead(b), 0);
+        assert_eq!(s.next(), Some(c));
+    }
+
+    #[test]
+    fn run_ahead_of_a_lone_runner_is_boundless_and_of_a_pinned_run_zero() {
+        use crate::explore::SchedPath;
+        let mut s = sched(2, 1);
+        let a = s.spawn(0);
+        streak(&mut s, a, 2, 10);
+        assert_eq!(s.horizon.0, NEVER_READY);
+        assert_eq!(s.run_ahead(a), Cycles::MAX - 20 + 1);
+        let b = s.spawn(1_000);
+        s.set_explore(ExploreCtl::new(SchedPath::new(vec![0, 0, 1]), false));
+        for _ in 0..2 {
+            assert_eq!(s.next(), Some(a));
+            assert_eq!(s.explore_preempt(a), None);
+        }
+        assert_eq!(s.run_ahead(a), 981, "the tie at 1000 goes to a");
+        assert_eq!(s.explore_preempt(a), Some(b));
+        assert_eq!(s.run_ahead(a), 0, "a pin drops the horizon");
+        assert_eq!(s.next(), Some(b));
+        assert_eq!(s.next(), Some(b));
+        assert_eq!(s.run_ahead(b), 0, "a pinned pick learns none");
+    }
+
+    #[test]
+    fn run_ahead_stops_at_the_quantum_only_while_a_slot_waiter_exists() {
+        let mut s = sched(1, 1);
+        let a = s.spawn(0);
+        let b = s.spawn(0);
+        s.park(b);
+        streak(&mut s, a, 2, 10_000);
+        assert_eq!(s.run_ahead(a), Cycles::MAX - 20_000 + 1, "nobody to hand the slot to");
+        s.unpark(b, 1_000_000);
+        streak(&mut s, a, 2, 10_000);
+        assert_eq!(s.run_ahead(a), OVERSUB_QUANTUM - 40_000);
+        s.advance(a, 10_000);
+        assert_eq!(s.run_ahead(a), 0, "quantum spent: the next pick hands over");
+        assert_eq!(s.pick_counts(), (3, 1), "one pick of the second streak ran ahead");
     }
 
     #[test]

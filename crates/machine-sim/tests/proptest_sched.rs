@@ -18,6 +18,7 @@ struct ModelThread {
 /// The scheduler with nothing cached and nothing remembered: every pick
 /// recomputes `(ready, tid)` per state over the whole table and walks it
 /// for a slot waiter. [`Scheduler`] must be indistinguishable from it.
+#[derive(Clone)]
 struct Model {
     threads: Vec<ModelThread>,
     cores: usize,
@@ -113,6 +114,15 @@ impl Model {
             }
         }
         Some(tid)
+    }
+
+    /// Would `t`, had it consumed `cycles` more, be picked again with
+    /// nothing else changing (no wake, no slot hand-over)?
+    fn still_next_after(&self, t: ThreadId, cycles: Cycles) -> bool {
+        let mut m = self.clone();
+        m.advance(t, cycles);
+        let before = m.threads.clone();
+        m.next() == Some(t) && m.threads == before
     }
 
     fn acquire_slot(&mut self, t: ThreadId) {
@@ -306,6 +316,14 @@ proptest! {
     /// count, run-ahead horizon) against [`Model`] in lock-step. Most
     /// topologies here are oversubscribed. Must hold in `--release` too,
     /// where the scheduler's own `debug_assert`s are compiled out.
+    ///
+    /// After every pick, `run_ahead` is held to the model as well: the
+    /// picked thread stays the model's pick after consuming anything
+    /// below the room it was promised, and not after consuming all of it
+    /// (a boundless room: nobody else can run without an external wake).
+    /// The second half holds while the horizon is exact: a clock raised
+    /// behind the scheduler's back (`stale`) leaves it a lower bound until
+    /// something drops it.
     #[test]
     fn scheduler_matches_naive_model(
         cores in 1usize..5,
@@ -319,6 +337,7 @@ proptest! {
             m.spawn(start);
         }
         let mut last = 0;
+        let mut stale = false;
         for (n, step) in script.into_iter().enumerate() {
             let len = m.threads.len();
             let now = m.threads[last].clock;
@@ -327,6 +346,19 @@ proptest! {
                     let pick = s.next();
                     prop_assert_eq!(pick, m.next(), "pick at step {}", n);
                     if let Some(t) = pick {
+                        stale &= t == last;
+                        let room = s.run_ahead(t);
+                        if room > Cycles::MAX / 2 {
+                            let others = m.threads.iter().enumerate().filter(|&(i, th)| {
+                                i != t && matches!(th.state, ThreadState::Runnable | ThreadState::Sleeping { .. })
+                            });
+                            prop_assert_eq!(others.count(), 0, "boundless room at step {}", n);
+                        } else if room > 0 {
+                            for c in [0, cost % room, room - 1] {
+                                prop_assert!(m.still_next_after(t, c), "{} of room {} at step {}", c, room, n);
+                            }
+                            prop_assert!(stale || !m.still_next_after(t, room), "all of room {} at step {}", room, n);
+                        }
                         s.advance(t, cost);
                         m.advance(t, cost);
                         last = t;
@@ -335,22 +367,26 @@ proptest! {
                 Step::Advance(t, c) => {
                     s.advance(t % len, c);
                     m.advance(t % len, c);
+                    stale = true;
                 }
                 Step::SkipAhead(t, c) => {
                     s.skip_to(t % len, now + c);
                     m.skip_to(t % len, now + c);
+                    stale = true;
                 }
                 Step::SleepFor(t, c) => {
                     let (t, until) = (t % len, m.threads[t % len].clock + c);
                     if matches!(m.threads[t].state, ThreadState::Runnable | ThreadState::Sleeping { .. }) {
                         s.sleep_until(t, until);
                         m.sleep_until(t, until);
+                        stale = false;
                     }
                 }
                 Step::Park(t) => {
                     if m.threads[t % len].state != ThreadState::Finished {
                         s.park(t % len);
                         m.stop(t % len, ThreadState::Parked);
+                        stale = false;
                     }
                 }
                 Step::Unpark(t, when, c) => {
@@ -363,11 +399,13 @@ proptest! {
                 Step::Finish(t) => {
                     s.finish(t % len);
                     m.stop(t % len, ThreadState::Finished);
+                    stale = false;
                 }
                 Step::Spawn => {
                     if len < MAX_THREADS {
                         s.spawn(now);
                         m.spawn(now);
+                        stale = false;
                     }
                 }
             }

@@ -1,5 +1,6 @@
 //! The bytecode interpreter: frames, dispatch, specialized operators and
-//! inline caches.
+//! inline caches. [`Vm::burst`] runs one thread step after step until its
+//! driver has something to decide; [`Vm::step`] is the burst of one.
 //!
 //! Call frames live in each thread's stack region of simulated memory:
 //!
@@ -278,14 +279,45 @@ impl Vm {
 
     /// Execute exactly one bytecode for thread `t` (two when a fused
     /// superinstruction pair runs — see [`crate::vm::Vm::fuse_allowed`];
-    /// `step_insns` reports which).
+    /// `step_insns` reports which): a burst without a budget.
     pub fn step(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
+        self.burst(t, 0, 0)
+    }
+
+    /// Run `t` step after step, `step_insns`, `step_mem_refs` and
+    /// `step_native_cost` accumulating since [`Vm::reset_step_counters`],
+    /// until a step's outcome is not [`StepOk::Normal`] (or it aborts),
+    /// [`Vm::step_cost`] reaches `budget` cycles (0: one step, unpriced),
+    /// `t` stands at an instruction flagged `yield_bit`, where the executor
+    /// has a decision to make, or a step emits a mark or a wake, which
+    /// take the clock of their publication. `step_insns` reports the steps
+    /// run (no pair fuses where it matters: inside a transaction). Nobody
+    /// else runs in between: one doom poll serves the burst.
+    pub fn burst(&mut self, t: ThreadId, budget: u64, yield_bit: u8) -> Result<StepOk, VmAbort> {
         if let Some(reason) = self.mem.poll_doomed(t) {
             return Err(VmAbort::Tx(reason));
         }
         if self.threads[t].finished {
             return Ok(StepOk::Finished);
         }
+        loop {
+            match self.step_once(t) {
+                Ok(StepOk::Normal) => {}
+                other => return other,
+            }
+            if budget == 0
+                || self.step_cost() >= budget
+                || self.insn_flags(t) & yield_bit != 0
+                || !(self.pending_marks.is_empty() && self.pending_wakes.is_empty())
+            {
+                return Ok(StepOk::Normal);
+            }
+            self.step_insns += 1;
+            self.temp_roots.clear();
+        }
+    }
+
+    fn step_once(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
         if self.config.slow_dispatch {
             return self.step_slow(t);
         }
@@ -308,7 +340,7 @@ impl Vm {
                 // step keeps only the second half's in-flight values.
                 self.temp_roots.clear();
                 let r2 = self.exec_decoded(t, &d2)?;
-                self.step_insns = 2;
+                self.step_insns += 1;
                 return Ok(r2);
             }
         }

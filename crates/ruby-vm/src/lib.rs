@@ -33,8 +33,8 @@
 //! Rails templating) generates the same footprint (and the same overflow
 //! aborts) it does in CRuby. See DESIGN.md §2.
 //!
-//! The crate is driven one bytecode at a time by the `core` crate's
-//! executor ([`vm::Vm::step`]); it never blocks the host thread.
+//! The crate is driven a burst of bytecodes at a time by the `core`
+//! crate's executor ([`vm::Vm::burst`]); it never blocks the host thread.
 
 pub mod builtins;
 pub mod bytecode;

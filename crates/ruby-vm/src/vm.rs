@@ -360,17 +360,17 @@ pub struct Vm {
     pub strings: StrTable,
     /// Compiled-regex cache keyed by pattern (host-side, like onig's).
     pub regex_cache: HashMap<String, Rc<crate::regexlite::Regex>>,
-    /// Memory references made by the current step (the executor charges
-    /// cycles from this).
+    /// Memory references made since [`Vm::reset_step_counters`] — by one
+    /// step or one burst of them (the executor charges cycles from this).
     pub step_mem_refs: u32,
-    /// Extra native cycles requested by the current step (regex, store…).
+    /// Extra native cycles requested since then (regex, store…).
     pub step_native_cost: u64,
     /// Wakes emitted by the current step (mutex unlocks, barrier
     /// releases). Like [`Vm::pending_marks`] and
     /// [`Vm::pending_method_bumps`] a per-step output: whoever drives
-    /// `step` collects all three after every step, so between steps they
-    /// are empty. The executor publishes them at once outside a
-    /// transaction and holds them in the transaction's escrow inside one.
+    /// `step` or `burst` collects all three after every call (a burst ends
+    /// with the step that emits a wake or a mark). The executor publishes
+    /// them outside a transaction and escrows them inside one.
     pub pending_wakes: Vec<WakeKey>,
     /// GC statistics.
     pub gc_runs: u64,
@@ -405,10 +405,12 @@ pub struct Vm {
     /// raises it when fusion is invisible (single live thread, no active
     /// transaction, no trace sink); 0 disables fusion entirely.
     pub fuse_allowed: u8,
-    /// Bytecodes retired by the current step (2 when a fused pair ran,
-    /// else 1); the executor folds this into committed-insn accounting and
-    /// cycle charging so fusion stays invisible to the simulation.
+    /// Bytecodes retired since [`Vm::reset_step_counters`]: 1 per step, 2
+    /// for a fused pair; the executor folds this into committed-insn
+    /// accounting and cycle charging so fusion stays invisible.
     pub step_insns: u32,
+    /// The profile's cycles per retired bytecode and per memory reference.
+    step_unit: [u64; 2],
     /// Committed global method-table version. A versioned inline cache is
     /// valid only if the version half of its guard word matches
     /// [`Vm::effective_method_version`]; bumped when a method definition
@@ -514,6 +516,7 @@ impl Vm {
             pending_marks: Vec::new(),
             fuse_allowed: 0,
             step_insns: 1,
+            step_unit: [profile.cost.dispatch, profile.cost.mem_ref],
             method_version: 0,
             pending_method_bumps: 0,
             tx_method_bumps: 0,
@@ -817,6 +820,14 @@ impl Vm {
         } else {
             self.layout.ic(site)
         }
+    }
+
+    /// Cycles the steps since [`Self::reset_step_counters`] cost: what the
+    /// executor charges, and what [`Self::burst`] holds against its budget.
+    pub fn step_cost(&self) -> u64 {
+        self.step_unit[0] * u64::from(self.step_insns)
+            + self.step_unit[1] * u64::from(self.step_mem_refs)
+            + self.step_native_cost
     }
 
     /// Begin-of-step bookkeeping; returns counters for the executor.

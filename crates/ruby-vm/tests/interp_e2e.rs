@@ -423,3 +423,45 @@ puts(s)
     assert_eq!(vm.stdout_text(), "30000.0");
     assert!(vm.gc_runs > 0, "GC must have run");
 }
+
+/// `Vm::burst` is `Vm::step` in a loop: whatever the budget and the yield
+/// bit, a program retires the same bytecodes at the same cost, and every
+/// burst ends for one of its four reasons.
+#[test]
+fn a_burst_is_its_steps_and_ends_at_the_budget_a_flagged_instruction_or_a_mark() {
+    let src = "i = 0\nwhile i < 50\n  i += 1\nend\nsrv_mark(1, 7)\nputs(i)";
+    // (bursts, bytecodes — steps, as nothing fuses here — and cycles) to
+    // completion.
+    let drive = |budget: u64, yield_bit: u8| {
+        let mut vm = Vm::boot(src, VmConfig::default(), &MachineProfile::generic(2)).unwrap();
+        let mut sums = (0u64, 0u64, 0u64);
+        loop {
+            vm.reset_step_counters();
+            let outcome = vm.burst(0, budget, yield_bit).unwrap();
+            let marked = !std::mem::take(&mut vm.pending_marks).is_empty();
+            sums = (sums.0 + 1, sums.1 + u64::from(vm.step_insns), sums.2 + vm.step_cost());
+            match outcome {
+                StepOk::Finished => break,
+                StepOk::Normal => assert!(
+                    marked || vm.step_cost() >= budget || vm.insn_flags(0) & yield_bit != 0,
+                    "a burst of {} steps ended for no reason",
+                    vm.step_insns
+                ),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(vm.stdout_text(), "50");
+        sums
+    };
+    let single = drive(0, 0);
+    assert_eq!(single.0, single.1, "budget 0: one step a burst");
+    let whole = drive(u64::MAX, 0);
+    assert_eq!(whole.0, 2, "only the mark and the end stop a boundless burst");
+    let to_yield_points = drive(u64::MAX, ruby_vm::decode::YP_ORIG);
+    assert!(to_yield_points.0 > 50 && to_yield_points.0 < single.0 / 2, "{to_yield_points:?}");
+    let budgeted = drive(300, 0);
+    assert!(budgeted.0 > 2 && budgeted.0 < single.0 / 2, "{budgeted:?}");
+    for run in [whole, to_yield_points, budgeted] {
+        assert_eq!((run.1, run.2), (single.1, single.2));
+    }
+}

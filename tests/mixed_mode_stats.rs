@@ -9,12 +9,22 @@
 //! accesses are still delivered and counted, access totals still advance,
 //! and the whole report is bit-for-bit reproducible.
 //!
-//! The last test does the same for the scheduler's shortcuts (slot-waiter
-//! count, run-ahead horizon) on oversubscribed machines, the states no
-//! benchmark workload reaches.
+//! The later tests do the same for the host-side shortcuts above the
+//! memory: the scheduler's (slot-waiter count, run-ahead horizon) on
+//! oversubscribed machines, the states no benchmark workload reaches, and
+//! the executor's bursts. An empty-path exploration controller, like a
+//! trace sink, holds the executor to one bytecode per scheduler round
+//! while changing no decision, so a run under either *is* the single-step
+//! reference for the same run without: everything the two leave behind
+//! must be equal.
 
-use htm_gil_core::{ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode};
-use machine_sim::MachineProfile;
+#[allow(dead_code)]
+#[path = "../benchmark/src/workloads.rs"]
+mod recipe;
+
+use htm_gil_core::{heap_digest, ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode};
+use htm_sim::FaultPlan;
+use machine_sim::{MachineProfile, SchedPath};
 use ruby_vm::VmConfig;
 
 fn run_cg(mode: RuntimeMode) -> RunReport {
@@ -55,6 +65,120 @@ fn pure_gil_run_never_dooms() {
     assert_eq!(r.htm.total_aborts(), 0);
     assert_eq!(r.htm.nontx_dooms, 0);
     assert!(r.htm.reads > 0 && r.htm.writes > 0);
+}
+
+/// Everything a run leaves behind: the report (less its two trace
+/// counters) or the error (less the controller's decision trail), every
+/// thread's clock, the heap.
+fn outcome(source: &str, vm: VmConfig, profile: MachineProfile, cfg: ExecConfig) -> [String; 3] {
+    let mut ex = Executor::new(source, vm, profile, cfg).expect("boot");
+    let text = match ex.run() {
+        Ok(mut r) => {
+            (r.trace_events_recorded, r.trace_events_dropped) = (0, 0);
+            r.to_json().to_compact()
+        }
+        Err(e) => {
+            let text = e.to_string();
+            text.lines()
+                .filter(|l| !l.contains("sched decisions (tail)"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        }
+    };
+    let clocks: Vec<u64> = (0..ex.sched.len()).map(|t| ex.sched.clock(t)).collect();
+    [text, format!("{clocks:?}"), heap_digest(&ex.vm)]
+}
+
+/// `cfg` as given (bursting) against the same run held to single steps,
+/// once by an empty-path controller and once by a trace sink.
+fn assert_bursts_match_single_steps(
+    at: &str,
+    input: &recipe::Input,
+    cfg: &ExecConfig,
+) -> [String; 3] {
+    let run =
+        |cfg: ExecConfig| outcome(&input.source, input.vm_config(1), input.profile.clone(), cfg);
+    let burst = run(cfg.clone());
+    let ctl = run(ExecConfig { explore_path: Some(SchedPath::empty()), ..cfg.clone() });
+    let traced = run(ExecConfig { trace_capacity: 64, ..cfg.clone() });
+    assert_eq!(burst, ctl, "{at}: bursts vs an empty-path controller");
+    assert_eq!(burst, traced, "{at}: bursts vs a trace sink");
+    burst
+}
+
+/// The inputs of the six benchmark workloads at their `tiny` sizes (the
+/// CG program once; all eight of the Fig. 4 grid's).
+fn benchmark_inputs() -> Vec<recipe::Input> {
+    let mut inputs: Vec<recipe::Input> = Vec::new();
+    for name in recipe::NAMES {
+        for input in recipe::build(name, true).expect("a benchmark workload").inputs {
+            if inputs.iter().all(|i| i.label != input.label) {
+                inputs.push(input);
+            }
+        }
+    }
+    inputs
+}
+
+const MODES: [RuntimeMode; 4] = [
+    RuntimeMode::Gil,
+    RuntimeMode::Htm { length: LengthPolicy::Fixed(1) },
+    RuntimeMode::Htm { length: LengthPolicy::Fixed(16) },
+    RuntimeMode::Htm { length: LengthPolicy::Dynamic },
+];
+
+#[test]
+fn bursts_match_single_steps_on_the_benchmark_programs() {
+    for input in benchmark_inputs() {
+        for mode in MODES {
+            for fault_plan in [None, Some(FaultPlan::spurious(0xB0257, 0.25))] {
+                let cfg = ExecConfig { fault_plan, ..input.exec_config(mode, 1) };
+                let at = format!("{} under {} with {fault_plan:?}", input.label, mode.label());
+                let [text, ..] = assert_bursts_match_single_steps(&at, &input, &cfg);
+                assert!(text.starts_with('{'), "{at}: {text}");
+            }
+        }
+    }
+}
+
+/// The run loop's own events bound a burst: the cycle limit must cut the
+/// run off at the same bytecode, a §5.6 interrupt kill the same
+/// transaction, and a livelock be called after the same number of steps.
+#[test]
+fn bursts_stop_at_the_cycle_limit_the_interrupt_and_the_progress_bound() {
+    let cg = &recipe::build("cg_htm", true).expect("a benchmark workload").inputs[0];
+    for mode in MODES {
+        let at = format!("{} under {}", cg.label, mode.label());
+        let cut = ExecConfig { max_cycles: 700_001, ..cg.exec_config(mode, 1) };
+        let [text, ..] = assert_bursts_match_single_steps(&format!("{at}, cut off"), cg, &cut);
+        assert!(text.starts_with("cycle limit 700001 exceeded"), "{at}: {text}");
+        let irq = ExecConfig { interrupt_interval: 3_001, ..cg.exec_config(mode, 1) };
+        let [text, ..] = assert_bursts_match_single_steps(&format!("{at}, interrupted"), cg, &irq);
+        assert!(text.starts_with('{'), "{at}: {text}");
+    }
+    // One worker whose transactions are too long to survive a 1 % fault
+    // rate, retried without end: once the main thread waits in `join`,
+    // nothing commits. Under the original yield points a burst is one
+    // loop iteration; neighbouring bounds fall in the middle of one.
+    let stuck = recipe::Input {
+        label: "a livelock".into(),
+        source:
+            "t = Thread.new() do\n  i = 0\n  while i < 100000\n    i += 1\n  end\nend\nt.join()"
+                .into(),
+        threads: 1,
+        profile: MachineProfile::zec12(),
+        expected_stdout: None,
+    };
+    let mut cfg = stuck.exec_config(RuntimeMode::Htm { length: LengthPolicy::Fixed(256) }, 1);
+    cfg.yield_policy = Some(htm_gil_core::YieldPolicy::Original);
+    cfg.fault_plan = Some(FaultPlan::spurious(7, 0.01));
+    cfg.tle.transient_retry_max = u32::MAX;
+    for bound in 1_000..1_008 {
+        cfg.progress_bound_steps = bound;
+        let [text, ..] = assert_bursts_match_single_steps(&stuck.label, &stuck, &cfg);
+        let head = format!("no committed instruction in {bound} scheduler steps");
+        assert!(text.starts_with(&head), "{text}");
+    }
 }
 
 /// `io_wait` sleepers and a contended `Mutex`: the park/sleep/wake edges.

@@ -4,6 +4,10 @@
 //! `tests/golden/sim_counters.json` exactly. A host-side optimization
 //! leaves every number here alone; a change that moves one is a behaviour
 //! change and has to say so by regenerating the file (ROADMAP item 2a).
+//! The last four keys of each workload are the exception that proves it:
+//! `Executor::host_counters`, deterministic counts of the host's own work
+//! (picks by kind, bursts and their bytecodes) that a host-side change
+//! *is* expected to move — and then to say by how much.
 //!
 //! The programs, sizes and the `VmConfig`/`ExecConfig` recipe are the
 //! benchmark's own: `benchmark/src/workloads.rs` is compiled into this
@@ -61,7 +65,11 @@ fn measure(tiny: bool) -> Json {
             if let Some(want) = &input.expected_stdout {
                 assert_eq!(report.stdout, *want, "{}", input.label);
             }
-            let point = counters(&report);
+            // Host work, not simulated state: how the run was carved into
+            // scheduler picks and bursts (burst length = bytecodes / bursts).
+            let mut point = counters(&report);
+            let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];
+            point.extend(host.into_iter().zip(ex.host_counters()));
             if sums.is_empty() {
                 sums = point;
             } else {
