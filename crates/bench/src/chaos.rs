@@ -12,11 +12,13 @@
 //! configurations, so the whole sweep fans out through
 //! [`crate::runner::sweep`]; per-point console lines and the emitted
 //! JSON document are assembled from the ordered results, making
-//! `chaos_degradation.json` byte-identical at any `--jobs` value —
-//! `tests/pool_determinism.rs` asserts exactly that on a quick slice.
+//! `chaos_degradation.json` byte-identical at any pool size —
+//! `tests/artifacts.rs` asserts exactly that on the quick slice.
 //!
-//! The `chaos` binary wraps [`degradation_report`] and writes
-//! `bench-results/chaos_degradation.json`.
+//! The headline property — enforced numerically by `tests/chaos_suite.rs`
+//! — is graceful degradation: as the rate approaches 100 %, throughput
+//! converges toward the GIL baseline instead of collapsing, because the
+//! watchdog stops paying per-attempt HTM overhead for doomed speculation.
 
 use htm_gil_core::{
     oracle, ExecConfig, Json, LengthPolicy, RuntimeMode, SubscriptionPolicy, WatchdogConstants,
@@ -25,6 +27,7 @@ use htm_sim::FaultPlan;
 use machine_sim::MachineProfile;
 use workloads::Workload;
 
+use crate::figures::{say, Opts, Output};
 use crate::{runner, throughput_of, vm_config_for};
 
 /// Fixed injection seed: the whole suite is deterministic.
@@ -141,10 +144,11 @@ pub const TASKSERVER_COMBINED_RATE: f64 = 0.25;
 /// Interrupt interval of the combined taskserver point (simulated cycles).
 pub const TASKSERVER_COMBINED_INTERVAL: u64 = 50_000;
 
-/// Run the full chaos sweep (injection rates × workloads, then the
-/// interrupt-pressure sweep), print the per-workload tables, and return
-/// the `chaos_degradation.json` document.
-pub fn degradation_report(q: bool) -> Json {
+/// The `chaos` row: the full chaos sweep (injection rates × workloads,
+/// then the interrupt-pressure sweep) as per-workload tables and the
+/// `chaos_degradation.json` document.
+pub fn run(o: &Opts) -> Output {
+    let q = o.quick;
     let profile = MachineProfile::generic(4);
     let workloads = chaos_workloads(q);
     let rates = rates(q);
@@ -173,6 +177,7 @@ pub fn degradation_report(q: bool) -> Json {
     let constrained_profile = MachineProfile::constrained();
     let taskserver_workload = chaos_taskserver(q);
     let results = runner::sweep(
+        o.jobs,
         "chaos",
         &points,
         |p| match p {
@@ -212,15 +217,17 @@ pub fn degradation_report(q: bool) -> Json {
     );
 
     // Assemble tables and the JSON document from the ordered results.
+    let mut out = Output::default();
     let mut results = results.into_iter();
     let mut workload_reports = Vec::new();
     for w in &workloads {
-        println!("== chaos: {} ({} threads) ==", w.name, w.threads);
-        println!("  {:>6}  {:>8}  {:>10}  {:>9}", "rate", "rel-GIL", "spurious", "watchdog");
+        say!(out, "== chaos: {} ({} threads) ==", w.name, w.threads);
+        say!(out, "  {:>6}  {:>8}  {:>10}  {:>9}", "rate", "rel-GIL", "spurious", "watchdog");
         let mut rate_points = Vec::new();
         for &rate in &rates {
             let (point, rel) = results.next().expect("one result per point");
-            println!(
+            say!(
+                out,
                 "  {:>5.0}%  {:>8.2}  {:>10}  {:>9}",
                 rate * 100.0,
                 rel,
@@ -239,10 +246,10 @@ pub fn degradation_report(q: bool) -> Json {
     // §5.6 interrupt-pressure sweep: shorter intervals kill more
     // in-flight transactions; output must stay oracle-identical.
     let mut interrupt_points = Vec::new();
-    println!("== chaos: interrupt pressure ({}) ==", interrupt_workload.name);
+    say!(out, "== chaos: interrupt pressure ({}) ==", interrupt_workload.name);
     for interval in INTERRUPT_INTERVALS {
         let (point, rel) = results.next().expect("one result per interrupt point");
-        println!("  interval {interval:>7}: rel-GIL {rel:.2}");
+        say!(out, "  interval {interval:>7}: rel-GIL {rel:.2}");
         interrupt_points.push(point.field("interrupt_interval", interval));
     }
     // Combined taskserver point: fault injection and timer interrupts at
@@ -250,18 +257,18 @@ pub fn degradation_report(q: bool) -> Json {
     // marks' escrow must keep the latency pipeline consistent while
     // transactions are being killed from two directions.
     let (combined, rel) = results.next().expect("the combined taskserver point");
-    println!("== chaos: {} inject+interrupt: rel-GIL {rel:.2} ==", taskserver_workload.name);
+    say!(out, "== chaos: {} inject+interrupt: rel-GIL {rel:.2} ==", taskserver_workload.name);
     let combined = combined
         .field("rate", TASKSERVER_COMBINED_RATE)
         .field("interrupt_interval", TASKSERVER_COMBINED_INTERVAL);
     // Subscription-policy axis: the two safe policies must degrade the
     // same way (LazyGuarded is observably eager — DESIGN.md §15).
     let mut subscription_points = Vec::new();
-    println!("== chaos: subscription axis ({}) ==", interrupt_workload.name);
+    say!(out, "== chaos: subscription axis ({}) ==", interrupt_workload.name);
     for policy in POLICIES {
         for &rate in &axis_rates {
             let (point, rel) = results.next().expect("one result per subscription point");
-            println!("  sub={:<12} rate {:>3.0}%: rel-GIL {rel:.2}", policy.label(), rate * 100.0);
+            say!(out, "  sub={:<12} rate {:>3.0}%: rel-GIL {rel:.2}", policy.label(), rate * 100.0);
             subscription_points.push(point.field("policy", policy.label()).field("rate", rate));
         }
     }
@@ -269,14 +276,14 @@ pub fn degradation_report(q: bool) -> Json {
     // injection; the oracle check inside `run_point` already guarantees
     // every point matched the GIL on the same tiny geometry.
     let mut constrained_points = Vec::new();
-    println!("== chaos: constrained profile ({}) ==", interrupt_workload.name);
+    say!(out, "== chaos: constrained profile ({}) ==", interrupt_workload.name);
     for &rate in &axis_rates {
         let (point, rel) = results.next().expect("one result per constrained point");
         let caps = point.get("capacity_aborts").and_then(Json::as_u64).unwrap_or(0);
-        println!("  rate {:>3.0}%: rel-GIL {rel:.2} capacity-aborts {caps}", rate * 100.0);
+        say!(out, "  rate {:>3.0}%: rel-GIL {rel:.2} capacity-aborts {caps}", rate * 100.0);
         constrained_points.push(point.field("rate", rate));
     }
-    Json::obj()
+    let report = Json::obj()
         .field("suite", "chaos")
         .field("machine", profile.name)
         .field("seed", SEED)
@@ -291,5 +298,7 @@ pub fn degradation_report(q: bool) -> Json {
             Json::obj()
                 .field("machine", constrained_profile.name)
                 .field("points", constrained_points),
-        )
+        );
+    out.artifacts.push(("chaos_degradation.json".into(), report.to_pretty()));
+    out
 }

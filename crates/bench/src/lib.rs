@@ -1,19 +1,23 @@
 //! # bench
 //!
-//! The experiment harness: shared drivers used by the per-figure binaries
-//! (`fig4_micro`, `fig5_npb`, `fig6a_writeset`, `fig6b_bt_w`,
-//! `fig7_servers`, `fig8_aborts`, `fig9_scalability`, `ablations`,
-//! `intext_numbers`).
+//! The experiment harness. An experiment is a value: a row of
+//! [`figures::FIGURES`] — `fig4 fig5 fig6a fig6b fig7 fig8 fig9 ablations
+//! extensions intext chaos taskserver` — whose `run` takes its size and
+//! pool size as [`figures::Opts`] and returns the console text and the
+//! artifact bytes as a [`figures::Output`]. Rows read no environment,
+//! print nothing and write no file.
 //!
-//! Every binary prints paper-style tables and ASCII charts to stdout and
-//! writes CSV files under `bench-results/` for external plotting.
-//! `HTMGIL_QUICK=1` shrinks every sweep for smoke runs (the integration
-//! tests use it).
+//! The one binary, `figures`, is the only code that reads argv or touches
+//! the file system: `figures list`, `figures <name>…|all [--quick]
+//! [--jobs N|auto] [--report-json PATH]` (prints each row's text, writes
+//! its artifacts under `bench-results/`) and `figures explore …` (the
+//! schedule-space search of [`explore`]).
 //!
-//! Sweeps fan out through the [`runner`] module's deterministic worker
-//! pool (`--jobs <N|auto>`, default 1): independent simulation points
-//! run concurrently, but results — and therefore every CSV/JSON byte —
-//! are collected in submission order, identical at any pool size.
+//! Sweeps fan out through the [`runner`] module onto the [`pool`]:
+//! independent simulation points run concurrently, but results — and
+//! therefore every CSV/JSON byte — are collected in submission order,
+//! identical at any pool size. `tests/artifacts.rs` holds every row to
+//! that and, at full size, to the committed bytes under `bench-results/`.
 
 pub mod chaos;
 pub mod explore;
@@ -22,9 +26,6 @@ pub mod pool;
 pub mod reporting;
 pub mod runner;
 pub mod taskserver;
-
-use std::fs;
-use std::path::PathBuf;
 
 use htm_gil_core::{ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode};
 use htm_gil_stats::{Series, SeriesSet};
@@ -51,11 +52,6 @@ pub fn thread_counts(profile: &MachineProfile) -> Vec<usize> {
     } else {
         vec![1, 2, 4, 6, 8]
     }
-}
-
-/// True when quick (smoke) mode is requested.
-pub fn quick() -> bool {
-    std::env::var("HTMGIL_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// VM sizing for a workload: paper's enlarged heap, enough thread slots.
@@ -94,66 +90,54 @@ pub fn throughput_of(w: &Workload, r: &RunReport) -> f64 {
     }
 }
 
-/// Sweep a workload builder over thread counts × the paper modes,
-/// producing a Fig. 5-style panel normalized to 1-thread GIL.
+/// Sweep a workload builder over an x axis (`"threads"`, or `"clients"`
+/// for the server models) × the paper modes, producing a Fig. 5-style
+/// panel normalized to the GIL at the first x, and beside it
+/// HTM-dynamic's abort ratio (%) at each x, which Fig. 7 plots.
 ///
-/// The `mode × threads` points are independent simulations, so they fan
-/// out through [`runner::sweep`]; results come back in submission order
-/// (mode-major, threads inner — the order the old serial loop used), so
-/// the assembled panel is byte-for-byte the same at any `--jobs` size.
+/// The `mode × x` points are independent simulations, so they fan out
+/// through [`runner::sweep`]; results come back in submission order
+/// (mode-major, x inner), so the assembled panel is byte-for-byte the
+/// same at any pool size.
 pub fn sweep_panel(
+    jobs: usize,
     title: &str,
+    axis: &str,
     profile: &MachineProfile,
-    threads: &[usize],
+    xs: &[usize],
     build: impl Fn(usize) -> Workload + Sync,
-) -> SeriesSet {
+) -> (SeriesSet, Vec<f64>) {
     let points: Vec<(RuntimeMode, usize)> =
-        paper_modes().into_iter().flat_map(|m| threads.iter().map(move |&n| (m, n))).collect();
+        paper_modes().into_iter().flat_map(|m| xs.iter().map(move |&n| (m, n))).collect();
     let results = runner::sweep(
+        jobs,
         title,
         &points,
-        |&(mode, n)| format!("{} t={n}", mode.label()),
+        |&(mode, n)| format!("{} {axis}={n}", mode.label()),
         |&(mode, n)| {
             let w = build(n);
             let r = run_workload(&w, mode, profile);
-            throughput_of(&w, &r)
+            (throughput_of(&w, &r), r.abort_ratio_pct())
         },
     );
-    let mut set = SeriesSet::new(title, "threads", "throughput (1 = 1-thread GIL)");
-    for (mode, chunk) in paper_modes().into_iter().zip(results.chunks(threads.len())) {
+    let unit = axis.trim_end_matches('s');
+    let mut set = SeriesSet::new(title, axis, format!("throughput (1 = 1-{unit} GIL)"));
+    let mut dynamic_aborts = Vec::new();
+    for (mode, chunk) in paper_modes().into_iter().zip(results.chunks(xs.len())) {
         let mut s = Series::new(mode.label());
-        for (&n, &y) in threads.iter().zip(chunk) {
-            s.push(n as f64, y);
+        for (&n, &(throughput, _)) in xs.iter().zip(chunk) {
+            s.push(n as f64, throughput);
         }
         set.add(s);
+        if mode == (RuntimeMode::Htm { length: LengthPolicy::Dynamic }) {
+            dynamic_aborts = chunk.iter().map(|&(_, abort_pct)| abort_pct).collect();
+        }
     }
-    set.normalize_to("GIL", threads[0] as f64)
+    (set.normalize_to("GIL", xs[0] as f64), dynamic_aborts)
 }
 
-/// Repository root (where the `BENCH_*.json` trajectory files live).
-pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Where CSV results go.
-pub fn results_dir() -> PathBuf {
-    let dir = repo_root().join("bench-results");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-/// Write a panel's CSV.
-pub fn write_csv(name: &str, set: &SeriesSet) {
-    let path = results_dir().join(format!("{name}.csv"));
-    if let Err(e) = fs::write(&path, set.to_csv()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("  [csv] {}", path.display());
-    }
-}
-
-/// Print a panel as table + chart.
-pub fn print_panel(set: &SeriesSet) {
+/// A panel as console text: table + chart.
+pub fn panel_text(set: &SeriesSet) -> String {
     let mut xs: Vec<f64> =
         set.series.iter().flat_map(|s| s.points.iter().map(|&(x, _)| x)).collect();
     xs.sort_by(f64::total_cmp);
@@ -169,9 +153,12 @@ pub fn print_panel(set: &SeriesSet) {
         }
         table.row(&row);
     }
-    println!("\n== {} ==", set.title);
-    println!("{}", table.render());
-    println!("{}", htm_gil_stats::ascii_chart(set, 56, 14));
+    format!(
+        "\n== {} ==\n{}\n{}\n",
+        set.title,
+        table.render(),
+        htm_gil_stats::ascii_chart(set, 56, 14)
+    )
 }
 
 #[cfg(test)]

@@ -1,157 +1,80 @@
-//! Opt-in machine-readable run reports for the bench binaries.
+//! Opt-in machine-readable run reports (`figures … --report-json PATH`).
 //!
-//! Every `bench/src/bin/*` binary accepts `--report-json <path>` (or
-//! `--report-json=<path>`). When given, each [`RunReport`] produced by the
-//! harness during the run is captured, and at exit a single JSON document
-//! (schema `htm-gil-bench-report/v1`) with the per-run abort breakdowns by
-//! reason and by attributed VM structure is written to `<path>`. Without
-//! the flag the collector stays uninstalled and [`record`] is a no-op, so
-//! the human-readable tables and CSV outputs are unchanged.
+//! [`collect`] runs a closure and returns, beside its result, one JSON
+//! document (schema `htm-gil-bench-report/v1`) holding every
+//! [`RunReport`] the harness produced meanwhile, with the per-run abort
+//! breakdowns by reason and by attributed VM structure. The collection
+//! belongs to the calling thread: outside a [`collect`], [`record`] is a
+//! no-op, so the tables and artifacts are unchanged, and two collections
+//! on two threads never see each other's runs.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
-use std::sync::Mutex;
 
 use htm_gil_core::{Json, RunReport};
 
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
-
 thread_local! {
-    /// Per-point capture buffer installed by [`capture`] around a pool
-    /// worker's point execution. `Some` diverts [`record`] calls away
-    /// from the process-global collector so the runner can flush them in
-    /// submission order — the order a serial run would have produced —
-    /// instead of completion order.
+    /// The buffer [`record`] appends to on this thread: the collection
+    /// of a [`collect`], or — around a pool worker's point — the point's
+    /// own buffer, which the runner replays in submission order, the
+    /// order a serial run would have produced.
     static CAPTURE: RefCell<Option<Vec<Json>>> = const { RefCell::new(None) };
 }
 
-#[derive(Debug)]
-struct Collector {
-    path: PathBuf,
-    binary: String,
-    runs: Vec<Json>,
+/// Run `f` and return its result with the report document of every run
+/// it made. `experiment` becomes the document's `binary` field: the
+/// registry name of what ran, so two documents can be told apart.
+pub fn collect<R>(experiment: &str, f: impl FnOnce() -> R) -> (R, Json) {
+    let (r, runs) = capture(f);
+    let doc = Json::obj()
+        .field("schema", "htm-gil-bench-report/v1")
+        .field("binary", experiment)
+        .field("run_count", runs.len() as u64)
+        .field("runs", Json::Arr(runs));
+    (r, doc)
 }
 
-/// Scan `std::env::args()` for `--report-json <path>` and install the
-/// collector when present. Binaries call this first thing in `main`.
-pub fn init_from_args() {
-    let mut args = std::env::args();
-    let binary = args
-        .next()
-        .map(|argv0| {
-            PathBuf::from(argv0)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        })
-        .unwrap_or_default();
-    while let Some(arg) = args.next() {
-        if arg == "--report-json" {
-            match args.next() {
-                Some(path) => return install(&binary, PathBuf::from(path)),
-                None => {
-                    eprintln!("error: --report-json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--report-json=") {
-            return install(&binary, PathBuf::from(path));
-        }
-    }
+/// True when this thread is inside a [`collect`] (or a [`capture`]).
+pub(crate) fn collecting() -> bool {
+    CAPTURE.with(|c| c.borrow().is_some())
 }
 
-/// Install the collector explicitly (tests use this instead of argv).
-pub fn install(binary: &str, path: PathBuf) {
-    let mut guard = COLLECTOR.lock().unwrap();
-    *guard = Some(Collector { path, binary: binary.to_string(), runs: Vec::new() });
-}
-
-/// True when a `--report-json` collector is active.
-pub fn enabled() -> bool {
-    COLLECTOR.lock().unwrap().is_some()
-}
-
-/// Capture one run. No-op unless [`init_from_args`]/[`install`] armed the
-/// collector; the harness calls this for every completed workload run.
-/// Inside a pool worker (see [`capture`]) the entry lands in the point's
-/// buffer instead of the global collector.
+/// Capture one run; the harness calls this for every completed workload
+/// run. A no-op unless the thread is collecting.
 pub fn record(workload: &str, report: &RunReport) {
-    let diverted = CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        match slot.as_mut() {
-            Some(buf) => {
-                buf.push(entry(workload, report));
-                true
-            }
-            None => false,
+    CAPTURE.with(|c| {
+        if let Some(buf) = c.borrow_mut().as_mut() {
+            buf.push(Json::obj().field("workload", workload).field("report", report.to_json()));
         }
     });
-    if diverted {
-        return;
-    }
-    let mut guard = COLLECTOR.lock().unwrap();
-    if let Some(collector) = guard.as_mut() {
-        collector.runs.push(entry(workload, report));
-    }
 }
 
-fn entry(workload: &str, report: &RunReport) -> Json {
-    Json::obj().field("workload", workload).field("report", report.to_json())
-}
-
-/// Run `f` with [`record`] calls diverted into a per-point buffer, and
-/// return the result together with the captured entries. When the
-/// collector is disarmed the diversion is skipped entirely (records stay
-/// no-ops). The buffer is cleared even if `f` panics, so a reused pool
-/// worker never leaks a failed point's records into the next point.
+/// Run `f` with [`record`] calls diverted into a fresh buffer, and return
+/// the result together with the captured entries. The thread's previous
+/// buffer comes back afterwards — also if `f` panics, so a reused pool
+/// worker never leaks a failed point's records into the next point, and
+/// a point run inline (pool size 1) never loses its caller's collection.
 pub(crate) fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Json>) {
-    if !enabled() {
-        return (f(), Vec::new());
-    }
-    struct Guard;
-    impl Drop for Guard {
+    struct Restore(Option<Vec<Json>>);
+    impl Drop for Restore {
         fn drop(&mut self) {
-            CAPTURE.with(|c| *c.borrow_mut() = None);
+            CAPTURE.with(|c| *c.borrow_mut() = self.0.take());
         }
     }
-    CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    let guard = Guard;
+    let restore = Restore(CAPTURE.with(|c| c.borrow_mut().replace(Vec::new())));
     let r = f();
     let buf = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
-    drop(guard);
+    drop(restore);
     (r, buf)
 }
 
-/// Append entries captured by [`capture`] to the collector, preserving
-/// the caller's (submission) order. No-op when the collector is off.
-pub(crate) fn flush_captured(entries: Vec<Json>) {
-    if entries.is_empty() {
-        return;
-    }
-    let mut guard = COLLECTOR.lock().unwrap();
-    if let Some(collector) = guard.as_mut() {
-        collector.runs.extend(entries);
-    }
-}
-
-/// Write the collected document and disarm the collector. Binaries call
-/// this at the end of `main`; without an armed collector it is a no-op.
-pub fn finalize() {
-    let taken = COLLECTOR.lock().unwrap().take();
-    if let Some(collector) = taken {
-        let count = collector.runs.len();
-        let doc = Json::obj()
-            .field("schema", "htm-gil-bench-report/v1")
-            .field("binary", collector.binary.as_str())
-            .field("run_count", count as u64)
-            .field("runs", Json::Arr(collector.runs));
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        match std::fs::write(&collector.path, text) {
-            Ok(()) => println!("  [json] {} ({count} runs)", collector.path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", collector.path.display()),
+/// Append entries captured by [`capture`] to this thread's collection,
+/// preserving the caller's (submission) order.
+pub(crate) fn replay(entries: Vec<Json>) {
+    CAPTURE.with(|c| {
+        if let Some(buf) = c.borrow_mut().as_mut() {
+            buf.extend(entries);
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -160,30 +83,18 @@ mod tests {
     use htm_gil_core::RuntimeMode;
     use machine_sim::MachineProfile;
 
-    // The collector is process-global; serialize the tests that touch it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn collector_captures_runs_and_writes_document() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let path =
-            std::env::temp_dir().join(format!("htmgil-report-test-{}.json", std::process::id()));
-        install("unit-test", path.clone());
-        assert!(enabled());
+    fn collect_returns_the_runs_made_inside_it() {
         let w = workloads::micro::while_bench(2, 40);
         let profile = MachineProfile::generic(4);
-        let r = crate::run_workload(&w, RuntimeMode::Gil, &profile);
-        // run_workload records into the armed collector by itself.
-        drop(r);
-        finalize();
-        assert!(!enabled());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let doc = Json::parse(&text).unwrap();
+        // run_workload records into the collection by itself.
+        let (_, doc) = collect("unit-test", || crate::run_workload(&w, RuntimeMode::Gil, &profile));
+        assert!(!collecting());
+        let doc = Json::parse(&doc.to_pretty()).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("htm-gil-bench-report/v1"));
+        assert_eq!(doc.get("binary").unwrap().as_str(), Some("unit-test"));
         let runs = doc.get("runs").unwrap().as_array().unwrap();
-        assert_eq!(doc.get("run_count").unwrap().as_u64(), Some(runs.len() as u64));
-        assert!(!runs.is_empty());
+        assert_eq!(doc.get("run_count").unwrap().as_u64(), Some(1));
         let first = &runs[0];
         assert_eq!(first.get("workload").unwrap().as_str(), Some(w.name));
         let report = first.get("report").unwrap();
@@ -192,12 +103,35 @@ mod tests {
     }
 
     #[test]
-    fn record_without_collector_is_a_noop() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        // Must not panic or allocate state when the collector is off.
+    fn sweeps_report_in_submission_order_at_any_pool_size() {
+        let profile = MachineProfile::generic(4);
+        let iters: Vec<usize> = vec![40, 10, 30, 20];
+        let docs: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|jobs| {
+                let run = |&n: &usize| {
+                    crate::run_workload(
+                        &workloads::micro::while_bench(2, n),
+                        RuntimeMode::Gil,
+                        &profile,
+                    )
+                    .elapsed_cycles
+                };
+                collect("t", || crate::runner::sweep(jobs, "t", &iters, |n| n.to_string(), run))
+                    .1
+                    .to_pretty()
+            })
+            .collect();
+        assert_eq!(docs[0], docs[1]);
+        assert_eq!(Json::parse(&docs[0]).unwrap().get("run_count").unwrap().as_u64(), Some(4));
+    }
+
+    #[test]
+    fn record_outside_a_collection_is_a_noop() {
         let w = workloads::micro::while_bench(1, 10);
         let profile = MachineProfile::generic(2);
         let r = crate::run_workload(&w, RuntimeMode::Gil, &profile);
         record("nobody-listens", &r);
+        assert!(!collecting());
     }
 }

@@ -8,23 +8,22 @@
 //!
 //! The full sweep pushes ≥1M simulated requests through every point —
 //! percentile tails mean nothing at micro-benchmark scale — so it is the
-//! most expensive binary in the suite (tens of minutes serial; use
-//! `--jobs`). `HTMGIL_QUICK=1` shrinks it to a smoke slice that also
-//! covers the shedding policy.
+//! most expensive row of the registry (tens of minutes serial; use
+//! `--jobs`), and the one whose full-size document is not committed.
+//! `--quick` shrinks it to a smoke slice that also covers the shedding
+//! policy.
 //!
 //! All points are independent, so the sweep fans out through
 //! [`crate::runner::sweep`]; the document is assembled from the ordered
 //! results and contains no wall-clock values, making
-//! `taskserver_latency.json` byte-identical at any `--jobs` value —
-//! `tests/pool_determinism.rs` asserts that on the quick slice.
-//!
-//! The `taskserver` binary wraps [`latency_sweep`] and writes
-//! `bench-results/taskserver_latency.json`.
+//! `taskserver_latency.json` byte-identical at any pool size —
+//! `tests/artifacts.rs` asserts that on the quick slice.
 
-use htm_gil_core::{Json, LengthPolicy, RunReport, RuntimeMode};
+use htm_gil_core::{Json, LengthPolicy, RuntimeMode};
 use machine_sim::MachineProfile;
 use workloads::taskserver::{expected_stdout, taskserver};
 
+use crate::figures::{say, Opts, Output};
 use crate::{run_workload, runner, throughput_of};
 
 /// The runtime modes of the paper's server evaluation: the GIL baseline,
@@ -77,6 +76,19 @@ struct Point {
     mode: RuntimeMode,
 }
 
+/// The sweep's points: clients × queue configuration × mode.
+fn points(q: bool) -> Vec<Point> {
+    let mut points = Vec::new();
+    for &clients in &client_counts(q) {
+        for &(qbound, shed) in &queue_configs(q) {
+            for mode in MODES {
+                points.push(Point { clients, workers: (clients / 2).max(1), qbound, shed, mode });
+            }
+        }
+    }
+    points
+}
+
 fn point_label(p: &Point) -> String {
     let policy = if p.shed { "shed" } else { "block" };
     format!("c{} q{}/{policy} {}", p.clients, p.qbound, p.mode.label())
@@ -121,28 +133,31 @@ fn percentile(point: &Json, hist: &str, p: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Run the whole sweep, print a per-point percentile table, and return
-/// the `taskserver_latency.json` document.
-pub fn latency_sweep(q: bool) -> Json {
+/// The `taskserver` row: the whole sweep as a per-point percentile table
+/// and the `taskserver_latency.json` document.
+pub fn run(o: &Opts) -> Output {
+    let q = o.quick;
     let tasks = tasks_per_point(q);
-    let mut points = Vec::new();
-    for &clients in &client_counts(q) {
-        for &(qbound, shed) in &queue_configs(q) {
-            for mode in MODES {
-                points.push(Point { clients, workers: (clients / 2).max(1), qbound, shed, mode });
-            }
-        }
-    }
+    let points = points(q);
 
-    let results = runner::sweep("taskserver", &points, point_label, |p| run_point(p, tasks));
+    let results =
+        runner::sweep(o.jobs, "taskserver", &points, point_label, |p| run_point(p, tasks));
 
-    println!("== taskserver: latency percentiles ({tasks} tasks/point, cycles) ==");
-    println!(
+    let mut out = Output::default();
+    say!(out, "== taskserver: latency percentiles ({tasks} tasks/point, cycles) ==");
+    say!(
+        out,
         "  {:<24} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "point", "e2e p50", "e2e p99", "queue p50", "queue p99", "shed"
+        "point",
+        "e2e p50",
+        "e2e p99",
+        "queue p50",
+        "queue p99",
+        "shed"
     );
     for (p, rec) in points.iter().zip(&results) {
-        println!(
+        say!(
+            out,
             "  {:<24} {:>12} {:>12} {:>12} {:>12} {:>8}",
             point_label(p),
             percentile(rec, "e2e", "p50"),
@@ -156,19 +171,14 @@ pub fn latency_sweep(q: bool) -> Json {
         );
     }
 
-    Json::obj()
+    let report = Json::obj()
         .field("schema", "htm-gil-taskserver-latency/v1")
         .field("machine", MachineProfile::zec12().name)
         .field("quick", q)
         .field("tasks_per_point", tasks as u64)
-        .field("points", results)
-}
-
-/// Convenience for tests: one taskserver report at a fixed point.
-pub fn sample_report(mode: RuntimeMode) -> RunReport {
-    let profile = MachineProfile::zec12();
-    let w = taskserver(2, 1, 4, 24, false);
-    run_workload(&w, mode, &profile)
+        .field("points", results);
+    out.artifacts.push(("taskserver_latency.json".into(), report.to_pretty()));
+    out
 }
 
 #[cfg(test)]
@@ -188,20 +198,7 @@ mod tests {
 
     #[test]
     fn point_labels_are_unique() {
-        let mut labels: Vec<String> = Vec::new();
-        for &clients in &client_counts(true) {
-            for &(qbound, shed) in &queue_configs(true) {
-                for mode in MODES {
-                    labels.push(point_label(&Point {
-                        clients,
-                        workers: (clients / 2).max(1),
-                        qbound,
-                        shed,
-                        mode,
-                    }));
-                }
-            }
-        }
+        let mut labels: Vec<String> = points(true).iter().map(point_label).collect();
         let n = labels.len();
         labels.sort();
         labels.dedup();

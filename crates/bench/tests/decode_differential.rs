@@ -115,7 +115,7 @@ fn fast_paths_match_reference_under_gil() {
 
 #[test]
 fn fast_paths_match_reference_on_the_other_quick_fig8_points() {
-    // What `HTMGIL_QUICK=1 fig8_aborts` runs beyond the slice above: the
+    // What `figures fig8 --quick` runs beyond the slice above: the
     // NPB at two threads, and the Xeon profile (64-byte lines, learning
     // predictor).
     for w in workloads::npb_all(2, 1) {

@@ -1,7 +1,7 @@
 //! Property tests for the sweep runner's ordering contract.
 //!
 //! For random point lists, pool sizes and per-point durations,
-//! [`bench::runner::try_sweep_with_jobs`] must return exactly one result
+//! [`bench::runner::try_sweep`] must return exactly one result
 //! per point, in submission order — no loss, no duplication, no
 //! dependence on completion order. When points panic, the sweep must
 //! fail with the identity (index, label, payload) of the **lowest**
@@ -10,7 +10,7 @@
 //! verdict.
 
 use bench::pool::{try_map_ordered_pruned, PointOutcome};
-use bench::runner::try_sweep_with_jobs;
+use bench::runner::try_sweep;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -24,9 +24,8 @@ proptest! {
     ) {
         let points: Vec<(usize, u64)> =
             delays_us.iter().copied().enumerate().collect();
-        let out = try_sweep_with_jobs(
+        let out = try_sweep(
             jobs,
-            "prop",
             &points,
             |&(i, _)| i.to_string(),
             |&(i, d)| {
@@ -52,9 +51,8 @@ proptest! {
             .enumerate()
             .map(|(i, &(fate, delay))| (i, fate < 2, delay))
             .collect();
-        let result = try_sweep_with_jobs(
+        let result = try_sweep(
             jobs,
-            "prop",
             &points,
             |&(i, _, _)| format!("point-{i}"),
             |&(i, panics, d)| {

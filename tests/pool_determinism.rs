@@ -1,87 +1,24 @@
-//! Pool-size invariance: every artifact the bench harness emits must be
-//! **byte-identical** whether the sweep ran on one worker or many.
+//! Pool-size invariance of the two harness outputs CI selects by name:
+//! the task-server latency document and the schedule explorer's stats.
 //!
-//! `bench::runner::sweep` promises results (and captured `--report-json`
-//! records) in submission order regardless of completion order, so the
-//! CSV/JSON bytes derived from them may not depend on `--jobs`. These
-//! tests regenerate the Fig. 4 and Fig. 8 panels and a chaos degradation
-//! report at pool sizes 1 and 4 and compare the rendered bytes — any
-//! divergence means results leaked between slots or were reordered.
-//!
-//! The quick variants run in the default test tier. The `#[ignore]`d
-//! variants additionally re-run the full sweeps at `--jobs 4` and compare
-//! against the **committed** goldens under `bench-results/`, proving that
-//! parallel regeneration reproduces the bytes the serial harness
-//! committed; CI runs them with `cargo test --release -- --ignored`.
+//! `bench::runner::sweep` and the explorer's waves promise results in
+//! submission order regardless of completion order, so the bytes derived
+//! from them may not depend on the pool size — any divergence means
+//! results leaked between slots or were reordered. Every registry row,
+//! the task server included, gets the same check from the one loop in
+//! `tests/artifacts.rs`.
 
-use std::sync::Mutex;
-
-use bench::runner;
-
-/// `runner`'s pool size is process-global; libtest runs tests in this
-/// binary concurrently, so every test serializes on this lock.
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` at an explicit pool size, restoring `--jobs 1` afterwards.
-fn at_jobs<R>(jobs: usize, f: impl Fn() -> R) -> R {
-    runner::set_jobs(jobs);
-    let r = f();
-    runner::set_jobs(1);
-    r
-}
-
-/// Render all Fig. 4 panels to one CSV blob.
-fn fig4_bytes(quick: bool) -> String {
-    bench::figures::fig4_panels(quick)
-        .iter()
-        .map(|p| format!("# {}\n{}", p.csv_name, p.set.to_csv()))
-        .collect()
-}
-
-/// Render the Fig. 8 abort panels and breakdown to one CSV blob.
-fn fig8_bytes(quick: bool) -> String {
-    let mut out: String = bench::figures::fig8_abort_panels(quick)
-        .iter()
-        .map(|p| format!("# {}\n{}", p.csv_name, p.set.to_csv()))
-        .collect();
-    let b = bench::figures::fig8_breakdown(quick);
-    out.push_str(&format!("# {}\n{}", b.csv_name, b.csv));
-    out
-}
-
-#[test]
-fn fig4_bytes_are_pool_size_invariant() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let serial = at_jobs(1, || fig4_bytes(true));
-    let pooled = at_jobs(4, || fig4_bytes(true));
-    assert_eq!(serial, pooled, "fig4 bytes differ between --jobs 1 and --jobs 4");
-}
-
-#[test]
-fn fig8_bytes_are_pool_size_invariant() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let serial = at_jobs(1, || fig8_bytes(true));
-    let pooled = at_jobs(4, || fig8_bytes(true));
-    assert_eq!(serial, pooled, "fig8 bytes differ between --jobs 1 and --jobs 4");
-}
-
-#[test]
-fn chaos_report_is_pool_size_invariant() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let serial = at_jobs(1, || bench::chaos::degradation_report(true).to_pretty());
-    let pooled = at_jobs(4, || bench::chaos::degradation_report(true).to_pretty());
-    assert_eq!(serial, pooled, "chaos JSON differs between --jobs 1 and --jobs 4");
-}
+use bench::figures::{find, Opts};
 
 #[test]
 fn taskserver_report_is_pool_size_invariant() {
     // The latency artifact carries percentile tables and queue-depth
     // time series derived from every point's run report; none of it may
     // depend on how the sweep was scheduled onto the worker pool.
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let serial = at_jobs(1, || bench::taskserver::latency_sweep(true).to_pretty());
-    let pooled = at_jobs(4, || bench::taskserver::latency_sweep(true).to_pretty());
-    assert_eq!(serial, pooled, "taskserver JSON differs between --jobs 1 and --jobs 4");
+    let run = find("taskserver").expect("a registry row").run;
+    let serial = run(&Opts { quick: true, jobs: 1 });
+    let pooled = run(&Opts { quick: true, jobs: 4 });
+    assert!(serial == pooled, "taskserver output differs between pool sizes 1 and 4");
 }
 
 #[test]
@@ -90,8 +27,7 @@ fn explore_stats_are_pool_size_invariant() {
     // field: DFS wave membership, submission order, budget truncation
     // and `--stop-first` pruning are all deterministic, so the whole
     // search — executions, distinct paths, depths, violations — must
-    // be byte-identical at any pool size. (`dfs` takes the pool size
-    // directly; no need for the process-global `--jobs` state.)
+    // be byte-identical at any pool size.
     let params = bench::explore::SearchParams {
         budget: 40,
         max_preempt: 2,
@@ -137,48 +73,5 @@ fn explore_stop_first_is_pool_size_invariant() {
     assert_eq!(
         bench::explore::stats_json("dfs", &params, &[serial.stats]).to_pretty(),
         bench::explore::stats_json("dfs", &params, &[pooled.stats]).to_pretty(),
-    );
-}
-
-fn committed(csv_name: &str) -> String {
-    let path = bench::results_dir().join(format!("{csv_name}.csv"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-#[test]
-#[ignore = "full fig4 sweep (seconds in release, minutes in debug); CI runs with --ignored"]
-fn parallel_fig4_regeneration_matches_committed_goldens() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let panels = at_jobs(4, || bench::figures::fig4_panels(false));
-    for panel in panels {
-        assert_eq!(
-            panel.set.to_csv(),
-            committed(&panel.csv_name),
-            "{} regenerated at --jobs 4 drifted from committed bytes",
-            panel.csv_name
-        );
-    }
-}
-
-#[test]
-#[ignore = "full fig8 sweep (seconds in release, minutes in debug); CI runs with --ignored"]
-fn parallel_fig8_regeneration_matches_committed_goldens() {
-    let _guard = JOBS_LOCK.lock().unwrap();
-    let (panels, breakdown) = at_jobs(4, || {
-        (bench::figures::fig8_abort_panels(false), bench::figures::fig8_breakdown(false))
-    });
-    for panel in panels {
-        assert_eq!(
-            panel.set.to_csv(),
-            committed(&panel.csv_name),
-            "{} regenerated at --jobs 4 drifted from committed bytes",
-            panel.csv_name
-        );
-    }
-    assert_eq!(
-        breakdown.csv,
-        committed(&breakdown.csv_name),
-        "{} regenerated at --jobs 4 drifted from committed bytes",
-        breakdown.csv_name
     );
 }

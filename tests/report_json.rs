@@ -192,3 +192,18 @@ fn taskserver_latency_section_round_trips() {
     assert!(max_depth >= 1, "some window must have seen a queued task");
     assert!(max_depth <= 4, "queue depth may never exceed the bound");
 }
+
+#[test]
+fn bench_report_is_named_after_the_experiment() {
+    // One `figures` binary writes every `--report-json` document, so the
+    // `binary` field names the registry row that ran, not argv[0].
+    let fig = bench::figures::find("intext").expect("a registry row");
+    let opts = bench::figures::Opts { quick: true, jobs: 2 };
+    let (_, doc) = bench::reporting::collect(fig.name, || (fig.run)(&opts));
+    let doc = Json::parse(&doc.to_pretty()).expect("self-emitted JSON must parse");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("htm-gil-bench-report/v1"));
+    assert_eq!(doc.get("binary").and_then(Json::as_str), Some("intext"));
+    // 7 kernels × (1-thread and max-thread) × (GIL and HTM-dynamic).
+    assert_eq!(doc.get("run_count").and_then(Json::as_u64), Some(28));
+    assert_eq!(doc.get("runs").and_then(Json::as_array).map(<[Json]>::len), Some(28));
+}
