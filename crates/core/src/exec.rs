@@ -115,6 +115,8 @@ struct TxInfo {
 #[derive(Debug, Clone)]
 struct TleThread {
     tx: Option<TxInfo>,
+    /// The last transaction's escrow, emptied: capacity for the next one.
+    spare: Escrow,
     holds_gil: bool,
     transient_retries: u32,
     gil_retries: u32,
@@ -150,6 +152,7 @@ impl TleThread {
     fn new() -> Self {
         TleThread {
             tx: None,
+            spare: Escrow::default(),
             holds_gil: false,
             transient_retries: 0,
             gil_retries: 0,
@@ -424,8 +427,10 @@ impl Executor {
                 c.pc,
             );
         }
-        // Sorted: the map's order differs from run to run.
-        let mut parked_keys: Vec<_> = self.parked.keys().collect();
+        // Sorted: the map's order differs from run to run. Keys whose
+        // waiters were all woken keep an emptied list.
+        let mut parked_keys: Vec<_> =
+            self.parked.iter().filter(|(_, w)| !w.is_empty()).map(|(k, _)| k).collect();
         parked_keys.sort();
         let _ = writeln!(
             out,
@@ -572,9 +577,10 @@ impl Executor {
             vm.publish_method_bumps();
             self.publish_work(cost, insns, false);
             if !(self.vm.pending_marks.is_empty() && self.vm.pending_wakes.is_empty()) {
-                let marks = std::mem::take(&mut self.vm.pending_marks);
-                let wakes = std::mem::take(&mut self.vm.pending_wakes);
-                self.publish_events(t, marks, wakes);
+                let mut marks = std::mem::take(&mut self.vm.pending_marks);
+                let mut wakes = std::mem::take(&mut self.vm.pending_wakes);
+                self.publish_events(t, &mut marks, &mut wakes);
+                (self.vm.pending_marks, self.vm.pending_wakes) = (marks, wakes);
             }
         }
     }
@@ -593,12 +599,18 @@ impl Executor {
         self.stalled_steps = 0;
     }
 
-    /// Make marks and wakes real at `t`'s current clock. Out of line: few
-    /// steps emit either.
+    /// Make marks and wakes real at `t`'s current clock, emptying both
+    /// lists (the caller keeps their capacity). Out of line: few steps
+    /// emit either.
     #[cold]
-    fn publish_events(&mut self, t: ThreadId, marks: Vec<(u8, i64)>, wakes: Vec<WakeKey>) {
+    fn publish_events(
+        &mut self,
+        t: ThreadId,
+        marks: &mut Vec<(u8, i64)>,
+        wakes: &mut Vec<WakeKey>,
+    ) {
         let now = self.sched.clock(t);
-        for (kind, id) in marks {
+        for (kind, id) in marks.drain(..) {
             self.latency.on_mark(kind, id, now);
         }
         if !wakes.is_empty() {
@@ -608,9 +620,17 @@ impl Executor {
 
     /// Drop an aborted transaction's escrow: its work was wasted, and its
     /// marks, wakes and version bumps never happened.
-    fn discard(&mut self, e: Escrow) {
+    fn discard(&mut self, t: ThreadId, e: Escrow) {
         self.breakdown.aborted += e.work;
         self.wasted_insns += e.insns;
+        self.recycle(t, e);
+    }
+
+    /// Keep a finished transaction's vectors, emptied, for `t`'s next one.
+    fn recycle(&mut self, t: ThreadId, mut e: Escrow) {
+        e.marks.clear();
+        e.wakes.clear();
+        self.tle[t].spare = Escrow { marks: e.marks, wakes: e.wakes, ..Escrow::default() };
     }
 
     /// Classify a conflicting line into a VM region, consulting the
@@ -707,23 +727,24 @@ impl Executor {
     /// list and stagger the unpark times by one cycle each, so the
     /// rotation actually changes the downstream ready-time tie-breaks;
     /// choice 0 (and no controller) is the exact legacy publish.
-    fn publish_wakes(&mut self, t: ThreadId, wakes: Vec<WakeKey>) {
+    fn publish_wakes(&mut self, t: ThreadId, wakes: &mut Vec<WakeKey>) {
         let now = self.sched.clock(t);
-        for key in wakes {
+        for key in wakes.drain(..) {
             let pk = match key {
                 WakeKey::Mutex(a) => ParkKey::Mutex(a),
                 WakeKey::Barrier(a) => ParkKey::Barrier(a),
             };
-            if let Some(mut waiters) = self.parked.remove(&pk) {
+            // The emptied list stays in the map for the key's next waiter.
+            if let Some(waiters) = self.parked.get_mut(&pk).filter(|w| !w.is_empty()) {
                 let rot = self.sched.explore_wake_order(waiters.len()) as usize;
                 if rot == 0 {
-                    for w in waiters {
+                    for w in waiters.drain(..) {
                         self.sched.unpark(w, now);
                     }
                 } else {
                     let n = waiters.len().max(1);
                     waiters.rotate_left(rot % n);
-                    for (i, w) in waiters.into_iter().enumerate() {
+                    for (i, w) in waiters.drain(..).enumerate() {
                         self.sched.unpark(w, now + i as Cycles);
                     }
                 }
@@ -735,8 +756,7 @@ impl Executor {
     fn gil_release(&mut self, t: ThreadId) {
         let now = self.sched.clock(t);
         self.sched.advance(t, self.profile.cost.gil_release);
-        let woken = self.gil.release(&mut self.vm, t);
-        for (w, _intent) in woken {
+        for (w, _intent) in self.gil.release(&mut self.vm, t) {
             self.sched.unpark(w, now + self.profile.cost.gil_wait_wakeup);
         }
     }
@@ -936,10 +956,11 @@ impl Executor {
         self.sched.advance(t, self.profile.cost.tend);
         self.breakdown.tx_begin_end += self.profile.cost.tend;
         self.vm.mem.commit(t)?;
-        let e = self.tle[t].tx.take().expect("commit without tx").escrow;
+        let mut e = self.tle[t].tx.take().expect("commit without tx").escrow;
         self.publish_work(e.work, e.insns, true);
         self.vm.method_version = self.vm.method_version.wrapping_add(e.method_bumps);
-        self.publish_events(t, e.marks, e.wakes);
+        self.publish_events(t, &mut e.marks, &mut e.wakes);
+        self.recycle(t, e);
         // A commit is forward progress: stand the watchdog down.
         self.tle[t].consecutive_aborts = 0;
         self.tle[t].backoff = self.cfg.watchdog.cooldown_base;
@@ -1073,7 +1094,8 @@ impl Executor {
             self.abort_path(t, pc, reason)?;
             return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
         }
-        self.tle[t].tx = Some(TxInfo { start_pc: pc, snapshot, escrow: Escrow::default() });
+        let escrow = std::mem::take(&mut self.tle[t].spare);
+        self.tle[t].tx = Some(TxInfo { start_pc: pc, snapshot, escrow });
         self.tle[t].fresh = true;
         Ok(true)
     }
@@ -1087,7 +1109,7 @@ impl Executor {
             return Err(RunError::Vm(format!("abort {reason:?} outside any transaction")));
         };
         self.vm.restore(t, info.snapshot);
-        self.discard(info.escrow);
+        self.discard(t, info.escrow);
         self.sched.advance(t, self.profile.cost.abort_penalty);
         self.breakdown.aborted += self.profile.cost.abort_penalty;
         self.tle[t].resume_pc = Some(info.start_pc);

@@ -55,15 +55,20 @@ impl GilState {
         }
     }
 
-    /// Release the GIL held by `t`. Returns the waiters to wake.
-    pub fn release(&mut self, vm: &mut Vm, t: ThreadId) -> Vec<(ThreadId, GilWait)> {
+    /// Release the GIL held by `t`. Returns the waiters to wake, drained
+    /// in arrival order out of the queue, which keeps its capacity.
+    pub fn release(
+        &mut self,
+        vm: &mut Vm,
+        t: ThreadId,
+    ) -> std::vec::Drain<'_, (ThreadId, GilWait)> {
         debug_assert_eq!(self.holder, Some(t), "release by non-holder");
         self.holder = None;
         let gil = vm.layout.gil;
         vm.mem
             .write(t, gil, Word::Int(0))
             .expect("GIL word write cannot fail outside a transaction");
-        std::mem::take(&mut self.waiters)
+        self.waiters.drain(..)
     }
 
     pub fn is_held(&self) -> bool {
@@ -100,7 +105,7 @@ mod tests {
         assert!(g.held_by(0));
         assert_eq!(*vm.mem.peek(vm.layout.gil), Word::Int(1));
         g.push_waiter(1, GilWait::Acquire);
-        let woken = g.release(&mut vm, 0);
+        let woken: Vec<_> = g.release(&mut vm, 0).collect();
         assert!(!g.is_held());
         assert_eq!(*vm.mem.peek(vm.layout.gil), Word::Int(0));
         assert_eq!(woken, vec![(1, GilWait::Acquire)]);
@@ -130,7 +135,7 @@ mod tests {
         g.push_waiter(3, GilWait::Acquire);
         g.push_waiter(1, GilWait::RetryTx);
         g.push_waiter(2, GilWait::Acquire);
-        let woken = g.release(&mut vm, 0);
+        let woken: Vec<_> = g.release(&mut vm, 0).collect();
         assert_eq!(
             woken,
             vec![(3, GilWait::Acquire), (1, GilWait::RetryTx), (2, GilWait::Acquire)]

@@ -14,6 +14,7 @@
 //! operation re-executes there, mirroring CRuby's blocking regions.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use machine_sim::ThreadId;
 
@@ -24,7 +25,7 @@ use crate::value::{Addr, ObjKind, Word};
 use crate::vm::{BlockOn, ThreadCtx, Vm, VmAbort, WakeKey};
 
 /// Builtin function signature: (vm, thread, receiver, args, block proc).
-pub type BFn = fn(&mut Vm, ThreadId, Word, Vec<Word>, Addr) -> Result<BResult, VmAbort>;
+pub type BFn = fn(&mut Vm, ThreadId, Word, &[Word], Addr) -> Result<BResult, VmAbort>;
 
 /// Dispatch a builtin by id.
 pub fn call(
@@ -32,7 +33,7 @@ pub fn call(
     t: ThreadId,
     id: u32,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     block: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = vm.builtins[id as usize];
@@ -188,10 +189,10 @@ fn recv_slot(vm: &mut Vm, t: ThreadId, recv: &Word, kind: ObjKind) -> Result<Add
     Ok(slot)
 }
 
-fn str_arg(vm: &mut Vm, t: ThreadId, args: &[Word], i: usize) -> Result<String, VmAbort> {
+fn str_arg(vm: &mut Vm, t: ThreadId, args: &[Word], i: usize) -> Result<Arc<str>, VmAbort> {
     let w = *args.get(i).ok_or_else(|| VmAbort::fatal(format!("missing string argument {i}")))?;
     let slot = recv_slot(vm, t, &w, ObjKind::String)?;
-    Ok(vm.string_content(t, slot)?.to_string())
+    vm.string_content(t, slot)
 }
 
 /// Blocking is a system call: inside a transaction it must abort
@@ -209,7 +210,7 @@ fn bi_puts(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     // Writing to stdout is I/O: CRuby releases the GIL around it, and an
@@ -218,7 +219,7 @@ fn bi_puts(
     if args.is_empty() {
         vm.stdout.push(String::new());
     }
-    for a in &args {
+    for a in args {
         // `puts [1,2]` prints one element per line, like Ruby.
         if let Word::Obj(slot) = a {
             if vm.kind_of(t, *slot)? == ObjKind::Array {
@@ -242,15 +243,15 @@ fn bi_print(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     // Writing to stdout is I/O: CRuby releases the GIL around it, and an
     // aborted transaction must not leave phantom output — restricted.
     forbid_in_tx(vm, t)?;
     let mut s = String::new();
-    for a in &args {
-        s.push_str(&vm.display(t, a)?);
+    for a in args {
+        vm.display_into(t, a, &mut s)?;
     }
     match vm.stdout.last_mut() {
         Some(last) => last.push_str(&s),
@@ -264,25 +265,25 @@ fn bi_p(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     // Writing to stdout is I/O: CRuby releases the GIL around it, and an
     // aborted transaction must not leave phantom output — restricted.
     forbid_in_tx(vm, t)?;
-    for a in &args {
+    for a in args {
         let s = vm.inspect(t, a)?;
         vm.stdout.push(s);
     }
     vm.step_native_cost += 50;
-    Ok(BResult::Value(args.into_iter().next().unwrap_or(Word::Nil)))
+    Ok(BResult::Value(args.first().copied().unwrap_or(Word::Nil)))
 }
 
 fn bi_rand(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let r = vm.next_rand(t);
@@ -300,7 +301,7 @@ fn bi_io_wait(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     forbid_in_tx(vm, t)?;
@@ -312,7 +313,7 @@ fn bi_conn_wait(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     forbid_in_tx(vm, t)?;
@@ -326,7 +327,7 @@ fn bi_srv_mark(
     vm: &mut Vm,
     _t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     // Deliberately NOT restricted: marks must be emittable from inside a
@@ -344,29 +345,29 @@ fn bi_to_s(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let s = vm.display(t, &recv)?;
-    Ok(BResult::Value(vm.make_string(t, &s)?))
+    let s = vm.build_text(|vm, out| vm.display_into(t, &recv, out))?;
+    Ok(BResult::Value(vm.make_string(t, s)?))
 }
 
 fn bi_inspect(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let s = vm.inspect(t, &recv)?;
-    Ok(BResult::Value(vm.make_string(t, &s)?))
+    Ok(BResult::Value(vm.make_string(t, s.into())?))
 }
 
 fn bi_class(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let cls = vm.class_of(t, &recv)?;
@@ -377,7 +378,7 @@ fn bi_nil_p(
     _vm: &mut Vm,
     _t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(if recv == Word::Nil { Word::True } else { Word::False }))
@@ -387,7 +388,7 @@ fn bi_identity(
     _vm: &mut Vm,
     _t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(recv))
@@ -399,22 +400,16 @@ fn bi_class_new(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    _args: &[Word],
     block: Addr,
 ) -> Result<BResult, VmAbort> {
     let cls = recv_slot(vm, t, &recv, ObjKind::Class)?;
     let obj = vm.make_object(t, cls)?;
     let init = vm.program.symbols.lookup("initialize").expect("interned");
     match vm.lookup_method(t, cls, init)? {
-        Some(MethodEntry::Iseq(iseq)) => Ok(BResult::Frame {
-            iseq,
-            self_w: obj,
-            args,
-            block,
-            under: Some(obj),
-            discard: true,
-            ep: 0,
-        }),
+        Some(MethodEntry::Iseq(iseq)) => {
+            Ok(BResult::Frame { iseq, self_w: obj, block, under: Some(obj), discard: true, ep: 0 })
+        }
         Some(MethodEntry::Builtin(_)) => Err(VmAbort::fatal("builtin initialize is not supported")),
         None => Ok(BResult::Value(obj)),
     }
@@ -424,16 +419,16 @@ fn bi_class_name(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let cls = recv_slot(vm, t, &recv, ObjKind::Class)?;
     let name = vm.rd(t, cls + 6)?;
     let s = match name {
-        Word::Sym(s) => vm.program.symbols.name(s).to_string(),
-        _ => "?".into(),
+        Word::Sym(s) => vm.program.symbols.name(s),
+        _ => "?",
     };
-    Ok(BResult::Value(vm.make_string(t, &s)?))
+    Ok(BResult::Value(vm.make_string(t, s.into())?))
 }
 
 // ---- numerics -------------------------------------------------------------------
@@ -442,7 +437,7 @@ fn bi_int_to_f(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let i = recv.as_int().ok_or_else(|| VmAbort::fatal("to_f on non-Integer"))?;
@@ -453,7 +448,7 @@ fn bi_int_abs(
     _vm: &mut Vm,
     _t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let i = recv.as_int().ok_or_else(|| VmAbort::fatal("abs on non-Integer"))?;
@@ -468,7 +463,7 @@ fn bi_float_to_i(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -479,7 +474,7 @@ fn bi_float_abs(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -490,7 +485,7 @@ fn bi_float_floor(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -501,7 +496,7 @@ fn bi_float_ceil(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -512,7 +507,7 @@ fn bi_float_round(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -529,7 +524,7 @@ fn bi_float_nan(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let f = float_of(vm, t, &recv)?;
@@ -542,7 +537,7 @@ macro_rules! math_fn {
             vm: &mut Vm,
             t: ThreadId,
             _recv: Word,
-            args: Vec<Word>,
+            args: &[Word],
             _b: Addr,
         ) -> Result<BResult, VmAbort> {
             let x = vm
@@ -565,7 +560,7 @@ fn bi_math_pow(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let x = vm
@@ -582,7 +577,7 @@ fn bi_math_pi(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(vm.make_float(t, std::f64::consts::PI)?))
@@ -590,9 +585,9 @@ fn bi_math_pi(
 
 // ---- String ---------------------------------------------------------------------
 
-fn self_string(vm: &mut Vm, t: ThreadId, recv: &Word) -> Result<(Addr, String), VmAbort> {
+fn self_string(vm: &mut Vm, t: ThreadId, recv: &Word) -> Result<(Addr, Arc<str>), VmAbort> {
     let slot = recv_slot(vm, t, recv, ObjKind::String)?;
-    let s = vm.string_content(t, slot)?.to_string();
+    let s = vm.string_content(t, slot)?;
     Ok((slot, s))
 }
 
@@ -600,7 +595,7 @@ fn bi_str_len(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
@@ -611,7 +606,7 @@ fn bi_str_empty(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
@@ -622,7 +617,7 @@ fn bi_str_to_i(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
@@ -643,7 +638,7 @@ fn bi_str_to_f(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
@@ -655,7 +650,7 @@ fn bi_str_to_sym(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
@@ -663,77 +658,85 @@ fn bi_str_to_sym(
     Ok(BResult::Value(Word::Sym(sym)))
 }
 
+/// A String method making a new String: `$body` appends its text to `$out`.
 macro_rules! str_map {
-    ($name:ident, |$s:ident| $body:expr) => {
+    ($name:ident, |$s:ident, $out:ident| $body:expr) => {
         fn $name(
             vm: &mut Vm,
             t: ThreadId,
             recv: Word,
-            _a: Vec<Word>,
+            _a: &[Word],
             _b: Addr,
         ) -> Result<BResult, VmAbort> {
             let (_slot, $s) = self_string(vm, t, &recv)?;
             vm.step_native_cost += ($s.len() / 4) as u64;
-            let out: String = $body;
-            Ok(BResult::Value(vm.make_string(t, &out)?))
+            let text = vm.build_text(|_, $out| {
+                $body;
+                Ok(())
+            })?;
+            Ok(BResult::Value(vm.make_string(t, text)?))
         }
     };
 }
 
-str_map!(bi_str_upcase, |s| s.to_uppercase());
-str_map!(bi_str_downcase, |s| s.to_lowercase());
-str_map!(bi_str_reverse, |s| s.chars().rev().collect());
-str_map!(bi_str_strip, |s| s.trim().to_string());
-str_map!(bi_str_dup, |s| s);
+str_map!(bi_str_upcase, |s, out| out.extend(s.chars().flat_map(char::to_uppercase)));
+// `str::to_lowercase` is not char by char (a final sigma); ASCII is.
+str_map!(bi_str_downcase, |s, out| match s.is_ascii() {
+    true => out.extend(s.chars().map(|c| c.to_ascii_lowercase())),
+    false => out.push_str(&s.to_lowercase()),
+});
+str_map!(bi_str_reverse, |s, out| out.extend(s.chars().rev()));
+str_map!(bi_str_strip, |s, out| out.push_str(s.trim()));
+str_map!(bi_str_dup, |s, out| out.push_str(&s));
 
 fn bi_str_include(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let needle = str_arg(vm, t, &args, 0)?;
+    let needle = str_arg(vm, t, args, 0)?;
     vm.step_native_cost += (s.len() / 4) as u64;
-    Ok(BResult::Value(if s.contains(&needle) { Word::True } else { Word::False }))
+    Ok(BResult::Value(if s.contains(&*needle) { Word::True } else { Word::False }))
 }
 
 fn bi_str_start_with(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let needle = str_arg(vm, t, &args, 0)?;
-    Ok(BResult::Value(if s.starts_with(&needle) { Word::True } else { Word::False }))
+    let needle = str_arg(vm, t, args, 0)?;
+    Ok(BResult::Value(if s.starts_with(&*needle) { Word::True } else { Word::False }))
 }
 
 fn bi_str_end_with(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let needle = str_arg(vm, t, &args, 0)?;
-    Ok(BResult::Value(if s.ends_with(&needle) { Word::True } else { Word::False }))
+    let needle = str_arg(vm, t, args, 0)?;
+    Ok(BResult::Value(if s.ends_with(&*needle) { Word::True } else { Word::False }))
 }
 
 fn bi_str_index(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let needle = str_arg(vm, t, &args, 0)?;
+    let needle = str_arg(vm, t, args, 0)?;
     vm.step_native_cost += (s.len() / 4) as u64;
-    Ok(BResult::Value(match s.find(&needle) {
+    Ok(BResult::Value(match s.find(&*needle) {
         Some(i) => Word::Int(i as i64),
         None => Word::Nil,
     }))
@@ -743,20 +746,19 @@ fn bi_str_split(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
     vm.step_native_cost += (s.len() / 2) as u64;
-    let parts: Vec<String> = if args.is_empty() {
-        s.split_whitespace().map(|p| p.to_string()).collect()
-    } else {
-        let sep = str_arg(vm, t, &args, 0)?;
-        s.split(&sep as &str).map(|p| p.to_string()).collect()
+    let sep = if args.is_empty() { None } else { Some(str_arg(vm, t, args, 0)?) };
+    let parts: &mut dyn Iterator<Item = &str> = match &sep {
+        None => &mut s.split_whitespace(),
+        Some(sep) => &mut s.split(&**sep),
     };
-    let mut words = Vec::with_capacity(parts.len());
+    let mut words = Vec::new();
     for p in parts {
-        let w = vm.make_string(t, &p)?;
+        let w = vm.make_string(t, p.into())?;
         vm.temp_roots.push(w); // pin across the following allocs
         words.push(w);
     }
@@ -768,11 +770,11 @@ fn sub_impl(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     all: bool,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let rep = str_arg(vm, t, &args, 1)?;
+    let rep = str_arg(vm, t, args, 1)?;
     let pat = args
         .first()
         .cloned()
@@ -781,33 +783,33 @@ fn sub_impl(
         Word::Obj(p) if vm.kind_of(t, *p)? == ObjKind::Regexp => {
             let re = vm.get_regex(t, *p)?;
             if all {
-                let (o, _n, steps) = re.replace_all(&s, &rep);
+                let (o, _n, steps) = re.replace_all(&s, &rep, &mut vm.regex_scratch);
                 vm.step_native_cost += steps as u64;
                 o
             } else {
-                let (o, _hit, steps) = re.replace_first(&s, &rep);
+                let (o, _hit, steps) = re.replace_first(&s, &rep, &mut vm.regex_scratch);
                 vm.step_native_cost += steps as u64;
                 o
             }
         }
         _ => {
-            let lit = str_arg(vm, t, &args, 0)?;
+            let lit = str_arg(vm, t, args, 0)?;
             vm.step_native_cost += s.len() as u64;
             if all {
-                s.replace(&lit as &str, &rep)
+                s.replace(&*lit, &rep)
             } else {
-                s.replacen(&lit as &str, &rep, 1)
+                s.replacen(&*lit, &rep, 1)
             }
         }
     };
-    Ok(BResult::Value(vm.make_string(t, &out)?))
+    Ok(BResult::Value(vm.make_string(t, out.into())?))
 }
 
 fn bi_str_sub(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     sub_impl(vm, t, recv, args, false)
@@ -817,7 +819,7 @@ fn bi_str_gsub(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     sub_impl(vm, t, recv, args, true)
@@ -827,25 +829,28 @@ fn bi_str_repeat(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let n = arg_int(&args, 0, "String#*")?.max(0) as usize;
-    let out = s.repeat(n);
+    let n = arg_int(args, 0, "String#*")?.max(0) as usize;
+    let out = vm.build_text(|_, out| {
+        (0..n).for_each(|_| out.push_str(&s));
+        Ok(())
+    })?;
     vm.step_native_cost += (out.len() / 4) as u64;
-    Ok(BResult::Value(vm.make_string(t, &out)?))
+    Ok(BResult::Value(vm.make_string(t, out)?))
 }
 
 fn bi_str_slice(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let start = arg_int(&args, 0, "slice")?;
+    let start = arg_int(args, 0, "slice")?;
     let len = args.get(1).and_then(|w| w.as_int()).unwrap_or(1);
     let n = s.len() as i64;
     let start = if start < 0 { n + start } else { start };
@@ -854,7 +859,7 @@ fn bi_str_slice(
     }
     let end = (start + len).min(n);
     let out = &s[start as usize..end as usize];
-    Ok(BResult::Value(vm.make_string(t, out)?))
+    Ok(BResult::Value(vm.make_string(t, out.into())?))
 }
 
 // ---- Array -----------------------------------------------------------------------
@@ -863,7 +868,7 @@ fn bi_array_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let n = args.first().and_then(|w| w.as_int()).unwrap_or(0).max(0) as usize;
@@ -880,7 +885,7 @@ fn bi_arr_len(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -892,7 +897,7 @@ fn bi_arr_empty(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -904,11 +909,11 @@ fn bi_arr_push(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
-    for a in args {
+    for &a in args {
         vm.array_push(t, slot, a)?;
     }
     Ok(BResult::Value(recv))
@@ -918,7 +923,7 @@ fn bi_arr_pop(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -935,7 +940,7 @@ fn bi_arr_shift(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -956,7 +961,7 @@ fn bi_arr_first(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -967,7 +972,7 @@ fn bi_arr_last(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -978,7 +983,7 @@ fn bi_arr_clear(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -990,7 +995,7 @@ fn bi_arr_include(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1009,7 +1014,7 @@ fn bi_arr_index(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1028,20 +1033,24 @@ fn bi_arr_join(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
-    let sep = if args.is_empty() { String::new() } else { str_arg(vm, t, &args, 0)? };
+    let sep = if args.is_empty() { "".into() } else { str_arg(vm, t, args, 0)? };
     let n = vm.array_len(t, slot)?;
-    let mut parts = Vec::with_capacity(n);
-    for i in 0..n {
-        let w = vm.array_get(t, slot, i as i64)?;
-        parts.push(vm.display(t, &w)?);
-    }
-    let out = parts.join(&sep);
+    let out = vm.build_text(|vm, out| {
+        for i in 0..n {
+            if i > 0 {
+                out.push_str(&sep);
+            }
+            let w = vm.array_get(t, slot, i as i64)?;
+            vm.display_into(t, &w, out)?;
+        }
+        Ok(())
+    })?;
     vm.step_native_cost += (out.len() / 4) as u64;
-    Ok(BResult::Value(vm.make_string(t, &out)?))
+    Ok(BResult::Value(vm.make_string(t, out)?))
 }
 
 /// Sort key (numbers before anything; strings lexicographic).
@@ -1054,7 +1063,7 @@ fn sort_keys(vm: &mut Vm, t: ThreadId, slot: Addr) -> Result<Vec<(Word, SortKey)
             SortKey::Num(f)
         } else if let Word::Obj(s) = &w {
             if vm.kind_of(t, *s)? == ObjKind::String {
-                SortKey::Str(vm.string_content(t, *s)?.to_string())
+                SortKey::Str(vm.string_content(t, *s)?)
             } else {
                 return Err(VmAbort::fatal("cannot sort non-comparable elements"));
             }
@@ -1069,7 +1078,7 @@ fn sort_keys(vm: &mut Vm, t: ThreadId, slot: Addr) -> Result<Vec<(Word, SortKey)
 #[derive(Debug, Clone, PartialEq)]
 enum SortKey {
     Num(f64),
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl SortKey {
@@ -1087,7 +1096,7 @@ fn bi_arr_sort_bang(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1104,7 +1113,7 @@ fn bi_arr_sort(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1135,7 +1144,7 @@ fn bi_arr_min(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     minmax(vm, t, recv, false)
@@ -1145,7 +1154,7 @@ fn bi_arr_max(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     minmax(vm, t, recv, true)
@@ -1155,7 +1164,7 @@ fn bi_arr_dup(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1171,7 +1180,7 @@ fn bi_arr_concat(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
@@ -1189,11 +1198,11 @@ fn bi_arr_delete_at(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
-    let idx = arg_int(&args, 0, "delete_at")?;
+    let idx = arg_int(args, 0, "delete_at")?;
     let n = vm.array_len(t, slot)? as i64;
     let idx = if idx < 0 { n + idx } else { idx };
     if idx < 0 || idx >= n {
@@ -1214,7 +1223,7 @@ fn bi_hash_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(vm.make_hash(t, &[])?))
@@ -1228,7 +1237,7 @@ fn bi_hash_len(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_hash(vm, t, &recv)?;
@@ -1240,7 +1249,7 @@ fn bi_hash_empty(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_hash(vm, t, &recv)?;
@@ -1252,7 +1261,7 @@ fn bi_hash_key_p(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_hash(vm, t, &recv)?;
@@ -1283,7 +1292,7 @@ fn bi_hash_keys(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     hash_collect(vm, t, recv, false)
@@ -1293,7 +1302,7 @@ fn bi_hash_values(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     hash_collect(vm, t, recv, true)
@@ -1303,7 +1312,7 @@ fn bi_hash_delete(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_hash(vm, t, &recv)?;
@@ -1338,7 +1347,7 @@ fn bi_range_begin(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_range(vm, t, &recv)?;
@@ -1349,7 +1358,7 @@ fn bi_range_end(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_range(vm, t, &recv)?;
@@ -1360,7 +1369,7 @@ fn bi_range_excl(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_range(vm, t, &recv)?;
@@ -1374,7 +1383,7 @@ fn bi_thread_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     block: Addr,
 ) -> Result<BResult, VmAbort> {
     // pthread_create is a system call: never inside a transaction.
@@ -1423,7 +1432,7 @@ fn bi_thread_new(
     vm.push_root_frame(&mut ctx, iseq, self_w, 0, captured_fp);
     // Pass Thread.new's arguments as block parameters.
     let nparams = vm.program.iseq(iseq).nparams;
-    for (i, a) in args.into_iter().take(nparams).enumerate() {
+    for (i, &a) in args.iter().take(nparams).enumerate() {
         vm.mem
             .write(new_tid, ctx.stack_base + crate::interp::FRAME_WORDS + i, a)
             .expect("thread arg write");
@@ -1437,7 +1446,7 @@ fn bi_thread_current(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     if vm.threads[t].thread_obj == 0 {
@@ -1469,7 +1478,7 @@ fn bi_thread_join(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (slot, target) = thread_target(vm, t, &recv)?;
@@ -1485,7 +1494,7 @@ fn bi_thread_value(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (slot, target) = thread_target(vm, t, &recv)?;
@@ -1501,7 +1510,7 @@ fn bi_thread_alive(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (slot, _target) = thread_target(vm, t, &recv)?;
@@ -1515,7 +1524,7 @@ fn bi_mutex_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = vm.alloc_slot(t)?;
@@ -1532,7 +1541,7 @@ fn bi_mutex_lock(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_mutex(vm, t, &recv)?;
@@ -1558,7 +1567,7 @@ fn bi_mutex_try_lock(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_mutex(vm, t, &recv)?;
@@ -1575,7 +1584,7 @@ fn bi_mutex_unlock(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_mutex(vm, t, &recv)?;
@@ -1594,10 +1603,10 @@ fn bi_barrier_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let n = arg_int(&args, 0, "Barrier.new")?;
+    let n = arg_int(args, 0, "Barrier.new")?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Barrier)?;
     vm.wr(t, slot + 1, Word::Int(n))?;
@@ -1610,7 +1619,7 @@ fn bi_barrier_wait(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     // The whole wait (arrival *and* wake re-check) is a blocking region:
@@ -1675,14 +1684,14 @@ fn bi_regexp_new(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let pat = str_arg(vm, t, &args, 0)?;
+    let pat = str_arg(vm, t, args, 0)?;
     crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Regexp)?;
-    let id = vm.strings.alloc(&pat);
+    let id = vm.strings.alloc(pat)?;
     vm.wr(t, slot + 1, Word::Str(id))?;
     Ok(BResult::Value(Word::Obj(slot)))
 }
@@ -1691,72 +1700,77 @@ fn bi_regexp_source(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _a: Vec<Word>,
+    _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = recv_slot(vm, t, &recv, ObjKind::Regexp)?;
     let w = vm.rd(t, slot + 1)?;
     let pat = vm.str_text(w)?;
-    Ok(BResult::Value(vm.make_string(t, &pat)?))
+    Ok(BResult::Value(vm.make_string(t, pat)?))
 }
 
+/// Search the Regexp `recv` in the String `args[0]`; a hit's groups are
+/// in `vm.regex_scratch`.
 fn regexp_run(
     vm: &mut Vm,
     t: ThreadId,
     recv: &Word,
     args: &[Word],
-) -> Result<Option<(crate::regexlite::MatchResult, String)>, VmAbort> {
+) -> Result<Option<Arc<str>>, VmAbort> {
     let slot = recv_slot(vm, t, recv, ObjKind::Regexp)?;
     let re = vm.get_regex(t, slot)?;
     let subject = str_arg(vm, t, args, 0)?;
-    let m = re.find(&subject);
+    let m = re.find(&subject, &mut vm.regex_scratch);
     // Charge the engine's work; the subject's shadow buffer was already
     // touched by str_arg → string_content.
-    vm.step_native_cost += m.as_ref().map_or(subject.len() + 1, |r| r.steps) as u64 * 2;
-    Ok(m.map(|m| (m, subject)))
+    vm.step_native_cost += m.map_or(subject.len() + 1, |r| r.steps) as u64 * 2;
+    Ok(m.map(|_| subject))
 }
 
 fn bi_regexp_match(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    match regexp_run(vm, t, &recv, &args)? {
-        None => Ok(BResult::Value(Word::Nil)),
-        Some((m, subject)) => {
-            let chars: Vec<char> = subject.chars().collect();
-            let mut groups = Vec::with_capacity(m.groups.len());
-            for g in &m.groups {
-                match g {
-                    Some((s, e)) => {
-                        let text: String = chars[*s..*e].iter().collect();
-                        let w = vm.make_string(t, &text)?;
-                        // Pin: the next group's allocation may GC.
-                        vm.temp_roots.push(w);
-                        groups.push(w);
-                    }
-                    None => groups.push(Word::Nil),
-                }
+    let Some(subject) = regexp_run(vm, t, &recv, args)? else {
+        return Ok(BResult::Value(Word::Nil));
+    };
+    // Spans are char positions: a non-ASCII subject is walked for bytes.
+    let ascii = subject.is_ascii();
+    let byte_at = |i: usize| match ascii {
+        true => i,
+        false => subject.char_indices().nth(i).map_or(subject.len(), |(b, _)| b),
+    };
+    let ngroups = vm.regex_scratch.groups();
+    let mut groups = Vec::with_capacity(ngroups);
+    for g in 0..ngroups {
+        groups.push(match vm.regex_scratch.group(g) {
+            Some((s, e)) => {
+                let w = vm.make_string(t, subject[byte_at(s)..byte_at(e)].into())?;
+                // Pin: the next group's allocation may GC.
+                vm.temp_roots.push(w);
+                w
             }
-            let garr = vm.make_array(t, &groups)?;
-            let slot = vm.alloc_slot(t)?;
-            vm.set_header(t, slot, ObjKind::MatchData)?;
-            vm.wr(t, slot + 1, garr)?;
-            Ok(BResult::Value(Word::Obj(slot)))
-        }
+            None => Word::Nil,
+        });
     }
+    let garr = vm.make_array(t, &groups)?;
+    let slot = vm.alloc_slot(t)?;
+    vm.set_header(t, slot, ObjKind::MatchData)?;
+    vm.wr(t, slot + 1, garr)?;
+    Ok(BResult::Value(Word::Obj(slot)))
 }
 
 fn bi_regexp_match_p(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let hit = regexp_run(vm, t, &recv, &args)?.is_some();
+    let hit = regexp_run(vm, t, &recv, args)?.is_some();
     Ok(BResult::Value(if hit { Word::True } else { Word::False }))
 }
 
@@ -1766,20 +1780,12 @@ fn bi_proc_call(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    _args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = recv_slot(vm, t, &recv, ObjKind::Proc)?;
     let iseq = crate::bytecode::IseqId(vm.rd(t, slot + 1)?.as_int().unwrap_or(0) as u32);
     let captured_fp = vm.rd(t, slot + 2)?.as_int().unwrap_or(0) as Addr;
     let self_w = vm.rd(t, slot + 3)?;
-    Ok(BResult::Frame {
-        iseq,
-        self_w,
-        args,
-        block: 0,
-        under: None,
-        discard: false,
-        ep: captured_fp,
-    })
+    Ok(BResult::Frame { iseq, self_w, block: 0, under: None, discard: false, ep: captured_fp })
 }

@@ -182,7 +182,7 @@ impl<'p> Compiler<'p> {
                 e.emit(Insn::PutPooled(idx));
             }
             Node::Str(s) => {
-                let idx = self.prog.pool_string(s.clone());
+                let idx = self.prog.pool_string(s);
                 e.emit(Insn::PutString(idx));
             }
             Node::Sym(s) => {

@@ -22,6 +22,8 @@
 //! count toward HTM write sets — the effect that makes CRuby's original
 //! coarse yield points overflow (paper §4.2).
 
+use std::sync::Arc;
+
 use machine_sim::ThreadId;
 
 use crate::bytecode::{Insn, IseqId, RareBinOp};
@@ -59,19 +61,11 @@ pub enum BResult {
     /// Park the thread; retry this instruction on wake.
     Block(BlockOn),
     /// Pop receiver+args, optionally push `under` (pre-pushed result),
-    /// then enter `iseq` with the given self/args. `discard` frames do not
-    /// push their return value (used by `new` → `initialize`). A non-zero
-    /// `ep` enters the iseq as a block frame with that static link
-    /// (`Proc#call`).
-    Frame {
-        iseq: IseqId,
-        self_w: Word,
-        args: Vec<Word>,
-        block: Addr,
-        under: Option<Word>,
-        discard: bool,
-        ep: Addr,
-    },
+    /// then enter `iseq` with the given self and the builtin's own
+    /// arguments. `discard` frames do not push their return value (used by
+    /// `new` → `initialize`). A non-zero `ep` enters the iseq as a block
+    /// frame with that static link (`Proc#call`).
+    Frame { iseq: IseqId, self_w: Word, block: Addr, under: Option<Word>, discard: bool, ep: Addr },
     /// Pop receiver+args, push the Thread object, advance, and tell the
     /// executor a new thread exists.
     Spawned { tid: ThreadId, thread_obj: Word },
@@ -192,7 +186,7 @@ impl Vm {
         ep: Addr,
         ret_sp: Addr,
         flags: i64,
-        args: FrameArgs,
+        args: FrameArgs<'_>,
     ) -> Result<(), VmAbort> {
         let (nparams, nlocals, max_stack) = {
             let i = self.program.iseq(iseq);
@@ -225,9 +219,9 @@ impl Vm {
                     self.wr(t, new_fp + FRAME_WORDS + i, Word::Nil)?;
                 }
             }
-            FrameArgs::Vec(words) => {
+            FrameArgs::Words(words) => {
                 let argc = words.len();
-                for (i, w) in words.into_iter().take(nparams).enumerate() {
+                for (i, &w) in words.iter().take(nparams).enumerate() {
                     self.wr(t, new_fp + FRAME_WORDS + i, w)?;
                 }
                 for i in argc.min(nparams)..nparams {
@@ -385,8 +379,8 @@ impl Vm {
                 self.advance(t);
             }
             Op::PutString => {
-                let s = self.program.strings[d.a as usize].clone();
-                let w = self.make_string(t, &s)?;
+                let text = Arc::clone(&self.program.strings[d.a as usize]);
+                let w = self.make_string(t, text)?;
                 self.push(t, w)?;
                 self.advance(t);
             }
@@ -652,8 +646,8 @@ impl Vm {
                 self.advance(t);
             }
             Insn::PutString(i) => {
-                let s = self.program.strings[i as usize].clone();
-                let w = self.make_string(t, &s)?;
+                let text = Arc::clone(&self.program.strings[i as usize]);
+                let w = self.make_string(t, text)?;
                 self.push(t, w)?;
                 self.advance(t);
             }
@@ -950,18 +944,23 @@ impl Vm {
                 Ok(StepOk::Normal)
             }
             MethodEntry::Builtin(id) => {
-                let mut args = Vec::with_capacity(argc);
-                for i in 0..argc {
-                    args.push(self.rd(t, recv_pos + 1 + i)?);
+                // The arguments, read off the operand stack into a host
+                // stack array; more than eight spill to the heap.
+                let mut few = [Word::Nil; 8];
+                let mut many = vec![Word::Nil; if argc > few.len() { argc } else { 0 }];
+                let args = if many.is_empty() { &mut few[..argc] } else { &mut many[..] };
+                for (i, a) in args.iter_mut().enumerate() {
+                    *a = self.rd(t, recv_pos + 1 + i)?;
                 }
                 let r = crate::builtins::call(self, t, id, recv, args, block_addr)?;
-                self.apply_bresult(t, r, argc)
+                self.apply_bresult(t, r, args)
             }
         }
     }
 
     /// Apply a builtin's outcome (stack manipulation + control).
-    fn apply_bresult(&mut self, t: ThreadId, r: BResult, argc: usize) -> Result<StepOk, VmAbort> {
+    fn apply_bresult(&mut self, t: ThreadId, r: BResult, args: &[Word]) -> Result<StepOk, VmAbort> {
+        let argc = args.len();
         match r {
             BResult::Value(w) => {
                 for _ in 0..argc + 1 {
@@ -983,7 +982,7 @@ impl Vm {
                 }
                 Ok(StepOk::Block(on))
             }
-            BResult::Frame { iseq, self_w, args, block, under, discard, ep } => {
+            BResult::Frame { iseq, self_w, block, under, discard, ep } => {
                 for _ in 0..argc + 1 {
                     self.pop(t)?;
                 }
@@ -995,7 +994,7 @@ impl Vm {
                 if ep != 0 {
                     flags |= FLAG_BLOCK;
                 }
-                self.push_frame(t, iseq, self_w, block, ep, ret_sp, flags, FrameArgs::Vec(args))?;
+                self.push_frame(t, iseq, self_w, block, ep, ret_sp, flags, FrameArgs::Words(args))?;
                 Ok(StepOk::Normal)
             }
             BResult::Spawned { tid, thread_obj } => {
@@ -1082,21 +1081,6 @@ impl Vm {
         Ok(region)
     }
 
-    /// Invoke a Proc object as a block with explicit args (used by
-    /// builtins like `Array#sort_by` — and by spawned threads' roots).
-    pub fn invoke_proc(
-        &mut self,
-        t: ThreadId,
-        proc_addr: Addr,
-        args: Vec<Word>,
-    ) -> Result<(), VmAbort> {
-        let iseq = IseqId(self.rd(t, proc_addr + 1)?.as_int().unwrap_or(0) as u32);
-        let captured_fp = self.rd(t, proc_addr + 2)?.as_int().unwrap_or(0) as Addr;
-        let self_w = self.rd(t, proc_addr + 3)?;
-        let ret_sp = self.threads[t].sp;
-        self.push_frame(t, iseq, self_w, 0, captured_fp, ret_sp, FLAG_BLOCK, FrameArgs::Vec(args))
-    }
-
     fn do_define_class(
         &mut self,
         t: ThreadId,
@@ -1143,7 +1127,7 @@ impl Vm {
             }
         };
         let ret_sp = self.threads[t].sp;
-        self.push_frame(t, body, Word::Obj(cls), 0, 0, ret_sp, 0, FrameArgs::Vec(Vec::new()))?;
+        self.push_frame(t, body, Word::Obj(cls), 0, 0, ret_sp, 0, FrameArgs::Words(&[]))?;
         Ok(StepOk::Normal)
     }
 
@@ -1316,9 +1300,13 @@ impl Vm {
                 {
                     let sa = self.string_content(t, *a)?;
                     let sb = self.string_content(t, *b)?;
-                    let joined = format!("{sa}{sb}");
+                    let joined = self.build_text(|_, out| {
+                        out.push_str(&sa);
+                        out.push_str(&sb);
+                        Ok(())
+                    })?;
                     self.step_native_cost += (joined.len() / 8) as u64;
-                    let w = self.make_string(t, &joined)?;
+                    let w = self.make_string(t, joined)?;
                     self.push(t, w)?;
                     self.advance(t);
                     return Ok(StepOk::Normal);
@@ -1428,7 +1416,7 @@ impl Vm {
                             Word::Nil
                         } else {
                             let ch = &s[i as usize..i as usize + 1];
-                            self.make_string(t, ch)?
+                            self.make_string(t, ch.into())?
                         };
                         self.push(t, w)?;
                         self.advance(t);
@@ -1507,10 +1495,12 @@ impl Vm {
                 }
                 ObjKind::String => {
                     let sa = self.string_content(t, *slot)?;
-                    let sb = self.display(t, &rhs)?;
-                    let joined = format!("{sa}{sb}");
+                    let joined = self.build_text(|vm, out| {
+                        out.push_str(&sa);
+                        vm.display_into(t, &rhs, out)
+                    })?;
                     self.step_native_cost += (joined.len() / 8) as u64;
-                    self.string_replace(t, *slot, &joined)?;
+                    self.string_replace(t, *slot, joined)?;
                     self.push(t, lhs)?;
                     self.advance(t);
                     Ok(StepOk::Normal)
@@ -1597,13 +1587,11 @@ impl Vm {
     }
 }
 
-enum FrameArgs {
+enum FrameArgs<'a> {
     /// Copy `argc` words starting at stack address `base`.
-    Stack {
-        base: Addr,
-        argc: usize,
-    },
-    Vec(Vec<Word>),
+    Stack { base: Addr, argc: usize },
+    /// Words already read off the stack (a builtin's arguments).
+    Words(&'a [Word]),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

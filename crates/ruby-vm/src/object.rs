@@ -24,7 +24,8 @@
 //! malloc regions: `[len, cap, (key, value) × cap]`. Method-table values
 //! encode user iseqs as non-negative ints and builtins as `-(id + 1)`.
 
-use std::rc::Rc;
+use std::fmt::Write;
+use std::sync::Arc;
 
 use machine_sim::ThreadId;
 
@@ -80,18 +81,19 @@ impl Vm {
         Ok(Word::Obj(slot))
     }
 
-    /// Allocate a String. Content lives host-side; a shadow buffer of
-    /// ⌈len/8⌉ words is written so the bytes occupy simulated cache lines.
-    pub fn make_string(&mut self, t: ThreadId, s: &str) -> Result<Word, VmAbort> {
+    /// Allocate a String over `text` (new, or shared with a literal).
+    /// Content lives host-side; a shadow buffer of ⌈len/8⌉ words is
+    /// written so the bytes occupy simulated cache lines.
+    pub fn make_string(&mut self, t: ThreadId, text: Arc<str>) -> Result<Word, VmAbort> {
         let slot = self.alloc_slot(t)?;
-        let len = s.len();
+        let len = text.len();
         let shadow_words = len.div_ceil(8).max(1);
         let (buf, cap) = self.malloc(t, shadow_words)?;
         for i in 0..shadow_words {
             self.wr(t, buf + i, Word::Int(0))?;
         }
         self.set_header(t, slot, ObjKind::String)?;
-        let id = self.strings.alloc(s);
+        let id = self.strings.alloc(text)?;
         self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         self.wr(t, slot + 3, Word::Int(buf as i64))?;
@@ -101,7 +103,7 @@ impl Vm {
 
     /// Replace a String's content in place (`<<`, `sub!`…): new table
     /// entry, new length, shadow grown if needed and rewritten.
-    pub fn string_replace(&mut self, t: ThreadId, slot: Addr, s: &str) -> Result<(), VmAbort> {
+    pub fn string_replace(&mut self, t: ThreadId, slot: Addr, s: Arc<str>) -> Result<(), VmAbort> {
         let len = s.len();
         let need = len.div_ceil(8).max(1);
         let buf = self.rd(t, slot + 3)?.as_int().unwrap_or(0) as Addr;
@@ -126,7 +128,7 @@ impl Vm {
         if let (0, Word::Str(old)) = (self.mem.active_tx_count(), *self.mem.peek(slot + 1)) {
             self.strings.release(old);
         }
-        let id = self.strings.alloc(s);
+        let id = self.strings.alloc(s)?;
         self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         Ok(())
@@ -134,7 +136,7 @@ impl Vm {
 
     /// Text of the `Str` payload word `w`. A word that is no `Str`, or
     /// names a released id, is a corrupt image: fatal, not a panic.
-    pub(crate) fn str_text(&self, w: Word) -> Result<Rc<str>, VmAbort> {
+    pub(crate) fn str_text(&self, w: Word) -> Result<Arc<str>, VmAbort> {
         w.as_str_id()
             .and_then(|id| self.strings.get(id))
             .cloned()
@@ -142,7 +144,7 @@ impl Vm {
     }
 
     /// Read a String's content (touching its shadow buffer for footprint).
-    pub fn string_content(&mut self, t: ThreadId, slot: Addr) -> Result<Rc<str>, VmAbort> {
+    pub fn string_content(&mut self, t: ThreadId, slot: Addr) -> Result<Arc<str>, VmAbort> {
         let w = self.rd(t, slot + 1)?;
         let len = self.rd(t, slot + 2)?.as_int().unwrap_or(0) as usize;
         let buf = self.rd(t, slot + 3)?.as_int().unwrap_or(0) as Addr;
@@ -682,58 +684,70 @@ impl Vm {
 
     /// `to_s` used by `puts` and string concatenation.
     pub fn display(&mut self, t: ThreadId, w: &Word) -> Result<String, VmAbort> {
-        Ok(match w {
-            Word::Nil => String::new(),
-            Word::True => "true".into(),
-            Word::False => "false".into(),
-            Word::Int(i) => i.to_string(),
-            Word::Sym(s) => self.program.symbols.name(*s).to_string(),
+        let mut out = String::new();
+        self.display_into(t, w, &mut out).map(|()| out)
+    }
+
+    /// [`Self::display`], appended to `out` (`write!` to a `String` cannot fail).
+    pub fn display_into(&mut self, t: ThreadId, w: &Word, out: &mut String) -> Result<(), VmAbort> {
+        match w {
+            Word::Nil => {}
+            Word::True => out.push_str("true"),
+            Word::False => out.push_str("false"),
+            Word::Int(i) => _ = write!(out, "{i}"),
+            Word::Sym(s) => out.push_str(self.program.symbols.name(*s)),
             Word::Obj(slot) => match self.kind_of(t, *slot)? {
                 ObjKind::Float => {
                     let f = self.rd(t, *slot + 1)?.as_f64().unwrap_or(f64::NAN);
-                    format_ruby_float(f)
+                    out.push_str(&format_ruby_float(f));
                 }
-                ObjKind::String => self.string_content(t, *slot)?.to_string(),
+                ObjKind::String => out.push_str(&self.string_content(t, *slot)?),
                 ObjKind::Array => {
-                    let len = self.array_len(t, *slot)?;
-                    let mut parts = Vec::with_capacity(len);
-                    for i in 0..len {
+                    out.push('[');
+                    for i in 0..self.array_len(t, *slot)? {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
                         let e = self.array_get(t, *slot, i as i64)?;
-                        parts.push(self.inspect(t, &e)?);
+                        self.inspect_into(t, &e, out)?;
                     }
-                    format!("[{}]", parts.join(", "))
+                    out.push(']');
                 }
                 ObjKind::Range => {
                     let lo = self.rd(t, *slot + 1)?;
                     let hi = self.rd(t, *slot + 2)?;
                     let excl = self.rd(t, *slot + 3)?.as_int().unwrap_or(0) != 0;
-                    let l = self.display(t, &lo)?;
-                    let h = self.display(t, &hi)?;
-                    format!("{l}{}{h}", if excl { "..." } else { ".." })
+                    self.display_into(t, &lo, out)?;
+                    out.push_str(if excl { "..." } else { ".." });
+                    self.display_into(t, &hi, out)?;
                 }
-                ObjKind::Class => {
-                    let n = self.rd(t, *slot + 6)?;
-                    match n {
-                        Word::Sym(s) => self.program.symbols.name(s).to_string(),
-                        _ => "#<Class>".into(),
-                    }
-                }
-                k => format!("#<{k:?}:{slot}>"),
+                ObjKind::Class => match self.rd(t, *slot + 6)? {
+                    Word::Sym(s) => out.push_str(self.program.symbols.name(s)),
+                    _ => out.push_str("#<Class>"),
+                },
+                k => _ = write!(out, "#<{k:?}:{slot}>"),
             },
-            other => format!("{other:?}"),
-        })
+            other => _ = write!(out, "{other:?}"),
+        }
+        Ok(())
     }
 
     /// `inspect` (strings quoted, nil printed).
     pub fn inspect(&mut self, t: ThreadId, w: &Word) -> Result<String, VmAbort> {
-        Ok(match w {
-            Word::Nil => "nil".into(),
-            Word::Sym(s) => format!(":{}", self.program.symbols.name(*s)),
+        let mut out = String::new();
+        self.inspect_into(t, w, &mut out).map(|()| out)
+    }
+
+    fn inspect_into(&mut self, t: ThreadId, w: &Word, out: &mut String) -> Result<(), VmAbort> {
+        match w {
+            Word::Nil => out.push_str("nil"),
+            Word::Sym(s) => _ = write!(out, ":{}", self.program.symbols.name(*s)),
             Word::Obj(slot) if self.kind_of(t, *slot)? == ObjKind::String => {
-                format!("{:?}", self.string_content(t, *slot)?)
+                _ = write!(out, "{:?}", self.string_content(t, *slot)?)
             }
-            other => self.display(t, other)?,
-        })
+            other => self.display_into(t, other, out)?,
+        }
+        Ok(())
     }
 
     // ---- globals / constants -------------------------------------------------
@@ -857,10 +871,10 @@ mod tests {
     #[test]
     fn string_replace_grows_shadow() {
         let mut vm = vm();
-        let w = vm.make_string(0, "ab").unwrap();
+        let w = vm.make_string(0, "ab".into()).unwrap();
         let slot = w.as_obj().unwrap();
         let long = "x".repeat(200);
-        vm.string_replace(0, slot, &long).unwrap();
+        vm.string_replace(0, slot, long.as_str().into()).unwrap();
         assert_eq!(&*vm.string_content(0, slot).unwrap(), long.as_str());
         let cap = vm.mem.peek(slot + 4).as_int().unwrap() as usize;
         assert!(cap >= 25, "shadow must cover 200 bytes, got {cap} words");
@@ -871,15 +885,15 @@ mod tests {
     #[test]
     fn string_replace_releases_the_old_id_only_outside_transactions() {
         let mut vm = vm();
-        let slot = vm.make_string(0, "a").unwrap().as_obj().unwrap();
+        let slot = vm.make_string(0, "a".into()).unwrap().as_obj().unwrap();
         let live = vm.strings.live_ids().count();
         for _ in 0..100 {
-            vm.string_replace(0, slot, "b").unwrap();
+            vm.string_replace(0, slot, "b".into()).unwrap();
         }
         assert_eq!(vm.strings.live_ids().count(), live);
         let budgets = htm_sim::Budgets { read_lines: 1 << 20, write_lines: 1 << 20 };
         vm.mem.begin(0, budgets).unwrap();
-        vm.string_replace(0, slot, "c").unwrap();
+        vm.string_replace(0, slot, "c".into()).unwrap();
         assert_eq!(vm.strings.live_ids().count(), live + 1);
         vm.mem.tabort(0, 1);
         assert_eq!(&*vm.string_content(0, slot).unwrap(), "b");
@@ -893,7 +907,7 @@ mod tests {
     #[test]
     fn a_released_id_is_a_fatal_error() {
         let mut vm = vm();
-        let slot = vm.make_string(0, "a").unwrap().as_obj().unwrap();
+        let slot = vm.make_string(0, "a".into()).unwrap().as_obj().unwrap();
         let id = vm.mem.peek(slot + 1).as_str_id().unwrap();
         vm.strings.release(id);
         assert_eq!(vm.string_content(0, slot), Err(VmAbort::fatal("corrupt string payload")));
@@ -951,8 +965,8 @@ mod tests {
         let mut vm = vm();
         let h = vm.make_hash(0, &[]).unwrap();
         let hs = h.as_obj().unwrap();
-        let k1 = vm.make_string(0, "key").unwrap();
-        let k2 = vm.make_string(0, "key").unwrap();
+        let k1 = vm.make_string(0, "key".into()).unwrap();
+        let k2 = vm.make_string(0, "key".into()).unwrap();
         vm.hash_set(0, hs, k1, Word::Int(5)).unwrap();
         assert_eq!(vm.hash_get(0, hs, &k2).unwrap(), Word::Int(5));
     }
@@ -1036,7 +1050,7 @@ mod tests {
         assert_eq!(vm.inspect(0, &Word::Nil).unwrap(), "nil");
         let f = vm.make_float(0, 3.0).unwrap();
         assert_eq!(vm.display(0, &f).unwrap(), "3.0");
-        let s = vm.make_string(0, "hey").unwrap();
+        let s = vm.make_string(0, "hey".into()).unwrap();
         assert_eq!(vm.display(0, &s).unwrap(), "hey");
         assert_eq!(vm.inspect(0, &s).unwrap(), "\"hey\"");
         let arr = vm.make_array(0, &[Word::Int(1), s]).unwrap();
@@ -1056,8 +1070,8 @@ mod tests {
         let f1 = vm.make_float(0, 1.5).unwrap();
         let f2 = vm.make_float(0, 1.5).unwrap();
         assert!(vm.words_eq(0, &f1, &f2).unwrap());
-        let s1 = vm.make_string(0, "x").unwrap();
-        let s2 = vm.make_string(0, "x").unwrap();
+        let s1 = vm.make_string(0, "x".into()).unwrap();
+        let s2 = vm.make_string(0, "x".into()).unwrap();
         assert!(vm.words_eq(0, &s1, &s2).unwrap());
         assert!(!vm.words_eq(0, &s1, &f1).unwrap());
         let i3 = Word::Int(3);

@@ -2,16 +2,16 @@
 //! the global yield-point ("pc") numbering used by the TLE runtime's
 //! per-yield-point tables.
 
+use std::sync::Arc;
+
 use crate::bytecode::{ISeq, Insn, IseqId};
 use crate::decode::DecodedInsn;
 use crate::symbols::{SymId, SymbolTable};
 
-/// A literal destined for the constant-object pool (shared, frozen) or the
-/// string pool (copied on every push).
+/// A literal destined for the constant-object pool (shared, frozen).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolLiteral {
     Float(f64),
-    Str(String),
 }
 
 /// Everything the compiler produces; immutable at run time (CRuby iseqs
@@ -23,8 +23,9 @@ pub struct Program {
     pub symbols: SymbolTable,
     /// Shared frozen literal objects (float literals).
     pub pooled: Vec<PoolLiteral>,
-    /// String literals, copied at each `PutString`.
-    pub strings: Vec<String>,
+    /// String literals: a new String object on every `PutString`, over
+    /// this one text (`Arc`: the prelude is compiled once per process).
+    pub strings: Vec<Arc<str>>,
     /// Total inline-cache sites allocated by the compiler.
     pub ic_count: u32,
     /// Prefix offsets of each iseq into the global pc numbering.
@@ -131,26 +132,21 @@ impl Program {
 
     /// Add a pooled (shared) literal, deduplicating floats.
     pub fn pool_float(&mut self, f: f64) -> u32 {
-        for (i, p) in self.pooled.iter().enumerate() {
-            if let PoolLiteral::Float(g) = p {
-                if g.to_bits() == f.to_bits() {
-                    return i as u32;
-                }
-            }
+        let same = |PoolLiteral::Float(g): &PoolLiteral| g.to_bits() == f.to_bits();
+        if let Some(i) = self.pooled.iter().position(same) {
+            return i as u32;
         }
         self.pooled.push(PoolLiteral::Float(f));
         (self.pooled.len() - 1) as u32
     }
 
-    /// Add a string literal (no dedup needed — each push copies anyway).
-    pub fn pool_string(&mut self, s: String) -> u32 {
-        for (i, existing) in self.strings.iter().enumerate() {
-            if existing == &s {
-                return i as u32;
-            }
-        }
-        self.strings.push(s);
-        (self.strings.len() - 1) as u32
+    /// Add a string literal, one text per distinct literal.
+    pub fn pool_string(&mut self, s: &str) -> u32 {
+        let at = self.strings.iter().position(|existing| &**existing == s);
+        at.unwrap_or_else(|| {
+            self.strings.push(s.into());
+            self.strings.len() - 1
+        }) as u32
     }
 }
 

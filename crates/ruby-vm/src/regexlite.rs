@@ -75,15 +75,44 @@ impl std::fmt::Display for RegexError {
 
 impl std::error::Error for RegexError {}
 
-/// A successful match: overall span plus capture-group spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A successful match. Positions are char indices into the subject; the
+/// capture groups stay in the [`Scratch`] the search ran on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchResult {
     pub start: usize,
     pub end: usize,
-    /// Group spans by index (group 0 = whole match).
-    pub groups: Vec<Option<(usize, usize)>>,
     /// Positions examined — the cost measure the VM charges cycles for.
     pub steps: usize,
+}
+
+/// The engine's working memory, owned by the caller (the VM keeps one)
+/// and reused from call to call. A search resets what it reads: nothing
+/// carries over but capacity — and, after a hit, that match's groups.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// The subject, one `char` a position.
+    chars: Vec<char>,
+    /// Save slots of the attempt under way (2k = group-k start, 2k+1 =
+    /// group-k end; 0 and 1 are written when it matches).
+    saves: Vec<usize>,
+    /// `(pc, pos)` backtrack points, most recent last.
+    stack: Vec<(usize, usize)>,
+    /// The save slots as they stood at each point of `stack`, end to end.
+    snaps: Vec<usize>,
+}
+
+impl Scratch {
+    /// Groups of the last search's pattern, the whole match included.
+    pub fn groups(&self) -> usize {
+        self.saves.len() / 2
+    }
+
+    /// Span of group `g` (0 = the whole match) of the last successful
+    /// [`Regex::find`]; `None` for a group that took no part in it.
+    pub fn group(&self, g: usize) -> Option<(usize, usize)> {
+        let (s, e) = (self.saves[2 * g], self.saves[2 * g + 1]);
+        (s != usize::MAX && e != usize::MAX).then_some((s, e))
+    }
 }
 
 impl Regex {
@@ -102,22 +131,17 @@ impl Regex {
         Ok(Regex { prog, source: pattern.to_string(), ngroups, anchored })
     }
 
-    /// Find the leftmost match in `subject`.
-    pub fn find(&self, subject: &str) -> Option<MatchResult> {
-        let chars: Vec<char> = subject.chars().collect();
+    /// Find the leftmost match in `subject`, working on `m`.
+    pub fn find(&self, subject: &str, m: &mut Scratch) -> Option<MatchResult> {
+        m.chars.clear();
+        m.chars.extend(subject.chars());
         let mut steps = 0usize;
-        for start in 0..=chars.len() {
-            let mut saves = vec![usize::MAX; 2 * (self.ngroups + 1)];
-            if let Some(end) = self.run(&chars, start, &mut saves, &mut steps) {
-                let mut groups = vec![None; self.ngroups + 1];
-                groups[0] = Some((start, end));
-                for g in 1..=self.ngroups {
-                    let (s, e) = (saves[2 * g], saves[2 * g + 1]);
-                    if s != usize::MAX && e != usize::MAX {
-                        groups[g] = Some((s, e));
-                    }
-                }
-                return Some(MatchResult { start, end, groups, steps });
+        for start in 0..=m.chars.len() {
+            m.saves.clear();
+            m.saves.resize(2 * (self.ngroups + 1), usize::MAX);
+            if let Some(end) = self.run(start, m, &mut steps) {
+                m.saves[..2].copy_from_slice(&[start, end]);
+                return Some(MatchResult { start, end, steps });
             }
             if self.anchored || steps > STEP_BUDGET {
                 break;
@@ -127,16 +151,10 @@ impl Regex {
     }
 
     /// Backtracking executor with an explicit stack.
-    fn run(
-        &self,
-        chars: &[char],
-        start: usize,
-        saves: &mut Vec<usize>,
-        steps: &mut usize,
-    ) -> Option<usize> {
-        // (pc, pos, saves-at-branch) backtrack points; saves are cheap to
-        // clone (tiny vectors).
-        let mut stack: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+    fn run(&self, start: usize, m: &mut Scratch, steps: &mut usize) -> Option<usize> {
+        let Scratch { chars, saves, stack, snaps } = m;
+        stack.clear();
+        snaps.clear();
         let mut pc = 0usize;
         let mut pos = start;
         loop {
@@ -178,7 +196,8 @@ impl Regex {
                     continue;
                 }
                 Inst::Split(a, b) => {
-                    stack.push((*b, pos, saves.clone()));
+                    stack.push((*b, pos));
+                    snaps.extend_from_slice(saves);
                     pc = *a;
                     continue;
                 }
@@ -187,40 +206,35 @@ impl Regex {
                 pc += 1;
                 pos += 1;
             } else {
-                // Backtrack to the most recent split.
-                match stack.pop() {
-                    Some((bpc, bpos, bsaves)) => {
-                        pc = bpc;
-                        pos = bpos;
-                        *saves = bsaves;
-                    }
-                    None => return None,
-                }
+                // Backtrack to the most recent split and its snapshot.
+                (pc, pos) = stack.pop()?;
+                let at = snaps.len() - saves.len();
+                saves.copy_from_slice(&snaps[at..]);
+                snaps.truncate(at);
             }
         }
     }
 
-    /// Is there a match anywhere?
-    pub fn is_match(&self, subject: &str) -> bool {
-        self.find(subject).is_some()
-    }
-
     /// Replace the first match with `rep` (no backreferences in `rep`).
-    pub fn replace_first(&self, subject: &str, rep: &str) -> (String, bool, usize) {
-        match self.find(subject) {
-            Some(m) => {
-                let chars: Vec<char> = subject.chars().collect();
-                let mut out: String = chars[..m.start].iter().collect();
+    pub fn replace_first(
+        &self,
+        subject: &str,
+        rep: &str,
+        m: &mut Scratch,
+    ) -> (String, bool, usize) {
+        match self.find(subject, m) {
+            Some(hit) => {
+                let mut out: String = m.chars[..hit.start].iter().collect();
                 out.push_str(rep);
-                out.extend(chars[m.end..].iter());
-                (out, true, m.steps)
+                out.extend(m.chars[hit.end..].iter());
+                (out, true, hit.steps)
             }
             None => (subject.to_string(), false, subject.len() + 1),
         }
     }
 
     /// Replace all (non-overlapping) matches.
-    pub fn replace_all(&self, subject: &str, rep: &str) -> (String, usize, usize) {
+    pub fn replace_all(&self, subject: &str, rep: &str, m: &mut Scratch) -> (String, usize, usize) {
         let chars: Vec<char> = subject.chars().collect();
         let mut out = String::new();
         let mut pos = 0usize;
@@ -228,15 +242,15 @@ impl Regex {
         let mut total_steps = 0usize;
         while pos <= chars.len() {
             let rest: String = chars[pos..].iter().collect();
-            match self.find(&rest) {
-                Some(m) => {
-                    total_steps += m.steps;
-                    out.extend(chars[pos..pos + m.start].iter());
+            match self.find(&rest, m) {
+                Some(hit) => {
+                    total_steps += hit.steps;
+                    out.extend(chars[pos..pos + hit.start].iter());
                     out.push_str(rep);
                     count += 1;
-                    let advance = if m.end == m.start { m.end + 1 } else { m.end };
-                    if m.start == m.end && pos + m.start < chars.len() {
-                        out.push(chars[pos + m.start]);
+                    let advance = if hit.end == hit.start { hit.end + 1 } else { hit.end };
+                    if hit.start == hit.end && pos + hit.start < chars.len() {
+                        out.push(chars[pos + hit.start]);
                     }
                     pos += advance.max(1);
                 }
@@ -462,7 +476,8 @@ mod tests {
     use super::*;
 
     fn m(pat: &str, subj: &str) -> Option<(usize, usize)> {
-        Regex::compile(pat).unwrap().find(subj).map(|r| (r.start, r.end))
+        let hit = Regex::compile(pat).unwrap().find(subj, &mut Scratch::default());
+        hit.map(|r| (r.start, r.end))
     }
 
     #[test]
@@ -501,9 +516,11 @@ mod tests {
     #[test]
     fn groups_and_alternation() {
         let r = Regex::compile("GET (.*) HTTP/(1\\.[01])").unwrap();
-        let res = r.find("GET /index.html HTTP/1.1").unwrap();
-        assert_eq!(res.groups[1], Some((4, 15)));
-        assert_eq!(res.groups[2], Some((21, 24)));
+        let mut scratch = Scratch::default();
+        let res = r.find("GET /index.html HTTP/1.1", &mut scratch).unwrap();
+        assert_eq!(scratch.group(0), Some((res.start, res.end)));
+        assert_eq!(scratch.group(1), Some((4, 15)));
+        assert_eq!(scratch.group(2), Some((21, 24)));
         assert_eq!(m("cat|dog", "hotdog"), Some((3, 6)));
         assert_eq!(m("(a|b)+c", "ababc"), Some((0, 5)));
     }
@@ -511,8 +528,9 @@ mod tests {
     #[test]
     fn replace() {
         let r = Regex::compile("o+").unwrap();
-        assert_eq!(r.replace_first("foo boo", "0").0, "f0 boo");
-        let (s, n, _) = r.replace_all("foo boo", "0");
+        let m = &mut Scratch::default();
+        assert_eq!(r.replace_first("foo boo", "0", m).0, "f0 boo");
+        let (s, n, _) = r.replace_all("foo boo", "0", m);
         assert_eq!(s, "f0 b0");
         assert_eq!(n, 2);
     }
@@ -520,8 +538,9 @@ mod tests {
     #[test]
     fn steps_grow_with_subject() {
         let r = Regex::compile("zzz").unwrap();
-        let short = r.replace_first("ab", "x").2;
-        let long = r.replace_first(&"ab".repeat(100), "x").2;
+        let m = &mut Scratch::default();
+        let short = r.replace_first("ab", "x", m).2;
+        let long = r.replace_first(&"ab".repeat(100), "x", m).2;
         assert!(long > short, "cost must scale with subject length");
     }
 
@@ -529,7 +548,234 @@ mod tests {
     fn backtracking_terminates() {
         // Classic pathological pattern must still terminate.
         let r = Regex::compile("(a+)+b").unwrap();
-        assert!(r.find("aaaaaaaaaaaaaaaa").is_none());
+        assert!(r.find("aaaaaaaaaaaaaaaa", &mut Scratch::default()).is_none());
+    }
+
+    // ---- the engine on a scratch is the engine it replaced ----------------
+    //
+    // `ref_find`/`ref_run` are `Regex::find`/`Regex::run` as they stood
+    // before the scratch (PR 19's tree), verbatim but for `self` → `re`
+    // and the step count handed out on a miss too: a `chars` vector per
+    // search, a `saves` vector per start position, a backtrack stack per
+    // attempt and a `saves.clone()` per `Split`.
+
+    #[derive(Debug, PartialEq)]
+    struct RefMatch {
+        start: usize,
+        end: usize,
+        groups: Vec<Option<(usize, usize)>>,
+        steps: usize,
+    }
+
+    fn ref_find(re: &Regex, subject: &str) -> (Option<RefMatch>, usize) {
+        let chars: Vec<char> = subject.chars().collect();
+        let mut steps = 0usize;
+        for start in 0..=chars.len() {
+            let mut saves = vec![usize::MAX; 2 * (re.ngroups + 1)];
+            if let Some(end) = ref_run(re, &chars, start, &mut saves, &mut steps) {
+                let mut groups = vec![None; re.ngroups + 1];
+                groups[0] = Some((start, end));
+                for g in 1..=re.ngroups {
+                    let (s, e) = (saves[2 * g], saves[2 * g + 1]);
+                    if s != usize::MAX && e != usize::MAX {
+                        groups[g] = Some((s, e));
+                    }
+                }
+                return (Some(RefMatch { start, end, groups, steps }), steps);
+            }
+            if re.anchored || steps > STEP_BUDGET {
+                break;
+            }
+        }
+        (None, steps)
+    }
+
+    fn ref_run(
+        re: &Regex,
+        chars: &[char],
+        start: usize,
+        saves: &mut Vec<usize>,
+        steps: &mut usize,
+    ) -> Option<usize> {
+        let mut stack: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+        let mut pc = 0usize;
+        let mut pos = start;
+        loop {
+            *steps += 1;
+            if *steps > STEP_BUDGET {
+                return None;
+            }
+            let advance = match &re.prog[pc] {
+                Inst::Matched => return Some(pos),
+                Inst::Char(c) => chars.get(pos) == Some(c),
+                Inst::Any => pos < chars.len(),
+                Inst::Class { neg, ranges } => match chars.get(pos) {
+                    Some(&ch) => ranges.iter().any(|&(lo, hi)| ch >= lo && ch <= hi) != *neg,
+                    None => false,
+                },
+                Inst::AnchorStart => {
+                    if pos == 0 {
+                        pc += 1;
+                        continue;
+                    }
+                    false
+                }
+                Inst::AnchorEnd => {
+                    if pos == chars.len() {
+                        pc += 1;
+                        continue;
+                    }
+                    false
+                }
+                Inst::Save(n) => {
+                    saves[*n] = pos;
+                    pc += 1;
+                    continue;
+                }
+                Inst::Jump(x) => {
+                    pc = *x;
+                    continue;
+                }
+                Inst::Split(a, b) => {
+                    stack.push((*b, pos, saves.clone()));
+                    pc = *a;
+                    continue;
+                }
+            };
+            if advance {
+                pc += 1;
+                pos += 1;
+            } else {
+                match stack.pop() {
+                    Some((bpc, bpos, bsaves)) => {
+                        pc = bpc;
+                        pos = bpos;
+                        *saves = bsaves;
+                    }
+                    None => return None,
+                }
+            }
+        }
+    }
+
+    /// `find` on `scratch` against the reference: the hit, every group
+    /// and the step count the VM charges for.
+    fn assert_same_engine(re: &Regex, subject: &str, scratch: &mut Scratch) {
+        let what = format!("/{}/ on {subject:?}", re.source);
+        let (want, _) = ref_find(re, subject);
+        let got = re.find(subject, scratch).map(|m| RefMatch {
+            start: m.start,
+            end: m.end,
+            groups: (0..scratch.groups()).map(|g| scratch.group(g)).collect(),
+            steps: m.steps,
+        });
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// A pattern spelt out of `gene`, byte by byte: classes, groups,
+    /// alternation, the three quantifiers, both anchors. A gene that runs
+    /// out yields the choices that end the pattern.
+    struct PatternGen<'a> {
+        gene: std::slice::Iter<'a, u8>,
+        out: String,
+    }
+
+    impl PatternGen<'_> {
+        fn next(&mut self) -> u8 {
+            self.gene.next().copied().unwrap_or(u8::MAX)
+        }
+
+        fn alternation(&mut self, depth: u32) {
+            self.sequence(depth);
+            while self.next().is_multiple_of(4) {
+                self.out.push('|');
+                self.sequence(depth);
+            }
+        }
+
+        fn sequence(&mut self, depth: u32) {
+            for _ in 0..1 + self.next() % 3 {
+                self.atom(depth);
+                match self.next() % 7 {
+                    0 => self.out.push('*'),
+                    1 => self.out.push('+'),
+                    2 => self.out.push('?'),
+                    _ => {}
+                }
+            }
+        }
+
+        fn atom(&mut self, depth: u32) {
+            match self.next() % 12 {
+                0 | 1 if depth < 3 => {
+                    self.out.push('(');
+                    self.alternation(depth + 1);
+                    self.out.push(')');
+                }
+                2 => self.out.push('.'),
+                3 => self.out.push_str("[ab]"),
+                4 => self.out.push_str("[^a]"),
+                5 => self.out.push_str("[a-c1]"),
+                6 => self.out.push_str("\\d"),
+                7 => self.out.push_str("\\w"),
+                8 => self.out.push('^'),
+                9 => self.out.push('$'),
+                b => self.out.push(['a', 'b', 'c'][usize::from(b) % 3]),
+            }
+        }
+    }
+
+    fn pattern(gene: &[u8]) -> Regex {
+        let mut g = PatternGen { gene: gene.iter(), out: String::new() };
+        g.alternation(0);
+        Regex::compile(&g.out).unwrap_or_else(|e| panic!("generated /{}/: {e}", g.out))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn the_scratch_engine_is_the_reference_engine(
+            gene in proptest::collection::vec(0u8..255, 1..28),
+            subject in "[abc1 é]{0,14}",
+        ) {
+            assert_same_engine(&pattern(&gene), &subject, &mut Scratch::default());
+        }
+
+        /// Two regexps with different group counts take turns on one
+        /// scratch: each search reads only what it reset itself.
+        #[test]
+        fn nothing_leaks_between_searches_on_one_scratch(
+            genes in (proptest::collection::vec(0u8..255, 1..28), proptest::collection::vec(0u8..255, 1..28)),
+            subjects in ("[abc1 é]{0,14}", "[abc1 é]{0,14}"),
+        ) {
+            let (a, b) = (pattern(&genes.0), pattern(&genes.1));
+            let mut scratch = Scratch::default();
+            for _ in 0..2 {
+                for (re, subject) in [(&a, &subjects.0), (&b, &subjects.1), (&a, &subjects.1)] {
+                    assert_same_engine(re, subject, &mut scratch);
+                }
+            }
+        }
+    }
+
+    /// Searches that run into `STEP_BUDGET` stop at the same step with the
+    /// same answer, and leave a scratch the next search can use.
+    #[test]
+    fn searches_that_trip_the_step_budget_match_the_reference() {
+        let mut scratch = Scratch::default();
+        for (pat, subject) in [
+            ("(a+)+b", "a".repeat(28)),
+            ("(a*)*b", "a".repeat(20) + "c"),
+            ("(a|aa)+$", "a".repeat(40) + "b"),
+            ("(^)*b", "aaa".to_string()),
+        ] {
+            let re = Regex::compile(pat).unwrap();
+            let (hit, steps) = ref_find(&re, &subject);
+            assert!(hit.is_none() && steps > STEP_BUDGET, "/{pat}/ must trip the budget: {steps}");
+            assert_same_engine(&re, &subject, &mut scratch);
+            assert_same_engine(&Regex::compile("(a)(b)?").unwrap(), "cab", &mut scratch);
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn bi_store_create(
     vm: &mut Vm,
     t: ThreadId,
     _recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
     let ncols = args
@@ -115,7 +115,7 @@ pub fn bi_store_insert(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
     let row = args.first().cloned().ok_or_else(|| VmAbort::fatal("insert(row) expects a row"))?;
@@ -126,7 +126,7 @@ pub fn bi_store_count(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _args: Vec<Word>,
+    _args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(vm.store_count(t, recv)?))
@@ -136,7 +136,7 @@ pub fn bi_store_scan_eq(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    args: Vec<Word>,
+    args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
     let col = args
@@ -154,7 +154,7 @@ pub fn bi_store_all(
     vm: &mut Vm,
     t: ThreadId,
     recv: Word,
-    _args: Vec<Word>,
+    _args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
     Ok(BResult::Value(vm.store_all(t, recv)?))
@@ -176,7 +176,7 @@ mod tests {
         let table = vm.store_create(0, 3).unwrap();
         for (id, title, year) in [(1, "Dune", 1965), (2, "Neuromancer", 1984), (3, "Dune II", 1984)]
         {
-            let t_w = vm.make_string(0, title).unwrap();
+            let t_w = vm.make_string(0, title.into()).unwrap();
             let row = vm.make_array(0, &[Word::Int(id), t_w, Word::Int(year)]).unwrap();
             vm.store_insert(0, table, row).unwrap();
         }

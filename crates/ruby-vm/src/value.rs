@@ -16,8 +16,12 @@
 //! into the VM's [`StrTable`], the way CRuby's bytes sit behind a pointer.
 //! `make_string`, `string_replace` and `Regexp.new` allocate an id and
 //! write it to payload word 1 of their object, the only word that ever
-//! holds it. An id may be released only when no word of the image and no
-//! undo record can name it, so there is one reclaimer: the end of
+//! holds it. The text behind an id is a shared pointer — every evaluation
+//! of a literal names the compiler's one copy (`Program::strings`) — so a
+//! bytecode allocates on the host only when it creates text that did not
+//! exist: once, the `Arc`. An id may be released only when no word of
+//! the image and no undo record can name it, so there is one reclaimer:
+//! the end of
 //! `Vm::gc`'s mark walks payload word 1 of every slot and frees each id
 //! none of them holds — an id lives as long as the word, not as long as
 //! the object is reachable. The walk uses `TxMemory::peek` — not a
@@ -29,9 +33,10 @@
 //! transaction is open anywhere. Ids of aborted transactions wait for the
 //! next collection.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::symbols::SymId;
+use crate::vm::VmAbort;
 
 /// Simulated-memory address (word index).
 pub type Addr = usize;
@@ -76,22 +81,33 @@ pub struct StrId(u32);
 /// collection, so two runs of one program name their strings alike.
 #[derive(Debug, Default)]
 pub struct StrTable {
-    entries: Vec<Option<Rc<str>>>,
+    entries: Vec<Option<Arc<str>>>,
     free: Vec<u32>,
 }
 
 impl StrTable {
-    pub fn alloc(&mut self, s: &str) -> StrId {
-        let id = self.free.pop().unwrap_or_else(|| {
-            self.entries.push(None);
-            u32::try_from(self.entries.len() - 1).expect("string table overflow")
-        });
-        self.entries[id as usize] = Some(Rc::from(s));
-        StrId(id)
+    /// A new id for `text`. Running out of ids is a fatal error (the
+    /// executor's `RunError::Vm`), not a panic.
+    pub fn alloc(&mut self, text: Arc<str>) -> Result<StrId, VmAbort> {
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                let id = Self::fresh_id(self.entries.len())?;
+                self.entries.push(None);
+                id
+            }
+        };
+        self.entries[id as usize] = Some(text);
+        Ok(StrId(id))
+    }
+
+    /// The id after `in_use` others.
+    fn fresh_id(in_use: usize) -> Result<u32, VmAbort> {
+        u32::try_from(in_use).map_err(|_| VmAbort::fatal("string table overflow"))
     }
 
     /// `None` for an id that was released: a dangling `Str` word.
-    pub fn get(&self, id: StrId) -> Option<&Rc<str>> {
+    pub fn get(&self, id: StrId) -> Option<&Arc<str>> {
         self.entries.get(id.0 as usize)?.as_ref()
     }
 
@@ -248,19 +264,29 @@ mod tests {
     #[test]
     fn string_table_reuses_released_ids_lowest_first() {
         let mut t = StrTable::default();
-        let ids: Vec<StrId> = ["a", "b", "c", "d"].iter().map(|s| t.alloc(s)).collect();
+        let alloc = |t: &mut StrTable, s: &str| t.alloc(s.into()).unwrap();
+        let ids: Vec<StrId> = ["a", "b", "c", "d"].map(|s| alloc(&mut t, s)).to_vec();
         assert_eq!(ids, [StrId(0), StrId(1), StrId(2), StrId(3)]);
         t.retain([ids[3], ids[1]].into_iter());
         assert_eq!(t.live_ids().collect::<Vec<_>>(), [ids[1], ids[3]]);
         assert_eq!(t.get(ids[0]), None, "a released id answers nothing");
         assert_eq!(&**t.get(ids[3]).unwrap(), "d");
-        assert_eq!(t.alloc("e"), ids[0]);
+        assert_eq!(alloc(&mut t, "e"), ids[0]);
         t.release(ids[1]);
         t.release(ids[1]); // a second release frees nothing twice
-        assert_eq!(t.alloc("f"), ids[1]);
-        assert_eq!(t.alloc("g"), ids[2]);
-        assert_eq!(t.alloc("h"), StrId(4));
+        assert_eq!(alloc(&mut t, "f"), ids[1]);
+        assert_eq!(alloc(&mut t, "g"), ids[2]);
+        assert_eq!(alloc(&mut t, "h"), StrId(4));
         assert_eq!(t.id_count(), 5);
+    }
+
+    /// The id space is a `u32`: the table that has handed all of it out
+    /// answers with a fatal error (the executor's `RunError::Vm`).
+    #[test]
+    fn a_full_string_table_is_a_fatal_error_not_a_panic() {
+        assert_eq!(StrTable::fresh_id(u32::MAX as usize), Ok(u32::MAX));
+        let full = u32::MAX as usize + 1;
+        assert_eq!(StrTable::fresh_id(full), Err(VmAbort::fatal("string table overflow")));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use htm_sim::{AbortReason, LineLease, MemoryImage, TxMemory};
 use machine_sim::{MachineProfile, ThreadId};
@@ -360,6 +361,10 @@ pub struct Vm {
     pub strings: StrTable,
     /// Compiled-regex cache keyed by pattern (host-side, like onig's).
     pub regex_cache: HashMap<String, Rc<crate::regexlite::Regex>>,
+    /// The regex engine's working memory, reused by every search.
+    pub(crate) regex_scratch: crate::regexlite::Scratch,
+    /// Where [`Vm::build_text`] assembles a new string's text.
+    text_scratch: String,
     /// Memory references made since [`Vm::reset_step_counters`] — by one
     /// step or one burst of them (the executor charges cycles from this).
     pub step_mem_refs: u32,
@@ -501,6 +506,8 @@ impl Vm {
             threaded: 0,
             strings: StrTable::default(),
             regex_cache: HashMap::new(),
+            regex_scratch: Default::default(),
+            text_scratch: String::new(),
             step_mem_refs: 0,
             step_native_cost: 0,
             pending_wakes: Vec::new(),
@@ -575,18 +582,11 @@ impl Vm {
     /// Resolve pooled literals into shared heap objects.
     fn alloc_literal_pool(&mut self) -> Result<(), CompileError> {
         for i in 0..self.program.pooled.len() {
-            let lit = self.program.pooled[i].clone();
-            let w = match lit {
-                PoolLiteral::Float(f) => {
-                    let slot = self.alloc_slot_boot("the literal pool")?;
-                    self.mem
-                        .poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
-                    self.mem.poke(slot + 1, Word::F64(f));
-                    Word::Obj(slot)
-                }
-                PoolLiteral::Str(_) => unreachable!("strings are not pooled as objects"),
-            };
-            self.pooled_objs.push(w);
+            let PoolLiteral::Float(f) = self.program.pooled[i];
+            let slot = self.alloc_slot_boot("the literal pool")?;
+            self.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
+            self.mem.poke(slot + 1, Word::F64(f));
+            self.pooled_objs.push(Word::Obj(slot));
         }
         Ok(())
     }
@@ -820,6 +820,19 @@ impl Vm {
         } else {
             self.layout.ic(site)
         }
+    }
+
+    /// Assemble the text of a new string in the VM's reused buffer and
+    /// share it: the one host allocation a string-making bytecode makes.
+    pub(crate) fn build_text(
+        &mut self,
+        fill: impl FnOnce(&mut Vm, &mut String) -> Result<(), VmAbort>,
+    ) -> Result<Arc<str>, VmAbort> {
+        let mut buf = std::mem::take(&mut self.text_scratch);
+        buf.clear();
+        let text = fill(self, &mut buf).map(|()| Arc::from(&*buf));
+        self.text_scratch = buf;
+        text
     }
 
     /// Cycles the steps since [`Self::reset_step_counters`] cost: what the

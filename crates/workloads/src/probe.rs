@@ -10,7 +10,7 @@
 //! C test): the harness drives `htm-sim` directly, writing `size_kb` of
 //! distinct lines per transaction and recording per-window success
 //! ratios. This module only prepares the size schedule; the driving loop
-//! lives in `bench/src/bin/fig6a_writeset.rs` and in the integration
+//! lives in the `fig6a` row of `bench::figures` and in the integration
 //! tests.
 
 use crate::Workload;

@@ -1,0 +1,196 @@
+//! Host allocations per simulated bytecode, held under a ceiling.
+//!
+//! The rule (`ruby_vm::value`, EXPERIMENTS.md "Host cost"): a simulated
+//! bytecode allocates on the host only when it creates the text of a
+//! genuinely new Ruby string — once. A count of trips into the allocator
+//! is bit-reproducible for one std, which makes it the one host cost CI on
+//! a shared runner can gate (ROADMAP item 2b). The ceilings are the
+//! measured values × 1.25, not equalities, so a change to how a std `Vec`
+//! grows cannot break tier 1; a per-call `Vec`, `String` or `format!` on
+//! a builtin's path does.
+//!
+//! The counter is this test binary's own `#[global_allocator]`; nothing
+//! under `crates/` knows it is being counted. The programs and sizes are
+//! the benchmark's (`benchmark/src/workloads.rs`, compiled in as a module
+//! like `tests/sim_counters.rs` does): tiny sizes in tier 1, the sizes
+//! `BENCHMARK.json` measures `#[ignore]`d and run in `--release` by the CI
+//! `benchmark` job.
+
+#[allow(dead_code)]
+#[path = "../benchmark/src/workloads.rs"]
+mod recipe;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use htm_gil::vm::{StrId, Vm, Word};
+use htm_gil::{ExecConfig, Executor, MachineProfile, RuntimeMode, VmConfig};
+
+thread_local! {
+    /// Trips into the allocator made by this thread (`alloc`,
+    /// `alloc_zeroed`, `realloc`); tests run on threads of their own.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method passes its arguments to `System` unchanged and
+// returns `System`'s result unchanged, so `System`'s `GlobalAlloc`
+// guarantees carry over. The counter is a const-initialised thread-local
+// without a destructor: touching it never allocates (no re-entry) and
+// never fails during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+const SEED: u64 = 1;
+
+/// (allocations made inside `Executor::run`, bytecodes it ran), summed
+/// over the workload's points.
+fn measure(name: &str, tiny: bool) -> (u64, u64) {
+    let w = recipe::build(name, tiny).expect("a benchmark workload");
+    let (mut allocs, mut bytecodes) = (0, 0);
+    for p in &w.points {
+        let input = &w.inputs[p.input];
+        let mut ex = Executor::new(
+            &input.source,
+            input.vm_config(SEED),
+            input.profile.clone(),
+            input.exec_config(p.mode, SEED),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", input.label));
+        let before = ALLOCS.with(Cell::get);
+        let report = ex.run();
+        allocs += ALLOCS.with(Cell::get) - before;
+        let report = report.unwrap_or_else(|e| panic!("{}: {e}", input.label));
+        if let Some(want) = &input.expected_stdout {
+            assert_eq!(report.stdout, *want, "{}", input.label);
+        }
+        bytecodes += ex.host_counters()[3];
+    }
+    (allocs, bytecodes)
+}
+
+/// Every workload's allocations ÷ bytecodes is at most its ceiling.
+fn check(size: &str, tiny: bool, ceilings: [f64; 6]) {
+    let mut over = Vec::new();
+    for (name, ceiling) in recipe::NAMES.into_iter().zip(ceilings) {
+        let (allocs, bytecodes) = measure(name, tiny);
+        let per = allocs as f64 / bytecodes as f64;
+        println!("{size} {name}: {allocs} allocations / {bytecodes} bytecodes = {per:.5}");
+        if per > ceiling {
+            over.push(format!("{name}: {per:.5} > {ceiling}"));
+        }
+    }
+    assert!(over.is_empty(), "host allocations per bytecode over the ceiling ({size}): {over:?}");
+}
+
+// Ceilings in the order of `recipe::NAMES` — while_htm, cg_htm, cg_gil,
+// webrick_xeon, taskserver_htm, fig4_sweep — each the value measured at
+// the commit that set it × 1.25 (EXPERIMENTS.md "Host cost" has the
+// values and what they were before: 0.56 on `webrick_xeon`, 0.11 on
+// `taskserver_htm`). The tiny runs are mostly start-up, hence higher.
+const TINY: [f64; 6] = [0.0477, 0.00318, 0.00284, 0.1541, 0.0205, 0.0657];
+const FULL: [f64; 6] = [0.000119, 0.00236, 0.00270, 0.1295, 0.0213, 0.00456];
+
+#[test]
+fn tiny_sizes_allocate_under_their_ceilings() {
+    check("tiny", true, TINY);
+}
+
+#[test]
+#[ignore = "full benchmark sizes: run in --release (CI `benchmark` job)"]
+fn full_sizes_allocate_under_their_ceilings() {
+    check("full", false, FULL);
+}
+
+/// The String objects `$name` (an Array) holds: payload id and text.
+fn kept_strings(vm: &mut Vm, name: &str) -> (usize, Vec<(StrId, Arc<str>)>) {
+    let (_, &idx) = vm
+        .gvar_map
+        .iter()
+        .find(|(sym, _)| vm.program.symbols.name(**sym) == name)
+        .expect("the global exists");
+    let gvar = vm.layout.gvar(idx);
+    let array = vm.mem.peek(gvar).as_obj().expect("the global holds an Array");
+    let strings = (0..vm.array_len(0, array).unwrap())
+        .map(|i| {
+            let slot = vm.array_get(0, array, i as i64).unwrap().as_obj().expect("a String");
+            let id = vm.mem.peek(slot + 1).as_str_id().expect("payload word");
+            (id, Arc::clone(vm.strings.get(id).expect("a live entry")))
+        })
+        .collect();
+    (gvar, strings)
+}
+
+/// Every evaluation of a literal is a String object of its own over the
+/// compiler's one text; a string the program computes owns a new one; and
+/// an entry that shares a literal's text is released like any other.
+#[test]
+fn a_literal_evaluated_n_times_holds_one_text() {
+    // Ends in `nil`: the main thread's result is a root.
+    let src = "$kept = []\ni = 0\nwhile i < 4\n  $kept << \"one text\"\n  i += 1\nend\n\
+               $kept << \"one\" + \" text\"\nnil\n";
+    let profile = MachineProfile::generic(2);
+    let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+    let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).expect("boot");
+    ex.run().expect("run");
+    let vm = &mut ex.vm;
+    let literal = vm.program.strings.iter().find(|s| &***s == "one text").expect("pooled");
+    let literal = Arc::clone(literal);
+    let (gvar, kept) = kept_strings(vm, "kept");
+    let (computed, evaluated) = kept.split_last().expect("five strings");
+    assert_eq!(evaluated.len(), 4);
+    for (i, (id, text)) in evaluated.iter().enumerate() {
+        assert!(Arc::ptr_eq(text, &literal), "evaluation {i} shares the literal's text");
+        assert!(evaluated[..i].iter().all(|(other, _)| other != id), "… under an id of its own");
+    }
+    assert_eq!(&*computed.1, "one text");
+    assert!(!Arc::ptr_eq(&computed.1, &literal), "a computed string owns its text");
+    let ids: Vec<StrId> = kept.iter().map(|(id, _)| *id).collect();
+    drop(kept);
+    // The program's pointer, this test's, and one per live table entry.
+    assert_eq!(Arc::strong_count(&literal), 2 + 4);
+
+    // Unroot the array: the collector's walk releases the five entries
+    // once the sweep has freed their objects (born marked: two rounds).
+    vm.mem.poke(gvar, Word::Nil);
+    for _ in 0..3 {
+        vm.gc(0).expect("gc");
+        vm.lazy_sweep(0, usize::MAX).expect("sweep");
+    }
+    vm.gc(0).expect("gc");
+    for id in ids {
+        assert!(vm.strings.get(id).is_none(), "{id:?} released");
+    }
+    assert_eq!(Arc::strong_count(&literal), 2, "the table let go of the shared text");
+}

@@ -186,12 +186,12 @@ fn a_collection_with_a_transaction_open_frees_nothing() {
     // transaction that wrote one of them survives the collection. The
     // middle one shares its cache line with other garbage only.
     let garbage: Vec<usize> =
-        (0..16).map(|_| vm.make_string(0, "old").unwrap().as_obj().unwrap()).collect();
+        (0..16).map(|_| vm.make_string(0, "old".into()).unwrap().as_obj().unwrap()).collect();
     let slot = garbage[8];
     let before = vm.strings.live_ids().count();
 
     vm.mem.begin(1, Budgets { read_lines: 1 << 20, write_lines: 1 << 20 }).unwrap();
-    vm.string_replace(1, slot, "speculative").unwrap();
+    vm.string_replace(1, slot, "speculative".into()).unwrap();
     vm.gc(0).unwrap();
     assert!(vm.mem.in_tx(1), "the collection never touched the transaction's lines");
     assert_eq!(vm.strings.live_ids().count(), before + 1, "nothing released");
