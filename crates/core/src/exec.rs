@@ -26,7 +26,7 @@ use htm_sim::trace::{RingBufferSink, TraceEvent};
 use htm_sim::{AbortReason, Budgets, OverflowPredictor, SpuriousCause};
 use machine_sim::{Cycles, InterruptTimer, MachineProfile, Scheduler, ThreadId};
 use ruby_vm::vm::WakeKey;
-use ruby_vm::{BlockOn, StepOk, Vm, VmAbort, VmConfig, Word};
+use ruby_vm::{BlockOn, StepOk, Stop, Vm, VmAbort, VmConfig, Word};
 
 use crate::config::{ExecConfig, LengthPolicy, RuntimeMode, YieldPolicy};
 use crate::gil::{GilState, GilWait};
@@ -445,6 +445,20 @@ impl Executor {
         out
     }
 
+    /// The abort behind the `Err` a step just returned. A fatal stop ends
+    /// the run with its message; so does an `Err` whose raiser parked no
+    /// stop at all — a VM bug, reported with the thread dump.
+    fn take_tx_stop(&mut self) -> Result<AbortReason, RunError> {
+        match self.vm.take_stop() {
+            Some(Stop::Tx(reason)) => Ok(reason),
+            Some(Stop::Fatal(e)) => Err(RunError::Vm(e.to_string())),
+            None => Err(RunError::Vm(format!(
+                "a step failed and parked no stop\n{}",
+                self.deadlock_dump()
+            ))),
+        }
+    }
+
     /// A plain runtime access outside any transaction aborted — only a
     /// broken memory invariant does that. A run error with the thread
     /// dump, not a torn-down process.
@@ -642,9 +656,7 @@ impl Executor {
     }
 
     fn record_conflict(&mut self, reason: AbortReason) {
-        if let AbortReason::ConflictRead { line, .. } | AbortReason::ConflictWrite { line, .. } =
-            reason
-        {
+        if let Some(line) = reason.faulting_line() {
             let site = self.classify_line(line);
             *self.conflict_sites.entry(site).or_insert(0) += 1;
         }
@@ -814,8 +826,8 @@ impl Executor {
                 }
                 self.handle_outcome(t, ok)
             }
-            Err(VmAbort::Err(e)) => Err(RunError::Vm(e.to_string())),
-            Err(VmAbort::Tx(r)) => {
+            Err(VmAbort) => {
+                let r = self.take_tx_stop()?;
                 Err(RunError::Vm(format!("transaction abort in GIL mode: {r:?}")))
             }
         }
@@ -839,8 +851,8 @@ impl Executor {
         match r {
             Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => self.handle_outcome(t, ok),
-            Err(VmAbort::Err(e)) => Err(RunError::Vm(e.to_string())),
-            Err(VmAbort::Tx(r)) => {
+            Err(VmAbort) => {
+                let r = self.take_tx_stop()?;
                 Err(RunError::Vm(format!("transaction abort without transactions: {r:?}")))
             }
         }
@@ -935,8 +947,10 @@ impl Executor {
                 }
                 self.handle_outcome(t, ok)
             }
-            Err(VmAbort::Err(e)) => Err(RunError::Vm(e.to_string())),
-            Err(VmAbort::Tx(reason)) => self.on_tx_abort(t, reason),
+            Err(VmAbort) => {
+                let reason = self.take_tx_stop()?;
+                self.on_tx_abort(t, reason)
+            }
         }
     }
 

@@ -112,7 +112,7 @@ fn render(vm: &Vm, w: &Word, out: &mut String, seen: &mut HashSet<usize>) {
             let _ = write!(out, "{f:?}");
         }
         Word::Sym(s) => {
-            let _ = write!(out, ":{}", vm.program.symbols.name(*s));
+            let _ = write!(out, ":{}", vm.program.symbols.name(s.id()));
         }
         Word::Str(id) => match vm.strings.get(*id) {
             Some(s) => {
@@ -134,11 +134,11 @@ fn render_obj(vm: &Vm, addr: usize, out: &mut String, seen: &mut HashSet<usize>)
         out.push_str("<cycle>");
         return;
     }
-    let Word::Hdr(h) = vm.mem.peek(addr) else {
+    let Some(kind) = vm.mem.peek(addr).as_header().and_then(|h| h.kind()) else {
         out.push_str("<corrupt>");
         return;
     };
-    match h.kind {
+    match kind {
         ObjKind::Float | ObjKind::String | ObjKind::Regexp => {
             render(vm, vm.mem.peek(addr + 1), out, seen);
         }
@@ -226,7 +226,7 @@ fn render_obj(vm: &Vm, addr: usize, out: &mut String, seen: &mut HashSet<usize>)
 
 fn render_class_name(vm: &Vm, class_slot: usize, out: &mut String) {
     match vm.mem.peek(class_slot + 6) {
-        Word::Sym(s) => out.push_str(vm.program.symbols.name(*s)),
+        Word::Sym(s) => out.push_str(vm.program.symbols.name(s.id())),
         _ => out.push('?'),
     }
 }

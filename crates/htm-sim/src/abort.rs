@@ -5,22 +5,24 @@
 //! (paper §2.1). The TLE runtime's retry policy (paper Fig. 1) branches on
 //! exactly this classification plus the "GIL was held" special case.
 
-use machine_sim::ThreadId;
-
 /// Software abort code passed to `TABORT`/`XABORT`.
 pub type ExplicitCode = u32;
 
-/// Why a transaction aborted.
+/// Why a transaction aborted. Eight bytes — a thread fits a `u8`
+/// ([`crate::txmem::MAX_THREADS`]), a line number a `u32` (the memory
+/// refuses to be built larger) — so `Result<(), AbortReason>`, what every
+/// access answers with, travels in one register like the condition code
+/// it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// Another thread's (possibly non-transactional) access collided with
     /// a line in this transaction's read set. `line` is the conflicting
     /// cache line (lets the analysis attribute conflicts to VM structures,
     /// as the paper does in §5.6).
-    ConflictRead { with: ThreadId, line: usize },
+    ConflictRead { with: u8, line: u32 },
     /// Another thread's access collided with a line in this transaction's
     /// write set.
-    ConflictWrite { with: ThreadId, line: usize },
+    ConflictWrite { with: u8, line: u32 },
     /// Distinct read lines exceeded the read-set budget.
     ReadOverflow,
     /// Distinct written lines exceeded the write-set budget.
@@ -65,6 +67,9 @@ impl SpuriousCause {
     }
 }
 
+const _: () = assert!(std::mem::size_of::<AbortReason>() == 8);
+const _: () = assert!(std::mem::size_of::<Result<(), AbortReason>>() <= 8);
+
 /// Well-known `TABORT` codes used by the TLE runtime.
 pub mod abort_codes {
     use super::ExplicitCode;
@@ -75,6 +80,19 @@ pub mod abort_codes {
 }
 
 impl AbortReason {
+    /// Thread `with`'s access to `line` killing a transaction that holds
+    /// the line in its write set (`written`) or only in its read set.
+    #[inline]
+    pub fn conflict(written: bool, with: usize, line: usize) -> AbortReason {
+        debug_assert!(with <= u8::MAX as usize && line <= u32::MAX as usize);
+        let (with, line) = (with as u8, line as u32);
+        if written {
+            AbortReason::ConflictWrite { with, line }
+        } else {
+            AbortReason::ConflictRead { with, line }
+        }
+    }
+
     /// Number of statistic kinds (one per variant).
     pub const NUM_KINDS: usize = 8;
 
@@ -140,7 +158,7 @@ impl AbortReason {
     pub fn faulting_line(self) -> Option<usize> {
         match self {
             AbortReason::ConflictRead { line, .. } | AbortReason::ConflictWrite { line, .. } => {
-                Some(line)
+                Some(line as usize)
             }
             _ => None,
         }

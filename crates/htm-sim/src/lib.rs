@@ -37,7 +37,6 @@ pub mod abort;
 pub mod inject;
 pub mod lease;
 pub mod predictor;
-pub mod refimpl;
 pub mod stats;
 pub mod trace;
 pub mod txmem;
@@ -46,7 +45,6 @@ pub use abort::{AbortReason, ExplicitCode, SpuriousCause};
 pub use inject::{Fault, FaultInjector, FaultPlan};
 pub use lease::LineLease;
 pub use predictor::OverflowPredictor;
-pub use refimpl::ReferenceTxMemory;
 pub use stats::HtmStats;
 pub use trace::{RingBufferSink, TraceEvent, TraceSink};
 pub use txmem::{Budgets, MemoryImage, TxMemory};

@@ -14,8 +14,8 @@
 //!    the incoming coherence request kills the local transaction).
 //!
 //! Step 3 is where this module differs from the original implementation
-//! (retained verbatim as [`crate::refimpl::ReferenceTxMemory`] and held
-//! equivalent by the differential property test): instead of per-thread
+//! (retained verbatim as the `ReferenceTxMemory` of `tests/refimpl/` and
+//! held equivalent by the differential property test): instead of per-thread
 //! hash sets scanned across all threads on every access, conflicts are
 //! resolved through a flat per-line directory — for each cache line a
 //! reader bitmask and a speculative-writer id, exactly the metadata a real
@@ -97,12 +97,19 @@ const NO_WRITER: u8 = u8::MAX;
 
 /// Panic with addr/line context on an out-of-bounds access. Kept out of
 /// line so the bounds check in the hot path compiles to a compare and a
-/// cold jump. Shared with [`crate::refimpl`] so both implementations fail
-/// identically.
+/// cold jump. The reference implementation fails with the same message.
 #[cold]
 #[inline(never)]
-pub(crate) fn out_of_bounds(op: &str, addr: usize, line: usize, size: usize) -> ! {
+fn out_of_bounds(op: &str, addr: usize, line: usize, size: usize) -> ! {
     panic!("TxMemory {op} out of bounds: addr {addr} (line {line}) >= memory size {size}");
+}
+
+/// Lines of a memory of `size` words. A line number is a `u32` in a
+/// [`LineLease`] and in an [`AbortReason`], so a larger memory is refused.
+fn line_count(size: usize, line_words: usize) -> usize {
+    let lines = size.div_ceil(line_words);
+    assert!(lines < u32::MAX as usize, "{lines} cache lines: a line number must fit a u32");
+    lines
 }
 
 /// Ownership record for one cache line: which transactions currently hold
@@ -233,6 +240,8 @@ pub struct TxMemory<W: Clone> {
     pending_reads: u64,
     /// Leased writes not yet folded into `stats.writes`.
     pending_writes: u64,
+    /// Undo records of every transaction that has ended ([`Self::undo_pushes`]).
+    undo_pushes: u64,
     /// Test-only injected serializability bug for the schedule-space
     /// explorer: when set, the read path skips the requester-wins doom of
     /// a remote writer, so reads observe speculative (possibly torn)
@@ -289,11 +298,11 @@ impl<W: Clone> TxMemory<W> {
         let MemoryImage { mut words, mut dir } = image;
         words.truncate(size);
         words.resize(size, init);
-        let lines = size.div_ceil(line_words);
-        if dir.capacity() != lines {
+        let lines = line_count(size, line_words);
+        if dir.capacity() < lines || dir.capacity() > 2 * lines {
             // Exactly sized, the old one freed first: a sweep that
             // alternates line sizes must not carry its largest directory
-            // through every run.
+            // through every run. One that only grew with its heap stays.
             dir = Vec::new();
             dir.reserve_exact(lines);
         }
@@ -319,6 +328,7 @@ impl<W: Clone> TxMemory<W> {
             epochs: vec![1; max_threads + 1],
             pending_reads: 0,
             pending_writes: 0,
+            undo_pushes: 0,
             bug_dirty_read: false,
         }
     }
@@ -425,13 +435,23 @@ impl<W: Clone> TxMemory<W> {
         // most of the process's memory.
         self.words.reserve_exact(extra);
         self.words.resize(new, init);
-        self.dir.resize(new.div_ceil(self.line_words), EMPTY_LINE);
+        let lines = line_count(new, self.line_words);
+        self.dir.reserve_exact(lines - self.dir.len());
+        self.dir.resize(lines, EMPTY_LINE);
         self.dirty.resize(new.div_ceil(PAGE_WORDS).div_ceil(64), 0);
     }
 
     /// Immutable view of the aggregate statistics.
     pub fn stats(&self) -> &HtmStats {
         &self.stats
+    }
+
+    /// Undo records written by the transactions that have ended, committed
+    /// or rolled back: the log's length summed where it is cleared, so no
+    /// access counts it. Host work — the leased path skips a record the
+    /// full path writes — and so not part of [`HtmStats`].
+    pub fn undo_pushes(&self) -> u64 {
+        self.undo_pushes
     }
 
     /// Cache line of an address.
@@ -625,7 +645,7 @@ impl<W: Clone> TxMemory<W> {
         let st = self.dir[line];
         if st.writer != NO_WRITER && st.writer as usize != t && !(join && self.bug_dirty_read) {
             let in_tx = self.txs[t].active;
-            self.doom(st.writer as usize, AbortReason::ConflictWrite { with: t, line }, line);
+            self.doom(st.writer as usize, AbortReason::conflict(true, t, line), line);
             if !in_tx {
                 self.stats.nontx_dooms += 1;
             }
@@ -703,12 +723,7 @@ impl<W: Clone> TxMemory<W> {
             while victims != 0 {
                 let v = victims.trailing_zeros() as usize;
                 victims &= victims - 1;
-                let reason = if st.writer as usize == v {
-                    AbortReason::ConflictWrite { with: t, line }
-                } else {
-                    AbortReason::ConflictRead { with: t, line }
-                };
-                self.doom(v, reason, line);
+                self.doom(v, AbortReason::conflict(st.writer as usize == v, t, line), line);
             }
             if !in_tx {
                 self.stats.nontx_dooms += 1;
@@ -772,7 +787,7 @@ impl<W: Clone> TxMemory<W> {
         let mut doomed_any = false;
         for victim in 0..self.txs.len() {
             if victim != t && self.txs[victim].active {
-                self.doom(victim, AbortReason::ConflictRead { with: t, line }, line);
+                self.doom(victim, AbortReason::conflict(false, t, line), line);
                 doomed_any = true;
             }
         }
@@ -1088,6 +1103,7 @@ impl<W: Clone> TxMemory<W> {
         }
         write_lines.clear();
         self.txs[t].write_lines = write_lines;
+        self.undo_pushes += self.txs[t].undo.len() as u64;
         self.txs[t].undo.clear();
         self.undo_words[t].clear();
         self.memos[t] = LineMemo::INVALID;

@@ -27,8 +27,11 @@
 //! way `Vm::rd`/`Vm::wr` do against one that never leaves the full path,
 //! and both against the reference.
 
-use htm_sim::{Budgets, FaultPlan, LineLease, ReferenceTxMemory, RingBufferSink, TxMemory};
+mod refimpl;
+
+use htm_sim::{Budgets, FaultPlan, LineLease, RingBufferSink, TxMemory};
 use proptest::prelude::*;
+use refimpl::ReferenceTxMemory;
 
 const MEM_WORDS: usize = 256;
 

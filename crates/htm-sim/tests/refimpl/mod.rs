@@ -1,30 +1,33 @@
 //! The retained **reference implementation** of the transactional memory:
 //! the original set-based `TxMemory` with O(threads) conflict scans.
 //!
-//! [`crate::TxMemory`] now detects conflicts through a per-line ownership
+//! [`htm_sim::TxMemory`] now detects conflicts through a per-line ownership
 //! directory (see its module docs). This module keeps the pre-directory
 //! implementation verbatim — per-transaction `HashSet` read/write sets and
 //! a `doom_conflicting` that scans every other thread on every access — as
 //! the executable specification. It is **not** used by the simulator; its
 //! job is to sit on the other side of the differential property test
-//! (`tests/differential_txmem.rs`), which drives both implementations with
+//! (`differential_txmem.rs`, which declares it), which drives both implementations with
 //! identical access sequences and requires identical results, abort
 //! reasons, statistics, and trace events.
 //!
 //! Keep behavioural changes out of this file: if the semantics of the
-//! memory ever need to change, change [`crate::txmem`] first, mirror the
+//! memory ever need to change, change [`htm_sim::txmem`] first, mirror the
 //! change here in a separate commit, and let the differential test arbitrate.
 
 use std::collections::HashSet;
 
 use machine_sim::ThreadId;
 
-use crate::abort::{AbortReason, ExplicitCode, SpuriousCause};
-use crate::inject::{Fault, FaultInjector, FaultPlan};
-use crate::predictor::OverflowPredictor;
-use crate::stats::HtmStats;
-use crate::trace::{TraceEvent, TraceSink};
-use crate::txmem::{out_of_bounds, Budgets};
+use htm_sim::{
+    AbortReason, Budgets, ExplicitCode, Fault, FaultInjector, FaultPlan, HtmStats,
+    OverflowPredictor, SpuriousCause, TraceEvent, TraceSink,
+};
+
+/// `TxMemory`'s out-of-bounds panic, word for word.
+fn out_of_bounds(op: &str, addr: usize, line: usize, size: usize) -> ! {
+    panic!("TxMemory {op} out of bounds: addr {addr} (line {line}) >= memory size {size}");
+}
 
 #[derive(Debug)]
 struct Tx {
@@ -37,7 +40,7 @@ struct Tx {
 
 /// Word-addressed shared memory with best-effort transactions — reference
 /// (set-based) conflict detection. Same public surface as
-/// [`crate::TxMemory`].
+/// [`htm_sim::TxMemory`].
 #[derive(Debug)]
 pub struct ReferenceTxMemory<W: Clone> {
     words: Vec<W>,
@@ -49,7 +52,7 @@ pub struct ReferenceTxMemory<W: Clone> {
     predictors: Vec<OverflowPredictor>,
     stats: HtmStats,
     trace: Option<Box<dyn TraceSink>>,
-    /// Seeded fault injector, mirroring [`crate::TxMemory`]'s: draws are
+    /// Seeded fault injector, mirroring [`htm_sim::TxMemory`]'s: draws are
     /// consumed only at transactional accesses so both sides of the
     /// differential pair see the same fault stream.
     injector: Option<FaultInjector>,
@@ -103,24 +106,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
         if let Some(sink) = self.trace.as_mut() {
             sink.record(event);
         }
-    }
-
-    /// Install an overflow predictor for thread `t`.
-    pub fn set_predictor(&mut self, t: ThreadId, p: OverflowPredictor) {
-        self.predictors[t] = p;
-    }
-
-    /// Total words.
-    pub fn size(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Grow the memory by `extra` words initialized to `init`.
-    pub fn grow(&mut self, extra: usize, init: W) {
-        assert!(self.txs.iter().all(Option::is_none), "memory growth with active transactions");
-        self.bump_all_slots();
-        let new = self.words.len() + extra;
-        self.words.resize(new, init);
     }
 
     /// Immutable view of the aggregate statistics.
@@ -230,12 +215,12 @@ impl<W: Clone> ReferenceTxMemory<W> {
     /// # Panics
     ///
     /// Panics (also in release builds) on an out-of-bounds `addr`, with the
-    /// same addr/line message as [`crate::TxMemory::read`].
+    /// same addr/line message as [`htm_sim::TxMemory::read`].
     pub fn read(&mut self, t: ThreadId, addr: usize) -> Result<W, AbortReason> {
         self.read_with(t, addr, W::clone)
     }
 
-    /// Mirror of [`crate::TxMemory::read_with`]: the full accounting path
+    /// Mirror of [`htm_sim::TxMemory::read_with`]: the full accounting path
     /// applying `f` in place, one counted access.
     pub fn read_with<R>(
         &mut self,
@@ -273,7 +258,7 @@ impl<W: Clone> ReferenceTxMemory<W> {
     /// # Panics
     ///
     /// Panics (also in release builds) on an out-of-bounds `addr`, with the
-    /// same addr/line message as [`crate::TxMemory::write`].
+    /// same addr/line message as [`htm_sim::TxMemory::write`].
     pub fn write(&mut self, t: ThreadId, addr: usize, value: W) -> Result<(), AbortReason> {
         if addr >= self.words.len() {
             out_of_bounds("write", addr, addr / self.line_words, self.words.len());
@@ -304,7 +289,7 @@ impl<W: Clone> ReferenceTxMemory<W> {
         Ok(())
     }
 
-    /// Mirror of [`crate::TxMemory::arm_lock_monitor`]: the read path
+    /// Mirror of [`htm_sim::TxMemory::arm_lock_monitor`]: the read path
     /// minus the read-set insert (the monitor register consumes no
     /// capacity). Note no fast path — the reference has none anywhere.
     pub fn arm_lock_monitor(&mut self, t: ThreadId, addr: usize) -> Result<W, AbortReason> {
@@ -325,7 +310,7 @@ impl<W: Clone> ReferenceTxMemory<W> {
         Ok(self.words[addr].clone())
     }
 
-    /// Mirror of [`crate::TxMemory::doom_all_active`]: doom every other
+    /// Mirror of [`htm_sim::TxMemory::doom_all_active`]: doom every other
     /// active transaction in ascending thread order with the acquirer's
     /// `ConflictRead`, counting one non-transactional doom.
     pub fn doom_all_active(&mut self, t: ThreadId, addr: usize) {
@@ -336,7 +321,7 @@ impl<W: Clone> ReferenceTxMemory<W> {
             if victim == t || self.txs[victim].is_none() {
                 continue;
             }
-            let reason = AbortReason::ConflictRead { with: t, line };
+            let reason = AbortReason::conflict(false, t, line);
             self.bump_slot(victim); // one bump per doomed victim, like `doom`
             self.rollback(victim);
             self.doomed[victim] = Some(reason);
@@ -353,12 +338,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
     /// Read bypassing all transaction machinery.
     pub fn peek(&self, addr: usize) -> &W {
         &self.words[addr]
-    }
-
-    /// Write bypassing transaction machinery — initialization only.
-    pub fn poke(&mut self, addr: usize, value: W) {
-        debug_assert!(self.txs.iter().all(Option::is_none), "poke with active transactions");
-        self.words[addr] = value;
     }
 
     // ---- internals ------------------------------------------------------
@@ -427,9 +406,9 @@ impl<W: Clone> ReferenceTxMemory<W> {
                 continue;
             };
             let reason = if tx.write_lines.contains(&line) {
-                Some(AbortReason::ConflictWrite { with: t, line })
+                Some(AbortReason::conflict(true, t, line))
             } else if is_write && tx.read_lines.contains(&line) {
-                Some(AbortReason::ConflictRead { with: t, line })
+                Some(AbortReason::conflict(false, t, line))
             } else {
                 None
             };

@@ -174,23 +174,22 @@ pub fn install(vm: &mut Vm) {
 
 // ---- helpers ----------------------------------------------------------------
 
-fn arg_int(args: &[Word], i: usize, what: &str) -> Result<i64, VmAbort> {
+fn arg_int(vm: &mut Vm, args: &[Word], i: usize, what: &str) -> Result<i64, VmAbort> {
     args.get(i)
         .and_then(|w| w.as_int())
-        .ok_or_else(|| VmAbort::fatal(format!("{what} expects an Integer argument {i}")))
+        .ok_or_else(|| vm.fatal(format!("{what} expects an Integer argument {i}")))
 }
 
 fn recv_slot(vm: &mut Vm, t: ThreadId, recv: &Word, kind: ObjKind) -> Result<Addr, VmAbort> {
-    let slot =
-        recv.as_obj().ok_or_else(|| VmAbort::fatal(format!("receiver is not a {kind:?}")))?;
+    let slot = recv.as_obj().ok_or_else(|| vm.fatal(format!("receiver is not a {kind:?}")))?;
     if vm.kind_of(t, slot)? != kind {
-        return Err(VmAbort::fatal(format!("receiver is not a {kind:?}")));
+        return Err(vm.fatal(format!("receiver is not a {kind:?}")));
     }
     Ok(slot)
 }
 
 fn str_arg(vm: &mut Vm, t: ThreadId, args: &[Word], i: usize) -> Result<Arc<str>, VmAbort> {
-    let w = *args.get(i).ok_or_else(|| VmAbort::fatal(format!("missing string argument {i}")))?;
+    let w = *args.get(i).ok_or_else(|| vm.fatal(format!("missing string argument {i}")))?;
     let slot = recv_slot(vm, t, &w, ObjKind::String)?;
     vm.string_content(t, slot)
 }
@@ -199,7 +198,7 @@ fn str_arg(vm: &mut Vm, t: ThreadId, args: &[Word], i: usize) -> Result<Arc<str>
 /// persistently so the runtime falls back on the GIL.
 fn forbid_in_tx(vm: &mut Vm, t: ThreadId) -> Result<(), VmAbort> {
     if vm.mem.in_tx(t) {
-        return Err(VmAbort::Tx(vm.mem.abort_restricted(t)));
+        return Err(vm.restricted(t));
     }
     Ok(())
 }
@@ -293,7 +292,7 @@ fn bi_rand(
             let f = (r >> 11) as f64 / (1u64 << 53) as f64;
             Ok(BResult::Value(vm.make_float(t, f)?))
         }
-        _ => Err(VmAbort::fatal("rand expects a positive Integer or nothing")),
+        _ => Err(vm.fatal("rand expects a positive Integer or nothing")),
     }
 }
 
@@ -410,7 +409,7 @@ fn bi_class_new(
         Some(MethodEntry::Iseq(iseq)) => {
             Ok(BResult::Frame { iseq, self_w: obj, block, under: Some(obj), discard: true, ep: 0 })
         }
-        Some(MethodEntry::Builtin(_)) => Err(VmAbort::fatal("builtin initialize is not supported")),
+        Some(MethodEntry::Builtin(_)) => Err(vm.fatal("builtin initialize is not supported")),
         None => Ok(BResult::Value(obj)),
     }
 }
@@ -425,7 +424,7 @@ fn bi_class_name(
     let cls = recv_slot(vm, t, &recv, ObjKind::Class)?;
     let name = vm.rd(t, cls + 6)?;
     let s = match name {
-        Word::Sym(s) => vm.program.symbols.name(s),
+        Word::Sym(s) => vm.program.symbols.name(s.id()),
         _ => "?",
     };
     Ok(BResult::Value(vm.make_string(t, s.into())?))
@@ -440,23 +439,23 @@ fn bi_int_to_f(
     _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let i = recv.as_int().ok_or_else(|| VmAbort::fatal("to_f on non-Integer"))?;
+    let i = recv.as_int().ok_or_else(|| vm.fatal("to_f on non-Integer"))?;
     Ok(BResult::Value(vm.make_float(t, i as f64)?))
 }
 
 fn bi_int_abs(
-    _vm: &mut Vm,
+    vm: &mut Vm,
     _t: ThreadId,
     recv: Word,
     _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let i = recv.as_int().ok_or_else(|| VmAbort::fatal("abs on non-Integer"))?;
+    let i = recv.as_int().ok_or_else(|| vm.fatal("abs on non-Integer"))?;
     Ok(BResult::Value(Word::Int(i.abs())))
 }
 
 fn float_of(vm: &mut Vm, t: ThreadId, recv: &Word) -> Result<f64, VmAbort> {
-    vm.as_number(t, recv)?.ok_or_else(|| VmAbort::fatal("receiver is not numeric"))
+    vm.as_number(t, recv)?.ok_or_else(|| vm.fatal("receiver is not numeric"))
 }
 
 fn bi_float_to_i(
@@ -542,7 +541,7 @@ macro_rules! math_fn {
         ) -> Result<BResult, VmAbort> {
             let x = vm
                 .as_number(t, args.first().unwrap_or(&Word::Nil))?
-                .ok_or_else(|| VmAbort::fatal("Math function expects a numeric argument"))?;
+                .ok_or_else(|| vm.fatal("Math function expects a numeric argument"))?;
             let f: fn(f64) -> f64 = $op;
             vm.step_native_cost += 20;
             Ok(BResult::Value(vm.make_float(t, f(x))?))
@@ -565,10 +564,10 @@ fn bi_math_pow(
 ) -> Result<BResult, VmAbort> {
     let x = vm
         .as_number(t, args.first().unwrap_or(&Word::Nil))?
-        .ok_or_else(|| VmAbort::fatal("Math.pow expects numerics"))?;
+        .ok_or_else(|| vm.fatal("Math.pow expects numerics"))?;
     let y = vm
         .as_number(t, args.get(1).unwrap_or(&Word::Nil))?
-        .ok_or_else(|| VmAbort::fatal("Math.pow expects numerics"))?;
+        .ok_or_else(|| vm.fatal("Math.pow expects numerics"))?;
     vm.step_native_cost += 25;
     Ok(BResult::Value(vm.make_float(t, x.powf(y))?))
 }
@@ -655,7 +654,7 @@ fn bi_str_to_sym(
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
     let sym = vm.program.intern(&s);
-    Ok(BResult::Value(Word::Sym(sym)))
+    Ok(BResult::Value(Word::sym(sym)))
 }
 
 /// A String method making a new String: `$body` appends its text to `$out`.
@@ -775,10 +774,8 @@ fn sub_impl(
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
     let rep = str_arg(vm, t, args, 1)?;
-    let pat = args
-        .first()
-        .cloned()
-        .ok_or_else(|| VmAbort::fatal("sub/gsub expects (pattern, replacement)"))?;
+    let pat =
+        args.first().cloned().ok_or_else(|| vm.fatal("sub/gsub expects (pattern, replacement)"))?;
     let out = match &pat {
         Word::Obj(p) if vm.kind_of(t, *p)? == ObjKind::Regexp => {
             let re = vm.get_regex(t, *p)?;
@@ -833,7 +830,7 @@ fn bi_str_repeat(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let n = arg_int(args, 0, "String#*")?.max(0) as usize;
+    let n = arg_int(vm, args, 0, "String#*")?.max(0) as usize;
     let out = vm.build_text(|_, out| {
         (0..n).for_each(|_| out.push_str(&s));
         Ok(())
@@ -850,7 +847,7 @@ fn bi_str_slice(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let start = arg_int(args, 0, "slice")?;
+    let start = arg_int(vm, args, 0, "slice")?;
     let len = args.get(1).and_then(|w| w.as_int()).unwrap_or(1);
     let n = s.len() as i64;
     let start = if start < 0 { n + start } else { start };
@@ -1065,10 +1062,10 @@ fn sort_keys(vm: &mut Vm, t: ThreadId, slot: Addr) -> Result<Vec<(Word, SortKey)
             if vm.kind_of(t, *s)? == ObjKind::String {
                 SortKey::Str(vm.string_content(t, *s)?)
             } else {
-                return Err(VmAbort::fatal("cannot sort non-comparable elements"));
+                return Err(vm.fatal("cannot sort non-comparable elements"));
             }
         } else {
-            return Err(VmAbort::fatal("cannot sort non-comparable elements"));
+            return Err(vm.fatal("cannot sort non-comparable elements"));
         };
         keyed.push((w, key));
     }
@@ -1184,7 +1181,7 @@ fn bi_arr_concat(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
-    let other = args.first().cloned().ok_or_else(|| VmAbort::fatal("concat expects an Array"))?;
+    let other = args.first().cloned().ok_or_else(|| vm.fatal("concat expects an Array"))?;
     let oslot = self_array(vm, t, &other)?;
     let n = vm.array_len(t, oslot)?;
     for i in 0..n {
@@ -1202,7 +1199,7 @@ fn bi_arr_delete_at(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let slot = self_array(vm, t, &recv)?;
-    let idx = arg_int(args, 0, "delete_at")?;
+    let idx = arg_int(vm, args, 0, "delete_at")?;
     let n = vm.array_len(t, slot)? as i64;
     let idx = if idx < 0 { n + idx } else { idx };
     if idx < 0 || idx >= n {
@@ -1389,11 +1386,11 @@ fn bi_thread_new(
     // pthread_create is a system call: never inside a transaction.
     forbid_in_tx(vm, t)?;
     if block == 0 {
-        return Err(VmAbort::fatal("Thread.new requires a block"));
+        return Err(vm.fatal("Thread.new requires a block"));
     }
     let new_tid = vm.threads.len();
     if new_tid >= vm.config.max_threads {
-        return Err(VmAbort::fatal(format!(
+        return Err(vm.fatal(format!(
             "thread limit reached ({}); raise VmConfig::max_threads",
             vm.config.max_threads
         )));
@@ -1469,7 +1466,7 @@ fn thread_target(vm: &mut Vm, t: ThreadId, recv: &Word) -> Result<(Addr, ThreadI
     let slot = recv_slot(vm, t, recv, ObjKind::Thread)?;
     let tid = vm.rd(t, slot + 1)?.as_int().unwrap_or(-1);
     if tid < 0 || tid as usize >= vm.threads.len() {
-        return Err(VmAbort::fatal("corrupt Thread object"));
+        return Err(vm.fatal("corrupt Thread object"));
     }
     Ok((slot, tid as usize))
 }
@@ -1554,7 +1551,7 @@ fn bi_mutex_lock(
             vm.wr(t, slot + 1, Word::Int(t as i64 + 1))?;
             Ok(BResult::Value(recv))
         }
-        Word::Int(o) if o == t as i64 + 1 => Err(VmAbort::fatal("deadlock; recursive locking")),
+        Word::Int(o) if o == t as i64 + 1 => Err(vm.fatal("deadlock; recursive locking")),
         _ => {
             // Contended: blocking is a system call.
             forbid_in_tx(vm, t)?;
@@ -1590,7 +1587,7 @@ fn bi_mutex_unlock(
     let slot = self_mutex(vm, t, &recv)?;
     let owner = vm.rd(t, slot + 1)?;
     if owner != Word::Int(t as i64 + 1) {
-        return Err(VmAbort::fatal("Attempt to unlock a mutex which is not locked by this thread"));
+        return Err(vm.fatal("Attempt to unlock a mutex which is not locked by this thread"));
     }
     vm.wr(t, slot + 1, Word::Nil)?;
     vm.pending_wakes.push(WakeKey::Mutex(slot));
@@ -1606,7 +1603,7 @@ fn bi_barrier_new(
     args: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    let n = arg_int(args, 0, "Barrier.new")?;
+    let n = arg_int(vm, args, 0, "Barrier.new")?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Barrier)?;
     vm.wr(t, slot + 1, Word::Int(n))?;
@@ -1672,9 +1669,8 @@ impl Vm {
         if let Some(r) = self.regex_cache.get(&*pat) {
             return Ok(Rc::clone(r));
         }
-        let r = Rc::new(
-            crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?,
-        );
+        let r =
+            Rc::new(crate::regexlite::Regex::compile(&pat).map_err(|e| self.fatal(e.to_string()))?);
         self.regex_cache.insert(pat.to_string(), Rc::clone(&r));
         Ok(r)
     }
@@ -1688,10 +1684,10 @@ fn bi_regexp_new(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let pat = str_arg(vm, t, args, 0)?;
-    crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?;
+    crate::regexlite::Regex::compile(&pat).map_err(|e| vm.fatal(e.to_string()))?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Regexp)?;
-    let id = vm.strings.alloc(pat)?;
+    let id = vm.alloc_text(pat)?;
     vm.wr(t, slot + 1, Word::Str(id))?;
     Ok(BResult::Value(Word::Obj(slot)))
 }

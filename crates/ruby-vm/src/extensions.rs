@@ -36,7 +36,7 @@ use htm_sim::AbortReason;
 use machine_sim::ThreadId;
 
 use crate::layout::ts;
-use crate::value::{Addr, ObjHeader, ObjKind, Word};
+use crate::value::{Addr, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
 
 /// Offset of the reference-count word inside a slot (the last payload
@@ -65,7 +65,7 @@ impl Vm {
         let cursor_addr = self.layout.thread_struct(t) + ts::TL_SWEEP_CURSOR;
         let (lo, hi) = self.sweep_partition(t);
         let Word::Int(mut cursor) = self.rd(t, cursor_addr)? else {
-            return Err(VmAbort::fatal("corrupt thread-local sweep cursor"));
+            return Err(self.fatal("corrupt thread-local sweep cursor"));
         };
         if (cursor as usize) < lo {
             cursor = lo as i64;
@@ -76,15 +76,16 @@ impl Vm {
             let slot = self.slot_addr(cursor as usize);
             let hdr = self.rd(t, slot)?;
             match hdr.as_header() {
-                Some(h) if h.kind == ObjKind::Free => {}
-                Some(h) if h.marked => {
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: h.kind, marked: false }))?;
+                Some(h) if h.kind() == Some(ObjKind::Free) => {}
+                Some(h) if h.marked() => {
+                    self.wr(t, slot, Word::Hdr(h.with_mark(false)))?;
                 }
                 Some(h) => {
+                    let kind = self.header_kind(h, slot)?;
                     #[cfg(debug_assertions)]
-                    self.debug_assert_unreferenced(slot, h.kind);
-                    self.free_object_buffers(t, slot, h.kind)?;
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }))?;
+                    self.debug_assert_unreferenced(slot, kind);
+                    self.free_object_buffers(t, slot, kind)?;
+                    self.wr(t, slot, Word::hdr(ObjKind::Free, false))?;
                     if found.is_none() {
                         found = Some(slot);
                         self.wr(t, slot + 1, Word::Int(0))?;
@@ -99,7 +100,7 @@ impl Vm {
                     }
                 }
                 None => {
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }))?;
+                    self.wr(t, slot, Word::hdr(ObjKind::Free, false))?;
                     if found.is_none() {
                         found = Some(slot);
                         self.wr(t, slot + 1, Word::Int(0))?;
@@ -223,8 +224,8 @@ mod tests {
         let (lo, hi) = vm.sweep_partition(1);
         assert!(hi > lo + 4);
         let slot = vm.slot_addr(lo + 2);
-        vm.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
-        vm.mem.poke(slot + 1, Word::F64(1.0));
+        vm.mem.poke(slot, Word::hdr(ObjKind::Float, false));
+        vm.mem.poke(slot + 1, Word::float(1.0));
         let found = vm.tl_lazy_sweep(1, hi - lo).unwrap();
         assert_eq!(found, Some(slot), "garbage in own partition reclaimed");
     }

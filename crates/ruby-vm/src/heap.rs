@@ -22,7 +22,7 @@ use machine_sim::ThreadId;
 
 use crate::compile::CompileError;
 use crate::layout::{ts, Layout, SLOT_WORDS};
-use crate::value::{Addr, ObjHeader, ObjKind, Word};
+use crate::value::{Addr, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
 
 impl Vm {
@@ -46,7 +46,7 @@ impl Vm {
         for i in self.threaded..upto {
             let slot = base + i * SLOT_WORDS;
             let next = if i + 1 < n { slot + SLOT_WORDS } else { 0 };
-            self.mem.materialize(slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }));
+            self.mem.materialize(slot, Word::hdr(ObjKind::Free, false));
             self.mem.materialize(slot + 1, Word::Int(next as i64));
         }
         self.threaded = self.threaded.max(upto);
@@ -105,7 +105,7 @@ impl Vm {
         }
         // Need a collection — never inside a transaction.
         if self.mem.in_tx(t) {
-            return Err(VmAbort::Tx(self.mem.abort_restricted(t)));
+            return Err(self.restricted(t));
         }
         self.gc(t)?;
         if self.config.tl_lazy_sweep {
@@ -117,7 +117,7 @@ impl Vm {
         }
         // Everything is live: grow the heap.
         self.grow_heap(t)?;
-        self.pop_global_free(t)?.ok_or_else(|| VmAbort::fatal("heap exhausted even after growth"))
+        self.pop_global_free(t)?.ok_or_else(|| self.fatal("heap exhausted even after growth"))
     }
 
     /// Boot-time slot allocation (no thread, no transactions) on behalf
@@ -194,7 +194,7 @@ impl Vm {
     pub fn lazy_sweep(&mut self, t: ThreadId, budget: usize) -> Result<Option<Addr>, VmAbort> {
         let cursor_addr = self.layout.sweep_cursor;
         let Word::Int(mut cursor) = self.rd(t, cursor_addr)? else {
-            return Err(VmAbort::fatal("corrupt sweep cursor"));
+            return Err(self.fatal("corrupt sweep cursor"));
         };
         let total: usize = self.slot_ranges.iter().map(|&(_, n)| n).sum();
         let mut swept = 0usize;
@@ -203,15 +203,16 @@ impl Vm {
             let slot = self.slot_addr(cursor as usize);
             let hdr = self.rd(t, slot)?;
             match hdr.as_header() {
-                Some(h) if h.kind == ObjKind::Free => {}
-                Some(h) if h.marked => {
+                Some(h) if h.kind() == Some(ObjKind::Free) => {}
+                Some(h) if h.marked() => {
                     // Live: clear the mark for the next cycle.
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: h.kind, marked: false }))?;
+                    self.wr(t, slot, Word::Hdr(h.with_mark(false)))?;
                 }
                 Some(h) => {
                     // Garbage: release buffers, relink as free.
-                    self.free_object_buffers(t, slot, h.kind)?;
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }))?;
+                    let kind = self.header_kind(h, slot)?;
+                    self.free_object_buffers(t, slot, kind)?;
+                    self.wr(t, slot, Word::hdr(ObjKind::Free, false))?;
                     if found.is_none() {
                         found = Some(slot);
                         // Keep the found slot out of any list; caller owns it.
@@ -222,7 +223,7 @@ impl Vm {
                 }
                 None => {
                     // Uninitialized region of a grown heap: link as free.
-                    self.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }))?;
+                    self.wr(t, slot, Word::hdr(ObjKind::Free, false))?;
                     if found.is_none() {
                         found = Some(slot);
                         self.wr(t, slot + 1, Word::Int(0))?;
@@ -337,13 +338,14 @@ impl Vm {
                 // stale Obj word survives on a dead stack region; skip.
                 continue;
             };
-            if h.kind == ObjKind::Free {
+            let kind = self.header_kind(h, obj)?;
+            if kind == ObjKind::Free {
                 continue;
             }
-            if !h.marked {
-                self.wr(t, obj, Word::Hdr(ObjHeader { kind: h.kind, marked: true }))?;
+            if !h.marked() {
+                self.wr(t, obj, Word::Hdr(h.with_mark(true)))?;
             }
-            self.scan_children(t, obj, h.kind, &mut worklist)?;
+            self.scan_children(t, obj, kind, &mut worklist)?;
         }
         // With a transaction open (lazy subscription lets one outlive the
         // GIL acquisition) an undo record may name an id the image does not.
@@ -482,7 +484,7 @@ impl Vm {
     fn grow_heap(&mut self, t: ThreadId) -> Result<(), VmAbort> {
         let current = self.total_slots();
         if current >= self.config.max_heap_slots {
-            return Err(VmAbort::fatal(format!(
+            return Err(self.fatal(format!(
                 "heap limit reached ({current} slots; raise VmConfig::max_heap_slots)"
             )));
         }
@@ -497,7 +499,7 @@ impl Vm {
         for i in (0..add).rev() {
             let slot = base + i * SLOT_WORDS;
             let old = self.rd(t, self.layout.free_head)?;
-            self.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }))?;
+            self.wr(t, slot, Word::hdr(ObjKind::Free, false))?;
             self.wr(t, slot + 1, old)?;
             self.wr(t, self.layout.free_head, Word::Int(slot as i64))?;
         }
@@ -514,7 +516,7 @@ impl Vm {
         let cls = Layout::size_class(words);
         let cap = Layout::class_words(cls);
         if cap < words {
-            return Err(VmAbort::fatal(format!("allocation of {words} words too large")));
+            return Err(self.fatal(format!("allocation of {words} words too large")));
         }
         // Freed buffers live on global size-class lists; check there first
         // so memory is actually reused. Even with HEAPPOOLS the real
@@ -557,7 +559,7 @@ impl Vm {
             // inside a transaction this is a persistent abort and the
             // retry grows under the GIL.
             if self.mem.in_tx(t) {
-                return Err(VmAbort::Tx(self.mem.abort_restricted(t)));
+                return Err(self.restricted(t));
             }
             let extra = (self.config.malloc_words / 2).max(cap + 1024);
             let base = self.mem.size();
@@ -591,7 +593,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::VmConfig;
+    use crate::vm::{Stop, VmConfig};
     use machine_sim::MachineProfile;
 
     fn vm() -> Vm {
@@ -649,8 +651,8 @@ mod tests {
         // Allocate and drop many floats; the heap must not run out.
         for i in 0..5_000 {
             let slot = vm.alloc_slot(0).unwrap();
-            vm.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
-            vm.mem.poke(slot + 1, Word::F64(i as f64));
+            vm.mem.poke(slot, Word::hdr(ObjKind::Float, false));
+            vm.mem.poke(slot + 1, Word::float(i as f64));
         }
         assert!(vm.gc_runs >= 1, "GC must have run");
     }
@@ -664,8 +666,8 @@ mod tests {
         let mut kept = Vec::new();
         for i in 0..600 {
             let slot = vm.alloc_slot(0).unwrap();
-            vm.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
-            vm.mem.poke(slot + 1, Word::F64(i as f64));
+            vm.mem.poke(slot, Word::hdr(ObjKind::Float, false));
+            vm.mem.poke(slot + 1, Word::float(i as f64));
             kept.push(slot);
             // Root it: park in the result of thread 0 chained via an Array
             // would be complex; instead pin via pooled objects list.
@@ -683,15 +685,15 @@ mod tests {
         // Exhaust the free lists outside a transaction first.
         for _ in 0..400 {
             let Ok(slot) = vm.alloc_slot(0) else { break };
-            vm.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
+            vm.mem.poke(slot, Word::hdr(ObjKind::Float, false));
             vm.pooled_objs.push(Word::Obj(slot)); // keep live
         }
         // Now inside a transaction the allocator must abort, not collect.
         vm.mem.begin(0, budgets).unwrap();
         let before_gc = vm.gc_runs;
-        let r = vm.alloc_slot(0);
-        match r {
-            Err(VmAbort::Tx(reason)) => assert!(reason.is_persistent()),
+        assert_eq!(vm.alloc_slot(0), Err(VmAbort));
+        match vm.take_stop() {
+            Some(Stop::Tx(reason)) => assert!(reason.is_persistent()),
             other => panic!("expected restricted abort, got {other:?}"),
         }
         assert_eq!(vm.gc_runs, before_gc, "no GC inside a transaction");
@@ -700,7 +702,7 @@ mod tests {
     // ---- the lazily written free list ≡ the eager one ----------------------
 
     fn free_hdr() -> Word {
-        Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false })
+        Word::hdr(ObjKind::Free, false)
     }
 
     /// Boot gives the VM its free list already written down — what an eager
@@ -741,8 +743,8 @@ mod tests {
     /// (so a later sweep sees an object, garbage unless rooted).
     fn alloc_float(vm: &mut Vm, t: ThreadId, root: bool) -> Result<Addr, VmAbort> {
         let slot = vm.alloc_slot(t)?;
-        vm.wr(t, slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }))?;
-        vm.wr(t, slot + 1, Word::F64(0.5))?;
+        vm.wr(t, slot, Word::hdr(ObjKind::Float, false))?;
+        vm.wr(t, slot + 1, Word::float(0.5))?;
         if root {
             vm.pooled_objs.push(Word::Obj(slot));
         }

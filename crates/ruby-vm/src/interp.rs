@@ -78,7 +78,7 @@ impl Vm {
     pub fn push(&mut self, t: ThreadId, w: Word) -> Result<(), VmAbort> {
         let sp = self.threads[t].sp;
         if sp >= self.threads[t].stack_end {
-            return Err(VmAbort::fatal("stack overflow"));
+            return Err(self.fatal("stack overflow"));
         }
         self.wr(t, sp, w)?;
         self.threads[t].sp = sp + 1;
@@ -89,7 +89,7 @@ impl Vm {
     pub fn pop(&mut self, t: ThreadId) -> Result<Word, VmAbort> {
         let sp = self.threads[t].sp;
         if sp == self.threads[t].stack_base {
-            return Err(VmAbort::fatal("stack underflow"));
+            return Err(self.fatal("stack underflow"));
         }
         let w = self.rd(t, sp - 1)?;
         self.threads[t].sp = sp - 1;
@@ -119,7 +119,7 @@ impl Vm {
         for _ in 0..depth {
             let ep = self.rd(t, f + F_EP)?.as_int().unwrap_or(0);
             if ep == 0 {
-                return Err(VmAbort::fatal("broken static chain"));
+                return Err(self.fatal("broken static chain"));
             }
             f = ep as Addr;
         }
@@ -198,7 +198,7 @@ impl Vm {
         let old_iseq = ctx.iseq;
         let old_fp = ctx.fp;
         if new_fp + FRAME_WORDS + nlocals + max_stack >= ctx.stack_end {
-            return Err(VmAbort::fatal("stack too deep"));
+            return Err(self.fatal("stack too deep"));
         }
         self.wr(t, new_fp + F_PREV_FP, Word::Int(old_fp as i64))?;
         self.wr(t, new_fp + F_RET_PC, Word::Int(old_pc as i64 + 1))?;
@@ -288,8 +288,9 @@ impl Vm {
     /// run (no pair fuses where it matters: inside a transaction). Nobody
     /// else runs in between: one doom poll serves the burst.
     pub fn burst(&mut self, t: ThreadId, budget: u64, yield_bit: u8) -> Result<StepOk, VmAbort> {
+        debug_assert!(self.stop.is_none(), "the last stop was never taken: {:?}", self.stop);
         if let Some(reason) = self.mem.poll_doomed(t) {
-            return Err(VmAbort::Tx(reason));
+            return Err(self.tx_stop(reason));
         }
         if self.threads[t].finished {
             return Ok(StepOk::Finished);
@@ -385,7 +386,7 @@ impl Vm {
                 self.advance(t);
             }
             Op::PutSym => {
-                self.push(t, Word::Sym(SymId(d.a_lo())))?;
+                self.push(t, Word::sym(SymId(d.a_lo())))?;
                 self.advance(t);
             }
             Op::Pop => {
@@ -469,7 +470,7 @@ impl Vm {
             Op::GetConst => {
                 let name = SymId(d.a_lo());
                 let addr = self.const_lookup(name).ok_or_else(|| {
-                    VmAbort::fatal(format!(
+                    self.fatal(format!(
                         "uninitialized constant {}",
                         self.program.symbols.name(name)
                     ))
@@ -549,11 +550,11 @@ impl Vm {
                     ref o @ Word::Obj(_) => {
                         let f = self
                             .as_number(t, o)?
-                            .ok_or_else(|| VmAbort::fatal("cannot negate non-numeric"))?;
+                            .ok_or_else(|| self.fatal("cannot negate non-numeric"))?;
                         let w = self.make_float(t, -f)?;
                         self.push(t, w)?;
                     }
-                    other => return Err(VmAbort::fatal(format!("cannot negate {other:?}"))),
+                    other => return Err(self.fatal(format!("cannot negate {other:?}"))),
                 }
                 self.advance(t);
             }
@@ -652,7 +653,7 @@ impl Vm {
                 self.advance(t);
             }
             Insn::PutSym(s) => {
-                self.push(t, Word::Sym(s))?;
+                self.push(t, Word::sym(s))?;
                 self.advance(t);
             }
             Insn::Pop => {
@@ -724,7 +725,7 @@ impl Vm {
             }
             Insn::GetConst { name } => {
                 let addr = self.const_lookup(name).ok_or_else(|| {
-                    VmAbort::fatal(format!(
+                    self.fatal(format!(
                         "uninitialized constant {}",
                         self.program.symbols.name(name)
                     ))
@@ -800,11 +801,11 @@ impl Vm {
                     ref o @ Word::Obj(_) => {
                         let f = self
                             .as_number(t, o)?
-                            .ok_or_else(|| VmAbort::fatal("cannot negate non-numeric"))?;
+                            .ok_or_else(|| self.fatal("cannot negate non-numeric"))?;
                         let w = self.make_float(t, -f)?;
                         self.push(t, w)?;
                     }
-                    other => return Err(VmAbort::fatal(format!("cannot negate {other:?}"))),
+                    other => return Err(self.fatal(format!("cannot negate {other:?}"))),
                 }
                 self.advance(t);
             }
@@ -898,7 +899,7 @@ impl Vm {
                 let Some(e) = found else {
                     let n = self.program.symbols.name(name).to_string();
                     let r = self.display(t, &recv)?;
-                    return Err(VmAbort::fatal(format!("undefined method `{n}' for {r}")));
+                    return Err(self.fatal(format!("undefined method `{n}' for {r}")));
                 };
                 // Fill policy (paper §4.4 #4a): the improved cache fills
                 // only the first time; the original rewrites on every
@@ -1025,7 +1026,7 @@ impl Vm {
         }
         let proc_addr = self.rd(t, f + F_BLOCK)?.as_obj().unwrap_or(0);
         if proc_addr == 0 {
-            return Err(VmAbort::fatal("no block given (yield)"));
+            return Err(self.fatal("no block given (yield)"));
         }
         let iseq = IseqId(self.rd(t, proc_addr + 1)?.as_int().unwrap_or(0) as u32);
         let captured_fp = self.rd(t, proc_addr + 2)?.as_int().unwrap_or(0) as Addr;
@@ -1101,14 +1102,14 @@ impl Vm {
                 let sup = match superclass {
                     Some(s) => {
                         let addr = self.const_lookup(s).ok_or_else(|| {
-                            VmAbort::fatal(format!(
+                            self.fatal(format!(
                                 "uninitialized constant {} (superclass)",
                                 self.program.symbols.name(s)
                             ))
                         })?;
                         self.rd(t, addr)?
                             .as_obj()
-                            .ok_or_else(|| VmAbort::fatal("superclass is not a class"))?
+                            .ok_or_else(|| self.fatal("superclass is not a class"))?
                     }
                     None => self.classes.object,
                 };
@@ -1119,7 +1120,7 @@ impl Vm {
                 self.wr(t, slot + 3, Word::Int(0))?;
                 self.wr(t, slot + 4, Word::Int(0))?;
                 self.wr(t, slot + 5, Word::Int(0))?;
-                self.wr(t, slot + 6, Word::Sym(name))?;
+                self.wr(t, slot + 6, Word::sym(name))?;
                 self.wr(t, slot + 7, Word::Int(0))?;
                 let caddr = self.const_define_addr(name);
                 self.wr(t, caddr, Word::Obj(slot))?;
@@ -1135,7 +1136,7 @@ impl Vm {
 
     fn ivar_self_slot(&mut self, t: ThreadId) -> Result<Addr, VmAbort> {
         let s = self.frame_self(t)?;
-        s.as_obj().ok_or_else(|| VmAbort::fatal("instance variable access on immediate"))
+        s.as_obj().ok_or_else(|| self.fatal("instance variable access on immediate"))
     }
 
     /// The guard word this site would match (paper §4.4 #4b): class
@@ -1152,10 +1153,10 @@ impl Vm {
     fn ivar_get_cached(&mut self, t: ThreadId, name: SymId, ic: u32) -> Result<Word, VmAbort> {
         let slot = self.ivar_self_slot(t)?;
         if self.kind_of(t, slot)? != ObjKind::Object {
-            return Err(VmAbort::fatal("ivars are only supported on plain objects"));
+            return Err(self.fatal("ivars are only supported on plain objects"));
         }
         let cls =
-            self.rd(t, slot + 1)?.as_obj().ok_or_else(|| VmAbort::fatal("object without class"))?;
+            self.rd(t, slot + 1)?.as_obj().ok_or_else(|| self.fatal("object without class"))?;
         let ic_addr = self.ic_addr(t, ic);
         let guard = self.rd(t, ic_addr)?;
         if let Some(expected) = self.ivar_guard(t, cls)? {
@@ -1185,10 +1186,10 @@ impl Vm {
     ) -> Result<(), VmAbort> {
         let slot = self.ivar_self_slot(t)?;
         if self.kind_of(t, slot)? != ObjKind::Object {
-            return Err(VmAbort::fatal("ivars are only supported on plain objects"));
+            return Err(self.fatal("ivars are only supported on plain objects"));
         }
         let cls =
-            self.rd(t, slot + 1)?.as_obj().ok_or_else(|| VmAbort::fatal("object without class"))?;
+            self.rd(t, slot + 1)?.as_obj().ok_or_else(|| self.fatal("object without class"))?;
         let ic_addr = self.ic_addr(t, ic);
         let guard = self.rd(t, ic_addr)?;
         if let Some(expected) = self.ivar_guard(t, cls)? {
@@ -1236,7 +1237,7 @@ impl Vm {
     fn pop_binop_operands(&mut self, t: ThreadId) -> Result<(IntOrWord, IntOrWord), VmAbort> {
         let sp = self.threads[t].sp;
         if sp < self.threads[t].stack_base + 2 {
-            return Err(VmAbort::fatal("stack underflow"));
+            return Err(self.fatal("stack underflow"));
         }
         let rhs = self.rd_int(t, sp - 1)?;
         let lhs = self.rd_int(t, sp - 2)?;
@@ -1253,13 +1254,13 @@ impl Vm {
                 ArithOp::Mul => a.wrapping_mul(b),
                 ArithOp::Div => {
                     if b == 0 {
-                        return Err(VmAbort::fatal("divided by 0"));
+                        return Err(self.fatal("divided by 0"));
                     }
                     crate::value::ruby_div(a, b)
                 }
                 ArithOp::Mod => {
                     if b == 0 {
-                        return Err(VmAbort::fatal("divided by 0"));
+                        return Err(self.fatal("divided by 0"));
                     }
                     crate::value::ruby_mod(a, b)
                 }
@@ -1479,9 +1480,8 @@ impl Vm {
         let lhs = self.pop(t)?;
         match &lhs {
             Word::Int(a) => {
-                let b = rhs
-                    .as_int()
-                    .ok_or_else(|| VmAbort::fatal("shift amount must be an Integer"))?;
+                let b =
+                    rhs.as_int().ok_or_else(|| self.fatal("shift amount must be an Integer"))?;
                 self.push(t, Word::Int(a.wrapping_shl(b as u32)))?;
                 self.advance(t);
                 Ok(StepOk::Normal)
@@ -1512,7 +1512,7 @@ impl Vm {
                     self.do_send(t, name, 1, None, ic)
                 }
             },
-            _ => Err(VmAbort::fatal("unsupported << receiver")),
+            _ => Err(self.fatal("unsupported << receiver")),
         }
     }
 
@@ -1544,10 +1544,10 @@ impl Vm {
             (RareBinOp::Pow, _, _) => {
                 let a = self
                     .as_number(t, &lhs)?
-                    .ok_or_else(|| VmAbort::fatal("non-numeric base for **"))?;
+                    .ok_or_else(|| self.fatal("non-numeric base for **"))?;
                 let b = self
                     .as_number(t, &rhs)?
-                    .ok_or_else(|| VmAbort::fatal("non-numeric exponent for **"))?;
+                    .ok_or_else(|| self.fatal("non-numeric exponent for **"))?;
                 self.make_float(t, a.powf(b))?
             }
             (RareBinOp::Cmp, _, _) => {
@@ -1576,9 +1576,7 @@ impl Vm {
                 }
             }
             _ => {
-                return Err(VmAbort::fatal(format!(
-                    "unsupported operands for {op:?}: {lhs:?}, {rhs:?}"
-                )))
+                return Err(self.fatal(format!("unsupported operands for {op:?}: {lhs:?}, {rhs:?}")))
             }
         };
         self.push(t, w)?;

@@ -57,5 +57,5 @@ pub use bytecode::{ISeq, Insn, IseqId};
 pub use layout::{AttributionMap, LineOwner};
 pub use program::Program;
 pub use symbols::{SymId, SymbolTable};
-pub use value::{ObjKind, StrId, Word};
-pub use vm::{BlockOn, StepOk, ThreadCtx, Vm, VmAbort, VmConfig, VmError};
+pub use value::{ObjHeader, ObjKind, StrId, Word};
+pub use vm::{BlockOn, StepOk, Stop, ThreadCtx, Vm, VmAbort, VmConfig, VmError};

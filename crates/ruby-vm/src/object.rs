@@ -32,7 +32,7 @@ use machine_sim::ThreadId;
 use crate::compile::CompileError;
 
 use crate::symbols::SymId;
-use crate::value::{Addr, ObjHeader, ObjKind, Word};
+use crate::value::{Addr, ObjHeader, ObjKind, StrId, Word};
 use crate::vm::{Vm, VmAbort};
 
 /// Method-table entry: user iseq or builtin.
@@ -69,7 +69,7 @@ impl Vm {
     /// the mark; the one after that can collect it if it is garbage —
     /// the standard one-cycle delay of incremental sweeping.
     pub fn set_header(&mut self, t: ThreadId, slot: Addr, kind: ObjKind) -> Result<(), VmAbort> {
-        self.wr(t, slot, Word::Hdr(ObjHeader { kind, marked: true }))
+        self.wr(t, slot, Word::hdr(kind, true))
     }
 
     /// Heap-allocate a Float (CRuby 1.9 semantics: every float result is a
@@ -77,8 +77,14 @@ impl Vm {
     pub fn make_float(&mut self, t: ThreadId, f: f64) -> Result<Word, VmAbort> {
         let slot = self.alloc_slot(t)?;
         self.set_header(t, slot, ObjKind::Float)?;
-        self.wr(t, slot + 1, Word::F64(f))?;
+        self.wr(t, slot + 1, Word::float(f))?;
         Ok(Word::Obj(slot))
+    }
+
+    /// A string-table id for `text`; a table with none left is a fatal
+    /// error.
+    pub(crate) fn alloc_text(&mut self, text: Arc<str>) -> Result<StrId, VmAbort> {
+        self.strings.alloc(text).ok_or_else(|| self.fatal("string table overflow"))
     }
 
     /// Allocate a String over `text` (new, or shared with a literal).
@@ -93,7 +99,7 @@ impl Vm {
             self.wr(t, buf + i, Word::Int(0))?;
         }
         self.set_header(t, slot, ObjKind::String)?;
-        let id = self.strings.alloc(text)?;
+        let id = self.alloc_text(text)?;
         self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         self.wr(t, slot + 3, Word::Int(buf as i64))?;
@@ -128,7 +134,7 @@ impl Vm {
         if let (0, Word::Str(old)) = (self.mem.active_tx_count(), *self.mem.peek(slot + 1)) {
             self.strings.release(old);
         }
-        let id = self.strings.alloc(s)?;
+        let id = self.alloc_text(s)?;
         self.wr(t, slot + 1, Word::Str(id))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         Ok(())
@@ -136,11 +142,9 @@ impl Vm {
 
     /// Text of the `Str` payload word `w`. A word that is no `Str`, or
     /// names a released id, is a corrupt image: fatal, not a panic.
-    pub(crate) fn str_text(&self, w: Word) -> Result<Arc<str>, VmAbort> {
-        w.as_str_id()
-            .and_then(|id| self.strings.get(id))
-            .cloned()
-            .ok_or_else(|| VmAbort::fatal("corrupt string payload"))
+    pub(crate) fn str_text(&mut self, w: Word) -> Result<Arc<str>, VmAbort> {
+        let text = w.as_str_id().and_then(|id| self.strings.get(id)).cloned();
+        text.ok_or_else(|| self.fatal("corrupt string payload"))
     }
 
     /// Read a String's content (touching its shadow buffer for footprint).
@@ -192,7 +196,7 @@ impl Vm {
         let len = self.rd(t, slot + 1)?.as_int().unwrap_or(0);
         let idx = if idx < 0 { len + idx } else { idx };
         if idx < 0 {
-            return Err(VmAbort::fatal("negative array index out of range"));
+            return Err(self.fatal("negative array index out of range"));
         }
         let idx = idx as usize;
         let cap = self.rd(t, slot + 2)?.as_int().unwrap_or(0) as usize;
@@ -352,7 +356,7 @@ impl Vm {
         let n = self.rd(t, buf)?.as_int().unwrap_or(0) as usize;
         for i in 0..n {
             let k = self.rd(t, buf + 2 + 2 * i)?;
-            if k == Word::Sym(key) {
+            if k == Word::sym(key) {
                 let v = self.rd(t, buf + 2 + 2 * i + 1)?;
                 return Ok(Some((i, v)));
             }
@@ -391,7 +395,7 @@ impl Vm {
             self.wr(t, holder, Word::Int(nbuf as i64))?;
             buf = nbuf;
         }
-        self.wr(t, buf + 2 + 2 * n, Word::Sym(key))?;
+        self.wr(t, buf + 2 + 2 * n, Word::sym(key))?;
         self.wr(t, buf + 2 + 2 * n + 1, value)?;
         self.wr(t, buf, Word::Int(n as i64 + 1))
     }
@@ -401,10 +405,16 @@ impl Vm {
     /// Object kind of a heap reference (reads the header: one memory ref,
     /// like reading `RBASIC(obj)->flags`).
     pub fn kind_of(&mut self, t: ThreadId, slot: Addr) -> Result<ObjKind, VmAbort> {
-        self.rd(t, slot)?
-            .as_header()
-            .map(|h| h.kind)
-            .ok_or_else(|| VmAbort::fatal(format!("not an object at {slot}")))
+        match self.rd(t, slot)?.as_header() {
+            Some(h) => self.header_kind(h, slot),
+            None => Err(self.fatal(format!("not an object at {slot}"))),
+        }
+    }
+
+    /// The kind the header of `slot` names; a byte that names none is a
+    /// fatal error, not an index out of range.
+    pub(crate) fn header_kind(&mut self, h: ObjHeader, slot: Addr) -> Result<ObjKind, VmAbort> {
+        h.kind().ok_or_else(|| self.fatal(format!("corrupt object header at {slot}: {h:?}")))
     }
 
     /// Class (heap address) of any value.
@@ -431,11 +441,11 @@ impl Vm {
                 ObjKind::Class => self.classes.class_cls,
                 ObjKind::Object => {
                     let c = self.rd(t, *slot + 1)?;
-                    c.as_obj().ok_or_else(|| VmAbort::fatal("object without class"))?
+                    c.as_obj().ok_or_else(|| self.fatal("object without class"))?
                 }
-                ObjKind::Free => return Err(VmAbort::fatal("use of freed object")),
+                ObjKind::Free => return Err(self.fatal("use of freed object")),
             },
-            _ => return Err(VmAbort::fatal(format!("not a value: {w:?}"))),
+            _ => return Err(self.fatal(format!("not a value: {w:?}"))),
         })
     }
 
@@ -452,7 +462,7 @@ impl Vm {
         loop {
             let mtbl = self.rd(t, c + 2)?.as_int().unwrap_or(0) as Addr;
             if let Some((_, v)) = self.assoc_get(t, mtbl, name)? {
-                let e = v.as_int().ok_or_else(|| VmAbort::fatal("corrupt method entry"))?;
+                let e = v.as_int().ok_or_else(|| self.fatal("corrupt method entry"))?;
                 return Ok(Some(MethodEntry::decode(e)));
             }
             match self.rd(t, c + 1)? {
@@ -473,7 +483,7 @@ impl Vm {
         loop {
             let smtbl = self.rd(t, c + 3)?.as_int().unwrap_or(0) as Addr;
             if let Some((_, v)) = self.assoc_get(t, smtbl, name)? {
-                let e = v.as_int().ok_or_else(|| VmAbort::fatal("corrupt method entry"))?;
+                let e = v.as_int().ok_or_else(|| self.fatal("corrupt method entry"))?;
                 return Ok(Some(MethodEntry::decode(e)));
             }
             match self.rd(t, c + 1)? {
@@ -507,7 +517,7 @@ impl Vm {
             Word::Int(n) => *n as usize,
             _ => 0,
         };
-        (0..n).any(|i| *self.mem.peek(buf + 2 + 2 * i) == Word::Sym(name))
+        (0..n).any(|i| *self.mem.peek(buf + 2 + 2 * i) == Word::sym(name))
     }
 
     /// Define a method on `cls` (instance table, or static when
@@ -695,7 +705,7 @@ impl Vm {
             Word::True => out.push_str("true"),
             Word::False => out.push_str("false"),
             Word::Int(i) => _ = write!(out, "{i}"),
-            Word::Sym(s) => out.push_str(self.program.symbols.name(*s)),
+            Word::Sym(s) => out.push_str(self.program.symbols.name(s.id())),
             Word::Obj(slot) => match self.kind_of(t, *slot)? {
                 ObjKind::Float => {
                     let f = self.rd(t, *slot + 1)?.as_f64().unwrap_or(f64::NAN);
@@ -722,7 +732,7 @@ impl Vm {
                     self.display_into(t, &hi, out)?;
                 }
                 ObjKind::Class => match self.rd(t, *slot + 6)? {
-                    Word::Sym(s) => out.push_str(self.program.symbols.name(s)),
+                    Word::Sym(s) => out.push_str(self.program.symbols.name(s.id())),
                     _ => out.push_str("#<Class>"),
                 },
                 k => _ = write!(out, "#<{k:?}:{slot}>"),
@@ -741,7 +751,7 @@ impl Vm {
     fn inspect_into(&mut self, t: ThreadId, w: &Word, out: &mut String) -> Result<(), VmAbort> {
         match w {
             Word::Nil => out.push_str("nil"),
-            Word::Sym(s) => _ = write!(out, ":{}", self.program.symbols.name(*s)),
+            Word::Sym(s) => _ = write!(out, ":{}", self.program.symbols.name(s.id())),
             Word::Obj(slot) if self.kind_of(t, *slot)? == ObjKind::String => {
                 _ = write!(out, "{:?}", self.string_content(t, *slot)?)
             }
@@ -800,7 +810,7 @@ impl Vm {
         self.mem.poke(addr, Word::Obj(self.classes.integer));
         // The top-level main object.
         let main = self.alloc_slot_boot("the main object")?;
-        self.mem.poke(main, Word::Hdr(ObjHeader { kind: ObjKind::Object, marked: false }));
+        self.mem.poke(main, Word::hdr(ObjKind::Object, false));
         self.mem.poke(main + 1, Word::Obj(object));
         self.mem.poke(main + 2, Word::Int(0));
         self.mem.poke(main + 3, Word::Int(0));
@@ -813,13 +823,13 @@ impl Vm {
     fn boot_class(&mut self, name: &str, superclass: Addr) -> Result<Addr, CompileError> {
         let slot = self.alloc_slot_boot("the core classes")?;
         let name_sym = self.program.intern(name);
-        self.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Class, marked: false }));
+        self.mem.poke(slot, Word::hdr(ObjKind::Class, false));
         self.mem.poke(slot + 1, if superclass == 0 { Word::Nil } else { Word::Obj(superclass) });
         self.mem.poke(slot + 2, Word::Int(0));
         self.mem.poke(slot + 3, Word::Int(0));
         self.mem.poke(slot + 4, Word::Int(0));
         self.mem.poke(slot + 5, Word::Int(0));
-        self.mem.poke(slot + 6, Word::Sym(name_sym));
+        self.mem.poke(slot + 6, Word::sym(name_sym));
         self.mem.poke(slot + 7, Word::Int(0));
         let caddr = self.const_define_addr(name_sym);
         self.mem.poke(caddr, Word::Obj(slot));
@@ -852,7 +862,7 @@ pub fn format_ruby_float(f: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::VmConfig;
+    use crate::vm::{Stop, VmConfig, VmError};
     use machine_sim::MachineProfile;
 
     fn vm() -> Vm {
@@ -910,7 +920,9 @@ mod tests {
         let slot = vm.make_string(0, "a".into()).unwrap().as_obj().unwrap();
         let id = vm.mem.peek(slot + 1).as_str_id().unwrap();
         vm.strings.release(id);
-        assert_eq!(vm.string_content(0, slot), Err(VmAbort::fatal("corrupt string payload")));
+        assert_eq!(vm.string_content(0, slot), Err(VmAbort));
+        let fatal = Stop::Fatal(VmError { msg: "corrupt string payload".into() });
+        assert_eq!(vm.take_stop(), Some(fatal));
     }
 
     #[test]

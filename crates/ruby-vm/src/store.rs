@@ -34,15 +34,15 @@ impl Vm {
         let slot = table
             .as_obj()
             .filter(|&s| matches!(self.kind_of(t, s), Ok(ObjKind::Table)))
-            .ok_or_else(|| VmAbort::fatal("receiver is not a Store table"))?;
-        self.rd(t, slot + 1)?.as_obj().ok_or_else(|| VmAbort::fatal("corrupt table"))
+            .ok_or_else(|| self.fatal("receiver is not a Store table"))?;
+        self.rd(t, slot + 1)?.as_obj().ok_or_else(|| self.fatal("corrupt table"))
     }
 
     /// `table.insert(row_array)` — append a row.
     pub fn store_insert(&mut self, t: ThreadId, table: Word, row: Word) -> Result<Word, VmAbort> {
         let rows = self.table_rows(t, table)?;
         if row.as_obj().is_none() {
-            return Err(VmAbort::fatal("insert expects an Array row"));
+            return Err(self.fatal("insert expects an Array row"));
         }
         self.array_push(t, rows, row)?;
         self.step_native_cost += 20;
@@ -107,7 +107,7 @@ pub fn bi_store_create(
     let ncols = args
         .first()
         .and_then(|w| w.as_int())
-        .ok_or_else(|| VmAbort::fatal("Store.create(ncols) expects an Integer"))?;
+        .ok_or_else(|| vm.fatal("Store.create(ncols) expects an Integer"))?;
     Ok(BResult::Value(vm.store_create(t, ncols)?))
 }
 
@@ -118,7 +118,7 @@ pub fn bi_store_insert(
     args: &[Word],
     _block: usize,
 ) -> Result<BResult, VmAbort> {
-    let row = args.first().cloned().ok_or_else(|| VmAbort::fatal("insert(row) expects a row"))?;
+    let row = args.first().cloned().ok_or_else(|| vm.fatal("insert(row) expects a row"))?;
     Ok(BResult::Value(vm.store_insert(t, recv, row)?))
 }
 
@@ -142,11 +142,9 @@ pub fn bi_store_scan_eq(
     let col = args
         .first()
         .and_then(|w| w.as_int())
-        .ok_or_else(|| VmAbort::fatal("scan_eq(col, value) expects an Integer column"))?;
-    let value = args
-        .get(1)
-        .cloned()
-        .ok_or_else(|| VmAbort::fatal("scan_eq(col, value) expects a value"))?;
+        .ok_or_else(|| vm.fatal("scan_eq(col, value) expects an Integer column"))?;
+    let value =
+        args.get(1).cloned().ok_or_else(|| vm.fatal("scan_eq(col, value) expects a value"))?;
     Ok(BResult::Value(vm.store_scan_eq(t, recv, col, value)?))
 }
 

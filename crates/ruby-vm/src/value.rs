@@ -11,8 +11,10 @@
 //!   payloads, `Str` string content, and free-list links, all of which
 //!   occupy simulated cache lines like any other data.
 //!
-//! A `Word` is 16 bytes and `Copy`, like the machine word it stands for:
-//! a String's host-side text is not in the word but behind a [`StrId`]
+//! A `Word` is a tag and one 8-byte integer, passed and returned in two
+//! registers the way CRuby's `VALUE` travels in one (the layout rule is on
+//! [`Word`]): a float is held as its bits, a header as `kind | marked << 8`,
+//! and a String's host-side text is not in the word but behind a [`StrId`]
 //! into the VM's [`StrTable`], the way CRuby's bytes sit behind a pointer.
 //! `make_string`, `string_replace` and `Regexp.new` allocate an id and
 //! write it to payload word 1 of their object, the only word that ever
@@ -36,13 +38,13 @@
 use std::sync::Arc;
 
 use crate::symbols::SymId;
-use crate::vm::VmAbort;
 
 /// Simulated-memory address (word index).
 pub type Addr = usize;
 
 /// Heap-object kinds (the `T_*` flags of CRuby's `RVALUE` header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum ObjKind {
     /// Slot on the free list; payload word 1 is the next-free link.
     Free,
@@ -65,16 +67,107 @@ pub enum ObjKind {
     Table,
 }
 
-/// Slot header word: kind + GC mark bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjHeader {
-    pub kind: ObjKind,
-    pub marked: bool,
+impl ObjKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [ObjKind; 15] = [
+        ObjKind::Free,
+        ObjKind::Float,
+        ObjKind::String,
+        ObjKind::Array,
+        ObjKind::Hash,
+        ObjKind::Object,
+        ObjKind::Class,
+        ObjKind::Range,
+        ObjKind::Thread,
+        ObjKind::Mutex,
+        ObjKind::Barrier,
+        ObjKind::Regexp,
+        ObjKind::MatchData,
+        ObjKind::Proc,
+        ObjKind::Table,
+    ];
 }
 
-/// Index of a string's text in the VM's [`StrTable`].
+/// Slot header word: kind + GC mark bit, packed `kind | marked << 8`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ObjHeader(u64);
+
+impl ObjHeader {
+    const MARK: u64 = 1 << 8;
+
+    pub fn new(kind: ObjKind, marked: bool) -> ObjHeader {
+        ObjHeader(kind as u64 | if marked { Self::MARK } else { 0 })
+    }
+
+    /// A header from the raw payload of its word — what a stray store
+    /// leaves behind; nothing in the VM builds one this way.
+    pub fn from_bits(bits: u64) -> ObjHeader {
+        ObjHeader(bits)
+    }
+
+    /// `None` when the kind byte names no [`ObjKind`]: a corrupt header,
+    /// which its reader turns into a fatal error.
+    #[inline]
+    pub fn kind(self) -> Option<ObjKind> {
+        ObjKind::ALL.get((self.0 & 0xff) as usize).copied()
+    }
+
+    #[inline]
+    pub fn marked(self) -> bool {
+        self.0 & Self::MARK != 0
+    }
+
+    /// The same header with the mark bit set or cleared.
+    #[inline]
+    pub fn with_mark(self, marked: bool) -> ObjHeader {
+        ObjHeader(if marked { self.0 | Self::MARK } else { self.0 & !Self::MARK })
+    }
+}
+
+impl std::fmt::Debug for ObjHeader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("ObjHeader");
+        match self.kind() {
+            Some(kind) => s.field("kind", &kind),
+            None => s.field("kind", &(self.0 & 0xff)),
+        };
+        s.field("marked", &self.marked()).finish()
+    }
+}
+
+/// Index of a string's text in the VM's [`StrTable`]: a `u32`, held in the
+/// eight bytes a [`Word`] payload takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StrId(u32);
+pub struct StrId(u64);
+
+/// A [`SymId`] in the eight bytes a [`Word`] payload takes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SymBits(u64);
+
+impl SymBits {
+    #[inline]
+    pub fn id(self) -> SymId {
+        SymId(self.0 as u32)
+    }
+}
+
+impl std::fmt::Debug for SymBits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.id(), f)
+    }
+}
+
+/// The bits of an `f64`. Equality is bitwise — `-0.0 != 0.0`, a NaN equals
+/// itself — which is what comparing memory images wants; Ruby's `==`
+/// compares the numbers (`Vm::as_number`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct FloatBits(u64);
+
+impl std::fmt::Debug for FloatBits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&f64::from_bits(self.0), f)
+    }
+}
 
 /// Host-side text of every `Str` word (module docs: who owns an entry).
 /// Ids are handed out in program order, lowest free id first after a
@@ -86,9 +179,10 @@ pub struct StrTable {
 }
 
 impl StrTable {
-    /// A new id for `text`. Running out of ids is a fatal error (the
-    /// executor's `RunError::Vm`), not a panic.
-    pub fn alloc(&mut self, text: Arc<str>) -> Result<StrId, VmAbort> {
+    /// A new id for `text`; `None` when the table has handed all of them
+    /// out, which `Vm::make_string` makes a fatal error (the executor's
+    /// `RunError::Vm`), not a panic.
+    pub fn alloc(&mut self, text: Arc<str>) -> Option<StrId> {
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
@@ -98,12 +192,12 @@ impl StrTable {
             }
         };
         self.entries[id as usize] = Some(text);
-        Ok(StrId(id))
+        Some(StrId(u64::from(id)))
     }
 
     /// The id after `in_use` others.
-    fn fresh_id(in_use: usize) -> Result<u32, VmAbort> {
-        u32::try_from(in_use).map_err(|_| VmAbort::fatal("string table overflow"))
+    fn fresh_id(in_use: usize) -> Option<u32> {
+        u32::try_from(in_use).ok()
     }
 
     /// `None` for an id that was released: a dangling `Str` word.
@@ -113,7 +207,7 @@ impl StrTable {
 
     pub fn release(&mut self, id: StrId) {
         if self.entries[id.0 as usize].take().is_some() {
-            self.free.push(id.0);
+            self.free.push(id.0 as u32);
         }
     }
 
@@ -138,11 +232,19 @@ impl StrTable {
     }
 
     pub fn live_ids(&self) -> impl Iterator<Item = StrId> + '_ {
-        (0..self.entries.len()).filter(|&i| self.entries[i].is_some()).map(|i| StrId(i as u32))
+        (0..self.entries.len()).filter(|&i| self.entries[i].is_some()).map(|i| StrId(i as u64))
     }
 }
 
 /// One word of simulated memory.
+///
+/// Layout rule: every variant that carries a payload carries exactly one
+/// 8-byte *integer* scalar, so rustc lays the enum out as the pair (tag,
+/// `u64`) and passes and returns it in two registers. A float payload or
+/// one narrower than eight bytes — an `f64`, a bare `u32` id, a two-field
+/// struct — makes it an aggregate that travels by pointer again; the
+/// assertions below the type catch the size, `objdump` the rest
+/// (EXPERIMENTS.md "Host cost").
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Word {
     /// Untouched memory.
@@ -153,12 +255,13 @@ pub enum Word {
     False,
     /// Immediate integer (Fixnum).
     Int(i64),
-    /// Interned symbol.
-    Sym(SymId),
+    /// Interned symbol ([`Word::sym`], [`SymBits::id`]).
+    Sym(SymBits),
     /// Reference to a heap slot (its base address).
     Obj(Addr),
-    /// Raw float payload (inside a `Float` object only).
-    F64(f64),
+    /// Raw float payload (inside a `Float` object only): [`Word::float`],
+    /// [`Word::as_f64`]. `PartialEq` compares the bits.
+    F64(FloatBits),
     /// String content payload (inside a `String` or `Regexp` object
     /// only): the text is `Vm::strings[id]`. The bytes additionally have a
     /// shadow buffer in simulated memory for footprint accounting (see
@@ -168,7 +271,25 @@ pub enum Word {
     Hdr(ObjHeader),
 }
 
+const _: () = assert!(std::mem::size_of::<Word>() == 16);
+const _: () = assert!(std::mem::size_of::<Result<Word, crate::vm::VmAbort>>() == 16);
+
 impl Word {
+    #[inline]
+    pub fn sym(id: SymId) -> Word {
+        Word::Sym(SymBits(u64::from(id.0)))
+    }
+
+    #[inline]
+    pub fn float(f: f64) -> Word {
+        Word::F64(FloatBits(f.to_bits()))
+    }
+
+    #[inline]
+    pub fn hdr(kind: ObjKind, marked: bool) -> Word {
+        Word::Hdr(ObjHeader::new(kind, marked))
+    }
+
     /// Ruby truthiness: everything except `nil` and `false`.
     pub fn truthy(&self) -> bool {
         !matches!(self, Word::Nil | Word::False)
@@ -198,7 +319,7 @@ impl Word {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Word::F64(f) => Some(*f),
+            Word::F64(f) => Some(f64::from_bits(f.0)),
             _ => None,
         }
     }
@@ -259,8 +380,6 @@ pub fn ruby_mod(a: i64, b: i64) -> i64 {
 mod tests {
     use super::*;
 
-    const _: () = assert!(std::mem::size_of::<Word>() == 16);
-
     #[test]
     fn string_table_reuses_released_ids_lowest_first() {
         let mut t = StrTable::default();
@@ -281,12 +400,72 @@ mod tests {
     }
 
     /// The id space is a `u32`: the table that has handed all of it out
-    /// answers with a fatal error (the executor's `RunError::Vm`).
+    /// answers `None` (`Vm::make_string`'s fatal error, the executor's
+    /// `RunError::Vm`).
     #[test]
-    fn a_full_string_table_is_a_fatal_error_not_a_panic() {
-        assert_eq!(StrTable::fresh_id(u32::MAX as usize), Ok(u32::MAX));
-        let full = u32::MAX as usize + 1;
-        assert_eq!(StrTable::fresh_id(full), Err(VmAbort::fatal("string table overflow")));
+    fn a_full_string_table_has_no_fresh_id() {
+        assert_eq!(StrTable::fresh_id(u32::MAX as usize), Some(u32::MAX));
+        assert_eq!(StrTable::fresh_id(u32::MAX as usize + 1), None);
+    }
+
+    /// Every header the VM can build reads back as built, and flipping
+    /// the mark moves nothing else.
+    #[test]
+    fn headers_round_trip_over_every_kind_and_mark() {
+        for (i, kind) in ObjKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "`ALL` is in discriminant order");
+            for marked in [false, true] {
+                let h = ObjHeader::new(kind, marked);
+                assert_eq!((h.kind(), h.marked()), (Some(kind), marked));
+                assert_eq!(Word::hdr(kind, marked).as_header(), Some(h));
+                assert_eq!(h.with_mark(!marked), ObjHeader::new(kind, !marked));
+                assert_eq!(h.with_mark(marked), h);
+                assert_eq!(
+                    format!("{h:?}"),
+                    format!("ObjHeader {{ kind: {kind:?}, marked: {marked} }}")
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever a stray store leaves in a header word, reading it is
+        /// total: a kind byte past the last `ObjKind` answers `None`.
+        #[test]
+        fn any_header_bits_decode_without_panicking(bits in proptest::prelude::any::<u64>()) {
+            let h = ObjHeader::from_bits(bits);
+            assert_eq!(h.kind().map(|k| k as u64), Some(bits & 0xff).filter(|&byte| byte < 15));
+            assert_eq!(h.marked(), bits & 0x100 != 0);
+            let _ = format!("{h:?}");
+        }
+
+        /// Ids survive the widening to the payload's eight bytes.
+        #[test]
+        fn ids_round_trip(id in proptest::prelude::any::<u32>()) {
+            for id in [id, 0, u32::MAX] {
+                let Word::Sym(bits) = Word::sym(SymId(id)) else { panic!("not a Sym") };
+                assert_eq!(bits.id(), SymId(id));
+                assert_eq!(format!("{:?}", Word::sym(SymId(id))), format!("Sym(SymId({id}))"));
+                let str_id = StrId(u64::from(id));
+                assert_eq!(Word::Str(str_id).as_str_id(), Some(str_id));
+            }
+        }
+
+        /// A float is stored as its bits: every pattern — NaNs with their
+        /// payloads, both zeros — comes back exactly, and two words are
+        /// equal iff the bits are.
+        #[test]
+        fn float_bits_round_trip(bits in proptest::prelude::any::<u64>()) {
+            let specials = [f64::NAN, -f64::NAN, -0.0, 0.0, f64::INFINITY, f64::MIN_POSITIVE / 2.0];
+            for bits in specials.map(f64::to_bits).into_iter().chain([bits, bits | 0x7ff8 << 48]) {
+                let w = Word::float(f64::from_bits(bits));
+                assert_eq!(w.as_f64().map(f64::to_bits), Some(bits));
+                assert_eq!(w, Word::float(f64::from_bits(bits)));
+                assert_eq!(format!("{w:?}"), format!("F64({:?})", f64::from_bits(bits)));
+            }
+            assert_ne!(Word::float(-0.0), Word::float(0.0), "`PartialEq` is on the bits");
+            assert_eq!(Word::float(f64::NAN), Word::float(f64::NAN));
+        }
     }
 
     #[test]
@@ -327,8 +506,8 @@ mod tests {
     fn value_classification() {
         assert!(Word::Int(1).is_value());
         assert!(Word::Obj(64).is_value());
-        assert!(!Word::F64(1.0).is_value());
-        assert!(!Word::Hdr(ObjHeader { kind: ObjKind::Free, marked: false }).is_value());
+        assert!(!Word::float(1.0).is_value());
+        assert!(!Word::hdr(ObjKind::Free, false).is_value());
         assert!(!Word::Uninit.is_value());
     }
 }

@@ -24,7 +24,7 @@ use crate::compile::{compile_source, CompileError};
 use crate::layout::{ts, Layout};
 use crate::program::{PoolLiteral, Program};
 use crate::symbols::SymId;
-use crate::value::{Addr, ObjHeader, ObjKind, StrTable, Word};
+use crate::value::{Addr, ObjKind, StrTable, Word};
 
 thread_local! {
     /// Memory buffers of the last VM torn down on this thread, every word
@@ -160,26 +160,24 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Why a step did not complete normally.
-#[derive(Debug, Clone, PartialEq)]
-pub enum VmAbort {
+/// A step did not complete normally. Zero-sized, so `Result<Word, VmAbort>`
+/// is a [`Word`] and `Result<(), VmAbort>` a byte: the *why* is a [`Stop`]
+/// parked in the VM by whoever raised this ([`Vm::fatal`], [`Vm::tx_stop`])
+/// and taken by the driver that sees the `Err` ([`Vm::take_stop`]) — the
+/// condition code and the diagnostic block of the hardware's abort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VmAbort;
+
+const _: () = assert!(std::mem::size_of::<Result<(), VmAbort>>() == 1);
+
+/// Why a step stopped ([`VmAbort`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Stop {
     /// The active transaction aborted (already rolled back); the TLE
     /// runtime decides whether to retry or fall back on the GIL.
     Tx(AbortReason),
     /// Fatal error — stops the run.
-    Err(VmError),
-}
-
-impl From<AbortReason> for VmAbort {
-    fn from(r: AbortReason) -> Self {
-        VmAbort::Tx(r)
-    }
-}
-
-impl VmAbort {
-    pub fn fatal(msg: impl Into<String>) -> VmAbort {
-        VmAbort::Err(VmError { msg: msg.into() })
-    }
+    Fatal(VmError),
 }
 
 /// What a thread is blocked on (the executor parks it).
@@ -439,6 +437,10 @@ pub struct Vm {
     /// extra traffic per store needs the full path anyway): a miss then
     /// stores no lease, so every cached one stays `INVALID` and never hits.
     pub(crate) use_leases: bool,
+    /// Why the call that just returned `Err(VmAbort)` stopped: parked by
+    /// [`Vm::fatal`]/[`Vm::tx_stop`], empty again once the driver took it.
+    /// Not speculative state — an abort parks it after the rollback.
+    pub(crate) stop: Option<Stop>,
 }
 
 impl Drop for Vm {
@@ -529,6 +531,7 @@ impl Vm {
             tx_method_bumps: 0,
             leases,
             use_leases,
+            stop: None,
         };
         vm.init_memory();
         vm.bootstrap_classes()?;
@@ -537,8 +540,9 @@ impl Vm {
         // running the prelude to completion synchronously at boot (it only
         // defines methods — cheap and conflict-free).
         vm.spawn_main(prelude_iseq);
-        vm.run_to_completion_single(0)
-            .map_err(|e| CompileError { msg: format!("prelude failed: {e:?}") })?;
+        vm.run_to_completion_single(0).map_err(|VmAbort| CompileError {
+            msg: format!("prelude failed: {:?}", vm.take_stop()),
+        })?;
         // Reset the main thread onto the real program.
         vm.reset_thread(0, main_iseq);
         Ok(vm)
@@ -584,8 +588,8 @@ impl Vm {
         for i in 0..self.program.pooled.len() {
             let PoolLiteral::Float(f) = self.program.pooled[i];
             let slot = self.alloc_slot_boot("the literal pool")?;
-            self.mem.poke(slot, Word::Hdr(ObjHeader { kind: ObjKind::Float, marked: false }));
-            self.mem.poke(slot + 1, Word::F64(f));
+            self.mem.poke(slot, Word::hdr(ObjKind::Float, false));
+            self.mem.poke(slot + 1, Word::float(f));
             self.pooled_objs.push(Word::Obj(slot));
         }
         Ok(())
@@ -640,21 +644,22 @@ impl Vm {
         // Single-threaded, transaction-free: superinstructions are
         // unobservable here, so always allow them.
         self.fuse_allowed = crate::decode::FUSE_ANY;
-        let mut result = Err(VmAbort::fatal("prelude did not terminate"));
+        let mut outcome = None;
         for _ in 0..50_000_000u64 {
             match self.step(tid) {
                 Ok(StepOk::Normal) => continue,
-                Ok(StepOk::Finished) => result = Ok(()),
-                Ok(StepOk::Spawned { .. } | StepOk::Block(_)) => {
-                    result = Err(VmAbort::fatal("prelude must not spawn or block"))
-                }
-                Err(e) => result = Err(e),
+                other => outcome = Some(other),
             }
             break;
         }
         self.fuse_allowed = 0;
         self.publish_method_bumps();
-        result
+        match outcome {
+            Some(Ok(StepOk::Finished)) => Ok(()),
+            Some(Err(stopped)) => Err(stopped),
+            Some(Ok(_)) => Err(self.fatal("prelude must not spawn or block")),
+            None => Err(self.fatal("prelude did not terminate")),
+        }
     }
 
     /// Take a register snapshot (transaction begin).
@@ -776,9 +781,41 @@ impl Vm {
         Ok(())
     }
 
-    #[inline]
+    /// Stop with a fatal error: park the message, hand back the `Err`
+    /// payload (`return Err(vm.fatal(..))`, `.ok_or_else(|| vm.fatal(..))`).
+    #[cold]
+    #[inline(never)]
+    pub fn fatal(&mut self, msg: impl Into<String>) -> VmAbort {
+        self.stop = Some(Stop::Fatal(VmError { msg: msg.into() }));
+        VmAbort
+    }
+
+    /// Stop because `t`'s transaction aborted (already rolled back): the
+    /// cold side of every access helper below.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn tx_stop(&mut self, reason: AbortReason) -> VmAbort {
+        self.stop = Some(Stop::Tx(reason));
+        VmAbort
+    }
+
+    /// Stop because `t` attempted what no transaction may contain (GC, heap
+    /// growth, blocking I/O): abort its transaction, park the reason.
+    pub(crate) fn restricted(&mut self, t: ThreadId) -> VmAbort {
+        let reason = self.mem.abort_restricted(t);
+        self.tx_stop(reason)
+    }
+
+    /// The reason behind the `Err(VmAbort)` just seen, leaving none parked.
+    /// `None` for an `Err` nobody parked a reason for: a bug in whoever
+    /// raised it, for the driver to report.
+    pub fn take_stop(&mut self) -> Option<Stop> {
+        self.stop.take()
+    }
+
+    #[inline(always)]
     pub fn rd(&mut self, t: ThreadId, addr: Addr) -> Result<Word, VmAbort> {
-        Ok(self.read_word::<true, _>(t, addr, |w| *w)?)
+        self.read_word::<true, _>(t, addr, |w| *w).map_err(|r| self.tx_stop(r))
     }
 
     /// [`Self::rd`] without the `step_mem_refs` charge — for runtime-level
@@ -793,14 +830,14 @@ impl Vm {
     /// integer, `Err(word)` otherwise — one counted access either way. The
     /// arithmetic/compare superinstructions use it to reach the
     /// `(Int, Int)` fast lane.
-    #[inline]
+    #[inline(always)]
     pub fn rd_int(&mut self, t: ThreadId, addr: Addr) -> Result<Result<i64, Word>, VmAbort> {
-        Ok(self.read_word::<true, _>(t, addr, |w| w.as_int().ok_or(*w))?)
+        self.read_word::<true, _>(t, addr, |w| w.as_int().ok_or(*w)).map_err(|r| self.tx_stop(r))
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn wr(&mut self, t: ThreadId, addr: Addr, w: Word) -> Result<(), VmAbort> {
-        Ok(self.write_word::<true>(t, addr, w)?)
+        self.write_word::<true>(t, addr, w).map_err(|r| self.tx_stop(r))
     }
 
     /// [`Self::wr`] without the `step_mem_refs` charge (and without the

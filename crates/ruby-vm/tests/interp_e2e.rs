@@ -5,7 +5,7 @@
 //! TLE runtime in `htm-gil-core`.
 
 use machine_sim::MachineProfile;
-use ruby_vm::{BlockOn, StepOk, Vm, VmAbort, VmConfig};
+use ruby_vm::{BlockOn, StepOk, Stop, Vm, VmAbort, VmConfig, Word};
 
 /// Run a program to completion under a simple cooperative scheduler.
 fn run_vm(src: &str) -> Vm {
@@ -47,7 +47,7 @@ fn run_vm(src: &str) -> Vm {
                         let ctx = &vm.threads[t];
                         let (obj, result) = (ctx.thread_obj, ctx.result);
                         if obj != 0 {
-                            vm.mem.write(t, obj + 2, ruby_vm::Word::Int(1)).unwrap();
+                            vm.mem.write(t, obj + 2, Word::Int(1)).unwrap();
                             vm.mem.write(t, obj + 3, result).unwrap();
                         }
                         break;
@@ -60,8 +60,10 @@ fn run_vm(src: &str) -> Vm {
                         *slot = Some(b);
                         break;
                     }
-                    Err(VmAbort::Err(e)) => panic!("vm error: {e}"),
-                    Err(VmAbort::Tx(r)) => panic!("unexpected tx abort: {r:?}"),
+                    Err(VmAbort) => match vm.take_stop() {
+                        Some(Stop::Fatal(e)) => panic!("vm error: {e}"),
+                        other => panic!("unexpected stop: {other:?}"),
+                    },
                 }
             }
         }
@@ -464,4 +466,39 @@ fn a_burst_is_its_steps_and_ends_at_the_budget_a_flagged_instruction_or_a_mark()
     for run in [whole, to_yield_points, budgeted] {
         assert_eq!((run.1, run.2), (single.1, single.2));
     }
+}
+
+/// A failing step's `Err` is zero-sized; its reason waits in the VM for
+/// whoever drives it. `"abc".include?(5)` fails three calls below the
+/// builtin (`bi_str_include` → `str_arg` → `recv_slot` → `Vm::fatal`),
+/// here inside a transaction: the message comes up intact, it can be taken
+/// once, and — it is not speculative state — aborting the transaction
+/// afterwards restores the image the transaction began on.
+#[test]
+fn a_fatal_deep_in_a_builtin_inside_a_transaction_parks_its_message_once() {
+    let src = "a = [1, 2]\na << 3\n\"abc\".include?(5)\nputs(1)";
+    let cfg = VmConfig { heap_slots: 2_000, malloc_words: 8_000, ..VmConfig::default() };
+    let mut vm = Vm::boot(src, cfg, &MachineProfile::generic(2)).unwrap();
+    let image = |vm: &Vm| (0..vm.mem.size()).map(|a| *vm.mem.peek(a)).collect::<Vec<_>>();
+    let (before, registers) = (image(&vm), vm.snapshot(0));
+    let roomy = htm_sim::Budgets { read_lines: 1 << 20, write_lines: 1 << 20 };
+    vm.mem.begin(0, roomy).unwrap();
+    let mut steps = 0;
+    while vm.step(0) == Ok(StepOk::Normal) {
+        steps += 1;
+    }
+    assert!(steps > 5, "the array was built first: {steps} steps");
+    assert_ne!(image(&vm), before, "the transaction wrote");
+    let msg = "receiver is not a String".to_string();
+    assert_eq!(vm.take_stop(), Some(Stop::Fatal(ruby_vm::VmError { msg })));
+    assert_eq!(vm.take_stop(), None, "taken once");
+    assert!(vm.mem.in_tx(0), "a fatal error is not an abort");
+    vm.mem.tabort(0, 1);
+    vm.restore(0, registers);
+    // (Free-list words the allocator wrote down on demand were `Uninit`
+    // by representation only: `TxMemory::materialize` is no store.)
+    let restored =
+        image(&vm).iter().zip(&before).all(|(now, was)| now == was || *was == Word::Uninit);
+    assert!(restored, "the rollback restores every word");
+    assert_eq!(vm.stdout_text(), "");
 }

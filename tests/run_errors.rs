@@ -6,10 +6,13 @@
 //!
 //! The invariant is broken from outside: `Executor::vm` is public, so a
 //! test can open a transaction the executor knows nothing about and give
-//! it a write budget that bursts at exactly the access under test.
+//! it a write budget that bursts at exactly the access under test — or
+//! overwrite an object header, or swap a builtin for one that fails
+//! without saying why.
 
 use htm_gil::core::RunError;
 use htm_gil::htm::Budgets;
+use htm_gil::vm::{ObjHeader, VmAbort, Word};
 use htm_gil::{ExecConfig, Executor, LengthPolicy, MachineProfile, RuntimeMode, VmConfig};
 
 /// Boot `source`, run it until thread `t` exists (a cycle limit stops a
@@ -70,5 +73,43 @@ fn a_gil_tenure_whose_counter_install_aborts_is_a_run_error() {
     let msg = vm_error(run_with_phantom_tx("puts(1)", mode, 0, 1)).expect("a vm error");
     assert!(msg.contains("yield counter install under the GIL aborted"), "{msg}");
     assert!(msg.contains("WriteOverflow"), "{msg}");
+    assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
+}
+
+/// Boot `source` under the GIL, break the image from outside, run.
+fn run_broken(source: &str, break_it: impl FnOnce(&mut Executor)) -> Option<String> {
+    let profile = MachineProfile::generic(2);
+    let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+    let mut ex = Executor::new(source, VmConfig::default(), profile, cfg).expect("boot");
+    ex.cfg.max_cycles = 10_000_000; // hang guard
+    break_it(&mut ex);
+    vm_error(ex.run())
+}
+
+/// A header whose kind byte names no `ObjKind` — a stray store over the
+/// receiver of the program's first send — is reported by the lookup that
+/// reads it, not indexed with.
+#[test]
+fn a_header_that_names_no_kind_is_a_run_error() {
+    let mut main = 0;
+    let msg = run_broken("puts(1)", |ex| {
+        main = ex.vm.classes.main_obj;
+        ex.vm.mem.poke(main, Word::Hdr(ObjHeader::from_bits(0x1ff)));
+    })
+    .expect("a vm error");
+    let want = format!("corrupt object header at {main}: ObjHeader {{ kind: 255, marked: true }}");
+    assert!(msg.contains(&want), "{msg}");
+}
+
+/// A step that fails without parking why (here a builtin swapped for one
+/// that just returns the zero-sized `Err`) leaves the executor nothing to
+/// take: it says so, with the dump, instead of unwrapping.
+#[test]
+fn a_failed_step_that_parked_no_stop_is_a_run_error() {
+    let msg = run_broken("puts(1)", |ex| {
+        ex.vm.builtins[0] = |_, _, _, _, _| Err(VmAbort); // `puts`
+    })
+    .expect("a vm error");
+    assert!(msg.contains("a step failed and parked no stop"), "{msg}");
     assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
 }

@@ -4,10 +4,12 @@
 //! `tests/golden/sim_counters.json` exactly. A host-side optimization
 //! leaves every number here alone; a change that moves one is a behaviour
 //! change and has to say so by regenerating the file (ROADMAP item 2a).
-//! The last four keys of each workload are the exception that proves it:
-//! `Executor::host_counters`, deterministic counts of the host's own work
-//! (picks by kind, bursts and their bytecodes) that a host-side change
-//! *is* expected to move — and then to say by how much.
+//! The last six keys of each workload are the exception that proves it:
+//! deterministic counts of the host's own work (`Executor::host_counters`:
+//! picks by kind, bursts and their bytecodes; `TxMemory::undo_pushes`) that
+//! a host-side change *is* expected to move — and then to say by how much —
+//! and the task server's p99, which the layer-share table of EXPERIMENTS.md
+//! "Host cost" reads from here.
 //!
 //! The programs, sizes and the `VmConfig`/`ExecConfig` recipe are the
 //! benchmark's own: `benchmark/src/workloads.rs` is compiled into this
@@ -70,6 +72,10 @@ fn measure(tiny: bool) -> Json {
             let mut point = counters(&report);
             let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];
             point.extend(host.into_iter().zip(ex.host_counters()));
+            // Undo records written (the leased path skips what the full
+            // path writes) and, where tasks are served, their p99.
+            point.push(("undo_pushes", ex.vm.mem.undo_pushes()));
+            point.push(("task_p99_cycles", report.task_latency.map_or(0, |t| t.e2e.p99)));
             if sums.is_empty() {
                 sums = point;
             } else {

@@ -14,14 +14,12 @@ use std::collections::BTreeSet;
 use common::{body_strategy, render};
 use htm_gil::core::heap_digest;
 use htm_gil::htm::Budgets;
-use htm_gil::vm::{ObjKind, StrId, Vm, VmAbort, Word};
+use htm_gil::vm::{ObjKind, Stop, StrId, Vm, VmAbort, Word};
 use htm_gil::{
     ExecConfig, Executor, FaultPlan, LengthPolicy, MachineProfile, RuntimeMode, SubscriptionPolicy,
     VmConfig,
 };
 use proptest::prelude::*;
-
-const _: () = assert!(std::mem::size_of::<Word>() == 16);
 
 #[test]
 fn word_is_copy() {
@@ -51,7 +49,7 @@ fn assert_table_is_the_heaps(vm: &mut Vm, what: &str) {
     for i in 0..vm.total_slots() {
         let slot = vm.slot_addr(i);
         if vm.mem.peek(slot + 1).as_str_id().is_some() {
-            let kind = vm.mem.peek(slot).as_header().expect("header").kind;
+            let kind = vm.mem.peek(slot).as_header().and_then(|h| h.kind()).expect("header");
             assert!(
                 matches!(kind, ObjKind::String | ObjKind::Regexp),
                 "{what}: {kind:?} names an id"
@@ -240,8 +238,9 @@ fn a_dangling_id_is_a_fatal_error_not_a_panic() {
     let slot = vm.mem.peek(vm.layout.gvar(idx)).as_obj().expect("$s holds a String");
     let id = vm.mem.peek(slot + 1).as_str_id().expect("payload word");
     vm.strings.release(id);
-    match vm.string_content(0, slot) {
-        Err(VmAbort::Err(e)) => assert!(e.msg.contains("corrupt string payload"), "{e}"),
+    assert_eq!(vm.string_content(0, slot), Err(VmAbort));
+    match vm.take_stop() {
+        Some(Stop::Fatal(e)) => assert!(e.msg.contains("corrupt string payload"), "{e}"),
         other => panic!("expected a fatal error, got {other:?}"),
     }
     assert!(heap_digest(vm).contains("<freed string>"));
