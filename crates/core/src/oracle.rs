@@ -87,7 +87,7 @@ pub fn check_against_gil(
 /// global state produce identical digests regardless of allocation order.
 pub fn heap_digest(vm: &Vm) -> String {
     let mut gvars: Vec<(&str, usize)> =
-        vm.gvar_map.iter().map(|(sym, idx)| (vm.program.symbols.name(*sym), *idx)).collect();
+        vm.gvar_map.iter().map(|(sym, idx)| (vm.symbols.name(*sym), *idx)).collect();
     gvars.sort();
     let mut out = String::new();
     let mut seen = HashSet::new();
@@ -112,7 +112,7 @@ fn render(vm: &Vm, w: &Word, out: &mut String, seen: &mut HashSet<usize>) {
             let _ = write!(out, "{f:?}");
         }
         Word::Sym(s) => {
-            let _ = write!(out, ":{}", vm.program.symbols.name(s.id()));
+            let _ = write!(out, ":{}", vm.symbols.name(s.id()));
         }
         Word::Str(id) => match vm.strings.get(*id) {
             Some(s) => {
@@ -226,7 +226,7 @@ fn render_obj(vm: &Vm, addr: usize, out: &mut String, seen: &mut HashSet<usize>)
 
 fn render_class_name(vm: &Vm, class_slot: usize, out: &mut String) {
     match vm.mem.peek(class_slot + 6) {
-        Word::Sym(s) => out.push_str(vm.program.symbols.name(s.id())),
+        Word::Sym(s) => out.push_str(vm.symbols.name(s.id())),
         _ => out.push('?'),
     }
 }

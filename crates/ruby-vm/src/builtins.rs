@@ -424,7 +424,7 @@ fn bi_class_name(
     let cls = recv_slot(vm, t, &recv, ObjKind::Class)?;
     let name = vm.rd(t, cls + 6)?;
     let s = match name {
-        Word::Sym(s) => vm.program.symbols.name(s.id()),
+        Word::Sym(s) => vm.symbols.name(s.id()),
         _ => "?",
     };
     Ok(BResult::Value(vm.make_string(t, s.into())?))
@@ -653,7 +653,7 @@ fn bi_str_to_sym(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
-    let sym = vm.program.intern(&s);
+    let sym = vm.symbols.intern(&s);
     Ok(BResult::Value(Word::sym(sym)))
 }
 

@@ -371,22 +371,14 @@ fn fusion_bits(first: &Insn, second: &Insn) -> u8 {
     }
 }
 
-/// Decode every iseq into the flat stream, 1:1 with
+/// Append one iseq's decoded instructions to the flat stream, 1:1 with
 /// `Program::global_pc` indexing.
-pub fn decode(iseqs: &[ISeq], symbols: &SymbolTable) -> Vec<DecodedInsn> {
-    let total: usize = iseqs.iter().map(|i| i.code.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for iseq in iseqs {
-        let base = out.len();
-        for (pc, insn) in iseq.code.iter().enumerate() {
-            out.push(lower(insn, pc, symbols));
-        }
-        for pc in 0..iseq.code.len().saturating_sub(1) {
-            out[base + pc].flags |= fusion_bits(&iseq.code[pc], &iseq.code[pc + 1]);
-        }
+pub fn decode_into(iseq: &ISeq, symbols: &SymbolTable, out: &mut Vec<DecodedInsn>) {
+    let base = out.len();
+    out.extend(iseq.code.iter().enumerate().map(|(pc, insn)| lower(insn, pc, symbols)));
+    for (pc, pair) in iseq.code.windows(2).enumerate() {
+        out[base + pc].flags |= fusion_bits(&pair[0], &pair[1]);
     }
-    debug_assert_eq!(out.len(), total);
-    out
 }
 
 /// The yield-point flag bit for a policy-independent check against

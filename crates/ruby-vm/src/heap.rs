@@ -374,7 +374,8 @@ impl Vm {
     /// the sweep reaches it, and the mark itself can miss what a doomed
     /// thread's retry will read (its registers are stale until it takes
     /// the abort). `peek`, not `rd`: host-side bookkeeping must not move a
-    /// simulated cycle.
+    /// simulated cycle. The walk ends with the heap or, sooner, once every
+    /// live id has been seen named (`StrTable::retain`).
     fn release_unnamed_strings(&mut self) {
         let slots = self
             .slot_ranges

@@ -320,7 +320,7 @@ impl Vm {
             let c = &self.threads[t];
             c.base as usize + c.pc
         };
-        let d = self.program.decoded_at(gpc);
+        let d = self.code[gpc];
         let r = self.exec_decoded(t, &d)?;
         // A pair marked fusable at decode time executes its second half in
         // the same step iff the executor allows fusion here *and* the
@@ -330,7 +330,7 @@ impl Vm {
         if d.flags & self.fuse_allowed != 0 && matches!(r, StepOk::Normal) {
             let c = &self.threads[t];
             if c.base as usize + c.pc == gpc + 1 {
-                let d2 = self.program.decoded_at(gpc + 1);
+                let d2 = self.code[gpc + 1];
                 // Popped operands of the first half are dead; the fused
                 // step keeps only the second half's in-flight values.
                 self.temp_roots.clear();
@@ -470,10 +470,7 @@ impl Vm {
             Op::GetConst => {
                 let name = SymId(d.a_lo());
                 let addr = self.const_lookup(name).ok_or_else(|| {
-                    self.fatal(format!(
-                        "uninitialized constant {}",
-                        self.program.symbols.name(name)
-                    ))
+                    self.fatal(format!("uninitialized constant {}", self.symbols.name(name)))
                 })?;
                 let w = self.rd(t, addr)?;
                 self.push(t, w)?;
@@ -725,10 +722,7 @@ impl Vm {
             }
             Insn::GetConst { name } => {
                 let addr = self.const_lookup(name).ok_or_else(|| {
-                    self.fatal(format!(
-                        "uninitialized constant {}",
-                        self.program.symbols.name(name)
-                    ))
+                    self.fatal(format!("uninitialized constant {}", self.symbols.name(name)))
                 })?;
                 let w = self.rd(t, addr)?;
                 self.push(t, w)?;
@@ -897,7 +891,7 @@ impl Vm {
                     self.lookup_method(t, cls, name)?
                 };
                 let Some(e) = found else {
-                    let n = self.program.symbols.name(name).to_string();
+                    let n = self.symbols.name(name).to_string();
                     let r = self.display(t, &recv)?;
                     return Err(self.fatal(format!("undefined method `{n}' for {r}")));
                 };
@@ -1104,7 +1098,7 @@ impl Vm {
                         let addr = self.const_lookup(s).ok_or_else(|| {
                             self.fatal(format!(
                                 "uninitialized constant {} (superclass)",
-                                self.program.symbols.name(s)
+                                self.symbols.name(s)
                             ))
                         })?;
                         self.rd(t, addr)?
@@ -1223,7 +1217,7 @@ impl Vm {
     #[inline]
     fn op_fallback_sym(&mut self, sym: u32, name: &str) -> SymId {
         if sym == crate::decode::NO_SYM {
-            self.program.intern(name)
+            self.symbols.intern(name)
         } else {
             SymId(sym)
         }

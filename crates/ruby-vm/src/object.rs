@@ -705,7 +705,7 @@ impl Vm {
             Word::True => out.push_str("true"),
             Word::False => out.push_str("false"),
             Word::Int(i) => _ = write!(out, "{i}"),
-            Word::Sym(s) => out.push_str(self.program.symbols.name(s.id())),
+            Word::Sym(s) => out.push_str(self.symbols.name(s.id())),
             Word::Obj(slot) => match self.kind_of(t, *slot)? {
                 ObjKind::Float => {
                     let f = self.rd(t, *slot + 1)?.as_f64().unwrap_or(f64::NAN);
@@ -732,7 +732,7 @@ impl Vm {
                     self.display_into(t, &hi, out)?;
                 }
                 ObjKind::Class => match self.rd(t, *slot + 6)? {
-                    Word::Sym(s) => out.push_str(self.program.symbols.name(s.id())),
+                    Word::Sym(s) => out.push_str(self.symbols.name(s.id())),
                     _ => out.push_str("#<Class>"),
                 },
                 k => _ = write!(out, "#<{k:?}:{slot}>"),
@@ -751,7 +751,7 @@ impl Vm {
     fn inspect_into(&mut self, t: ThreadId, w: &Word, out: &mut String) -> Result<(), VmAbort> {
         match w {
             Word::Nil => out.push_str("nil"),
-            Word::Sym(s) => _ = write!(out, ":{}", self.program.symbols.name(s.id())),
+            Word::Sym(s) => _ = write!(out, ":{}", self.symbols.name(s.id())),
             Word::Obj(slot) if self.kind_of(t, *slot)? == ObjKind::String => {
                 _ = write!(out, "{:?}", self.string_content(t, *slot)?)
             }
@@ -805,7 +805,7 @@ impl Vm {
         self.classes.math = self.boot_class("Math", object)?;
         self.classes.store = self.boot_class("Store", object)?;
         // Numeric alias used by some sources.
-        let fixnum_sym = self.program.intern("Fixnum");
+        let fixnum_sym = self.symbols.intern("Fixnum");
         let addr = self.const_define_addr(fixnum_sym);
         self.mem.poke(addr, Word::Obj(self.classes.integer));
         // The top-level main object.
@@ -822,7 +822,7 @@ impl Vm {
 
     fn boot_class(&mut self, name: &str, superclass: Addr) -> Result<Addr, CompileError> {
         let slot = self.alloc_slot_boot("the core classes")?;
-        let name_sym = self.program.intern(name);
+        let name_sym = self.symbols.intern(name);
         self.mem.poke(slot, Word::hdr(ObjKind::Class, false));
         self.mem.poke(slot + 1, if superclass == 0 { Word::Nil } else { Word::Obj(superclass) });
         self.mem.poke(slot + 2, Word::Int(0));
@@ -838,7 +838,7 @@ impl Vm {
 
     /// Boot-time method installation (used by `builtins::install`).
     pub fn boot_define(&mut self, cls: Addr, name: &str, entry: MethodEntry, on_self: bool) {
-        let sym = self.program.intern(name);
+        let sym = self.symbols.intern(name);
         self.define_method(0, cls, sym, entry, on_self).expect("boot method definition failed");
     }
 }
@@ -988,7 +988,7 @@ mod tests {
         let mut vm = vm();
         let obj_cls = vm.classes.object;
         let sub = vm.boot_class("Sub", obj_cls).unwrap();
-        let sym = vm.program.intern("zzz_test_method");
+        let sym = vm.symbols.intern("zzz_test_method");
         vm.define_method(0, obj_cls, sym, MethodEntry::Builtin(1234), false).unwrap();
         // Inherited through the chain:
         let got = vm.lookup_method(0, sub, sym).unwrap();
@@ -1015,15 +1015,12 @@ mod tests {
     fn ivar_index_allocation_is_per_class() {
         let mut vm = vm();
         let cls = vm.boot_class("IvarTest", vm.classes.object).unwrap();
-        let a = vm.program.intern("a");
-        let b = vm.program.intern("b");
+        let a = vm.symbols.intern("a");
+        let b = vm.symbols.intern("b");
         assert_eq!(vm.ivar_index(0, cls, a, true).unwrap(), Some(0));
         assert_eq!(vm.ivar_index(0, cls, b, true).unwrap(), Some(1));
         assert_eq!(vm.ivar_index(0, cls, a, true).unwrap(), Some(0));
-        assert_eq!(
-            vm.ivar_index(0, cls, vm.program.symbols.lookup("a").unwrap(), false).unwrap(),
-            Some(0)
-        );
+        assert_eq!(vm.ivar_index(0, cls, vm.symbols.lookup("a").unwrap(), false).unwrap(), Some(0));
     }
 
     #[test]
@@ -1046,7 +1043,7 @@ mod tests {
         let mut vm = vm();
         let base = vm.boot_class("CvBase", vm.classes.object).unwrap();
         let sub = vm.boot_class("CvSub", base).unwrap();
-        let name = vm.program.intern("count");
+        let name = vm.symbols.intern("count");
         vm.cvar_set(0, base, name, Word::Int(1)).unwrap();
         assert_eq!(vm.cvar_get(0, sub, name).unwrap(), Word::Int(1));
         // Writing through the subclass updates the *base* definition.

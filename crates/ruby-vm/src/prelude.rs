@@ -14,10 +14,11 @@ use crate::bytecode::IseqId;
 use crate::compile::{compile_source, CompileError};
 use crate::program::Program;
 
-/// The program every boot starts from — operator names interned, the
-/// prelude compiled — and the prelude's top-level iseq. Built once per
-/// process; each boot compiles only the user source on top of its copy.
-pub fn compiled() -> Result<(Program, IseqId), CompileError> {
+/// The program every compilation starts from — operator names interned,
+/// the prelude compiled and decoded — and the prelude's top-level iseq.
+/// Built once per process: the seed of [`Program::compiled`]'s memo, whose
+/// entries share its iseqs and symbols.
+pub fn compiled() -> Result<&'static (Program, IseqId), CompileError> {
     static COMPILED: OnceLock<Result<(Program, IseqId), CompileError>> = OnceLock::new();
     COMPILED
         .get_or_init(|| {
@@ -51,9 +52,12 @@ pub fn compiled() -> Result<(Program, IseqId), CompileError> {
                 program.intern(op);
             }
             let prelude_iseq = compile_source(PRELUDE, &mut program)?;
+            program.finalize();
+            program.share_decoded();
             Ok((program, prelude_iseq))
         })
-        .clone()
+        .as_ref()
+        .map_err(CompileError::clone)
 }
 
 /// Prelude source (compiled before user code; defines no threads).

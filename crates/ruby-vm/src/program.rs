@@ -1,10 +1,12 @@
 //! A compiled program: instruction sequences, symbols, literal pools and
 //! the global yield-point ("pc") numbering used by the TLE runtime's
-//! per-yield-point tables.
+//! per-yield-point tables — and the memo that compiles each source text
+//! once per process ([`Program::compiled`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bytecode::{ISeq, Insn, IseqId};
+use crate::compile::{compile_source, CompileError};
 use crate::decode::DecodedInsn;
 use crate::symbols::{SymId, SymbolTable};
 
@@ -16,42 +18,92 @@ pub enum PoolLiteral {
 
 /// Everything the compiler produces; immutable at run time (CRuby iseqs
 /// are shared read-only across threads too — code fetch is not modelled as
-/// memory traffic).
+/// memory traffic): every VM booted from one text holds the same one.
 #[derive(Debug, Default, Clone)]
 pub struct Program {
-    pub iseqs: Vec<ISeq>,
-    pub symbols: SymbolTable,
+    /// Shared by count with the program this one was compiled on top of.
+    pub iseqs: Vec<Arc<ISeq>>,
+    /// Frozen once a VM holds the program: what a VM interns at run time
+    /// goes to its own layer ([`crate::vm::Vm::symbols`]).
+    pub symbols: Arc<SymbolTable>,
     /// Shared frozen literal objects (float literals).
     pub pooled: Vec<PoolLiteral>,
-    /// String literals: a new String object on every `PutString`, over
-    /// this one text (`Arc`: the prelude is compiled once per process).
+    /// String literals: a new String object per `PutString`, one text.
     pub strings: Vec<Arc<str>>,
     /// Total inline-cache sites allocated by the compiler.
     pub ic_count: u32,
-    /// Prefix offsets of each iseq into the global pc numbering.
+    /// Prefix offsets of each finalized iseq into the global pc numbering.
     iseq_base: Vec<u32>,
-    /// Total instruction count across all iseqs.
+    /// Total instruction count across the finalized iseqs.
     total_insns: u32,
     /// Per-iseq operand-stack bounds (computed by [`Program::finalize`]).
     max_stacks: Vec<usize>,
-    /// Flat pre-decoded stream, indexed by global pc (see
-    /// [`crate::decode`]; rebuilt by [`Program::finalize`]).
+    /// Pre-decoded stream indexed by global pc (see [`crate::decode`]), in
+    /// two runs: `shared` with every clone of the program that froze it
+    /// ([`Program::share_decoded`]: the prelude's), then `decoded`,
+    /// extended by [`Program::finalize`].
+    shared: Arc<[DecodedInsn]>,
     decoded: Vec<DecodedInsn>,
 }
 
+/// Source texts the memo keeps compiled: sized by the reuse distance of
+/// the committed figure rows (EXPERIMENTS.md "Host cost" has the table).
+pub const MEMO_CAPACITY: usize = 16;
+
+/// (source, its program, its top-level iseq), least recently used first.
+type Compiled = (Box<str>, Arc<Program>, IseqId);
+
+static MEMO: Mutex<Vec<Compiled>> = Mutex::new(Vec::new());
+
 impl Program {
-    /// Recompute the global pc numbering after all iseqs are in place and
-    /// lower every instruction into the flat decoded stream.
-    pub fn finalize(&mut self) {
-        self.iseq_base.clear();
-        let mut base = 0u32;
-        for iseq in &self.iseqs {
-            self.iseq_base.push(base);
-            base += iseq.code.len() as u32;
+    /// `source` compiled on top of the prelude and finalized, with the
+    /// prelude's top-level iseq and its own. A pure function of the whole
+    /// text, so computed once: later calls get the same `Arc` until
+    /// [`MEMO_CAPACITY`] other texts have pushed it out. An error is
+    /// returned, never kept.
+    pub fn compiled(source: &str) -> Result<(Arc<Program>, IseqId, IseqId), CompileError> {
+        let &(ref prelude, prelude_iseq) = crate::prelude::compiled()?;
+        let find = |memo: &mut Vec<Compiled>| {
+            let at = memo.iter().position(|(text, ..)| **text == *source)?;
+            memo[at..].rotate_left(1);
+            memo.last().map(|(_, program, main)| (Arc::clone(program), prelude_iseq, *main))
+        };
+        // Nothing that can panic runs under the lock, the compiler least
+        // of all; were it poisoned all the same, the entries are whole.
+        let lock = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = find(&mut lock()) {
+            return Ok(hit);
         }
-        self.total_insns = base;
-        self.max_stacks = self.iseqs.iter().map(|i| i.max_stack()).collect();
-        self.decoded = crate::decode::decode(&self.iseqs, &self.symbols);
+        let symbols = Arc::new(SymbolTable::over(Arc::clone(&prelude.symbols)));
+        let mut program = Program { symbols, ..prelude.clone() };
+        let main = compile_source(source, &mut program)?;
+        program.finalize();
+        let mut memo = lock();
+        // A thread that compiled the same text meanwhile got there first:
+        // its entry stays the only one.
+        Ok(find(&mut memo).unwrap_or_else(|| {
+            if memo.len() == MEMO_CAPACITY {
+                memo.remove(0);
+            }
+            let program = Arc::new(program);
+            memo.push((source.into(), Arc::clone(&program), main));
+            (program, prelude_iseq, main)
+        }))
+    }
+
+    /// Extend the global pc numbering over the iseqs added since the last
+    /// call and lower them into the flat decoded stream.
+    pub fn finalize(&mut self) {
+        let new = &self.iseqs[self.iseq_base.len()..];
+        // Exactly: a memo entry lives as long as the process.
+        self.decoded.reserve_exact(new.iter().map(|iseq| iseq.code.len()).sum());
+        for iseq in new {
+            self.iseq_base.push(self.total_insns);
+            self.total_insns += iseq.code.len() as u32;
+            self.max_stacks.push(iseq.max_stack());
+            crate::decode::decode_into(iseq, &self.symbols, &mut self.decoded);
+        }
+        debug_assert_eq!(self.shared.len() + self.decoded.len(), self.total_insns as usize);
     }
 
     /// Global-pc base of an iseq in the decoded stream.
@@ -60,22 +112,25 @@ impl Program {
         self.iseq_base[iseq.0 as usize]
     }
 
-    /// Fetch a pre-decoded instruction by global pc.
-    #[inline]
+    /// The whole decoded stream in global-pc order (a VM fetches from a
+    /// flat copy of it: [`crate::vm::Vm::code`]).
+    pub fn decoded(&self) -> impl Iterator<Item = DecodedInsn> + '_ {
+        self.shared.iter().chain(&self.decoded).copied()
+    }
+
+    /// Put the stream decoded so far behind a count: a clone shares it and
+    /// decodes only what is compiled on top.
+    pub fn share_decoded(&mut self) {
+        self.shared = self.decoded().collect();
+        self.decoded = Vec::new();
+    }
+
+    /// A pre-decoded instruction by global pc (tests, differential checks).
     pub fn decoded_at(&self, gpc: usize) -> DecodedInsn {
-        self.decoded[gpc]
-    }
-
-    /// Flag byte of the decoded instruction at a global pc (the
-    /// executor's one-load yield-point query).
-    #[inline]
-    pub fn decoded_flags(&self, gpc: usize) -> u8 {
-        self.decoded[gpc].flags
-    }
-
-    /// The whole decoded stream (tests, differential checks).
-    pub fn decoded(&self) -> &[DecodedInsn] {
-        &self.decoded
+        match gpc.checked_sub(self.shared.len()) {
+            Some(own) => self.decoded[own],
+            None => self.shared[gpc],
+        }
     }
 
     /// Operand-stack bound of an iseq (frame sizing).
@@ -114,13 +169,13 @@ impl Program {
     pub fn push_iseq(&mut self, mut iseq: ISeq) -> IseqId {
         let id = IseqId(self.iseqs.len() as u32);
         iseq.id = id;
-        self.iseqs.push(iseq);
+        self.iseqs.push(Arc::new(iseq));
         id
     }
 
     /// Intern a symbol.
     pub fn intern(&mut self, name: &str) -> SymId {
-        self.symbols.intern(name)
+        Arc::make_mut(&mut self.symbols).intern(name)
     }
 
     /// Allocate a fresh inline-cache site.

@@ -6,16 +6,23 @@
 //! contention is not modelled — the workloads intern everything up front.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interned symbol id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SymId(pub u32);
 
-/// Bidirectional symbol table.
+/// Bidirectional symbol table, optionally a layer over a frozen one: a
+/// program's over the prelude's, a VM's run-time names over its program's.
+/// A layer continues its base's dense numbering, so ids come out as if the
+/// whole stack were one table filled in the same order.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    ids: HashMap<String, SymId>,
+    base: Option<Arc<SymbolTable>>,
+    /// `base.len()`: the id of `names[0]`.
+    first: usize,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, SymId>,
 }
 
 impl SymbolTable {
@@ -23,34 +30,43 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// An empty layer over `base`, which it shares and never writes.
+    pub fn over(base: Arc<SymbolTable>) -> Self {
+        SymbolTable { first: base.len(), base: Some(base), ..SymbolTable::default() }
+    }
+
     /// Intern `name`, returning its stable id.
     pub fn intern(&mut self, name: &str) -> SymId {
-        if let Some(&id) = self.ids.get(name) {
+        if let Some(id) = self.lookup(name) {
             return id;
         }
-        let id = SymId(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
+        let id = SymId(self.len() as u32);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 
     /// Look up an already-interned name.
     pub fn lookup(&self, name: &str) -> Option<SymId> {
-        self.ids.get(name).copied()
+        self.ids.get(name).copied().or_else(|| self.base.as_ref()?.lookup(name))
     }
 
     /// Name of a symbol id.
     pub fn name(&self, id: SymId) -> &str {
-        &self.names[id.0 as usize]
+        match (id.0 as usize).checked_sub(self.first) {
+            Some(own) => &self.names[own],
+            None => self.base.as_ref().expect("an id below `first` is the base's").name(id),
+        }
     }
 
-    /// Number of interned symbols.
+    /// Number of interned symbols, the base's included.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.first + self.names.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
     }
 }
 
@@ -69,6 +85,21 @@ mod tests {
         assert_eq!(t.name(a), "each");
         assert_eq!(t.name(b), "map");
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn a_layer_continues_its_base_and_leaves_it_alone() {
+        let mut base = SymbolTable::new();
+        let each = base.intern("each");
+        let base = Arc::new(base);
+        let mut layer = SymbolTable::over(Arc::clone(&base));
+        assert_eq!(layer.intern("each"), each, "found below, not numbered again");
+        let own = layer.intern("zip");
+        assert_eq!((own, layer.len(), base.len()), (SymId(1), 2, 1));
+        assert_eq!((layer.name(each), layer.name(own)), ("each", "zip"));
+        assert_eq!(base.lookup("zip"), None);
+        // A second layer over the same base numbers from the same place.
+        assert_eq!(SymbolTable::over(base).intern("map"), own);
     }
 
     #[test]

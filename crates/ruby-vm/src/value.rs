@@ -211,10 +211,17 @@ impl StrTable {
         }
     }
 
-    /// Release every id not among `named`.
-    pub(crate) fn retain(&mut self, named: impl Iterator<Item = StrId>) {
+    /// Release every id not among `named`, which is read only until every
+    /// live id has turned up in it.
+    pub(crate) fn retain(&mut self, mut named: impl Iterator<Item = StrId>) {
         let mut keep = vec![false; self.entries.len()];
-        named.for_each(|id| keep[id.0 as usize] = true);
+        let mut unseen = self.entries.iter().flatten().count();
+        while unseen > 0 {
+            let Some(id) = named.next() else { break };
+            let id = id.0 as usize;
+            unseen -= usize::from(!keep[id] && self.entries[id].is_some());
+            keep[id] = true;
+        }
         self.free.clear();
         for id in (0..self.entries.len()).rev() {
             if !keep[id] {

@@ -20,10 +20,10 @@ use htm_sim::{AbortReason, LineLease, MemoryImage, TxMemory};
 use machine_sim::{MachineProfile, ThreadId};
 
 use crate::bytecode::IseqId;
-use crate::compile::{compile_source, CompileError};
+use crate::compile::CompileError;
 use crate::layout::{ts, Layout};
 use crate::program::{PoolLiteral, Program};
-use crate::symbols::SymId;
+use crate::symbols::{SymId, SymbolTable};
 use crate::value::{Addr, ObjKind, StrTable, Word};
 
 thread_local! {
@@ -340,7 +340,16 @@ pub struct Vm {
     /// to VM structures (paper §5.6).
     pub attribution: crate::layout::AttributionMap,
     pub config: VmConfig,
-    pub program: Program,
+    /// Shared with every VM booted from the same text, and read-only.
+    pub program: Arc<Program>,
+    /// `program`'s decoded stream (two runs there, the prelude's shared),
+    /// flat and this VM's own: a fetch is one indexed load off the `Vm`.
+    pub(crate) code: Vec<crate::decode::DecodedInsn>,
+    /// Every name this VM knows: its own layer — what boot and the running
+    /// program intern (class and builtin names, `String#to_sym`) — over the
+    /// program's frozen table. No other VM sees the layer; the ids are the
+    /// ones a private copy of the table would have handed out.
+    pub symbols: SymbolTable,
     pub threads: Vec<ThreadCtx>,
     pub classes: CoreClasses,
     /// Captured `puts` output (per-run, used as the correctness oracle).
@@ -461,9 +470,7 @@ impl Vm {
         config: VmConfig,
         profile: &MachineProfile,
     ) -> Result<Vm, CompileError> {
-        let (mut program, prelude_iseq) = crate::prelude::compiled()?;
-        let main_iseq = compile_source(source, &mut program)?;
-        program.finalize();
+        let (program, prelude_iseq, main_iseq) = Program::compiled(source)?;
 
         let line_words = profile.cache.line_words();
         let ic_copies = if config.thread_local_ics { config.max_threads } else { 1 };
@@ -497,6 +504,8 @@ impl Vm {
             layout,
             attribution,
             config,
+            symbols: SymbolTable::over(Arc::clone(&program.symbols)),
+            code: program.decoded().collect(),
             program,
             threads: Vec::new(),
             classes: CoreClasses::default(),
@@ -893,7 +902,7 @@ impl Vm {
     #[inline]
     pub fn insn_flags(&self, t: ThreadId) -> u8 {
         let c = &self.threads[t];
-        self.program.decoded_flags(c.base as usize + c.pc)
+        self.code[c.base as usize + c.pc].flags
     }
 
     /// Method-table version as seen by the running step: the committed

@@ -59,7 +59,7 @@ fn reference_yield_pcs(prog: &Program, bit: u8) -> Vec<u32> {
 
 /// The same sequence read from the decoded stream's flag bytes.
 fn decoded_yield_pcs(prog: &Program, bit: u8) -> Vec<u32> {
-    (0..prog.total_insns()).filter(|&gpc| prog.decoded_flags(gpc as usize) & bit != 0).collect()
+    (0..prog.total_insns()).filter(|&gpc| prog.decoded_at(gpc as usize).flags & bit != 0).collect()
 }
 
 proptest! {
@@ -73,14 +73,15 @@ proptest! {
     ) {
         let prog = compile_fragments(&parts);
         let total: usize = prog.iseqs.iter().map(|i| i.code.len()).sum();
-        prop_assert_eq!(prog.decoded().len(), total, "decoded stream must be 1:1");
+        // (`finalize` debug-asserts the decoded stream is as long.)
+        prop_assert_eq!(prog.total_insns() as usize, total, "pc numbering must be 1:1");
         prop_assert_eq!(prog.total_insns() as usize, total);
 
         // Index-by-index: the flag byte is exactly the kind classification.
         for iseq in &prog.iseqs {
             for (pc, insn) in iseq.code.iter().enumerate() {
                 let gpc = prog.global_pc(iseq.id, pc) as usize;
-                let got = prog.decoded_flags(gpc) & (YP_ORIG | YP_EXT);
+                let got = prog.decoded_at(gpc).flags & (YP_ORIG | YP_EXT);
                 let want = yield_flags_of_kind(insn.kind());
                 prop_assert_eq!(
                     got, want,
@@ -110,7 +111,7 @@ proptest! {
         let prog = compile_fragments(&parts);
         for iseq in &prog.iseqs {
             for pc in 0..iseq.code.len() {
-                let flags = prog.decoded_flags(prog.global_pc(iseq.id, pc) as usize);
+                let flags = prog.decoded_at(prog.global_pc(iseq.id, pc) as usize).flags;
                 if flags & (FUSE_ORIG | FUSE_EXT) == 0 {
                     continue;
                 }

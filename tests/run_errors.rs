@@ -113,3 +113,30 @@ fn a_failed_step_that_parked_no_stop_is_a_run_error() {
     assert!(msg.contains("a step failed and parked no stop"), "{msg}");
     assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
 }
+
+/// A source that does not compile is an error the caller gets back, the
+/// same one every time: the compile memo keeps programs, not failures, and
+/// a failure leaves it as it was — the text compiles once it is fixed,
+/// and a text compiled before still boots to the program it shared.
+#[test]
+fn a_source_that_does_not_compile_is_the_same_boot_error_twice() {
+    let profile = MachineProfile::generic(2);
+    let boot = |source: &str| {
+        let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+        Executor::new(source, VmConfig::default(), profile.clone(), cfg)
+    };
+    let good = "x = 41 + 1\nputs(x)\n";
+    let before = boot(good).expect("boot");
+    let bad = "x = 41 +\nputs(x\n";
+    let message = |outcome: Result<Executor, RunError>| match outcome {
+        Err(RunError::Boot(m)) => m,
+        Err(other) => panic!("expected a boot error, got {other}"),
+        Ok(_) => panic!("{bad:?} must not compile"),
+    };
+    let first = message(boot(bad));
+    assert!(first.contains("parse error at line"), "the error says where: {first}");
+    assert_eq!(message(boot(bad)), first, "told again, not remembered");
+    let mut after = boot(good).expect("a failed compile poisons nothing");
+    assert!(std::sync::Arc::ptr_eq(&before.vm.program, &after.vm.program));
+    assert_eq!(after.run().expect("run").stdout, "42");
+}

@@ -22,31 +22,15 @@
 #[path = "../benchmark/src/workloads.rs"]
 mod recipe;
 
+#[path = "common/point_counters.rs"]
+mod point_counters;
+
 use htm_gil::core::Json;
-use htm_gil::{Executor, RunReport};
+use htm_gil::Executor;
+use point_counters::point_counters;
 
 const SEED: u64 = 1;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_counters.json");
-
-fn counters(r: &RunReport) -> Vec<(&'static str, u64)> {
-    let mut out = vec![
-        ("elapsed_cycles", r.elapsed_cycles),
-        ("committed_insns", r.committed_insns),
-        ("wasted_insns", r.wasted_insns),
-        ("gil_acquisitions", r.gil_acquisitions),
-        ("length_adjustments", r.length_adjustments),
-        ("allocations", r.allocations),
-        ("gc_runs", r.gc_runs),
-        ("reads", r.htm.reads),
-        ("writes", r.htm.writes),
-        ("begins", r.htm.begins),
-        ("commits", r.htm.commits),
-        ("nontx_dooms", r.htm.nontx_dooms),
-        ("epoch_bumps", r.htm.epoch_bumps),
-    ];
-    out.extend(r.htm.abort_breakdown());
-    out
-}
 
 /// `{workload: {counter: sum over the workload's points}}`.
 fn measure(tiny: bool) -> Json {
@@ -67,15 +51,7 @@ fn measure(tiny: bool) -> Json {
             if let Some(want) = &input.expected_stdout {
                 assert_eq!(report.stdout, *want, "{}", input.label);
             }
-            // Host work, not simulated state: how the run was carved into
-            // scheduler picks and bursts (burst length = bytecodes / bursts).
-            let mut point = counters(&report);
-            let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];
-            point.extend(host.into_iter().zip(ex.host_counters()));
-            // Undo records written (the leased path skips what the full
-            // path writes) and, where tasks are served, their p99.
-            point.push(("undo_pushes", ex.vm.mem.undo_pushes()));
-            point.push(("task_p99_cycles", report.task_latency.map_or(0, |t| t.e2e.p99)));
+            let point = point_counters(&ex, &report);
             if sums.is_empty() {
                 sums = point;
             } else {

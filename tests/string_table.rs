@@ -207,6 +207,37 @@ fn a_collection_with_a_transaction_open_frees_nothing() {
     assert_eq!(vm.strings.live_ids().count(), before - 16);
 }
 
+/// The collector's walk over the heap stops once it has seen every live id
+/// named, and not a slot sooner: the one id that only the heap's last slot
+/// names — reached after another id was sighted twice, which counts once —
+/// is still there afterwards.
+#[test]
+fn the_last_named_id_sitting_in_the_last_slot_is_kept() {
+    let mut vm = boot("nil");
+    vm.gc(0).unwrap();
+    let mut string = |text: &str| vm.make_string(0, text.into()).unwrap().as_obj().unwrap();
+    let (twice, again) = (string("seen twice"), string("renamed"));
+    let seen_twice = *vm.mem.peek(twice + 1);
+    vm.strings.release(vm.mem.peek(again + 1).as_str_id().unwrap());
+    vm.mem.poke(again + 1, seen_twice);
+    let last_id = vm.strings.alloc("last".into()).unwrap();
+    let last = vm.slot_addr(vm.total_slots() - 1);
+    assert!(last > again, "the walk meets the pair first");
+    vm.mem.poke(last, Word::hdr(ObjKind::String, false));
+    vm.mem.poke(last + 1, Word::Str(last_id));
+    let before: BTreeSet<StrId> = vm.strings.live_ids().collect();
+    assert_eq!(before, heap_ids(&vm), "every live id is named: the walk may stop early");
+
+    vm.gc(0).unwrap();
+    assert_eq!(vm.strings.get(last_id).map(|text| &**text), Some("last"));
+    assert_eq!(vm.strings.live_ids().collect::<BTreeSet<_>>(), before, "nothing released");
+    // Unnamed, it goes like any other: the early stop is not a skip.
+    vm.mem.poke(last + 1, Word::Int(0));
+    vm.gc(0).unwrap();
+    assert!(vm.strings.get(last_id).is_none());
+    assert_eq!(vm.strings.live_ids().count(), before.len() - 1);
+}
+
 #[test]
 fn a_long_append_loop_keeps_the_table_bounded() {
     let src = "s = \"\"\ni = 0\nwhile i < 20000\n  s << \"x\"\n  i += 1\nend\nputs(s.length)\n";
