@@ -6,7 +6,7 @@
 //! figures fig4 fig8 --quick --jobs auto --report-json out.json
 //! figures all --jobs 2
 //! figures explore --mode dfs --budget 400 --max-preempt 3 --jobs auto
-//! figures explore --target torn-pair/bug/htm16 --bug-demo --stop-first --expect-violation
+//! figures explore --target lazy-sub/bug/htm1 --stop-first --expect-violation
 //! figures explore --replay 000201 --target mutex-counter/htm16
 //! ```
 //!
@@ -31,8 +31,8 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use bench::explore::{
-    bug_demo_target, clean_targets, dfs, lazy_sub_clean_targets, lazy_sub_demo_target,
-    random_walks, repro_json, stats_json, torn_pair_clean_target, SearchParams, WalkParams,
+    clean_targets, dfs, lazy_sub_clean_targets, lazy_sub_demo_target, random_walks, repro_json,
+    stats_json, SearchParams, WalkParams,
 };
 use bench::figures::{self, Figure, Opts, FIGURES};
 use htm_gil_core::explore::{check_path, gil_expected, ExploreTarget};
@@ -44,8 +44,8 @@ usage: figures list
        figures explore [--quick] [--jobs N|auto] [--report-json PATH]
                [--mode dfs|random] [--budget N] [--max-preempt K] [--horizon H]
                [--shrink-budget N] [--walks N] [--depth D] [--seed S]
-               [--target ID] [--bug-demo] [--lazy-demo] [--differential] [--stop-first]
-               [--expect-violation] [--replay HEX] [--repro-dir PATH] [--list]";
+               [--target ID] [--stop-first] [--expect-violation] [--replay HEX]
+               [--repro-dir PATH] [--list]";
 
 struct Cli {
     command: Command,
@@ -65,8 +65,6 @@ struct Explore {
     params: SearchParams,
     walk: WalkParams,
     target: Option<String>,
-    bug_demo: bool,
-    lazy_demo: bool,
     expect_violation: bool,
     replay: Option<SchedPath>,
     repro_dir: Option<String>,
@@ -131,9 +129,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     Some(SchedPath::from_hex(&hex).map_err(|e| format!("--replay {hex}: {e}"))?);
             }
             (Command::Explore(x), "--repro-dir") => x.repro_dir = Some(value()?),
-            (Command::Explore(x), "--bug-demo") => x.bug_demo = true,
-            (Command::Explore(x), "--lazy-demo") => x.lazy_demo = true,
-            (Command::Explore(x), "--differential") => x.params.differential = true,
             (Command::Explore(x), "--stop-first") => x.params.stop_first = true,
             (Command::Explore(x), "--expect-violation") => x.expect_violation = true,
             (Command::Explore(x), "--list") => x.list = true,
@@ -215,13 +210,11 @@ fn run(rows: &[&Figure], opts: &Opts, report_json: Option<&str>) {
     }
 }
 
+/// The clean corpus; `--target` and `--list` also know the
+/// lazy-subscription hazard and its two safe twins.
 fn corpus(x: &Explore, quick: bool) -> Vec<ExploreTarget> {
     let mut targets = clean_targets(quick);
-    targets.push(torn_pair_clean_target(quick));
-    if x.bug_demo {
-        targets.push(bug_demo_target(quick));
-    }
-    if x.lazy_demo {
+    if x.target.is_some() || x.list {
         targets.extend(lazy_sub_clean_targets(quick));
         targets.push(lazy_sub_demo_target(quick));
     }
@@ -241,13 +234,12 @@ fn explore(x: &Explore, opts: &Opts, report_json: Option<&str>) {
         println!("targets ({} available):", targets.len());
         for t in &targets {
             println!(
-                "  {:28} mode={:12} sub={:12} threads={} interrupts={} bug={}",
+                "  {:28} mode={:12} sub={:12} max_threads={} interrupts={}",
                 t.id,
-                t.mode.label(),
-                t.subscription.label(),
-                t.threads,
-                t.interrupts,
-                t.bug_dirty_read
+                t.cfg.mode.label(),
+                t.cfg.subscription.label(),
+                t.vm.max_threads,
+                t.interrupts
             );
         }
         return;
@@ -311,20 +303,18 @@ fn explore(x: &Explore, opts: &Opts, report_json: Option<&str>) {
 }
 
 fn replay_one(x: &Explore, targets: &[ExploreTarget], path: &SchedPath) {
-    let target = match (targets, &x.target) {
-        ([t], _) => t,
-        (ts, None) => {
-            eprintln!("error: --replay needs --target (candidates: {})", ts.len());
-            exit(2);
-        }
-        _ => unreachable!("corpus() already filtered by --target"),
+    let [target] = targets else {
+        eprintln!("error: --replay needs --target (candidates: {})", targets.len());
+        exit(2);
     };
     let expected = gil_expected(target);
     let (run, mismatch) = check_path(target, &expected, path);
     println!("replay {} on {}", path.to_hex(), target.id);
     println!(
         "  decisions={} preemptions={} stdout={:?}",
-        run.decisions, run.preemptions, run.stdout
+        run.ctl.decisions(),
+        run.ctl.preemptions(),
+        run.left.stdout
     );
     match mismatch {
         Some(m) => {
@@ -393,6 +383,9 @@ mod tests {
             "explore --mode bfs",
             "explore --budget ten",
             "explore --replay zz",
+            "explore --differential",
+            "explore --bug-demo",
+            "explore --lazy-demo",
         ] {
             assert!(parse_words(line).is_err(), "{line:?} must be refused");
         }
@@ -403,8 +396,7 @@ mod tests {
         let cli = parse_words(
             "explore --mode random --budget 9 --max-preempt 2 --horizon 7 --shrink-budget 5 \
              --walks 4 --depth 3 --seed 11 --jobs 2 --target a/b --replay 000201 \
-             --report-json s.json --repro-dir out --bug-demo --lazy-demo --differential \
-             --stop-first --expect-violation --list --quick",
+             --report-json s.json --repro-dir out --stop-first --expect-violation --list --quick",
         )
         .unwrap();
         let Command::Explore(x) = cli.command else { panic!("explore") };
@@ -413,8 +405,7 @@ mod tests {
         assert_eq!((x.walk.walks, x.walk.depth, x.walk.seed), (4, 3, 11));
         assert_eq!((x.target.as_deref(), x.repro_dir.as_deref()), (Some("a/b"), Some("out")));
         assert_eq!(x.replay.map(|p| p.to_hex()).as_deref(), Some("000201"));
-        assert!(x.bug_demo && x.lazy_demo && x.expect_violation && x.list);
-        assert!(x.params.differential && x.params.stop_first);
+        assert!(x.params.stop_first && x.expect_violation && x.list);
         assert_eq!((cli.opts.jobs, cli.opts.quick), (2, true));
         assert_eq!(cli.report_json.as_deref(), Some("s.json"));
     }

@@ -20,9 +20,7 @@
 //! converges toward the GIL baseline instead of collapsing, because the
 //! watchdog stops paying per-attempt HTM overhead for doomed speculation.
 
-use htm_gil_core::{
-    oracle, ExecConfig, Json, LengthPolicy, RuntimeMode, SubscriptionPolicy, WatchdogConstants,
-};
+use htm_gil_core::{oracle, ExecConfig, Json, LengthPolicy, RuntimeMode, SubscriptionPolicy};
 use htm_sim::FaultPlan;
 use machine_sim::MachineProfile;
 use workloads::Workload;
@@ -71,7 +69,7 @@ fn subject_cfg(profile: &MachineProfile, rate: f64, interrupt_interval: u64) -> 
         cfg.fault_plan = Some(FaultPlan::spurious(SEED, rate));
     }
     cfg.interrupt_interval = interrupt_interval;
-    cfg.watchdog = WatchdogConstants::enabled();
+    cfg.watchdog = true;
     cfg
 }
 

@@ -30,11 +30,10 @@
 
 use std::collections::HashSet;
 
-use htm_gil_core::explore::{
-    check_path, gil_expected, mismatch_of, run_path, shrink, Expected, ExploreTarget,
-};
-use htm_gil_core::{Json, LengthPolicy, RuntimeMode, SubscriptionPolicy};
-use machine_sim::{MachineProfile, SchedPath};
+use htm_gil_core::explore::{check_path, gil_expected, shrink, ExploreTarget};
+use htm_gil_core::{ExecConfig, Expected, Json, LengthPolicy, RuntimeMode, SubscriptionPolicy};
+use machine_sim::{ExploreCtl, MachineProfile, SchedPath};
+use ruby_vm::VmConfig;
 
 use crate::pool::{self, PointOutcome};
 
@@ -60,10 +59,6 @@ pub struct SearchParams {
     pub stop_first: bool,
     /// Replay budget for minimizing each violation.
     pub shrink_budget: u64,
-    /// Re-run every clean path with `force_word_access` and diff the
-    /// run reports (modulo the lease counters) — the PR 8 differential
-    /// reinterpreted as a schedule-space invariant.
-    pub differential: bool,
 }
 
 impl Default for SearchParams {
@@ -74,7 +69,6 @@ impl Default for SearchParams {
             horizon: 96,
             stop_first: false,
             shrink_budget: 300,
-            differential: false,
         }
     }
 }
@@ -96,8 +90,6 @@ impl Default for WalkParams {
 /// One minimized counterexample.
 #[derive(Debug)]
 pub struct ViolationRecord {
-    pub target_id: String,
-    pub mode_label: String,
     /// The path the search found.
     pub found: SchedPath,
     /// The shrinker's minimized path (still violating).
@@ -121,7 +113,6 @@ pub struct TargetStats {
     pub max_depth: u64,
     pub max_preemptions: u64,
     pub violations: u64,
-    pub differential_mismatches: u64,
     /// Wave-tail paths never replayed because the budget ran out.
     pub dropped_by_budget: u64,
     /// Length of the shortest minimized counterexample, if any.
@@ -132,13 +123,12 @@ impl TargetStats {
     fn new(target: &ExploreTarget) -> Self {
         TargetStats {
             id: target.id.clone(),
-            mode_label: target.mode.label(),
+            mode_label: target.cfg.mode.label(),
             executions: 0,
             distinct_paths: 0,
             max_depth: 0,
             max_preemptions: 0,
             violations: 0,
-            differential_mismatches: 0,
             dropped_by_budget: 0,
             min_repro_len: None,
         }
@@ -157,7 +147,6 @@ impl TargetStats {
             .field("max_depth", self.max_depth)
             .field("max_preemptions", self.max_preemptions)
             .field("violations", self.violations)
-            .field("differential_mismatches", self.differential_mismatches)
             .field("dropped_by_budget", self.dropped_by_budget)
             .field("min_repro_len", repro)
     }
@@ -168,10 +157,6 @@ impl TargetStats {
 pub struct ExploreOutcome {
     pub stats: TargetStats,
     pub violations: Vec<ViolationRecord>,
-}
-
-fn profile() -> MachineProfile {
-    MachineProfile::generic(4)
 }
 
 fn htm1() -> RuntimeMode {
@@ -243,8 +228,8 @@ puts($log)
 /// yield-point atomicity: the writer's four stores sit between two yield
 /// points (one VM slice), as does the reader's pair-load, so under *any*
 /// serializable execution the reader can only observe `$x == $y` and
-/// prints `0`. The injected dirty-read bug lets the reader observe a
-/// torn `$x != $y` mid-slice state.
+/// prints `0`; a read that saw a transaction's uncommitted stores would
+/// observe a torn `$x != $y` mid-slice state.
 fn torn_pair_src(iters: usize) -> String {
     format!(
         r#"
@@ -286,17 +271,14 @@ fn target(
     mode: RuntimeMode,
     interrupts: bool,
 ) -> ExploreTarget {
+    let profile = MachineProfile::generic(4);
     ExploreTarget {
         id: id.to_string(),
         source,
-        threads,
-        mode,
-        profile: profile(),
-        subscription: SubscriptionPolicy::Eager,
+        cfg: ExecConfig { max_cycles: 500_000_000, ..ExecConfig::new(mode, &profile) },
+        vm: VmConfig { max_threads: threads + 2, ..VmConfig::default() },
+        profile,
         interrupts,
-        bug_dirty_read: false,
-        max_cycles: 500_000_000,
-        force_word_access: false,
     }
 }
 
@@ -311,23 +293,8 @@ pub fn clean_targets(quick: bool) -> Vec<ExploreTarget> {
         target("mutex-counter/gil", mutex_counter_src(2, ci), 2, RuntimeMode::Gil, false),
         target("herd4/htm16", herd_src(4, hi), 4, htm16(), true),
         target("while/htm16", workloads::micro::while_bench(2, wi).source, 2, htm16(), true),
+        target("torn-pair/clean/htm16", torn_pair_src(wi), 2, htm16(), true),
     ]
-}
-
-/// The violation demo: the torn-pair workload with the test-only
-/// dirty-read bug armed.
-pub fn bug_demo_target(quick: bool) -> ExploreTarget {
-    let iters = if quick { 20 } else { 60 };
-    let mut t = target("torn-pair/bug/htm16", torn_pair_src(iters), 2, htm16(), true);
-    t.bug_dirty_read = true;
-    t
-}
-
-/// The same torn-pair workload with the bug off — every explored
-/// schedule must match the oracle.
-pub fn torn_pair_clean_target(quick: bool) -> ExploreTarget {
-    let iters = if quick { 20 } else { 60 };
-    target("torn-pair/clean/htm16", torn_pair_src(iters), 2, htm16(), true)
 }
 
 /// The lazy-subscription hunting ground (DESIGN.md §15). The watcher
@@ -399,7 +366,7 @@ puts($bad)
 pub fn lazy_sub_demo_target(quick: bool) -> ExploreTarget {
     let iters = if quick { 12 } else { 40 };
     let mut t = target("lazy-sub/bug/htm1", lazy_pair_src(iters), 2, htm1(), true);
-    t.subscription = SubscriptionPolicy::Lazy;
+    t.cfg.subscription = SubscriptionPolicy::Lazy;
     t
 }
 
@@ -410,51 +377,8 @@ pub fn lazy_sub_clean_targets(quick: bool) -> Vec<ExploreTarget> {
     let iters = if quick { 12 } else { 40 };
     let eager = target("lazy-sub/eager/htm1", lazy_pair_src(iters), 2, htm1(), true);
     let mut guarded = target("lazy-sub/guarded/htm1", lazy_pair_src(iters), 2, htm1(), true);
-    guarded.subscription = SubscriptionPolicy::LazyGuarded;
+    guarded.cfg.subscription = SubscriptionPolicy::LazyGuarded;
     vec![eager, guarded]
-}
-
-/// Strip the lease counters from a report JSON tree: the word-access
-/// differential compares everything else byte-for-byte (mirrors the
-/// lease-differential CI job).
-fn strip_lease_fields(j: &Json) -> Json {
-    match j {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .filter(|(k, _)| k != "lease_hits" && k != "lease_misses")
-                .map(|(k, v)| (k.clone(), strip_lease_fields(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_lease_fields).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Replay `path` under `force_word_access` and diff the run report
-/// (modulo lease counters) against the lease-layout replay. `None` when
-/// the reports agree.
-pub fn differential_mismatch(target: &ExploreTarget, path: &SchedPath) -> Option<String> {
-    let lease_run = run_path(target, path);
-    let mut word_target = target.clone();
-    word_target.force_word_access = true;
-    let word_run = run_path(&word_target, path);
-    match (&lease_run.report, &word_run.report) {
-        (Some(a), Some(b)) => {
-            let a = strip_lease_fields(&a.to_json()).to_compact();
-            let b = strip_lease_fields(&b.to_json()).to_compact();
-            (a != b).then(|| {
-                format!("lease/word-access reports diverge on this schedule\n  lease: {a}\n  word:  {b}")
-            })
-        }
-        (Some(_), None) => {
-            Some(format!("word-access replay failed: {}", word_run.error.unwrap_or_default()))
-        }
-        (None, Some(_)) => {
-            Some(format!("lease replay failed: {}", lease_run.error.unwrap_or_default()))
-        }
-        (None, None) => None, // both failed the same way — the oracle check reports it
-    }
 }
 
 /// Minimize a violating path and package the counterexample.
@@ -465,35 +389,23 @@ fn minimize(
     shrink_budget: u64,
 ) -> ViolationRecord {
     let result = shrink(target, expected, found, shrink_budget);
-    let run = run_path(target, &result.path);
-    let mismatch =
-        mismatch_of(expected, &run).unwrap_or_else(|| "shrunk path no longer violates".into());
-    let trail = {
-        let mut s = String::new();
-        for (k, t) in run.kind_tags.chars().zip(run.taken.iter()).take(32) {
-            if !s.is_empty() {
-                s.push(' ');
-            }
-            s.push(k);
-            s.push_str(&t.to_string());
-        }
-        s
-    };
+    let (run, mismatch) = check_path(target, expected, &result.path);
+    let mismatch = mismatch.unwrap_or_else(|| "shrunk path no longer violates".into());
+    let head = run.ctl.kinds().iter().zip(run.ctl.taken()).take(32);
+    let trail = head.map(|(k, t)| format!("{}{t}", k.tag())).collect::<Vec<_>>().join(" ");
     ViolationRecord {
-        target_id: target.id.clone(),
-        mode_label: target.mode.label(),
         found: found.clone(),
         minimized: result.path,
         shrink_executions: result.executions,
         mismatch,
         trail,
-        actual_stdout: run.stdout,
+        actual_stdout: run.left.stdout,
     }
 }
 
 /// Execute one wave of paths through the pool, updating `stats` and
-/// collecting violations; returns the non-violating `(path, decisions,
-/// taken, arities)` trails for expansion. Deterministic at any `jobs`.
+/// collecting violations; returns the non-violating paths with their
+/// decision trails for expansion. Deterministic at any `jobs`.
 #[allow(clippy::too_many_arguments)]
 fn run_wave(
     target: &ExploreTarget,
@@ -503,21 +415,14 @@ fn run_wave(
     jobs: usize,
     stats: &mut TargetStats,
     violations: &mut Vec<ViolationRecord>,
-) -> Vec<(SchedPath, usize, Vec<u8>, Vec<u8>)> {
+) -> Vec<(SchedPath, ExploreCtl)> {
     let results = pool::try_map_ordered_pruned(
         jobs,
         wave,
         |p| p.to_hex(),
         |_, path| {
-            let (run, mismatch) = check_path(target, expected, path);
-            let diff = if mismatch.is_none() && params.differential {
-                differential_mismatch(target, path)
-            } else {
-                None
-            };
-            let stop = params.stop_first && (mismatch.is_some() || diff.is_some());
-            let out = (run, mismatch, diff);
-            if stop {
+            let out = check_path(target, expected, path);
+            if params.stop_first && out.1.is_some() {
                 PointOutcome::Prune(out)
             } else {
                 PointOutcome::Continue(out)
@@ -528,21 +433,11 @@ fn run_wave(
     .unwrap_or_else(|e| panic!("explore '{}': {e}", target.id));
     let mut clean = Vec::new();
     for (path, slot) in wave.iter().zip(results) {
-        let Some((run, mismatch, diff)) = slot else { continue };
+        let Some((run, mismatch)) = slot else { continue };
         stats.executions += 1;
         stats.distinct_paths += 1;
-        stats.max_depth = stats.max_depth.max(run.decisions as u64);
-        stats.max_preemptions = stats.max_preemptions.max(run.preemptions);
-        if let Some(d) = diff {
-            stats.differential_mismatches += 1;
-            stats.violations += 1;
-            let mut v = minimize(target, expected, path, 0);
-            v.mismatch = d;
-            let len = v.minimized.len() as u64;
-            stats.min_repro_len = Some(stats.min_repro_len.map_or(len, |m| m.min(len)));
-            violations.push(v);
-            continue;
-        }
+        stats.max_depth = stats.max_depth.max(run.ctl.decisions() as u64);
+        stats.max_preemptions = stats.max_preemptions.max(run.ctl.preemptions());
         if mismatch.is_some() {
             stats.violations += 1;
             let v = minimize(target, expected, path, params.shrink_budget);
@@ -551,7 +446,7 @@ fn run_wave(
             violations.push(v);
             continue;
         }
-        clean.push((path.clone(), run.decisions, run.taken, run.arities));
+        clean.push((path.clone(), run.ctl));
     }
     clean
 }
@@ -576,18 +471,18 @@ pub fn dfs(target: &ExploreTarget, params: &SearchParams, jobs: usize) -> Explor
             break;
         }
         let mut next = Vec::new();
-        for (path, decisions, _taken, arities) in &clean {
+        for (path, ctl) in &clean {
             // Every child adds exactly one non-zero byte, so a parent
             // already at the preemption bound spawns nothing: the search
             // stops one wave past the bound.
             if path.deviations() >= params.max_preempt as usize {
                 continue;
             }
-            let upto = (*decisions).min(params.horizon);
+            let upto = ctl.decisions().min(params.horizon);
             for j in path.len()..upto {
                 // Decisions past the submitted prefix read byte 0 (the
                 // natural choice); each alternative is one child.
-                let arity = arities.get(j).copied().unwrap_or(1);
+                let arity = ctl.arities().get(j).copied().unwrap_or(1);
                 for c in 1..arity {
                     let child = path.child(j, c);
                     if visited.insert(child.as_bytes().to_vec()) {
@@ -650,13 +545,12 @@ pub fn random_walks(
 pub fn repro_json(target: &ExploreTarget, expected: &Expected, v: &ViolationRecord) -> Json {
     Json::obj()
         .field("schema", REPRO_SCHEMA)
-        .field("target", v.target_id.as_str())
-        .field("mode", v.mode_label.as_str())
-        .field("threads", target.threads)
+        .field("target", target.id.as_str())
+        .field("mode", target.cfg.mode.label())
+        .field("max_threads", target.vm.max_threads)
         .field("interrupts", target.interrupts)
-        .field("bug_dirty_read", target.bug_dirty_read)
-        .field("subscription", target.subscription.label())
-        .field("max_cycles", target.max_cycles)
+        .field("subscription", target.cfg.subscription.label())
+        .field("max_cycles", target.cfg.max_cycles)
         .field("path_hex", v.minimized.to_hex())
         .field("found_path_hex", v.found.to_hex())
         .field("deviations", v.minimized.deviations())
@@ -677,14 +571,12 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
     let mut tot_exec = 0u64;
     let mut tot_paths = 0u64;
     let mut tot_viol = 0u64;
-    let mut tot_diff = 0u64;
     let mut max_depth = 0u64;
     let mut max_preempt = 0u64;
     for t in targets {
         tot_exec += t.executions;
         tot_paths += t.distinct_paths;
         tot_viol += t.violations;
-        tot_diff += t.differential_mismatches;
         max_depth = max_depth.max(t.max_depth);
         max_preempt = max_preempt.max(t.max_preemptions);
         rows.push(t.to_json());
@@ -696,7 +588,6 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
         .field("max_preempt", params.max_preempt)
         .field("horizon", params.horizon)
         .field("stop_first", params.stop_first)
-        .field("differential", params.differential)
         .field("targets", Json::Arr(rows))
         .field(
             "totals",
@@ -704,7 +595,6 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
                 .field("executions", tot_exec)
                 .field("distinct_paths", tot_paths)
                 .field("violations", tot_viol)
-                .field("differential_mismatches", tot_diff)
                 .field("max_depth", max_depth)
                 .field("max_preemptions", max_preempt),
         )
@@ -745,26 +635,5 @@ mod tests {
         let out = random_walks(&t, &small_params(), &w, 2);
         assert_eq!(out.stats.violations, 0);
         assert!(out.stats.executions > 0);
-    }
-
-    #[test]
-    fn dfs_finds_and_shrinks_the_injected_dirty_read() {
-        let t = bug_demo_target(true);
-        let mut p = small_params();
-        p.budget = 120;
-        p.stop_first = true;
-        let out = dfs(&t, &p, 2);
-        assert!(out.stats.violations > 0, "bounded DFS must find the injected bug");
-        let v = &out.violations[0];
-        assert!(v.minimized.len() <= 8, "minimized to ≤8 branches, got {}", v.minimized.len());
-        // Pinned-replay round trip: the minimized path still violates.
-        let expected = gil_expected(&t);
-        let (_, mismatch) = check_path(&t, &expected, &v.minimized);
-        assert!(mismatch.is_some(), "minimized path must still violate");
-        // And with the bug off, the very same path is clean.
-        let clean = torn_pair_clean_target(true);
-        let clean_expected = gil_expected(&clean);
-        let (_, m2) = check_path(&clean, &clean_expected, &v.minimized);
-        assert!(m2.is_none(), "bug off, same path: {}", m2.unwrap());
     }
 }

@@ -27,10 +27,6 @@ pub enum RuntimeMode {
 }
 
 impl RuntimeMode {
-    pub fn is_htm(&self) -> bool {
-        matches!(self, RuntimeMode::Htm { .. })
-    }
-
     /// Display label used in reports ("GIL", "HTM-16", "HTM-dynamic", …).
     pub fn label(&self) -> String {
         match self {
@@ -87,44 +83,6 @@ impl TleConstants {
     }
 }
 
-/// Livelock/starvation watchdog tuning (forward-progress guarantee #1).
-///
-/// The Fig. 1 retry budgets already bound each *attempt sequence*, but a
-/// thread can still burn `tbegin + abort_penalty` over and over when every
-/// transaction it starts dies (e.g. under heavy fault injection). The
-/// watchdog counts consecutive aborted transactions *across* attempt
-/// sequences and, past the threshold, escalates: the thread skips
-/// speculation entirely for a cooldown of GIL tenures, doubling the
-/// cooldown on every consecutive escalation so 100 % abort rates converge
-/// to plain GIL throughput instead of paying per-attempt HTM overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConstants {
-    /// Consecutive aborts (no commit in between) before escalating;
-    /// 0 disables the watchdog.
-    pub escalation_threshold: u32,
-    /// GIL tenures per escalation before speculation is retried.
-    pub cooldown_base: u32,
-    /// Cap on the exponentially-backed-off cooldown.
-    pub cooldown_max: u32,
-}
-
-impl WatchdogConstants {
-    /// Watchdog off — the seed repo's exact behaviour.
-    pub fn disabled() -> Self {
-        WatchdogConstants { escalation_threshold: 0, cooldown_base: 0, cooldown_max: 0 }
-    }
-
-    /// Defaults used by the chaos suite: escalate after 12 consecutive
-    /// aborts, start with 8 GIL tenures, back off up to 512.
-    pub fn enabled() -> Self {
-        WatchdogConstants { escalation_threshold: 12, cooldown_base: 8, cooldown_max: 512 }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.escalation_threshold > 0
-    }
-}
-
 /// Full executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -154,8 +112,9 @@ pub struct ExecConfig {
     /// every `interrupt_interval` cycles of its own clock. 0 (the
     /// default) disables the model.
     pub interrupt_interval: u64,
-    /// Livelock watchdog; disabled by default (seed-identical behaviour).
-    pub watchdog: WatchdogConstants,
+    /// Livelock watchdog (forward-progress guarantee #1; the rule and its
+    /// three constants are `exec::WATCHDOG_*`). Off by default.
+    pub watchdog: bool,
     /// Run-level forward-progress invariant: fail the run with
     /// [`crate::RunError::NoProgress`] when this many consecutive
     /// scheduler steps retire without a single committed instruction.
@@ -164,21 +123,12 @@ pub struct ExecConfig {
     /// hundred instructions; the GIL timer forces handoffs every ~10⁵
     /// cycles), so it only trips on genuine livelock.
     pub progress_bound_steps: u64,
-    /// Schedule-exploration path replayed by this run (`None` — the
-    /// default — installs no controller and leaves every decision-point
-    /// hook a no-op). An installed *empty* path also reproduces the
-    /// natural schedule exactly; see `machine_sim::explore`.
-    pub explore_path: Option<machine_sim::SchedPath>,
-    /// Enable the exploration's interrupt-delivery decisions (kill an
-    /// open transaction at a yield point or in the commit window). Off,
-    /// those windows consume no path bytes.
-    pub explore_interrupts: bool,
-    /// Test-only injected serializability bug: the transactional
-    /// memory's *read* path skips the requester-wins doom of a remote
-    /// writer, so reads observe speculative (possibly torn) state. Used
-    /// to prove the exploration driver actually finds real violations;
-    /// never enabled outside explore tests.
-    pub bug_dirty_read: bool,
+    /// Schedule-exploration controller this run's scheduler is given: the
+    /// path it replays and whether the interrupt-delivery decisions are on.
+    /// `None` — the default — leaves every decision-point hook a no-op; a
+    /// controller over the *empty* path also reproduces the natural
+    /// schedule exactly (see `machine_sim::explore`).
+    pub explore: Option<machine_sim::ExploreCtl>,
     /// When HTM transactions subscribe to the GIL word (DESIGN.md §15).
     /// `Eager` (the default) is the paper's Fig. 1; `Lazy` is observably
     /// unsafe by design; `LazyGuarded` models the hardware commit guard.
@@ -197,11 +147,9 @@ impl ExecConfig {
             trace_capacity: 0,
             fault_plan: None,
             interrupt_interval: 0,
-            watchdog: WatchdogConstants::disabled(),
+            watchdog: false,
             progress_bound_steps: 5_000_000,
-            explore_path: None,
-            explore_interrupts: false,
-            bug_dirty_read: false,
+            explore: None,
             subscription: crate::tle::SubscriptionPolicy::Eager,
         }
     }
@@ -248,17 +196,15 @@ mod tests {
         let cfg = ExecConfig::new(RuntimeMode::Gil, &p);
         assert!(cfg.fault_plan.is_none(), "no injection unless asked");
         assert_eq!(cfg.interrupt_interval, 0, "interrupt model off by default");
-        assert!(!cfg.watchdog.is_enabled(), "watchdog off by default");
+        assert!(!cfg.watchdog, "watchdog off by default");
         assert!(cfg.progress_bound_steps > 0, "progress invariant on by default");
-        assert!(cfg.explore_path.is_none(), "no exploration controller by default");
-        assert!(!cfg.explore_interrupts && !cfg.bug_dirty_read);
+        assert!(cfg.explore.is_none(), "no exploration controller by default");
         assert_eq!(
             cfg.subscription,
             crate::tle::SubscriptionPolicy::Eager,
             "eager GIL subscription (the paper's Fig. 1) is the default"
         );
         assert_eq!(crate::tle::SubscriptionPolicy::default().label(), "eager");
-        assert!(WatchdogConstants::enabled().is_enabled());
     }
 
     #[test]

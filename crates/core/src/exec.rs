@@ -29,7 +29,7 @@ use ruby_vm::vm::WakeKey;
 use ruby_vm::{BlockOn, StepOk, Stop, Vm, VmAbort, VmConfig, Word};
 
 use crate::config::{ExecConfig, LengthPolicy, RuntimeMode, YieldPolicy};
-use crate::gil::{GilState, GilWait};
+use crate::gil::GilState;
 use crate::locks::FineGrainedModel;
 use crate::report::{ConflictSite, CycleBreakdown, RunReport};
 use crate::tle::{LengthTables, SubscriptionPolicy};
@@ -111,13 +111,23 @@ struct TxInfo {
     escrow: Escrow,
 }
 
+/// The livelock watchdog (`ExecConfig::watchdog`): the Fig. 1 budgets bound
+/// an *attempt sequence*, but a thread whose every transaction dies still
+/// pays `tbegin + abort_penalty` per attempt. A thread that aborts this many
+/// times with no commit in between, across sequences, escalates …
+const WATCHDOG_ESCALATION: u32 = 12;
+/// … to this many GIL tenures without speculating, doubled by each further
+/// escalation up to the cap and reset by a commit: a 100 % abort rate
+/// converges on plain GIL throughput.
+const WATCHDOG_COOLDOWN_BASE: u32 = 8;
+const WATCHDOG_COOLDOWN_MAX: u32 = 512;
+
 /// Per-thread TLE controller state (paper Fig. 1's local variables).
 #[derive(Debug, Clone)]
 struct TleThread {
     tx: Option<TxInfo>,
     /// The last transaction's escrow, emptied: capacity for the next one.
     spare: Escrow,
-    holds_gil: bool,
     transient_retries: u32,
     gil_retries: u32,
     first_retry: bool,
@@ -144,7 +154,7 @@ struct TleThread {
     /// (watchdog escalation in effect while > 0).
     cooldown: u32,
     /// Cooldown length for the *next* escalation — doubled on each
-    /// escalation, reset to `cooldown_base` by a commit.
+    /// escalation, reset to [`WATCHDOG_COOLDOWN_BASE`] by a commit.
     backoff: u32,
 }
 
@@ -153,7 +163,6 @@ impl TleThread {
         TleThread {
             tx: None,
             spare: Escrow::default(),
-            holds_gil: false,
             transient_retries: 0,
             gil_retries: 0,
             first_retry: true,
@@ -163,7 +172,7 @@ impl TleThread {
             retrying: false,
             consecutive_aborts: 0,
             cooldown: 0,
-            backoff: 0,
+            backoff: WATCHDOG_COOLDOWN_BASE,
         }
     }
 
@@ -254,11 +263,8 @@ impl Executor {
         }
         let mut sched =
             Scheduler::new(profile.cores, profile.smt_per_core, profile.cost.context_switch);
-        if let Some(path) = cfg.explore_path.clone() {
-            sched.set_explore(machine_sim::ExploreCtl::new(path, cfg.explore_interrupts));
-        }
-        if cfg.bug_dirty_read {
-            vm.mem.set_bug_dirty_read(true);
+        if let Some(ctl) = cfg.explore.clone() {
+            sched.set_explore(ctl);
         }
         let t0 = sched.spawn(0);
         debug_assert_eq!(t0, 0);
@@ -289,7 +295,7 @@ impl Executor {
             YieldPolicy::Extended => (ruby_vm::decode::YP_EXT, ruby_vm::decode::FUSE_EXT),
         };
         let burst_ok =
-            trace.is_none() && cfg.explore_path.is_none() && cfg.mode != RuntimeMode::FineGrained;
+            trace.is_none() && cfg.explore.is_none() && cfg.mode != RuntimeMode::FineGrained;
         Ok(Executor {
             vm,
             sched,
@@ -375,12 +381,7 @@ impl Executor {
                 && self.interrupts.due(t, self.sched.clock(t))
                 && self.tle.get(t).is_some_and(|x| x.tx.is_some())
             {
-                // A remote doom may already have rolled the transaction
-                // back; consume it as the abort reason in that case.
-                let reason = match self.vm.mem.poll_doomed(t) {
-                    Some(r) => r,
-                    None => self.vm.mem.abort_spurious(t, SpuriousCause::TimerInterrupt),
-                };
+                let reason = self.interrupt_kill(t);
                 self.on_tx_abort(t, reason)?;
                 continue;
             }
@@ -419,7 +420,7 @@ impl Executor {
                 "  t{t}: sched={:?} fin={} gil={} tx={} want_gil={} resume={:?} at {}:{}",
                 self.sched.state(t),
                 c.finished,
-                self.tle.get(t).is_some_and(|x| x.holds_gil),
+                self.gil.held_by(t),
                 self.tle.get(t).is_some_and(|x| x.tx.is_some()),
                 self.tle.get(t).is_some_and(|x| x.want_gil),
                 self.tle.get(t).and_then(|x| x.resume_pc),
@@ -467,6 +468,16 @@ impl Executor {
             "{what} aborted outside any transaction: {reason:?}\n{}",
             self.deadlock_dump()
         ))
+    }
+
+    /// A timer interrupt lands on `t`'s open transaction: the abort it
+    /// takes. A remote doom may already have rolled the transaction back;
+    /// that doom is then the reason.
+    fn interrupt_kill(&mut self, t: ThreadId) -> AbortReason {
+        match self.vm.mem.poll_doomed(t) {
+            Some(r) => r,
+            None => self.vm.mem.abort_spurious(t, SpuriousCause::TimerInterrupt),
+        }
     }
 
     fn report(&self) -> RunReport {
@@ -765,27 +776,37 @@ impl Executor {
     }
 
     /// Release the GIL held by `t` and wake its waiter queue.
-    fn gil_release(&mut self, t: ThreadId) {
-        let now = self.sched.clock(t);
+    fn gil_release(&mut self, t: ThreadId) -> Result<(), RunError> {
+        let wake_at = self.sched.clock(t) + self.profile.cost.gil_wait_wakeup;
         self.sched.advance(t, self.profile.cost.gil_release);
-        for (w, _intent) in self.gil.release(&mut self.vm, t) {
-            self.sched.unpark(w, now + self.profile.cost.gil_wait_wakeup);
+        self.gil
+            .release(&mut self.vm, t)
+            .map(|woken| woken.for_each(|w| self.sched.unpark(w, wake_at)))
+            .map_err(|r| self.plain_access_failed("GIL word write", r))
+    }
+
+    /// Take the GIL for `t` if it is free, else park `t` on its queue.
+    /// Returns true when taken.
+    fn gil_take_or_park(&mut self, t: ThreadId) -> Result<bool, RunError> {
+        if self.gil.is_held() {
+            self.gil.push_waiter(t);
+            self.sched.park(t);
+            return Ok(false);
         }
+        self.sched.advance(t, self.profile.cost.gil_acquire);
+        self.breakdown.gil_wait += self.profile.cost.gil_acquire;
+        self.gil
+            .acquire(&mut self.vm, t, self.cfg.tls_running_thread)
+            .map_err(|r| self.plain_access_failed("GIL word write", r))?;
+        Ok(true)
     }
 
     // ---- GIL mode ---------------------------------------------------------------
 
     fn step_gil(&mut self, t: ThreadId) -> Result<(), RunError> {
         // Must hold the GIL to run.
-        if !self.gil.held_by(t) {
-            if self.gil.is_held() {
-                self.gil.push_waiter(t, GilWait::Acquire);
-                self.sched.park(t);
-                return Ok(());
-            }
-            self.sched.advance(t, self.profile.cost.gil_acquire);
-            self.breakdown.gil_wait += self.profile.cost.gil_acquire;
-            self.gil.acquire(&mut self.vm, t, self.cfg.tls_running_thread);
+        if !self.gil.held_by(t) && !self.gil_take_or_park(t)? {
+            return Ok(());
         }
         // Yield points: yield only when the timer flagged us and another
         // live thread exists (paper §3.2).
@@ -809,7 +830,7 @@ impl Executor {
                 self.vm
                     .wr_untimed(t, flag_addr, Word::Int(0))
                     .map_err(|r| self.plain_access_failed("interrupt flag clear", r))?;
-                self.gil_release(t);
+                self.gil_release(t)?;
                 self.sched.advance(t, self.profile.cost.sched_yield);
                 self.breakdown.gil_wait += self.profile.cost.sched_yield;
                 // Re-acquire on the next scheduling round (others, woken
@@ -822,7 +843,7 @@ impl Executor {
             Ok(ok) => {
                 if matches!(ok, StepOk::Block(_) | StepOk::Finished) {
                     // Blocking region / exit: release the GIL first.
-                    self.gil_release(t);
+                    self.gil_release(t)?;
                 }
                 self.handle_outcome(t, ok)
             }
@@ -862,7 +883,7 @@ impl Executor {
 
     fn step_htm(&mut self, t: ThreadId) -> Result<(), RunError> {
         // 1. Ensure an execution context: transaction or GIL.
-        if self.tle[t].tx.is_none() && !self.tle[t].holds_gil {
+        if self.tle[t].tx.is_none() && !self.gil.held_by(t) {
             if self.tle[t].want_gil {
                 // A forcible acquisition is in progress (Fig. 1 line 27 /
                 // persistent-abort fallback): finish it before anything
@@ -892,10 +913,7 @@ impl Executor {
                 if self.tle[t].tx.is_some() && self.sched.explore_interrupt_kill() {
                     // Explored interrupt slot: kill the open transaction
                     // exactly like the §5.6 timer model would.
-                    let reason = match self.vm.mem.poll_doomed(t) {
-                        Some(r) => r,
-                        None => self.vm.mem.abort_spurious(t, SpuriousCause::TimerInterrupt),
-                    };
+                    let reason = self.interrupt_kill(t);
                     return self.on_tx_abort(t, reason);
                 }
             }
@@ -940,9 +958,8 @@ impl Executor {
                             Err(reason) => return self.on_tx_abort(t, reason),
                         }
                     }
-                    if self.tle[t].holds_gil {
-                        self.tle[t].holds_gil = false;
-                        self.gil_release(t);
+                    if self.gil.held_by(t) {
+                        self.gil_release(t)?;
                     }
                 }
                 self.handle_outcome(t, ok)
@@ -961,11 +978,7 @@ impl Executor {
         // Explored interrupt slot in the commit window: kill the
         // transaction right before TEND.
         if self.sched.explore_commit_kill() {
-            let reason = match self.vm.mem.poll_doomed(t) {
-                Some(r) => r,
-                None => self.vm.mem.abort_spurious(t, SpuriousCause::TimerInterrupt),
-            };
-            return Err(reason);
+            return Err(self.interrupt_kill(t));
         }
         self.sched.advance(t, self.profile.cost.tend);
         self.breakdown.tx_begin_end += self.profile.cost.tend;
@@ -977,7 +990,7 @@ impl Executor {
         self.recycle(t, e);
         // A commit is forward progress: stand the watchdog down.
         self.tle[t].consecutive_aborts = 0;
-        self.tle[t].backoff = self.cfg.watchdog.cooldown_base;
+        self.tle[t].backoff = WATCHDOG_COOLDOWN_BASE;
         Ok(())
     }
 
@@ -985,10 +998,9 @@ impl Executor {
     /// transaction at the current pc. Returns false if the thread parked
     /// or aborted (caller returns to the scheduler).
     fn transaction_end_and_restart(&mut self, t: ThreadId) -> Result<bool, RunError> {
-        if self.tle[t].holds_gil {
+        if self.gil.held_by(t) {
             // GIL path of transaction_end (Fig. 2 line 2).
-            self.tle[t].holds_gil = false;
-            self.gil_release(t);
+            self.gil_release(t)?;
         } else if self.tle[t].tx.is_some() {
             if let Err(reason) = self.commit_tx(t) {
                 self.on_tx_abort(t, reason)?;
@@ -1028,7 +1040,7 @@ impl Executor {
         if self.gil.is_held() {
             self.breakdown.gil_wait += self.profile.cost.spin_bound;
             self.sched.advance(t, self.profile.cost.spin_bound);
-            self.gil.push_waiter(t, GilWait::RetryTx);
+            self.gil.push_waiter(t);
             self.tle[t].resume_pc = Some(pc);
             // Keep the sequence identity across the park: a retry that
             // waits here must not have its budgets re-armed on wake.
@@ -1045,9 +1057,7 @@ impl Executor {
             // Predictor kill (EagerPredicted): take the abort path.
             self.sched.advance(t, self.profile.cost.abort_penalty);
             self.breakdown.aborted += self.profile.cost.abort_penalty;
-            self.tle[t].resume_pc = Some(pc);
-            self.abort_path(t, pc, reason)?;
-            return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
+            return self.begin_aborted(t, pc, reason);
         }
         // Subscribe to the GIL (DESIGN.md §15). `Eager` is Fig. 1 lines
         // 14-15: read the lock word inside the transaction so it joins the
@@ -1074,17 +1084,13 @@ impl Executor {
                 Err(reason) => {
                     self.sched.advance(t, self.profile.cost.abort_penalty);
                     self.breakdown.aborted += self.profile.cost.abort_penalty;
-                    self.tle[t].resume_pc = Some(pc);
-                    self.abort_path(t, pc, reason)?;
-                    return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
+                    return self.begin_aborted(t, pc, reason);
                 }
             };
             self.sched.advance(t, self.profile.cost.mem_ref);
             if gil_word == Word::Int(1) {
                 let reason = self.vm.mem.tabort(t, abort_codes::GIL_LOCKED);
-                self.tle[t].resume_pc = Some(pc);
-                self.abort_path(t, pc, reason)?;
-                return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
+                return self.begin_aborted(t, pc, reason);
             }
         }
         // §4.4 #1 ablation: write the running-thread global inside the
@@ -1093,9 +1099,7 @@ impl Executor {
             if let Err(reason) =
                 self.vm.mem.write(t, self.vm.layout.running_thread, Word::Int(t as i64))
             {
-                self.tle[t].resume_pc = Some(pc);
-                self.abort_path(t, pc, reason)?;
-                return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
+                return self.begin_aborted(t, pc, reason);
             }
             self.sched.advance(t, self.profile.cost.mem_ref);
         }
@@ -1104,14 +1108,26 @@ impl Executor {
         // that the per-yield-point decrements then hit for the rest of the
         // transaction.
         if let Err(reason) = self.vm.wr_untimed(t, counter_addr, Word::Int(i64::from(len))) {
-            self.tle[t].resume_pc = Some(pc);
-            self.abort_path(t, pc, reason)?;
-            return Ok(self.tle[t].tx.is_some() || self.tle[t].holds_gil);
+            return self.begin_aborted(t, pc, reason);
         }
         let escrow = std::mem::take(&mut self.tle[t].spare);
         self.tle[t].tx = Some(TxInfo { start_pc: pc, snapshot, escrow });
         self.tle[t].fresh = true;
         Ok(true)
+    }
+
+    /// `transaction_begin` at `pc` died before its transaction was
+    /// installed: run the Fig. 1 abort path from `pc` and report whether it
+    /// left `t` a context (it may have taken the GIL).
+    fn begin_aborted(
+        &mut self,
+        t: ThreadId,
+        pc: u32,
+        reason: AbortReason,
+    ) -> Result<bool, RunError> {
+        self.tle[t].resume_pc = Some(pc);
+        self.abort_path(t, pc, reason)?;
+        Ok(self.tle[t].tx.is_some() || self.gil.held_by(t))
     }
 
     /// A transaction abort surfaced (the memory is already rolled back):
@@ -1138,15 +1154,14 @@ impl Executor {
         // Livelock watchdog: aborts accumulate across attempt sequences;
         // past the threshold the thread stops speculating for a cooldown
         // of GIL tenures (doubling per consecutive escalation).
-        if self.cfg.watchdog.is_enabled() {
+        if self.cfg.watchdog {
             self.tle[t].consecutive_aborts += 1;
-            if self.tle[t].consecutive_aborts >= self.cfg.watchdog.escalation_threshold {
-                let w = self.cfg.watchdog;
+            if self.tle[t].consecutive_aborts >= WATCHDOG_ESCALATION {
                 self.watchdog_escalations += 1;
                 self.tle[t].consecutive_aborts = 0;
-                let backoff = self.tle[t].backoff.max(w.cooldown_base).max(1);
+                let backoff = self.tle[t].backoff;
                 self.tle[t].cooldown = backoff;
-                self.tle[t].backoff = backoff.saturating_mul(2).min(w.cooldown_max.max(1));
+                self.tle[t].backoff = (backoff * 2).min(WATCHDOG_COOLDOWN_MAX);
                 return self.gil_acquire_or_park(t).map(drop);
             }
         }
@@ -1166,7 +1181,7 @@ impl Executor {
                 if self.gil.is_held() {
                     self.breakdown.gil_wait += self.profile.cost.spin_bound;
                     self.sched.advance(t, self.profile.cost.spin_bound);
-                    self.gil.push_waiter(t, GilWait::RetryTx);
+                    self.gil.push_waiter(t);
                     self.sched.park(t);
                 }
                 return Ok(());
@@ -1192,16 +1207,10 @@ impl Executor {
 
     /// `gil_acquire()` with parking. Returns true when the GIL was taken.
     fn gil_acquire_or_park(&mut self, t: ThreadId) -> Result<bool, RunError> {
-        if self.gil.is_held() {
-            self.tle[t].want_gil = true;
-            self.gil.push_waiter(t, GilWait::Acquire);
-            self.sched.park(t);
+        self.tle[t].want_gil = !self.gil_take_or_park(t)?;
+        if self.tle[t].want_gil {
             return Ok(false);
         }
-        self.tle[t].want_gil = false;
-        self.sched.advance(t, self.profile.cost.gil_acquire);
-        self.breakdown.gil_wait += self.profile.cost.gil_acquire;
-        self.gil.acquire(&mut self.vm, t, self.cfg.tls_running_thread);
         if self.cfg.subscription == SubscriptionPolicy::LazyGuarded {
             // The lock monitor fires on the store to the lock word: every
             // in-flight transaction armed on the GIL line is doomed here,
@@ -1209,7 +1218,6 @@ impl Executor {
             // the same store (DESIGN.md §15).
             self.vm.mem.doom_all_active(t, self.vm.layout.gil);
         }
-        self.tle[t].holds_gil = true;
         self.tle[t].reset_retries(&self.cfg.tle);
         // Fig. 3 note: the transaction length is consumed even under the
         // GIL — install the counter so the GIL is released at the same

@@ -18,12 +18,12 @@
 //! values — while the violation keeps reproducing, yielding the pinned
 //! counterexamples committed to `tests/schedule_regressions.rs`.
 
-use machine_sim::{MachineProfile, SchedPath};
+use machine_sim::{ExploreCtl, MachineProfile, SchedPath};
 use ruby_vm::VmConfig;
 
-use crate::config::{ExecConfig, RuntimeMode};
+use crate::config::ExecConfig;
 use crate::exec::Executor;
-use crate::oracle::heap_digest;
+use crate::oracle::{gil_oracle, Expected};
 use crate::report::RunReport;
 
 /// One explorable configuration: a workload under a mode on a machine.
@@ -33,68 +33,28 @@ pub struct ExploreTarget {
     pub id: String,
     /// Fully instantiated Ruby source.
     pub source: String,
-    /// Worker-thread count baked into the source (VM sizing).
-    pub threads: usize,
-    pub mode: RuntimeMode,
+    /// The run every path is replayed under, less the controller
+    /// [`run_path`] installs: mode, subscription policy (the GIL oracle
+    /// ignores it — the expectation is policy-independent by construction)
+    /// and the cycle cap that turns a schedule that livelocks where the
+    /// natural one does not into a reported violation, not a hung search.
+    pub cfg: ExecConfig,
+    pub vm: VmConfig,
     pub profile: MachineProfile,
-    /// GIL-subscription policy for HTM modes (the DESIGN.md §15 knob the
-    /// lazy-subscription violation targets). The GIL oracle run ignores
-    /// it — the expectation is policy-independent by construction.
-    pub subscription: crate::tle::SubscriptionPolicy,
     /// Enable the interrupt-delivery decisions (yield-point and
     /// commit-window transaction kills).
     pub interrupts: bool,
-    /// Arm the test-only dirty-read bug (violation-demo targets only).
-    pub bug_dirty_read: bool,
-    /// Safety cap on simulated cycles per execution (0 = none). Explored
-    /// schedules can livelock where the natural one does not; the cap
-    /// turns that into a reported violation instead of a hung search.
-    pub max_cycles: u64,
-    /// Force word-granular access tracking in the VM (disables the lease
-    /// fast path). Used by the `--differential` re-run, which replays the
-    /// same path under both layouts and diffs the reports.
-    pub force_word_access: bool,
-}
-
-impl ExploreTarget {
-    /// Executor configuration replaying `path` under the target's mode.
-    pub fn config(&self, path: &SchedPath) -> ExecConfig {
-        let mut cfg = ExecConfig::new(self.mode, &self.profile);
-        cfg.max_cycles = self.max_cycles;
-        cfg.explore_path = Some(path.clone());
-        cfg.explore_interrupts = self.interrupts;
-        cfg.bug_dirty_read = self.bug_dirty_read;
-        cfg.subscription = self.subscription;
-        cfg
-    }
-
-    fn vm_config(&self) -> VmConfig {
-        VmConfig {
-            max_threads: self.threads + 2,
-            force_word_access: self.force_word_access,
-            ..VmConfig::default()
-        }
-    }
-}
-
-/// Expected observable behaviour, from the pristine GIL oracle run.
-#[derive(Debug, Clone)]
-pub struct Expected {
-    pub stdout: String,
-    pub heap: String,
 }
 
 /// Compute the target's expectation: one pristine GIL run of the same
-/// source (no controller, no bug, no injection). Panics on boot/run
-/// failure — a target whose oracle run fails is a harness bug, not a
+/// source (no controller, no injection). Panics on boot/run failure — a
+/// target whose oracle run fails is a harness bug, not a
 /// schedule-dependent finding.
 pub fn gil_expected(target: &ExploreTarget) -> Expected {
-    let mut cfg = ExecConfig::new(RuntimeMode::Gil, &target.profile);
-    cfg.max_cycles = target.max_cycles;
-    let mut ex = Executor::new(&target.source, target.vm_config(), target.profile.clone(), cfg)
-        .unwrap_or_else(|e| panic!("{}: oracle boot failed: {e}", target.id));
-    let report = ex.run().unwrap_or_else(|e| panic!("{}: oracle GIL run failed: {e}", target.id));
-    Expected { stdout: report.stdout, heap: heap_digest(&ex.vm) }
+    let (vm, profile) = (target.vm.clone(), target.profile.clone());
+    gil_oracle(&target.source, vm, profile, target.cfg.max_cycles)
+        .unwrap_or_else(|e| panic!("{}: oracle GIL run failed: {e}", target.id))
+        .1
 }
 
 /// Everything one explored execution produced.
@@ -104,64 +64,38 @@ pub struct PathRun {
     pub report: Option<RunReport>,
     /// Run failure text (deadlock/livelock/cycle-limit), if any.
     pub error: Option<String>,
-    pub stdout: String,
-    pub heap: String,
-    /// Decision-trail facts recorded by the controller.
-    pub decisions: usize,
-    pub taken: Vec<u8>,
-    pub arities: Vec<u8>,
-    /// Decision kinds as tag characters, e.g. `"SSIW"`.
-    pub kind_tags: String,
-    /// Forced deviations actually injected (non-zero choices taken).
-    pub preemptions: u64,
+    /// Stdout and heap digest at the run's end, failed or not.
+    pub left: Expected,
+    /// The controller after the run: the decision trail it recorded.
+    pub ctl: ExploreCtl,
 }
 
 /// Replay `path` on the target and collect the outcome. Panics only on
 /// boot failure (workload/harness bug); run failures are captured.
 pub fn run_path(target: &ExploreTarget, path: &SchedPath) -> PathRun {
-    let cfg = target.config(path);
-    let mut ex = Executor::new(&target.source, target.vm_config(), target.profile.clone(), cfg)
+    let explore = Some(ExploreCtl::new(path.clone(), target.interrupts));
+    let cfg = ExecConfig { explore, ..target.cfg.clone() };
+    let mut ex = Executor::new(&target.source, target.vm.clone(), target.profile.clone(), cfg)
         .unwrap_or_else(|e| panic!("{}: boot failed: {e}", target.id));
     let (report, error) = match ex.run() {
         Ok(r) => (Some(r), None),
         Err(e) => (None, Some(e.to_string())),
     };
-    let stdout = report.as_ref().map_or_else(|| ex.vm.stdout_text(), |r| r.stdout.clone());
-    let heap = heap_digest(&ex.vm);
-    let ctl = ex.sched.explore().expect("explore controller installed by config");
-    PathRun {
-        report,
-        error,
-        stdout,
-        heap,
-        decisions: ctl.decisions(),
-        taken: ctl.taken().to_vec(),
-        arities: ctl.arities().to_vec(),
-        kind_tags: ctl.kinds().iter().map(|k| k.tag()).collect(),
-        preemptions: ctl.preemptions(),
-    }
+    let ctl = ex.sched.explore().expect("explore controller installed by config").clone();
+    PathRun { report, error, left: Expected::of(&ex), ctl }
 }
 
 /// The violation verdict for one explored execution: `None` when the
 /// run is observationally equivalent to the GIL oracle, else a
 /// human-readable description of the divergence.
 pub fn mismatch_of(expected: &Expected, run: &PathRun) -> Option<String> {
-    if let Some(err) = &run.error {
-        return Some(format!("run failed under this schedule: {err}"));
+    match &run.report {
+        Some(report) => expected.mismatch(&report.mode_label, &run.left),
+        None => Some(format!(
+            "run failed under this schedule: {}",
+            run.error.as_deref().unwrap_or_default()
+        )),
     }
-    if run.stdout != expected.stdout {
-        return Some(format!(
-            "stdout diverged from the GIL oracle\n  expected: {:?}\n  actual:   {:?}",
-            expected.stdout, run.stdout
-        ));
-    }
-    if run.heap != expected.heap {
-        return Some(format!(
-            "final heap diverged from the GIL oracle\n  expected: {}\n  actual:   {}",
-            expected.heap, run.heap
-        ));
-    }
-    None
 }
 
 /// Replay and judge in one step.
@@ -264,9 +198,10 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LengthPolicy;
+    use crate::config::{LengthPolicy, RuntimeMode};
 
     fn tiny_target(mode: RuntimeMode) -> ExploreTarget {
+        let profile = MachineProfile::generic(4);
         ExploreTarget {
             id: "tiny-counter".into(),
             source: r#"
@@ -290,14 +225,10 @@ end
 puts($sum)
 "#
             .into(),
-            threads: 2,
-            mode,
-            profile: MachineProfile::generic(4),
-            subscription: crate::tle::SubscriptionPolicy::Eager,
+            cfg: ExecConfig { max_cycles: 500_000_000, ..ExecConfig::new(mode, &profile) },
+            vm: VmConfig { max_threads: 4, ..VmConfig::default() },
+            profile,
             interrupts: true,
-            bug_dirty_read: false,
-            max_cycles: 500_000_000,
-            force_word_access: false,
         }
     }
 
@@ -312,7 +243,7 @@ puts($sum)
             let expected = gil_expected(&t);
             assert_eq!(expected.stdout, "10");
             let (run, mismatch) = check_path(&t, &expected, &SchedPath::empty());
-            assert!(mismatch.is_none(), "{}: {}", t.mode.label(), mismatch.unwrap());
+            assert!(mismatch.is_none(), "{}: {}", t.cfg.mode.label(), mismatch.unwrap());
             assert!(run.error.is_none());
         }
     }
@@ -323,9 +254,9 @@ puts($sum)
         let expected = gil_expected(&t);
         let (run, mismatch) = check_path(&t, &expected, &SchedPath::new(vec![1; 16]));
         assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-        assert!(run.preemptions > 0, "flips must actually deviate the schedule");
-        assert_eq!(run.taken.len(), run.arities.len());
-        assert_eq!(run.decisions, run.taken.len());
+        assert!(run.ctl.preemptions() > 0, "flips must actually deviate the schedule");
+        assert_eq!(run.ctl.taken().len(), run.ctl.arities().len());
+        assert_eq!(run.ctl.decisions(), run.ctl.taken().len());
     }
 
     #[test]
@@ -334,9 +265,9 @@ puts($sum)
         let path = SchedPath::new(vec![0, 2, 1, 0, 3, 1]);
         let a = run_path(&t, &path);
         let b = run_path(&t, &path);
-        assert_eq!(a.stdout, b.stdout);
-        assert_eq!(a.heap, b.heap);
-        assert_eq!(a.taken, b.taken);
+        assert_eq!(a.left.stdout, b.left.stdout);
+        assert_eq!(a.left.heap, b.left.heap);
+        assert_eq!(a.ctl.taken(), b.ctl.taken());
         let (ar, br) = (a.report.unwrap(), b.report.unwrap());
         assert_eq!(ar.to_json().to_compact(), br.to_json().to_compact());
     }

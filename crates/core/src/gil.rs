@@ -7,25 +7,17 @@
 //! line 15). The waiter queue and timer bookkeeping are executor-side
 //! metadata, like CRuby's `gvl` struct.
 
+use htm_sim::AbortReason;
 use machine_sim::{Cycles, ThreadId};
 use ruby_vm::{Vm, Word};
-
-/// Why a parked thread is waiting on the GIL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GilWait {
-    /// Wants to own the GIL (GIL mode, or HTM fallback after retries).
-    Acquire,
-    /// Waiting only for release, then retries its transaction
-    /// (`spin_and_gil_acquire` returning "released", Fig. 1 lines 40–44).
-    RetryTx,
-}
 
 /// GIL runtime state.
 #[derive(Debug, Clone)]
 pub struct GilState {
     pub holder: Option<ThreadId>,
-    /// Parked waiters with their intent.
-    pub waiters: Vec<(ThreadId, GilWait)>,
+    /// Parked waiters, in arrival order. What a woken one does next — take
+    /// the GIL or retry its transaction — is its own `TleThread` state.
+    pub waiters: Vec<ThreadId>,
     /// Total acquisitions (report statistic).
     pub acquisitions: u64,
     /// Next 250 ms-timer deadline (GIL mode only).
@@ -38,21 +30,24 @@ impl GilState {
     }
 
     /// Acquire the GIL for `t`. Caller must have checked it is free.
-    /// The memory write dooms all subscribed transactions.
-    pub fn acquire(&mut self, vm: &mut Vm, t: ThreadId, tls_running_thread: bool) {
+    /// The memory write dooms all subscribed transactions; like any plain
+    /// access it fails only on a broken memory invariant.
+    pub fn acquire(
+        &mut self,
+        vm: &mut Vm,
+        t: ThreadId,
+        tls_running_thread: bool,
+    ) -> Result<(), AbortReason> {
         debug_assert!(self.holder.is_none(), "GIL already held");
         self.holder = Some(t);
         self.acquisitions += 1;
-        let gil = vm.layout.gil;
-        vm.mem
-            .write(t, gil, Word::Int(1))
-            .expect("GIL word write cannot fail outside a transaction");
+        vm.mem.write(t, vm.layout.gil, Word::Int(1))?;
         if !tls_running_thread {
             // §4.4 #1 ablation: the running-thread global gets rewritten on
             // every acquisition — "the most severe conflicts".
-            let rt = vm.layout.running_thread;
-            vm.mem.write(t, rt, Word::Int(t as i64)).expect("running-thread write");
+            vm.mem.write(t, vm.layout.running_thread, Word::Int(t as i64))?;
         }
+        Ok(())
     }
 
     /// Release the GIL held by `t`. Returns the waiters to wake, drained
@@ -61,14 +56,11 @@ impl GilState {
         &mut self,
         vm: &mut Vm,
         t: ThreadId,
-    ) -> std::vec::Drain<'_, (ThreadId, GilWait)> {
+    ) -> Result<std::vec::Drain<'_, ThreadId>, AbortReason> {
         debug_assert_eq!(self.holder, Some(t), "release by non-holder");
         self.holder = None;
-        let gil = vm.layout.gil;
-        vm.mem
-            .write(t, gil, Word::Int(0))
-            .expect("GIL word write cannot fail outside a transaction");
-        self.waiters.drain(..)
+        vm.mem.write(t, vm.layout.gil, Word::Int(0))?;
+        Ok(self.waiters.drain(..))
     }
 
     pub fn is_held(&self) -> bool {
@@ -80,9 +72,9 @@ impl GilState {
     }
 
     /// Park `t` in the waiter queue.
-    pub fn push_waiter(&mut self, t: ThreadId, wait: GilWait) {
-        debug_assert!(self.waiters.iter().all(|&(w, _)| w != t));
-        self.waiters.push((t, wait));
+    pub fn push_waiter(&mut self, t: ThreadId) {
+        debug_assert!(!self.waiters.contains(&t));
+        self.waiters.push(t);
     }
 }
 
@@ -101,14 +93,14 @@ mod tests {
         let mut vm = vm();
         let mut g = GilState::new(1000);
         assert!(!g.is_held());
-        g.acquire(&mut vm, 0, true);
+        g.acquire(&mut vm, 0, true).unwrap();
         assert!(g.held_by(0));
         assert_eq!(*vm.mem.peek(vm.layout.gil), Word::Int(1));
-        g.push_waiter(1, GilWait::Acquire);
-        let woken: Vec<_> = g.release(&mut vm, 0).collect();
+        g.push_waiter(1);
+        let woken: Vec<_> = g.release(&mut vm, 0).unwrap().collect();
         assert!(!g.is_held());
         assert_eq!(*vm.mem.peek(vm.layout.gil), Word::Int(0));
-        assert_eq!(woken, vec![(1, GilWait::Acquire)]);
+        assert_eq!(woken, vec![1]);
         assert_eq!(g.acquisitions, 1);
     }
 
@@ -121,7 +113,7 @@ mod tests {
         // Thread 1 subscribes to the GIL word, as TLE requires.
         let gil = vm.layout.gil;
         let _ = vm.mem.read(1, gil).unwrap();
-        g.acquire(&mut vm, 0, true);
+        g.acquire(&mut vm, 0, true).unwrap();
         assert!(vm.mem.poll_doomed(1).is_some(), "subscriber must be doomed");
     }
 
@@ -131,15 +123,12 @@ mod tests {
         // arrival order so the executor wakes them with that ordering.
         let mut vm = vm();
         let mut g = GilState::new(0);
-        g.acquire(&mut vm, 0, true);
-        g.push_waiter(3, GilWait::Acquire);
-        g.push_waiter(1, GilWait::RetryTx);
-        g.push_waiter(2, GilWait::Acquire);
-        let woken: Vec<_> = g.release(&mut vm, 0).collect();
-        assert_eq!(
-            woken,
-            vec![(3, GilWait::Acquire), (1, GilWait::RetryTx), (2, GilWait::Acquire)]
-        );
+        g.acquire(&mut vm, 0, true).unwrap();
+        g.push_waiter(3);
+        g.push_waiter(1);
+        g.push_waiter(2);
+        let woken: Vec<_> = g.release(&mut vm, 0).unwrap().collect();
+        assert_eq!(woken, vec![3, 1, 2]);
         assert!(g.waiters.is_empty(), "queue drained on release");
     }
 
@@ -232,11 +221,11 @@ puts(done.join(","))
     fn running_thread_global_written_when_not_tls() {
         let mut vm = vm();
         let mut g = GilState::new(0);
-        g.acquire(&mut vm, 0, false);
+        g.acquire(&mut vm, 0, false).unwrap();
         assert_eq!(*vm.mem.peek(vm.layout.running_thread), Word::Int(0));
-        let _ = g.release(&mut vm, 0);
+        let _ = g.release(&mut vm, 0).unwrap();
         let mut g2 = GilState::new(0);
-        g2.acquire(&mut vm, 1, true);
+        g2.acquire(&mut vm, 1, true).unwrap();
         // TLS mode: the global is untouched (still 0 from before).
         assert_eq!(*vm.mem.peek(vm.layout.running_thread), Word::Int(0));
     }

@@ -39,16 +39,13 @@ pub mod oracle;
 pub mod report;
 pub mod tle;
 
-pub use config::{
-    ExecConfig, LengthPolicy, RuntimeMode, TleConstants, WatchdogConstants, YieldPolicy,
-};
+pub use config::{ExecConfig, LengthPolicy, RuntimeMode, TleConstants, YieldPolicy};
 pub use exec::{Executor, RunError};
 pub use explore::{
-    check_path, gil_expected, mismatch_of, run_path, shrink, Expected, ExploreTarget, PathRun,
-    ShrinkResult,
+    check_path, gil_expected, mismatch_of, run_path, shrink, ExploreTarget, PathRun, ShrinkResult,
 };
 pub use json::Json;
 pub use latency::{LatencyRecorder, LatencyStats, QueueWindow, TaskLatencyReport};
-pub use oracle::{check_against_gil, heap_digest, OracleVerdict};
+pub use oracle::{check_against_gil, heap_digest, Expected, OracleVerdict};
 pub use report::{ConflictSite, CycleBreakdown, RunReport};
 pub use tle::{LengthTables, SiteProfile, SubscriptionPolicy};

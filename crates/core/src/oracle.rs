@@ -28,6 +28,53 @@ use crate::config::{ExecConfig, RuntimeMode};
 use crate::exec::{Executor, RunError};
 use crate::report::RunReport;
 
+/// What a run leaves for comparison: the complete stdout and the
+/// address-free digest of the final heap.
+#[derive(Debug, Clone)]
+pub struct Expected {
+    pub stdout: String,
+    pub heap: String,
+}
+
+impl Expected {
+    /// What `ex`, run to its end, left behind.
+    pub fn of(ex: &Executor) -> Expected {
+        Expected { stdout: ex.vm.stdout_text(), heap: heap_digest(&ex.vm) }
+    }
+
+    /// The one wording of a divergence: how `subject`, a run labelled
+    /// `label`, differs from this expectation; `None` when the two are
+    /// observationally equivalent.
+    pub fn mismatch(&self, label: &str, subject: &Expected) -> Option<String> {
+        let (what, theirs, ours) = if subject.stdout != self.stdout {
+            ("stdout", format!("{:?}", subject.stdout), format!("{:?}", self.stdout))
+        } else if subject.heap != self.heap {
+            ("final heap", subject.heap.clone(), self.heap.clone())
+        } else {
+            return None;
+        };
+        Some(format!(
+            "{what} diverged from the GIL oracle\n  subject ({label}): {theirs}\n  oracle  (GIL): {ours}"
+        ))
+    }
+}
+
+/// The pristine GIL run of `source` (no fault plan, no interrupt model, no
+/// watchdog, no controller) every subject is compared against: its report
+/// and what it left.
+pub fn gil_oracle(
+    source: &str,
+    vm_config: VmConfig,
+    profile: MachineProfile,
+    max_cycles: u64,
+) -> Result<(RunReport, Expected), RunError> {
+    let mut cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+    cfg.max_cycles = max_cycles;
+    let mut ex = Executor::new(source, vm_config, profile, cfg)?;
+    let report = ex.run()?;
+    Ok((report, Expected::of(&ex)))
+}
+
 /// Outcome of one subject-vs-oracle comparison.
 #[derive(Debug)]
 pub struct OracleVerdict {
@@ -46,37 +93,27 @@ impl OracleVerdict {
     }
 }
 
-/// Run `source` under `subject_cfg`, then under a pristine GIL
-/// configuration (no fault plan, no interrupt model, no watchdog), and
-/// compare stdout plus the final heap digest.
+/// Run `source` under `subject_cfg`, then under the pristine GIL
+/// configuration, and compare stdout plus the final heap digest.
 pub fn check_against_gil(
     source: &str,
     vm_config: VmConfig,
     profile: MachineProfile,
     subject_cfg: ExecConfig,
 ) -> Result<OracleVerdict, RunError> {
+    let max_cycles = subject_cfg.max_cycles;
     let mut subj = Executor::new(source, vm_config.clone(), profile.clone(), subject_cfg)?;
     let subject = subj.run()?;
-    let subject_heap = heap_digest(&subj.vm);
-    let mut gil_cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
-    gil_cfg.max_cycles = subj.cfg.max_cycles;
-    let mut orac = Executor::new(source, vm_config, profile, gil_cfg)?;
-    let oracle = orac.run()?;
-    let oracle_heap = heap_digest(&orac.vm);
-    let mismatch = if subject.stdout != oracle.stdout {
-        Some(format!(
-            "stdout diverged from the GIL oracle\n  subject ({}): {:?}\n  oracle  (GIL): {:?}",
-            subject.mode_label, subject.stdout, oracle.stdout
-        ))
-    } else if subject_heap != oracle_heap {
-        Some(format!(
-            "final heap diverged from the GIL oracle\n  subject ({}): {}\n  oracle  (GIL): {}",
-            subject.mode_label, subject_heap, oracle_heap
-        ))
-    } else {
-        None
-    };
-    Ok(OracleVerdict { subject, oracle, subject_heap, oracle_heap, mismatch })
+    let left = Expected::of(&subj);
+    let (oracle, expected) = gil_oracle(source, vm_config, profile, max_cycles)?;
+    let mismatch = expected.mismatch(&subject.mode_label, &left);
+    Ok(OracleVerdict {
+        subject,
+        oracle,
+        subject_heap: left.heap,
+        oracle_heap: expected.heap,
+        mismatch,
+    })
 }
 
 /// Canonical, address-free digest of the VM's global-variable graph.
@@ -347,7 +384,7 @@ tmp[0] = tmp[1]
         let mut cfg =
             ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Fixed(16) }, &profile);
         cfg.fault_plan = Some(htm_sim::FaultPlan::spurious(0xC0FFEE, 0.2));
-        cfg.watchdog = crate::config::WatchdogConstants::enabled();
+        cfg.watchdog = true;
         let v = check_against_gil(GLOBALS_SRC, VmConfig::default(), profile, cfg).unwrap();
         assert!(v.matches(), "{}", v.mismatch.unwrap());
         assert!(v.subject.htm.spurious > 0, "injection must actually fire");

@@ -235,11 +235,6 @@ impl LengthTables {
         }
     }
 
-    /// Sites that ever began a transaction, with their final lengths.
-    pub fn active_sites(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.length.iter().enumerate().filter(|&(_, &l)| l != 0).map(|(pc, &l)| (pc as u32, l))
-    }
-
     /// Share (0–1) of active sites whose final length is exactly 1
     /// (paper §5.5: "40 % of the frequently executed yield points had the
     /// transaction length of 1" on 12-thread zEC12).

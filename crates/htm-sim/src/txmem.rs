@@ -242,14 +242,6 @@ pub struct TxMemory<W: Clone> {
     pending_writes: u64,
     /// Undo records of every transaction that has ended ([`Self::undo_pushes`]).
     undo_pushes: u64,
-    /// Test-only injected serializability bug for the schedule-space
-    /// explorer: when set, the read path skips the requester-wins doom of
-    /// a remote writer, so reads observe speculative (possibly torn)
-    /// state. Never enabled outside explore tests. Read-lease grants are
-    /// unaffected: they require the reader bit, which `read_with` sets
-    /// either way, and leased re-reads of an already-read line match the
-    /// memo fast path's (bugged) behaviour exactly.
-    bug_dirty_read: bool,
 }
 
 impl<W: Clone> TxMemory<W> {
@@ -329,7 +321,6 @@ impl<W: Clone> TxMemory<W> {
             pending_reads: 0,
             pending_writes: 0,
             undo_pushes: 0,
-            bug_dirty_read: false,
         }
     }
 
@@ -357,11 +348,6 @@ impl<W: Clone> TxMemory<W> {
         self.dirty[page >> 6] |= 1 << (page & 63);
     }
 
-    /// Arm (or disarm) the test-only dirty-read bug — see the field doc.
-    pub fn set_bug_dirty_read(&mut self, on: bool) {
-        self.bug_dirty_read = on;
-    }
-
     /// Install a fault-injection plan (or remove it with a no-op plan).
     /// Both memories of a differential pair must be given the same plan.
     /// Invalidates all outstanding leases: the leased path never consults
@@ -381,11 +367,6 @@ impl<W: Clone> TxMemory<W> {
     /// [`TraceEvent`] into it.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
-    }
-
-    /// Remove and return the installed trace sink, disabling tracing.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
     }
 
     /// True when a trace sink is installed.
@@ -639,11 +620,9 @@ impl<W: Clone> TxMemory<W> {
             // grow — skip the directory entirely.
             return Ok(());
         }
-        // Requester wins: kill a remote writer of this line. (The
-        // test-only dirty-read bug skips exactly this doom, letting the
-        // read observe the writer's speculative in-place state.)
+        // Requester wins: kill a remote writer of this line.
         let st = self.dir[line];
-        if st.writer != NO_WRITER && st.writer as usize != t && !(join && self.bug_dirty_read) {
+        if st.writer != NO_WRITER && st.writer as usize != t {
             let in_tx = self.txs[t].active;
             self.doom(st.writer as usize, AbortReason::conflict(true, t, line), line);
             if !in_tx {

@@ -203,12 +203,6 @@ impl ExploreCtl {
         self.preemptions
     }
 
-    /// The trail as a [`SchedPath`] (replaying it reproduces this
-    /// execution: every consult reads its own taken choice).
-    pub fn taken_path(&self) -> SchedPath {
-        SchedPath::new(self.taken.clone())
-    }
-
     /// Human-readable tail of the decision trail, e.g. `S0 S2 I1 W0`
     /// (last `n` decisions) — livelock dumps append this so a stuck
     /// explored run is diagnosable without a rerun.

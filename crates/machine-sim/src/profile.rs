@@ -62,13 +62,10 @@ pub struct HtmCharacteristics {
     /// How many failed attempts the predictor needs to forget an overflow
     /// (controls the ~5000-iteration recovery ramp of Fig. 6a).
     pub predictor_memory: u32,
-    /// Target abort ratio for dynamic transaction-length adjustment, in
-    /// percent (paper §5.1: 1 % on zEC12, 6 % on the Xeon — a property of
-    /// the HTM implementation's abort cost, not of the application).
-    pub target_abort_ratio_pct: f64,
     /// `ADJUSTMENT_THRESHOLD` of the paper's Fig. 3 — aborts tolerated per
-    /// `PROFILING_PERIOD` transactions (3 on zEC12, 18 on the Xeon; both
-    /// equal `target_abort_ratio_pct` × `PROFILING_PERIOD`).
+    /// `PROFILING_PERIOD` (300) transactions: 3 on zEC12, 18 on the Xeon,
+    /// the paper's §5.1 target abort ratios of 1 % and 6 % — a property of
+    /// the HTM implementation's abort cost, not of the application.
     pub adjustment_threshold: u32,
 }
 
@@ -92,9 +89,6 @@ pub struct CostModel {
     pub gil_acquire: Cycles,
     /// Releasing the GIL (store + possible waiter wake-up).
     pub gil_release: Cycles,
-    /// One iteration of the spin-wait loop of Fig. 1's
-    /// `spin_and_gil_acquire`.
-    pub spin_iter: Cycles,
     /// Bound on spinning before a waiter re-checks its retry budget.
     pub spin_bound: Cycles,
     /// `sched_yield()` system call (GIL-mode yield points only).
@@ -110,9 +104,6 @@ pub struct CostModel {
     /// Under the GIL a running thread only yields when the timer flag is
     /// set (paper §3.2).
     pub timer_interval: Cycles,
-    /// Cost of a native (C-level) helper invocation, e.g. entering the
-    /// regex engine or the mini relational store.
-    pub native_call: Cycles,
 }
 
 /// A complete simulated machine: topology + caches + HTM behaviour + costs.
@@ -158,7 +149,6 @@ impl MachineProfile {
             htm: HtmCharacteristics {
                 learning_predictor: false,
                 predictor_memory: 0,
-                target_abort_ratio_pct: 1.0,
                 adjustment_threshold: 3,
             },
             cost: CostModel::default_5ghz_class(),
@@ -181,7 +171,6 @@ impl MachineProfile {
             htm: HtmCharacteristics {
                 learning_predictor: true,
                 predictor_memory: 5_000,
-                target_abort_ratio_pct: 6.0,
                 adjustment_threshold: 18,
             },
             cost: CostModel::default_3ghz_class(),
@@ -223,7 +212,6 @@ impl MachineProfile {
             htm: HtmCharacteristics {
                 learning_predictor: false,
                 predictor_memory: 0,
-                target_abort_ratio_pct: 2.0,
                 adjustment_threshold: 6,
             },
             cost: CostModel::default_3ghz_class(),
@@ -245,14 +233,12 @@ impl CostModel {
             abort_penalty: 250,
             gil_acquire: 200,
             gil_release: 150,
-            spin_iter: 12,
             spin_bound: 3_000,
             sched_yield: 1_500,
             context_switch: 4_000,
             gil_wait_wakeup: 4_000,
             io_latency: 8_000,
             timer_interval: 600_000,
-            native_call: 60,
         }
     }
 
@@ -268,14 +254,12 @@ impl CostModel {
             abort_penalty: 180,
             gil_acquire: 150,
             gil_release: 100,
-            spin_iter: 10,
             spin_bound: 2_500,
             sched_yield: 1_200,
             context_switch: 3_000,
             gil_wait_wakeup: 3_000,
             io_latency: 8_000,
             timer_interval: 500_000,
-            native_call: 40,
         }
     }
 }
@@ -295,7 +279,6 @@ mod tests {
         assert!(!m.htm.learning_predictor);
         // 3 aborts / 300 transactions = 1 %.
         assert_eq!(m.htm.adjustment_threshold, 3);
-        assert!((m.htm.target_abort_ratio_pct - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -309,7 +292,6 @@ mod tests {
         assert!(m.htm.learning_predictor);
         // 18 aborts / 300 transactions = 6 %.
         assert_eq!(m.htm.adjustment_threshold, 18);
-        assert!((m.htm.target_abort_ratio_pct - 6.0).abs() < f64::EPSILON);
     }
 
     #[test]

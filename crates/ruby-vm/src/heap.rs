@@ -25,6 +25,14 @@ use crate::layout::{ts, Layout, SLOT_WORDS};
 use crate::value::{Addr, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
 
+/// Slots a thread-local free list takes from the global list at a time
+/// (paper §4.4 #2: 256).
+pub const FREE_LIST_REFILL: usize = 256;
+
+/// Words a thread-local malloc arena takes from the bump region at a time
+/// (the z/OS HEAPPOOLS analogue).
+pub const TL_MALLOC_CHUNK: usize = 4_096;
+
 impl Vm {
     // ---- the initial free list, written down on demand ---------------------
     //
@@ -34,7 +42,7 @@ impl Vm {
     // `threaded` slots hold those two words in memory. Until the first
     // collection nothing but pops from the head touches the list, so its
     // unwritten part is always a suffix of it, and a walk from the head
-    // follows at most `free_list_refill` links: writing that far ahead
+    // follows at most `FREE_LIST_REFILL` links: writing that far ahead
     // before the walk keeps every simulated read on a written word.
     // Writing a word down is not a simulated access (`TxMemory::materialize`).
 
@@ -57,7 +65,7 @@ impl Vm {
         let (base, n) = self.slot_ranges[0];
         if self.threaded < n && head >= base {
             let idx = (head - base) / SLOT_WORDS;
-            self.thread_slots(idx.saturating_add(self.config.free_list_refill).saturating_add(1));
+            self.thread_slots(idx.saturating_add(FREE_LIST_REFILL).saturating_add(1));
         }
     }
 
@@ -158,7 +166,7 @@ impl Vm {
         Ok(None)
     }
 
-    /// Move up to `free_list_refill` slots from the global list to `t`'s
+    /// Move up to [`FREE_LIST_REFILL`] slots from the global list to `t`'s
     /// local list. Returns false when the global list was empty.
     fn refill_thread_local(&mut self, t: ThreadId) -> Result<bool, VmAbort> {
         let ts_addr = self.layout.thread_struct(t) + ts::TL_FREE_HEAD;
@@ -170,7 +178,7 @@ impl Vm {
         self.thread_ahead_of(first as Addr);
         let mut last = first as Addr;
         let mut taken = 1usize;
-        while taken < self.config.free_list_refill {
+        while taken < FREE_LIST_REFILL {
             let next = self.rd(t, last + 1)?;
             match next {
                 Word::Int(n) if n != 0 => {
@@ -532,7 +540,7 @@ impl Vm {
                 return Ok((h as Addr, cap));
             }
         }
-        if self.config.malloc_thread_local && cap <= self.config.tl_malloc_chunk / 2 {
+        if self.config.malloc_thread_local && cap <= TL_MALLOC_CHUNK / 2 {
             let sbase = self.layout.thread_struct(t);
             let bump = self.rd(t, sbase + ts::TL_MALLOC_BUMP)?.as_int().unwrap_or(0) as Addr;
             let end = self.rd(t, sbase + ts::TL_MALLOC_END)?.as_int().unwrap_or(0) as Addr;
@@ -541,10 +549,9 @@ impl Vm {
                 return Ok((bump, cap));
             }
             // Grab a fresh chunk from the global bump region.
-            let chunk = self.config.tl_malloc_chunk;
-            let (cbase, _) = self.global_bump(t, chunk)?;
+            let (cbase, _) = self.global_bump(t, TL_MALLOC_CHUNK)?;
             self.wr(t, sbase + ts::TL_MALLOC_BUMP, Word::Int((cbase + cap) as i64))?;
-            self.wr(t, sbase + ts::TL_MALLOC_END, Word::Int((cbase + chunk) as i64))?;
+            self.wr(t, sbase + ts::TL_MALLOC_END, Word::Int((cbase + TL_MALLOC_CHUNK) as i64))?;
             return Ok((cbase, cap));
         }
         // Global path: bump allocation (the class list was checked above).

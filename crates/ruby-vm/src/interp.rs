@@ -453,7 +453,7 @@ impl Vm {
                 self.advance(t);
             }
             Op::GetGlobal => {
-                let addr = self.gvar_addr(SymId(d.a_lo()));
+                let addr = self.gvar_addr(SymId(d.a_lo()))?;
                 let w = match self.rd(t, addr)? {
                     Word::Uninit => Word::Nil,
                     w => w,
@@ -463,7 +463,7 @@ impl Vm {
             }
             Op::SetGlobal => {
                 let v = self.pop(t)?;
-                let addr = self.gvar_addr(SymId(d.a_lo()));
+                let addr = self.gvar_addr(SymId(d.a_lo()))?;
                 self.wr(t, addr, v)?;
                 self.advance(t);
             }
@@ -478,7 +478,7 @@ impl Vm {
             }
             Op::SetConst => {
                 let v = self.pop(t)?;
-                let addr = self.const_define_addr(SymId(d.a_lo()));
+                let addr = self.const_define_addr(SymId(d.a_lo()))?;
                 self.wr(t, addr, v)?;
                 self.advance(t);
             }
@@ -706,7 +706,7 @@ impl Vm {
                 self.advance(t);
             }
             Insn::GetGlobal { name } => {
-                let addr = self.gvar_addr(name);
+                let addr = self.gvar_addr(name)?;
                 let w = match self.rd(t, addr)? {
                     Word::Uninit => Word::Nil,
                     w => w,
@@ -716,7 +716,7 @@ impl Vm {
             }
             Insn::SetGlobal { name } => {
                 let v = self.pop(t)?;
-                let addr = self.gvar_addr(name);
+                let addr = self.gvar_addr(name)?;
                 self.wr(t, addr, v)?;
                 self.advance(t);
             }
@@ -730,7 +730,7 @@ impl Vm {
             }
             Insn::SetConst { name } => {
                 let v = self.pop(t)?;
-                let addr = self.const_define_addr(name);
+                let addr = self.const_define_addr(name)?;
                 self.wr(t, addr, v)?;
                 self.advance(t);
             }
@@ -1116,7 +1116,7 @@ impl Vm {
                 self.wr(t, slot + 5, Word::Int(0))?;
                 self.wr(t, slot + 6, Word::sym(name))?;
                 self.wr(t, slot + 7, Word::Int(0))?;
-                let caddr = self.const_define_addr(name);
+                let caddr = self.const_define_addr(name)?;
                 self.wr(t, caddr, Word::Obj(slot))?;
                 slot
             }

@@ -35,6 +35,14 @@ pub const MALLOC_CLASSES: usize = 12;
 /// Words per thread struct when unpadded (the paper's false-sharing case).
 pub const THREAD_STRUCT_WORDS: usize = 8;
 
+/// Words per thread stack (frames and operand stacks).
+pub const STACK_WORDS: usize = 4_096;
+
+/// Slots in the global-variable table and in the constant table (the core
+/// classes included); a program that names more ends in a fatal `VmError`.
+pub const GVAR_CAP: usize = 128;
+pub const CONST_CAP: usize = 256;
+
 /// Offsets within a thread struct.
 pub mod ts {
     /// `yield_point_counter` of paper Fig. 2 (written at every yield point).
@@ -68,9 +76,7 @@ pub struct Layout {
     pub malloc_end: Addr,
     pub malloc_class_base: Addr,
     pub gvar_base: Addr,
-    pub gvar_cap: usize,
     pub const_base: Addr,
-    pub const_cap: usize,
     pub ic_base: Addr,
     pub ic_count: usize,
     /// Copies of the IC area (1 shared, or one per thread for the §5.6
@@ -84,23 +90,18 @@ pub struct Layout {
     pub malloc_base: Addr,
     pub malloc_words: usize,
     pub stack_base: Addr,
-    pub stack_words: usize,
     /// First address past the initial layout (heap growth appends here).
     pub total_words: usize,
 }
 
 impl Layout {
     /// Build the address map.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         line_words: usize,
         ic_count: usize,
         max_threads: usize,
         initial_slots: usize,
         malloc_words: usize,
-        stack_words: usize,
-        gvar_cap: usize,
-        const_cap: usize,
         padded_thread_structs: bool,
         ic_copies: usize,
     ) -> Layout {
@@ -113,8 +114,8 @@ impl Layout {
         let malloc_end = free_head + 3;
         let malloc_class_base = align(free_head + 4);
         let gvar_base = align(malloc_class_base + MALLOC_CLASSES);
-        let const_base = align(gvar_base + gvar_cap);
-        let ic_base = align(const_base + const_cap);
+        let const_base = align(gvar_base + GVAR_CAP);
+        let ic_base = align(const_base + CONST_CAP);
         let thread_struct_base = align(ic_base + 2 * ic_count.max(1) * ic_copies.max(1));
         let thread_struct_stride = if padded_thread_structs {
             align(THREAD_STRUCT_WORDS).max(line_words)
@@ -124,7 +125,7 @@ impl Layout {
         let slots_base = align(thread_struct_base + thread_struct_stride * max_threads);
         let malloc_base = align(slots_base + initial_slots * SLOT_WORDS);
         let stack_base = align(malloc_base + malloc_words);
-        let total_words = align(stack_base + stack_words * max_threads);
+        let total_words = align(stack_base + STACK_WORDS * max_threads);
         Layout {
             line_words,
             gil,
@@ -135,9 +136,7 @@ impl Layout {
             malloc_end,
             malloc_class_base,
             gvar_base,
-            gvar_cap,
             const_base,
-            const_cap,
             ic_base,
             ic_count,
             ic_copies: ic_copies.max(1),
@@ -149,7 +148,6 @@ impl Layout {
             malloc_base,
             malloc_words,
             stack_base,
-            stack_words,
             total_words,
         }
     }
@@ -163,14 +161,14 @@ impl Layout {
     /// Address of global-variable slot `idx`.
     #[inline]
     pub fn gvar(&self, idx: usize) -> Addr {
-        assert!(idx < self.gvar_cap, "too many global variables");
+        debug_assert!(idx < GVAR_CAP, "too many global variables");
         self.gvar_base + idx
     }
 
     /// Address of constant slot `idx`.
     #[inline]
     pub fn cnst(&self, idx: usize) -> Addr {
-        assert!(idx < self.const_cap, "too many constants");
+        debug_assert!(idx < CONST_CAP, "too many constants");
         self.const_base + idx
     }
 
@@ -183,8 +181,8 @@ impl Layout {
     /// Stack region of thread `tid`: (base, end-exclusive).
     #[inline]
     pub fn thread_stack(&self, tid: usize) -> (Addr, Addr) {
-        let base = self.stack_base + tid * self.stack_words;
-        (base, base + self.stack_words)
+        let base = self.stack_base + tid * STACK_WORDS;
+        (base, base + STACK_WORDS)
     }
 
     /// Size class index for a malloc request of `words` (powers of two
@@ -332,7 +330,7 @@ mod tests {
     use super::*;
 
     fn layout(padded: bool) -> Layout {
-        Layout::new(8, 100, 4, 1000, 10_000, 2_000, 64, 128, padded, 1)
+        Layout::new(8, 100, 4, 1000, 10_000, padded, 1)
     }
 
     #[test]
@@ -354,7 +352,7 @@ mod tests {
         for w in points.windows(2) {
             assert!(w[0] < w[1], "{} !< {}", w[0], w[1]);
         }
-        assert!(l.stack_base + 4 * l.stack_words <= l.total_words);
+        assert!(l.stack_base + 4 * STACK_WORDS <= l.total_words);
     }
 
     #[test]
@@ -375,7 +373,7 @@ mod tests {
     #[test]
     fn unpadded_thread_structs_share_lines() {
         // zEC12-style 32-word lines: four unpadded 8-word structs per line.
-        let l = Layout::new(32, 100, 4, 1000, 10_000, 2_000, 64, 128, false, 1);
+        let l = Layout::new(32, 100, 4, 1000, 10_000, false, 1);
         assert_eq!(l.thread_struct_stride, THREAD_STRUCT_WORDS);
         assert_eq!(l.thread_struct(0) / l.line_words, (l.thread_struct(1)) / l.line_words);
     }

@@ -24,13 +24,14 @@
 //! malloc regions: `[len, cap, (key, value) × cap]`. Method-table values
 //! encode user iseqs as non-negative ints and builtins as `-(id + 1)`.
 
+use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
 use machine_sim::ThreadId;
 
 use crate::compile::CompileError;
-
+use crate::layout::{CONST_CAP, GVAR_CAP};
 use crate::symbols::SymId;
 use crate::value::{Addr, ObjHeader, ObjKind, StrId, Word};
 use crate::vm::{Vm, VmAbort};
@@ -762,20 +763,23 @@ impl Vm {
 
     // ---- globals / constants -------------------------------------------------
 
-    pub fn gvar_addr(&mut self, name: SymId) -> Addr {
-        let next = self.gvar_map.len();
-        let idx = *self.gvar_map.entry(name).or_insert(next);
-        self.layout.gvar(idx)
+    /// The slot of global `name`, taking the table's next one at its first
+    /// mention; a fatal error once all [`GVAR_CAP`] are taken.
+    pub fn gvar_addr(&mut self, name: SymId) -> Result<Addr, VmAbort> {
+        let idx = table_slot(&mut self.gvar_map, name, GVAR_CAP)
+            .ok_or_else(|| self.fatal(format!("too many global variables (limit {GVAR_CAP})")))?;
+        Ok(self.layout.gvar(idx))
     }
 
     pub fn const_lookup(&self, name: SymId) -> Option<Addr> {
         self.const_map.get(&name).map(|&i| self.layout.cnst(i))
     }
 
-    pub fn const_define_addr(&mut self, name: SymId) -> Addr {
-        let next = self.const_map.len();
-        let idx = *self.const_map.entry(name).or_insert(next);
-        self.layout.cnst(idx)
+    /// As [`Self::gvar_addr`], for the constant table and [`CONST_CAP`].
+    pub fn const_define_addr(&mut self, name: SymId) -> Result<Addr, VmAbort> {
+        let idx = table_slot(&mut self.const_map, name, CONST_CAP)
+            .ok_or_else(|| self.fatal(format!("too many constants (limit {CONST_CAP})")))?;
+        Ok(self.layout.cnst(idx))
     }
 
     // ---- bootstrap -------------------------------------------------------------
@@ -806,7 +810,7 @@ impl Vm {
         self.classes.store = self.boot_class("Store", object)?;
         // Numeric alias used by some sources.
         let fixnum_sym = self.symbols.intern("Fixnum");
-        let addr = self.const_define_addr(fixnum_sym);
+        let addr = self.const_define_addr(fixnum_sym).expect(CORE_CLASSES_FIT);
         self.mem.poke(addr, Word::Obj(self.classes.integer));
         // The top-level main object.
         let main = self.alloc_slot_boot("the main object")?;
@@ -831,7 +835,7 @@ impl Vm {
         self.mem.poke(slot + 5, Word::Int(0));
         self.mem.poke(slot + 6, Word::sym(name_sym));
         self.mem.poke(slot + 7, Word::Int(0));
-        let caddr = self.const_define_addr(name_sym);
+        let caddr = self.const_define_addr(name_sym).expect(CORE_CLASSES_FIT);
         self.mem.poke(caddr, Word::Obj(slot));
         Ok(slot)
     }
@@ -840,6 +844,20 @@ impl Vm {
     pub fn boot_define(&mut self, cls: Addr, name: &str, entry: MethodEntry, on_self: bool) {
         let sym = self.symbols.intern(name);
         self.define_method(0, cls, sym, entry, on_self).expect("boot method definition failed");
+    }
+}
+
+/// Boot defines some twenty constants, far under [`CONST_CAP`].
+const CORE_CLASSES_FIT: &str = "the constant table holds the core classes";
+
+/// The index `name` holds in `map`; a new name takes the next index while
+/// fewer than `cap` are taken.
+fn table_slot(map: &mut HashMap<SymId, usize>, name: SymId, cap: usize) -> Option<usize> {
+    let next = map.len();
+    if next < cap {
+        Some(*map.entry(name).or_insert(next))
+    } else {
+        map.get(&name).copied()
     }
 }
 

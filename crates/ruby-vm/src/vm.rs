@@ -44,15 +44,11 @@ pub struct VmConfig {
     pub max_heap_slots: usize,
     /// Words in the malloc area.
     pub malloc_words: usize,
-    /// Words per thread stack.
-    pub stack_words: usize,
     /// Maximum concurrently-live threads.
     pub max_threads: usize,
     /// §4.4 #2: per-thread free lists, refilled in bulk from the global
-    /// list.
+    /// list ([`crate::heap::FREE_LIST_REFILL`] slots at a time).
     pub thread_local_free_lists: bool,
-    /// Bulk-refill size (paper: 256).
-    pub free_list_refill: usize,
     /// HEAPPOOLS analogue: per-thread malloc arenas.
     pub malloc_thread_local: bool,
     /// §4.4 #4a: method inline caches filled only at the first miss.
@@ -62,12 +58,6 @@ pub struct VmConfig {
     pub ivar_ic_table_guard: bool,
     /// §4.4 #5: thread structs padded to dedicated cache lines.
     pub padded_thread_structs: bool,
-    /// Words the thread-local malloc arena grabs from the bump region at a
-    /// time.
-    pub tl_malloc_chunk: usize,
-    /// Capacity of the global-variable and constant tables.
-    pub gvar_cap: usize,
-    pub const_cap: usize,
     /// §5.6 extension: thread-local lazy sweeping over per-thread heap
     /// partitions (see `extensions`).
     pub tl_lazy_sweep: bool,
@@ -98,17 +88,12 @@ impl Default for VmConfig {
             heap_slots: 40_000,
             max_heap_slots: 400_000,
             malloc_words: 400_000,
-            stack_words: 4_096,
             max_threads: 16,
             thread_local_free_lists: true,
-            free_list_refill: 256,
             malloc_thread_local: true,
             method_ic_fill_once: true,
             ivar_ic_table_guard: true,
             padded_thread_structs: true,
-            tl_malloc_chunk: 4_096,
-            gvar_cap: 128,
-            const_cap: 256,
             tl_lazy_sweep: false,
             thread_local_ics: false,
             refcount_writes: false,
@@ -480,9 +465,6 @@ impl Vm {
             config.max_threads,
             config.heap_slots,
             config.malloc_words,
-            config.stack_words,
-            config.gvar_cap,
-            config.const_cap,
             config.padded_thread_structs,
             ic_copies,
         );
@@ -935,11 +917,6 @@ impl Vm {
     /// All output produced via `puts` so far, joined by newlines.
     pub fn stdout_text(&self) -> String {
         self.stdout.join("\n")
-    }
-
-    /// Count of live (unfinished) threads.
-    pub fn live_threads(&self) -> usize {
-        self.threads.iter().filter(|t| !t.finished).count()
     }
 }
 

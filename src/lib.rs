@@ -42,8 +42,7 @@ pub use ruby_vm as vm;
 pub use workloads as bench_workloads;
 
 pub use htm_gil_core::{
-    ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode, SubscriptionPolicy,
-    WatchdogConstants, YieldPolicy,
+    ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode, SubscriptionPolicy, YieldPolicy,
 };
 pub use htm_sim::{FaultPlan, SpuriousCause};
 pub use machine_sim::{MachineProfile, SchedPath};

@@ -16,7 +16,6 @@
 use htm_gil::core::{check_against_gil, oracle};
 use htm_gil::{
     ExecConfig, Executor, FaultPlan, LengthPolicy, MachineProfile, RuntimeMode, VmConfig,
-    WatchdogConstants,
 };
 
 fn profile() -> MachineProfile {
@@ -214,7 +213,7 @@ fn chaos_cfg(p: &MachineProfile) -> ExecConfig {
         restricted_rate: 0.0,
     });
     cfg.interrupt_interval = 50_000;
-    cfg.watchdog = WatchdogConstants::enabled();
+    cfg.watchdog = true;
     cfg
 }
 

@@ -17,7 +17,6 @@
 use htm_gil::core::{check_against_gil, oracle};
 use htm_gil::{
     ExecConfig, Executor, FaultPlan, LengthPolicy, MachineProfile, RuntimeMode, VmConfig,
-    WatchdogConstants,
 };
 
 const SEED: u64 = 0xC4A0_5011;
@@ -36,7 +35,7 @@ fn chaos_cfg(rate: f64, shrink: f64, restricted: f64, interrupt: u64) -> ExecCon
         restricted_rate: restricted,
     });
     cfg.interrupt_interval = interrupt;
-    cfg.watchdog = WatchdogConstants::enabled();
+    cfg.watchdog = true;
     cfg
 }
 
@@ -216,7 +215,7 @@ fn constrained_profile_chaos_point_converges_and_matches_the_oracle() {
     let mut chaos = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Dynamic }, &p);
     chaos.fault_plan =
         Some(FaultPlan { seed: SEED, spurious_rate: 0.1, shrink_rate: 0.0, restricted_rate: 0.0 });
-    chaos.watchdog = WatchdogConstants::enabled();
+    chaos.watchdog = true;
     let v = check_against_gil(GLOBALS_SRC, VmConfig::default(), p, chaos)
         .expect("constrained chaos run failed");
     assert!(v.matches(), "{}", v.mismatch.unwrap());

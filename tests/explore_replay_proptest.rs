@@ -14,6 +14,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn target(mode: RuntimeMode, iters: usize) -> ExploreTarget {
+    let profile = MachineProfile::generic(4);
     ExploreTarget {
         id: "prop-counter".into(),
         source: format!(
@@ -38,14 +39,10 @@ end
 puts($sum)
 "#
         ),
-        threads: 2,
-        mode,
-        profile: MachineProfile::generic(4),
-        subscription: htm_gil::SubscriptionPolicy::Eager,
+        cfg: ExecConfig { max_cycles: 500_000_000, ..ExecConfig::new(mode, &profile) },
+        vm: VmConfig { max_threads: 4, ..VmConfig::default() },
+        profile,
         interrupts: true,
-        bug_dirty_read: false,
-        max_cycles: 500_000_000,
-        force_word_access: false,
     }
 }
 
@@ -72,10 +69,10 @@ proptest! {
         let path = SchedPath::new(bytes);
         let a = run_path(&t, &path);
         let b = run_path(&t, &path);
-        prop_assert_eq!(&a.stdout, &b.stdout);
-        prop_assert_eq!(&a.heap, &b.heap);
-        prop_assert_eq!(&a.taken, &b.taken);
-        prop_assert_eq!(&a.arities, &b.arities);
+        prop_assert_eq!(&a.left.stdout, &b.left.stdout);
+        prop_assert_eq!(&a.left.heap, &b.left.heap);
+        prop_assert_eq!(a.ctl.taken(), b.ctl.taken());
+        prop_assert_eq!(a.ctl.arities(), b.ctl.arities());
         prop_assert_eq!(a.error.is_some(), b.error.is_some());
         if let (Some(ra), Some(rb)) = (&a.report, &b.report) {
             prop_assert_eq!(ra.to_json().to_compact(), rb.to_json().to_compact());
@@ -94,10 +91,8 @@ proptest! {
         let with_ctl = run_path(&t, &SchedPath::empty());
         prop_assert!(with_ctl.error.is_none());
         // The same execution with no controller installed.
-        let mut cfg = ExecConfig::new(t.mode, &t.profile);
-        cfg.max_cycles = t.max_cycles;
-        let vm_cfg = VmConfig { max_threads: t.threads + 2, ..VmConfig::default() };
-        let mut ex = Executor::new(&t.source, vm_cfg, t.profile.clone(), cfg).unwrap();
+        let mut ex =
+            Executor::new(&t.source, t.vm.clone(), t.profile.clone(), t.cfg.clone()).unwrap();
         let bare = ex.run().unwrap();
         let ctl_report = with_ctl.report.unwrap();
         prop_assert_eq!(ctl_report.to_json().to_compact(), bare.to_json().to_compact());
@@ -131,13 +126,13 @@ proptest! {
         // identical schedule, so the taken trails agree up to it. (At
         // and past the edit they *may* still agree — e.g. differing
         // bytes that clamp to the same choice.)
-        let upto = edit.min(ra.taken.len()).min(rb.taken.len());
+        let upto = edit.min(ra.ctl.decisions()).min(rb.ctl.decisions());
         prop_assert_eq!(
-            &ra.taken[..upto],
-            &rb.taken[..upto],
+            &ra.ctl.taken()[..upto],
+            &rb.ctl.taken()[..upto],
             "trails diverged before the first differing byte (index {})",
             edit
         );
-        prop_assert_eq!(&ra.arities[..upto], &rb.arities[..upto]);
+        prop_assert_eq!(&ra.ctl.arities()[..upto], &rb.ctl.arities()[..upto]);
     }
 }

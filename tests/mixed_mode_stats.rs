@@ -24,7 +24,7 @@ mod recipe;
 
 use htm_gil_core::{heap_digest, ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode};
 use htm_sim::FaultPlan;
-use machine_sim::{MachineProfile, SchedPath};
+use machine_sim::{ExploreCtl, MachineProfile, SchedPath};
 use ruby_vm::VmConfig;
 
 fn run_cg(mode: RuntimeMode) -> RunReport {
@@ -99,7 +99,8 @@ fn assert_bursts_match_single_steps(
     let run =
         |cfg: ExecConfig| outcome(&input.source, input.vm_config(1), input.profile.clone(), cfg);
     let burst = run(cfg.clone());
-    let ctl = run(ExecConfig { explore_path: Some(SchedPath::empty()), ..cfg.clone() });
+    let empty_path = ExploreCtl::new(SchedPath::empty(), false);
+    let ctl = run(ExecConfig { explore: Some(empty_path), ..cfg.clone() });
     let traced = run(ExecConfig { trace_capacity: 64, ..cfg.clone() });
     assert_eq!(burst, ctl, "{at}: bursts vs an empty-path controller");
     assert_eq!(burst, traced, "{at}: bursts vs a trace sink");
@@ -259,16 +260,16 @@ fn oversubscribed_runs_match_with_and_without_an_empty_path_controller() {
     ];
     for (name, source, profile, threads, pinned) in points {
         for (mode, want_cycles) in modes.into_iter().zip(pinned) {
-            let run = |path: Option<machine_sim::SchedPath>| {
+            let run = |explore: Option<ExploreCtl>| {
                 let profile = profile();
                 let mut cfg = ExecConfig::new(mode, &profile);
-                cfg.explore_path = path;
+                cfg.explore = explore;
                 let vm = VmConfig { max_threads: threads + 2, ..VmConfig::default() };
                 let mut ex = Executor::new(source, vm, profile, cfg).expect("boot");
                 ex.run().unwrap_or_else(|e| panic!("{name} {}: {e}", mode.label()))
             };
             let bare = run(None);
-            let ctl = run(Some(machine_sim::SchedPath::empty()));
+            let ctl = run(Some(ExploreCtl::new(SchedPath::empty(), false)));
             let at = format!("{name} x{threads} on {} under {}", bare.machine, mode.label());
             assert_eq!(bare.to_json().to_compact(), ctl.to_json().to_compact(), "{at}");
             assert_eq!(bare.elapsed_cycles, want_cycles, "{at}");

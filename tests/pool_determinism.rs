@@ -50,8 +50,8 @@ fn explore_stats_are_pool_size_invariant() {
 
 #[test]
 fn explore_stop_first_is_pool_size_invariant() {
-    // With the injected bug armed and --stop-first on, the pruned pool
-    // map must stop at the same violation (and count the same
+    // On the lazy-subscription hazard with --stop-first on, the pruned
+    // pool map must stop at the same violation (and count the same
     // executions) at any pool size.
     let params = bench::explore::SearchParams {
         budget: 120,
@@ -60,7 +60,7 @@ fn explore_stop_first_is_pool_size_invariant() {
         stop_first: true,
         ..bench::explore::SearchParams::default()
     };
-    let target = bench::explore::bug_demo_target(true);
+    let target = bench::explore::lazy_sub_demo_target(true);
     let serial = bench::explore::dfs(&target, &params, 1);
     let pooled = bench::explore::dfs(&target, &params, 4);
     assert_eq!(serial.stats.violations, pooled.stats.violations);

@@ -76,14 +76,68 @@ fn a_gil_tenure_whose_counter_install_aborts_is_a_run_error() {
     assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
 }
 
+/// The GIL word is written like any other plain word: with no room for
+/// its line the acquisition bursts the phantom budget, under the GIL
+/// runtime and under HTM's single-thread fast path alike.
+#[test]
+fn a_gil_acquisition_whose_lock_word_write_aborts_is_a_run_error() {
+    for mode in [RuntimeMode::Gil, RuntimeMode::Htm { length: LengthPolicy::Dynamic }] {
+        let msg = vm_error(run_with_phantom_tx("puts(1)", mode, 0, 0)).expect("a vm error");
+        assert!(msg.contains("GIL word write aborted outside any transaction"), "{msg}");
+        assert!(msg.contains("WriteOverflow"), "{msg}");
+        assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");
+    }
+}
+
+/// The dump's `gil=` column is the GIL's own record of its holder, under
+/// every runtime that takes it: a GIL-mode run stopped between two steps
+/// shows the thread the last line names as holder with `gil=true`.
+#[test]
+fn a_gil_mode_dump_marks_the_holder() {
+    let profile = MachineProfile::generic(2);
+    let mut cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+    cfg.max_cycles = 2_000;
+    let source = "x = 0\nwhile x < 100000\n  x += 1\nend";
+    let mut ex = Executor::new(source, VmConfig::default(), profile, cfg).expect("boot");
+    let Err(RunError::CycleLimit { dump, .. }) = ex.run() else { panic!("no cycle limit") };
+    assert!(dump.contains("gil holder=Some(0)"), "{dump}");
+    let t0 = dump.lines().find(|l| l.starts_with("  t0: ")).expect("t0's line");
+    assert!(t0.contains(" gil=true "), "{dump}");
+}
+
+/// `n` assignments `{prefix}0 = 0` … and a `puts` of how many ran.
+fn assignments(prefix: &str, n: usize) -> String {
+    let lines: String = (0..n).map(|i| format!("{prefix}{i} = {i}\n")).collect();
+    format!("{lines}puts({n})")
+}
+
+/// The global and constant tables are fixed-size lines of the layout. A
+/// program that fills the globals table runs; one name more, or more
+/// constants than the table has slots, is a fatal error naming the limit —
+/// any program the parser accepts ends in `Ok` or a `RunError`.
+#[test]
+fn a_program_that_overfills_a_name_table_is_a_run_error() {
+    let run = |source: &str| run_broken(source, |_| {});
+    let cap = htm_gil::vm::layout::GVAR_CAP;
+    assert_eq!(run(&assignments("$g", cap)).expect("a full table runs").stdout, cap.to_string());
+    let msg = vm_error(run(&assignments("$g", cap + 1))).expect("a vm error");
+    assert!(msg.contains(&format!("too many global variables (limit {cap})")), "{msg}");
+    let cap = htm_gil::vm::layout::CONST_CAP;
+    let msg = vm_error(run(&assignments("K", cap + 1))).expect("a vm error");
+    assert!(msg.contains(&format!("too many constants (limit {cap})")), "{msg}");
+}
+
 /// Boot `source` under the GIL, break the image from outside, run.
-fn run_broken(source: &str, break_it: impl FnOnce(&mut Executor)) -> Option<String> {
+fn run_broken(
+    source: &str,
+    break_it: impl FnOnce(&mut Executor),
+) -> Result<htm_gil::RunReport, RunError> {
     let profile = MachineProfile::generic(2);
     let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
     let mut ex = Executor::new(source, VmConfig::default(), profile, cfg).expect("boot");
     ex.cfg.max_cycles = 10_000_000; // hang guard
     break_it(&mut ex);
-    vm_error(ex.run())
+    ex.run()
 }
 
 /// A header whose kind byte names no `ObjKind` — a stray store over the
@@ -92,10 +146,10 @@ fn run_broken(source: &str, break_it: impl FnOnce(&mut Executor)) -> Option<Stri
 #[test]
 fn a_header_that_names_no_kind_is_a_run_error() {
     let mut main = 0;
-    let msg = run_broken("puts(1)", |ex| {
+    let msg = vm_error(run_broken("puts(1)", |ex| {
         main = ex.vm.classes.main_obj;
         ex.vm.mem.poke(main, Word::Hdr(ObjHeader::from_bits(0x1ff)));
-    })
+    }))
     .expect("a vm error");
     let want = format!("corrupt object header at {main}: ObjHeader {{ kind: 255, marked: true }}");
     assert!(msg.contains(&want), "{msg}");
@@ -106,9 +160,9 @@ fn a_header_that_names_no_kind_is_a_run_error() {
 /// take: it says so, with the dump, instead of unwrapping.
 #[test]
 fn a_failed_step_that_parked_no_stop_is_a_run_error() {
-    let msg = run_broken("puts(1)", |ex| {
+    let msg = vm_error(run_broken("puts(1)", |ex| {
         ex.vm.builtins[0] = |_, _, _, _, _| Err(VmAbort); // `puts`
-    })
+    }))
     .expect("a vm error");
     assert!(msg.contains("a step failed and parked no stop"), "{msg}");
     assert!(msg.contains("\n  t0: "), "the dump names every thread: {msg}");

@@ -3,34 +3,33 @@
 //!
 //! Three layers:
 //!
-//! 1. **Dynamic find**: bounded DFS over the torn-pair workload with the
-//!    test-only dirty-read bug armed must rediscover the violation
-//!    within a CI smoke budget and shrink it to a tiny path — proof the
-//!    whole explore→oracle→shrink pipeline works end to end, not just on
-//!    the day it was written.
-//! 2. **Pinned counterexample**: the shrinker's minimized path, committed
-//!    as a hex seed. It must keep violating with the bug armed and stay
-//!    clean with the bug off, forever — a regression in either direction
-//!    (the bug stops being observable, or the fixed semantics regress)
-//!    fails this file.
+//! 1. **Dynamic find**: bounded DFS over the lazy-subscription pair
+//!    workload must rediscover the published hazard (`Lazy` subscription,
+//!    arXiv 1407.6968) within a CI smoke budget and shrink it to a short
+//!    path — proof the whole explore→oracle→shrink pipeline works end to
+//!    end, not just on the day it was written.
+//! 2. **Pinned counterexamples**: minimized paths, committed as hex seeds.
+//!    The lazy one must keep violating under `Lazy` and stay clean under
+//!    `Eager` and `LazyGuarded`; the torn-pair one (found when the read
+//!    path was made to skip a remote writer's doom — EXPERIMENTS.md,
+//!    "Mutations the net was shown to catch") must stay clean.
 //! 3. **Hand-written stress paths**: flip-heavy paths aimed at the PR 6
 //!    escrowed-wake machinery and the PR 8 lease-epoch/doom windows,
-//!    replayed under GIL, HTM-16 and HTM-dynamic; the oracle must hold
-//!    and the windows must actually be exercised (spurious aborts and
-//!    epoch bumps observed).
+//!    replayed under GIL, HTM-16 and HTM-dynamic; the oracle must hold,
+//!    the windows must actually be exercised (spurious aborts and epoch
+//!    bumps observed), and the leased access path must leave the report
+//!    the per-word path leaves.
 
 use bench::explore::{
-    bug_demo_target, clean_targets, dfs, lazy_sub_clean_targets, lazy_sub_demo_target,
-    torn_pair_clean_target, SearchParams,
+    clean_targets, dfs, lazy_sub_clean_targets, lazy_sub_demo_target, SearchParams,
 };
-use htm_gil::core::explore::{check_path, gil_expected, run_path};
+use htm_gil::core::explore::{check_path, gil_expected, run_path, ExploreTarget};
 use htm_gil::SchedPath;
 
-/// The shrinker's minimized counterexample for the quick-mode torn-pair
-/// bug demo: two interrupt-delivery deviations (trail `S0 I1 … S0 I1`)
-/// that kill the reader's transactions at exactly the yield points that
-/// force its pair-load into the non-speculative GIL-fallback window,
-/// where the dirty read commits a torn `$x != $y` observation.
+/// Two interrupt-delivery deviations (trail `S0 I1 … S0 I1`) that kill the
+/// torn-pair reader's transactions at exactly the yield points that force
+/// its pair-load into the non-speculative GIL-fallback window, where a
+/// read that skipped the writer's doom would commit a torn `$x != $y`.
 const PINNED_TORN_PAIR_HEX: &str = "0001000000000001";
 
 /// The shrinker's minimized counterexample for the lazy-subscription
@@ -56,52 +55,35 @@ fn smoke_params() -> SearchParams {
     }
 }
 
-#[test]
-fn bounded_dfs_rediscovers_the_injected_bug_within_smoke_budget() {
-    let target = bug_demo_target(true);
-    let out = dfs(&target, &smoke_params(), 2);
-    assert!(out.stats.violations > 0, "DFS lost the injected dirty-read bug");
-    let v = &out.violations[0];
-    assert!(
-        v.minimized.len() <= 8,
-        "shrinker regressed: minimized to {} branches (> 8): {}",
-        v.minimized.len(),
-        v.minimized.to_hex()
-    );
-    // The minimized path must reproduce standalone.
-    let expected = gil_expected(&target);
-    let (_, mismatch) = check_path(&target, &expected, &v.minimized);
-    assert!(mismatch.is_some(), "minimized path no longer reproduces");
+/// The hand-written stress paths plus both pinned paths.
+fn stress_paths() -> [SchedPath; 6] {
+    [
+        SchedPath::new(vec![1; 24]),
+        SchedPath::new(vec![2; 16]),
+        SchedPath::new(vec![1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0]),
+        SchedPath::new(vec![0, 0, 0, 1, 1, 1, 0, 0, 0, 2, 2, 2]),
+        SchedPath::from_hex(PINNED_TORN_PAIR_HEX).unwrap(),
+        SchedPath::from_hex(PINNED_LAZY_SUB_HEX).unwrap(),
+    ]
+}
+
+fn clean_target(id: &str) -> ExploreTarget {
+    clean_targets(true).into_iter().find(|t| t.id == id).expect("corpus target")
 }
 
 #[test]
-fn pinned_counterexample_still_violates_with_the_bug_armed() {
-    let target = bug_demo_target(true);
-    let path = SchedPath::from_hex(PINNED_TORN_PAIR_HEX).unwrap();
-    let expected = gil_expected(&target);
-    let (run, mismatch) = check_path(&target, &expected, &path);
-    let m = mismatch.expect("pinned counterexample stopped reproducing the dirty-read bug");
-    assert!(m.contains("stdout diverged"), "unexpected violation shape: {m}");
-    assert!(run.preemptions >= 2, "the pinned path's deviations were not consumed");
-}
-
-#[test]
-fn pinned_counterexample_is_clean_with_the_bug_off() {
-    let target = torn_pair_clean_target(true);
+fn pinned_torn_pair_path_is_clean() {
+    let target = clean_target("torn-pair/clean/htm16");
     let path = SchedPath::from_hex(PINNED_TORN_PAIR_HEX).unwrap();
     let expected = gil_expected(&target);
     assert_eq!(expected.stdout, "0");
-    let (_, mismatch) = check_path(&target, &expected, &path);
-    assert!(
-        mismatch.is_none(),
-        "fixed semantics regressed under the pinned schedule: {}",
-        mismatch.unwrap()
-    );
+    let (run, mismatch) = check_path(&target, &expected, &path);
+    assert!(mismatch.is_none(), "torn pair under the pinned schedule: {}", mismatch.unwrap());
+    assert!(run.ctl.preemptions() >= 2, "the pinned path's deviations were not consumed");
 }
 
-/// Dynamic find for the real bug: the same smoke-budget bounded DFS
-/// that rediscovers the injected dirty read must also rediscover the
-/// lazy-subscription unsafety — no test-only bug flag involved, just
+/// Dynamic find: a smoke-budget bounded DFS must rediscover the
+/// lazy-subscription unsafety — no test-only flag involved, just
 /// `SubscriptionPolicy::Lazy` on a production code path.
 #[test]
 fn bounded_dfs_finds_the_lazy_subscription_violation_within_smoke_budget() {
@@ -129,7 +111,7 @@ fn pinned_lazy_counterexample_still_violates_under_lazy_subscription() {
     let (run, mismatch) = check_path(&target, &expected, &path);
     let m = mismatch.expect("pinned counterexample stopped reproducing the lazy unsafety");
     assert!(m.contains("stdout diverged"), "unexpected violation shape: {m}");
-    assert!(run.preemptions >= 1, "the pinned path's deviation was not consumed");
+    assert!(run.ctl.preemptions() >= 1, "the pinned path's deviation was not consumed");
 }
 
 /// The same schedule is harmless under both safe policies: `Eager`
@@ -160,13 +142,7 @@ fn pinned_lazy_counterexample_is_clean_under_eager_and_lazy_guarded() {
 /// lease-epoch windows (every kill bumps the lease epoch mid-lease).
 #[test]
 fn hand_written_stress_paths_hold_across_modes() {
-    let paths = [
-        SchedPath::new(vec![1; 24]),
-        SchedPath::new(vec![2; 16]),
-        SchedPath::new(vec![1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2, 0]),
-        SchedPath::new(vec![0, 0, 0, 1, 1, 1, 0, 0, 0, 2, 2, 2]),
-        SchedPath::from_hex(PINNED_TORN_PAIR_HEX).unwrap(),
-    ];
+    let paths = stress_paths();
     for target in clean_targets(true) {
         let expected = gil_expected(&target);
         for path in &paths {
@@ -183,15 +159,35 @@ fn hand_written_stress_paths_hold_across_modes() {
     }
 }
 
+/// Leased ≡ per-word under explored schedules: every clean target, under
+/// every stress path, leaves the same report on the line-lease access path
+/// and with `VmConfig::force_word_access`, but for the two counters that
+/// describe the access path itself.
+#[test]
+fn stress_paths_leave_the_same_report_leased_and_per_word() {
+    let mut targets = clean_targets(true);
+    targets.extend(lazy_sub_clean_targets(true));
+    for target in targets {
+        let mut per_word = target.clone();
+        per_word.vm.force_word_access = true;
+        for path in &stress_paths() {
+            let [leased, word] = [&target, &per_word].map(|t| {
+                let run = run_path(t, path);
+                let mut report = run.report.unwrap_or_else(|| panic!("{}: {:?}", t.id, run.error));
+                (report.htm.lease_hits, report.htm.lease_misses) = (0, 0);
+                report.to_json().to_compact()
+            });
+            assert_eq!(leased, word, "{} under {}: leased vs per-word", target.id, path.to_hex());
+        }
+    }
+}
+
 /// The interrupt-kill windows are actually exercised by the flip paths:
 /// under HTM the `I`/`C` kills surface as spurious (timer-interrupt)
 /// aborts, and every kill bumps the lease epoch.
 #[test]
 fn stress_paths_exercise_the_interrupt_and_lease_windows() {
-    let target = clean_targets(true)
-        .into_iter()
-        .find(|t| t.id == "mutex-counter/htm16")
-        .expect("corpus target");
+    let target = clean_target("mutex-counter/htm16");
     // Alternating bytes: each `S0` (stay on the natural schedule) lets
     // the following interrupt decision consume the `1` and kill the
     // open transaction.
@@ -202,7 +198,7 @@ fn stress_paths_exercise_the_interrupt_and_lease_windows() {
         "no interrupt kill landed: the I/C decision windows were not exercised"
     );
     assert!(report.htm.epoch_bumps > 0, "lease-epoch window not exercised");
-    assert!(run.preemptions > 0, "no deviation was consumed");
+    assert!(run.ctl.preemptions() > 0, "no deviation was consumed");
 }
 
 /// Satellite: a failed explored run's diagnostic dump ends with the
@@ -210,13 +206,10 @@ fn stress_paths_exercise_the_interrupt_and_lease_windows() {
 /// from the error text alone.
 #[test]
 fn explored_run_failure_dump_names_the_decision_trail() {
-    let mut target = clean_targets(true)
-        .into_iter()
-        .find(|t| t.id == "mutex-counter/htm16")
-        .expect("corpus target");
+    let mut target = clean_target("mutex-counter/htm16");
     // Absurdly small cycle cap: the run fails mid-flight with the
     // deadlock-style dump attached.
-    target.max_cycles = 5_000;
+    target.cfg.max_cycles = 5_000;
     let run = run_path(&target, &SchedPath::new(vec![1, 1, 1]));
     let err = run.error.expect("cycle cap must trip");
     assert!(err.contains("sched decisions (tail):"), "dump lost the decision trail:\n{err}");
