@@ -39,7 +39,9 @@
 /// A lease is *mode-specific*: a read lease only covers reads and a write
 /// lease only covers writes, because the two modes charge different
 /// footprint sets on the full path and the leased path must account
-/// identically. Holders keep one of each per hot line.
+/// identically. Holders keep one of each per hot line, and beside a write
+/// lease the mask of its line's words already undo-logged
+/// ([`crate::TxMemory::lease_write_logged`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineLease {
     /// Epoch stamp; the lease is valid while this equals the memory's

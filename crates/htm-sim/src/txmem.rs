@@ -147,7 +147,7 @@ impl<W> Default for MemoryImage<W> {
 /// dropped) when a transaction ends, so repeated transactions on a thread
 /// reuse their capacity and steady-state `begin` allocates nothing.
 #[derive(Debug)]
-struct TxSlot {
+struct TxSlot<W> {
     active: bool,
     budgets: Budgets,
     /// Lines in the read set, in first-touch order; no duplicates (a line
@@ -155,14 +155,14 @@ struct TxSlot {
     read_lines: Vec<usize>,
     /// Lines in the write set, in first-touch order; no duplicates.
     write_lines: Vec<usize>,
-    /// Undo log in write order: each entry is one overwritten address
-    /// pairing with one slot of the thread's undo arena. Log and arena
-    /// grow in lockstep, so rollback replays the log backward while
-    /// walking an arena cursor.
-    undo: Vec<usize>,
+    /// Undo log in write order: (address, the word it held before the
+    /// record's write). A word may appear twice — the full path logs every
+    /// write, a leased write whatever its mask does not cover — and
+    /// rollback replays backward, so the earliest record restores last.
+    undo: Vec<(usize, W)>,
 }
 
-impl TxSlot {
+impl<W> TxSlot<W> {
     fn new() -> Self {
         TxSlot {
             active: false,
@@ -205,11 +205,8 @@ pub struct TxMemory<W: Clone> {
     /// write lands on a granted line; rollback rewrites only addresses
     /// written before) — so `lease_read`/`lease_write` never see it.
     dirty: Vec<u64>,
-    txs: Vec<TxSlot>,
+    txs: Vec<TxSlot<W>>,
     memos: Vec<LineMemo>,
-    /// Undo payloads, one arena per thread (index-linked from
-    /// `TxSlot::undo`).
-    undo_words: Vec<Vec<W>>,
     doomed: Vec<Option<AbortReason>>,
     predictors: Vec<OverflowPredictor>,
     /// Number of `active` transaction slots; lets the common
@@ -242,6 +239,8 @@ pub struct TxMemory<W: Clone> {
     pending_writes: u64,
     /// Undo records of every transaction that has ended ([`Self::undo_pushes`]).
     undo_pushes: u64,
+    /// Directory entries consulted ([`Self::dir_probes`]).
+    dir_probes: u64,
 }
 
 impl<W: Clone> TxMemory<W> {
@@ -308,7 +307,6 @@ impl<W: Clone> TxMemory<W> {
             dirty: vec![0; size.div_ceil(PAGE_WORDS).div_ceil(64)],
             txs: (0..max_threads).map(|_| TxSlot::new()).collect(),
             memos: vec![LineMemo::INVALID; max_threads],
-            undo_words: (0..max_threads).map(|_| Vec::new()).collect(),
             doomed: vec![None; max_threads],
             predictors: (0..max_threads).map(|_| OverflowPredictor::disabled()).collect(),
             active_txs: 0,
@@ -321,6 +319,7 @@ impl<W: Clone> TxMemory<W> {
             pending_reads: 0,
             pending_writes: 0,
             undo_pushes: 0,
+            dir_probes: 0,
         }
     }
 
@@ -429,10 +428,16 @@ impl<W: Clone> TxMemory<W> {
 
     /// Undo records written by the transactions that have ended, committed
     /// or rolled back: the log's length summed where it is cleared, so no
-    /// access counts it. Host work — the leased path skips a record the
-    /// full path writes — and so not part of [`HtmStats`].
+    /// access counts it. Host work — a leased write whose word is already
+    /// logged writes none — and so not part of [`HtmStats`].
     pub fn undo_pushes(&self) -> u64 {
         self.undo_pushes
+    }
+
+    /// Directory entries consulted by full-path accesses past the line memo
+    /// and by in-transaction [`Self::try_lease`] grants (host work).
+    pub fn dir_probes(&self) -> u64 {
+        self.dir_probes
     }
 
     /// Cache line of an address.
@@ -491,7 +496,6 @@ impl<W: Clone> TxMemory<W> {
             return Err(reason);
         }
         self.stats.begins += 1;
-        self.undo_words[t].clear();
         let tx = &mut self.txs[t];
         debug_assert!(
             tx.read_lines.is_empty() && tx.write_lines.is_empty() && tx.undo.is_empty(),
@@ -621,6 +625,7 @@ impl<W: Clone> TxMemory<W> {
             return Ok(());
         }
         // Requester wins: kill a remote writer of this line.
+        self.dir_probes += 1;
         let st = self.dir[line];
         if st.writer != NO_WRITER && st.writer as usize != t {
             let in_tx = self.txs[t].active;
@@ -684,12 +689,12 @@ impl<W: Clone> TxMemory<W> {
         if memo.line == line && memo.in_write {
             // Line already in our write set ⇒ we are the sole owner; only
             // the undo log needs to grow.
-            self.undo_words[t].push(self.words[addr].clone());
-            self.txs[t].undo.push(addr);
+            self.txs[t].undo.push((addr, self.words[addr].clone()));
             return Ok(());
         }
         // Kill remote readers *and* the remote writer of this line, in
         // ascending thread order like the reference scan.
+        self.dir_probes += 1;
         let st = self.dir[line];
         let own = 1u32 << t;
         let mut victims = st.readers;
@@ -709,8 +714,7 @@ impl<W: Clone> TxMemory<W> {
             }
         }
         if self.txs[t].active {
-            self.undo_words[t].push(self.words[addr].clone());
-            self.txs[t].undo.push(addr);
+            self.txs[t].undo.push((addr, self.words[addr].clone()));
             if self.dir[line].writer as usize != t {
                 self.dir[line].writer = t as u8;
                 self.txs[t].write_lines.push(line);
@@ -836,6 +840,7 @@ impl<W: Clone> TxMemory<W> {
         }
         let line = addr >> self.line_shift;
         let grantable = if self.txs[t].active {
+            self.dir_probes += 1;
             let st = self.dir[line];
             if write {
                 st.writer as usize == t
@@ -898,28 +903,53 @@ impl<W: Clone> TxMemory<W> {
         f(word)
     }
 
-    /// Write a word through a valid write lease. In a transaction the old
-    /// word is still undo-logged (skipped when the log's newest entry is
-    /// already this address — replaying backward makes the older record
-    /// win, so intermediate values need no entry); what the lease skips is
-    /// the doom/fault/conflict/footprint bookkeeping. Same caller
-    /// obligations, and the same panic, as [`Self::lease_read`].
+    /// [`Self::lease_write_logged`] with an empty mask: every write inside
+    /// a transaction logs.
     #[inline]
     pub fn lease_write(&mut self, lease: &LineLease, addr: usize, value: W) {
+        self.lease_write_logged(lease, &mut 0, addr, value)
+    }
+
+    /// Write a word through a valid write lease, skipping the doom/fault/
+    /// conflict/footprint bookkeeping; in a transaction, undo-log the old
+    /// word unless its bit in `logged` (the holder's mask, kept beside the
+    /// lease from [`Self::logged_on_grant`] on, set only here) is set — a
+    /// clear bit costs a duplicate record. Duties and panic: [`Self::lease_read`].
+    #[inline]
+    pub fn lease_write_logged(&mut self, lease: &LineLease, logged: &mut u64, addr: usize, w: W) {
         debug_assert!(self.lease_valid(lease), "write through a stale lease");
         debug_assert!(lease.write && lease.covers(self.line_of(addr)), "wrong lease for a write");
         if addr >= self.words.len() {
             out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
         }
         self.pending_writes += 1;
-        let t = lease.owner as usize;
         // slot == owner exactly for in-transaction leases (the plain slot
         // is one past the last thread index).
-        if lease.slot == lease.owner && self.txs[t].undo.last() != Some(&addr) {
-            self.undo_words[t].push(self.words[addr].clone());
-            self.txs[t].undo.push(addr);
+        if lease.slot == lease.owner {
+            let bit = self.logged_bit(addr);
+            if *logged & bit == 0 {
+                *logged |= bit;
+                self.txs[lease.owner as usize].undo.push((addr, self.words[addr].clone()));
+            }
         }
-        self.words[addr] = value;
+        self.words[addr] = w;
+    }
+
+    /// The mask a write lease starts with: `addr`'s bit when the owner's
+    /// newest undo record is `addr`'s (the granting write logged it), else 0.
+    pub fn logged_on_grant(&self, lease: &LineLease, addr: usize) -> u64 {
+        let in_tx = lease.write && lease.slot == lease.owner;
+        let t = lease.owner as usize;
+        let logged = in_tx && self.txs[t].undo.last().is_some_and(|r| r.0 == addr);
+        u64::from(logged) * self.logged_bit(addr)
+    }
+
+    /// `addr`'s bit in a logged-words mask — its index in an aligned
+    /// 64-word block, unique within a line — or none on a line wider than
+    /// 64 words, which then logs every write.
+    #[inline]
+    fn logged_bit(&self, addr: usize) -> u64 {
+        u64::from(self.line_shift <= 6) << (addr & 63)
     }
 
     /// Fold the batched leased-access counters into [`HtmStats`]. Called
@@ -1043,23 +1073,16 @@ impl<W: Clone> TxMemory<W> {
         self.emit(TraceEvent::Abort { thread: t, cycle, reason, line });
     }
 
-    /// Replay `t`'s undo log in reverse and drop the transaction. The log
-    /// is walked backward with an arena cursor; the earliest record for an
-    /// address replays last, so duplicates restore correctly.
+    /// Replay `t`'s undo log in reverse and drop the transaction. The
+    /// earliest record for an address replays last, so duplicates restore
+    /// correctly.
     fn rollback(&mut self, t: ThreadId) {
         if !self.txs[t].active {
             return;
         }
-        let undo = std::mem::take(&mut self.txs[t].undo);
-        let arena = std::mem::take(&mut self.undo_words[t]);
-        let mut cursor = arena.len();
-        for &entry in undo.iter().rev() {
-            cursor -= 1;
-            self.words[entry] = arena[cursor].clone();
+        for (addr, word) in self.txs[t].undo.iter().rev() {
+            self.words[*addr] = word.clone();
         }
-        debug_assert_eq!(cursor, 0, "undo log and arena out of sync");
-        self.txs[t].undo = undo;
-        self.undo_words[t] = arena;
         self.release_tx(t);
     }
 
@@ -1084,7 +1107,6 @@ impl<W: Clone> TxMemory<W> {
         self.txs[t].write_lines = write_lines;
         self.undo_pushes += self.txs[t].undo.len() as u64;
         self.txs[t].undo.clear();
-        self.undo_words[t].clear();
         self.memos[t] = LineMemo::INVALID;
         self.active_txs -= 1;
     }
@@ -1781,28 +1803,162 @@ mod tests {
     }
 
     #[test]
-    fn repeated_leased_writes_log_one_undo_entry_and_restore_oldest() {
+    fn a_regranted_lease_starts_a_fresh_mask_and_the_oldest_record_wins() {
         let mut m = mem();
         m.poke(8, 70);
         m.poke(9, 71);
         m.begin(0, big_budgets()).unwrap();
         m.write(0, 8, 1).unwrap();
         let wl1 = m.try_lease(0, 8, true);
-        assert!(m.lease_valid(&wl1));
-        m.lease_write(&wl1, 9, 2);
+        let mut logged = m.logged_on_grant(&wl1, 8);
+        assert_eq!(logged, 1 << 8, "the granting write logged its word");
+        m.lease_write_logged(&wl1, &mut logged, 9, 2);
         // A no-op fault-plan install bumps every slot, killing wl1
         // without disturbing thread 0's transaction.
         m.set_fault_plan(FaultPlan::spurious(7, 0.0));
         assert!(!m.lease_valid(&wl1));
         let wl2 = m.try_lease(0, 8, true); // still the writer: re-granted
         assert!(m.lease_valid(&wl2));
-        // Consecutive same-address writes dedup to the first undo entry,
-        // which holds the oldest (pre-transaction) value.
-        m.lease_write(&wl2, 9, 3);
-        m.lease_write(&wl2, 9, 4);
+        // Word 8's record is not the newest, so the grant claims nothing:
+        // word 9 is logged a second time, then once only.
+        let mut logged = m.logged_on_grant(&wl2, 8);
+        assert_eq!(logged, 0);
+        m.lease_write_logged(&wl2, &mut logged, 9, 3);
+        m.lease_write_logged(&wl2, &mut logged, 9, 4);
+        assert_eq!(m.txs[0].undo.len(), 3);
         m.tabort(0, 1);
         assert_eq!(*m.peek(8), 70);
         assert_eq!(*m.peek(9), 71, "oldest undo record wins on rollback");
+        assert_eq!(m.undo_pushes(), 3);
+    }
+
+    /// A one-way lease cache kept the way `Vm::write_word` keeps its ways:
+    /// a hit writes through the lease and its mask; a miss takes the full
+    /// path, then a fresh lease and the mask its grant starts with.
+    fn write_through(m: &mut TxMemory<u64>, way: &mut (LineLease, u64), addr: usize, v: u64) {
+        let (lease, logged) = way;
+        if m.lease_valid(lease) && lease.covers(m.line_of(addr)) {
+            m.lease_write_logged(lease, logged, addr, v);
+        } else {
+            m.write(0, addr, v).unwrap();
+            *lease = m.try_lease(0, addr, true);
+            *logged = m.logged_on_grant(lease, addr);
+        }
+    }
+
+    #[test]
+    fn writes_to_one_word_through_one_lease_log_once() {
+        let mut m = mem();
+        m.poke(9, 70);
+        m.begin(0, big_budgets()).unwrap();
+        let mut way = (LineLease::INVALID, 0);
+        for v in 0..10 {
+            write_through(&mut m, &mut way, 9, v);
+        }
+        assert_eq!(m.txs[0].undo.len(), 1, "the full-path write's record, no other");
+        for v in 0..10 {
+            write_through(&mut m, &mut way, 10, v);
+        }
+        assert_eq!(m.txs[0].undo.len(), 2);
+        m.tabort(0, 1);
+        assert_eq!((*m.peek(9), *m.peek(10)), (70, 0));
+        assert_eq!(m.undo_pushes(), 2);
+    }
+
+    /// Lines 1 and 9 are 64 words apart: word `8k + i` of each has the
+    /// same mask bit, so a bit carried over from one line to the other
+    /// would skip a record the other needs.
+    #[test]
+    fn a_way_regranted_to_another_line_and_back_logs_both() {
+        let mut m = mem();
+        for a in (8..16).chain(72..80) {
+            m.poke(a, 100 + a as u64);
+        }
+        m.begin(0, big_budgets()).unwrap();
+        let mut way = (LineLease::INVALID, 0);
+        write_through(&mut m, &mut way, 9, 1); // miss: full path, grant
+        write_through(&mut m, &mut way, 10, 1); // leased, logged
+        write_through(&mut m, &mut way, 74, 1); // miss: line 9 takes the way
+        assert_eq!(way.1, 1 << 10, "the grant's own word only");
+        write_through(&mut m, &mut way, 73, 1); // leased: bit 9 is line 1's
+        write_through(&mut m, &mut way, 10, 2); // miss: back to line 1
+        write_through(&mut m, &mut way, 9, 2); // leased, logged again
+        write_through(&mut m, &mut way, 9, 3);
+        let logged: Vec<usize> = m.txs[0].undo.iter().map(|r| r.0).collect();
+        assert_eq!(logged, [9, 10, 74, 73, 10, 9]);
+        m.tabort(0, 1);
+        for a in (8..16).chain(72..80) {
+            assert_eq!(*m.peek(a), 100 + a as u64, "word {a} restored");
+        }
+    }
+
+    #[test]
+    fn a_doom_or_a_self_abort_mid_transaction_leaves_no_stale_mask() {
+        let mut m = mem();
+        m.poke(9, 70);
+        m.poke(10, 71);
+        let mut way = (LineLease::INVALID, 0);
+        m.begin(0, big_budgets()).unwrap();
+        write_through(&mut m, &mut way, 9, 1);
+        write_through(&mut m, &mut way, 10, 1);
+        m.write(1, 12, 5).unwrap(); // a plain write dooms thread 0
+        assert_eq!((*m.peek(9), *m.peek(10)), (70, 71), "rolled back at the doom");
+        assert!(m.poll_doomed(0).is_some());
+        m.begin(0, big_budgets()).unwrap();
+        write_through(&mut m, &mut way, 10, 2); // the dead lease misses
+        write_through(&mut m, &mut way, 9, 2); // word 9 logs anew
+        assert_eq!(m.txs[0].undo.len(), 2);
+        m.abort_spurious(0, SpuriousCause::TimerInterrupt);
+        assert_eq!((*m.peek(9), *m.peek(10), *m.peek(12)), (70, 71, 5));
+        m.begin(0, big_budgets()).unwrap();
+        write_through(&mut m, &mut way, 9, 3);
+        write_through(&mut m, &mut way, 10, 3);
+        assert_eq!(m.txs[0].undo.len(), 2, "after a self-abort too");
+        m.tabort(0, 1);
+        assert_eq!((*m.peek(9), *m.peek(10)), (70, 71));
+    }
+
+    /// Every word of line 1 written three times through one way: one
+    /// record a word while a line fits the mask, one a write once it does
+    /// not, and the pre-transaction image back after the abort either way.
+    #[test]
+    fn rollback_restores_the_image_at_every_line_width() {
+        for line_words in [8, 32, 128] {
+            let mut m: TxMemory<u64> = TxMemory::new(1024, line_words, 2, 0);
+            for a in 0..1024 {
+                m.poke(a, a as u64);
+            }
+            m.begin(0, big_budgets()).unwrap();
+            let mut way = (LineLease::INVALID, 0);
+            for round in 0..3 {
+                for i in 0..line_words {
+                    let a = line_words + (i * 5) % line_words;
+                    write_through(&mut m, &mut way, a, 5000 + round);
+                }
+            }
+            let records = if line_words <= 64 { line_words } else { 3 * line_words };
+            assert_eq!(m.txs[0].undo.len(), records, "{line_words}-word lines");
+            m.tabort(0, 1);
+            for a in 0..1024 {
+                assert_eq!(*m.peek(a), a as u64, "word {a} at {line_words}-word lines");
+            }
+        }
+    }
+
+    #[test]
+    fn dir_probes_count_the_full_path_past_the_memo_and_grants() {
+        let mut m = mem();
+        m.read(0, 5).unwrap();
+        m.try_lease(0, 5, false);
+        assert_eq!(m.dir_probes(), 0, "a quiescent memory consults no directory");
+        m.begin(0, big_budgets()).unwrap();
+        m.read(0, 5).unwrap(); // probe
+        m.read(0, 6).unwrap(); // memo hit
+        m.write(0, 6, 1).unwrap(); // probe: the memo has no write
+        m.write(0, 7, 1).unwrap(); // memo hit
+        m.try_lease(0, 7, true); // probe
+        assert_eq!(m.dir_probes(), 3);
+        m.commit(0).unwrap();
     }
 
     #[test]

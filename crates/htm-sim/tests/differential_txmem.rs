@@ -22,10 +22,11 @@
 //! conflict attribution, victim choice, overflow ordering, statistics, or
 //! rollback behaviour shows up here as a minimal counterexample.
 //!
-//! The last test, `tiers_match_the_full_path`, holds the three access tiers
-//! (DESIGN.md §13) to the same standard: a memory that picks its tier the
-//! way `Vm::rd`/`Vm::wr` do against one that never leaves the full path,
-//! and both against the reference.
+//! The last two tests, `tiers_match_the_full_path` and its script aimed at
+//! the logged-words mask, hold the three access tiers (DESIGN.md §13) to
+//! the same standard: a memory that picks its tier the way `Vm::rd`/`Vm::wr`
+//! do against one that never leaves the full path, and both against the
+//! reference.
 
 mod refimpl;
 
@@ -176,14 +177,45 @@ fn tier_op_strategy() -> impl Strategy<Value = TOp> {
     ]
 }
 
+/// Thread 0's transactions on the first line of every page (pages are 512
+/// words: the same way of a `Tiered` cache and the same mask bits), thread
+/// 1's plain writes dooming them. No fault plan: leases are always granted.
+fn colliding_op_strategy() -> impl Strategy<Value = TOp> {
+    let addr = || (0..TIER_PAGES * TIER_LINE_WORDS).prop_map(tier_addr);
+    let write = move |t: usize| (addr(), any::<u64>()).prop_map(move |(a, v)| TOp::Write(t, a, v));
+    prop_oneof![
+        any::<bool>().prop_map(|_| TOp::Begin(0, 1 << 20, 1 << 20)),
+        write(0),
+        write(0),
+        write(0),
+        write(0),
+        addr().prop_map(|a| TOp::Read(0, a)),
+        any::<bool>().prop_map(|_| TOp::Commit(0)),
+        any::<bool>().prop_map(|_| TOp::Tabort(0)),
+        any::<bool>().prop_map(|_| TOp::Poll(0)),
+        write(1),
+    ]
+}
+
+/// The hot words of a tier script, where its rollbacks land.
+fn tier_hot_words() -> impl Iterator<Item = usize> {
+    (0..TIER_PAGES * 32).map(tier_addr)
+}
+
+/// One way of a tier cache: the read lease, the write lease and the write
+/// lease's logged-words mask, as `Vm`'s `LeasePair` keeps them.
+type Way = (LineLease, LineLease, u64);
+
 /// A `TxMemory` behind the tier choice of `Vm::rd`/`Vm::wr`: quiescent →
 /// the full path's head and no lease; a valid covering lease → the leased
-/// path; else the full access, then `try_lease` into a small per-thread
-/// cache. Neighbouring lines share a way (as all lines share the VM's
-/// runtime pair), so `covers` is what tells a hit from a stale neighbour.
+/// path (a write through the way's mask); else the full access, then
+/// `try_lease` into a small per-thread cache, the mask reset to what the
+/// grant starts with. Neighbouring lines share a way (as all lines share
+/// the VM's runtime pair), so `covers` is what tells a hit from a stale
+/// neighbour.
 struct Tiered {
     mem: TxMemory<u64>,
-    cache: Vec<[(LineLease, LineLease); TIER_WAYS]>,
+    cache: Vec<[Way; TIER_WAYS]>,
 }
 
 impl Tiered {
@@ -211,13 +243,14 @@ impl Tiered {
             return self.mem.write(t, a, v);
         }
         let line = self.mem.line_of(a);
-        let lease = self.cache[t][Self::way(line)].1;
-        if self.mem.lease_valid(&lease) && lease.covers(line) {
-            self.mem.lease_write(&lease, a, v);
+        let (_, lease, logged) = &mut self.cache[t][Self::way(line)];
+        if self.mem.lease_valid(lease) && lease.covers(line) {
+            self.mem.lease_write_logged(lease, logged, a, v);
             return Ok(());
         }
         self.mem.write(t, a, v)?;
-        self.cache[t][Self::way(line)].1 = self.mem.try_lease(t, a, true);
+        *lease = self.mem.try_lease(t, a, true);
+        *logged = self.mem.logged_on_grant(lease, a);
         Ok(())
     }
 }
@@ -496,14 +529,15 @@ proptest! {
     }
 
     /// Lease differential: the directory impl serving accesses through
-    /// epoch-validated line leases (batched direct path, span undo) must be
-    /// observationally identical to the reference serving the *same*
-    /// accesses through its per-word path — across interleaved
-    /// transactions, dooms, mid-lease aborts, interrupt kills, and
-    /// fault-plan toggles. Compared per op: results, abort reasons,
-    /// `in_tx`/footprints, fault-draw counts, and the full stats struct
-    /// with only the lease counters masked (the reference has no leases);
-    /// compared at the end: trace streams and the byte-exact memory image.
+    /// epoch-validated line leases (batched direct path, writes through a
+    /// logged-words mask started at the grant) must be observationally
+    /// identical to the reference serving the *same* accesses through its
+    /// per-word path — across interleaved transactions, dooms, mid-lease
+    /// aborts, interrupt kills, and fault-plan toggles. Compared per op:
+    /// results, abort reasons, `in_tx`/footprints, fault-draw counts, the
+    /// full stats struct with only the lease counters masked (the reference
+    /// has no leases) and the image of the words the ops touch; compared at
+    /// the end: trace streams and the byte-exact memory image.
     #[test]
     fn leases_match_the_reference(
         threads in 2usize..6,
@@ -519,8 +553,9 @@ proptest! {
         dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
         reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
 
-        // The lease each thread holds on the directory impl.
-        let mut held: Vec<Option<LineLease>> = vec![None; threads];
+        // The lease each thread holds on the directory impl, and the mask
+        // its writes go through.
+        let mut held: Vec<Option<(LineLease, u64)>> = vec![None; threads];
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 LOp::Begin(t, r, w) => {
@@ -560,17 +595,19 @@ proptest! {
                 }
                 LOp::Acquire(t, a, write) => {
                     let (t, a) = (t % threads, a % 32);
-                    held[t] = Some(dut.try_lease(t, a, write));
+                    let lease = dut.try_lease(t, a, write);
+                    held[t] = Some((lease, dut.logged_on_grant(&lease, a)));
                 }
                 LOp::Access(t, off, v) => {
                     let t = t % threads;
-                    let Some(d) = held[t] else { continue };
+                    let Some((d, logged)) = &mut held[t] else { continue };
+                    let d = *d;
                     if dut.lease_valid(&d) {
                         let a = d.line as usize * line_words + off % line_words;
                         // While the lease is valid no doom, fault or overflow
                         // can hit the reference's full-path access either.
                         if d.write {
-                            dut.lease_write(&d, a, v);
+                            dut.lease_write_logged(&d, logged, a, v);
                             prop_assert_eq!(reference.write(t, a, v), Ok(()),
                                 "leased write diverged at op {}", i);
                         } else {
@@ -631,6 +668,9 @@ proptest! {
             prop_assert_eq!(&ds, reference.stats(), "stats at op {}", i);
             prop_assert_eq!(dut.faults_injected(), reference.faults_injected(),
                 "injection streams diverged at op {}", i);
+            for a in 0..32 {
+                prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {} op {}", a, i);
+            }
         }
 
         let dut_events = dut_trace.lock().unwrap().drain();
@@ -641,117 +681,161 @@ proptest! {
         }
     }
 
-    /// Tier equivalence: one script drives a tiered `TxMemory`, a
-    /// `TxMemory` that only ever takes the full path, and the reference.
-    /// After every op: equal results and abort reasons, `in_tx`/footprints,
-    /// statistics (the tiered side's lease counters masked — nothing else
-    /// may tell the tiers apart) and injector draw counts; at the end:
-    /// equal images, and both torn-down images all-`init` (every write,
-    /// whichever tier served it, reached the dirty bitmap).
     #[test]
     fn tiers_match_the_full_path(
         threads in 2usize..6,
         seed in any::<u64>(),
         ops in proptest::collection::vec(tier_op_strategy(), 1..250),
     ) {
-        let new = || TxMemory::<u64>::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
-        let invalid = [(LineLease::INVALID, LineLease::INVALID); TIER_WAYS];
-        let mut dut = Tiered { mem: new(), cache: vec![invalid; threads] };
-        let mut full = new();
-        let mut reference: ReferenceTxMemory<u64> =
-            ReferenceTxMemory::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+        check_tiers(threads, seed, &ops);
+    }
 
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                TOp::Begin(t, r, w) => {
-                    let t = t % threads;
-                    if !full.in_tx(t) {
-                        let b = Budgets { read_lines: r, write_lines: w };
-                        let want = reference.begin(t, b);
-                        prop_assert_eq!(dut.mem.begin(t, b), want, "tiered begin at op {}", i);
-                        prop_assert_eq!(full.begin(t, b), want, "begin at op {}", i);
-                    }
-                }
-                TOp::Read(t, a) => {
-                    let t = t % threads;
-                    let want = reference.read(t, a);
-                    prop_assert_eq!(dut.read(t, a), want, "tiered read at op {}", i);
-                    prop_assert_eq!(full.read(t, a), want, "read at op {}", i);
-                }
-                TOp::Write(t, a, v) => {
-                    let t = t % threads;
-                    let want = reference.write(t, a, v);
-                    prop_assert_eq!(dut.write(t, a, v), want, "tiered write at op {}", i);
-                    prop_assert_eq!(full.write(t, a, v), want, "write at op {}", i);
-                }
-                TOp::Commit(t) => {
-                    let t = t % threads;
-                    if full.in_tx(t) {
-                        let want = reference.commit(t);
-                        prop_assert_eq!(dut.mem.commit(t), want, "tiered commit at op {}", i);
-                        prop_assert_eq!(full.commit(t), want, "commit at op {}", i);
-                    }
-                }
-                TOp::Tabort(t) => {
-                    let t = t % threads;
-                    let want = reference.tabort(t, 7);
-                    prop_assert_eq!(dut.mem.tabort(t, 7), want, "tiered tabort at op {}", i);
-                    prop_assert_eq!(full.tabort(t, 7), want, "tabort at op {}", i);
-                }
-                TOp::Poll(t) => {
-                    let t = t % threads;
-                    let want = reference.poll_doomed(t);
-                    prop_assert_eq!(dut.mem.poll_doomed(t), want, "tiered poll at op {}", i);
-                    prop_assert_eq!(full.poll_doomed(t), want, "poll at op {}", i);
-                }
-                TOp::DoomAll(t, a) => {
-                    let t = t % threads;
-                    dut.mem.doom_all_active(t, a);
-                    full.doom_all_active(t, a);
-                    reference.doom_all_active(t, a);
-                }
-                TOp::SetPlan(on) => {
-                    let plan = if on {
-                        FaultPlan { seed, spurious_rate: 0.10, shrink_rate: 0.05, restricted_rate: 0.05 }
-                    } else {
-                        FaultPlan::none()
-                    };
-                    dut.mem.set_fault_plan(plan);
-                    full.set_fault_plan(plan);
-                    reference.set_fault_plan(plan);
+    /// The same check on scripts aimed at the logged-words mask: thread 0's
+    /// transactions write the first line of every page — one way of the
+    /// cache, the same mask bits — while thread 1's plain writes doom them.
+    #[test]
+    fn tiers_match_the_full_path_on_colliding_lines(
+        ops in proptest::collection::vec(colliding_op_strategy(), 1..120),
+    ) {
+        check_tiers(2, 0, &ops);
+    }
+}
+
+/// Tier equivalence: one script drives a tiered `TxMemory`, a
+/// `TxMemory` that only ever takes the full path, and the reference.
+/// After every op: equal results and abort reasons, `in_tx`/footprints,
+/// statistics (the tiered side's lease counters masked — nothing else
+/// may tell the tiers apart), injector draw counts and the image of
+/// the hot words, so each rollback is checked where it lands; at the
+/// end: equal images, and both torn-down images all-`init` (every
+/// write, whichever tier served it, reached the dirty bitmap).
+fn check_tiers(threads: usize, seed: u64, ops: &[TOp]) {
+    let new = || TxMemory::<u64>::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+    let invalid = [(LineLease::INVALID, LineLease::INVALID, 0); TIER_WAYS];
+    let mut dut = Tiered { mem: new(), cache: vec![invalid; threads] };
+    let mut full = new();
+    let mut reference: ReferenceTxMemory<u64> =
+        ReferenceTxMemory::new(TIER_WORDS, TIER_LINE_WORDS, threads, 0);
+
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            TOp::Begin(t, r, w) => {
+                let t = t % threads;
+                if !full.in_tx(t) {
+                    let b = Budgets { read_lines: r, write_lines: w };
+                    let want = reference.begin(t, b);
+                    prop_assert_eq!(dut.mem.begin(t, b), want, "tiered begin at op {}", i);
+                    prop_assert_eq!(full.begin(t, b), want, "begin at op {}", i);
                 }
             }
-            prop_assert_eq!(dut.mem.quiescent(), full.quiescent(), "quiescent at op {}", i);
-            for u in 0..threads {
-                prop_assert_eq!(dut.mem.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
-                prop_assert_eq!(full.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
-                prop_assert_eq!(dut.mem.footprint(u), reference.footprint(u),
-                    "tiered footprint({}) at op {}", u, i);
-                prop_assert_eq!(full.footprint(u), reference.footprint(u),
-                    "footprint({}) at op {}", u, i);
+            TOp::Read(t, a) => {
+                let t = t % threads;
+                let want = reference.read(t, a);
+                prop_assert_eq!(dut.read(t, a), want, "tiered read at op {}", i);
+                prop_assert_eq!(full.read(t, a), want, "read at op {}", i);
             }
-            dut.mem.flush_lease_stats();
-            let mut ds = dut.mem.stats().clone();
-            ds.lease_hits = 0;
-            ds.lease_misses = 0;
-            prop_assert_eq!(&ds, reference.stats(), "tiered stats at op {}", i);
-            prop_assert_eq!(full.stats(), reference.stats(), "stats at op {}", i);
-            prop_assert_eq!(dut.mem.faults_injected(), reference.faults_injected(),
-                "tiered injection stream at op {}", i);
-            prop_assert_eq!(full.faults_injected(), reference.faults_injected(),
-                "injection stream at op {}", i);
+            TOp::Write(t, a, v) => {
+                let t = t % threads;
+                let want = reference.write(t, a, v);
+                prop_assert_eq!(dut.write(t, a, v), want, "tiered write at op {}", i);
+                prop_assert_eq!(full.write(t, a, v), want, "write at op {}", i);
+            }
+            TOp::Commit(t) => {
+                let t = t % threads;
+                if full.in_tx(t) {
+                    let want = reference.commit(t);
+                    prop_assert_eq!(dut.mem.commit(t), want, "tiered commit at op {}", i);
+                    prop_assert_eq!(full.commit(t), want, "commit at op {}", i);
+                }
+            }
+            TOp::Tabort(t) => {
+                let t = t % threads;
+                let want = reference.tabort(t, 7);
+                prop_assert_eq!(dut.mem.tabort(t, 7), want, "tiered tabort at op {}", i);
+                prop_assert_eq!(full.tabort(t, 7), want, "tabort at op {}", i);
+            }
+            TOp::Poll(t) => {
+                let t = t % threads;
+                let want = reference.poll_doomed(t);
+                prop_assert_eq!(dut.mem.poll_doomed(t), want, "tiered poll at op {}", i);
+                prop_assert_eq!(full.poll_doomed(t), want, "poll at op {}", i);
+            }
+            TOp::DoomAll(t, a) => {
+                let t = t % threads;
+                dut.mem.doom_all_active(t, a);
+                full.doom_all_active(t, a);
+                reference.doom_all_active(t, a);
+            }
+            TOp::SetPlan(on) => {
+                let plan = if on {
+                    FaultPlan {
+                        seed,
+                        spurious_rate: 0.10,
+                        shrink_rate: 0.05,
+                        restricted_rate: 0.05,
+                    }
+                } else {
+                    FaultPlan::none()
+                };
+                dut.mem.set_fault_plan(plan);
+                full.set_fault_plan(plan);
+                reference.set_fault_plan(plan);
+            }
         }
+        prop_assert_eq!(dut.mem.quiescent(), full.quiescent(), "quiescent at op {}", i);
+        for u in 0..threads {
+            prop_assert_eq!(dut.mem.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
+            prop_assert_eq!(full.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
+            prop_assert_eq!(
+                dut.mem.footprint(u),
+                reference.footprint(u),
+                "tiered footprint({}) at op {}",
+                u,
+                i
+            );
+            prop_assert_eq!(
+                full.footprint(u),
+                reference.footprint(u),
+                "footprint({}) at op {}",
+                u,
+                i
+            );
+        }
+        dut.mem.flush_lease_stats();
+        let mut ds = dut.mem.stats().clone();
+        ds.lease_hits = 0;
+        ds.lease_misses = 0;
+        prop_assert_eq!(&ds, reference.stats(), "tiered stats at op {}", i);
+        prop_assert_eq!(full.stats(), reference.stats(), "stats at op {}", i);
+        prop_assert_eq!(
+            dut.mem.faults_injected(),
+            reference.faults_injected(),
+            "tiered injection stream at op {}",
+            i
+        );
+        prop_assert_eq!(
+            full.faults_injected(),
+            reference.faults_injected(),
+            "injection stream at op {}",
+            i
+        );
+        // Every rollback (a doom, a self-abort, an overflow) has
+        // replayed its log by now: the image must already agree.
+        for a in tier_hot_words() {
+            prop_assert_eq!(dut.mem.peek(a), reference.peek(a), "tiered image at {} op {}", a, i);
+            prop_assert_eq!(full.peek(a), reference.peek(a), "image at {} op {}", a, i);
+        }
+    }
 
+    for a in 0..TIER_WORDS {
+        prop_assert_eq!(dut.mem.peek(a), reference.peek(a), "tiered image at {}", a);
+        prop_assert_eq!(full.peek(a), reference.peek(a), "image at {}", a);
+    }
+    for mut m in [dut.mem, full] {
+        let image = m.take_image(0);
+        let again = TxMemory::recycled(Some(image), TIER_WORDS, TIER_LINE_WORDS, threads, 0);
         for a in 0..TIER_WORDS {
-            prop_assert_eq!(dut.mem.peek(a), reference.peek(a), "tiered image at {}", a);
-            prop_assert_eq!(full.peek(a), reference.peek(a), "image at {}", a);
-        }
-        for mut m in [dut.mem, full] {
-            let image = m.take_image(0);
-            let again = TxMemory::recycled(Some(image), TIER_WORDS, TIER_LINE_WORDS, threads, 0);
-            for a in 0..TIER_WORDS {
-                prop_assert_eq!(*again.peek(a), 0, "word {} survived take_image", a);
-            }
+            prop_assert_eq!(*again.peek(a), 0, "word {} survived take_image", a);
         }
     }
 }

@@ -831,6 +831,8 @@ fn bi_str_repeat(
 ) -> Result<BResult, VmAbort> {
     let (_slot, s) = self_string(vm, t, &recv)?;
     let n = arg_int(vm, args, 0, "String#*")?.max(0) as usize;
+    // The shadow `make_string` will ask for, before the text is built.
+    vm.check_malloc(s.len().checked_mul(n).map_or(usize::MAX, |len| len.div_ceil(8)))?;
     let out = vm.build_text(|_, out| {
         (0..n).for_each(|_| out.push_str(&s));
         Ok(())
@@ -870,6 +872,7 @@ fn bi_array_new(
 ) -> Result<BResult, VmAbort> {
     let n = args.first().and_then(|w| w.as_int()).unwrap_or(0).max(0) as usize;
     let default = args.get(1).cloned().unwrap_or(Word::Nil);
+    vm.check_malloc(n)?; // before the element list is built
     let elems = vec![default; n];
     Ok(BResult::Value(vm.make_array(t, &elems)?))
 }

@@ -517,16 +517,23 @@ impl Vm {
 
     // ---- malloc ------------------------------------------------------------
 
+    /// Refuse, as [`Self::malloc`] does, a request past the largest size
+    /// class — before the host builds a buffer a program's number sized.
+    pub(crate) fn check_malloc(&mut self, words: usize) -> Result<(), VmAbort> {
+        if words > Layout::class_words(crate::layout::MALLOC_CLASSES - 1) {
+            return Err(self.fatal(format!("allocation of {words} words too large")));
+        }
+        Ok(())
+    }
+
     /// Allocate a buffer of at least `words` words. Uses the per-thread
     /// bump arena when `malloc_thread_local` is set, else the global
     /// size-class lists + bump pointer (the conflict-prone default
     /// `malloc` of z/OS, §5.2/§5.5).
     pub fn malloc(&mut self, t: ThreadId, words: usize) -> Result<(Addr, usize), VmAbort> {
+        self.check_malloc(words)?;
         let cls = Layout::size_class(words);
         let cap = Layout::class_words(cls);
-        if cap < words {
-            return Err(self.fatal(format!("allocation of {words} words too large")));
-        }
         // Freed buffers live on global size-class lists; check there first
         // so memory is actually reused. Even with HEAPPOOLS the real
         // allocator touches shared metadata occasionally — the paper saw

@@ -303,16 +303,18 @@ const RUNTIME_WAY: usize = LEASE_WAYS;
 /// line. The modes are separate tokens because `TxMemory` accounts read
 /// and write footprints independently (a write lease must not serve
 /// reads, or the read set would stop growing where the per-word path
-/// grows it).
+/// grows it). `logged` is the write lease's mask of words already logged,
+/// reset at every grant (`TxMemory::lease_write_logged`).
 #[derive(Debug, Clone, Copy)]
 pub struct LeasePair {
     rd: LineLease,
     wr: LineLease,
+    logged: u64,
 }
 
 impl Default for LeasePair {
     fn default() -> Self {
-        LeasePair { rd: LineLease::INVALID, wr: LineLease::INVALID }
+        LeasePair { rd: LineLease::INVALID, wr: LineLease::INVALID, logged: 0 }
     }
 }
 
@@ -736,9 +738,9 @@ impl Vm {
             }
             return self.mem.write(t, addr, w);
         }
-        let lease = &self.leases[t][way].wr;
-        if self.mem.lease_valid(lease) && lease.covers(line) {
-            self.mem.lease_write(lease, addr, w);
+        let pair = &mut self.leases[t][way];
+        if self.mem.lease_valid(&pair.wr) && pair.wr.covers(line) {
+            self.mem.lease_write_logged(&pair.wr, &mut pair.logged, addr, w);
             return Ok(());
         }
         self.write_miss(t, addr, w, way)
@@ -767,7 +769,10 @@ impl Vm {
         }
         self.mem.write(t, addr, w)?;
         if self.use_leases {
-            self.leases[t][way].wr = self.mem.try_lease(t, addr, true);
+            let wr = self.mem.try_lease(t, addr, true);
+            let pair = &mut self.leases[t][way];
+            pair.wr = wr;
+            pair.logged = self.mem.logged_on_grant(&wr, addr);
         }
         Ok(())
     }

@@ -26,9 +26,13 @@ pub fn point_counters(ex: &Executor, r: &RunReport) -> Vec<(&'static str, u64)> 
     // scheduler picks and bursts (burst length = bytecodes / bursts).
     let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];
     out.extend(host.into_iter().zip(ex.host_counters()));
-    // Undo records written (the leased path skips what the full path
-    // writes) and, where tasks are served, their p99.
+    // Undo records written (one a word a transaction writes, give or take
+    // a mask reset), lease validations vs slow-path entries, directory
+    // entries consulted and, where tasks are served, their p99.
     out.push(("undo_pushes", ex.vm.mem.undo_pushes()));
+    out.push(("lease_hits", r.htm.lease_hits));
+    out.push(("lease_misses", r.htm.lease_misses));
+    out.push(("dir_probes", ex.vm.mem.dir_probes()));
     out.push(("task_p99_cycles", r.task_latency.as_ref().map_or(0, |t| t.e2e.p99)));
     out
 }

@@ -127,6 +127,29 @@ fn a_program_that_overfills_a_name_table_is_a_run_error() {
     assert!(msg.contains(&format!("too many constants (limit {cap})")), "{msg}");
 }
 
+/// A size the program computes reaches the host only once the simulated
+/// `malloc` would serve it: past the largest size class, a `String#*`
+/// count or an array length is the error `malloc` gives, raised before a
+/// host buffer of that size is built. Without that order the first three
+/// rows abort the process allocating one, and the fourth builds 8 MB of
+/// text before it fails.
+#[test]
+fn a_program_sized_allocation_past_malloc_is_a_run_error() {
+    let run = |source: &str| run_broken(source, |_| {});
+    for (source, words) in [
+        ("s = \"ab\" * 100000000000\nputs(s.size)", 25_000_000_000u64),
+        ("a = Array.new(100000000000, 0)\nputs(a.size)", 100_000_000_000),
+        ("a = Array.build(100000000000) { |i| i }\nputs(a.size)", 100_000_000_000),
+        ("s = \"ab\" * 4000000\nputs(s.size)", 1_000_000),
+    ] {
+        let msg = vm_error(run(source)).unwrap_or_else(|| panic!("{source}: no vm error"));
+        let want = format!("allocation of {words} words too large");
+        assert!(msg.contains(&want), "{source}: {msg}");
+    }
+    let empty = "n = 0 - 3\nputs((\"ab\" * 0).size)\nputs((\"ab\" * n).size)";
+    assert_eq!(run(empty).expect("runs").stdout, "0\n0");
+}
+
 /// Boot `source` under the GIL, break the image from outside, run.
 fn run_broken(
     source: &str,

@@ -4,12 +4,13 @@
 //! `tests/golden/sim_counters.json` exactly. A host-side optimization
 //! leaves every number here alone; a change that moves one is a behaviour
 //! change and has to say so by regenerating the file (ROADMAP item 2a).
-//! The last six keys of each workload are the exception that proves it:
+//! The last nine keys of each workload are the exception that proves it:
 //! deterministic counts of the host's own work (`Executor::host_counters`:
-//! picks by kind, bursts and their bytecodes; `TxMemory::undo_pushes`) that
-//! a host-side change *is* expected to move — and then to say by how much —
-//! and the task server's p99, which the layer-share table of EXPERIMENTS.md
-//! "Host cost" reads from here.
+//! picks by kind, bursts and their bytecodes; `TxMemory::undo_pushes`; the
+//! lease hits and misses; `TxMemory::dir_probes`) that a host-side change
+//! *is* expected to move — and then to say by how much — and the task
+//! server's p99, which the layer-share table of EXPERIMENTS.md "Host cost"
+//! reads from here.
 //!
 //! The programs, sizes and the `VmConfig`/`ExecConfig` recipe are the
 //! benchmark's own: `benchmark/src/workloads.rs` is compiled into this
