@@ -22,6 +22,18 @@ pub fn point_counters(ex: &Executor, r: &RunReport) -> Vec<(&'static str, u64)> 
         ("epoch_bumps", r.htm.epoch_bumps),
     ];
     out.extend(r.htm.abort_breakdown());
+    // Where the simulated cycles went (Fig. 8): the category a charge lands
+    // in, which `elapsed_cycles` alone cannot see.
+    let b = &r.breakdown;
+    out.extend([
+        ("tx_begin_end", b.tx_begin_end),
+        ("tx_success", b.tx_success),
+        ("gil_held", b.gil_held),
+        ("aborted", b.aborted),
+        ("gil_wait", b.gil_wait),
+        ("io_wait", b.io_wait),
+        ("other", b.other),
+    ]);
     // Host work, not simulated state: how the run was carved into
     // scheduler picks and bursts (burst length = bytecodes / bursts).
     let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];

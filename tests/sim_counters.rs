@@ -4,6 +4,9 @@
 //! `tests/golden/sim_counters.json` exactly. A host-side optimization
 //! leaves every number here alone; a change that moves one is a behaviour
 //! change and has to say so by regenerating the file (ROADMAP item 2a).
+//! The simulated keys include the Fig. 8 cycle breakdown (`tx_begin_end`
+//! … `other`, after the abort reasons), so a charge booked to the wrong
+//! category fails here even when the clock it lands on is right.
 //! The last nine keys of each workload are the exception that proves it:
 //! deterministic counts of the host's own work (`Executor::host_counters`:
 //! picks by kind, bursts and their bytecodes; `TxMemory::undo_pushes`; the
