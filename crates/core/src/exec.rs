@@ -543,8 +543,11 @@ impl Executor {
     /// observes per-access ordering. The charge is per retired bytecode
     /// (`dispatch × step_insns` plus the accumulated memory/native costs),
     /// so a burst, like a fused pair, lands on the simulated clock exactly
-    /// where its separate steps would have.
-    fn raw_step(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
+    /// where its separate steps would have. `charge` is what the round
+    /// spent before the burst and has not yet put on the clock (Fig. 2's
+    /// counter test); it rides on the burst's one `advance` and `settle`.
+    #[inline(always)]
+    fn raw_step(&mut self, t: ThreadId, charge: Cycles) -> Result<StepOk, VmAbort> {
         let tx = self.tle[t].tx.as_ref();
         let alone = self.sched.other_live_threads(t) == 0;
         self.vm.fuse_allowed =
@@ -552,8 +555,8 @@ impl Executor {
         self.vm.tx_method_bumps = tx.map_or(0, |tx| tx.escrow.method_bumps);
         self.vm.reset_step_counters();
         let yield_bit = if alone { 0 } else { self.yp_bit };
-        let r = self.vm.burst(t, self.burst_budget(t), yield_bit);
-        let cost = self.vm.step_cost();
+        let r = self.vm.burst(t, self.burst_budget(t, charge), yield_bit);
+        let cost = self.vm.step_cost() + charge;
         self.sched.advance(t, cost);
         self.settle(t, cost);
         r
@@ -567,8 +570,10 @@ impl Executor {
     /// Zero — one step — where steps are observed one by one
     /// (`burst_ok`), and under `fresh`: left set by a restart at this
     /// very yield point, it exempts the *next* call's instruction (§8).
-    fn burst_budget(&self, t: ThreadId) -> Cycles {
-        let room = self.sched.run_ahead(t);
+    /// The clock is read as if the pending `charge` were on it already.
+    #[inline(always)]
+    fn burst_budget(&self, t: ThreadId, charge: Cycles) -> Cycles {
+        let room = self.sched.run_ahead(t).saturating_sub(charge);
         if room == 0 || !self.burst_ok || self.tle[t].fresh {
             return 0;
         }
@@ -577,13 +582,14 @@ impl Executor {
         let tick = if self.cfg.mode == RuntimeMode::Gil { self.gil.next_timer } else { u64::MAX };
         let due = tick.min(past(self.cfg.max_cycles)).min(self.interrupts.deadline(t));
         let steps = past(self.cfg.progress_bound_steps) - self.stalled_steps;
-        room.min(due.saturating_sub(self.sched.clock(t))).min(steps).min(1 << 20)
+        room.min(due.saturating_sub(self.sched.clock(t) + charge)).min(steps).min(1 << 20)
     }
 
     /// Collect what the burst that just ran emitted, leaving the VM's
     /// per-step outputs empty: into the open transaction's escrow — where
     /// the effects of a step that aborted land too, and are discarded with
     /// it — or, outside any transaction, straight to publication.
+    #[inline(always)]
     fn settle(&mut self, t: ThreadId, cost: Cycles) {
         let vm = &mut self.vm;
         let insns = u64::from(vm.step_insns);
@@ -594,8 +600,10 @@ impl Executor {
             e.insns += insns;
             e.method_bumps =
                 e.method_bumps.wrapping_add(std::mem::take(&mut vm.pending_method_bumps));
-            e.marks.append(&mut vm.pending_marks);
-            e.wakes.append(&mut vm.pending_wakes);
+            if !(vm.pending_marks.is_empty() && vm.pending_wakes.is_empty()) {
+                e.marks.append(&mut vm.pending_marks);
+                e.wakes.append(&mut vm.pending_wakes);
+            }
             // No pair fuses inside a transaction: a bytecode is a step.
             self.stalled_steps += insns - 1;
         } else {
@@ -816,9 +824,6 @@ impl Executor {
             if self.sched.explore_active() && self.sched.explore_preempt(t).is_some() {
                 return Ok(());
             }
-            // Yield points are where stats become externally observable;
-            // settle any batched lease deltas before deciding to switch.
-            self.vm.mem.flush_lease_stats();
             let flag_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::INTERRUPT;
             let flag = self
                 .vm
@@ -838,7 +843,7 @@ impl Executor {
                 return Ok(());
             }
         }
-        match self.raw_step(t) {
+        match self.raw_step(t, 0) {
             Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => {
                 if matches!(ok, StepOk::Block(_) | StepOk::Finished) {
@@ -857,7 +862,7 @@ impl Executor {
     // ---- free modes (FineGrained / Ideal) ------------------------------------------
 
     fn step_free(&mut self, t: ThreadId) -> Result<(), RunError> {
-        let r = self.raw_step(t);
+        let r = self.raw_step(t, 0);
         // JRuby-like allocation serialization.
         if self.cfg.mode == RuntimeMode::FineGrained {
             let allocs = self.vm.allocations;
@@ -900,6 +905,7 @@ impl Executor {
         //    was just (re-)established at this pc — the instruction here
         //    belongs to the new transaction/GIL tenure.
         let fresh = std::mem::take(&mut self.tle[t].fresh);
+        let mut pending = 0;
         if !fresh && self.at_yield_point(t) && self.sched.other_live_threads(t) > 0 {
             // Schedule-exploration decision point (no-op unless a
             // controller is installed — see `machine_sim::explore`).
@@ -917,9 +923,6 @@ impl Executor {
                     return self.on_tx_abort(t, reason);
                 }
             }
-            // Settle batched lease deltas at the yield point, mirroring the
-            // GIL path, so mid-run stats observations are path-independent.
-            self.vm.mem.flush_lease_stats();
             let counter_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::YIELD_COUNTER;
             let c = match self.vm.rd_untimed(t, counter_addr) {
                 Ok(Word::Int(c)) => c,
@@ -931,23 +934,31 @@ impl Executor {
                     return self.on_tx_abort(t, reason);
                 }
             };
-            self.sched.advance(t, 2 * self.profile.cost.mem_ref);
-            if let Some(tx) = self.tle[t].tx.as_mut() {
-                tx.escrow.work += 2 * self.profile.cost.mem_ref;
+            // A countdown's charge rides on the burst's one `advance` and
+            // `settle`; a restart or a failed write pays it before acting.
+            let charge = 2 * self.profile.cost.mem_ref;
+            let write =
+                if c > 1 { self.vm.wr_untimed(t, counter_addr, Word::Int(c - 1)) } else { Ok(()) };
+            if c > 1 && write.is_ok() {
+                pending = charge;
             } else {
-                self.breakdown.gil_held += 2 * self.profile.cost.mem_ref;
-            }
-            if c <= 1 {
+                self.sched.advance(t, charge);
+                if let Some(tx) = self.tle[t].tx.as_mut() {
+                    tx.escrow.work += charge;
+                } else {
+                    self.breakdown.gil_held += charge;
+                }
+                if let Err(reason) = write {
+                    return self.on_tx_abort(t, reason);
+                }
                 // End here; begin at this pc.
                 if !self.transaction_end_and_restart(t)? {
                     return Ok(()); // aborted at commit or parked
                 }
-            } else if let Err(reason) = self.vm.wr_untimed(t, counter_addr, Word::Int(c - 1)) {
-                return self.on_tx_abort(t, reason);
             }
         }
         // 3. Execute the instruction.
-        match self.raw_step(t) {
+        match self.raw_step(t, pending) {
             Ok(StepOk::Normal) => Ok(()),
             Ok(ok) => {
                 if matches!(ok, StepOk::Block(_) | StepOk::Finished) {

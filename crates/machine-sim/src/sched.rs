@@ -461,14 +461,20 @@ impl Scheduler {
             .min()
     }
 
-    /// Give `t` a hardware slot if it lacks one: a free slot when
-    /// available, otherwise preempt the holder that has used the most
-    /// quantum (deterministic: max usage, then min tid) and charge `t`
-    /// the context switch on top of the victim's clock.
+    /// Give `t` a hardware slot if it lacks one. Inlined: every full pick
+    /// of a lock-step thread finds its slot already held.
+    #[inline(always)]
     fn acquire_slot(&mut self, t: ThreadId) {
-        if self.threads[t].slot.is_some() {
-            return;
+        if self.threads[t].slot.is_none() {
+            self.grant_slot(t);
         }
+    }
+
+    /// A free slot when available, otherwise preempt the holder that has
+    /// used the most quantum (deterministic: max usage, then min tid) and
+    /// charge `t` the context switch on top of the victim's clock.
+    #[inline(never)]
+    fn grant_slot(&mut self, t: ThreadId) {
         if let Some(free) = self.slots.iter().position(|s| s.is_none()) {
             self.slots[free] = Some(t);
             self.threads[t].slot = Some(free);

@@ -451,7 +451,7 @@ fn bi_int_abs(
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
     let i = recv.as_int().ok_or_else(|| vm.fatal("abs on non-Integer"))?;
-    Ok(BResult::Value(Word::Int(i.abs())))
+    Ok(BResult::Value(Word::Int(i.wrapping_abs())))
 }
 
 fn float_of(vm: &mut Vm, t: ThreadId, recv: &Word) -> Result<f64, VmAbort> {

@@ -363,10 +363,11 @@ impl Word {
     }
 }
 
-/// Ruby floor division (sign of the divisor, like `Integer#/`).
+/// Ruby floor division (sign of the divisor, like `Integer#/`). Wraps like
+/// the VM's other integer operators: `i64::MIN / -1` is `i64::MIN`.
 pub fn ruby_div(a: i64, b: i64) -> i64 {
     let q = a.wrapping_div(b);
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
+    if (a.wrapping_rem(b) != 0) && ((a < 0) != (b < 0)) {
         q - 1
     } else {
         q
@@ -375,7 +376,7 @@ pub fn ruby_div(a: i64, b: i64) -> i64 {
 
 /// Ruby modulo (result takes the divisor's sign, like `Integer#%`).
 pub fn ruby_mod(a: i64, b: i64) -> i64 {
-    let m = a % b;
+    let m = a.wrapping_rem(b);
     if m != 0 && ((m < 0) != (b < 0)) {
         m + b
     } else {
@@ -497,6 +498,18 @@ mod tests {
         assert_eq!(ruby_mod(-7, -2), -1);
         assert_eq!(ruby_mod(6, 3), 0);
         assert_eq!(ruby_mod(-6, 3), 0);
+    }
+
+    /// The one quotient an `i64` cannot hold wraps instead of trapping.
+    #[test]
+    fn division_by_minus_one_wraps_at_the_minimum() {
+        assert_eq!(ruby_div(i64::MIN, -1), i64::MIN);
+        assert_eq!(ruby_mod(i64::MIN, -1), 0);
+        assert_eq!(ruby_div(i64::MIN, 1), i64::MIN);
+        assert_eq!(ruby_mod(i64::MIN, 1), 0);
+        assert_eq!(ruby_div(i64::MAX, -1), -i64::MAX);
+        assert_eq!(ruby_div(i64::MIN, i64::MAX), -2);
+        assert_eq!(ruby_mod(i64::MIN, i64::MAX), i64::MAX - 1);
     }
 
     #[test]

@@ -150,6 +150,70 @@ fn a_program_sized_allocation_past_malloc_is_a_run_error() {
     assert_eq!(run(empty).expect("runs").stdout, "0\n0");
 }
 
+/// `i64::MIN`, −1, 0, 1, `i64::MAX`, built as expressions: no literal
+/// spells the minimum.
+const EDGE_VALUES: &str =
+    "v = [-9223372036854775807 - 1, 0 - 1, 1 - 1, 0 + 1, 9223372036854775806 + 1]";
+
+/// Every integer operator the compiler emits, over every pair of edge
+/// values (or each value, for the unary two), one program an operator:
+/// each ends `Ok` — or, dividing by zero, in the VM's error — under the
+/// GIL and under HTM-1 alike, and never takes the process down. An
+/// integer wraps on overflow, the one quotient an `i64` cannot hold
+/// included.
+#[test]
+fn every_integer_operator_over_edge_values_ends_ok_or_in_a_vm_error() {
+    let binary = ["+", "-", "*", "/", "%", "**", "<<", ">>", "&", "|", "^", "<=>", "=="];
+    let binary = binary.into_iter().chain(["<", "<=", ">", ">="]);
+    let programs = binary.map(|op| {
+        let divides = matches!(op, "/" | "%");
+        // A zero divisor prints `-`; the program then ends dividing by it.
+        let (guard, tail) = if divides {
+            ("b == 0", format!("puts(v[0] {op} v[2])\n"))
+        } else {
+            ("false", "".into())
+        };
+        let body = format!(
+            "i = 0\nwhile i < 5\n  j = 0\n  while j < 5\n    a = v[i]\n    b = v[j]\n    \
+             if {guard}\n      puts(\"-\")\n    else\n      puts(a {op} b)\n    end\n    \
+             j += 1\n  end\n  i += 1\nend\n{tail}"
+        );
+        (op, format!("{EDGE_VALUES}\n{body}"), divides)
+    });
+    let unary = [("-@", "-a"), ("abs", "a.abs")].map(|(op, expr)| {
+        let body = format!("i = 0\nwhile i < 5\n  a = v[i]\n  puts({expr})\n  i += 1\nend\n");
+        (op, format!("{EDGE_VALUES}\n{body}"), false)
+    });
+    let mut results = std::collections::HashMap::new();
+    for (op, source, divides) in programs.chain(unary) {
+        let mut stdouts = Vec::new();
+        for mode in [RuntimeMode::Gil, RuntimeMode::Htm { length: LengthPolicy::Fixed(1) }] {
+            let profile = MachineProfile::generic(2);
+            let cfg = ExecConfig::new(mode, &profile);
+            let mut ex = Executor::new(&source, VmConfig::default(), profile, cfg).expect("boot");
+            ex.cfg.max_cycles = 10_000_000; // hang guard
+            match ex.run() {
+                Ok(r) if !divides => stdouts.push(r.stdout),
+                Err(RunError::Vm(msg)) if divides && msg.contains("divided by 0") => {
+                    stdouts.push(ex.vm.stdout_text());
+                }
+                other => panic!("{op} under {}: {other:?}", mode.label()),
+            }
+        }
+        assert_eq!(stdouts[0], stdouts[1], "{op}: the GIL and HTM-1 print the same");
+        let lines: Vec<String> = stdouts[0].lines().map(str::to_owned).collect();
+        assert_eq!(lines.len(), if op == "-@" || op == "abs" { 5 } else { 25 }, "{op}");
+        results.insert(op, lines);
+    }
+    // Row `i`, column `j` of a binary sweep is `v[i] op v[j]`.
+    let (min, minus_one) = (0, 1);
+    assert_eq!(results["/"][5 * min + minus_one], i64::MIN.to_string());
+    assert_eq!(results["%"][5 * min + minus_one], "0");
+    assert_eq!(results["abs"][min], i64::MIN.to_string());
+    assert_eq!(results["-@"][min], i64::MIN.to_string());
+    assert_eq!(results["+"][5 * 4 + 3], i64::MIN.to_string(), "MAX + 1 wraps");
+}
+
 /// Boot `source` under the GIL, break the image from outside, run.
 fn run_broken(
     source: &str,
