@@ -129,8 +129,9 @@ const PAGE_SHIFT: u32 = 9;
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 
 /// The word and directory buffers of a torn-down [`TxMemory`]. Every word
-/// equals the `init` passed to [`TxMemory::take_image`] — the one place
-/// that establishes it; [`TxMemory::recycled`] relies on it.
+/// equals the `init` passed to [`TxMemory::take_image`] and no line has an
+/// owner — the one place that establishes it; [`TxMemory::recycled`]
+/// relies on it.
 #[derive(Debug)]
 pub struct MemoryImage<W> {
     words: Vec<W>,
@@ -268,6 +269,7 @@ impl<W: Clone> TxMemory<W> {
     {
         let image = image.filter(|i| i.words.capacity() >= size).unwrap_or_default();
         debug_assert!(image.words.iter().all(|w| *w == init), "spare image holds a non-init word");
+        debug_assert!(image.dir.iter().all(|l| *l == EMPTY_LINE), "spare image owns a line");
         Self::on_image(image, size, line_words, max_threads, init)
     }
 
@@ -297,7 +299,7 @@ impl<W: Clone> TxMemory<W> {
             dir = Vec::new();
             dir.reserve_exact(lines);
         }
-        dir.clear();
+        dir.truncate(lines); // every entry is empty (`take_image`): a longer tail is filled
         dir.resize(lines, EMPTY_LINE);
         TxMemory {
             words,
@@ -323,12 +325,18 @@ impl<W: Clone> TxMemory<W> {
         }
     }
 
-    /// Tear the memory down to its buffers: every dirty page is reset to
-    /// `init` (the value the memory was built with), then the word and
-    /// directory buffers are handed out for [`Self::recycled`]. Costs the
-    /// pages touched, not the memory's size. The memory is left empty
-    /// (size 0); call this from the owner's `Drop`.
+    /// Tear the memory down to its buffers: a transaction still open (a
+    /// run that stopped on an error) gives up its lines, every dirty page
+    /// is reset to `init` (the value the memory was built with), then the
+    /// word and directory buffers are handed out for [`Self::recycled`].
+    /// Costs the pages and lines touched, not the memory's size. The
+    /// memory is left empty (size 0); call this from the owner's `Drop`.
     pub fn take_image(&mut self, init: W) -> MemoryImage<W> {
+        for t in 0..self.txs.len() {
+            if self.txs[t].active {
+                self.release_tx(t);
+            }
+        }
         let mut words = std::mem::take(&mut self.words);
         for (i, mut bits) in std::mem::take(&mut self.dirty).into_iter().enumerate() {
             while bits != 0 {
@@ -1994,7 +2002,7 @@ mod tests {
     /// Words written through every path that can leave a non-`init` value
     /// behind, in pages the test never names to the bitmap itself.
     fn dirtied() -> TxMemory<u64> {
-        let mut m: TxMemory<u64> = TxMemory::new(4096, 8, 2, 0);
+        let mut m: TxMemory<u64> = TxMemory::new(4096, 8, 3, 0);
         m.poke(3, 1);
         m.materialize(600, 2);
         m.write(0, 1100, 3).unwrap();
@@ -2009,7 +2017,24 @@ mod tests {
         let tx = m.try_lease(1, 2600, true);
         m.lease_write(&tx, 2601, 7);
         let _ = m.read(1, 3300).unwrap();
+        // Beside it a victim that has not polled its doom yet.
+        m.begin(2, big_budgets()).unwrap();
+        let _ = m.read(2, 4000).unwrap();
+        m.write(2, 3900, 8).unwrap();
+        m.write(1, 3900, 9).unwrap();
+        assert_eq!(m.active_tx_count(), 1, "thread 2 doomed, thread 1 still open");
         m
+    }
+
+    /// An open transaction reading and writing lines near both ends.
+    fn open_tx_on(m: &mut TxMemory<u64>) {
+        let end = m.size() - 1;
+        m.begin(1, big_budgets()).unwrap();
+        for addr in [0, 40, end - 40, end] {
+            let _ = m.read(1, addr).unwrap();
+        }
+        m.write(1, 20, 1).unwrap();
+        m.write(1, end - 20, 2).unwrap();
     }
 
     fn assert_same_as_fresh(m: &TxMemory<u64>, size: usize, line_words: usize, threads: usize) {
@@ -2048,6 +2073,21 @@ mod tests {
         let m = TxMemory::recycled(Some(image), 9000, 8, 2, 0);
         assert_same_as_fresh(&m, 9000, 8, 2);
         assert_eq!(m.words.capacity(), 9000, "a fresh exact buffer, not a regrown spare");
+    }
+
+    #[test]
+    fn a_directory_shrinks_in_place_and_grows_a_tail() {
+        // 8-word lines, then 32 over the same words (a new, exact
+        // directory: 160 lines), then 8 over fewer words: the 125 lines fit
+        // the 160 kept, and 160 lines again only extend the tail.
+        let mut m = dirtied();
+        for (size, line_words, lines) in [(5096, 32, 160), (1000, 8, 125), (1280, 8, 160)] {
+            let image = m.take_image(0);
+            m = TxMemory::recycled(Some(image), size, line_words, 2, 0);
+            assert_same_as_fresh(&m, size, line_words, 2);
+            assert_eq!((m.dir.len(), m.dir.capacity()), (lines, 160));
+            open_tx_on(&mut m);
+        }
     }
 
     #[test]

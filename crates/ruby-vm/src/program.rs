@@ -3,7 +3,7 @@
 //! per-yield-point tables — and the memo that compiles each source text
 //! once per process ([`Program::compiled`]).
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::bytecode::{ISeq, Insn, IseqId};
 use crate::compile::{compile_source, CompileError};
@@ -26,6 +26,9 @@ pub struct Program {
     /// Frozen once a VM holds the program: what a VM interns at run time
     /// goes to its own layer ([`crate::vm::Vm::symbols`]).
     pub symbols: Arc<SymbolTable>,
+    /// The names boot interns, a layer over `symbols` frozen by the first
+    /// VM booted from the program: every later boot finds them there.
+    pub boot_symbols: OnceLock<Arc<SymbolTable>>,
     /// Shared frozen literal objects (float literals).
     pub pooled: Vec<PoolLiteral>,
     /// String literals: a new String object per `PutString`, one text.
@@ -75,7 +78,7 @@ impl Program {
             return Ok(hit);
         }
         let symbols = Arc::new(SymbolTable::over(Arc::clone(&prelude.symbols)));
-        let mut program = Program { symbols, ..prelude.clone() };
+        let mut program = Program { symbols, boot_symbols: OnceLock::new(), ..prelude.clone() };
         let main = compile_source(source, &mut program)?;
         program.finalize();
         let mut memo = lock();

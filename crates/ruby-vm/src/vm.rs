@@ -332,10 +332,10 @@ pub struct Vm {
     /// `program`'s decoded stream (two runs there, the prelude's shared),
     /// flat and this VM's own: a fetch is one indexed load off the `Vm`.
     pub(crate) code: Vec<crate::decode::DecodedInsn>,
-    /// Every name this VM knows: its own layer — what boot and the running
-    /// program intern (class and builtin names, `String#to_sym`) — over the
-    /// program's frozen table. No other VM sees the layer; the ids are the
-    /// ones a private copy of the table would have handed out.
+    /// Every name this VM knows: its own layer — what the running program
+    /// interns (`String#to_sym`) — over boot's class and builtin names
+    /// ([`Program::boot_symbols`]) and the program's. No other VM sees the
+    /// layer; the ids are the ones a private table would have handed out.
     pub symbols: SymbolTable,
     pub threads: Vec<ThreadCtx>,
     pub classes: CoreClasses,
@@ -483,7 +483,9 @@ impl Vm {
             layout,
             attribution,
             config,
-            symbols: SymbolTable::over(Arc::clone(&program.symbols)),
+            symbols: SymbolTable::over(Arc::clone(
+                program.boot_symbols.get().unwrap_or(&program.symbols),
+            )),
             code: program.decoded().collect(),
             program,
             threads: Vec::new(),
@@ -522,6 +524,11 @@ impl Vm {
         };
         vm.init_memory();
         vm.bootstrap_classes()?;
+        // Boot's names are the same list in the same order under any
+        // config: the first VM's layer is every VM's (DESIGN.md §13).
+        let boot =
+            vm.program.boot_symbols.get_or_init(|| Arc::new(std::mem::take(&mut vm.symbols)));
+        vm.symbols = SymbolTable::over(Arc::clone(boot));
         vm.alloc_literal_pool()?;
         // Main thread runs the prelude first, then the program: chain by
         // running the prelude to completion synchronously at boot (it only

@@ -12,14 +12,14 @@
 //! * each request allocates aggressively (parsing, header splitting,
 //!   response building).
 //!
-//! Our model keeps all three. One deliberate simplification (documented
-//! in DESIGN.md): instead of one OS thread per request — which would need
-//! unbounded thread-slot recycling — `%THREADS%` persistent worker
-//! threads each process a share of the request stream, taking a request
-//! from a shared Mutex-protected queue position, doing the blocking-I/O
-//! points (accept/read/write), parsing with regexes and building the
-//! response. Thread-churn allocation per request is emulated by
-//! allocating the per-request state fresh each time.
+//! Our model keeps all three. One deliberate simplification (DESIGN.md
+//! §2): no thread per request but `%THREADS%` persistent workers, one per
+//! client, dealt the requests statically (`k += NCLIENTS`): no queue, no
+//! Mutex, nothing shared on the request path. Per request a worker does
+//! one blocking read (the response write is buffered), parses with
+//! regexes, builds the response and formats an access-log line that it
+//! drops. Thread-churn allocation is emulated by allocating the
+//! per-request state fresh each time.
 
 use crate::{instantiate, Workload};
 

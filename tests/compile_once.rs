@@ -5,7 +5,8 @@
 //! leave the same report, the same heap and the same counters — every key
 //! of `tests/golden/sim_counters.json` — on the six benchmark workloads,
 //! under `figures`' worker pool at 1 and 4 jobs. **Shared but not
-//! leaking**: what one VM interns at run time stays in that VM.
+//! leaking**: boot's names are interned once per program, with the ids a
+//! private table gives, and what one VM interns at run time stays in it.
 //! **Bounded**: the memo holds `MEMO_CAPACITY` texts and recompiles one it
 //! let go of.
 //!
@@ -126,25 +127,52 @@ fn one_text_is_one_program_and_an_equally_long_text_another() {
     assert_eq!([stdout(a), stdout(b), stdout(c)], ["6", "6", "7"]);
 }
 
-/// A symbol a running program makes up is its VM's alone; the names boot
-/// interns get the same ids in every VM, the ones a private table gave.
+/// A symbol a running program makes up is its VM's alone. Boot's names
+/// are frozen by the first VM of a program and found by every later one:
+/// the boot that fills the layer and a boot that finds it number every
+/// name alike — the ids a private table gave — under any config and on
+/// either machine, and a name made up at run time comes next in both.
 #[test]
 fn a_symbol_interned_at_run_time_stays_in_its_vm() {
     let _turn = serial();
-    let source = "s = \"zz_only_here\".to_sym\nputs(s) # a_symbol\n";
-    let (outcome, first) = run(boot(source), "first");
-    let second = boot(source);
-    assert!(Arc::ptr_eq(&first.vm.program, &second.vm.program));
-    let frozen = &second.vm.program.symbols;
-    let made_up = first.vm.symbols.lookup("zz_only_here").expect("the run interned it");
-    assert_eq!(made_up.0 as usize, second.vm.symbols.len(), "numbered after boot's names");
-    assert_eq!(second.vm.symbols.lookup("zz_only_here"), None, "not the next VM's");
-    assert_eq!(frozen.lookup("zz_only_here"), None, "not the shared table's");
-    assert!(second.vm.symbols.len() > frozen.len(), "boot interned into the VM's own layer");
-    for id in (0..second.vm.symbols.len() as u32).map(htm_gil::vm::SymId) {
-        assert_eq!(first.vm.symbols.name(id), second.vm.symbols.name(id), "{id:?}");
+    let configs = [
+        ("default", VmConfig::default()),
+        ("original_cruby", VmConfig::default().original_cruby()),
+        ("thread_local_ics", VmConfig { thread_local_ics: true, ..VmConfig::default() }),
+    ];
+    for profile in [MachineProfile::zec12(), MachineProfile::xeon_e3_1275_v3()] {
+        for (label, config) in &configs {
+            let what = format!("{label} on {}", profile.name);
+            let source = format!("s = \"zz_only_here\".to_sym\nputs(s) # a_symbol, {what}\n");
+            let boot = || {
+                let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+                Executor::new(&source, config.clone(), profile.clone(), cfg).expect("boot")
+            };
+            let first = boot();
+            let cold = first.vm.symbols.len();
+            let (outcome, first) = run(first, &what);
+            let second = boot();
+            let program = &second.vm.program;
+            assert!(Arc::ptr_eq(&first.vm.program, program), "{what}: one program");
+            let frozen = program.boot_symbols.get().expect("the first boot froze boot's names");
+            assert_eq!((cold, second.vm.symbols.len()), (frozen.len(), frozen.len()), "{what}");
+            assert!(
+                frozen.len() > program.symbols.len(),
+                "{what}: boot's names are not the program's"
+            );
+            for id in (0..cold as u32).map(htm_gil::vm::SymId) {
+                assert_eq!(first.vm.symbols.name(id), second.vm.symbols.name(id), "{what}: {id:?}");
+            }
+            let made_up = first.vm.symbols.lookup("zz_only_here").expect("the run interned it");
+            assert_eq!(made_up.0 as usize, cold, "{what}: numbered after boot's names");
+            assert_eq!(second.vm.symbols.lookup("zz_only_here"), None, "{what}: not the next VM's");
+            assert_eq!(frozen.lookup("zz_only_here"), None, "{what}: not the shared layer's");
+            let (again, second) = run(second, &what);
+            assert_eq!(again, outcome, "{what}: and the second run is the first");
+            let warm_made_up = second.vm.symbols.lookup("zz_only_here");
+            assert_eq!(warm_made_up, Some(made_up), "{what}: the same id in the warm VM");
+        }
     }
-    assert_eq!(run(second, "second").0, outcome, "and the second run is the first");
 }
 
 /// The memo is bounded, least recently used out first: after

@@ -139,15 +139,16 @@ fn check(size: &str, tiny: bool, ceilings: [f64; 6], boot_ceilings: [u64; 6]) {
 // `taskserver_htm`). The tiny runs are mostly start-up, hence higher.
 const TINY: [f64; 6] = [0.0477, 0.00318, 0.00284, 0.1541, 0.0205, 0.0657];
 const FULL: [f64; 6] = [0.000119, 0.00236, 0.00270, 0.1295, 0.0213, 0.00456];
-// A warm boot's allocations, the same way (measured 126, 124, 124, 119,
-// 123, 126 at either size): the front end's work counter (ROADMAP aim 1).
-// No lexing, parsing, compiling or decoding is in it — what is left is
-// boot's own tables, the 79 names it interns and its flat copy of the
-// decoded stream — so a change that drags any of those back into a warm
-// boot is over the ceiling several times: the boot that compiles
-// `while_htm`'s text makes 417, `cg`'s 1 074, and before the memo every
-// boot made 705 and 1 360.
-const WARM_BOOT: [u64; 6] = [157, 155, 155, 148, 153, 157];
+// A warm boot's allocations, the same way (measured 34, 36, 36, 34, 34,
+// 34 at either size): the front end's work counter (ROADMAP aim 1). No
+// lexing, parsing, compiling or decoding is in it, and no name: boot's
+// 128 interns find the layer the program's first VM froze. What is left
+// is boot's own tables and its flat copy of the decoded stream, so a
+// change that drags any of the rest back into a warm boot is over the
+// ceiling: interning boot's 79 new names again made 126, the boot that
+// compiles `while_htm`'s text makes 417, `cg`'s 1 074, and before the
+// memo every boot made 705 and 1 360.
+const WARM_BOOT: [u64; 6] = [43, 45, 45, 43, 43, 43];
 
 #[test]
 fn tiny_sizes_allocate_under_their_ceilings() {
