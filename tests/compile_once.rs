@@ -2,9 +2,9 @@
 //! every VM booted from one source text shares one read-only `Program`.
 //! These tests hold the three things that sharing could break. **Cold ≡
 //! warm**: the boot that compiled a text and a boot that found it compiled
-//! leave the same report, the same heap and the same counters — every key
-//! of `tests/golden/sim_counters.json` — on the six benchmark workloads,
-//! under `figures`' worker pool at 1 and 4 jobs. **Shared but not
+//! leave the same report, the same heap and the same counters — every
+//! per-point key of `tests/golden/sim_counters.json` — on the six benchmark
+//! workloads, under `figures`' worker pool at 1 and 4 jobs. **Shared but not
 //! leaking**: boot's names are interned once per program, with the ids a
 //! private table gives, and what one VM interns at run time stays in it.
 //! **Bounded**: the memo holds `MEMO_CAPACITY` texts and recompiles one it
