@@ -1,40 +1,31 @@
-//! Fast-path differential: the pre-decoded dispatch path against the
-//! un-decoded reference interpreter (`VmConfig::slow_dispatch`), and the
-//! line-lease access path against the per-word one
-//! (`VmConfig::force_word_access`), must produce **identical** run reports
-//! — same stdout, same cycle counts, same abort statistics, same conflict
-//! attribution — for every workload shape and runtime mode, in all four
-//! combinations of the two knobs.
+//! Lease differential: the line-lease access path against the per-word
+//! one (`VmConfig::force_word_access`) must produce **identical** run
+//! reports — same stdout, same cycle counts, same abort statistics, same
+//! conflict attribution — for every workload shape and runtime mode.
 //!
 //! The comparison is on the report JSON, which contains only simulated
 //! quantities, so one equality covers every counter the harness exposes.
 //! The only fields allowed to differ are `lease_hits` / `lease_misses`,
 //! which describe the access path itself (a per-word run records zero
 //! hits); `epoch_bumps` is path-independent and stays in the comparison.
-//! Pre-decoding and leasing are host-side representation changes; any
+//! Leasing is a host-side representation change, and so is the leased
+//! lookahead it enables (which a per-word run never takes); any
 //! divergence here means one of them leaked into simulated behaviour.
 
 use bench::{run_workload_with, vm_config_for};
 use htm_gil_core::{ExecConfig, Json, LengthPolicy, RuntimeMode};
 use machine_sim::MachineProfile;
+use ruby_vm::VmConfig;
 use workloads::Workload;
 
 const DYNAMIC: RuntimeMode = RuntimeMode::Htm { length: LengthPolicy::Dynamic };
 
-/// Run `w` in `mode` on the given dispatch and access paths and return the
-/// report JSON.
-fn report(
-    w: &Workload,
-    profile: &MachineProfile,
-    mode: RuntimeMode,
-    slow: bool,
-    word: bool,
-) -> Json {
+/// Run `w` in `mode` on the given access path and return the report JSON,
+/// less the two counters that describe the path itself.
+fn report(w: &Workload, profile: &MachineProfile, mode: RuntimeMode, word: bool) -> Json {
     let cfg = ExecConfig::new(mode, profile);
-    let mut vm_config = vm_config_for(w.threads);
-    vm_config.slow_dispatch = slow;
-    vm_config.force_word_access = word;
-    run_workload_with(w, profile, cfg, vm_config).to_json()
+    let vm_config = VmConfig { force_word_access: word, ..vm_config_for(w.threads) };
+    without_lease_counters(run_workload_with(w, profile, cfg, vm_config).to_json())
 }
 
 fn without_lease_counters(j: Json) -> Json {
@@ -52,26 +43,20 @@ fn without_lease_counters(j: Json) -> Json {
 }
 
 fn assert_paths_agree_on(w: &Workload, profile: &MachineProfile, mode: RuntimeMode) {
-    let fast = report(w, profile, mode, false, false);
-    let fast_sans_lease = without_lease_counters(fast.clone());
-    for (slow, word) in [(true, false), (false, true), (true, true)] {
-        let what = format!("{} on {} [{mode:?}] slow={slow} word={word}", w.name, profile.name);
-        let got = report(w, profile, mode, slow, word);
-        let (want, got) =
-            if word { (&fast_sans_lease, without_lease_counters(got)) } else { (&fast, got) };
-        if *want == got {
-            continue;
-        }
-        // Point at the first differing field instead of dumping two blobs.
-        let (Json::Obj(wf), Json::Obj(gf)) = (want, &got) else {
-            panic!("{what}: reports are not objects");
-        };
-        for ((wk, wv), (gk, gv)) in wf.iter().zip(gf.iter()) {
-            assert_eq!(wk, gk, "{what}: field order diverged");
-            assert_eq!(wv.to_compact(), gv.to_compact(), "{what}: paths disagree on {wk:?}");
-        }
-        panic!("{what}: reports differ but fields match?");
+    let (want, got) = (report(w, profile, mode, false), report(w, profile, mode, true));
+    if want == got {
+        return;
     }
+    // Point at the first differing field instead of dumping two blobs.
+    let what = format!("{} on {} [{mode:?}] leased vs per-word", w.name, profile.name);
+    let (Json::Obj(wf), Json::Obj(gf)) = (&want, &got) else {
+        panic!("{what}: reports are not objects");
+    };
+    for ((wk, wv), (gk, gv)) in wf.iter().zip(gf.iter()) {
+        assert_eq!(wk, gk, "{what}: field order diverged");
+        assert_eq!(wv.to_compact(), gv.to_compact(), "{what}: paths disagree on {wk:?}");
+    }
+    panic!("{what}: reports differ but fields match?");
 }
 
 fn assert_paths_agree(w: &Workload, mode: RuntimeMode) {
@@ -131,8 +116,8 @@ fn fast_paths_match_reference_on_the_other_quick_fig8_points() {
 
 #[test]
 fn fast_paths_match_reference_in_single_thread_burst_regime() {
-    // One live thread is where bursts run longest: both dispatch paths
-    // must leave every simulated number where the other puts it.
+    // One live thread is where bursts run longest: both access paths must
+    // leave every simulated number where the other puts it.
     for w in [workloads::micro::while_bench(1, 500), workloads::npb::cg(1, 1)] {
         assert_paths_agree(&w, DYNAMIC);
         assert_paths_agree(&w, RuntimeMode::Gil);

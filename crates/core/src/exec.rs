@@ -22,9 +22,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use htm_sim::abort::abort_codes;
-use htm_sim::trace::{RingBufferSink, TraceEvent};
+use htm_sim::trace::RingBufferSink;
 use htm_sim::{AbortReason, Budgets, OverflowPredictor, SpuriousCause};
 use machine_sim::{Cycles, InterruptTimer, MachineProfile, Scheduler, ThreadId};
+use ruby_vm::interp::LeasedStep;
 use ruby_vm::vm::WakeKey;
 use ruby_vm::{BlockOn, StepOk, Stop, Vm, VmAbort, VmConfig, Word};
 
@@ -156,7 +157,12 @@ struct TleThread {
     /// Cooldown length for the *next* escalation — doubled on each
     /// escalation, reset to [`WATCHDOG_COOLDOWN_BASE`] by a commit.
     backoff: u32,
+    /// Steps run past the lock-step horizon ([`Executor::look_ahead`]).
+    ahead: Vec<LeasedStep>,
 }
+
+/// Steps one window of [`Executor::look_ahead`] may run.
+const LOOKAHEAD_STEPS: usize = 128;
 
 impl TleThread {
     fn new() -> Self {
@@ -173,6 +179,7 @@ impl TleThread {
             consecutive_aborts: 0,
             cooldown: 0,
             backoff: WATCHDOG_COOLDOWN_BASE,
+            ahead: Vec::new(),
         }
     }
 
@@ -220,7 +227,8 @@ pub struct Executor {
     watchdog_escalations: u64,
     /// Task-latency accounting fed by committed `srv_mark` events.
     latency: crate::latency::LatencyRecorder,
-    /// Scheduler steps since `committed_insns` last advanced.
+    /// Scheduler steps since `committed_insns` last advanced, each step
+    /// run ahead ([`Executor::look_ahead`]) counted from when it ran.
     stalled_steps: u64,
     /// Bursts run (a host-work counter).
     bursts: u64,
@@ -236,6 +244,14 @@ pub struct Executor {
     /// No trace sink, exploration controller or `FineGrained` charge
     /// observes steps one by one (see `burst_budget`).
     burst_ok: bool,
+    /// `(clock, tid)` of the lock-step round being played: of the last
+    /// pick, or of the last step of its burst once that ran several.
+    round: (Cycles, ThreadId),
+    /// Steps in all [`TleThread::ahead`] logs; steps run ahead and rewinds
+    /// (host work).
+    pending: u64,
+    lookahead_steps: u64,
+    rewinds: u64,
 }
 
 impl Executor {
@@ -316,32 +332,44 @@ impl Executor {
             trace,
             yp_bit,
             burst_ok,
+            round: (0, 0),
+            pending: 0,
+            lookahead_steps: 0,
+            rewinds: 0,
         })
     }
 
     /// The host's own work, none of it in the report: scheduler picks that
-    /// scanned, picks that ran ahead, bursts, the bytecodes they retired.
-    pub fn host_counters(&self) -> [u64; 4] {
+    /// scanned, picks that ran ahead, bursts, the bytecodes they retired,
+    /// steps run ahead of the lock-step horizon and rewinds of them.
+    pub fn host_counters(&self) -> [u64; 6] {
         let (full, ahead) = self.sched.pick_counts();
-        [full, ahead, self.bursts, self.committed_insns + self.wasted_insns]
-    }
-
-    /// Snapshot of the retained trace events (empty when tracing is off).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.as_ref().map_or_else(Vec::new, |t| {
-            t.lock().expect("trace sink poisoned").events().copied().collect()
-        })
+        let bytecodes = self.committed_insns + self.wasted_insns;
+        [full, ahead, self.bursts, bytecodes, self.lookahead_steps, self.rewinds]
     }
 
     /// Run the program to completion and report.
     pub fn run(&mut self) -> Result<RunReport, RunError> {
+        let r = self.run_rounds();
+        // What ran ahead of the round the run stopped in never ran.
+        self.rewind_all(self.round);
+        r.map(|()| self.report())
+    }
+
+    fn run_rounds(&mut self) -> Result<(), RunError> {
         loop {
+            self.sync_ahead();
             let Some(t) = self.sched.next() else {
                 if self.sched.all_finished() {
                     break;
                 }
                 return Err(RunError::Deadlock(self.deadlock_dump()));
             };
+            // Lock-step order now puts all of `t`'s steps run ahead in the
+            // past, where no event can reach them.
+            self.round = (self.sched.clock(t), t);
+            self.pending -= self.tle[t].ahead.len() as u64;
+            self.tle[t].ahead.clear();
             if self.cfg.max_cycles != 0 && self.sched.clock(t) > self.cfg.max_cycles {
                 return Err(RunError::CycleLimit {
                     limit: self.cfg.max_cycles,
@@ -383,7 +411,8 @@ impl Executor {
             // Forward-progress invariant: the retry/watchdog machinery
             // must keep instructions committing; a long stall is livelock.
             // A round is a stalled step, and so is every further step of a
-            // burst in a transaction; a publication restarts the count.
+            // burst in a transaction and every step run ahead; a
+            // publication restarts the count.
             self.stalled_steps += 1;
             match self.cfg.mode {
                 RuntimeMode::Gil => self.step_gil(t)?,
@@ -391,6 +420,11 @@ impl Executor {
                 RuntimeMode::FineGrained | RuntimeMode::Ideal => self.step_free(t)?,
             }
             let bound = self.cfg.progress_bound_steps;
+            if bound != 0 && self.stalled_steps + 1 >= bound {
+                // Lock-step order from here, so the count is exact where
+                // the bound may fall: what ran ahead runs again in it.
+                self.rewind_all(self.round);
+            }
             if bound != 0 && self.stalled_steps >= bound {
                 return Err(RunError::NoProgress {
                     steps: self.stalled_steps,
@@ -401,7 +435,7 @@ impl Executor {
         // Leased accesses batch their stats deltas; fold them in so the
         // report sees the same totals the per-word path would have.
         self.vm.mem.flush_lease_stats();
-        Ok(self.report())
+        Ok(())
     }
 
     /// Diagnostic snapshot for deadlock errors.
@@ -540,11 +574,19 @@ impl Executor {
     /// burst's one `advance` and `settle`.
     #[inline(always)]
     fn raw_step(&mut self, t: ThreadId, charge: Cycles) -> Result<StepOk, VmAbort> {
+        // What the round did so far may have moved another thread's clock,
+        // which the budget reads.
+        self.sync_ahead();
         let alone = self.sched.other_live_threads(t) == 0;
         self.vm.tx_method_bumps = self.tle[t].tx.as_ref().map_or(0, |tx| tx.escrow.method_bumps);
         self.vm.reset_step_counters();
         let yield_bit = if alone { 0 } else { self.yp_bit };
+        let start = self.sched.clock(t) + charge;
         let r = self.vm.burst(t, self.burst_budget(t, charge), yield_bit);
+        if self.vm.last_step_start != 0 {
+            // Each step after a burst's first is a round of its own.
+            self.round = (start + self.vm.last_step_start, t);
+        }
         let cost = self.vm.step_cost() + charge;
         self.sched.advance(t, cost);
         self.settle(t, cost);
@@ -555,10 +597,12 @@ impl Executor {
     /// where another thread would be picked ([`Scheduler::run_ahead`]) or
     /// an event of the run loop's prologue falls due — GIL timer tick,
     /// cycle limit, §5.6 interrupt — and too few to overshoot the progress
-    /// bound or the VM's `u32` counters (a step costs a cycle at least).
+    /// bound or the VM's `u32` counters (a step costs a cycle at least),
+    /// counting the steps other threads ran ahead as if all came first.
     /// Zero — one step — where steps are observed one by one
     /// (`burst_ok`), and under `fresh`: left set by a restart at this
-    /// very yield point, it exempts the *next* call's instruction (§8).
+    /// very yield point, it exempts the *next* call's instruction
+    /// (DESIGN.md §4, "Fig. 2's countdown, and its one known deviation").
     /// The clock is read as if the pending `charge` were on it already.
     #[inline(always)]
     fn burst_budget(&self, t: ThreadId, charge: Cycles) -> Cycles {
@@ -570,7 +614,10 @@ impl Executor {
         let past = |limit: u64| limit.wrapping_sub(1).saturating_add(2);
         let tick = if self.cfg.mode == RuntimeMode::Gil { self.gil.next_timer } else { u64::MAX };
         let due = tick.min(past(self.cfg.max_cycles)).min(self.interrupts.deadline(t));
-        let steps = past(self.cfg.progress_bound_steps) - self.stalled_steps;
+        // With steps run ahead interleaved, stay strictly below the bound:
+        // a burst must not be where lock-step order reaches it.
+        let ahead = u64::from(self.pending != 0);
+        let steps = past(self.cfg.progress_bound_steps).saturating_sub(self.stalled_steps + ahead);
         room.min(due.saturating_sub(self.sched.clock(t) + charge)).min(steps).min(1 << 20)
     }
 
@@ -618,7 +665,15 @@ impl Executor {
             self.breakdown.gil_held += work;
         }
         self.committed_insns += insns;
-        self.stalled_steps = 0;
+        // The steps run ahead past this round still come after it; the
+        // ones before it, where no event reaches, go.
+        if self.pending != 0 {
+            for (v, x) in self.tle.iter_mut().enumerate() {
+                x.ahead.drain(..x.ahead.partition_point(|s| (s.clock, v) < self.round));
+            }
+            self.pending = self.tle.iter().map(|x| x.ahead.len() as u64).sum();
+        }
+        self.stalled_steps = self.pending;
     }
 
     /// Make marks and wakes real at `t`'s current clock, emptying both
@@ -655,17 +710,12 @@ impl Executor {
         self.tle[t].spare = Escrow { marks: e.marks, wakes: e.wakes, ..Escrow::default() };
     }
 
-    /// Classify a conflicting line into a VM region, consulting the
-    /// line→owner map the VM registered at layout time (and extends on
-    /// heap growth, so grown slot ranges and grown malloc arenas resolve
-    /// to their actual owners).
-    fn classify_line(&self, line: usize) -> ConflictSite {
-        self.vm.attribution.owner_of_line(line)
-    }
-
+    /// Attribute a conflict to the VM region of its line, by the line→owner
+    /// map the VM registered at layout time (and extends on heap growth, so
+    /// grown slot ranges and malloc arenas resolve to their owners).
     fn record_conflict(&mut self, reason: AbortReason) {
         if let Some(line) = reason.faulting_line() {
-            let site = self.classify_line(line);
+            let site = self.vm.attribution.owner_of_line(line);
             *self.conflict_sites.entry(site).or_insert(0) += 1;
         }
     }
@@ -946,9 +996,12 @@ impl Executor {
                 }
             }
         }
-        // 3. Execute the instruction.
+        // 3. Execute the instruction, then what may run past the horizon.
         match self.raw_step(t, pending) {
-            Ok(StepOk::Normal) => Ok(()),
+            Ok(StepOk::Normal) => {
+                self.look_ahead(t);
+                Ok(())
+            }
             Ok(ok) => {
                 if matches!(ok, StepOk::Block(_) | StepOk::Finished) {
                     // Commit any open transaction before leaving/parking.
@@ -1232,6 +1285,104 @@ impl Executor {
         self.tle[t].fresh = true;
         Ok(true)
     }
+
+    // ---- leased lookahead (DESIGN.md §4, "Leased lookahead") ---------------------------
+
+    /// Run `t` — back from its round in a live transaction — past its turn
+    /// while [`Vm::run_leased`] will, until a step would start at the cycle
+    /// limit or `t`'s interrupt, or the window is full. Logs each step;
+    /// charges the window at once. Not where steps are observed one by one
+    /// (`burst_ok`), nor under `Lazy` subscription, where a GIL holder does
+    /// not doom every transaction; a fault plan grants no lease.
+    fn look_ahead(&mut self, t: ThreadId) {
+        let bound = self.cfg.progress_bound_steps;
+        if !self.burst_ok
+            || self.cfg.subscription == SubscriptionPolicy::Lazy
+            || self.vm.insn_flags(t) & ruby_vm::decode::LOCAL == 0
+            || self.tle[t].fresh
+            || self.tle[t].tx.is_none()
+            || self.sched.other_live_threads(t) == 0
+            || self.sched.oversubscribed()
+            || (bound != 0 && self.stalled_steps + LOOKAHEAD_STEPS as u64 >= bound)
+        {
+            return;
+        }
+        let past = |limit: u64| limit.wrapping_sub(1).saturating_add(2);
+        let due = past(self.cfg.max_cycles).min(self.interrupts.deadline(t));
+        let (start, log) = (self.sched.clock(t), &mut self.tle[t].ahead);
+        let (mut clock, first) = (start, log.len());
+        self.vm.run_leased(t, self.yp_bit, (due, first + LOOKAHEAD_STEPS), &mut clock, log);
+        let n = (log.len() - first) as u64;
+        self.sched.advance(t, clock - start);
+        let e = &mut self.tle[t].tx.as_mut().expect("checked above").escrow;
+        (e.work, e.insns) = (e.work + clock - start, e.insns + n);
+        // Counted ahead of lock-step order: the run loop takes them back
+        // before the count can reach the progress bound.
+        (self.pending, self.stalled_steps) = (self.pending + n, self.stalled_steps + n);
+        self.lookahead_steps += n;
+    }
+
+    /// Put back, as of the current round, every thread ahead whose past has
+    /// changed: one doomed, all while a slot may change hands at one of
+    /// their picks, one left the last live thread.
+    #[inline(always)]
+    fn sync_ahead(&mut self) {
+        if self.pending != 0 {
+            self.sync_ahead_slow();
+        }
+    }
+
+    fn sync_ahead_slow(&mut self) {
+        // Windows open only while no slot can change hands at a pick; once
+        // one can (`oversubscribed`), every thread ahead goes back.
+        let (dooms, all) = (self.vm.mem.pending_dooms() != 0, self.sched.oversubscribed());
+        // Only a thread that finished this round can have left another alone.
+        if dooms || all || self.sched.other_live_threads(self.round.1) <= 1 {
+            for v in 0..self.tle.len() {
+                let alone = self.sched.other_live_threads(v) == 0;
+                if all || alone || dooms && self.vm.mem.is_doomed(v) {
+                    self.rewind(v, self.round);
+                }
+            }
+        }
+    }
+
+    fn rewind_all(&mut self, to: (Cycles, ThreadId)) {
+        (0..self.tle.len()).for_each(|v| self.rewind(v, to));
+    }
+
+    /// Take back `v`'s steps run ahead that lock-step order puts after
+    /// `to`: its clock, escrowed work and bytecodes, counted accesses, `pc`
+    /// and `sp` go back to where the first of them started, and — unless a
+    /// doom already rolled it back — the memory it wrote.
+    fn rewind(&mut self, v: ThreadId, to: (Cycles, ThreadId)) {
+        let log = &mut self.tle[v].ahead;
+        let keep = log.partition_point(|s| (s.clock, v) < to);
+        let Some(&first) = log.get(keep) else { return };
+        let (steps, mut reads, mut writes) = ((log.len() - keep) as u64, 0, 0);
+        let counter = self.vm.layout.thread_struct(v) + ruby_vm::layout::ts::YIELD_COUNTER;
+        let doomed = self.vm.mem.is_doomed(v);
+        for s in log.drain(keep..).rev() {
+            reads += u64::from(s.reads);
+            writes += u64::from(s.counter.is_some()) + u64::from(s.wrote.is_some());
+            if let Some((addr, old)) = s.wrote.filter(|_| !doomed) {
+                self.vm.mem.materialize(addr, old);
+            }
+            if let Some(old) = s.counter.filter(|_| !doomed) {
+                self.vm.mem.materialize(counter, old);
+            }
+        }
+        let ctx = &mut self.vm.threads[v];
+        (ctx.pc, ctx.sp) = (first.pc as usize, first.sp as usize);
+        self.vm.mem.uncount_leased(reads, writes);
+        let back = self.sched.clock(v) - first.clock;
+        self.sched.rewind(v, first.clock);
+        if let Some(tx) = self.tle[v].tx.as_mut() {
+            (tx.escrow.work, tx.escrow.insns) = (tx.escrow.work - back, tx.escrow.insns - steps);
+        }
+        (self.pending, self.stalled_steps) = (self.pending - steps, self.stalled_steps - steps);
+        self.rewinds += 1;
+    }
 }
 
 // When a thread holding the GIL parks (blocking builtin), `step_htm`
@@ -1241,6 +1392,16 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_sim::trace::TraceEvent;
+
+    impl Executor {
+        /// Snapshot of the retained trace events (empty when tracing is off).
+        fn trace_events(&self) -> Vec<TraceEvent> {
+            self.trace.as_ref().map_or_else(Vec::new, |t| {
+                t.lock().expect("trace sink poisoned").events().copied().collect()
+            })
+        }
+    }
 
     fn run_mode(src: &str, mode: RuntimeMode, profile: MachineProfile) -> RunReport {
         let cfg = ExecConfig::new(mode, &profile);
@@ -1676,7 +1837,8 @@ puts(counters.join(","))
     }
 
     /// `fresh` outlives the call that sets it when a yield-point restart
-    /// sets it (DESIGN.md §8): the *next* `step_htm` call consumes it, and
+    /// sets it (DESIGN.md §4, "Fig. 2's countdown, and its one known
+    /// deviation"): the *next* `step_htm` call consumes it, and
     /// if the instruction standing there is a yield point too — here the
     /// loop head after the back-edge — its Fig. 2 decrement is skipped and
     /// the transaction spans one yield point more than its length. Pinned,
@@ -1709,6 +1871,44 @@ puts(counters.join(","))
         // — and the loop head right after it goes by uncounted (2>2), so
         // that transaction ends at its third yield point.
         assert_eq!(trace[..8].join(" "), "2>1 1>2 2>1 1>2 2>2 2>1 1>2 2>1");
+    }
+
+    /// A rewind keeps the steps run ahead that lock-step order puts before
+    /// the aggressor's step, in `(clock, tid)` order: on a tie in clock the
+    /// smaller thread id came first.
+    #[test]
+    fn a_rewind_boundary_that_ties_on_clock_is_decided_by_tid() {
+        let src = "t = Thread.new() do\n  i = 0\n  while i < 50\n    i += 1\n  end\nend\nt.join()";
+        let profile = MachineProfile::generic(4);
+        let cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Fixed(4) }, &profile);
+        let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).unwrap();
+        while ex.tle.len() < 2 || ex.sched.busy(1) < 100 {
+            let t = ex.sched.next().unwrap();
+            ex.step_htm(t).unwrap();
+        }
+        ex.rewind_all((0, 0));
+        // Three steps of thread 1, ten cycles each, starting at `c`, as
+        // `look_ahead` logs and charges them.
+        let c = ex.sched.clock(1);
+        let (pc, sp) = (ex.vm.threads[1].pc as u32, ex.vm.threads[1].sp as u32);
+        for k in 0..3 {
+            let step =
+                LeasedStep { clock: c + 10 * k, pc, sp, reads: 0, counter: None, wrote: None };
+            ex.tle[1].ahead.push(step);
+        }
+        ex.sched.advance(1, 30);
+        if let Some(tx) = ex.tle[1].tx.as_mut() {
+            (tx.escrow.work, tx.escrow.insns) = (tx.escrow.work + 30, tx.escrow.insns + 3);
+        }
+        (ex.pending, ex.stalled_steps) = (3, ex.stalled_steps + 3);
+        // An aggressor with a larger id starting at `c + 10` came after
+        // the step that starts there too.
+        ex.rewind(1, (c + 10, 2));
+        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (2, c + 20));
+        // One with a smaller id at the same clock came before it.
+        ex.rewind(1, (c + 10, 0));
+        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (1, c + 10));
+        assert_eq!(ex.pending, 1);
     }
 
     #[test]

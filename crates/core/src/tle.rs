@@ -86,11 +86,6 @@ impl SiteProfile {
         self.aborts.iter().sum()
     }
 
-    /// Count for one abort reason's kind.
-    pub fn aborts_of(&self, reason: AbortReason) -> u64 {
-        self.aborts[reason.kind_index()]
-    }
-
     /// `(label, count)` pairs for the abort breakdown, in the canonical
     /// [`AbortReason::ALL_LABELS`] order.
     pub fn abort_breakdown(&self) -> [(&'static str, u64); AbortReason::NUM_KINDS] {
@@ -213,11 +208,6 @@ impl LengthTables {
         }
     }
 
-    /// Current length of a site (for reports; 0 = never begun there).
-    pub fn length_at(&self, pc: u32) -> u32 {
-        self.length[pc as usize]
-    }
-
     /// Length for a *retry* of a transaction from `pc`: no window
     /// counting (Fig. 1's `goto transaction_retry` re-enters after line
     /// 5).
@@ -261,6 +251,20 @@ impl LengthTables {
 mod tests {
     use super::*;
     use machine_sim::MachineProfile;
+
+    impl SiteProfile {
+        /// Count for one abort reason's kind.
+        fn aborts_of(&self, reason: AbortReason) -> u64 {
+            self.aborts[reason.kind_index()]
+        }
+    }
+
+    impl LengthTables {
+        /// Current length of a site (0 = never begun there).
+        fn length_at(&self, pc: u32) -> u32 {
+            self.length[pc as usize]
+        }
+    }
 
     fn consts() -> TleConstants {
         TleConstants::for_profile(&MachineProfile::zec12())

@@ -146,12 +146,6 @@ impl AbortReason {
         matches!(self, AbortReason::ConflictRead { .. } | AbortReason::ConflictWrite { .. })
     }
 
-    /// True for either capacity-overflow variant (excluding predictor
-    /// kills, which are reported separately in statistics).
-    pub fn is_overflow(self) -> bool {
-        matches!(self, AbortReason::ReadOverflow | AbortReason::WriteOverflow)
-    }
-
     /// Cache line the abort itself identifies (conflicts carry the
     /// colliding line). Overflow aborts know their line only at the access
     /// site, so the trace layer supplies it out of band.
@@ -182,6 +176,14 @@ impl AbortReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AbortReason {
+        /// True for either capacity-overflow variant (excluding predictor
+        /// kills, which are reported separately in statistics).
+        fn is_overflow(self) -> bool {
+            matches!(self, AbortReason::ReadOverflow | AbortReason::WriteOverflow)
+        }
+    }
 
     #[test]
     fn persistence_classification_matches_paper() {

@@ -109,11 +109,6 @@ impl HtmStats {
         }
     }
 
-    /// Total word accesses (reads + writes) through the simulated memory.
-    pub fn total_accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Merge another stats block into this one.
     pub fn merge(&mut self, other: &HtmStats) {
         self.reads += other.reads;
@@ -138,6 +133,13 @@ impl HtmStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HtmStats {
+        /// Total word accesses (reads + writes) through the simulated memory.
+        fn total_accesses(&self) -> u64 {
+            self.reads + self.writes
+        }
+    }
 
     #[test]
     fn abort_ratio_math() {

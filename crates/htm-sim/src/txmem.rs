@@ -376,11 +376,6 @@ impl<W: Clone> TxMemory<W> {
         self.trace = Some(sink);
     }
 
-    /// True when a trace sink is installed.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Set the simulated cycle stamped onto trace events. The executor
     /// calls this as it charges cycle costs; with tracing off it is
     /// a single store.
@@ -561,6 +556,17 @@ impl<W: Clone> TxMemory<W> {
         let reason = AbortReason::Spurious { cause };
         self.abort_self(t, reason, None);
         reason
+    }
+
+    /// Dooms not yet delivered: a doom raises it, its victim's poll lowers it.
+    #[inline]
+    pub fn pending_dooms(&self) -> usize {
+        self.pending_dooms
+    }
+
+    /// True when a doom waits for `t` ([`Self::poll_doomed`] would take it).
+    pub fn is_doomed(&self, t: ThreadId) -> bool {
+        self.doomed[t].is_some()
     }
 
     /// Check whether a remote conflict doomed `t`'s transaction. The
@@ -973,6 +979,15 @@ impl<W: Clone> TxMemory<W> {
         }
     }
 
+    /// Take back the counts of leased accesses whose effects the caller
+    /// has undone (or that a rollback already undid): they never happened.
+    pub fn uncount_leased(&mut self, reads: u64, writes: u64) {
+        self.flush_lease_stats();
+        self.stats.reads -= reads;
+        self.stats.writes -= writes;
+        self.stats.lease_hits -= reads + writes;
+    }
+
     // ---- internals ------------------------------------------------------
 
     /// Invalidate every lease stamped against `slot` (one counter
@@ -1124,6 +1139,13 @@ impl<W: Clone> TxMemory<W> {
 mod tests {
     use super::*;
     use crate::abort::abort_codes;
+
+    impl<W: Clone> TxMemory<W> {
+        /// True when a trace sink is installed.
+        fn tracing_enabled(&self) -> bool {
+            self.trace.is_some()
+        }
+    }
 
     fn mem() -> TxMemory<u64> {
         // 1024 words, 8-word (64-byte) lines, 4 threads.

@@ -84,6 +84,8 @@ pub struct Scheduler {
     /// `Runnable` threads holding no hardware slot — the threads a quantum
     /// hand-over can serve: zero means no hand-over and no waiter walk.
     slotless: usize,
+    /// `Parked` threads (O(1) [`Scheduler::live_count`]).
+    parked: usize,
     /// Thread the last full pick in [`Scheduler::next`] returned.
     last_pick: ThreadId,
     /// Smallest `(ready, tid)` among the threads other than `last_pick`
@@ -127,17 +129,13 @@ impl Scheduler {
             ready: Vec::new(),
             unfinished: 0,
             slotless: 0,
+            parked: 0,
             last_pick: ThreadId::MAX,
             horizon: NO_HORIZON,
             picks: (0, 0),
             explore: None,
             pinned: None,
         }
-    }
-
-    /// Number of hardware-thread slots.
-    pub fn hw_threads(&self) -> usize {
-        self.slots.len()
     }
 
     /// Register a new virtual thread, runnable, with its clock starting at
@@ -192,6 +190,26 @@ impl Scheduler {
         self.refresh_ready(t);
     }
 
+    /// Take back the cycles last charged to `t`, down to clock `to` (work
+    /// the caller undid), and drop the horizon the lower clock may undercut.
+    pub fn rewind(&mut self, t: ThreadId, to: Cycles) {
+        let th = &mut self.threads[t];
+        let back = th.clock - to;
+        th.clock = to;
+        th.busy -= back;
+        th.slot_usage -= back;
+        self.refresh_ready(t);
+        self.horizon = NO_HORIZON;
+    }
+
+    /// True when a slot may change hands at a pick: a runnable thread waits
+    /// for one (a holder past its quantum hands its own over), or more
+    /// threads are runnable or asleep than there are slots (a sleeper due
+    /// at its pick may find none free and preempt a holder).
+    pub fn oversubscribed(&self) -> bool {
+        self.slotless > 0 || self.live_count() > self.slots.len()
+    }
+
     /// Move `t`'s clock forward to at least `to` without counting the gap
     /// as busy time (used when a thread discovers an event that happened
     /// after its own clock, e.g. a GIL release).
@@ -236,6 +254,8 @@ impl Scheduler {
         if self.threads[t].state == ThreadState::Runnable {
             self.slotless -= 1;
         }
+        self.parked += usize::from(state == ThreadState::Parked);
+        self.parked -= usize::from(self.threads[t].state == ThreadState::Parked);
         self.horizon = NO_HORIZON;
         self.threads[t].state = state;
         self.ready[t] = ready;
@@ -247,6 +267,7 @@ impl Scheduler {
         let th = &mut self.threads[t];
         match th.state {
             ThreadState::Parked | ThreadState::Sleeping { .. } => {
+                self.parked -= usize::from(th.state == ThreadState::Parked);
                 th.clock = th.clock.max(at);
                 th.state = ThreadState::Runnable;
                 self.ready[t] = th.clock;
@@ -281,10 +302,11 @@ impl Scheduler {
     /// Number of threads currently runnable or sleeping (i.e. that will run
     /// again without an external wake).
     pub fn live_count(&self) -> usize {
-        self.threads
-            .iter()
-            .filter(|t| matches!(t.state, ThreadState::Runnable | ThreadState::Sleeping { .. }))
-            .count()
+        debug_assert_eq!(
+            self.parked,
+            self.threads.iter().filter(|t| t.state == ThreadState::Parked).count()
+        );
+        self.unfinished - self.parked
     }
 
     /// Threads other than `t` that are not finished (the paper's "other

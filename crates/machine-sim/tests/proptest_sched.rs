@@ -44,6 +44,26 @@ impl Model {
         th.slot_usage += cycles;
     }
 
+    fn rewind(&mut self, t: ThreadId, to: Cycles) {
+        let th = &mut self.threads[t];
+        let back = th.clock - to;
+        th.clock = to;
+        th.busy -= back;
+        th.slot_usage -= back;
+    }
+
+    /// A slot waiter exists, or more sleepers than free slots.
+    fn oversubscribed(&self) -> bool {
+        let waiter =
+            self.threads.iter().any(|th| th.state == ThreadState::Runnable && th.slot.is_none());
+        let sleepers = self
+            .threads
+            .iter()
+            .filter(|th| matches!(th.state, ThreadState::Sleeping { .. }))
+            .count();
+        waiter || sleepers > self.slots.iter().filter(|s| s.is_none()).count()
+    }
+
     fn skip_to(&mut self, t: ThreadId, to: Cycles) {
         let th = &mut self.threads[t];
         th.clock = th.clock.max(to);
@@ -159,6 +179,9 @@ impl Model {
 enum Step {
     /// `next`, then `advance` the returned thread.
     Run(Cycles),
+    /// Take back this much (modulo what it was charged) of the last `Run`'s
+    /// advance, if nothing happened since.
+    Rewind(Cycles),
     Advance(usize, Cycles),
     /// `skip_to` the last pick's clock plus this much.
     SkipAhead(usize, Cycles),
@@ -185,6 +208,7 @@ fn steps() -> impl Strategy<Value = Step> {
         (0u64..4_000).prop_map(Step::Run),
         (QUANTUM / 3..QUANTUM / 2).prop_map(Step::Run),
         (QUANTUM - 2..QUANTUM + 3).prop_map(Step::Run),
+        (0u64..4_000).prop_map(Step::Rewind),
         (t.clone(), 0u64..3_000).prop_map(|(t, c)| Step::Advance(t, c)),
         (t.clone(), 0u64..3_000).prop_map(|(t, c)| Step::SkipAhead(t, c)),
         (t.clone(), 0u64..6_000).prop_map(|(t, c)| Step::SleepFor(t, c)),
@@ -313,9 +337,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
     /// Model-based differential: `Scheduler` (ready cache, slot-waiter
-    /// count, run-ahead horizon) against [`Model`] in lock-step. Most
-    /// topologies here are oversubscribed. Must hold in `--release` too,
-    /// where the scheduler's own `debug_assert`s are compiled out.
+    /// count, run-ahead horizon) against [`Model`] in lock-step, `rewind`
+    /// (taking back part of the last advance, as an executor does with
+    /// steps run ahead) and `oversubscribed` included.
+    /// Most topologies here are oversubscribed. Must hold in `--release`
+    /// too, where the scheduler's own `debug_assert`s are compiled out.
     ///
     /// After every pick, `run_ahead` is held to the model as well: the
     /// picked thread stays the model's pick after consuming anything
@@ -338,10 +364,21 @@ proptest! {
         }
         let mut last = 0;
         let mut stale = false;
+        // The thread and cost of the last `Run`, while nothing followed it.
+        let mut undoable = None;
         for (n, step) in script.into_iter().enumerate() {
             let len = m.threads.len();
             let now = m.threads[last].clock;
+            let ran = std::mem::take(&mut undoable);
             match step {
+                Step::Rewind(c) => {
+                    if let Some((t, cost)) = ran {
+                        let to = s.clock(t) - c % (cost + 1);
+                        s.rewind(t, to);
+                        m.rewind(t, to);
+                        stale = false;
+                    }
+                }
                 Step::Run(cost) => {
                     let pick = s.next();
                     prop_assert_eq!(pick, m.next(), "pick at step {}", n);
@@ -362,6 +399,7 @@ proptest! {
                         s.advance(t, cost);
                         m.advance(t, cost);
                         last = t;
+                        undoable = Some((t, cost));
                     }
                 }
                 Step::Advance(t, c) => {
@@ -414,6 +452,7 @@ proptest! {
                 let want = (th.clock, th.busy, th.state, m.smt_sibling_busy(t));
                 prop_assert_eq!(got, want, "t{} after step {}", t, n);
             }
+            prop_assert_eq!(s.oversubscribed(), m.oversubscribed(), "oversubscribed after step {}", n);
         }
     }
 }

@@ -146,16 +146,18 @@ impl TokenKind {
             _ => return None,
         })
     }
-
-    /// True for tokens that terminate a statement.
-    pub fn is_terminator(&self) -> bool {
-        matches!(self, TokenKind::Newline | TokenKind::Semi)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TokenKind {
+        /// True for tokens that terminate a statement.
+        fn is_terminator(&self) -> bool {
+            matches!(self, TokenKind::Newline | TokenKind::Semi)
+        }
+    }
 
     #[test]
     fn keyword_lookup() {

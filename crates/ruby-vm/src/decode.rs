@@ -6,8 +6,8 @@
 //! representation change — the decoded stream is 1:1 with the original
 //! code and one decoded instruction is one step, so cycle charges,
 //! simulated memory traffic and yield-point placement are exactly those
-//! of the undecoded interpreter (asserted by the decode-differential CI
-//! step and the yield-point proptest). What it buys the *host*:
+//! of the bytecode (asserted by the yield-point proptest and the pinned
+//! counters). What it buys the *host*:
 //!
 //! * dispatch is a dense `u8` opcode match over a `Copy` struct — no
 //!   per-step `Insn` clone, no nested `Vec` indexing;
@@ -17,16 +17,20 @@
 //!   selector;
 //! * both yield-point policies are precomputed as flag bits, so the
 //!   executor's per-step yield classification is a single load instead of
-//!   an `Insn` fetch + `kind()` match.
+//!   an `Insn` fetch + `kind()` match; a third bit marks the frame-local
+//!   instructions a thread may run ahead of the lock-step horizon
+//!   ([`LOCAL`], `Vm::run_leased`).
 
-use crate::bytecode::{ISeq, Insn, InsnKind, RareBinOp};
-use crate::interp::FRAME_WORDS;
+use crate::bytecode::{ISeq, Insn, RareBinOp};
+use crate::interp::{FRAME_WORDS, F_SELF};
 use crate::symbols::SymbolTable;
 
 /// Flag bit: original-policy yield point (backward branch / leave).
 pub const YP_ORIG: u8 = 1 << 0;
 /// Flag bit: extended-policy yield point (§4.2 fine-grained set).
 pub const YP_EXT: u8 = 1 << 1;
+/// Flag bit: frame-local ([`frame_local`]), so it can run on leases alone.
+pub const LOCAL: u8 = 1 << 2;
 
 /// Sentinel in the selector lane of an `opt_*` instruction whose generic
 /// fallback selector was not interned at decode time; the runtime resolves
@@ -319,24 +323,39 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
             d.c = superclass.map_or(0, |s| s.0 + 1);
         }
     }
+    if frame_local(&d, 0, 0).is_some() {
+        d.flags |= LOCAL;
+    }
     d
+}
+
+/// Words a frame-local instruction touches: how many it reads off the stack
+/// top, the frame word it reads or writes, the word it writes.
+pub type Footprint = (usize, Option<usize>, Option<usize>);
+
+/// The [`Footprint`] of a frame-local instruction ([`LOCAL`]) with its frame
+/// at `fp` and its stack top at `sp`, `None` for every other op (the
+/// operators are frame-local only on their two-`Int` fast path).
+pub fn frame_local(d: &DecodedInsn, fp: usize, sp: usize) -> Option<Footprint> {
+    let (local, over) = (fp.wrapping_add(d.a as usize), sp.wrapping_sub(2));
+    Some(match d.op {
+        Op::Jump => (0, None, None),
+        Op::PutNil | Op::PutTrue | Op::PutFalse | Op::PutInt => (0, None, Some(sp)),
+        Op::PutSelf => (0, Some(fp + F_SELF), Some(sp)),
+        Op::GetLocal0 => (0, Some(local), Some(sp)),
+        Op::Dup => (1, None, Some(sp)),
+        Op::Pop | Op::BranchIf | Op::BranchUnless => (1, None, None),
+        Op::SetLocal0 => (1, Some(local), Some(local)),
+        Op::OptPlus | Op::OptMinus | Op::OptMult => (2, None, Some(over)),
+        Op::OptEq | Op::OptNeq | Op::OptLt | Op::OptLe | Op::OptGt | Op::OptGe => {
+            (2, None, Some(over))
+        }
+        _ => return None,
+    })
 }
 
 /// Append one iseq's decoded instructions to the flat stream, 1:1 with
 /// `Program::global_pc` indexing.
 pub fn decode_into(iseq: &ISeq, symbols: &SymbolTable, out: &mut Vec<DecodedInsn>) {
     out.extend(iseq.code.iter().enumerate().map(|(pc, insn)| lower(insn, pc, symbols)));
-}
-
-/// The yield-point flag bit for a policy-independent check against
-/// [`InsnKind`] classification (used by tests).
-pub fn yield_flags_of_kind(kind: InsnKind) -> u8 {
-    let mut f = 0;
-    if kind.is_original_yield_point() {
-        f |= YP_ORIG;
-    }
-    if kind.is_extended_yield_point() {
-        f |= YP_EXT;
-    }
-    f
 }

@@ -22,11 +22,12 @@
 //! count toward HTM write sets — the effect that makes CRuby's original
 //! coarse yield points overflow (paper §4.2).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use machine_sim::ThreadId;
 
-use crate::bytecode::{Insn, IseqId, RareBinOp};
+use crate::bytecode::{IseqId, RareBinOp};
 use crate::object::MethodEntry;
 use crate::symbols::SymId;
 use crate::value::{ruby_shl, ruby_shr, Addr, ObjKind, Word};
@@ -52,7 +53,19 @@ pub const FLAG_BLOCK: i64 = 2;
 /// The frame's own iseq id is packed into the flags word above this shift
 /// so environment promotion can recover a frame's local count.
 pub const FLAG_ISEQ_SHIFT: u32 = 3;
-pub const FLAG_MASK: i64 = (1 << FLAG_ISEQ_SHIFT) - 1;
+
+/// One step [`Vm::run_leased`] ran, all it takes to take it back: the clock,
+/// `pc` and `sp` it started at, its counted reads, Fig. 2's counter before
+/// a countdown that ran with it, and the word it overwrote with its value.
+#[derive(Debug, Clone, Copy)]
+pub struct LeasedStep {
+    pub clock: u64,
+    pub pc: u32,
+    pub sp: u32,
+    pub reads: u8,
+    pub counter: Option<Word>,
+    pub wrote: Option<(Addr, Word)>,
+}
 
 /// What a builtin asks the interpreter to do.
 pub enum BResult {
@@ -74,7 +87,7 @@ pub enum BResult {
 impl Vm {
     // ---- stack primitives -------------------------------------------------
 
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, t: ThreadId, w: Word) -> Result<(), VmAbort> {
         let sp = self.threads[t].sp;
         if sp >= self.threads[t].stack_end {
@@ -85,7 +98,7 @@ impl Vm {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn pop(&mut self, t: ThreadId) -> Result<Word, VmAbort> {
         let sp = self.threads[t].sp;
         if sp == self.threads[t].stack_base {
@@ -282,45 +295,134 @@ impl Vm {
     /// until a step's outcome is not [`StepOk::Normal`] (or it aborts),
     /// [`Vm::step_cost`] reaches `budget` cycles (0: one step, unpriced),
     /// `t` stands at an instruction flagged `yield_bit`, where the executor
-    /// has a decision to make, or a step emits a mark or a wake, which
-    /// take the clock of their publication. `step_insns` reports the steps
-    /// run, one bytecode each. Nobody else runs in between: one doom poll
-    /// serves the burst.
+    /// has a decision to make, a step emits a mark or a wake, which take
+    /// the clock of their publication, or a step dooms another thread's
+    /// transaction, whose driver may have to move that thread's clock.
+    /// `step_insns` reports the steps run, one bytecode each, and
+    /// [`Vm::last_step_start`] the cost the last of them started at.
+    /// Nobody else runs in between: one doom poll serves the burst.
     pub fn burst(&mut self, t: ThreadId, budget: u64, yield_bit: u8) -> Result<StepOk, VmAbort> {
         debug_assert!(self.stop.is_none(), "the last stop was never taken: {:?}", self.stop);
+        self.last_step_start = 0;
         if let Some(reason) = self.mem.poll_doomed(t) {
             return Err(self.tx_stop(reason));
         }
         if self.threads[t].finished {
             return Ok(StepOk::Finished);
         }
+        let dooms = self.mem.pending_dooms();
         loop {
-            match self.step_once(t) {
+            let c = &self.threads[t];
+            let d = self.code[c.base as usize + c.pc];
+            match self.exec_decoded(t, &d) {
                 Ok(StepOk::Normal) => {}
                 other => return other,
             }
+            let spent = self.step_cost();
             if budget == 0
-                || self.step_cost() >= budget
+                || spent >= budget
                 || self.insn_flags(t) & yield_bit != 0
                 || !(self.pending_marks.is_empty() && self.pending_wakes.is_empty())
+                || self.mem.pending_dooms() != dooms
             {
                 return Ok(StepOk::Normal);
             }
+            self.last_step_start = spent;
             self.step_insns += 1;
             self.temp_roots.clear();
         }
     }
 
-    fn step_once(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
-        if self.config.slow_dispatch {
-            return self.step_slow(t);
+    /// Take `a`'s line into `frame`, a run of lines on which `t` holds valid
+    /// read and write leases, if it is one such and next to `frame` (or
+    /// `frame` is empty, `start > end`). It stays one while only
+    /// [`Vm::run_leased`] steps run: they grant and revoke no lease.
+    #[cold]
+    #[inline(never)]
+    fn widen(&self, t: ThreadId, frame: &mut Range<Addr>, a: Addr) -> bool {
+        let (lw, empty) = (self.mem.line_words(), frame.start > frame.end);
+        let line = self.mem.line_of(a) * lw;
+        let ok =
+            (empty || line + lw == frame.start || line == frame.end) && self.leased(t, a, false);
+        if ok {
+            *frame = frame.start.min(line)..frame.end.max(line + lw);
         }
-        let c = &self.threads[t];
-        let d = self.code[c.base as usize + c.pc];
-        self.exec_decoded(t, &d)
+        ok
+    }
+
+    /// Run `t`, in a live transaction, step after step while its next
+    /// bytecode is frame-local ([`crate::decode::frame_local`]) and touches
+    /// only lines of one run on which it holds valid read and write leases
+    /// ([`Vm::widen`]): tier-1 steps, which change no directory entry and
+    /// doom nobody. At an instruction flagged `yield_bit`, Fig. 2's
+    /// countdown runs first, in line — an untimed read and write of the
+    /// counter, `2 · mem_ref` — if it is leased too and would not restart.
+    /// Stops when `log` holds `until.1` steps or `clock`, advanced by each
+    /// step's cost, reaches `until.0`. Logs each step; leaves the step
+    /// counters as they were.
+    pub fn run_leased(
+        &mut self,
+        t: ThreadId,
+        yield_bit: u8,
+        until: (u64, usize),
+        clock: &mut u64,
+        log: &mut Vec<LeasedStep>,
+    ) {
+        let counter = self.layout.thread_struct(t) + crate::layout::ts::YIELD_COUNTER;
+        let (refs, mut frame) = (self.step_mem_refs, Range { start: Addr::MAX, end: 0 });
+        while log.len() < until.1 && *clock < until.0 {
+            let c = &self.threads[t];
+            let d = self.code[c.base as usize + c.pc];
+            let Some((depth, local, write)) = crate::decode::frame_local(&d, c.fp, c.sp) else {
+                break;
+            };
+            let (sp, pc, countdown) = (c.sp, c.pc, d.flags & yield_bit != 0);
+            let count = if countdown { self.mem.peek(counter).as_int().unwrap_or(0) } else { 2 };
+            if sp < c.stack_base + depth
+                || (write == Some(sp) && sp >= c.stack_end)
+                || count <= 1
+                || countdown && !self.leased(t, counter, true)
+            {
+                break;
+            }
+            let mut inside = |a: Addr| frame.contains(&a) || self.widen(t, &mut frame, a);
+            let leased = (depth == 0 || (inside(sp - depth) && inside(sp - 1)))
+                && local.is_none_or(&mut inside)
+                && write.is_none_or(&mut inside);
+            let ints = || (1..=2).all(|i| self.mem.peek(sp - i).as_int().is_some());
+            if !leased || depth == 2 && !ints() {
+                break;
+            }
+            let misses = (self.mem.stats().lease_misses, self.mem.dir_probes());
+            let (start, wrote) = (*clock, write.map(|a| (a, *self.mem.peek(a))));
+            if countdown {
+                let read = self.rd_untimed(t, counter);
+                let counted = read.and(self.wr_untimed(t, counter, Word::Int(count - 1)));
+                debug_assert!(counted.is_ok(), "a leased countdown aborted");
+                *clock += 2 * self.step_unit[1];
+            }
+            let before = self.step_mem_refs;
+            let ran = self.exec_decoded(t, &d);
+            let accesses = self.step_mem_refs - before;
+            let reads = (accesses - u32::from(write.is_some())) as u8;
+            let footprint = depth + usize::from(local.is_some() && local != write);
+            debug_assert!(
+                matches!(ran, Ok(StepOk::Normal))
+                    && usize::from(reads) == footprint
+                    && misses == (self.mem.stats().lease_misses, self.mem.dir_probes()),
+                "{:?} ran off its footprint or its leases: {ran:?}",
+                d.op
+            );
+            let (pc, sp, reads) = (pc as u32, sp as u32, reads + u8::from(countdown));
+            let counter = countdown.then_some(Word::Int(count));
+            log.push(LeasedStep { clock: start, pc, sp, reads, counter, wrote });
+            *clock += self.step_unit[0] + self.step_unit[1] * u64::from(accesses);
+        }
+        self.step_mem_refs = refs;
     }
 
     /// Execute one pre-decoded instruction.
+    #[inline(always)]
     fn exec_decoded(
         &mut self,
         t: ThreadId,
@@ -575,247 +677,6 @@ impl Vm {
                     s => Some(SymId(s - 1)),
                 };
                 return self.do_define_class(t, SymId(d.a_lo()), superclass, IseqId(d.a_hi()));
-            }
-        }
-        Ok(StepOk::Normal)
-    }
-
-    /// The un-decoded reference interpreter: fetches the original [`Insn`]
-    /// and dispatches on it, exactly as before pre-decoding existed. Kept
-    /// behind [`crate::VmConfig::slow_dispatch`] as the reference the
-    /// decoded path is compared against.
-    fn step_slow(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
-        use crate::decode::NO_SYM;
-        let (iseq, pc) = {
-            let c = &self.threads[t];
-            (c.iseq, c.pc)
-        };
-        let insn = self.program.insn(iseq, pc).clone();
-        match insn {
-            Insn::Nop => {
-                self.advance(t);
-            }
-            Insn::PutNil => {
-                self.push(t, Word::Nil)?;
-                self.advance(t);
-            }
-            Insn::PutTrue => {
-                self.push(t, Word::True)?;
-                self.advance(t);
-            }
-            Insn::PutFalse => {
-                self.push(t, Word::False)?;
-                self.advance(t);
-            }
-            Insn::PutSelf => {
-                let s = self.frame_self(t)?;
-                self.push(t, s)?;
-                self.advance(t);
-            }
-            Insn::PutInt(i) => {
-                self.push(t, Word::Int(i))?;
-                self.advance(t);
-            }
-            Insn::PutPooled(i) => {
-                let w = self.pooled_objs[i as usize];
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::PutString(i) => {
-                let text = Arc::clone(&self.program.strings[i as usize]);
-                let w = self.make_string(t, text)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::PutSym(s) => {
-                self.push(t, Word::sym(s))?;
-                self.advance(t);
-            }
-            Insn::Pop => {
-                self.pop(t)?;
-                self.advance(t);
-            }
-            Insn::Dup => {
-                let w = self.peek_n(t, 0)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::DupN(n) => {
-                let n = n as usize;
-                for i in 0..n {
-                    let w = self.peek_n(t, n - 1)?;
-                    let _ = i;
-                    self.push(t, w)?;
-                }
-                self.advance(t);
-            }
-            Insn::GetLocal { idx, depth } => {
-                let f = self.ep_at(t, depth)?;
-                let w = self.rd(t, f + FRAME_WORDS + idx as usize)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::SetLocal { idx, depth } => {
-                let v = self.pop(t)?;
-                let f = self.ep_at(t, depth)?;
-                self.wr(t, f + FRAME_WORDS + idx as usize, v)?;
-                self.advance(t);
-            }
-            Insn::GetIvar { name, ic } => {
-                let w = self.ivar_get_cached(t, name, ic)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::SetIvar { name, ic } => {
-                let v = self.pop(t)?;
-                self.ivar_set_cached(t, name, ic, v)?;
-                self.advance(t);
-            }
-            Insn::GetCvar { name } => {
-                let owner = self.cvar_owner(t)?;
-                let w = self.cvar_get(t, owner, name)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::SetCvar { name } => {
-                let v = self.pop(t)?;
-                let owner = self.cvar_owner(t)?;
-                self.cvar_set(t, owner, name, v)?;
-                self.advance(t);
-            }
-            Insn::GetGlobal { name } => {
-                let addr = self.gvar_addr(name)?;
-                let w = match self.rd(t, addr)? {
-                    Word::Uninit => Word::Nil,
-                    w => w,
-                };
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::SetGlobal { name } => {
-                let v = self.pop(t)?;
-                let addr = self.gvar_addr(name)?;
-                self.wr(t, addr, v)?;
-                self.advance(t);
-            }
-            Insn::GetConst { name } => {
-                let addr = self.const_lookup(name).ok_or_else(|| {
-                    self.fatal(format!("uninitialized constant {}", self.symbols.name(name)))
-                })?;
-                let w = self.rd(t, addr)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::SetConst { name } => {
-                let v = self.pop(t)?;
-                let addr = self.const_define_addr(name)?;
-                self.wr(t, addr, v)?;
-                self.advance(t);
-            }
-            Insn::NewArray { n } => {
-                let n = n as usize;
-                let mut elems = vec![Word::Nil; n];
-                for i in (0..n).rev() {
-                    elems[i] = self.pop(t)?;
-                }
-                let w = self.make_array(t, &elems)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::NewHash { n } => {
-                let n = n as usize;
-                let mut pairs = vec![(Word::Nil, Word::Nil); n];
-                for i in (0..n).rev() {
-                    let v = self.pop(t)?;
-                    let k = self.pop(t)?;
-                    pairs[i] = (k, v);
-                }
-                let w = self.make_hash(t, &pairs)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::NewRange { excl } => {
-                let hi = self.pop(t)?;
-                let lo = self.pop(t)?;
-                let w = self.make_range(t, lo, hi, excl)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Insn::Send { name, argc, block, ic } => {
-                return self.do_send(t, name, argc as usize, block, ic);
-            }
-            Insn::InvokeBlock { argc } => {
-                return self.do_invoke_block(t, argc as usize);
-            }
-            Insn::OptPlus { ic } => return self.op_arith(t, ArithOp::Add, NO_SYM, ic),
-            Insn::OptMinus { ic } => return self.op_arith(t, ArithOp::Sub, NO_SYM, ic),
-            Insn::OptMult { ic } => return self.op_arith(t, ArithOp::Mul, NO_SYM, ic),
-            Insn::OptDiv { ic } => return self.op_arith(t, ArithOp::Div, NO_SYM, ic),
-            Insn::OptMod { ic } => return self.op_arith(t, ArithOp::Mod, NO_SYM, ic),
-            Insn::OptEq { ic } => return self.op_cmp(t, CmpOp::Eq, NO_SYM, ic),
-            Insn::OptNeq { ic } => return self.op_cmp(t, CmpOp::Ne, NO_SYM, ic),
-            Insn::OptLt { ic } => return self.op_cmp(t, CmpOp::Lt, NO_SYM, ic),
-            Insn::OptLe { ic } => return self.op_cmp(t, CmpOp::Le, NO_SYM, ic),
-            Insn::OptGt { ic } => return self.op_cmp(t, CmpOp::Gt, NO_SYM, ic),
-            Insn::OptGe { ic } => return self.op_cmp(t, CmpOp::Ge, NO_SYM, ic),
-            Insn::OptAref { ic } => return self.op_aref(t, NO_SYM, ic),
-            Insn::OptAset { ic } => return self.op_aset(t, NO_SYM, ic),
-            Insn::OptShl { ic } => return self.op_shl(t, NO_SYM, ic),
-            Insn::OptNot => {
-                let w = self.pop(t)?;
-                self.push(t, if w.truthy() { Word::False } else { Word::True })?;
-                self.advance(t);
-            }
-            Insn::OptNeg => {
-                let w = self.pop(t)?;
-                match w {
-                    Word::Int(i) => self.push(t, Word::Int(i.wrapping_neg()))?,
-                    ref o @ Word::Obj(_) => {
-                        let f = self
-                            .as_number(t, o)?
-                            .ok_or_else(|| self.fatal("cannot negate non-numeric"))?;
-                        let w = self.make_float(t, -f)?;
-                        self.push(t, w)?;
-                    }
-                    other => return Err(self.fatal(format!("cannot negate {other:?}"))),
-                }
-                self.advance(t);
-            }
-            Insn::RareOp(op) => return self.op_rare(t, op),
-            Insn::Jump(off) => {
-                let pc = self.threads[t].pc as i64 + i64::from(off);
-                self.threads[t].pc = pc as usize;
-            }
-            Insn::BranchIf(off) => {
-                let c = self.pop(t)?;
-                if c.truthy() {
-                    let pc = self.threads[t].pc as i64 + i64::from(off);
-                    self.threads[t].pc = pc as usize;
-                } else {
-                    self.advance(t);
-                }
-            }
-            Insn::BranchUnless(off) => {
-                let c = self.pop(t)?;
-                if !c.truthy() {
-                    let pc = self.threads[t].pc as i64 + i64::from(off);
-                    self.threads[t].pc = pc as usize;
-                } else {
-                    self.advance(t);
-                }
-            }
-            Insn::Leave => return self.do_leave(t),
-            Insn::DefineMethod { name, iseq, on_self } => {
-                let self_w = self.frame_self(t)?;
-                let cls = match self_w {
-                    Word::Obj(s) if self.kind_of(t, s)? == ObjKind::Class => s,
-                    _ => self.classes.object,
-                };
-                self.define_method(t, cls, name, MethodEntry::Iseq(iseq), on_self)?;
-                self.advance(t);
-            }
-            Insn::DefineClass { name, superclass, body } => {
-                return self.do_define_class(t, name, superclass, body);
             }
         }
         Ok(StepOk::Normal)
@@ -1189,9 +1050,8 @@ impl Vm {
     // ---- specialized operators -------------------------------------------------
 
     /// Resolve a generic-dispatch fallback selector: pre-resolved at
-    /// decode time when possible ([`crate::decode::NO_SYM`] otherwise),
-    /// interned lazily exactly like the undecoded interpreter — so SymId
-    /// numbering is identical on both dispatch paths.
+    /// decode time when the name was interned then
+    /// ([`crate::decode::NO_SYM`] otherwise), else interned now.
     #[inline]
     fn op_fallback_sym(&mut self, sym: u32, name: &str) -> SymId {
         if sym == crate::decode::NO_SYM {

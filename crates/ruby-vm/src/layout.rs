@@ -313,21 +313,23 @@ impl AttributionMap {
         }
         self.regions[idx - 1].1
     }
-
-    /// Owner of a word address.
-    pub fn owner_of_addr(&self, addr: Addr) -> LineOwner {
-        self.owner_of_line(addr / self.line_words)
-    }
-
-    /// Number of registered regions (boot regions + growth appendices).
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AttributionMap {
+        /// Owner of a word address.
+        fn owner_of_addr(&self, addr: Addr) -> LineOwner {
+            self.owner_of_line(addr / self.line_words)
+        }
+
+        /// Number of registered regions (boot regions + growth appendices).
+        fn region_count(&self) -> usize {
+            self.regions.len()
+        }
+    }
 
     fn layout(padded: bool) -> Layout {
         Layout::new(8, 100, 4, 1000, 10_000, padded, 1)

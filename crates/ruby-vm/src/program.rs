@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::bytecode::{ISeq, Insn, IseqId};
+use crate::bytecode::{ISeq, IseqId};
 use crate::compile::{compile_source, CompileError};
 use crate::decode::DecodedInsn;
 use crate::symbols::{SymId, SymbolTable};
@@ -156,12 +156,6 @@ impl Program {
         self.total_insns
     }
 
-    /// Fetch an instruction.
-    #[inline]
-    pub fn insn(&self, iseq: IseqId, pc: usize) -> &Insn {
-        &self.iseqs[iseq.0 as usize].code[pc]
-    }
-
     /// Fetch an iseq.
     #[inline]
     pub fn iseq(&self, id: IseqId) -> &ISeq {
@@ -211,6 +205,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::Insn;
 
     fn mk_iseq(n: usize) -> ISeq {
         ISeq {

@@ -69,16 +69,12 @@ pub struct VmConfig {
     /// Seed of the deterministic connection-latency model behind
     /// `Kernel#conn_wait` (task-server scenario).
     pub conn_seed: u64,
-    /// Force the un-decoded reference interpreter (`Vm::step_slow`). The
-    /// decoded fast path and this reference path must be observationally
-    /// identical — `crates/bench/tests/decode_differential.rs` compares
-    /// run reports across the two.
-    pub slow_dispatch: bool,
     /// Disable the line-lease batched access path (tier 1): every
     /// `Vm::rd`/`Vm::wr` goes through the full per-word `TxMemory`
     /// accounting, whose head is tier 0. The leased and per-word paths
-    /// must be observationally identical — the same differential test
-    /// compares them, like the dispatch knob above.
+    /// must be observationally identical —
+    /// `crates/bench/tests/decode_differential.rs` compares run reports
+    /// across the two.
     pub force_word_access: bool,
 }
 
@@ -98,7 +94,6 @@ impl Default for VmConfig {
             thread_local_ics: false,
             refcount_writes: false,
             conn_seed: 0xC0_11EC7,
-            slow_dispatch: false,
             force_word_access: false,
         }
     }
@@ -403,8 +398,10 @@ pub struct Vm {
     /// the executor folds this into committed-insn accounting and cycle
     /// charging.
     pub step_insns: u32,
+    /// Cycles into the last [`Vm::burst`] its last step started at (0: one).
+    pub last_step_start: u64,
     /// The profile's cycles per retired bytecode and per memory reference.
-    step_unit: [u64; 2],
+    pub(crate) step_unit: [u64; 2],
     /// Committed global method-table version. A versioned inline cache is
     /// valid only if the version half of its guard word matches
     /// [`Vm::effective_method_version`]; bumped when a method definition
@@ -514,6 +511,7 @@ impl Vm {
             conn: machine_sim::ConnModel::new(conn_seed),
             pending_marks: Vec::new(),
             step_insns: 1,
+            last_step_start: 0,
             step_unit: [profile.cost.dispatch, profile.cost.mem_ref],
             method_version: 0,
             pending_method_bumps: 0,
@@ -772,6 +770,15 @@ impl Vm {
             pair.logged = self.mem.logged_on_grant(&wr, addr);
         }
         Ok(())
+    }
+
+    /// Would a read and a write of `addr` by `t` both take tier 1, through
+    /// its mapped way or, `runtime` (`rd_untimed`, `wr_untimed`), [`RUNTIME_WAY`]?
+    pub(crate) fn leased(&self, t: ThreadId, addr: Addr, runtime: bool) -> bool {
+        let line = self.mem.line_of(addr);
+        let pair = &self.leases[t][if runtime { RUNTIME_WAY } else { line & LEASE_MASK }];
+        let valid = |l: &LineLease| self.mem.lease_valid(l) && l.covers(line);
+        !self.mem.quiescent() && valid(&pair.rd) && valid(&pair.wr)
     }
 
     /// Stop with a fatal error: park the message, hand back the `Err`

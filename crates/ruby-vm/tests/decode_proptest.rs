@@ -11,8 +11,14 @@
 use proptest::prelude::*;
 use ruby_vm::bytecode::InsnKind;
 use ruby_vm::compile::compile_source;
-use ruby_vm::decode::{yield_flags_of_kind, Op, YP_EXT, YP_ORIG};
+use ruby_vm::decode::{Op, YP_EXT, YP_ORIG};
 use ruby_vm::{Insn, Program};
+
+/// The yield-point flag bits `kind` should carry under each policy.
+fn yield_flags_of_kind(kind: InsnKind) -> u8 {
+    let orig = if kind.is_original_yield_point() { YP_ORIG } else { 0 };
+    orig | if kind.is_extended_yield_point() { YP_EXT } else { 0 }
+}
 
 /// One known-good source fragment, parameterised on a unique fragment
 /// index (for collision-free names) and two small integers.

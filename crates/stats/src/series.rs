@@ -20,14 +20,6 @@ impl Series {
         self.points.iter().find(|(px, _)| (px - x).abs() < 1e-9).map(|&(_, y)| y)
     }
 
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::MIN, f64::max)
-    }
-
-    pub fn min_y(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::MAX, f64::min)
-    }
-
     /// Normalize every y by the series' own value at `x0` (the paper's
     /// "1 = 1-thread GIL" style normalization uses another series' base —
     /// see [`SeriesSet::normalize_to`]).
@@ -129,6 +121,16 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Series {
+        fn max_y(&self) -> f64 {
+            self.points.iter().map(|&(_, y)| y).fold(f64::MIN, f64::max)
+        }
+
+        fn min_y(&self) -> f64 {
+            self.points.iter().map(|&(_, y)| y).fold(f64::MAX, f64::min)
+        }
+    }
 
     #[test]
     fn series_lookup_and_extrema() {

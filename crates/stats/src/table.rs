@@ -53,19 +53,19 @@ impl Table {
     }
 }
 
-/// Format helper: fixed 2-decimal float.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Format helper: percentage with 1 decimal.
-pub fn pct(x: f64) -> String {
-    format!("{x:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Format helper: fixed 2-decimal float.
+    fn f2(x: f64) -> String {
+        format!("{x:.2}")
+    }
+
+    /// Format helper: percentage with 1 decimal.
+    fn pct(x: f64) -> String {
+        format!("{x:.1}%")
+    }
 
     #[test]
     fn renders_aligned() {

@@ -91,7 +91,6 @@ mod tests {
             rails::rails(4, 20),
             taskserver::taskserver(4, 2, 8, 32, false),
             taskserver::taskserver(4, 2, 2, 32, true),
-            probe::writeset_probe(&[24, 20, 16, 12], 50),
         ];
         all.extend(npb_all(4, 1));
         for w in all {

@@ -13,8 +13,6 @@
 //! lives in the `fig6a` row of `bench::figures` and in the integration
 //! tests.
 
-use crate::Workload;
-
 /// Phase schedule: each `(size_kb, iterations)` pair.
 #[derive(Debug, Clone)]
 pub struct ProbeSchedule {
@@ -25,19 +23,6 @@ pub struct ProbeSchedule {
 /// each.
 pub fn schedule(sizes_kb: &[usize], iters: usize) -> ProbeSchedule {
     ProbeSchedule { phases: sizes_kb.iter().map(|&s| (s, iters)).collect() }
-}
-
-/// A trivially-valid workload wrapper so the probe appears in the
-/// registry (its Ruby body just documents itself; the real driving is
-/// native).
-pub fn writeset_probe(sizes_kb: &[usize], iters: usize) -> Workload {
-    let sched = schedule(sizes_kb, iters);
-    let mut src = String::from("# native probe: sizes ");
-    for (s, _) in &sched.phases {
-        src.push_str(&format!("{s}KB "));
-    }
-    src.push_str("\nputs(\"probe\")\n");
-    Workload { name: "WriteSetProbe", source: src, threads: 1, requests: 0 }
 }
 
 #[cfg(test)]

@@ -36,7 +36,14 @@ pub fn point_counters(ex: &Executor, r: &RunReport) -> Vec<(&'static str, u64)> 
     ]);
     // Host work, not simulated state: how the run was carved into
     // scheduler picks and bursts (burst length = bytecodes / bursts).
-    let host = ["full_picks", "run_ahead_picks", "bursts", "burst_bytecodes"];
+    let host = [
+        "full_picks",
+        "run_ahead_picks",
+        "bursts",
+        "burst_bytecodes",
+        "lookahead_steps",
+        "rewinds",
+    ];
     out.extend(host.into_iter().zip(ex.host_counters()));
     // Undo records written (one a word a transaction writes, give or take
     // a mask reset), lease validations vs slow-path entries, directory

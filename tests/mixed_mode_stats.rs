@@ -9,19 +9,24 @@
 //! accesses are still delivered and counted, access totals still advance,
 //! and the whole report is bit-for-bit reproducible.
 //!
-//! The later tests do the same for the executor's bursts. An empty-path
-//! exploration controller, like a trace sink, holds the executor to one
-//! bytecode per scheduler round while changing no decision, so a run
-//! under either *is* the single-step reference for the same run without:
-//! everything the two leave behind must be equal. (The same comparison on
-//! oversubscribed machines, whose cycles are pinned, lives with the other
-//! pinned cycles in `tests/sim_counters.rs`.)
+//! The later tests do the same for the executor's bursts and for its
+//! leased lookahead (threads in a transaction running frame-local
+//! bytecodes past the lock-step horizon, rewound where an event lands in
+//! their past). An empty-path exploration controller, like a trace sink,
+//! holds the executor to one bytecode per scheduler round, with no
+//! lookahead, while changing no decision, so a run under either *is* the
+//! single-step reference for the same run without: everything the two
+//! leave behind must be equal. (The same comparison on oversubscribed
+//! machines, whose cycles are pinned, lives with the other pinned cycles
+//! in `tests/sim_counters.rs`.)
 
 #[allow(dead_code)]
 #[path = "../benchmark/src/workloads.rs"]
 mod recipe;
 
-use htm_gil_core::{heap_digest, ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode};
+use htm_gil_core::{
+    heap_digest, ExecConfig, Executor, LengthPolicy, RunReport, RuntimeMode, SubscriptionPolicy,
+};
 use htm_sim::FaultPlan;
 use machine_sim::{ExploreCtl, MachineProfile, SchedPath};
 use ruby_vm::VmConfig;
@@ -95,8 +100,16 @@ fn assert_bursts_match_single_steps(
     input: &recipe::Input,
     cfg: &ExecConfig,
 ) -> [String; 3] {
-    let run =
-        |cfg: ExecConfig| outcome(&input.source, input.vm_config(1), input.profile.clone(), cfg);
+    assert_bursts_match_single_steps_on(at, input, input.vm_config(1), cfg)
+}
+
+fn assert_bursts_match_single_steps_on(
+    at: &str,
+    input: &recipe::Input,
+    vm: VmConfig,
+    cfg: &ExecConfig,
+) -> [String; 3] {
+    let run = |cfg: ExecConfig| outcome(&input.source, vm.clone(), input.profile.clone(), cfg);
     let burst = run(cfg.clone());
     let empty_path = ExploreCtl::new(SchedPath::empty(), false);
     let ctl = run(ExecConfig { explore: Some(empty_path), ..cfg.clone() });
@@ -178,5 +191,183 @@ fn bursts_stop_at_the_cycle_limit_the_interrupt_and_the_progress_bound() {
         let [text, ..] = assert_bursts_match_single_steps(&stuck.label, &stuck, &cfg);
         let head = format!("no committed instruction in {bound} scheduler steps");
         assert!(text.starts_with(&head), "{text}");
+    }
+}
+
+/// `Executor::host_counters` of one run: `[4]` steps run ahead, `[5]`
+/// rewinds of them.
+fn host_counters(input: &recipe::Input, vm: VmConfig, cfg: ExecConfig) -> [u64; 6] {
+    let mut ex = Executor::new(&input.source, vm, input.profile.clone(), cfg).expect("boot");
+    let _ = ex.run();
+    ex.host_counters()
+}
+
+fn program(label: &str, source: &str, threads: usize, profile: MachineProfile) -> recipe::Input {
+    let source = source.to_string();
+    recipe::Input { label: label.into(), source, threads, profile, expected_stdout: None }
+}
+
+/// Worker 0 writes a global every pass that every worker read at the top
+/// of its pass and then spins on locals: each write dooms the readers,
+/// most of them while they run ahead.
+const GLOBAL_WRITER_SRC: &str = r#"
+$flag = 0
+threads = []
+4.times do |w|
+  threads << Thread.new(w) do |id|
+    total = 0
+    k = 0
+    while k < 30
+      seen = $flag
+      j = 0
+      while j < 40
+        total += j
+        j += 1
+      end
+      if id == 0
+        $flag = k
+      end
+      total += seen
+      k += 1
+    end
+  end
+end
+threads.each do |t|
+  t.join()
+end
+puts($flag)
+"#;
+
+/// Worker 0 prints — restricted, so a persistent abort and a forcible GIL
+/// acquisition — between passes that every worker spends on locals.
+const GIL_TAKER_SRC: &str = r#"
+threads = []
+4.times do |w|
+  threads << Thread.new(w) do |id|
+    total = 0
+    k = 0
+    while k < 12
+      j = 0
+      while j < 60
+        total += j
+        j += 1
+      end
+      if id == 0
+        print("")
+      end
+      k += 1
+    end
+  end
+end
+threads.each do |t|
+  t.join()
+end
+puts("done")
+"#;
+
+/// The main thread does not join, and takes no GIL on its way out (a
+/// `puts` would, dooming the worker first): it finishes inside a
+/// transaction while the worker, the last live thread from then on, spins
+/// on locals.
+const LAST_ONE_SRC: &str = r#"
+t = Thread.new() do
+  s = 0
+  i = 0
+  while i < 3000
+    s += i
+    i += 1
+  end
+  $worker = s
+end
+x = 0
+i = 0
+while i < 400
+  x += i
+  i += 1
+end
+$main = x
+"#;
+
+const EAGER_AND_GUARDED: [SubscriptionPolicy; 2] =
+    [SubscriptionPolicy::Eager, SubscriptionPolicy::LazyGuarded];
+
+const HTM_MODES: [RuntimeMode; 2] = [
+    RuntimeMode::Htm { length: LengthPolicy::Fixed(16) },
+    RuntimeMode::Htm { length: LengthPolicy::Dynamic },
+];
+
+/// Each program cuts lookahead windows the way its name says — a doom, a
+/// GIL acquisition, the last other live thread finishing — and each run
+/// with them must leave what the single-step run leaves, on zEC12 (256-byte
+/// lines) and on the Xeon (64-byte lines, SMT-halved budgets).
+#[test]
+fn lookahead_rewinds_match_single_steps() {
+    let programs = [
+        ("a global writer dooming readers ahead", GLOBAL_WRITER_SRC, 4),
+        ("a GIL acquisition while others are ahead", GIL_TAKER_SRC, 4),
+        ("the second-to-last thread finishing", LAST_ONE_SRC, 1),
+    ];
+    for profile in [MachineProfile::zec12(), MachineProfile::xeon_e3_1275_v3()] {
+        for (label, source, threads) in programs {
+            let input = program(label, source, threads, profile.clone());
+            let (mut ahead, mut rewinds) = (0, 0);
+            for mode in HTM_MODES {
+                for subscription in EAGER_AND_GUARDED {
+                    let cfg = ExecConfig { subscription, ..input.exec_config(mode, 1) };
+                    let at = format!(
+                        "{label} on {} under {} {subscription:?}",
+                        profile.name,
+                        mode.label()
+                    );
+                    let [text, ..] = assert_bursts_match_single_steps(&at, &input, &cfg);
+                    assert!(text.starts_with('{'), "{at}: {text}");
+                    let host = host_counters(&input, input.vm_config(1), cfg);
+                    (ahead, rewinds) = (ahead + host[4], rewinds + host[5]);
+                }
+            }
+            assert!(
+                ahead > 0 && rewinds > 0,
+                "{label} on {}: ahead {ahead}, rewinds {rewinds}",
+                profile.name
+            );
+        }
+    }
+}
+
+/// The original CRuby's packed thread structs put every thread's Fig. 2
+/// counter on shared lines: a countdown run ahead is a write to a line
+/// other threads write through the full path.
+#[test]
+fn lookahead_on_shared_countdown_lines_matches_single_steps() {
+    let w = workloads::micro::while_bench(4, 300);
+    for profile in [MachineProfile::zec12(), MachineProfile::xeon_e3_1275_v3()] {
+        let input = program("While on packed thread structs", &w.source, w.threads, profile);
+        let vm = input.vm_config(1).original_cruby();
+        for mode in HTM_MODES {
+            let cfg = input.exec_config(mode, 1);
+            let at = format!("{} on {} under {}", input.label, input.profile.name, mode.label());
+            let [text, ..] = assert_bursts_match_single_steps_on(&at, &input, vm.clone(), &cfg);
+            assert!(text.starts_with('{'), "{at}: {text}");
+            assert!(host_counters(&input, vm.clone(), cfg)[4] > 0, "{at}: nothing ran ahead");
+        }
+    }
+}
+
+/// A transaction too long for the progress bound, with no fault plan, so
+/// its steps run ahead: the bound must still be called after the very
+/// step the single-step run calls it after, every clock where it stood.
+#[test]
+fn lookahead_stops_at_the_progress_bound_where_single_steps_do() {
+    let source =
+        "t = Thread.new() do\n  i = 0\n  while i < 100000\n    i += 1\n  end\nend\nt.join()";
+    let input = program("one long transaction", source, 1, MachineProfile::zec12());
+    let mut cfg = input.exec_config(RuntimeMode::Htm { length: LengthPolicy::Fixed(256) }, 1);
+    cfg.yield_policy = Some(htm_gil_core::YieldPolicy::Original);
+    for bound in (1_000..1_008).chain([1_130, 1_500]) {
+        cfg.progress_bound_steps = bound;
+        let [text, ..] = assert_bursts_match_single_steps(&input.label, &input, &cfg);
+        let head = format!("no committed instruction in {bound} scheduler steps");
+        assert!(text.starts_with(&head), "{text}");
+        assert!(host_counters(&input, input.vm_config(1), cfg.clone())[4] > 0, "nothing ran ahead");
     }
 }
