@@ -99,7 +99,7 @@ pub struct ExecConfig {
     /// Seed for the HTM predictor RNG (determinism).
     pub seed: u64,
     /// Capacity of the structured transaction-event trace ring buffer;
-    /// 0 (the default) disables tracing entirely — no sink is installed
+    /// 0 (the default) disables tracing entirely — no ring is installed
     /// and event sites in the HTM simulator reduce to a discriminant
     /// test.
     pub trace_capacity: usize,

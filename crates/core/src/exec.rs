@@ -19,10 +19,8 @@
 //! (DESIGN.md §4, "Commit escrow and host-side state").
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use htm_sim::abort::abort_codes;
-use htm_sim::trace::RingBufferSink;
 use htm_sim::{AbortReason, Budgets, OverflowPredictor, SpuriousCause};
 use machine_sim::{Cycles, InterruptTimer, MachineProfile, Scheduler, ThreadId};
 use ruby_vm::interp::LeasedStep;
@@ -232,16 +230,12 @@ pub struct Executor {
     stalled_steps: u64,
     /// Bursts run (a host-work counter).
     bursts: u64,
-    /// Shared handle on the trace ring buffer when
-    /// `ExecConfig::trace_capacity > 0`; the other clone lives inside the
-    /// transactional memory as its sink.
-    trace: Option<Arc<Mutex<RingBufferSink>>>,
     /// Pre-decoded flag bit identifying yield points under the effective
     /// yield policy (`decode::YP_ORIG` or `decode::YP_EXT`): the per-step
     /// yield test is one flags load and a mask instead of an instruction
     /// fetch plus a kind classification.
     yp_bit: u8,
-    /// No trace sink, exploration controller or `FineGrained` charge
+    /// No trace ring, exploration controller or `FineGrained` charge
     /// observes steps one by one (see `burst_budget`).
     burst_ok: bool,
     /// `(clock, tid)` of the lock-step round being played: of the last
@@ -291,13 +285,9 @@ impl Executor {
             write_lines: profile.cache.write_set_lines(),
         };
         let first_timer = profile.cost.timer_interval;
-        let trace = if cfg.trace_capacity > 0 {
-            let sink = RingBufferSink::shared(cfg.trace_capacity);
-            vm.mem.set_trace_sink(Box::new(Arc::clone(&sink)));
-            Some(sink)
-        } else {
-            None
-        };
+        if cfg.trace_capacity > 0 {
+            vm.mem.set_trace(cfg.trace_capacity);
+        }
         if let Some(plan) = cfg.fault_plan {
             vm.mem.set_fault_plan(plan);
         }
@@ -306,8 +296,9 @@ impl Executor {
             YieldPolicy::Original => ruby_vm::decode::YP_ORIG,
             YieldPolicy::Extended => ruby_vm::decode::YP_EXT,
         };
-        let burst_ok =
-            trace.is_none() && cfg.explore.is_none() && cfg.mode != RuntimeMode::FineGrained;
+        let burst_ok = cfg.trace_capacity == 0
+            && cfg.explore.is_none()
+            && cfg.mode != RuntimeMode::FineGrained;
         Ok(Executor {
             vm,
             sched,
@@ -329,7 +320,6 @@ impl Executor {
             latency: crate::latency::LatencyRecorder::new(),
             stalled_steps: 0,
             bursts: 0,
-            trace,
             yp_bit,
             burst_ok,
             round: (0, 0),
@@ -381,7 +371,7 @@ impl Executor {
                 continue;
             }
             // Stamp trace events with this thread's simulated clock.
-            if self.trace.is_some() {
+            if self.cfg.trace_capacity > 0 {
                 self.vm.mem.set_now(self.sched.clock(t));
             }
             // GIL-mode timer thread: wake up every interval and flag the
@@ -511,10 +501,11 @@ impl Executor {
 
     fn report(&self) -> RunReport {
         let elapsed = (0..self.sched.len()).map(|t| self.sched.clock(t)).max().unwrap_or(0);
-        let (trace_recorded, trace_dropped) = self.trace.as_ref().map_or((0, 0), |t| {
-            let sink = t.lock().expect("trace sink poisoned");
-            (sink.len() as u64 + sink.dropped(), sink.dropped())
-        });
+        let (trace_recorded, trace_dropped) = self
+            .vm
+            .mem
+            .trace()
+            .map_or((0, 0), |sink| (sink.len() as u64 + sink.dropped(), sink.dropped()));
         RunReport {
             mode_label: self.cfg.mode.label(),
             subscription: self.cfg.subscription,
@@ -1385,10 +1376,6 @@ impl Executor {
     }
 }
 
-// When a thread holding the GIL parks (blocking builtin), `step_htm`
-// releases it first; when it finishes, likewise — see the
-// `Block | Finished` branch in `step_htm`.
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1397,9 +1384,7 @@ mod tests {
     impl Executor {
         /// Snapshot of the retained trace events (empty when tracing is off).
         fn trace_events(&self) -> Vec<TraceEvent> {
-            self.trace.as_ref().map_or_else(Vec::new, |t| {
-                t.lock().expect("trace sink poisoned").events().copied().collect()
-            })
+            self.vm.mem.trace().map_or_else(Vec::new, |t| t.events().copied().collect())
         }
     }
 

@@ -46,5 +46,5 @@ pub use inject::{Fault, FaultInjector, FaultPlan};
 pub use lease::LineLease;
 pub use predictor::OverflowPredictor;
 pub use stats::HtmStats;
-pub use trace::{RingBufferSink, TraceEvent, TraceSink};
+pub use trace::{RingBufferSink, TraceEvent};
 pub use txmem::{Budgets, MemoryImage, TxMemory};

@@ -1,8 +1,9 @@
 //! Structured transaction-event tracing.
 //!
-//! When a sink is installed ([`crate::TxMemory::set_trace_sink`]) the
-//! simulator emits one [`TraceEvent`] per transaction begin, commit, and
-//! abort, stamped with the owning thread and the current simulated cycle
+//! A memory that traces ([`crate::TxMemory::set_trace`]) records one
+//! [`TraceEvent`] per transaction begin, commit, and abort into the
+//! [`RingBufferSink`] it owns ([`crate::TxMemory::trace`]), stamped with
+//! the owning thread and the current simulated cycle
 //! ([`crate::TxMemory::set_now`] — the executor advances it as it charges
 //! cycle costs). Abort events carry the structured [`AbortReason`] plus
 //! the faulting cache line where one exists (conflicts and footprint
@@ -10,11 +11,10 @@
 //! VM data structures.
 //!
 //! Tracing is **off by default** and costs one `Option` discriminant test
-//! per event site when disabled; no event is constructed unless a sink is
-//! present.
+//! per event site when disabled; no event is constructed unless the ring
+//! is present.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use machine_sim::ThreadId;
 
@@ -53,22 +53,6 @@ impl TraceEvent {
     }
 }
 
-/// Receiver for trace events.
-///
-/// `Debug` is required so a sink can live inside the (Debug-derived)
-/// simulator; `Send` so traced memories stay transferable across threads.
-pub trait TraceSink: std::fmt::Debug + Send {
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A sink shared between the simulator and the code that reads the trace:
-/// the executor installs a clone and the caller drains the original.
-impl<T: TraceSink> TraceSink for Arc<Mutex<T>> {
-    fn record(&mut self, event: TraceEvent) {
-        self.lock().expect("trace sink poisoned").record(event);
-    }
-}
-
 /// Bounded in-memory sink: keeps the most recent `capacity` events and
 /// counts how many older ones were evicted.
 #[derive(Debug, Default)]
@@ -85,12 +69,6 @@ impl RingBufferSink {
             events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
             dropped: 0,
         }
-    }
-
-    /// Convenience: a ring buffer pre-wrapped for sharing with the
-    /// simulator. Install one clone, keep the other to inspect.
-    pub fn shared(capacity: usize) -> Arc<Mutex<RingBufferSink>> {
-        Arc::new(Mutex::new(RingBufferSink::new(capacity)))
     }
 
     /// Events currently retained, oldest first.
@@ -112,14 +90,8 @@ impl RingBufferSink {
         self.dropped
     }
 
-    /// Remove and return all retained events, oldest first.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: TraceEvent) {
+    /// Keep `event`, evicting the oldest one when the buffer is full.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -139,6 +111,7 @@ mod tests {
     #[test]
     fn ring_buffer_keeps_newest_and_counts_drops() {
         let mut sink = RingBufferSink::new(3);
+        assert!(sink.is_empty());
         for c in 0..5 {
             sink.record(begin(0, c));
         }
@@ -146,26 +119,5 @@ mod tests {
         assert_eq!(sink.dropped(), 2);
         let cycles: Vec<u64> = sink.events().map(TraceEvent::cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn shared_sink_records_through_the_clone() {
-        let shared = RingBufferSink::shared(8);
-        let mut handle = Arc::clone(&shared);
-        handle.record(begin(1, 7));
-        let inner = shared.lock().unwrap();
-        assert_eq!(inner.len(), 1);
-        assert_eq!(inner.events().next().unwrap().thread(), 1);
-    }
-
-    #[test]
-    fn drain_empties_the_buffer() {
-        let mut sink = RingBufferSink::new(4);
-        sink.record(begin(0, 1));
-        sink.record(begin(0, 2));
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
     }
 }

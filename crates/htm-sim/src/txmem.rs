@@ -30,10 +30,7 @@
 //! exactly once, when its directory bit first flips) whose lengths are the
 //! footprint counters, plus the undo log. All per-thread buffers are
 //! retained across transactions, so a steady-state begin → access* →
-//! commit cycle performs **zero heap allocations**. A one-entry line memo
-//! per thread short-circuits the directory for consecutive accesses to the
-//! same line — sound because requester-wins dooming means a live
-//! transaction's recorded line can have no remote conflicting owner.
+//! commit cycle performs **zero heap allocations**.
 //!
 //! A doomed transaction is rolled back *immediately* (its undo log is
 //! replayed in reverse, its directory bits cleared) so the requester always
@@ -66,7 +63,7 @@ use crate::inject::{Fault, FaultInjector, FaultPlan};
 use crate::lease::LineLease;
 use crate::predictor::OverflowPredictor;
 use crate::stats::HtmStats;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{RingBufferSink, TraceEvent};
 
 /// Footprint budgets for one transaction, in whole cache lines.
 ///
@@ -175,21 +172,6 @@ impl<W> TxSlot<W> {
     }
 }
 
-/// One-entry cache of the last line a thread touched transactionally.
-/// Valid only while the thread's transaction is live (invalidated at
-/// begin, commit, and rollback); a hit proves set membership without a
-/// directory probe.
-#[derive(Debug, Clone, Copy)]
-struct LineMemo {
-    line: usize,
-    in_read: bool,
-    in_write: bool,
-}
-
-impl LineMemo {
-    const INVALID: LineMemo = LineMemo { line: usize::MAX, in_read: false, in_write: false };
-}
-
 /// Word-addressed shared memory with best-effort transactions.
 #[derive(Debug)]
 pub struct TxMemory<W: Clone> {
@@ -207,7 +189,6 @@ pub struct TxMemory<W: Clone> {
     /// written before) — so `lease_read`/`lease_write` never see it.
     dirty: Vec<u64>,
     txs: Vec<TxSlot<W>>,
-    memos: Vec<LineMemo>,
     doomed: Vec<Option<AbortReason>>,
     predictors: Vec<OverflowPredictor>,
     /// Number of `active` transaction slots; lets the common
@@ -220,7 +201,7 @@ pub struct TxMemory<W: Clone> {
     stats: HtmStats,
     /// Structured event trace; `None` (the default) means tracing is off
     /// and event sites cost only this discriminant test.
-    trace: Option<Box<dyn TraceSink>>,
+    trace: Option<RingBufferSink>,
     /// Seeded fault injector; `None` (the default) injects nothing. Draws
     /// are consumed only at transactional accesses, so a differential pair
     /// given injectors from the same plan stays in lockstep.
@@ -308,7 +289,6 @@ impl<W: Clone> TxMemory<W> {
             dir,
             dirty: vec![0; size.div_ceil(PAGE_WORDS).div_ceil(64)],
             txs: (0..max_threads).map(|_| TxSlot::new()).collect(),
-            memos: vec![LineMemo::INVALID; max_threads],
             doomed: vec![None; max_threads],
             predictors: (0..max_threads).map(|_| OverflowPredictor::disabled()).collect(),
             active_txs: 0,
@@ -370,10 +350,15 @@ impl<W: Clone> TxMemory<W> {
         self.injector.as_ref().map_or(0, FaultInjector::injected)
     }
 
-    /// Install a trace sink; every subsequent begin/commit/abort emits a
-    /// [`TraceEvent`] into it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Trace into a ring of the newest `capacity` events: every
+    /// subsequent begin/commit/abort records a [`TraceEvent`].
+    pub fn set_trace(&mut self, capacity: usize) {
+        self.trace = Some(RingBufferSink::new(capacity));
+    }
+
+    /// The trace ring, when [`Self::set_trace`] installed one.
+    pub fn trace(&self) -> Option<&RingBufferSink> {
+        self.trace.as_ref()
     }
 
     /// Set the simulated cycle stamped onto trace events. The executor
@@ -437,8 +422,8 @@ impl<W: Clone> TxMemory<W> {
         self.undo_pushes
     }
 
-    /// Directory entries consulted by full-path accesses past the line memo
-    /// and by in-transaction [`Self::try_lease`] grants (host work).
+    /// Directory entries consulted by full-path accesses and by
+    /// in-transaction [`Self::try_lease`] grants (host work).
     pub fn dir_probes(&self) -> u64 {
         self.dir_probes
     }
@@ -506,7 +491,6 @@ impl<W: Clone> TxMemory<W> {
         );
         tx.active = true;
         tx.budgets = budgets;
-        self.memos[t] = LineMemo::INVALID;
         self.active_txs += 1;
         let cycle = self.now;
         self.emit(TraceEvent::Begin { thread: t, cycle });
@@ -631,13 +615,6 @@ impl<W: Clone> TxMemory<W> {
             return Err(reason);
         }
         let line = addr >> self.line_shift;
-        let memo = self.memos[t];
-        if join && memo.line == line && memo.in_read {
-            // Line already in our read set ⇒ no remote writer can exist
-            // (its write would have doomed us), and the footprint cannot
-            // grow — skip the directory entirely.
-            return Ok(());
-        }
         // Requester wins: kill a remote writer of this line.
         self.dir_probes += 1;
         let st = self.dir[line];
@@ -660,8 +637,6 @@ impl<W: Clone> TxMemory<W> {
                     return Err(reason);
                 }
             }
-            self.memos[t] =
-                LineMemo { line, in_read: true, in_write: self.dir[line].writer as usize == t };
         }
         Ok(())
     }
@@ -699,13 +674,6 @@ impl<W: Clone> TxMemory<W> {
             return Err(reason);
         }
         let line = addr >> self.line_shift;
-        let memo = self.memos[t];
-        if memo.line == line && memo.in_write {
-            // Line already in our write set ⇒ we are the sole owner; only
-            // the undo log needs to grow.
-            self.txs[t].undo.push((addr, self.words[addr].clone()));
-            return Ok(());
-        }
         // Kill remote readers *and* the remote writer of this line, in
         // ascending thread order like the reference scan.
         self.dir_probes += 1;
@@ -739,8 +707,6 @@ impl<W: Clone> TxMemory<W> {
                     return Err(reason);
                 }
             }
-            self.memos[t] =
-                LineMemo { line, in_read: self.dir[line].readers & own != 0, in_write: true };
         }
         Ok(())
     }
@@ -1012,7 +978,7 @@ impl<W: Clone> TxMemory<W> {
 
     /// Consult the fault injector for one transactional access by `t`.
     /// Draws happen only while `t` has a live transaction (one draw per
-    /// access, before the memo shortcut), so two memories driven with the
+    /// access, before the directory probe), so two memories driven with the
     /// same operation sequence consume identical randomness. Returns the
     /// abort reason when the fault killed the transaction.
     fn inject_fault(&mut self, t: ThreadId) -> Option<AbortReason> {
@@ -1130,7 +1096,6 @@ impl<W: Clone> TxMemory<W> {
         self.txs[t].write_lines = write_lines;
         self.undo_pushes += self.txs[t].undo.len() as u64;
         self.txs[t].undo.clear();
-        self.memos[t] = LineMemo::INVALID;
         self.active_txs -= 1;
     }
 }
@@ -1139,13 +1104,6 @@ impl<W: Clone> TxMemory<W> {
 mod tests {
     use super::*;
     use crate::abort::abort_codes;
-
-    impl<W: Clone> TxMemory<W> {
-        /// True when a trace sink is installed.
-        fn tracing_enabled(&self) -> bool {
-            self.trace.is_some()
-        }
-    }
 
     fn mem() -> TxMemory<u64> {
         // 1024 words, 8-word (64-byte) lines, 4 threads.
@@ -1441,12 +1399,8 @@ mod tests {
 
     #[test]
     fn trace_records_lifecycle_in_order() {
-        use crate::trace::RingBufferSink;
-        use std::sync::Arc;
-
         let mut m = mem();
-        let shared = RingBufferSink::shared(64);
-        m.set_trace_sink(Box::new(Arc::clone(&shared)));
+        m.set_trace(64);
 
         m.set_now(10);
         m.begin(0, big_budgets()).unwrap();
@@ -1460,7 +1414,7 @@ mod tests {
         m.set_now(40);
         m.write(2, 5, 3).unwrap(); // non-tx write dooms thread 1
 
-        let events = shared.lock().unwrap().drain();
+        let events: Vec<TraceEvent> = m.trace().unwrap().events().copied().collect();
         assert_eq!(events.len(), 4);
         assert_eq!(events[0], TraceEvent::Begin { thread: 0, cycle: 10 });
         assert_eq!(
@@ -1479,18 +1433,15 @@ mod tests {
 
     #[test]
     fn trace_overflow_carries_bursting_line() {
-        use crate::trace::{RingBufferSink, TraceEvent};
-        use std::sync::Arc;
-
         let mut m = mem();
-        let shared = RingBufferSink::shared(8);
-        m.set_trace_sink(Box::new(Arc::clone(&shared)));
+        m.set_trace(8);
         m.begin(0, Budgets { read_lines: 100, write_lines: 1 }).unwrap();
         m.write(0, 0, 1).unwrap();
         let err = m.write(0, 8, 2).unwrap_err(); // line 1 bursts the budget
         assert_eq!(err, AbortReason::WriteOverflow);
-        let events = shared.lock().unwrap().drain();
-        let Some(TraceEvent::Abort { reason, line, .. }) = events.last().copied() else {
+        let Some(TraceEvent::Abort { reason, line, .. }) =
+            m.trace().unwrap().events().last().copied()
+        else {
             panic!("expected trailing abort event");
         };
         assert_eq!(reason, AbortReason::WriteOverflow);
@@ -1500,7 +1451,7 @@ mod tests {
     #[test]
     fn tracing_disabled_by_default() {
         let m = mem();
-        assert!(!m.tracing_enabled());
+        assert!(m.trace().is_none());
     }
 
     #[test]
@@ -1579,14 +1530,10 @@ mod tests {
 
     #[test]
     fn commit_trace_counts_come_from_footprint_counters() {
-        use crate::trace::RingBufferSink;
-        use std::sync::Arc;
-
         // Read lines 0,1,2; write lines 1,4 (line 1 in both sets). The
         // Commit event must carry the line-list lengths, deduplicated.
         let mut m = mem();
-        let shared = RingBufferSink::shared(8);
-        m.set_trace_sink(Box::new(Arc::clone(&shared)));
+        m.set_trace(8);
         m.begin(0, big_budgets()).unwrap();
         let _ = m.read(0, 0).unwrap();
         let _ = m.read(0, 8).unwrap();
@@ -1596,22 +1543,21 @@ mod tests {
         m.write(0, 10, 3).unwrap(); // line 1 again: no growth
         assert_eq!(m.footprint(0), (3, 2));
         m.commit(0).unwrap();
-        let events = shared.lock().unwrap().drain();
         assert_eq!(
-            events.last(),
+            m.trace().unwrap().events().last(),
             Some(&TraceEvent::Commit { thread: 0, cycle: 0, read_lines: 3, write_lines: 2 })
         );
     }
 
     #[test]
-    fn doomed_victim_memo_is_invalidated() {
-        // Thread 0 caches line 6 in its memo, gets doomed by thread 1, then
-        // starts a fresh transaction: the stale memo must not let it skip
-        // re-recording the line.
+    fn doomed_victim_records_its_line_again_after_re_begin() {
+        // Thread 0 reads line 6 twice, gets doomed by thread 1, then starts
+        // a fresh transaction: the rollback released the line, so the new
+        // transaction records it again.
         let mut m = mem();
         m.begin(0, big_budgets()).unwrap();
         let _ = m.read(0, 48).unwrap();
-        let _ = m.read(0, 49).unwrap(); // memo hit on line 6
+        let _ = m.read(0, 49).unwrap(); // line 6 again: no growth
         m.begin(1, big_budgets()).unwrap();
         m.write(1, 48, 9).unwrap(); // dooms 0
         assert!(m.poll_doomed(0).is_some());
@@ -1976,18 +1922,18 @@ mod tests {
     }
 
     #[test]
-    fn dir_probes_count_the_full_path_past_the_memo_and_grants() {
+    fn dir_probes_count_every_full_path_access_and_grant() {
         let mut m = mem();
         m.read(0, 5).unwrap();
         m.try_lease(0, 5, false);
         assert_eq!(m.dir_probes(), 0, "a quiescent memory consults no directory");
         m.begin(0, big_budgets()).unwrap();
-        m.read(0, 5).unwrap(); // probe
-        m.read(0, 6).unwrap(); // memo hit
-        m.write(0, 6, 1).unwrap(); // probe: the memo has no write
-        m.write(0, 7, 1).unwrap(); // memo hit
-        m.try_lease(0, 7, true); // probe
-        assert_eq!(m.dir_probes(), 3);
+        m.read(0, 5).unwrap();
+        m.read(0, 6).unwrap(); // the same line probes again
+        m.write(0, 6, 1).unwrap();
+        m.write(0, 7, 1).unwrap();
+        m.try_lease(0, 7, true);
+        assert_eq!(m.dir_probes(), 5);
         m.commit(0).unwrap();
     }
 

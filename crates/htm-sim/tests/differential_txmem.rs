@@ -30,11 +30,16 @@
 
 mod refimpl;
 
-use htm_sim::{Budgets, FaultPlan, LineLease, RingBufferSink, TxMemory};
+use htm_sim::{Budgets, FaultPlan, LineLease, RingBufferSink, TraceEvent, TxMemory};
 use proptest::prelude::*;
 use refimpl::ReferenceTxMemory;
 
 const MEM_WORDS: usize = 256;
+
+/// The events a memory's trace ring retains, oldest first.
+fn events(ring: Option<&RingBufferSink>) -> Vec<TraceEvent> {
+    ring.expect("the test installed a trace").events().copied().collect()
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -268,10 +273,8 @@ proptest! {
         let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
         let mut reference: ReferenceTxMemory<u64> =
             ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let dut_trace = RingBufferSink::shared(4096);
-        let ref_trace = RingBufferSink::shared(4096);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
+        dut.set_trace(4096);
+        reference.set_trace(4096);
 
         let mut now = 0u64;
         for (i, &(kind, addr, value, tick)) in ops.iter().enumerate() {
@@ -325,9 +328,7 @@ proptest! {
             prop_assert_eq!(dut.stats(), reference.stats(), "stats at op {}", i);
         }
 
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
+        prop_assert_eq!(events(dut.trace()), events(reference.trace()), "trace streams diverged");
         for a in 0..MEM_WORDS {
             prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
         }
@@ -346,10 +347,8 @@ proptest! {
         let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
         let mut reference: ReferenceTxMemory<u64> =
             ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
+        dut.set_trace(8192);
+        reference.set_trace(8192);
 
         let mut now = 0u64;
         for (i, op) in ops.iter().enumerate() {
@@ -414,9 +413,7 @@ proptest! {
             prop_assert_eq!(dut.stats(), reference.stats(), "stats at op {}", i);
         }
 
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
+        prop_assert_eq!(events(dut.trace()), events(reference.trace()), "trace streams diverged");
         for a in 0..MEM_WORDS {
             prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
         }
@@ -447,10 +444,8 @@ proptest! {
             ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
         dut.set_fault_plan(plan);
         reference.set_fault_plan(plan);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
+        dut.set_trace(8192);
+        reference.set_trace(8192);
 
         for (i, op) in ops.iter().enumerate() {
             match *op {
@@ -520,9 +515,7 @@ proptest! {
                 "injection streams diverged at op {}", i);
         }
 
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
+        prop_assert_eq!(events(dut.trace()), events(reference.trace()), "trace streams diverged");
         for a in 0..MEM_WORDS {
             prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
         }
@@ -548,10 +541,8 @@ proptest! {
         let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
         let mut reference: ReferenceTxMemory<u64> =
             ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
+        dut.set_trace(8192);
+        reference.set_trace(8192);
 
         // The lease each thread holds on the directory impl, and the mask
         // its writes go through.
@@ -673,9 +664,7 @@ proptest! {
             }
         }
 
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
+        prop_assert_eq!(events(dut.trace()), events(reference.trace()), "trace streams diverged");
         for a in 0..MEM_WORDS {
             prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
         }

@@ -21,7 +21,7 @@ use machine_sim::ThreadId;
 
 use htm_sim::{
     AbortReason, Budgets, ExplicitCode, Fault, FaultInjector, FaultPlan, HtmStats,
-    OverflowPredictor, SpuriousCause, TraceEvent, TraceSink,
+    OverflowPredictor, RingBufferSink, SpuriousCause, TraceEvent,
 };
 
 /// `TxMemory`'s out-of-bounds panic, word for word.
@@ -51,7 +51,7 @@ pub struct ReferenceTxMemory<W: Clone> {
     doomed: Vec<Option<AbortReason>>,
     predictors: Vec<OverflowPredictor>,
     stats: HtmStats,
-    trace: Option<Box<dyn TraceSink>>,
+    trace: Option<RingBufferSink>,
     /// Seeded fault injector, mirroring [`htm_sim::TxMemory`]'s: draws are
     /// consumed only at transactional accesses so both sides of the
     /// differential pair see the same fault stream.
@@ -90,9 +90,14 @@ impl<W: Clone> ReferenceTxMemory<W> {
         self.injector.as_ref().map_or(0, FaultInjector::injected)
     }
 
-    /// Install a trace sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
+    /// Trace into a ring of the newest `capacity` events.
+    pub fn set_trace(&mut self, capacity: usize) {
+        self.trace = Some(RingBufferSink::new(capacity));
+    }
+
+    /// The trace ring, when [`Self::set_trace`] installed one.
+    pub fn trace(&self) -> Option<&RingBufferSink> {
+        self.trace.as_ref()
     }
 
     /// Set the simulated cycle stamped onto trace events.

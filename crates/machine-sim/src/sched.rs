@@ -210,17 +210,6 @@ impl Scheduler {
         self.slotless > 0 || self.live_count() > self.slots.len()
     }
 
-    /// Move `t`'s clock forward to at least `to` without counting the gap
-    /// as busy time (used when a thread discovers an event that happened
-    /// after its own clock, e.g. a GIL release).
-    pub fn skip_to(&mut self, t: ThreadId, to: Cycles) {
-        let th = &mut self.threads[t];
-        if th.clock < to {
-            th.clock = to;
-            self.refresh_ready(t);
-        }
-    }
-
     /// Recompute the cached ready time of `t` after a clock change. A
     /// sleeping thread whose clock is advanced past its wake deadline
     /// becomes ready at the (later) clock, not the deadline.
@@ -762,17 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_to_does_not_count_busy() {
-        let mut s = sched(1, 1);
-        let a = s.spawn(0);
-        s.skip_to(a, 500);
-        assert_eq!(s.clock(a), 500);
-        assert_eq!(s.busy(a), 0);
-        s.skip_to(a, 100); // never moves backwards
-        assert_eq!(s.clock(a), 500);
-    }
-
-    #[test]
     fn quantum_handover_charges_context_switch_to_the_waiter() {
         let mut s = sched(1, 1);
         let a = s.spawn(0);
@@ -812,16 +790,15 @@ mod tests {
     #[test]
     fn preemption_tie_on_usage_breaks_to_min_tid_not_min_clock() {
         let mut s = sched(2, 1);
-        let a = s.spawn(0);
+        // a starts later, so at equal slot usage it holds the larger clock
+        // and the tie-break is observable: it must go by tid, not clock.
+        let a = s.spawn(200);
         let b = s.spawn(0);
-        let c = s.spawn(0);
-        assert_eq!(s.next(), Some(a));
-        s.advance(a, 200);
         assert_eq!(s.next(), Some(b));
         s.advance(b, 200);
-        // Equal slot usage; skip a's clock ahead (no busy charge) so the
-        // tie-break is observable: it must go by tid, not clock.
-        s.skip_to(a, 400);
+        assert_eq!(s.next(), Some(a));
+        s.advance(a, 200);
+        let c = s.spawn(0);
         assert_eq!(s.next(), Some(c));
         assert!(s.threads[a].slot.is_none(), "usage tie must evict the smaller tid");
         assert!(s.threads[b].slot.is_some());
@@ -832,14 +809,13 @@ mod tests {
     fn equal_ready_time_tie_breaks_to_min_tid_even_when_sleeping() {
         let mut s = sched(2, 1);
         let a = s.spawn(0);
-        let b = s.spawn(0);
+        let b = s.spawn(100);
         assert_eq!(s.next(), Some(a));
         s.sleep_until(a, 100);
-        s.skip_to(b, 100);
         // Both become ready at exactly 100; the sleeping thread still wins
         // the tie because its tid is smaller.
         assert_eq!(s.next(), Some(a));
-        assert_eq!(s.clock(a), 100);
+        assert_eq!((s.clock(a), s.clock(b)), (100, 100));
     }
 
     #[test]
@@ -1096,7 +1072,7 @@ mod tests {
         let mut s = sched(3, 1);
         let a = s.spawn(1_000);
         let b = s.spawn(0);
-        let c = s.spawn(1_000);
+        let c = s.spawn(2_000);
         streak(&mut s, b, 2, 400);
         assert_eq!(s.next(), Some(b));
         // a, the smaller tid, wins a tie at 1000: b may use 200 cycles, not 201.
@@ -1108,7 +1084,6 @@ mod tests {
         assert_eq!(s.next(), Some(a));
         s.advance(a, 100);
         s.finish(a);
-        s.skip_to(c, 2_000);
         streak(&mut s, b, 2, 0);
         // c, the larger tid, loses a tie at 2000: b may use 950 + 1 cycles.
         assert_eq!((s.horizon, s.run_ahead(b)), ((2_000, c), 951));

@@ -64,11 +64,6 @@ impl Model {
         waiter || sleepers > self.slots.iter().filter(|s| s.is_none()).count()
     }
 
-    fn skip_to(&mut self, t: ThreadId, to: Cycles) {
-        let th = &mut self.threads[t];
-        th.clock = th.clock.max(to);
-    }
-
     fn stop(&mut self, t: ThreadId, state: ThreadState) {
         if let Some(s) = self.threads[t].slot.take() {
             self.slots[s] = None;
@@ -183,8 +178,6 @@ enum Step {
     /// advance, if nothing happened since.
     Rewind(Cycles),
     Advance(usize, Cycles),
-    /// `skip_to` the last pick's clock plus this much.
-    SkipAhead(usize, Cycles),
     SleepFor(usize, Cycles),
     Park(usize),
     /// `unpark` this much before (0), exactly at (1) or this much after
@@ -210,7 +203,6 @@ fn steps() -> impl Strategy<Value = Step> {
         (QUANTUM - 2..QUANTUM + 3).prop_map(Step::Run),
         (0u64..4_000).prop_map(Step::Rewind),
         (t.clone(), 0u64..3_000).prop_map(|(t, c)| Step::Advance(t, c)),
-        (t.clone(), 0u64..3_000).prop_map(|(t, c)| Step::SkipAhead(t, c)),
         (t.clone(), 0u64..6_000).prop_map(|(t, c)| Step::SleepFor(t, c)),
         t.clone().prop_map(Step::Park),
         (t.clone(), 0u8..3, 0u64..3_000).prop_map(|(t, k, c)| Step::Unpark(t, k, c)),
@@ -405,11 +397,6 @@ proptest! {
                 Step::Advance(t, c) => {
                     s.advance(t % len, c);
                     m.advance(t % len, c);
-                    stale = true;
-                }
-                Step::SkipAhead(t, c) => {
-                    s.skip_to(t % len, now + c);
-                    m.skip_to(t % len, now + c);
                     stale = true;
                 }
                 Step::SleepFor(t, c) => {

@@ -12,10 +12,11 @@
 //!   the benchmark's own ratio with `==`). The simulated keys include the
 //!   Fig. 8 cycle breakdown (`tx_begin_end` … `other`, after the abort
 //!   reasons), so a charge booked to the wrong category fails here even
-//!   when the clock it lands on is right. The nine keys before the headline
-//!   pair are the exception that proves it: deterministic counts of the
-//!   host's own work (`Executor::host_counters`: picks by kind, bursts and
-//!   their bytecodes; `TxMemory::undo_pushes`; the lease hits and misses;
+//!   when the clock it lands on is right. The eleven keys before the
+//!   headline pair are the exception that proves it: deterministic counts
+//!   of the host's own work (`Executor::host_counters`: picks by kind,
+//!   bursts and their bytecodes, steps looked ahead and rewinds;
+//!   `TxMemory::undo_pushes`; the lease hits and misses;
 //!   `TxMemory::dir_probes`) that a host-side change *is* expected to move —
 //!   and then to say by how much — and the task server's p99, which the
 //!   layer-share table of EXPERIMENTS.md "Host cost" reads from here.
