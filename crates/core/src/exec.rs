@@ -1455,9 +1455,9 @@ end
 threads.each do |t|
   t.join()
 end
-puts(results.join(","))
+puts(results)
 "#;
-        let expected = "20100,40200,60300";
+        let expected = "20100\n40200\n60300";
         for mode in [
             RuntimeMode::Gil,
             RuntimeMode::Htm { length: LengthPolicy::Fixed(1) },
@@ -1612,7 +1612,7 @@ end
 threads.each do |t|
   t.join()
 end
-puts(results.join(","))
+puts(results)
 "#;
         let gil = run_mode(src, RuntimeMode::Gil, MachineProfile::generic(4));
         let htm = run_mode(
@@ -1770,7 +1770,7 @@ end
 threads.each do |t|
   t.join()
 end
-puts(counters.join(","))
+puts(counters)
 "#;
         let profile = MachineProfile::generic(4);
         let mut cfg =
@@ -2014,9 +2014,9 @@ end
 threads.each do |t|
   t.join()
 end
-puts(results.join(","))
+puts(results)
 "#;
         let r = run_capped(src, RuntimeMode::Htm { length: LengthPolicy::Fixed(1) });
-        assert_eq!(r.stdout, "20100,40200,60300");
+        assert_eq!(r.stdout, "20100\n40200\n60300");
     }
 }

@@ -206,13 +206,13 @@ end
 threads.each do |t|
   t.join()
 end
-puts(done.join(","))
+puts(done)
 "#;
         let profile = MachineProfile::generic(4);
         let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
         let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).unwrap();
         let r = ex.run().unwrap();
-        assert_eq!(r.stdout, "1,12502500");
+        assert_eq!(r.stdout, "1\n12502500");
         assert!(r.breakdown.io_wait > 0, "I/O thread must actually block");
         assert!(r.gil_acquisitions >= 3, "GIL must change hands around the I/O parks");
     }

@@ -73,12 +73,10 @@ pub enum BResult {
     Value(Word),
     /// Park the thread; retry this instruction on wake.
     Block(BlockOn),
-    /// Pop receiver+args, optionally push `under` (pre-pushed result),
-    /// then enter `iseq` with the given self and the builtin's own
-    /// arguments. `discard` frames do not push their return value (used by
-    /// `new` → `initialize`). A non-zero `ep` enters the iseq as a block
-    /// frame with that static link (`Proc#call`).
-    Frame { iseq: IseqId, self_w: Word, block: Addr, under: Option<Word>, discard: bool, ep: Addr },
+    /// Pop receiver+args, push `obj` (what `new` returns), then enter
+    /// `iseq` (its `initialize`) on `obj` with the builtin's own arguments,
+    /// in a frame whose return value is discarded.
+    Initialize { iseq: IseqId, obj: Word, block: Addr },
     /// Pop receiver+args, push the Thread object, advance, and tell the
     /// executor a new thread exists.
     Spawned { tid: ThreadId, thread_obj: Word },
@@ -816,19 +814,14 @@ impl Vm {
                 }
                 Ok(StepOk::Block(on))
             }
-            BResult::Frame { iseq, self_w, block, under, discard, ep } => {
+            BResult::Initialize { iseq, obj, block } => {
                 for _ in 0..argc + 1 {
                     self.pop(t)?;
                 }
-                if let Some(u) = under {
-                    self.push(t, u)?;
-                }
+                self.push(t, obj)?;
                 let ret_sp = self.threads[t].sp;
-                let mut flags = if discard { FLAG_DISCARD } else { 0 };
-                if ep != 0 {
-                    flags |= FLAG_BLOCK;
-                }
-                self.push_frame(t, iseq, self_w, block, ep, ret_sp, flags, FrameArgs::Words(args))?;
+                let args = FrameArgs::Words(args);
+                self.push_frame(t, iseq, obj, block, 0, ret_sp, FLAG_DISCARD, args)?;
                 Ok(StepOk::Normal)
             }
             BResult::Spawned { tid, thread_obj } => {

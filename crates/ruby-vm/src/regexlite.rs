@@ -214,55 +214,6 @@ impl Regex {
             }
         }
     }
-
-    /// Replace the first match with `rep` (no backreferences in `rep`).
-    pub fn replace_first(
-        &self,
-        subject: &str,
-        rep: &str,
-        m: &mut Scratch,
-    ) -> (String, bool, usize) {
-        match self.find(subject, m) {
-            Some(hit) => {
-                let mut out: String = m.chars[..hit.start].iter().collect();
-                out.push_str(rep);
-                out.extend(m.chars[hit.end..].iter());
-                (out, true, hit.steps)
-            }
-            None => (subject.to_string(), false, subject.len() + 1),
-        }
-    }
-
-    /// Replace all (non-overlapping) matches.
-    pub fn replace_all(&self, subject: &str, rep: &str, m: &mut Scratch) -> (String, usize, usize) {
-        let chars: Vec<char> = subject.chars().collect();
-        let mut out = String::new();
-        let mut pos = 0usize;
-        let mut count = 0usize;
-        let mut total_steps = 0usize;
-        while pos <= chars.len() {
-            let rest: String = chars[pos..].iter().collect();
-            match self.find(&rest, m) {
-                Some(hit) => {
-                    total_steps += hit.steps;
-                    out.extend(chars[pos..pos + hit.start].iter());
-                    out.push_str(rep);
-                    count += 1;
-                    let advance = if hit.end == hit.start { hit.end + 1 } else { hit.end };
-                    if hit.start == hit.end && pos + hit.start < chars.len() {
-                        out.push(chars[pos + hit.start]);
-                    }
-                    pos += advance.max(1);
-                }
-                None => {
-                    total_steps += rest.len() + 1;
-                    out.extend(chars[pos..].iter());
-                    break;
-                }
-            }
-        }
-        (out, count, total_steps)
-    }
 }
 
 struct Parser {
@@ -526,21 +477,11 @@ mod tests {
     }
 
     #[test]
-    fn replace() {
-        let r = Regex::compile("o+").unwrap();
-        let m = &mut Scratch::default();
-        assert_eq!(r.replace_first("foo boo", "0", m).0, "f0 boo");
-        let (s, n, _) = r.replace_all("foo boo", "0", m);
-        assert_eq!(s, "f0 b0");
-        assert_eq!(n, 2);
-    }
-
-    #[test]
     fn steps_grow_with_subject() {
-        let r = Regex::compile("zzz").unwrap();
+        let r = Regex::compile("ab$").unwrap();
         let m = &mut Scratch::default();
-        let short = r.replace_first("ab", "x", m).2;
-        let long = r.replace_first(&"ab".repeat(100), "x", m).2;
+        let short = r.find("ab", m).unwrap().steps;
+        let long = r.find(&"ab".repeat(100), m).unwrap().steps;
         assert!(long > short, "cost must scale with subject length");
     }
 

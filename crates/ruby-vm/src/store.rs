@@ -49,13 +49,6 @@ impl Vm {
         Ok(table)
     }
 
-    /// `table.count`.
-    pub fn store_count(&mut self, t: ThreadId, table: Word) -> Result<Word, VmAbort> {
-        let rows = self.table_rows(t, table)?;
-        let n = self.array_len(t, rows)?;
-        Ok(Word::Int(n as i64))
-    }
-
     /// `table.scan_eq(col, value)` — full scan, returns matching rows.
     /// Reads every row (the read-set pressure of a real query) and
     /// materializes a fresh result array.
@@ -122,16 +115,6 @@ pub fn bi_store_insert(
     Ok(BResult::Value(vm.store_insert(t, recv, row)?))
 }
 
-pub fn bi_store_count(
-    vm: &mut Vm,
-    t: ThreadId,
-    recv: Word,
-    _args: &[Word],
-    _block: usize,
-) -> Result<BResult, VmAbort> {
-    Ok(BResult::Value(vm.store_count(t, recv)?))
-}
-
 pub fn bi_store_scan_eq(
     vm: &mut Vm,
     t: ThreadId,
@@ -178,7 +161,6 @@ mod tests {
             let row = vm.make_array(0, &[Word::Int(id), t_w, Word::Int(year)]).unwrap();
             vm.store_insert(0, table, row).unwrap();
         }
-        assert_eq!(vm.store_count(0, table).unwrap(), Word::Int(3));
         let hits = vm.store_scan_eq(0, table, 2, Word::Int(1984)).unwrap();
         let slot = hits.as_obj().unwrap();
         assert_eq!(vm.array_len(0, slot).unwrap(), 2);

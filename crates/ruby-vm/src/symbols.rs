@@ -1,9 +1,10 @@
 //! Symbol interning.
 //!
-//! Symbols are interned at compile/boot time (and occasionally at runtime
-//! by `String#to_sym`); the table itself is host-side metadata, like
-//! CRuby's symbol table before 2.2 made symbols GC-able. Runtime interning
-//! contention is not modelled — the workloads intern everything up front.
+//! Symbols are interned at compile/boot time (and occasionally at
+//! runtime, for an operator-fallback selector); the table itself is
+//! host-side metadata, like CRuby's symbol table before 2.2 made symbols
+//! GC-able. Runtime interning contention is not modelled — the workloads
+//! intern everything up front.
 
 use std::collections::HashMap;
 use std::sync::Arc;

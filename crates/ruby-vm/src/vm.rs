@@ -217,24 +217,12 @@ pub struct ThreadCtx {
     /// through the iseq table). Maintained by every frame transition.
     pub base: u32,
     pub finished: bool,
-    /// Heap address of the Ruby `Thread` object (0 for the main thread
-    /// until materialized).
+    /// Heap address of the Ruby `Thread` object (0 for the main thread,
+    /// which has none).
     pub thread_obj: Addr,
     pub result: Word,
     /// Barrier re-entry token: (barrier addr, generation at arrival).
     pub barrier_token: Option<(Addr, i64)>,
-    /// State of this thread's `Kernel#rand` stream (xorshift, seeded by
-    /// [`ThreadCtx::rand_seed`]). A register like `pc`: one stream per
-    /// thread, so the draws an aborted transaction takes back are its own
-    /// and no other thread's.
-    pub(crate) rand_state: u64,
-}
-
-impl ThreadCtx {
-    /// Seed of thread `tid`'s `Kernel#rand` stream.
-    pub(crate) fn rand_seed(tid: ThreadId) -> u64 {
-        0x1234_5678_9abc_def0 ^ (tid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
 }
 
 /// Register snapshot taken at transaction begin; memory words roll back
@@ -245,7 +233,6 @@ pub struct RegSnapshot {
     pub sp: Addr,
     pub pc: usize,
     pub iseq: IseqId,
-    pub(crate) rand_state: u64,
 }
 
 /// Well-known classes created at boot (heap addresses).
@@ -328,9 +315,10 @@ pub struct Vm {
     /// flat and this VM's own: a fetch is one indexed load off the `Vm`.
     pub(crate) code: Vec<crate::decode::DecodedInsn>,
     /// Every name this VM knows: its own layer — what the running program
-    /// interns (`String#to_sym`) — over boot's class and builtin names
-    /// ([`Program::boot_symbols`]) and the program's. No other VM sees the
-    /// layer; the ids are the ones a private table would have handed out.
+    /// interns (an operator-fallback selector) — over boot's class and
+    /// builtin names ([`Program::boot_symbols`]) and the program's. No
+    /// other VM sees the layer; the ids are the ones a private table would
+    /// have handed out.
     pub symbols: SymbolTable,
     pub threads: Vec<ThreadCtx>,
     pub classes: CoreClasses,
@@ -604,7 +592,6 @@ impl Vm {
             thread_obj: 0,
             result: Word::Nil,
             barrier_token: None,
-            rand_state: ThreadCtx::rand_seed(0),
         };
         self.push_root_frame(&mut ctx, iseq, Word::Obj(self.classes.main_obj), 0, 0);
         self.threads.push(ctx);
@@ -653,7 +640,7 @@ impl Vm {
     /// Take a register snapshot (transaction begin).
     pub fn snapshot(&self, tid: ThreadId) -> RegSnapshot {
         let c = &self.threads[tid];
-        RegSnapshot { fp: c.fp, sp: c.sp, pc: c.pc, iseq: c.iseq, rand_state: c.rand_state }
+        RegSnapshot { fp: c.fp, sp: c.sp, pc: c.pc, iseq: c.iseq }
     }
 
     /// Restore registers after an abort (memory already rolled back).
@@ -665,7 +652,6 @@ impl Vm {
         c.pc = s.pc;
         c.iseq = s.iseq;
         c.base = base;
-        c.rand_state = s.rand_state;
     }
 
     // ---- memory access helpers (count refs for cycle charging) ----------
@@ -911,16 +897,6 @@ impl Vm {
     pub fn publish_method_bumps(&mut self) {
         let bumps = std::mem::take(&mut self.pending_method_bumps);
         self.method_version = self.method_version.wrapping_add(bumps);
-    }
-
-    /// Deterministic xorshift for `rand`: the next draw of `t`'s stream.
-    pub(crate) fn next_rand(&mut self, t: ThreadId) -> u64 {
-        let mut x = self.threads[t].rand_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.threads[t].rand_state = x;
-        x
     }
 
     /// All output produced via `puts` so far, joined by newlines.

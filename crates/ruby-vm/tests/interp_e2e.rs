@@ -104,9 +104,9 @@ fn float_arithmetic_allocates_objects() {
 fn string_operations() {
     assert_eq!(run(r#"puts("foo" + "bar")"#), "foobar");
     assert_eq!(run(r#"puts("Hello".length)"#), "5");
-    assert_eq!(run(r#"puts("Hello".upcase)"#), "HELLO");
-    assert_eq!(run(r#"puts("a,b,c".split(",").join("-"))"#), "a-b-c");
-    assert_eq!(run(r#"puts("hello world".include?("wor"))"#), "true");
+    assert_eq!(run(r#"puts("Hello".downcase)"#), "hello");
+    assert_eq!(run(r#"puts("a,b,c".split(","))"#), "a\nb\nc");
+    assert_eq!(run(r#"puts(Regexp.new("wor").match("hello world").nil?)"#), "false");
     assert_eq!(run(r#"puts("42abc".to_i + 1)"#), "43");
     assert_eq!(
         run(r#"s = "ab"
@@ -159,20 +159,19 @@ fn blocks_and_yield() {
         "10\n20"
     );
     assert_eq!(run("3.times do |i|\n  puts(i)\nend"), "0\n1\n2");
-    assert_eq!(run("puts((1..4).map { |x| x * x }.join(\",\"))"), "1,4,9,16");
-    assert_eq!(run("puts([3, 1, 2].sort.join(\",\"))"), "1,2,3");
-    assert_eq!(run("puts([1, 2, 3, 4].select { |x| x.even?() }.join(\",\"))"), "2,4");
+    assert_eq!(run("puts((1..4).map { |x| x * x })"), "1\n4\n9\n16");
+    assert_eq!(run("puts([1, 2, 3, 4].select { |x| x.even?() })"), "2\n4");
 }
 
 #[test]
 fn arrays_and_hashes() {
-    assert_eq!(run("a = [1, 2, 3]\na.push(4)\na << 5\nputs(a.length)\nputs(a[4])"), "5\n5");
-    assert_eq!(run("a = Array.new(3, 7)\nputs(a.join(\",\"))"), "7,7,7");
+    assert_eq!(run("a = [1, 2, 3]\na << 4\na << 5\nputs(a.length)\nputs(a[4])"), "5\n5");
+    assert_eq!(run("a = Array.new(3, 7)\nputs(a)"), "7\n7\n7");
     assert_eq!(
-        run("h = { \"a\" => 1, \"b\" => 2 }\nputs(h[\"b\"])\nh[\"c\"] = 3\nputs(h.size)"),
+        run("h = { \"a\" => 1, \"b\" => 2 }\nputs(h[\"b\"])\nh[\"c\"] = 3\nputs(h[\"c\"])"),
         "2\n3"
     );
-    assert_eq!(run("a = [5, 3, 9]\nputs(a.min)\nputs(a.max)\nputs(a.sum)"), "3\n9\n17");
+    assert_eq!(run("a = [5, 3, 9]\nputs(a.select { |x| x > 4 })\nputs(a.sum)"), "5\n9\n17");
     assert_eq!(run("a = [1, 2]\na[0] += 10\nputs(a[0])"), "11");
 }
 
@@ -198,9 +197,9 @@ end
 d = Dog.new("Rex")
 puts(d.name)
 puts(d.speak)
-puts(d.class.name)
+puts(Animal.new("Tom").speak)
 "#;
-    assert_eq!(run(src), "Rex\nWoof\nDog");
+    assert_eq!(run(src), "Rex\nWoof\n...");
 }
 
 #[test]
@@ -244,10 +243,10 @@ fn globals_and_constants() {
 fn threads_run_and_join() {
     let src = r#"
 t = Thread.new(21) do |n|
-  n * 2
+  $r = n * 2
 end
 t.join()
-puts(t.value)
+puts($r)
 "#;
     assert_eq!(run(src), "42");
 }
@@ -271,9 +270,9 @@ end
 threads.each do |t|
   t.join()
 end
-puts(results.join(","))
+puts(results)
 "#;
-    assert_eq!(run(src), "5050,10100,15150,20200");
+    assert_eq!(run(src), "5050\n10100\n15150\n20200");
 }
 
 #[test]
@@ -319,9 +318,9 @@ end
 threads.each do |t|
   t.join()
 end
-puts(sums.join(","))
+puts(sums)
 "#;
-    assert_eq!(run(src), "3,3,3");
+    assert_eq!(run(src), "3\n3\n3");
 }
 
 #[test]
@@ -345,7 +344,7 @@ books.insert([3, "Count Zero", 1984])
 rows = books.scan_eq(2, 1984)
 puts(rows.length)
 puts(rows[0][1])
-puts(books.count)
+puts(books.all.length)
 "#;
     assert_eq!(run(src), "2\nNeuromancer\n3");
 }
@@ -353,12 +352,6 @@ puts(books.count)
 #[test]
 fn io_wait_blocks_and_resumes() {
     assert_eq!(run("puts(\"a\")\nio_wait(1)\nputs(\"b\")"), "a\nb");
-}
-
-#[test]
-fn math_functions() {
-    assert_eq!(run("puts(Math.sqrt(16.0))"), "4.0");
-    assert_eq!(run("puts(Math.pow(2.0, 8.0).to_i)"), "256");
 }
 
 #[test]
@@ -394,10 +387,10 @@ fn two_dimensional_arrays_via_build() {
     let src = r#"
 grid = Array.build(3) { |i| Array.new(3, i) }
 grid[1][2] = 9
-puts(grid[1].join(","))
-puts(grid[2].join(","))
+puts(grid[1])
+puts(grid[2])
 "#;
-    assert_eq!(run(src), "1,1,9\n2,2,2");
+    assert_eq!(run(src), "1\n1\n9\n2\n2\n2");
 }
 
 #[test]
@@ -468,14 +461,14 @@ fn a_burst_is_its_steps_and_ends_at_the_budget_a_flagged_instruction_or_a_mark()
 }
 
 /// A failing step's `Err` is zero-sized; its reason waits in the VM for
-/// whoever drives it. `"abc".include?(5)` fails three calls below the
-/// builtin (`bi_str_include` → `str_arg` → `recv_slot` → `Vm::fatal`),
+/// whoever drives it. `"abc".split(5)` fails three calls below the
+/// builtin (`bi_str_split` → `str_arg` → `recv_slot` → `Vm::fatal`),
 /// here inside a transaction: the message comes up intact, it can be taken
 /// once, and — it is not speculative state — aborting the transaction
 /// afterwards restores the image the transaction began on.
 #[test]
 fn a_fatal_deep_in_a_builtin_inside_a_transaction_parks_its_message_once() {
-    let src = "a = [1, 2]\na << 3\n\"abc\".include?(5)\nputs(1)";
+    let src = "a = [1, 2]\na << 3\n\"abc\".split(5)\nputs(1)";
     let cfg = VmConfig { heap_slots: 2_000, malloc_words: 8_000, ..VmConfig::default() };
     let mut vm = Vm::boot(src, cfg, &MachineProfile::generic(2)).unwrap();
     let image = |vm: &Vm| (0..vm.mem.size()).map(|a| *vm.mem.peek(a)).collect::<Vec<_>>();

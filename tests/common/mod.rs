@@ -17,7 +17,7 @@ pub enum Body {
     DisjointSlots { iters: u8 },
     /// Float accumulation (allocator pressure).
     FloatSum { iters: u8 },
-    /// Per-thread string building (`<<`, `+`, `sub`, `split`,
+    /// Per-thread string building (`<<`, `+`, `downcase`, `split`,
     /// `Regexp.new`): string-table pressure.
     StringChurn { iters: u8 },
 }
@@ -67,22 +67,22 @@ pub fn render(threads: usize, body: &Body) -> (String, String) {
         ),
         Body::FloatSum { iters } => (
             format!(
-                "    s = 0.0\n    j = 0\n    while j < {iters}\n      s += 0.5\n      j += 1\n    end\n    out[tid] = s.to_i * 2\n"
+                "    s = 0.0\n    j = 0\n    while j < {iters}\n      s += 0.5\n      j += 1\n    end\n    out[tid] = s.round * 2\n"
             ),
             "total",
-            // trunc(iters·0.5)·2 per thread: odd iteration counts floor.
-            format!("{}", (i64::from(*iters) / 2) * 2 * threads as i64),
+            // round(iters·0.5)·2 per thread: a half rounds away from zero.
+            format!("{}", (i64::from(*iters) + 1) / 2 * 2 * threads as i64),
         ),
         Body::StringChurn { iters } => (
             format!(
-                "    s = \"t\"\n    n = 0\n    j = 0\n    while j < {iters}\n      s << \"ab\"\n      u = s + j.to_s\n      if Regexp.new(\"a(b+)\" + j.to_s).match(u)\n        n += 1\n      end\n      n += u.sub(\"ab\", \"-\").split(\"b\").length\n      j += 1\n    end\n    out[tid] = n\n"
+                "    s = \"t\"\n    n = 0\n    j = 0\n    while j < {iters}\n      s << \"ab\"\n      u = s + j.to_s\n      if Regexp.new(\"a(b+)\" + j.to_s).match(u)\n        n += 1\n      end\n      n += u.downcase.split(\"b\").length\n      j += 1\n    end\n    out[tid] = n\n"
             ),
             "total",
             {
-                // Round j: the match hits, and "t-" + "ab"·j + digits
-                // splits on "b" into j + 1 pieces.
+                // Round j: the match hits, and "t" + "ab"·(j + 1) + digits
+                // splits on "b" into j + 2 pieces.
                 let iters = i64::from(*iters);
-                format!("{}", (2 * iters + iters * (iters - 1) / 2) * threads as i64)
+                format!("{}", (3 * iters + iters * (iters - 1) / 2) * threads as i64)
             },
         ),
     };

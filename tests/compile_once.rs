@@ -127,11 +127,11 @@ fn one_text_is_one_program_and_an_equally_long_text_another() {
     assert_eq!([stdout(a), stdout(b), stdout(c)], ["6", "6", "7"]);
 }
 
-/// A symbol a running program makes up is its VM's alone. Boot's names
-/// are frozen by the first VM of a program and found by every later one:
-/// the boot that fills the layer and a boot that finds it number every
-/// name alike — the ids a private table gave — under any config and on
-/// either machine, and a name made up at run time comes next in both.
+/// A symbol a VM makes up after boot is its own alone. Boot's names are
+/// frozen by the first VM of a program and found by every later one: the
+/// boot that fills the layer and a boot that finds it number every name
+/// alike — the ids a private table gave — under any config and on either
+/// machine, and a name interned after the run comes next in both.
 #[test]
 fn a_symbol_interned_at_run_time_stays_in_its_vm() {
     let _turn = serial();
@@ -143,14 +143,14 @@ fn a_symbol_interned_at_run_time_stays_in_its_vm() {
     for profile in [MachineProfile::zec12(), MachineProfile::xeon_e3_1275_v3()] {
         for (label, config) in &configs {
             let what = format!("{label} on {}", profile.name);
-            let source = format!("s = \"zz_only_here\".to_sym\nputs(s) # a_symbol, {what}\n");
+            let source = format!("puts(1) # a_symbol, {what}\n");
             let boot = || {
                 let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
                 Executor::new(&source, config.clone(), profile.clone(), cfg).expect("boot")
             };
             let first = boot();
             let cold = first.vm.symbols.len();
-            let (outcome, first) = run(first, &what);
+            let (outcome, mut first) = run(first, &what);
             let second = boot();
             let program = &second.vm.program;
             assert!(Arc::ptr_eq(&first.vm.program, program), "{what}: one program");
@@ -163,14 +163,14 @@ fn a_symbol_interned_at_run_time_stays_in_its_vm() {
             for id in (0..cold as u32).map(htm_gil::vm::SymId) {
                 assert_eq!(first.vm.symbols.name(id), second.vm.symbols.name(id), "{what}: {id:?}");
             }
-            let made_up = first.vm.symbols.lookup("zz_only_here").expect("the run interned it");
+            let made_up = first.vm.symbols.intern("zz_only_here");
             assert_eq!(made_up.0 as usize, cold, "{what}: numbered after boot's names");
             assert_eq!(second.vm.symbols.lookup("zz_only_here"), None, "{what}: not the next VM's");
             assert_eq!(frozen.lookup("zz_only_here"), None, "{what}: not the shared layer's");
-            let (again, second) = run(second, &what);
+            let (again, mut second) = run(second, &what);
             assert_eq!(again, outcome, "{what}: and the second run is the first");
-            let warm_made_up = second.vm.symbols.lookup("zz_only_here");
-            assert_eq!(warm_made_up, Some(made_up), "{what}: the same id in the warm VM");
+            let warm_made_up = second.vm.symbols.intern("zz_only_here");
+            assert_eq!(warm_made_up, made_up, "{what}: the same id in the warm VM");
         }
     }
 }

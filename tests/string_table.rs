@@ -121,7 +121,7 @@ threads = []
       end
       if j % 50 == 0
         mine << r
-        mine << u.sub("x", "y")
+        mine << u.downcase
       end
       j += 1
     end
@@ -132,7 +132,7 @@ end
 threads.each do |t|
   t.join()
 end
-puts($out.join(","))
+puts($out)
 "#;
 
 /// A heap small enough that the workers collect several times mid-run.
