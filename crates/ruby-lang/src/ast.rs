@@ -1,6 +1,6 @@
 //! Abstract syntax tree for the Ruby subset.
 
-/// Binary operators (all compile to `opt_*` bytecodes or generic sends).
+/// Binary operators (each compiles to its `opt_*` bytecode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
@@ -8,54 +8,20 @@ pub enum BinOp {
     Mul,
     Div,
     Mod,
-    Pow,
     Eq,
     Ne,
     Lt,
     Le,
     Gt,
     Ge,
-    Cmp,
     Shl,
-    Shr,
-    BitAnd,
-    BitOr,
-    BitXor,
 }
 
-impl BinOp {
-    /// Ruby method name the operator dispatches to when the receiver is
-    /// not a specialized type.
-    pub fn method_name(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Mod => "%",
-            BinOp::Pow => "**",
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::Cmp => "<=>",
-            BinOp::Shl => "<<",
-            BinOp::Shr => ">>",
-            BinOp::BitAnd => "&",
-            BinOp::BitOr => "|",
-            BinOp::BitXor => "^",
-        }
-    }
-}
-
-/// Unary operators.
+/// Unary operators. A minus before a numeric literal is part of the
+/// literal; before anything else it is a parse error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
-    Neg,
     Not,
-    BitNot,
 }
 
 /// A block literal (`do |params| body end` / `{ |params| body }`).
@@ -76,11 +42,8 @@ pub enum Node {
     Int(i64),
     Float(f64),
     Str(String),
-    Sym(String),
     /// `[a, b, c]`
     ArrayLit(Vec<Node>),
-    /// `{ k => v, … }`
-    HashLit(Vec<(Node, Node)>),
     /// `lo..hi` (`excl` for `...`)
     Range {
         lo: Box<Node>,
@@ -89,26 +52,20 @@ pub enum Node {
     },
     LVar(String),
     IVar(String),
-    CVar(String),
     GVar(String),
     Const(String),
-    /// Assignment to a local/ivar/cvar/gvar/const, an index (`a[i] = v`),
+    /// Assignment to a local/ivar/gvar/const, an index (`a[i] = v`),
     /// or an attribute (`o.x = v`).
     Assign {
         target: Box<Node>,
         value: Box<Node>,
     },
-    /// `target op= value`, desugared by the compiler into read-op-write.
+    /// `target op= value` on a local/ivar/gvar, desugared by the compiler
+    /// into read-op-write.
     OpAssign {
         target: Box<Node>,
         op: BinOp,
         value: Box<Node>,
-    },
-    /// `target ||= value` / `target &&= value`.
-    OrAssign {
-        target: Box<Node>,
-        value: Box<Node>,
-        is_and: bool,
     },
     BinExpr {
         op: BinOp,
@@ -148,14 +105,7 @@ pub enum Node {
         cond: Box<Node>,
         body: Box<Node>,
     },
-    Ternary {
-        cond: Box<Node>,
-        then: Box<Node>,
-        els: Box<Node>,
-    },
     Return(Option<Box<Node>>),
-    Break,
-    Next,
     /// Statement sequence; value is the last statement's value.
     Seq(Vec<Node>),
     MethodDef {
@@ -186,12 +136,7 @@ impl Node {
     pub fn is_lvalue(&self) -> bool {
         matches!(
             self,
-            Node::LVar(_)
-                | Node::IVar(_)
-                | Node::CVar(_)
-                | Node::GVar(_)
-                | Node::Const(_)
-                | Node::Index { .. }
+            Node::LVar(_) | Node::IVar(_) | Node::GVar(_) | Node::Const(_) | Node::Index { .. }
         ) || matches!(self, Node::Call { recv: Some(_), args, block: None, .. } if args.is_empty())
     }
 }
@@ -221,12 +166,5 @@ mod tests {
             block: None
         }
         .is_lvalue());
-    }
-
-    #[test]
-    fn binop_method_names() {
-        assert_eq!(BinOp::Add.method_name(), "+");
-        assert_eq!(BinOp::Cmp.method_name(), "<=>");
-        assert_eq!(BinOp::Shl.method_name(), "<<");
     }
 }

@@ -116,20 +116,10 @@ impl<'a> Lexer<'a> {
         if c == b'"' {
             return self.string(line);
         }
-        if c == b':' && (self.peek2().is_ascii_alphabetic() || self.peek2() == b'_') {
-            self.bump();
-            let name = self.ident_chars();
-            return Ok(self.tok(TokenKind::Sym(name), line));
-        }
         if c == b'@' {
             self.bump();
             if self.peek() == b'@' {
-                self.bump();
-                let name = self.ident_chars();
-                if name.is_empty() {
-                    return self.err("expected class-variable name after @@");
-                }
-                return Ok(self.tok(TokenKind::CVar(name), line));
+                return self.err("class variables are outside the subset");
             }
             let name = self.ident_chars();
             if name.is_empty() {
@@ -146,60 +136,15 @@ impl<'a> Lexer<'a> {
             return Ok(self.tok(TokenKind::GVar(name), line));
         }
         if c.is_ascii_alphabetic() || c == b'_' {
-            let name = self.ident_chars();
-            // Keyword check happens *after* the ?/! gluing below so that
-            // `nil?`, `end_with?`-style names built on keywords still lex
-            // as method names.
-            let glued_kw = TokenKind::keyword(&name);
-            if let Some(kw) = glued_kw.clone() {
-                if self.peek() != b'?' && self.peek() != b'!' {
-                    return Ok(self.tok(kw, line));
-                }
+            let mut name = self.ident_chars();
+            // A `?` or `!` right after a name ends it (`empty?`, `nil?`,
+            // `sort!`), keywords included; `x!=y` is a comparison.
+            if self.peek() == b'?' || (self.peek() == b'!' && self.peek2() != b'=') {
+                name.push(self.bump() as char);
+                return Ok(self.tok(TokenKind::IdentQ(name), line));
             }
-            if let Some(kw) = glued_kw {
-                // Keyword followed directly by ? or ! — only glue when the
-                // suffix is adjacent and not part of `!=`.
-                let nxt = self.peek2();
-                let is_ne = self.peek() == b'!' && nxt == b'=';
-                if !is_ne && nxt != b' ' {
-                    let q = self.bump();
-                    let mut n = name.clone();
-                    n.push(q as char);
-                    return Ok(self.tok(TokenKind::IdentQ(n), line));
-                }
+            if let Some(kw) = TokenKind::keyword(&name) {
                 return Ok(self.tok(kw, line));
-            }
-            // Method names may end in ? or !
-            if self.peek() == b'?' || self.peek() == b'!' {
-                // `x ? a : b` ternary ambiguity: treat `ident?` as a method
-                // name only when not followed by whitespace-expression. We
-                // take the simple rule: `?`/`!` gluing only when followed
-                // by `(`, `.`, `,`, `)`, newline, or space-then-lowercase…
-                // In practice our subset only uses `empty?`-style calls in
-                // postfix position, so gluing is always correct except for
-                // the ternary, which the bundled sources write with spaces
-                // around `?`. Glue when the previous char is directly
-                // adjacent.
-                let nxt = self.peek2();
-                if self.peek() == b'!' && nxt == b'=' {
-                    // `x != y` — do not glue.
-                } else if nxt != b' ' || self.peek() == b'?' {
-                    // Glue `foo?` / `foo!` when directly adjacent and not
-                    // part of `!=`. For `foo? ` we still glue: ternaries in
-                    // the subset put a space *before* `?`.
-                    if nxt != b' ' {
-                        let q = self.bump();
-                        let mut n = name.clone();
-                        n.push(q as char);
-                        return Ok(self.tok(TokenKind::IdentQ(n), line));
-                    }
-                }
-                if self.peek() == b'?' && nxt == b'(' {
-                    let q = self.bump();
-                    let mut n = name.clone();
-                    n.push(q as char);
-                    return Ok(self.tok(TokenKind::IdentQ(n), line));
-                }
             }
             let first = name.as_bytes()[0];
             if first.is_ascii_uppercase() {
@@ -227,10 +172,7 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'*' => {
-                if self.peek() == b'*' {
-                    self.bump();
-                    TokenKind::Pow
-                } else if self.peek() == b'=' {
+                if self.peek() == b'=' {
                     self.bump();
                     TokenKind::StarEq
                 } else {
@@ -253,17 +195,14 @@ impl<'a> Lexer<'a> {
                     TokenKind::Percent
                 }
             }
-            b'=' => match self.peek() {
-                b'=' => {
+            b'=' => {
+                if self.peek() == b'=' {
                     self.bump();
                     TokenKind::Eq
+                } else {
+                    TokenKind::Assign
                 }
-                b'>' => {
-                    self.bump();
-                    TokenKind::Arrow
-                }
-                _ => TokenKind::Assign,
-            },
+            }
             b'!' => {
                 if self.peek() == b'=' {
                     self.bump();
@@ -275,12 +214,7 @@ impl<'a> Lexer<'a> {
             b'<' => match self.peek() {
                 b'=' => {
                     self.bump();
-                    if self.peek() == b'>' {
-                        self.bump();
-                        TokenKind::Cmp
-                    } else {
-                        TokenKind::Le
-                    }
+                    TokenKind::Le
                 }
                 b'<' => {
                     self.bump();
@@ -293,43 +227,26 @@ impl<'a> Lexer<'a> {
                 }
                 _ => TokenKind::Lt,
             },
-            b'>' => match self.peek() {
-                b'=' => {
+            b'>' => {
+                if self.peek() == b'=' {
                     self.bump();
                     TokenKind::Ge
+                } else {
+                    TokenKind::Gt
                 }
-                b'>' => {
+            }
+            b'&' if self.peek() == b'&' => {
+                self.bump();
+                TokenKind::AndAnd
+            }
+            b'|' => {
+                if self.peek() == b'|' {
                     self.bump();
-                    TokenKind::Shr
+                    TokenKind::OrOr
+                } else {
+                    TokenKind::Pipe
                 }
-                _ => TokenKind::Gt,
-            },
-            b'&' => match self.peek() {
-                b'&' => {
-                    self.bump();
-                    if self.peek() == b'=' {
-                        self.bump();
-                        TokenKind::AndAndEq
-                    } else {
-                        TokenKind::AndAnd
-                    }
-                }
-                _ => TokenKind::Amp,
-            },
-            b'|' => match self.peek() {
-                b'|' => {
-                    self.bump();
-                    if self.peek() == b'=' {
-                        self.bump();
-                        TokenKind::OrOrEq
-                    } else {
-                        TokenKind::OrOr
-                    }
-                }
-                _ => TokenKind::Pipe,
-            },
-            b'^' => TokenKind::Caret,
-            b'~' => TokenKind::Tilde,
+            }
             b'.' => {
                 if self.peek() == b'.' {
                     self.bump();
@@ -351,15 +268,6 @@ impl<'a> Lexer<'a> {
             b'{' => TokenKind::LBrace,
             b'}' => TokenKind::RBrace,
             b';' => TokenKind::Semi,
-            b'?' => TokenKind::Question,
-            b':' => {
-                if self.peek() == b':' {
-                    self.bump();
-                    TokenKind::ColonColon
-                } else {
-                    TokenKind::Colon
-                }
-            }
             other => return self.err(format!("unexpected character {:?}", other as char)),
         };
         Ok(self.tok(kind, line))
@@ -458,14 +366,12 @@ fn continues_line(k: &TokenKind) -> bool {
             | Star
             | Slash
             | Percent
-            | Pow
             | Eq
             | Ne
             | Lt
             | Le
             | Gt
             | Ge
-            | Cmp
             | AndAnd
             | OrOr
             | Assign
@@ -474,21 +380,13 @@ fn continues_line(k: &TokenKind) -> bool {
             | StarEq
             | SlashEq
             | PercentEq
-            | OrOrEq
-            | AndAndEq
             | ShlEq
             | Shl
-            | Shr
-            | Amp
             | Pipe
-            | Caret
             | Dot
             | Comma
             | LParen
             | LBracket
-            | Arrow
-            | Question
-            | Colon
             | KwAnd
             | KwOr
             | KwNot
@@ -523,16 +421,14 @@ mod tests {
     #[test]
     fn identifiers_and_keywords() {
         assert_eq!(
-            kinds("def foo_1 end Bar @iv @@cv $gv :sym"),
+            kinds("def foo_1 end Bar @iv $gv"),
             vec![
                 T::KwDef,
                 T::Ident("foo_1".into()),
                 T::KwEnd,
                 T::Const("Bar".into()),
                 T::IVar("iv".into()),
-                T::CVar("cv".into()),
                 T::GVar("gv".into()),
-                T::Sym("sym".into()),
                 T::Eof
             ]
         );
@@ -541,25 +437,23 @@ mod tests {
     #[test]
     fn operators() {
         assert_eq!(
-            kinds("+ - * / % ** == != < <= > >= <=> && || << >> .. ..."),
+            kinds("+ - * / % == != < <= > >= && || << | .. ..."),
             vec![
                 T::Plus,
                 T::Minus,
                 T::Star,
                 T::Slash,
                 T::Percent,
-                T::Pow,
                 T::Eq,
                 T::Ne,
                 T::Lt,
                 T::Le,
                 T::Gt,
                 T::Ge,
-                T::Cmp,
                 T::AndAnd,
                 T::OrOr,
                 T::Shl,
-                T::Shr,
+                T::Pipe,
                 T::DotDot,
                 T::DotDotDot,
                 T::Eof
@@ -570,14 +464,14 @@ mod tests {
     #[test]
     fn op_assign() {
         assert_eq!(
-            kinds("x += 1; y ||= 2"),
+            kinds("x += 1; y <<= 2"),
             vec![
                 T::Ident("x".into()),
                 T::PlusEq,
                 T::Int(1),
                 T::Semi,
                 T::Ident("y".into()),
-                T::OrOrEq,
+                T::ShlEq,
                 T::Int(2),
                 T::Eof
             ]
@@ -629,18 +523,34 @@ mod tests {
     }
 
     #[test]
-    fn ternary_with_spaces_is_not_glued() {
+    fn a_predicate_name_ends_at_its_question_mark() {
         assert_eq!(
-            kinds("a ? b : c"),
+            kinds("a.any? { |x| x }"),
             vec![
                 T::Ident("a".into()),
-                T::Question,
-                T::Ident("b".into()),
-                T::Colon,
-                T::Ident("c".into()),
+                T::Dot,
+                T::IdentQ("any?".into()),
+                T::LBrace,
+                T::Pipe,
+                T::Ident("x".into()),
+                T::Pipe,
+                T::Ident("x".into()),
+                T::RBrace,
                 T::Eof
             ]
         );
+        assert_eq!(
+            kinds("x.nil?"),
+            vec![T::Ident("x".into()), T::Dot, T::IdentQ("nil?".into()), T::Eof]
+        );
+    }
+
+    #[test]
+    fn characters_outside_the_subset_are_errors_with_their_line() {
+        for src in ["a ? 1 : 2", ":s", "1 & 1", "1 ^ 1", "~1", "@@x = 1"] {
+            let e = Lexer::new(&format!("\n{src}")).tokenize().unwrap_err();
+            assert_eq!(e.line, 2, "{src}: {e}");
+        }
     }
 
     #[test]

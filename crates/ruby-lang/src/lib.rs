@@ -7,18 +7,24 @@
 //! the NAS Parallel Benchmarks port, the WEBrick model, the Rails model and
 //! the micro-benchmarks of Fig. 4:
 //!
-//! * literals: integers, floats, double-quoted strings (with escapes),
-//!   symbols, `nil`/`true`/`false`, array/hash literals, ranges;
-//! * variables: locals, `@ivars`, `@@cvars`, `$globals`, `CONSTANTS`;
-//! * full operator set with Ruby precedence, `op=` assignments, ternary;
-//! * control flow: `if`/`elsif`/`else`/`unless`, `while`/`until`,
-//!   `break`/`next`/`return`;
-//! * methods (`def`, `def self.`), classes with single inheritance and
-//!   `attr_accessor`-family declarations;
+//! * literals: integers, floats (a leading `-` is part of the literal),
+//!   double-quoted strings (with escapes), `nil`/`true`/`false`, array
+//!   literals, ranges;
+//! * variables: locals, `@ivars`, `$globals`, `CONSTANTS`;
+//! * operators `+ - * / % == != < <= > >= << ! && || and or not`, with
+//!   Ruby precedence, and `op=` on a variable;
+//! * control flow: `if`/`elsif`/`else`/`unless`, `while`/`until`, `return`;
+//! * methods (`def`, `def self.`) and classes with single inheritance;
 //! * blocks (`do |x| … end` and `{ |x| … }`) and `yield` — the machinery
 //!   behind the paper's Iterator micro-benchmark;
 //! * method calls require parentheses except for zero-argument calls
 //!   (a deliberate simplification; the bundled workloads comply).
+//!
+//! Nothing the workloads do not build is kept: the ternary, symbols (and
+//! so `attr_accessor`), hash literals (`Hash.new` stays), class variables,
+//! `||=`/`&&=`, `break`/`next`, the operators `** <=> >> & | ^ ~`, unary
+//! minus on a non-literal and `a[i] op= v` are lex or parse errors with
+//! their line, never another meaning.
 //!
 //! Parsing produces a [`ast::Node`] tree; compilation to YARV-like
 //! bytecode lives in `ruby-vm`.

@@ -2,7 +2,8 @@
 //!
 //! Precedence follows Ruby's operator table. `if`/`while`/`until` are
 //! expressions (as in Ruby); `X if Y` / `X unless Y` statement modifiers
-//! are supported. `begin/rescue` and `case/when` are outside the subset and
+//! are supported. `begin/rescue`, `case/when`, `break`/`next`, hash
+//! literals and unary minus on a non-literal are outside the subset and
 //! produce a clear error.
 
 use crate::ast::{BinOp, BlockDef, Node, UnOp};
@@ -130,13 +131,8 @@ impl Parser {
                     if self.stmt_ends_here() { None } else { Some(Box::new(self.parse_expr()?)) };
                 Node::Return(value)
             }
-            TokenKind::KwBreak => {
-                self.bump();
-                Node::Break
-            }
-            TokenKind::KwNext => {
-                self.bump();
-                Node::Next
+            TokenKind::KwBreak | TokenKind::KwNext => {
+                return self.err("break/next are outside the subset; use the loop condition")
             }
             _ => self.parse_expr()?,
         };
@@ -243,7 +239,6 @@ impl Parser {
             TokenKind::Slash => "/".into(),
             TokenKind::Percent => "%".into(),
             TokenKind::Eq => "==".into(),
-            TokenKind::Cmp => "<=>".into(),
             TokenKind::Lt => "<".into(),
             TokenKind::Le => "<=".into(),
             TokenKind::Gt => ">".into(),
@@ -289,20 +284,13 @@ impl Parser {
             TokenKind::SlashEq => Some(BinOp::Div),
             TokenKind::PercentEq => Some(BinOp::Mod),
             TokenKind::ShlEq => Some(BinOp::Shl),
-            TokenKind::OrOrEq => {
-                self.bump();
-                let value = self.parse_assignment()?;
-                return self.make_logic_assign(lhs, value, false);
-            }
-            TokenKind::AndAndEq => {
-                self.bump();
-                let value = self.parse_assignment()?;
-                return self.make_logic_assign(lhs, value, true);
-            }
             _ => return Ok(lhs),
         };
         if !lhs.is_lvalue() {
             return self.err("left-hand side is not assignable");
+        }
+        if op.is_some() && !matches!(lhs, Node::LVar(_) | Node::IVar(_) | Node::GVar(_)) {
+            return self.err("`op=` takes a local, @ivar or $global; write `a[i] = a[i] + v`");
         }
         self.bump();
         let value = self.parse_assignment()?; // right-associative
@@ -312,20 +300,13 @@ impl Parser {
         }
     }
 
-    fn make_logic_assign(&self, lhs: Node, value: Node, is_and: bool) -> Result<Node, ParseError> {
-        if !lhs.is_lvalue() {
-            return self.err("left-hand side is not assignable");
-        }
-        Ok(Node::OrAssign { target: Box::new(lhs), value: Box::new(value), is_and })
-    }
-
     /// Lowest precedence: `and` / `or` / `not` keywords.
     fn parse_keyword_logic(&mut self) -> Result<Node, ParseError> {
         if self.eat(&TokenKind::KwNot) {
             let e = self.parse_keyword_logic()?;
             return Ok(Node::UnExpr { op: UnOp::Not, e: Box::new(e) });
         }
-        let mut l = self.parse_ternary()?;
+        let mut l = self.parse_range()?;
         loop {
             let is_and = match self.peek() {
                 TokenKind::KwAnd => true,
@@ -333,25 +314,10 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let r = self.parse_ternary()?;
+            let r = self.parse_range()?;
             l = Node::Logical { is_and, l: Box::new(l), r: Box::new(r) };
         }
         Ok(l)
-    }
-
-    fn parse_ternary(&mut self) -> Result<Node, ParseError> {
-        let cond = self.parse_range()?;
-        if self.eat(&TokenKind::Question) {
-            let then = self.parse_ternary()?;
-            self.expect(&TokenKind::Colon)?;
-            let els = self.parse_ternary()?;
-            return Ok(Node::Ternary {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els: Box::new(els),
-            });
-        }
-        Ok(cond)
     }
 
     fn parse_range(&mut self) -> Result<Node, ParseError> {
@@ -390,7 +356,6 @@ impl Parser {
             let op = match self.peek() {
                 TokenKind::Eq => BinOp::Eq,
                 TokenKind::Ne => BinOp::Ne,
-                TokenKind::Cmp => BinOp::Cmp,
                 _ => break,
             };
             self.bump();
@@ -401,7 +366,7 @@ impl Parser {
     }
 
     fn parse_comparison(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_bitor()?;
+        let mut l = self.parse_shift()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Lt => BinOp::Lt,
@@ -411,48 +376,17 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let r = self.parse_bitor()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
-    }
-
-    fn parse_bitor(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_bitand()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Pipe => BinOp::BitOr,
-                TokenKind::Caret => BinOp::BitXor,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_bitand()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
-    }
-
-    fn parse_bitand(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_shift()?;
-        while self.peek() == &TokenKind::Amp {
-            self.bump();
             let r = self.parse_shift()?;
-            l = Node::BinExpr { op: BinOp::BitAnd, l: Box::new(l), r: Box::new(r) };
+            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
         }
         Ok(l)
     }
 
     fn parse_shift(&mut self) -> Result<Node, ParseError> {
         let mut l = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Shl => BinOp::Shl,
-                TokenKind::Shr => BinOp::Shr,
-                _ => break,
-            };
-            self.bump();
+        while self.eat(&TokenKind::Shl) {
             let r = self.parse_additive()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
+            l = Node::BinExpr { op: BinOp::Shl, l: Box::new(l), r: Box::new(r) };
         }
         Ok(l)
     }
@@ -495,44 +429,21 @@ impl Parser {
                 // A minus directly before a numeric literal folds into the
                 // literal *before* postfix methods apply (Ruby: `-3.abs`
                 // is `(-3).abs == 3`).
-                match self.peek().clone() {
-                    TokenKind::Int(i) => {
-                        self.bump();
-                        return self.parse_postfix_from(Node::Int(-i));
-                    }
-                    TokenKind::Float(f) => {
-                        self.bump();
-                        return self.parse_postfix_from(Node::Float(-f));
-                    }
-                    _ => {}
-                }
-                match self.parse_unary()? {
-                    Node::Int(i) => Ok(Node::Int(-i)),
-                    Node::Float(f) => Ok(Node::Float(-f)),
-                    e => Ok(Node::UnExpr { op: UnOp::Neg, e: Box::new(e) }),
-                }
+                let lit = match *self.peek() {
+                    TokenKind::Int(i) => Node::Int(-i),
+                    TokenKind::Float(f) => Node::Float(-f),
+                    _ => return self.err("unary minus takes a numeric literal; write `0 - x`"),
+                };
+                self.bump();
+                self.parse_postfix_from(lit)
             }
             TokenKind::Bang => {
                 self.bump();
                 let e = self.parse_unary()?;
                 Ok(Node::UnExpr { op: UnOp::Not, e: Box::new(e) })
             }
-            TokenKind::Tilde => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Node::UnExpr { op: UnOp::BitNot, e: Box::new(e) })
-            }
-            _ => self.parse_power(),
+            _ => self.parse_postfix(),
         }
-    }
-
-    fn parse_power(&mut self) -> Result<Node, ParseError> {
-        let base = self.parse_postfix()?;
-        if self.eat(&TokenKind::Pow) {
-            let exp = self.parse_unary()?; // right-associative
-            return Ok(Node::BinExpr { op: BinOp::Pow, l: Box::new(base), r: Box::new(exp) });
-        }
-        Ok(base)
     }
 
     fn parse_postfix(&mut self) -> Result<Node, ParseError> {
@@ -636,10 +547,6 @@ impl Parser {
                 self.bump();
                 Ok(Node::Str(s))
             }
-            TokenKind::Sym(s) => {
-                self.bump();
-                Ok(Node::Sym(s))
-            }
             TokenKind::KwNil => {
                 self.bump();
                 Ok(Node::Nil)
@@ -681,24 +588,7 @@ impl Parser {
                 self.expect(&TokenKind::RBracket)?;
                 Ok(Node::ArrayLit(elems))
             }
-            TokenKind::LBrace => {
-                self.bump();
-                self.skip_terms();
-                let mut pairs = Vec::new();
-                while self.peek() != &TokenKind::RBrace {
-                    let k = self.parse_expr()?;
-                    self.expect(&TokenKind::Arrow)?;
-                    let v = self.parse_expr()?;
-                    pairs.push((k, v));
-                    self.skip_terms();
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                    self.skip_terms();
-                }
-                self.expect(&TokenKind::RBrace)?;
-                Ok(Node::HashLit(pairs))
-            }
+            TokenKind::LBrace => self.err("hash literals are outside the subset; use Hash.new"),
             TokenKind::Ident(name) | TokenKind::IdentQ(name) => {
                 self.bump();
                 if self.peek() == &TokenKind::LParen {
@@ -726,10 +616,6 @@ impl Parser {
             TokenKind::IVar(name) => {
                 self.bump();
                 Ok(Node::IVar(name))
-            }
-            TokenKind::CVar(name) => {
-                self.bump();
-                Ok(Node::CVar(name))
             }
             TokenKind::GVar(name) => {
                 self.bump();
@@ -799,7 +685,6 @@ mod tests {
         assert_eq!(parse("42"), N::Int(42));
         assert_eq!(parse("4.5"), N::Float(4.5));
         assert_eq!(parse("\"hi\""), N::Str("hi".into()));
-        assert_eq!(parse(":sym"), N::Sym("sym".into()));
         assert_eq!(parse("nil"), N::Nil);
     }
 
@@ -879,12 +764,9 @@ mod tests {
         // Block after call:
         let n = parse("f { |a| a }");
         assert!(matches!(n, N::Call { block: Some(_), .. }));
-        // Hash literal in expression position:
-        let n = parse("h = { 1 => 2 }");
-        match n {
-            N::Assign { value, .. } => assert!(matches!(*value, N::HashLit(_))),
-            other => panic!("{other:?}"),
-        }
+        // A brace in expression position would be a hash literal:
+        let e = parse_program("h = { 1 => 2 }").unwrap_err();
+        assert!(e.msg.contains("hash literals"), "{e}");
     }
 
     #[test]
@@ -965,9 +847,12 @@ mod tests {
     }
 
     #[test]
-    fn ternary() {
-        let n = parse("a ? 1 : 2");
-        assert!(matches!(n, N::Ternary { .. }));
+    fn forms_outside_the_subset_are_errors_with_their_line() {
+        for src in ["break", "next", "2 ** 3", "1 <=> 2", "1 >> 1", "x ||= 1", "-x", "a[0] += 1"] {
+            let e = parse_program(&format!("x = 1\n{src}")).unwrap_err();
+            assert_eq!(e.line, 2, "{src}: {e}");
+        }
+        assert!(parse_program("-x").unwrap_err().msg.contains("0 - x"));
     }
 
     #[test]
@@ -1018,6 +903,12 @@ mod tests {
         let n = parse("s.empty?");
         match n {
             N::Call { name, .. } => assert_eq!(name, "empty?"),
+            other => panic!("{other:?}"),
+        }
+        match parse("[1, 2].any? { |x| x > 1 }") {
+            N::Call { name, block: Some(b), .. } => {
+                assert_eq!((&*name, b.params), ("any?", vec!["x".into()]))
+            }
             other => panic!("{other:?}"),
         }
     }

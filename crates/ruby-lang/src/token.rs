@@ -14,7 +14,6 @@ pub enum TokenKind {
     Int(i64),
     Float(f64),
     Str(String),
-    Sym(String),
 
     // Identifier classes
     /// Lowercase/underscore identifier (local variable or method name).
@@ -25,8 +24,6 @@ pub enum TokenKind {
     Const(String),
     /// `@name`
     IVar(String),
-    /// `@@name`
-    CVar(String),
     /// `$name`
     GVar(String),
 
@@ -66,14 +63,12 @@ pub enum TokenKind {
     Star,
     Slash,
     Percent,
-    Pow, // **
-    Eq,  // ==
-    Ne,  // !=
+    Eq, // ==
+    Ne, // !=
     Lt,
     Le,
     Gt,
     Ge,
-    Cmp,    // <=>
     AndAnd, // &&
     OrOr,   // ||
     Bang,   // !
@@ -83,15 +78,9 @@ pub enum TokenKind {
     StarEq,
     SlashEq,
     PercentEq,
-    OrOrEq,   // ||=
-    AndAndEq, // &&=
-    ShlEq,    // <<=
-    Shl,      // <<
-    Shr,      // >>
-    Amp,      // &
-    Pipe,     // |
-    Caret,    // ^
-    Tilde,    // ~
+    ShlEq, // <<=
+    Shl,   // <<
+    Pipe,  // |
     Dot,
     DotDot,    // ..
     DotDotDot, // ...
@@ -104,10 +93,6 @@ pub enum TokenKind {
     RBrace,
     Semi,
     Newline,
-    Question,
-    Colon,
-    ColonColon,
-    Arrow, // =>
     Eof,
 }
 

@@ -550,7 +550,7 @@ fn bi_hash_new(
     _a: &[Word],
     _b: Addr,
 ) -> Result<BResult, VmAbort> {
-    Ok(BResult::Value(vm.make_hash(t, &[])?))
+    Ok(BResult::Value(vm.make_hash(t)?))
 }
 
 /// `Hash#keys`, in insertion order: what the prelude's `Hash#each` and

@@ -5,7 +5,8 @@
 //! `getinstancevariable`, `getclassvariable`, `send`, `opt_plus`,
 //! `opt_minus`, `opt_mult`, `opt_aref`), so the runtime classifies
 //! instructions the same way (see [`Insn::kind`] and
-//! [`InsnKind::is_extended_yield_point`]).
+//! [`InsnKind::is_extended_yield_point`]). Class variables are outside the
+//! subset, so `getclassvariable` has no instruction here.
 
 use crate::symbols::SymId;
 
@@ -19,7 +20,6 @@ pub type IcSite = u32;
 /// One bytecode instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Insn {
-    Nop,
     // --- push/pop -------------------------------------------------------
     PutNil,
     PutTrue,
@@ -35,8 +35,6 @@ pub enum Insn {
     PutSym(SymId),
     Pop,
     Dup,
-    /// Duplicate the top `n` words (used by `a[i] op= v` desugaring).
-    DupN(u8),
     // --- variables ------------------------------------------------------
     /// Local read; `depth` block hops up the static chain.
     GetLocal {
@@ -55,12 +53,6 @@ pub enum Insn {
         name: SymId,
         ic: IcSite,
     },
-    GetCvar {
-        name: SymId,
-    },
-    SetCvar {
-        name: SymId,
-    },
     GetGlobal {
         name: SymId,
     },
@@ -75,9 +67,6 @@ pub enum Insn {
     },
     // --- aggregates -----------------------------------------------------
     NewArray {
-        n: u16,
-    },
-    NewHash {
         n: u16,
     },
     NewRange {
@@ -140,10 +129,6 @@ pub enum Insn {
         ic: IcSite,
     },
     OptNot,
-    OptNeg,
-    /// Rare operators without inline caches (`&`, `|`, `^`, `>>`, `**`,
-    /// `<=>`): direct on Fixnums, generic dispatch otherwise.
-    RareOp(RareBinOp),
     // --- control flow ----------------------------------------------------
     Jump(i32),
     BranchIf(i32),
@@ -163,23 +148,11 @@ pub enum Insn {
     },
 }
 
-/// Rare binary operators dispatched without inline caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RareBinOp {
-    BitAnd,
-    BitOr,
-    BitXor,
-    Shr,
-    Pow,
-    Cmp,
-}
-
 /// Coarse instruction classification used by the yield-point policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsnKind {
     GetLocal,
     GetIvar,
-    GetCvar,
     Send,
     OptPlus,
     OptMinus,
@@ -200,7 +173,6 @@ impl Insn {
         match self {
             Insn::GetLocal { .. } => InsnKind::GetLocal,
             Insn::GetIvar { .. } => InsnKind::GetIvar,
-            Insn::GetCvar { .. } => InsnKind::GetCvar,
             Insn::Send { .. } => InsnKind::Send,
             Insn::OptPlus { .. } => InsnKind::OptPlus,
             Insn::OptMinus { .. } => InsnKind::OptMinus,
@@ -223,15 +195,15 @@ impl InsnKind {
     }
 
     /// The paper's extended yield-point set (§4.2): the original points
-    /// plus `getlocal`, `getinstancevariable`, `getclassvariable`, `send`,
-    /// `opt_plus`, `opt_minus`, `opt_mult`, `opt_aref`.
+    /// plus `getlocal`, `getinstancevariable`, `send`, `opt_plus`,
+    /// `opt_minus`, `opt_mult`, `opt_aref` (and `getclassvariable`, which
+    /// the subset does not compile).
     pub fn is_extended_yield_point(self) -> bool {
         self.is_original_yield_point()
             || matches!(
                 self,
                 InsnKind::GetLocal
                     | InsnKind::GetIvar
-                    | InsnKind::GetCvar
                     | InsnKind::Send
                     | InsnKind::OptPlus
                     | InsnKind::OptMinus
@@ -281,18 +253,14 @@ impl ISeq {
 fn stack_effect(i: &Insn) -> i64 {
     use Insn::*;
     match i {
-        Nop | Jump(_) | Leave | DefineMethod { .. } => 0,
+        Jump(_) | Leave | DefineMethod { .. } => 0,
         PutNil | PutTrue | PutFalse | PutSelf | PutInt(_) | PutPooled(_) | PutString(_)
         | PutSym(_) => 1,
         Pop => -1,
         Dup => 1,
-        DupN(n) => i64::from(*n),
-        GetLocal { .. } | GetIvar { .. } | GetCvar { .. } | GetGlobal { .. } | GetConst { .. } => 1,
-        SetLocal { .. } | SetIvar { .. } | SetCvar { .. } | SetGlobal { .. } | SetConst { .. } => {
-            -1
-        }
+        GetLocal { .. } | GetIvar { .. } | GetGlobal { .. } | GetConst { .. } => 1,
+        SetLocal { .. } | SetIvar { .. } | SetGlobal { .. } | SetConst { .. } => -1,
         NewArray { n } => 1 - i64::from(*n),
-        NewHash { n } => 1 - 2 * i64::from(*n),
         NewRange { .. } => -1,
         Send { argc, .. } => -i64::from(*argc), // recv+args → result
         InvokeBlock { argc } => 1 - i64::from(*argc),
@@ -308,10 +276,9 @@ fn stack_effect(i: &Insn) -> i64 {
         | OptGt { .. }
         | OptGe { .. }
         | OptAref { .. }
-        | OptShl { .. }
-        | RareOp(_) => -1,
+        | OptShl { .. } => -1,
         OptAset { .. } => -2,
-        OptNot | OptNeg => 0,
+        OptNot => 0,
         BranchIf(_) | BranchUnless(_) => -1,
         DefineClass { .. } => 1,
     }
@@ -326,11 +293,10 @@ mod tests {
         // Extended set includes the original points…
         assert!(InsnKind::BranchBack.is_extended_yield_point());
         assert!(InsnKind::Leave.is_extended_yield_point());
-        // …plus the eight bytecode types of §4.2.
+        // …plus the bytecode types of §4.2 (`getclassvariable` has none).
         for k in [
             InsnKind::GetLocal,
             InsnKind::GetIvar,
-            InsnKind::GetCvar,
             InsnKind::Send,
             InsnKind::OptPlus,
             InsnKind::OptMinus,

@@ -3,14 +3,13 @@
 //! Follows YARV's compilation patterns: a scope stack resolves locals
 //! (blocks see enclosing locals up to the nearest method boundary, with a
 //! `depth` counting block hops), `&&`/`||` compile to dup-branch
-//! sequences, loops keep the operand stack balanced so `next`/`break`
-//! cannot leak stack words, and every call/operator/ivar site gets its own
-//! inline-cache slot.
+//! sequences, and every call/operator/ivar site gets its own inline-cache
+//! slot.
 
 use ruby_lang::ast::{BinOp, BlockDef, Node, UnOp};
 use ruby_lang::parse_program;
 
-use crate::bytecode::{ISeq, Insn, IseqId, RareBinOp};
+use crate::bytecode::{ISeq, Insn, IseqId};
 use crate::program::Program;
 use crate::symbols::SymId;
 
@@ -39,7 +38,7 @@ impl From<ruby_lang::ParseError> for CompileError {
 pub fn compile_source(src: &str, prog: &mut Program) -> Result<IseqId, CompileError> {
     let ast = parse_program(src)?;
     let mut c = Compiler { prog, scopes: Vec::new() };
-    c.compile_unit("<main>", &[], &ast, false, false)
+    c.compile_unit("<main>", &[], &ast, false)
 }
 
 struct ScopeInfo {
@@ -59,22 +58,9 @@ struct Emit {
     fixups: Vec<(usize, usize)>,
     /// Label id → resolved pc.
     labels: Vec<Option<usize>>,
-    /// Loop context stack: (continue label, done label).
-    loops: Vec<(usize, usize)>,
-    in_class_body: bool,
 }
 
 impl Emit {
-    fn new(in_class_body: bool) -> Self {
-        Emit {
-            code: Vec::new(),
-            fixups: Vec::new(),
-            labels: Vec::new(),
-            loops: Vec::new(),
-            in_class_body,
-        }
-    }
-
     fn label(&mut self) -> usize {
         self.labels.push(None);
         self.labels.len() - 1
@@ -114,10 +100,9 @@ impl<'p> Compiler<'p> {
         params: &[String],
         body: &Node,
         is_block: bool,
-        in_class_body: bool,
     ) -> Result<IseqId, CompileError> {
         self.scopes.push(ScopeInfo { locals: params.to_vec(), is_block });
-        let mut e = Emit::new(in_class_body);
+        let mut e = Emit { code: Vec::new(), fixups: Vec::new(), labels: Vec::new() };
         let r = self.node(&mut e, body);
         let scope = self.scopes.pop().expect("scope");
         r?;
@@ -185,10 +170,6 @@ impl<'p> Compiler<'p> {
                 let idx = self.prog.pool_string(s);
                 e.emit(Insn::PutString(idx));
             }
-            Node::Sym(s) => {
-                let id = self.sym(s);
-                e.emit(Insn::PutSym(id));
-            }
             Node::ArrayLit(elems) => {
                 if elems.len() > u16::MAX as usize {
                     return self.err("array literal too long");
@@ -197,13 +178,6 @@ impl<'p> Compiler<'p> {
                     self.node(e, el)?;
                 }
                 e.emit(Insn::NewArray { n: elems.len() as u16 });
-            }
-            Node::HashLit(pairs) => {
-                for (k, v) in pairs {
-                    self.node(e, k)?;
-                    self.node(e, v)?;
-                }
-                e.emit(Insn::NewHash { n: pairs.len() as u16 });
             }
             Node::Range { lo, hi, excl } => {
                 self.node(e, lo)?;
@@ -226,10 +200,6 @@ impl<'p> Compiler<'p> {
                 let ic = self.prog.new_ic_site();
                 e.emit(Insn::GetIvar { name, ic });
             }
-            Node::CVar(name) => {
-                let name = self.sym(name);
-                e.emit(Insn::GetCvar { name });
-            }
             Node::GVar(name) => {
                 let name = self.sym(name);
                 e.emit(Insn::GetGlobal { name });
@@ -240,30 +210,15 @@ impl<'p> Compiler<'p> {
             }
             Node::Assign { target, value } => self.assign(e, target, value)?,
             Node::OpAssign { target, op, value } => self.op_assign(e, target, *op, value)?,
-            Node::OrAssign { target, value, is_and } => {
-                self.logic_assign(e, target, value, *is_and)?
-            }
             Node::BinExpr { op, l, r } => {
                 self.node(e, l)?;
                 self.node(e, r)?;
                 self.emit_binop(e, *op);
             }
-            Node::UnExpr { op, e: inner } => match op {
-                UnOp::Not => {
-                    self.node(e, inner)?;
-                    e.emit(Insn::OptNot);
-                }
-                UnOp::Neg => {
-                    self.node(e, inner)?;
-                    e.emit(Insn::OptNeg);
-                }
-                UnOp::BitNot => {
-                    // ~x == x ^ -1
-                    self.node(e, inner)?;
-                    e.emit(Insn::PutInt(-1));
-                    e.emit(Insn::RareOp(RareBinOp::BitXor));
-                }
-            },
+            Node::UnExpr { op: UnOp::Not, e: inner } => {
+                self.node(e, inner)?;
+                e.emit(Insn::OptNot);
+            }
             Node::Logical { is_and, l, r } => {
                 self.node(e, l)?;
                 e.emit(Insn::Dup);
@@ -315,52 +270,17 @@ impl<'p> Compiler<'p> {
                 }
                 e.place(l_end);
             }
-            Node::Ternary { cond, then, els } => {
-                self.node(e, cond)?;
-                let l_else = e.label();
-                let l_end = e.label();
-                e.branch(Insn::BranchUnless, l_else);
-                self.node(e, then)?;
-                e.branch(Insn::Jump, l_end);
-                e.place(l_else);
-                self.node(e, els)?;
-                e.place(l_end);
-            }
             Node::While { cond, body } => {
                 let l_head = e.label();
-                let l_cont = e.label();
                 let l_done = e.label();
                 e.place(l_head);
                 self.node(e, cond)?;
                 e.branch(Insn::BranchUnless, l_done);
-                e.loops.push((l_cont, l_done));
-                let body_result = self.node(e, body);
-                e.loops.pop();
-                body_result?;
-                e.place(l_cont);
+                self.node(e, body)?;
                 e.emit(Insn::Pop);
                 e.branch(Insn::Jump, l_head);
                 e.place(l_done);
                 e.emit(Insn::PutNil);
-            }
-            Node::Break => {
-                let &(_, l_done) = e.loops.last().ok_or(CompileError {
-                    msg: "break outside of loop (break inside blocks is outside the subset)".into(),
-                })?;
-                e.branch(Insn::Jump, l_done);
-                // Unreachable filler keeps the stack model simple.
-                e.emit(Insn::PutNil);
-            }
-            Node::Next => {
-                if let Some(&(l_cont, _)) = e.loops.last() {
-                    e.emit(Insn::PutNil);
-                    e.branch(Insn::Jump, l_cont);
-                    e.emit(Insn::PutNil);
-                } else {
-                    // `next` in a block: return nil from the block frame.
-                    e.emit(Insn::PutNil);
-                    e.emit(Insn::Leave);
-                }
             }
             Node::Return(value) => {
                 match value {
@@ -385,14 +305,13 @@ impl<'p> Compiler<'p> {
                 }
             }
             Node::MethodDef { name, params, body, on_self } => {
-                let iseq = self.compile_unit(&name.to_string(), params, body, false, false)?;
+                let iseq = self.compile_unit(&name.to_string(), params, body, false)?;
                 let name = self.sym(name);
                 e.emit(Insn::DefineMethod { name, iseq, on_self: *on_self });
                 e.emit(Insn::PutSym(name));
             }
             Node::ClassDef { name, superclass, body } => {
-                let body_iseq =
-                    self.compile_unit(&format!("<class:{name}>"), &[], body, false, true)?;
+                let body_iseq = self.compile_unit(&format!("<class:{name}>"), &[], body, false)?;
                 let name = self.sym(name);
                 let superclass = superclass.as_ref().map(|s| self.sym(s));
                 e.emit(Insn::DefineClass { name, superclass, body: body_iseq });
@@ -415,12 +334,6 @@ impl<'p> Compiler<'p> {
             BinOp::Gt => Insn::OptGt { ic: self.prog.new_ic_site() },
             BinOp::Ge => Insn::OptGe { ic: self.prog.new_ic_site() },
             BinOp::Shl => Insn::OptShl { ic: self.prog.new_ic_site() },
-            BinOp::Pow => Insn::RareOp(RareBinOp::Pow),
-            BinOp::Cmp => Insn::RareOp(RareBinOp::Cmp),
-            BinOp::Shr => Insn::RareOp(RareBinOp::Shr),
-            BinOp::BitAnd => Insn::RareOp(RareBinOp::BitAnd),
-            BinOp::BitOr => Insn::RareOp(RareBinOp::BitOr),
-            BinOp::BitXor => Insn::RareOp(RareBinOp::BitXor),
         };
         e.emit(insn);
     }
@@ -439,12 +352,6 @@ impl<'p> Compiler<'p> {
                 let ic = self.prog.new_ic_site();
                 e.emit(Insn::Dup);
                 e.emit(Insn::SetIvar { name, ic });
-            }
-            Node::CVar(name) => {
-                self.node(e, value)?;
-                let name = self.sym(name);
-                e.emit(Insn::Dup);
-                e.emit(Insn::SetCvar { name });
             }
             Node::GVar(name) => {
                 self.node(e, value)?;
@@ -522,69 +429,8 @@ impl<'p> Compiler<'p> {
                 e.emit(Insn::Dup);
                 e.emit(Insn::SetGlobal { name });
             }
-            Node::CVar(name) => {
-                let name = self.sym(name);
-                e.emit(Insn::GetCvar { name });
-                self.node(e, value)?;
-                self.emit_binop(e, op);
-                e.emit(Insn::Dup);
-                e.emit(Insn::SetCvar { name });
-            }
-            Node::Index { recv, args } if args.len() == 1 => {
-                // a[i] op= v:  [a,i] dup2 aref v op aset
-                self.node(e, recv)?;
-                self.node(e, &args[0])?;
-                e.emit(Insn::DupN(2));
-                let aref_ic = self.prog.new_ic_site();
-                e.emit(Insn::OptAref { ic: aref_ic });
-                self.node(e, value)?;
-                self.emit_binop(e, op);
-                let aset_ic = self.prog.new_ic_site();
-                e.emit(Insn::OptAset { ic: aset_ic });
-            }
             other => return self.err(format!("unsupported op-assign target: {other:?}")),
         }
-        Ok(())
-    }
-
-    fn logic_assign(
-        &mut self,
-        e: &mut Emit,
-        target: &Node,
-        value: &Node,
-        is_and: bool,
-    ) -> Result<(), CompileError> {
-        // x ||= v  →  x ? x : (x = v); x &&= v mirrored.
-        let (get, set): (Insn, Insn) = match target {
-            Node::LVar(name) => {
-                let (idx, depth) = self.define_local(name);
-                (Insn::GetLocal { idx, depth }, Insn::SetLocal { idx, depth })
-            }
-            Node::IVar(name) => {
-                let name = self.sym(name);
-                let g = self.prog.new_ic_site();
-                let s = self.prog.new_ic_site();
-                (Insn::GetIvar { name, ic: g }, Insn::SetIvar { name, ic: s })
-            }
-            Node::GVar(name) => {
-                let name = self.sym(name);
-                (Insn::GetGlobal { name }, Insn::SetGlobal { name })
-            }
-            other => return self.err(format!("unsupported ||= target: {other:?}")),
-        };
-        e.emit(get);
-        e.emit(Insn::Dup);
-        let end = e.label();
-        if is_and {
-            e.branch(Insn::BranchUnless, end);
-        } else {
-            e.branch(Insn::BranchIf, end);
-        }
-        e.emit(Insn::Pop);
-        self.node(e, value)?;
-        e.emit(Insn::Dup);
-        e.emit(set);
-        e.place(end);
         Ok(())
     }
 
@@ -596,30 +442,6 @@ impl<'p> Compiler<'p> {
         args: &[Node],
         block: Option<&BlockDef>,
     ) -> Result<(), CompileError> {
-        // attr_accessor family inside class bodies is a compile-time
-        // directive: synthesize reader/writer methods.
-        if recv.is_none() && e.in_class_body && block.is_none() {
-            if let "attr_accessor" | "attr_reader" | "attr_writer" = name {
-                for a in args {
-                    let Node::Sym(attr) = a else {
-                        return self.err("attr_accessor expects symbol literals");
-                    };
-                    if name != "attr_writer" {
-                        self.synth_reader(e, attr);
-                    }
-                    if name != "attr_reader" {
-                        self.synth_writer(e, attr);
-                    }
-                }
-                e.emit(Insn::PutNil);
-                return Ok(());
-            }
-            if name == "require" {
-                // Library loading is a no-op in the subset.
-                e.emit(Insn::PutNil);
-                return Ok(());
-            }
-        }
         match recv {
             Some(r) => self.node(e, r)?,
             None => e.emit(Insn::PutSelf),
@@ -628,13 +450,9 @@ impl<'p> Compiler<'p> {
             self.node(e, a)?;
         }
         let block_iseq = match block {
-            Some(b) => Some(self.compile_unit(
-                &format!("block in {name}"),
-                &b.params,
-                &b.body,
-                true,
-                false,
-            )?),
+            Some(b) => {
+                Some(self.compile_unit(&format!("block in {name}"), &b.params, &b.body, true)?)
+            }
             None => None,
         };
         let name = self.sym(name);
@@ -642,47 +460,6 @@ impl<'p> Compiler<'p> {
         e.emit(Insn::Send { name, argc: args.len() as u8, block: block_iseq, ic });
         Ok(())
     }
-
-    fn synth_reader(&mut self, e: &mut Emit, attr: &str) {
-        let ivar = self.sym(attr);
-        let ic = self.prog.new_ic_site();
-        let iseq = self.prog.push_iseq(ISeq {
-            id: IseqId(0),
-            name: format!("{attr} (reader)"),
-            nparams: 0,
-            nlocals: 0,
-            code: vec![Insn::GetIvar { name: ivar, ic }, Insn::Leave],
-            is_block: false,
-        });
-        let mname = self.sym(attr);
-        e.emit(Insn::DefineMethod { name: mname, iseq, on_self: false });
-        e.emit(Insn::Pop);
-    }
-
-    fn synth_writer(&mut self, e: &mut Emit, attr: &str) {
-        let ivar = self.sym(attr);
-        let ic = self.prog.new_ic_site();
-        let iseq = self.prog.push_iseq(ISeq {
-            id: IseqId(0),
-            name: format!("{attr}= (writer)"),
-            nparams: 1,
-            nlocals: 1,
-            code: vec![
-                Insn::GetLocal { idx: 0, depth: 0 },
-                Insn::Dup,
-                Insn::SetIvar { name: ivar, ic },
-                Insn::Leave,
-            ],
-            is_block: false,
-        });
-        let mname = self.sym(&format!("{attr}="));
-        e.emit(Insn::DefineMethod { name: mname, iseq, on_self: false });
-        e.emit(Insn::Pop);
-    }
-}
-
-impl Emit {
-    // `Pop` after DefineMethod's PutSym is folded by callers where needed.
 }
 
 #[cfg(test)]
@@ -819,9 +596,8 @@ mod tests {
     }
 
     #[test]
-    fn index_op_assign_dups_receiver_and_index() {
-        let code = main_code("a = [1]\na[0] += 2");
-        assert!(code.iter().any(|i| matches!(i, Insn::DupN(2))));
+    fn index_read_and_write_use_their_operators() {
+        let code = main_code("a = [1]\na[0] = a[0] + 2");
         assert!(code.iter().any(|i| matches!(i, Insn::OptAref { .. })));
         assert!(code.iter().any(|i| matches!(i, Insn::OptAset { .. })));
     }
@@ -833,8 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn class_with_attr_accessor() {
-        let (p, main) = compile("class P\n  attr_accessor(:x)\nend");
+    fn class_body_defines_its_methods() {
+        let (p, main) =
+            compile("class P\n  def x\n    @x\n  end\n  def x=(v)\n    @x = v\n  end\nend");
         let body_id = p
             .iseq(main)
             .code
@@ -874,10 +651,9 @@ mod tests {
     }
 
     #[test]
-    fn break_in_while_next_in_while() {
-        let code =
-            main_code("i = 0\nwhile true\n  i += 1\n  break if i > 3\n  next if i == 2\nend\ni");
-        assert!(code.len() > 5);
+    fn while_leaves_nil() {
+        let code = main_code("while false\n  1\nend");
+        assert_eq!(&code[code.len() - 2..], [Insn::PutNil, Insn::Leave]);
     }
 
     #[test]

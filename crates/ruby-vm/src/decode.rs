@@ -21,7 +21,7 @@
 //!   instructions a thread may run ahead of the lock-step horizon
 //!   ([`LOCAL`], `Vm::run_leased`).
 
-use crate::bytecode::{ISeq, Insn, RareBinOp};
+use crate::bytecode::{ISeq, Insn};
 use crate::interp::{FRAME_WORDS, F_SELF};
 use crate::symbols::SymbolTable;
 
@@ -33,8 +33,8 @@ pub const YP_EXT: u8 = 1 << 1;
 pub const LOCAL: u8 = 1 << 2;
 
 /// Sentinel in the selector lane of an `opt_*` instruction whose generic
-/// fallback selector was not interned at decode time; the runtime resolves
-/// it lazily exactly like the undecoded interpreter does.
+/// fallback selector was not interned at decode time: no method bears the
+/// name, so the fallback send raises "undefined method" (`Vm::op_send`).
 pub const NO_SYM: u32 = u32::MAX;
 
 /// Dense opcode of the decoded stream (one per [`Insn`] variant, with
@@ -42,7 +42,6 @@ pub const NO_SYM: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Op {
-    Nop,
     PutNil,
     PutTrue,
     PutFalse,
@@ -57,8 +56,6 @@ pub enum Op {
     PutSym,
     Pop,
     Dup,
-    /// `b` = n.
-    DupN,
     /// Depth-0 local read: `a` = frame offset (`FRAME_WORDS + idx`).
     GetLocal0,
     /// Depth-0 local write: `a` = frame offset.
@@ -71,15 +68,12 @@ pub enum Op {
     GetIvar,
     SetIvar,
     /// `a` = name.
-    GetCvar,
-    SetCvar,
     GetGlobal,
     SetGlobal,
     GetConst,
     SetConst,
     /// `b` = element count.
     NewArray,
-    NewHash,
     /// `b` = 1 when exclusive.
     NewRange,
     /// `a` = name | (block_iseq+1) << 32, `b` = argc, `c` = ic site.
@@ -103,9 +97,6 @@ pub enum Op {
     OptAset,
     OptShl,
     OptNot,
-    OptNeg,
-    /// `b` = [`RareBinOp`] index.
-    RareOp,
     /// `a` = absolute target pc (iseq-relative index).
     Jump,
     BranchIf,
@@ -141,33 +132,10 @@ impl DecodedInsn {
     }
 }
 
-pub(crate) fn rare_index(op: RareBinOp) -> u16 {
-    match op {
-        RareBinOp::BitAnd => 0,
-        RareBinOp::BitOr => 1,
-        RareBinOp::BitXor => 2,
-        RareBinOp::Shr => 3,
-        RareBinOp::Pow => 4,
-        RareBinOp::Cmp => 5,
-    }
-}
-
-pub(crate) fn rare_from_index(i: u16) -> RareBinOp {
-    match i {
-        0 => RareBinOp::BitAnd,
-        1 => RareBinOp::BitOr,
-        2 => RareBinOp::BitXor,
-        3 => RareBinOp::Shr,
-        4 => RareBinOp::Pow,
-        5 => RareBinOp::Cmp,
-        other => unreachable!("bad RareBinOp index {other}"),
-    }
-}
-
 /// Lower one instruction (yield flags + operands).
 fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
     let sym_or = |s: &str| symbols.lookup(s).map_or(NO_SYM, |id| id.0);
-    let mut d = DecodedInsn { op: Op::Nop, flags: 0, b: 0, c: 0, a: 0 };
+    let mut d = DecodedInsn { op: Op::PutNil, flags: 0, b: 0, c: 0, a: 0 };
     let kind = insn.kind();
     if kind.is_original_yield_point() {
         d.flags |= YP_ORIG;
@@ -176,7 +144,6 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
         d.flags |= YP_EXT;
     }
     match *insn {
-        Insn::Nop => d.op = Op::Nop,
         Insn::PutNil => d.op = Op::PutNil,
         Insn::PutTrue => d.op = Op::PutTrue,
         Insn::PutFalse => d.op = Op::PutFalse,
@@ -199,10 +166,6 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
         }
         Insn::Pop => d.op = Op::Pop,
         Insn::Dup => d.op = Op::Dup,
-        Insn::DupN(n) => {
-            d.op = Op::DupN;
-            d.b = u16::from(n);
-        }
         Insn::GetLocal { idx, depth } => {
             if depth == 0 {
                 d.op = Op::GetLocal0;
@@ -233,14 +196,6 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
             d.a = u64::from(name.0);
             d.c = ic;
         }
-        Insn::GetCvar { name } => {
-            d.op = Op::GetCvar;
-            d.a = u64::from(name.0);
-        }
-        Insn::SetCvar { name } => {
-            d.op = Op::SetCvar;
-            d.a = u64::from(name.0);
-        }
         Insn::GetGlobal { name } => {
             d.op = Op::GetGlobal;
             d.a = u64::from(name.0);
@@ -259,10 +214,6 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
         }
         Insn::NewArray { n } => {
             d.op = Op::NewArray;
-            d.b = n;
-        }
-        Insn::NewHash { n } => {
-            d.op = Op::NewHash;
             d.b = n;
         }
         Insn::NewRange { excl } => {
@@ -294,11 +245,6 @@ fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
         Insn::OptAset { ic } => (d.op, d.a, d.c) = (Op::OptAset, u64::from(sym_or("[]=")), ic),
         Insn::OptShl { ic } => (d.op, d.a, d.c) = (Op::OptShl, u64::from(sym_or("<<")), ic),
         Insn::OptNot => d.op = Op::OptNot,
-        Insn::OptNeg => d.op = Op::OptNeg,
-        Insn::RareOp(op) => {
-            d.op = Op::RareOp;
-            d.b = rare_index(op);
-        }
         Insn::Jump(off) => {
             d.op = Op::Jump;
             d.a = (pc as i64 + i64::from(off)) as u64;

@@ -436,14 +436,9 @@ impl Vm {
             }
             ObjKind::Class => {
                 push(self.rd(t, obj + 1)?);
-                // Class variables hold values.
-                let cv = self.rd(t, obj + 5)?.as_int().unwrap_or(0) as Addr;
-                if cv != 0 {
-                    let n = self.rd(t, cv)?.as_int().unwrap_or(0) as usize;
-                    for i in 0..n {
-                        push(self.rd(t, cv + 2 + 2 * i + 1)?);
-                    }
-                }
+                // Word 5, once the class-variable table, is always 0; the
+                // read stays because it is simulated memory traffic.
+                self.rd(t, obj + 5)?;
             }
             ObjKind::Range => {
                 push(self.rd(t, obj + 1)?);

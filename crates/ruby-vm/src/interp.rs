@@ -27,10 +27,11 @@ use std::sync::Arc;
 
 use machine_sim::ThreadId;
 
-use crate::bytecode::{IseqId, RareBinOp};
+use crate::bytecode::IseqId;
+use crate::decode::NO_SYM;
 use crate::object::MethodEntry;
 use crate::symbols::SymId;
-use crate::value::{ruby_shl, ruby_shr, Addr, ObjKind, Word};
+use crate::value::{ruby_shl, Addr, ObjKind, Word};
 use crate::vm::{BlockOn, StepOk, ThreadCtx, Vm, VmAbort};
 
 /// A popped operand, already classified: `Ok` when it was an immediate
@@ -428,9 +429,6 @@ impl Vm {
     ) -> Result<StepOk, VmAbort> {
         use crate::decode::Op;
         match d.op {
-            Op::Nop => {
-                self.advance(t);
-            }
             Op::PutNil => {
                 self.push(t, Word::Nil)?;
                 self.advance(t);
@@ -476,14 +474,6 @@ impl Vm {
                 self.push(t, w)?;
                 self.advance(t);
             }
-            Op::DupN => {
-                let n = d.b as usize;
-                for _ in 0..n {
-                    let w = self.peek_n(t, n - 1)?;
-                    self.push(t, w)?;
-                }
-                self.advance(t);
-            }
             Op::GetLocal0 => {
                 let fp = self.threads[t].fp;
                 let w = self.rd(t, fp + d.a as usize)?;
@@ -516,18 +506,6 @@ impl Vm {
             Op::SetIvar => {
                 let v = self.pop(t)?;
                 self.ivar_set_cached(t, SymId(d.a_lo()), d.c, v)?;
-                self.advance(t);
-            }
-            Op::GetCvar => {
-                let owner = self.cvar_owner(t)?;
-                let w = self.cvar_get(t, owner, SymId(d.a_lo()))?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetCvar => {
-                let v = self.pop(t)?;
-                let owner = self.cvar_owner(t)?;
-                self.cvar_set(t, owner, SymId(d.a_lo()), v)?;
                 self.advance(t);
             }
             Op::GetGlobal => {
@@ -570,18 +548,6 @@ impl Vm {
                 self.push(t, w)?;
                 self.advance(t);
             }
-            Op::NewHash => {
-                let n = d.b as usize;
-                let mut pairs = vec![(Word::Nil, Word::Nil); n];
-                for i in (0..n).rev() {
-                    let v = self.pop(t)?;
-                    let k = self.pop(t)?;
-                    pairs[i] = (k, v);
-                }
-                let w = self.make_hash(t, &pairs)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
             Op::NewRange => {
                 let hi = self.pop(t)?;
                 let lo = self.pop(t)?;
@@ -618,22 +584,6 @@ impl Vm {
                 self.push(t, if w.truthy() { Word::False } else { Word::True })?;
                 self.advance(t);
             }
-            Op::OptNeg => {
-                let w = self.pop(t)?;
-                match w {
-                    Word::Int(i) => self.push(t, Word::Int(i.wrapping_neg()))?,
-                    ref o @ Word::Obj(_) => {
-                        let f = self
-                            .as_number(t, o)?
-                            .ok_or_else(|| self.fatal("cannot negate non-numeric"))?;
-                        let w = self.make_float(t, -f)?;
-                        self.push(t, w)?;
-                    }
-                    other => return Err(self.fatal(format!("cannot negate {other:?}"))),
-                }
-                self.advance(t);
-            }
-            Op::RareOp => return self.op_rare(t, crate::decode::rare_from_index(d.b)),
             Op::Jump => {
                 self.threads[t].pc = d.a as usize;
             }
@@ -728,9 +678,8 @@ impl Vm {
                     self.lookup_method(t, cls, name)?
                 };
                 let Some(e) = found else {
-                    let n = self.symbols.name(name).to_string();
-                    let r = self.display(t, &recv)?;
-                    return Err(self.fatal(format!("undefined method `{n}' for {r}")));
+                    let symbols = Arc::clone(&self.symbols);
+                    return Err(self.undefined_method(t, symbols.name(name), &recv));
                 };
                 // Fill policy (paper §4.4 #4a): the improved cache fills
                 // only the first time; the original rewrites on every
@@ -1032,26 +981,24 @@ impl Vm {
         self.obj_ivar_set(t, slot, idx, v)
     }
 
-    fn cvar_owner(&mut self, t: ThreadId) -> Result<Addr, VmAbort> {
-        let s = self.frame_self(t)?;
-        match s {
-            Word::Obj(slot) if self.kind_of(t, slot)? == ObjKind::Class => Ok(slot),
-            other => self.class_of(t, &other),
-        }
-    }
-
     // ---- specialized operators -------------------------------------------------
 
-    /// Resolve a generic-dispatch fallback selector: pre-resolved at
-    /// decode time when the name was interned then
-    /// ([`crate::decode::NO_SYM`] otherwise), else interned now.
-    #[inline]
-    fn op_fallback_sym(&mut self, sym: u32, name: &str) -> SymId {
-        if sym == crate::decode::NO_SYM {
-            self.symbols.intern(name)
-        } else {
-            SymId(sym)
+    /// The generic send an operator falls back to, its receiver and `argc`
+    /// arguments pushed. A selector nothing interned before decoding
+    /// ([`NO_SYM`]) names no method, so that send fails as `do_send` would.
+    fn op_send(
+        &mut self,
+        t: ThreadId,
+        sym: u32,
+        name: &str,
+        argc: usize,
+        ic: u32,
+    ) -> Result<StepOk, VmAbort> {
+        if sym == NO_SYM {
+            let recv = self.peek_n(t, argc)?;
+            return Err(self.undefined_method(t, name, &recv));
         }
+        self.do_send(t, SymId(sym), argc, None, ic)
     }
 
     /// Pop the two operands of a binary operator, classifying each as an
@@ -1156,8 +1103,7 @@ impl Vm {
         // Generic dispatch to a user-defined operator.
         self.push(t, lhs)?;
         self.push(t, rhs)?;
-        let name = self.op_fallback_sym(sym, op.name());
-        self.do_send(t, name, 1, None, ic)
+        self.op_send(t, sym, op.name(), 1, ic)
     }
 
     fn op_cmp(&mut self, t: ThreadId, op: CmpOp, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
@@ -1208,8 +1154,7 @@ impl Vm {
             None => {
                 self.push(t, lhs)?;
                 self.push(t, rhs)?;
-                let name = self.op_fallback_sym(sym, op.name());
-                self.do_send(t, name, 1, None, ic)
+                self.op_send(t, sym, op.name(), 1, ic)
             }
         }
     }
@@ -1266,8 +1211,7 @@ impl Vm {
         // Generic `[]`.
         self.push(t, recv)?;
         self.push(t, idx)?;
-        let name = self.op_fallback_sym(sym, "[]");
-        self.do_send(t, name, 1, None, ic)
+        self.op_send(t, sym, "[]", 1, ic)
     }
 
     fn op_aset(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
@@ -1296,8 +1240,7 @@ impl Vm {
         self.push(t, recv)?;
         self.push(t, idx)?;
         self.push(t, value)?;
-        let name = self.op_fallback_sym(sym, "[]=");
-        self.do_send(t, name, 2, None, ic)
+        self.op_send(t, sym, "[]=", 2, ic)
     }
 
     fn op_shl(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
@@ -1333,80 +1276,11 @@ impl Vm {
                 _ => {
                     self.push(t, lhs)?;
                     self.push(t, rhs)?;
-                    let name = self.op_fallback_sym(sym, "<<");
-                    self.do_send(t, name, 1, None, ic)
+                    self.op_send(t, sym, "<<", 1, ic)
                 }
             },
             _ => Err(self.fatal("unsupported << receiver")),
         }
-    }
-
-    fn op_rare(&mut self, t: ThreadId, op: RareBinOp) -> Result<StepOk, VmAbort> {
-        let rhs = self.pop(t)?;
-        let lhs = self.pop(t)?;
-        let w = match (op, &lhs, &rhs) {
-            (RareBinOp::BitAnd, Word::Int(a), Word::Int(b)) => Word::Int(a & b),
-            (RareBinOp::BitOr, Word::Int(a), Word::Int(b)) => Word::Int(a | b),
-            (RareBinOp::BitXor, Word::Int(a), Word::Int(b)) => Word::Int(a ^ b),
-            (RareBinOp::Shr, Word::Int(a), Word::Int(b)) => Word::Int(ruby_shr(*a, *b)),
-            (RareBinOp::BitAnd, Word::True | Word::False, Word::True | Word::False) => {
-                if lhs.truthy() && rhs.truthy() {
-                    Word::True
-                } else {
-                    Word::False
-                }
-            }
-            (RareBinOp::BitOr, Word::True | Word::False, Word::True | Word::False) => {
-                if lhs.truthy() || rhs.truthy() {
-                    Word::True
-                } else {
-                    Word::False
-                }
-            }
-            (RareBinOp::Pow, Word::Int(a), Word::Int(b)) if *b >= 0 => {
-                Word::Int(a.wrapping_pow(*b as u32))
-            }
-            (RareBinOp::Pow, _, _) => {
-                let a = self
-                    .as_number(t, &lhs)?
-                    .ok_or_else(|| self.fatal("non-numeric base for **"))?;
-                let b = self
-                    .as_number(t, &rhs)?
-                    .ok_or_else(|| self.fatal("non-numeric exponent for **"))?;
-                self.make_float(t, a.powf(b))?
-            }
-            (RareBinOp::Cmp, _, _) => {
-                let la = self.as_number(t, &lhs)?;
-                let lb = self.as_number(t, &rhs)?;
-                let ord = if let (Some(a), Some(b)) = (la, lb) {
-                    a.partial_cmp(&b)
-                } else if let (Word::Obj(a), Word::Obj(b)) = (&lhs, &rhs) {
-                    if self.kind_of(t, *a)? == ObjKind::String
-                        && self.kind_of(t, *b)? == ObjKind::String
-                    {
-                        let sa = self.string_content(t, *a)?;
-                        let sb = self.string_content(t, *b)?;
-                        Some(sa.cmp(&sb))
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                match ord {
-                    Some(std::cmp::Ordering::Less) => Word::Int(-1),
-                    Some(std::cmp::Ordering::Equal) => Word::Int(0),
-                    Some(std::cmp::Ordering::Greater) => Word::Int(1),
-                    None => Word::Nil,
-                }
-            }
-            _ => {
-                return Err(self.fatal(format!("unsupported operands for {op:?}: {lhs:?}, {rhs:?}")))
-            }
-        };
-        self.push(t, w)?;
-        self.advance(t);
-        Ok(StepOk::Normal)
     }
 }
 

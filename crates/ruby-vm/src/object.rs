@@ -10,7 +10,7 @@
 //! | Hash     | `Int` pairs      | `Int` cap pairs | `Int` buf      |              |
 //! | Object   | `Obj` class      | `Int` ivar buf  | `Int` nivars   | `Int` cap    |
 //! | Class    | super            | `Int` mtbl      | `Int` smtbl    | `Int` ivtbl  |
-//! |          | (5: `Int` cvtbl, 6: `Sym` name)                                    |
+//! |          | (5: `Int` 0, once the cvar table; 6: `Sym` name)                   |
 //! | Range    | lo               | hi              | `Int` excl     |              |
 //! | Thread   | `Int` tid        | `Int` state     | result         |              |
 //! | Mutex    | owner            |                 |                |              |
@@ -20,7 +20,7 @@
 //! | Proc     | `Int` iseq       | `Int` captured fp | self         | `Int` tid    |
 //! | Table    | `Obj` rows array | `Int` ncols     |                |              |
 //!
-//! Assoc buffers (method tables, ivar-index tables, cvar tables) are
+//! Assoc buffers (method tables, ivar-index tables) are
 //! malloc regions: `[len, cap, (key, value) × cap]`. Method-table values
 //! encode user iseqs as non-negative ints and builtins as `-(id + 1)`.
 
@@ -233,22 +233,13 @@ impl Vm {
         self.array_set(t, slot, len, v)
     }
 
-    /// Allocate a Hash from `pairs`.
-    pub fn make_hash(&mut self, t: ThreadId, pairs: &[(Word, Word)]) -> Result<Word, VmAbort> {
-        for (k, v) in pairs {
-            self.temp_roots.push(*k);
-            self.temp_roots.push(*v);
-        }
+    /// Allocate an empty Hash with room for four pairs.
+    pub fn make_hash(&mut self, t: ThreadId) -> Result<Word, VmAbort> {
         let slot = self.alloc_slot(t)?;
-        let cap = pairs.len().max(4);
-        let (buf, capw) = self.malloc(t, 2 * cap)?;
+        let (buf, capw) = self.malloc(t, 2 * 4)?;
         let cap = capw / 2;
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            self.wr(t, buf + 2 * i, *k)?;
-            self.wr(t, buf + 2 * i + 1, *v)?;
-        }
         self.set_header(t, slot, ObjKind::Hash)?;
-        self.wr(t, slot + 1, Word::Int(pairs.len() as i64))?;
+        self.wr(t, slot + 1, Word::Int(0))?;
         self.wr(t, slot + 2, Word::Int(cap as i64))?;
         self.wr(t, slot + 3, Word::Int(buf as i64))?;
         Ok(Word::Obj(slot))
@@ -614,42 +605,6 @@ impl Vm {
         self.wr(t, buf + idx, v)
     }
 
-    /// Class-variable read: walk the superclass chain.
-    pub fn cvar_get(&mut self, t: ThreadId, cls: Addr, name: SymId) -> Result<Word, VmAbort> {
-        let mut c = cls;
-        loop {
-            let cvtbl = self.rd(t, c + 5)?.as_int().unwrap_or(0) as Addr;
-            if let Some((_, v)) = self.assoc_get(t, cvtbl, name)? {
-                return Ok(v);
-            }
-            match self.rd(t, c + 1)? {
-                Word::Obj(s) => c = s,
-                _ => return Ok(Word::Nil),
-            }
-        }
-    }
-
-    /// Class-variable write: update where defined, else define on `cls`.
-    pub fn cvar_set(
-        &mut self,
-        t: ThreadId,
-        cls: Addr,
-        name: SymId,
-        v: Word,
-    ) -> Result<(), VmAbort> {
-        let mut c = cls;
-        loop {
-            let cvtbl = self.rd(t, c + 5)?.as_int().unwrap_or(0) as Addr;
-            if self.assoc_get(t, cvtbl, name)?.is_some() {
-                return self.assoc_set(t, c + 5, name, v);
-            }
-            match self.rd(t, c + 1)? {
-                Word::Obj(s) => c = s,
-                _ => return self.assoc_set(t, cls + 5, name, v),
-            }
-        }
-    }
-
     // ---- equality / display -------------------------------------------------
 
     /// Ruby `==` (value equality for strings/floats, identity otherwise).
@@ -751,6 +706,16 @@ impl Vm {
         Ok(())
     }
 
+    /// The error a send ends in when no method bears `name`: the receiver
+    /// as `inspect` shows it, so `nil` reads "nil".
+    pub(crate) fn undefined_method(&mut self, t: ThreadId, name: &str, recv: &Word) -> VmAbort {
+        let mut msg = format!("undefined method `{name}' for ");
+        match self.inspect_into(t, recv, &mut msg) {
+            Ok(()) => self.fatal(msg),
+            Err(abort) => abort,
+        }
+    }
+
     /// `inspect`, appended to `out` (strings quoted, nil printed).
     fn inspect_into(&mut self, t: ThreadId, w: &Word, out: &mut String) -> Result<(), VmAbort> {
         match w {
@@ -812,7 +777,7 @@ impl Vm {
         self.classes.math = self.boot_class("Math", object)?;
         self.classes.store = self.boot_class("Store", object)?;
         // Numeric alias used by some sources.
-        let fixnum_sym = self.symbols.intern("Fixnum");
+        let fixnum_sym = self.boot_sym("Fixnum");
         let addr = self.const_define_addr(fixnum_sym).expect(CORE_CLASSES_FIT);
         self.mem.poke(addr, Word::Obj(self.classes.integer));
         // The top-level main object.
@@ -829,7 +794,7 @@ impl Vm {
 
     fn boot_class(&mut self, name: &str, superclass: Addr) -> Result<Addr, CompileError> {
         let slot = self.alloc_slot_boot("the core classes")?;
-        let name_sym = self.symbols.intern(name);
+        let name_sym = self.boot_sym(name);
         self.mem.poke(slot, Word::hdr(ObjKind::Class, false));
         self.mem.poke(slot + 1, if superclass == 0 { Word::Nil } else { Word::Obj(superclass) });
         self.mem.poke(slot + 2, Word::Int(0));
@@ -845,8 +810,18 @@ impl Vm {
 
     /// Boot-time method installation (used by `builtins::install`).
     pub fn boot_define(&mut self, cls: Addr, name: &str, entry: MethodEntry, on_self: bool) {
-        let sym = self.symbols.intern(name);
+        let sym = self.boot_sym(name);
         self.define_method(0, cls, sym, entry, on_self).expect("boot method definition failed");
+    }
+
+    /// Boot's names: found in the table every VM of the program shares, or
+    /// added by the first VM booted from it, to its own copy — the table
+    /// it then leaves in [`crate::Program::boot_symbols`] for the rest.
+    fn boot_sym(&mut self, name: &str) -> SymId {
+        match self.symbols.lookup(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.symbols).intern(name),
+        }
     }
 }
 
@@ -978,7 +953,7 @@ mod tests {
     #[test]
     fn hash_set_get_update() {
         let mut vm = vm();
-        let w = vm.make_hash(0, &[]).unwrap();
+        let w = vm.make_hash(0).unwrap();
         let slot = w.as_obj().unwrap();
         vm.hash_set(0, slot, Word::Int(1), Word::Int(10)).unwrap();
         vm.hash_set(0, slot, Word::Int(2), Word::Int(20)).unwrap();
@@ -996,7 +971,7 @@ mod tests {
     #[test]
     fn string_keys_compare_by_content() {
         let mut vm = vm();
-        let h = vm.make_hash(0, &[]).unwrap();
+        let h = vm.make_hash(0).unwrap();
         let hs = h.as_obj().unwrap();
         let k1 = vm.make_string(0, "key".into()).unwrap();
         let k2 = vm.make_string(0, "key".into()).unwrap();
@@ -1009,7 +984,7 @@ mod tests {
         let mut vm = vm();
         let obj_cls = vm.classes.object;
         let sub = vm.boot_class("Sub", obj_cls).unwrap();
-        let sym = vm.symbols.intern("zzz_test_method");
+        let sym = vm.boot_sym("zzz_test_method");
         vm.define_method(0, obj_cls, sym, MethodEntry::Builtin(1234), false).unwrap();
         // Inherited through the chain:
         let got = vm.lookup_method(0, sub, sym).unwrap();
@@ -1036,8 +1011,8 @@ mod tests {
     fn ivar_index_allocation_is_per_class() {
         let mut vm = vm();
         let cls = vm.boot_class("IvarTest", vm.classes.object).unwrap();
-        let a = vm.symbols.intern("a");
-        let b = vm.symbols.intern("b");
+        let a = vm.boot_sym("a");
+        let b = vm.boot_sym("b");
         assert_eq!(vm.ivar_index(0, cls, a, true).unwrap(), Some(0));
         assert_eq!(vm.ivar_index(0, cls, b, true).unwrap(), Some(1));
         assert_eq!(vm.ivar_index(0, cls, a, true).unwrap(), Some(0));
@@ -1057,19 +1032,6 @@ mod tests {
             assert_eq!(vm.obj_ivar_get(0, slot, i).unwrap(), Word::Int(i as i64));
         }
         assert_eq!(vm.obj_ivar_get(0, slot, 99).unwrap(), Word::Nil);
-    }
-
-    #[test]
-    fn cvar_walks_superclass_chain() {
-        let mut vm = vm();
-        let base = vm.boot_class("CvBase", vm.classes.object).unwrap();
-        let sub = vm.boot_class("CvSub", base).unwrap();
-        let name = vm.symbols.intern("count");
-        vm.cvar_set(0, base, name, Word::Int(1)).unwrap();
-        assert_eq!(vm.cvar_get(0, sub, name).unwrap(), Word::Int(1));
-        // Writing through the subclass updates the *base* definition.
-        vm.cvar_set(0, sub, name, Word::Int(2)).unwrap();
-        assert_eq!(vm.cvar_get(0, base, name).unwrap(), Word::Int(2));
     }
 
     #[test]

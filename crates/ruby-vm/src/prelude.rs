@@ -36,13 +36,7 @@ pub fn compiled() -> Result<&'static (Program, IseqId), CompileError> {
                 "<=",
                 ">",
                 ">=",
-                "<=>",
                 "<<",
-                ">>",
-                "&",
-                "|",
-                "^",
-                "**",
                 "initialize",
                 "new",
                 "each",

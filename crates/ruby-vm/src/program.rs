@@ -23,11 +23,11 @@ pub enum PoolLiteral {
 pub struct Program {
     /// Shared by count with the program this one was compiled on top of.
     pub iseqs: Vec<Arc<ISeq>>,
-    /// Frozen once a VM holds the program: what a VM interns at run time
-    /// goes to its own layer ([`crate::vm::Vm::symbols`]).
+    /// The compiler's names, frozen once the program is finalized.
     pub symbols: Arc<SymbolTable>,
-    /// The names boot interns, a layer over `symbols` frozen by the first
-    /// VM booted from the program: every later boot finds them there.
+    /// `symbols` and the names boot interns, filled by the first VM booted
+    /// from the program and then shared, unchanged, by every VM of it
+    /// ([`crate::vm::Vm::symbols`]).
     pub boot_symbols: OnceLock<Arc<SymbolTable>>,
     /// Shared frozen literal objects (float literals).
     pub pooled: Vec<PoolLiteral>,
@@ -213,7 +213,7 @@ mod tests {
             name: "t".into(),
             nparams: 0,
             nlocals: 0,
-            code: vec![Insn::Nop; n],
+            code: vec![Insn::PutNil; n],
             is_block: false,
         }
     }

@@ -1,10 +1,8 @@
 //! Symbol interning.
 //!
-//! Symbols are interned at compile/boot time (and occasionally at
-//! runtime, for an operator-fallback selector); the table itself is
-//! host-side metadata, like CRuby's symbol table before 2.2 made symbols
-//! GC-able. Runtime interning contention is not modelled — the workloads
-//! intern everything up front.
+//! Symbols are interned at compile and boot time only, never while a
+//! program runs; the table itself is host-side metadata, like CRuby's
+//! symbol table before 2.2 made symbols GC-able.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,9 +12,9 @@ use std::sync::Arc;
 pub struct SymId(pub u32);
 
 /// Bidirectional symbol table, optionally a layer over a frozen one: a
-/// program's over the prelude's, a VM's run-time names over its program's.
-/// A layer continues its base's dense numbering, so ids come out as if the
-/// whole stack were one table filled in the same order.
+/// program's over the prelude's. A layer continues its base's dense
+/// numbering, so ids come out as if both were one table filled in the same
+/// order.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
     base: Option<Arc<SymbolTable>>,

@@ -397,18 +397,6 @@ pub fn ruby_shl(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Ruby `Integer#>>`: a negative count shifts left by its magnitude. A
-/// count of 64 or more leaves the sign, 0 or −1.
-pub fn ruby_shr(a: i64, b: i64) -> i64 {
-    if b >= 0 {
-        a >> b.min(63)
-    } else if b > -64 {
-        a << -b
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,19 +532,11 @@ mod tests {
         assert_eq!(ruby_shl(1, 64), 0);
         assert_eq!(ruby_shl(1, 65), 0);
         assert_eq!(ruby_shl(1, -1), 0);
-        assert_eq!(ruby_shr(256, 70), 0);
-        assert_eq!(ruby_shr(1, 64), 0);
-        assert_eq!(ruby_shr(-256, 70), -1);
-        assert_eq!(ruby_shr(1, -1), 2);
         assert_eq!(ruby_shl(1, i64::MIN), 0);
         assert_eq!(ruby_shl(-1, i64::MIN), -1);
-        assert_eq!(ruby_shr(1, i64::MIN), 0);
         assert_eq!(ruby_shl(1, i64::MAX), 0);
-        assert_eq!(ruby_shr(-1, i64::MAX), -1);
         assert_eq!(ruby_shl(3, 2), 12);
-        assert_eq!(ruby_shr(-7, 1), -4, "rounds toward −∞ like Ruby");
         assert_eq!(ruby_shl(1, 63), i64::MIN, "below 64 a shift wraps");
-        assert_eq!(ruby_shr(i64::MIN, 63), -1);
     }
 
     #[test]

@@ -314,12 +314,10 @@ pub struct Vm {
     /// `program`'s decoded stream (two runs there, the prelude's shared),
     /// flat and this VM's own: a fetch is one indexed load off the `Vm`.
     pub(crate) code: Vec<crate::decode::DecodedInsn>,
-    /// Every name this VM knows: its own layer — what the running program
-    /// interns (an operator-fallback selector) — over boot's class and
-    /// builtin names ([`Program::boot_symbols`]) and the program's. No
-    /// other VM sees the layer; the ids are the ones a private table would
-    /// have handed out.
-    pub symbols: SymbolTable,
+    /// Every name this VM knows: the program's and boot's class and
+    /// builtin names, shared with every VM of the program
+    /// ([`Program::boot_symbols`]); nothing is interned at run time.
+    pub symbols: Arc<SymbolTable>,
     pub threads: Vec<ThreadCtx>,
     pub classes: CoreClasses,
     /// Captured `puts` output (per-run, used as the correctness oracle).
@@ -468,9 +466,7 @@ impl Vm {
             layout,
             attribution,
             config,
-            symbols: SymbolTable::over(Arc::clone(
-                program.boot_symbols.get().unwrap_or(&program.symbols),
-            )),
+            symbols: Arc::clone(program.boot_symbols.get().unwrap_or(&program.symbols)),
             code: program.decoded().collect(),
             program,
             threads: Vec::new(),
@@ -511,10 +507,8 @@ impl Vm {
         vm.init_memory();
         vm.bootstrap_classes()?;
         // Boot's names are the same list in the same order under any
-        // config: the first VM's layer is every VM's (DESIGN.md §13).
-        let boot =
-            vm.program.boot_symbols.get_or_init(|| Arc::new(std::mem::take(&mut vm.symbols)));
-        vm.symbols = SymbolTable::over(Arc::clone(boot));
+        // config: the first VM's table is every VM's (DESIGN.md §13).
+        vm.symbols = Arc::clone(vm.program.boot_symbols.get_or_init(|| Arc::clone(&vm.symbols)));
         vm.alloc_literal_pool()?;
         // Main thread runs the prelude first, then the program: chain by
         // running the prelude to completion synchronously at boot (it only

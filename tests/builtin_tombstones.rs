@@ -31,7 +31,7 @@ fn a_deleted_builtin_is_as_undefined_as_a_name_never_defined() {
             ("a = [1]\na.push(2)", "push", "[1]"),
             ("puts(rand(10))", "rand", "#<Object:"),
             // `String#to_s` is a tombstone over the live `Object#to_s`.
-            ("puts(\"ab\".to_s)", "to_s", "ab"),
+            ("puts(\"ab\".to_s)", "to_s", "\"ab\""),
         ] {
             let error = |source: &str| match run(source, mode).0 {
                 Err(e @ RunError::Vm(_)) => e.to_string(),

@@ -127,19 +127,19 @@ fn one_text_is_one_program_and_an_equally_long_text_another() {
     assert_eq!([stdout(a), stdout(b), stdout(c)], ["6", "6", "7"]);
 }
 
-/// A symbol a VM makes up after boot is its own alone. Boot's names are
-/// frozen by the first VM of a program and found by every later one: the
-/// boot that fills the layer and a boot that finds it number every name
-/// alike — the ids a private table gave — under any config and on either
-/// machine, and a name interned after the run comes next in both.
+/// Boot's names are frozen by the first VM of a program and shared by
+/// every later one: the boot that fills the table and a boot that finds it
+/// hold the same table, nothing is interned while they run, and boot adds
+/// the same names in the same order under any config and on either machine.
 #[test]
-fn a_symbol_interned_at_run_time_stays_in_its_vm() {
+fn boot_names_are_frozen_by_the_first_vm_and_shared() {
     let _turn = serial();
     let configs = [
         ("default", VmConfig::default()),
         ("original_cruby", VmConfig::default().original_cruby()),
         ("thread_local_ics", VmConfig { thread_local_ics: true, ..VmConfig::default() }),
     ];
+    let mut boot_names: Option<Vec<String>> = None;
     for profile in [MachineProfile::zec12(), MachineProfile::xeon_e3_1275_v3()] {
         for (label, config) in &configs {
             let what = format!("{label} on {}", profile.name);
@@ -148,29 +148,24 @@ fn a_symbol_interned_at_run_time_stays_in_its_vm() {
                 let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
                 Executor::new(&source, config.clone(), profile.clone(), cfg).expect("boot")
             };
-            let first = boot();
-            let cold = first.vm.symbols.len();
-            let (outcome, mut first) = run(first, &what);
+            let (outcome, first) = run(boot(), &what);
             let second = boot();
-            let program = &second.vm.program;
-            assert!(Arc::ptr_eq(&first.vm.program, program), "{what}: one program");
+            let program = Arc::clone(&second.vm.program);
+            assert!(Arc::ptr_eq(&first.vm.program, &program), "{what}: one program");
             let frozen = program.boot_symbols.get().expect("the first boot froze boot's names");
-            assert_eq!((cold, second.vm.symbols.len()), (frozen.len(), frozen.len()), "{what}");
-            assert!(
-                frozen.len() > program.symbols.len(),
-                "{what}: boot's names are not the program's"
-            );
-            for id in (0..cold as u32).map(htm_gil::vm::SymId) {
-                assert_eq!(first.vm.symbols.name(id), second.vm.symbols.name(id), "{what}: {id:?}");
-            }
-            let made_up = first.vm.symbols.intern("zz_only_here");
-            assert_eq!(made_up.0 as usize, cold, "{what}: numbered after boot's names");
-            assert_eq!(second.vm.symbols.lookup("zz_only_here"), None, "{what}: not the next VM's");
-            assert_eq!(frozen.lookup("zz_only_here"), None, "{what}: not the shared layer's");
-            let (again, mut second) = run(second, &what);
+            assert!(Arc::ptr_eq(&first.vm.symbols, frozen), "{what}: the first VM's table");
+            assert!(Arc::ptr_eq(&second.vm.symbols, frozen), "{what}: shared by the next VM");
+            let names: Vec<String> = (program.symbols.len()..frozen.len())
+                .map(|i| frozen.name(htm_gil::vm::SymId(i as u32)).to_string())
+                .collect();
+            assert!(!names.is_empty(), "{what}: boot's names are not the program's");
+            assert_eq!(&names, boot_names.get_or_insert_with(|| names.clone()), "{what}");
+            let (again, second) = run(second, &what);
             assert_eq!(again, outcome, "{what}: and the second run is the first");
-            let warm_made_up = second.vm.symbols.intern("zz_only_here");
-            assert_eq!(warm_made_up, made_up, "{what}: the same id in the warm VM");
+            assert!(
+                Arc::ptr_eq(&second.vm.symbols, frozen),
+                "{what}: nothing interned at run time"
+            );
         }
     }
 }
