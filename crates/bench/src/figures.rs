@@ -11,7 +11,7 @@
 //! observable behaviour.
 
 use htm_gil_core::{
-    oracle, ExecConfig, LengthPolicy, RuntimeMode, SubscriptionPolicy, YieldPolicy,
+    oracle, Category, ExecConfig, LengthPolicy, RuntimeMode, SubscriptionPolicy, YieldPolicy,
 };
 use htm_gil_stats::{geomean, Series, SeriesSet, Table};
 use htm_sim::{Budgets, OverflowPredictor, TxMemory};
@@ -423,22 +423,13 @@ fn fig8(o: &Opts) -> Output {
 
     let profile = MachineProfile::zec12();
     let nthreads = if o.quick { 4 } else { 12 };
-    let mut table = Table::new(&[
-        "bench",
-        "tx-begin/end%",
-        "success-tx%",
-        "gil-held%",
-        "aborted%",
-        "gil-wait%",
-        "io-wait%",
-        "other%",
-        "abort%",
-        "read-confl%",
-        "alloc-confl%",
-    ]);
-    let mut csv = String::from(
-        "bench,tx_begin_end,success,gil_held,aborted,gil_wait,io_wait,other,abort_ratio,read_conflict_share,alloc_share\n",
-    );
+    let shares = Category::TABLE.map(|(_, _, label)| format!("{label}%"));
+    let mut header = vec!["bench"];
+    header.extend(shares.iter().map(String::as_str));
+    header.extend(["abort%", "read-confl%", "alloc-confl%"]);
+    let mut table = Table::new(&header);
+    let keys: String = Category::TABLE.iter().map(|(_, key, _)| format!(",{key}")).collect();
+    let mut csv = format!("bench{keys},abort_ratio,read_conflict_share,alloc_share\n");
     let kernels = workloads::npb_all(nthreads, scale);
     let reports = runner::sweep(
         o.jobs,
@@ -448,15 +439,16 @@ fn fig8(o: &Opts) -> Output {
         |w| run_workload(w, DYNAMIC, &profile),
     );
     for (w, r) in kernels.iter().zip(&reports) {
-        // The seven cycle shares, the abort ratio, then the two §5.6
-        // shares (shown as whole percents).
+        // The cycle shares, the abort ratio, then the two §5.6 shares
+        // (shown as whole percents).
         let mut values: Vec<f64> = r.breakdown.shares_pct().iter().map(|s| s.1).collect();
         values.extend([
             r.abort_ratio_pct(),
             r.htm.read_conflict_share_pct(),
             r.allocator_conflict_share_pct(),
         ]);
-        push_row(&mut table, &mut csv, w.name, &values, |i| usize::from(i < 8), |_| 2);
+        let shown = |i| usize::from(i <= Category::TABLE.len());
+        push_row(&mut table, &mut csv, w.name, &values, shown, |_| 2);
     }
     say!(
         out,
@@ -819,7 +811,7 @@ fn intext(o: &Opts) -> Output {
         let [gil1, htm1, giln, htmn] = chunk else { unreachable!("one report per run") };
         let overhead = 100.0 * (htm1.elapsed_cycles as f64 / gil1.elapsed_cycles as f64 - 1.0);
         let speedup = giln.elapsed_cycles as f64 / htmn.elapsed_cycles as f64;
-        let gil_gt = htmn.breakdown.gil_wait > htmn.breakdown.aborted;
+        let gil_gt = htmn.breakdown[Category::GilWait] > htmn.breakdown[Category::Aborted];
         table.row(&[
             name.to_string(),
             format!("{speedup:.2}"),

@@ -12,11 +12,12 @@
 //! * *parked* — on the GIL queue, a mutex/barrier/join, or sleeping on
 //!   simulated I/O.
 //!
-//! Cycle accounting follows the paper's Fig. 8 categories. Whatever a
-//! step does outside simulated memory — its work cycles included — is an
-//! [`Escrow`]: published at once outside a transaction, held by the
-//! transaction inside one and published at commit or discarded on abort
-//! (DESIGN.md §4, "Commit escrow and host-side state").
+//! Every cycle goes on a clock through [`Executor::charge`], booked to one
+//! of the paper's Fig. 8 categories. Whatever a step does outside simulated
+//! memory — its work cycles included — is an [`Escrow`]: published at once
+//! outside a transaction, held by the transaction inside one and published
+//! at commit or discarded on abort (DESIGN.md §4, "Commit escrow and
+//! host-side state").
 
 use std::collections::HashMap;
 
@@ -30,7 +31,7 @@ use ruby_vm::{BlockOn, StepOk, Stop, Vm, VmAbort, VmConfig, Word};
 use crate::config::{ExecConfig, LengthPolicy, RuntimeMode, YieldPolicy};
 use crate::gil::GilState;
 use crate::locks::FineGrainedModel;
-use crate::report::{ConflictSite, CycleBreakdown, RunReport};
+use crate::report::{Category, ConflictSite, CycleBreakdown, RunReport};
 use crate::tle::{LengthTables, SubscriptionPolicy};
 
 /// Fatal run failure.
@@ -81,7 +82,7 @@ impl std::error::Error for RunError {}
 /// the slice stays all-or-nothing on the host side too.
 #[derive(Debug, Clone, Default)]
 struct Escrow {
-    /// Work cycles, bound for a Fig. 8 category.
+    /// Work cycles, on the clock and bound for `tx_success` or `aborted`.
     work: Cycles,
     /// Instructions retired.
     insns: u64,
@@ -162,6 +163,9 @@ struct TleThread {
 /// Steps one window of [`Executor::look_ahead`] may run.
 const LOOKAHEAD_STEPS: usize = 128;
 
+/// A step's work (for [`Executor::charge`]), booked when its transaction ends, if any.
+const WORK: Option<Category> = None;
+
 impl TleThread {
     fn new() -> Self {
         TleThread {
@@ -215,7 +219,10 @@ pub struct Executor {
     /// Committed/wasted instruction counts.
     committed_insns: u64,
     wasted_insns: u64,
+    /// Every cycle [`Executor::charge`] put on a clock, by Fig. 8 category.
     breakdown: CycleBreakdown,
+    /// Work outside a transaction: `gil_held`, or `tx_success` with no GIL.
+    work: Category,
     conflict_sites: HashMap<ConflictSite, u64>,
     /// Allocation count at the previous step (per-step delta source).
     last_allocs: u64,
@@ -296,6 +303,7 @@ impl Executor {
             YieldPolicy::Original => ruby_vm::decode::YP_ORIG,
             YieldPolicy::Extended => ruby_vm::decode::YP_EXT,
         };
+        let free = matches!(cfg.mode, RuntimeMode::FineGrained | RuntimeMode::Ideal);
         let burst_ok = cfg.trace_capacity == 0
             && cfg.explore.is_none()
             && cfg.mode != RuntimeMode::FineGrained;
@@ -313,6 +321,7 @@ impl Executor {
             committed_insns: 0,
             wasted_insns: 0,
             breakdown: CycleBreakdown::default(),
+            work: if free { Category::TxSuccess } else { Category::GilHeld },
             conflict_sites: HashMap::new(),
             last_allocs: 0,
             interrupts,
@@ -501,6 +510,14 @@ impl Executor {
 
     fn report(&self) -> RunReport {
         let elapsed = (0..self.sched.len()).map(|t| self.sched.clock(t)).max().unwrap_or(0);
+        // The scheduler's own charges are its context switches.
+        let mut breakdown = self.breakdown.clone();
+        breakdown[Category::Other] += self.sched.switch_cycles();
+        debug_assert_eq!(
+            breakdown.total(),
+            (0..self.sched.len()).map(|t| self.sched.busy(t)).sum::<Cycles>(),
+            "every cycle on a clock is booked once"
+        );
         let (trace_recorded, trace_dropped) = self
             .vm
             .mem
@@ -514,7 +531,7 @@ impl Executor {
             elapsed_cycles: elapsed,
             committed_insns: self.committed_insns,
             wasted_insns: self.wasted_insns,
-            breakdown: self.breakdown.clone(),
+            breakdown,
             htm: self.vm.mem.stats().clone(),
             gil_acquisitions: self.gil.acquisitions,
             conflict_sites: self.conflict_sites.clone(),
@@ -546,6 +563,19 @@ impl Executor {
         self.vm.insn_flags(t) & self.yp_bit != 0
     }
 
+    /// The one way onto the clock: put `cycles` on `t`'s clock and book
+    /// them to `cat`. [`WORK`] is a step's work: inside a transaction its
+    /// escrow holds it until commit books it to `tx_success` or an abort to
+    /// `aborted`; outside one it is booked at once (`Executor::work`).
+    #[inline(always)]
+    fn charge(&mut self, t: ThreadId, cat: impl Into<Option<Category>>, cycles: Cycles) {
+        self.sched.advance(t, cycles);
+        match (cat.into(), &mut self.tle[t].tx) {
+            (None, Some(tx)) => tx.escrow.work += cycles,
+            (cat, _) => self.breakdown[cat.unwrap_or(self.work)] += cycles,
+        }
+    }
+
     /// HTM footprint budgets for `t` right now (SMT halving, §5.4).
     fn budgets(&self, t: ThreadId) -> Budgets {
         if self.sched.smt_sibling_busy(t) {
@@ -562,7 +592,7 @@ impl Executor {
     /// lands on the simulated clock exactly where its separate steps would
     /// have. `charge` is what the round spent before the burst and has not
     /// yet put on the clock (Fig. 2's counter test); it rides on the
-    /// burst's one `advance` and `settle`.
+    /// burst's one `charge`.
     #[inline(always)]
     fn raw_step(&mut self, t: ThreadId, charge: Cycles) -> Result<StepOk, VmAbort> {
         // What the round did so far may have moved another thread's clock,
@@ -578,9 +608,8 @@ impl Executor {
             // Each step after a burst's first is a round of its own.
             self.round = (start + self.vm.last_step_start, t);
         }
-        let cost = self.vm.step_cost() + charge;
-        self.sched.advance(t, cost);
-        self.settle(t, cost);
+        self.charge(t, WORK, self.vm.step_cost() + charge);
+        self.settle(t);
         r
     }
 
@@ -617,13 +646,12 @@ impl Executor {
     /// the effects of a step that aborted land too, and are discarded with
     /// it — or, outside any transaction, straight to publication.
     #[inline(always)]
-    fn settle(&mut self, t: ThreadId, cost: Cycles) {
+    fn settle(&mut self, t: ThreadId) {
         let vm = &mut self.vm;
         let insns = u64::from(vm.step_insns);
         self.bursts += 1;
         if let Some(tx) = self.tle[t].tx.as_mut() {
             let e = &mut tx.escrow;
-            e.work += cost;
             e.insns += insns;
             e.method_bumps =
                 e.method_bumps.wrapping_add(std::mem::take(&mut vm.pending_method_bumps));
@@ -635,7 +663,7 @@ impl Executor {
             self.stalled_steps += insns - 1;
         } else {
             vm.publish_method_bumps();
-            self.publish_work(cost, insns, false);
+            self.publish_work(insns);
             if !(self.vm.pending_marks.is_empty() && self.vm.pending_wakes.is_empty()) {
                 let mut marks = std::mem::take(&mut self.vm.pending_marks);
                 let mut wakes = std::mem::take(&mut self.vm.pending_wakes);
@@ -645,16 +673,8 @@ impl Executor {
         }
     }
 
-    /// Make retired work real: that of a committed transaction (and of the
-    /// modes that run no GIL at all) is `tx_success`, anything else ran
-    /// under the GIL. Published instructions are forward progress.
-    fn publish_work(&mut self, work: Cycles, insns: u64, committed_tx: bool) {
-        let free = matches!(self.cfg.mode, RuntimeMode::FineGrained | RuntimeMode::Ideal);
-        if committed_tx || free {
-            self.breakdown.tx_success += work;
-        } else {
-            self.breakdown.gil_held += work;
-        }
+    /// Make retired instructions real: they are forward progress.
+    fn publish_work(&mut self, insns: u64) {
         self.committed_insns += insns;
         // The steps run ahead past this round still come after it; the
         // ones before it, where no event reaches, go.
@@ -689,7 +709,7 @@ impl Executor {
     /// Drop an aborted transaction's escrow: its work was wasted, and its
     /// marks, wakes and version bumps never happened.
     fn discard(&mut self, t: ThreadId, e: Escrow) {
-        self.breakdown.aborted += e.work;
+        self.breakdown[Category::Aborted] += e.work;
         self.wasted_insns += e.insns;
         self.recycle(t, e);
     }
@@ -759,9 +779,7 @@ impl Executor {
         let now = self.sched.clock(t);
         match on {
             BlockOn::Io(units) => {
-                let until = now + u64::from(units) * self.profile.cost.io_latency;
-                self.breakdown.io_wait += until - now;
-                self.sched.sleep_until(t, until);
+                self.sched.sleep_until(t, now + u64::from(units) * self.profile.cost.io_latency);
             }
             BlockOn::Mutex(addr) => {
                 self.parked.entry(ParkKey::Mutex(addr)).or_default().push(t);
@@ -816,7 +834,7 @@ impl Executor {
     /// Release the GIL held by `t` and wake its waiter queue.
     fn gil_release(&mut self, t: ThreadId) -> Result<(), RunError> {
         let wake_at = self.sched.clock(t) + self.profile.cost.gil_wait_wakeup;
-        self.sched.advance(t, self.profile.cost.gil_release);
+        self.charge(t, Category::GilHeld, self.profile.cost.gil_release);
         self.gil
             .release(&mut self.vm, t)
             .map(|woken| woken.for_each(|w| self.sched.unpark(w, wake_at)))
@@ -831,8 +849,7 @@ impl Executor {
             self.sched.park(t);
             return Ok(false);
         }
-        self.sched.advance(t, self.profile.cost.gil_acquire);
-        self.breakdown.gil_wait += self.profile.cost.gil_acquire;
+        self.charge(t, Category::GilWait, self.profile.cost.gil_acquire);
         self.gil
             .acquire(&mut self.vm, t, self.cfg.tls_running_thread)
             .map_err(|r| self.plain_access_failed("GIL word write", r))?;
@@ -859,15 +876,13 @@ impl Executor {
                 .vm
                 .rd_untimed(t, flag_addr)
                 .map_err(|r| self.plain_access_failed("interrupt flag read", r))?;
-            self.sched.advance(t, 2 * self.profile.cost.mem_ref);
-            self.breakdown.gil_held += 2 * self.profile.cost.mem_ref;
+            self.charge(t, Category::GilHeld, 2 * self.profile.cost.mem_ref);
             if flag == Word::Int(1) {
                 self.vm
                     .wr_untimed(t, flag_addr, Word::Int(0))
                     .map_err(|r| self.plain_access_failed("interrupt flag clear", r))?;
                 self.gil_release(t)?;
-                self.sched.advance(t, self.profile.cost.sched_yield);
-                self.breakdown.gil_wait += self.profile.cost.sched_yield;
+                self.charge(t, Category::GilWait, self.profile.cost.sched_yield);
                 // Re-acquire on the next scheduling round (others, woken
                 // with earlier clocks, get the lock first).
                 return Ok(());
@@ -900,8 +915,7 @@ impl Executor {
             self.last_allocs = allocs;
             if delta > 0 {
                 let extra = self.fine.on_allocations(self.sched.clock(t), delta);
-                self.sched.advance(t, extra);
-                self.breakdown.other += extra;
+                self.charge(t, Category::Other, extra);
             }
         }
         match r {
@@ -960,24 +974,19 @@ impl Executor {
                 Err(reason) => {
                     // The counter read itself hit a doomed transaction
                     // (false sharing on unpadded thread structs!).
-                    self.sched.advance(t, self.profile.cost.mem_ref);
+                    self.charge(t, Category::Aborted, self.profile.cost.mem_ref);
                     return self.on_tx_abort(t, reason);
                 }
             };
-            // A countdown's charge rides on the burst's one `advance` and
-            // `settle`; a restart or a failed write pays it before acting.
+            // A countdown's charge rides on the burst's one `charge`; a
+            // restart or a failed write pays it before acting.
             let charge = 2 * self.profile.cost.mem_ref;
             let write =
                 if c > 1 { self.vm.wr_untimed(t, counter_addr, Word::Int(c - 1)) } else { Ok(()) };
             if c > 1 && write.is_ok() {
                 pending = charge;
             } else {
-                self.sched.advance(t, charge);
-                if let Some(tx) = self.tle[t].tx.as_mut() {
-                    tx.escrow.work += charge;
-                } else {
-                    self.breakdown.gil_held += charge;
-                }
+                self.charge(t, WORK, charge);
                 if let Err(reason) = write {
                     return self.on_tx_abort(t, reason);
                 }
@@ -1024,11 +1033,11 @@ impl Executor {
         if self.sched.explore_commit_kill() {
             return Err(self.interrupt_kill(t));
         }
-        self.sched.advance(t, self.profile.cost.tend);
-        self.breakdown.tx_begin_end += self.profile.cost.tend;
+        self.charge(t, Category::TxBeginEnd, self.profile.cost.tend);
         self.vm.mem.commit(t)?;
         let mut e = self.tle[t].tx.take().expect("commit without tx").escrow;
-        self.publish_work(e.work, e.insns, true);
+        self.breakdown[Category::TxSuccess] += e.work;
+        self.publish_work(e.insns);
         self.vm.method_version = self.vm.method_version.wrapping_add(e.method_bumps);
         self.publish_events(t, &mut e.marks, &mut e.wakes);
         self.recycle(t, e);
@@ -1082,8 +1091,7 @@ impl Executor {
         let counter_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::YIELD_COUNTER;
         // Lines 6-8: wait for a held GIL before even trying (optimization).
         if self.gil.is_held() {
-            self.breakdown.gil_wait += self.profile.cost.spin_bound;
-            self.sched.advance(t, self.profile.cost.spin_bound);
+            self.charge(t, Category::GilWait, self.profile.cost.spin_bound);
             self.gil.push_waiter(t);
             self.tle[t].resume_pc = Some(pc);
             // Keep the sequence identity across the park: a retry that
@@ -1094,13 +1102,11 @@ impl Executor {
         }
         // TBEGIN + surrounding bookkeeping.
         self.tables.record_attempt(pc);
-        self.sched.advance(t, self.profile.cost.tbegin);
-        self.breakdown.tx_begin_end += self.profile.cost.tbegin;
+        self.charge(t, Category::TxBeginEnd, self.profile.cost.tbegin);
         let snapshot = self.vm.snapshot(t);
         if let Err(reason) = self.vm.mem.begin(t, self.budgets(t)) {
             // Predictor kill (EagerPredicted): take the abort path.
-            self.sched.advance(t, self.profile.cost.abort_penalty);
-            self.breakdown.aborted += self.profile.cost.abort_penalty;
+            self.charge(t, Category::Aborted, self.profile.cost.abort_penalty);
             return self.begin_aborted(t, pc, reason);
         }
         // Subscribe to the GIL (DESIGN.md §15). `Eager` is Fig. 1 lines
@@ -1126,12 +1132,11 @@ impl Executor {
             let gil_word = match gil_probe {
                 Ok(w) => w,
                 Err(reason) => {
-                    self.sched.advance(t, self.profile.cost.abort_penalty);
-                    self.breakdown.aborted += self.profile.cost.abort_penalty;
+                    self.charge(t, Category::Aborted, self.profile.cost.abort_penalty);
                     return self.begin_aborted(t, pc, reason);
                 }
             };
-            self.sched.advance(t, self.profile.cost.mem_ref);
+            self.charge(t, Category::TxBeginEnd, self.profile.cost.mem_ref);
             if gil_word == Word::Int(1) {
                 let reason = self.vm.mem.tabort(t, abort_codes::GIL_LOCKED);
                 return self.begin_aborted(t, pc, reason);
@@ -1145,7 +1150,7 @@ impl Executor {
             {
                 return self.begin_aborted(t, pc, reason);
             }
-            self.sched.advance(t, self.profile.cost.mem_ref);
+            self.charge(t, Category::TxBeginEnd, self.profile.cost.mem_ref);
         }
         // Install the yield-point counter (Fig. 3's yield_point_counter).
         // Leased install: seeds the write lease on the thread-struct line
@@ -1184,8 +1189,7 @@ impl Executor {
         };
         self.vm.restore(t, info.snapshot);
         self.discard(t, info.escrow);
-        self.sched.advance(t, self.profile.cost.abort_penalty);
-        self.breakdown.aborted += self.profile.cost.abort_penalty;
+        self.charge(t, Category::Aborted, self.profile.cost.abort_penalty);
         self.tle[t].resume_pc = Some(info.start_pc);
         self.abort_path(t, info.start_pc, reason)
     }
@@ -1223,8 +1227,7 @@ impl Executor {
                 self.tle[t].retrying = true;
                 // spin_and_gil_acquire: wait for release, then retry.
                 if self.gil.is_held() {
-                    self.breakdown.gil_wait += self.profile.cost.spin_bound;
-                    self.sched.advance(t, self.profile.cost.spin_bound);
+                    self.charge(t, Category::GilWait, self.profile.cost.spin_bound);
                     self.gil.push_waiter(t);
                     self.sched.park(t);
                 }
@@ -1304,9 +1307,8 @@ impl Executor {
         let (mut clock, first) = (start, log.len());
         self.vm.run_leased(t, self.yp_bit, (due, first + LOOKAHEAD_STEPS), &mut clock, log);
         let n = (log.len() - first) as u64;
-        self.sched.advance(t, clock - start);
-        let e = &mut self.tle[t].tx.as_mut().expect("checked above").escrow;
-        (e.work, e.insns) = (e.work + clock - start, e.insns + n);
+        self.charge(t, WORK, clock - start);
+        self.tle[t].tx.as_mut().expect("checked above").escrow.insns += n;
         // Counted ahead of lock-step order: the run loop takes them back
         // before the count can reach the progress bound.
         (self.pending, self.stalled_steps) = (self.pending + n, self.stalled_steps + n);
@@ -1501,7 +1503,7 @@ puts(results[0] + results[1])
         assert_eq!(r.stdout, "90300");
         assert!(r.htm.begins > 10, "worker threads must run transactionally");
         assert!(r.htm.commits > 10);
-        assert!(r.breakdown.tx_success > 0);
+        assert!(r.breakdown[Category::TxSuccess] > 0);
     }
 
     /// One thread repeatedly falls back on the GIL (`print` is restricted)
@@ -1750,7 +1752,8 @@ puts("done")
             r.elapsed_cycles,
             seq
         );
-        assert!(r.breakdown.io_wait > 0);
+        // Each thread slept through its five I/Os one after another.
+        assert!(r.elapsed_cycles >= seq / 2, "I/O must block: {}", r.elapsed_cycles);
     }
 
     #[test]

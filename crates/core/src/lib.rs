@@ -47,5 +47,5 @@ pub use explore::{
 pub use json::Json;
 pub use latency::{LatencyRecorder, LatencyStats, QueueWindow, TaskLatencyReport};
 pub use oracle::{check_against_gil, heap_digest, Expected, OracleVerdict};
-pub use report::{ConflictSite, CycleBreakdown, RunReport};
+pub use report::{Category, ConflictSite, CycleBreakdown, RunReport};
 pub use tle::{LengthTables, SiteProfile, SubscriptionPolicy};

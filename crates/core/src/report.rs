@@ -7,56 +7,70 @@ use machine_sim::Cycles;
 
 use crate::json::Json;
 
-/// Where in the VM address space a conflicting line lives — used for the
+/// Where in the VM address space a conflicting line lives, by the VM's
+/// line→owner registration ([`ruby_vm::layout::AttributionMap`]) — the
 /// paper's §5.6 attribution ("more than 50 % of those read-set conflicts
-/// occurred at the time of object allocation"). The classification now
-/// comes from the VM's own line→owner registration
-/// ([`ruby_vm::layout::AttributionMap`]) rather than a boundary
-/// comparison in the executor; this alias keeps the historical name.
+/// occurred at the time of object allocation").
 pub use ruby_vm::layout::LineOwner as ConflictSite;
 
-/// Cycle breakdown in the categories of the paper's Fig. 8.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CycleBreakdown {
-    /// `TBEGIN`/`TEND` and the surrounding begin/end bookkeeping.
-    pub tx_begin_end: Cycles,
-    /// Work inside transactions that committed.
-    pub tx_success: Cycles,
-    /// Work executed while holding the GIL (fallback or GIL mode).
-    pub gil_held: Cycles,
+/// The categories of the paper's Fig. 8. Every cycle on a thread's clock
+/// (`Scheduler::busy`) is booked to exactly one; a parked or sleeping
+/// thread spends none, so waiting books only what it charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// `TBEGIN`/`TEND`, the GIL subscription read, the running-thread write.
+    TxBeginEnd,
+    /// Work in transactions that committed (all work where no GIL runs).
+    TxSuccess,
+    /// Work under the GIL (fallback or GIL mode), yield checks, the release.
+    GilHeld,
     /// Work discarded by aborts, plus the hardware abort penalty.
-    pub aborted: Cycles,
-    /// Spinning/parked time waiting for the GIL to be released.
-    pub gil_wait: Cycles,
-    /// Blocked on simulated I/O.
-    pub io_wait: Cycles,
-    /// Everything else (scheduler overhead, blocked on app sync).
-    pub other: Cycles,
+    Aborted,
+    /// Waiting for the GIL: the `spin_bound` spin, acquire, timer yield.
+    GilWait,
+    /// Context switches and the fine-grained mode's allocation lock.
+    Other,
+}
+
+impl Category {
+    /// The one list of categories, in Fig. 8 order: each with its JSON key
+    /// and its Fig. 8 label.
+    pub const TABLE: [(Category, &'static str, &'static str); 6] = [
+        (Category::TxBeginEnd, "tx_begin_end", "tx-begin/end"),
+        (Category::TxSuccess, "tx_success", "successful-tx"),
+        (Category::GilHeld, "gil_held", "gil-held"),
+        (Category::Aborted, "aborted", "aborted-tx"),
+        (Category::GilWait, "gil_wait", "gil-wait"),
+        (Category::Other, "other", "other"),
+    ];
+}
+
+/// Cycle breakdown in the paper's Fig. 8 categories, indexed by [`Category`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CycleBreakdown(pub [Cycles; Category::TABLE.len()]);
+
+impl std::ops::Index<Category> for CycleBreakdown {
+    type Output = Cycles;
+    fn index(&self, c: Category) -> &Cycles {
+        &self.0[c as usize]
+    }
+}
+
+impl std::ops::IndexMut<Category> for CycleBreakdown {
+    fn index_mut(&mut self, c: Category) -> &mut Cycles {
+        &mut self.0[c as usize]
+    }
 }
 
 impl CycleBreakdown {
     pub fn total(&self) -> Cycles {
-        self.tx_begin_end
-            + self.tx_success
-            + self.gil_held
-            + self.aborted
-            + self.gil_wait
-            + self.io_wait
-            + self.other
+        self.0.iter().sum()
     }
 
-    /// Category shares in percent, in Fig. 8 order.
-    pub fn shares_pct(&self) -> [(&'static str, f64); 7] {
+    /// Category shares in percent, by Fig. 8 label, in Fig. 8 order.
+    pub fn shares_pct(&self) -> [(&'static str, f64); Category::TABLE.len()] {
         let t = self.total().max(1) as f64;
-        [
-            ("tx-begin/end", 100.0 * self.tx_begin_end as f64 / t),
-            ("successful-tx", 100.0 * self.tx_success as f64 / t),
-            ("gil-held", 100.0 * self.gil_held as f64 / t),
-            ("aborted-tx", 100.0 * self.aborted as f64 / t),
-            ("gil-wait", 100.0 * self.gil_wait as f64 / t),
-            ("io-wait", 100.0 * self.io_wait as f64 / t),
-            ("other", 100.0 * self.other as f64 / t),
-        ]
+        Category::TABLE.map(|(c, _, label)| (label, 100.0 * self[c] as f64 / t))
     }
 }
 
@@ -122,14 +136,9 @@ impl RunReport {
     /// see [`crate::json`]); the payload behind every bench binary's
     /// `--report-json` flag.
     pub fn to_json(&self) -> Json {
-        let breakdown = Json::obj()
-            .field("tx_begin_end", self.breakdown.tx_begin_end)
-            .field("tx_success", self.breakdown.tx_success)
-            .field("gil_held", self.breakdown.gil_held)
-            .field("aborted", self.breakdown.aborted)
-            .field("gil_wait", self.breakdown.gil_wait)
-            .field("io_wait", self.breakdown.io_wait)
-            .field("other", self.breakdown.other)
+        let breakdown = Category::TABLE
+            .into_iter()
+            .fold(Json::obj(), |acc, (c, key, _)| acc.field(key, self.breakdown[c]))
             .field("total", self.breakdown.total());
         // Derived from the canonical AbortReason table, so a new variant
         // shows up here without this file changing.
@@ -231,15 +240,7 @@ mod tests {
 
     #[test]
     fn breakdown_shares_sum_to_100() {
-        let b = CycleBreakdown {
-            tx_begin_end: 10,
-            tx_success: 40,
-            gil_held: 20,
-            aborted: 10,
-            gil_wait: 10,
-            io_wait: 5,
-            other: 5,
-        };
+        let b = CycleBreakdown([10, 40, 20, 15, 10, 5]);
         let sum: f64 = b.shares_pct().iter().map(|(_, v)| v).sum();
         assert!((sum - 100.0).abs() < 1e-9);
         assert_eq!(b.total(), 100);
@@ -296,7 +297,7 @@ mod tests {
             elapsed_cycles: 10_000,
             committed_insns: 5_000,
             wasted_insns: 120,
-            breakdown: CycleBreakdown { tx_success: 9_000, aborted: 1_000, ..Default::default() },
+            breakdown: CycleBreakdown([0, 9_000, 0, 1_000, 0, 0]),
             htm,
             gil_acquisitions: 3,
             conflict_sites: sites,
@@ -323,6 +324,10 @@ mod tests {
         let j = r.to_json();
         let parsed = crate::json::Json::parse(&j.to_pretty()).unwrap();
         assert_eq!(parsed.get("mode").unwrap().as_str(), Some("HTM-dynamic"));
+        let breakdown = parsed.get("breakdown").unwrap();
+        assert_eq!(breakdown.get("tx_success").unwrap().as_u64(), Some(9_000));
+        assert_eq!(breakdown.get("aborted").unwrap().as_u64(), Some(1_000));
+        assert_eq!(breakdown.get("total").unwrap().as_u64(), Some(10_000));
         assert_eq!(
             parsed
                 .get("htm")

@@ -74,6 +74,8 @@ pub struct Scheduler {
     slots: Vec<Option<ThreadId>>,
     /// Cost of a context switch, charged on quantum preemption.
     context_switch: Cycles,
+    /// Cycles charged for context switches, on every thread's `busy`.
+    switch_cycles: Cycles,
     /// Cached per-thread ready time: `clock` when runnable,
     /// `max(clock, until)` when sleeping, [`NEVER_READY`] otherwise.
     /// Maintained at every state/clock transition so [`Scheduler::next`]
@@ -126,6 +128,7 @@ impl Scheduler {
             smt_per_core,
             slots: vec![None; cores * smt_per_core],
             context_switch,
+            switch_cycles: 0,
             ready: Vec::new(),
             unfinished: 0,
             slotless: 0,
@@ -164,6 +167,11 @@ impl Scheduler {
     /// Total busy cycles charged to `t` so far.
     pub fn busy(&self, t: ThreadId) -> Cycles {
         self.threads[t].busy
+    }
+
+    /// Cycles of all threads' `busy` that context switches, not `advance`, put there.
+    pub fn switch_cycles(&self) -> Cycles {
+        self.switch_cycles
     }
 
     /// Current state of thread `t`.
@@ -399,16 +407,7 @@ impl Scheduler {
                 .iter()
                 .position(|th| th.state == ThreadState::Runnable && th.slot.is_none())
                 .expect("slotless > 0");
-            let slot = self.threads[tid].slot.take().expect("holder slot");
-            self.threads[tid].slot_usage = 0;
-            let switch_at = self.threads[tid].clock;
-            self.slots[slot] = Some(w);
-            let wt = &mut self.threads[w];
-            wt.slot = Some(slot);
-            wt.slot_usage = 0;
-            wt.clock = wt.clock.max(switch_at) + self.context_switch;
-            wt.busy += self.context_switch;
-            self.ready[w] = wt.clock;
+            self.switch_slot(tid, w);
             // Re-select: the waiter may now be the best candidate, and
             // `tid` no longer holds a slot to run ahead on.
             self.horizon = NO_HORIZON;
@@ -498,19 +497,23 @@ impl Scheduler {
                 .filter_map(|s| *s)
                 .max_by_key(|&v| (self.threads[v].slot_usage, usize::MAX - v))
                 .expect("all slots held");
-            // The waiter cannot run before the victim's clock: the OS
-            // switches at the victim's quantum expiry.
-            let switch_at = self.threads[victim].clock;
-            let slot = self.threads[victim].slot.take().expect("victim slot");
-            self.threads[victim].slot_usage = 0;
-            self.slots[slot] = Some(t);
-            let th = &mut self.threads[t];
-            th.slot = Some(slot);
-            th.slot_usage = 0;
-            th.clock = th.clock.max(switch_at) + self.context_switch;
-            th.busy += self.context_switch;
-            self.ready[t] = th.clock;
+            self.switch_slot(victim, t);
         }
+    }
+
+    /// Hand `from`'s slot to `to`, charging `to` the context switch on top
+    /// of `from`'s clock: the OS switches at `from`'s quantum expiry.
+    fn switch_slot(&mut self, from: ThreadId, to: ThreadId) {
+        let switch_at = self.threads[from].clock;
+        let slot = self.threads[from].slot.take().expect("holder slot");
+        self.threads[from].slot_usage = 0;
+        self.slots[slot] = Some(to);
+        let th = &mut self.threads[to];
+        (th.slot, th.slot_usage) = (Some(slot), 0);
+        th.clock = th.clock.max(switch_at) + self.context_switch;
+        th.busy += self.context_switch;
+        self.switch_cycles += self.context_switch;
+        self.ready[to] = th.clock;
     }
 
     fn release_slot(&mut self, t: ThreadId) {
@@ -763,6 +766,7 @@ mod tests {
         assert_eq!(s.next(), Some(b));
         assert_eq!(s.clock(b), OVERSUB_QUANTUM + 1_000);
         assert_eq!(s.busy(b), 1_000);
+        assert_eq!(s.switch_cycles(), 1_000);
         assert!(s.threads[a].slot.is_none(), "a must have handed its slot over");
         assert_eq!(s.threads[a].slot_usage, 0, "usage resets on handover");
     }
@@ -785,6 +789,7 @@ mod tests {
         assert!(s.threads[b].slot.is_some(), "lighter holder b keeps its slot");
         assert_eq!(s.clock(c), 300 + 1_000);
         assert_eq!(s.busy(c), 1_000);
+        assert_eq!(s.switch_cycles(), 1_000);
     }
 
     #[test]

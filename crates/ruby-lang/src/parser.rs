@@ -28,7 +28,7 @@ impl std::error::Error for ParseError {}
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> Result<Node, ParseError> {
     let tokens = Lexer::new(src).tokenize().map_err(|e| ParseError { msg: e.msg, line: e.line })?;
-    let mut p = Parser { toks: tokens, pos: 0, no_do_block: false };
+    let mut p = Parser { toks: tokens, pos: 0, no_do_block: false, in_block: false };
     let body = p.parse_stmts(&[TokenKind::Eof])?;
     p.expect(&TokenKind::Eof)?;
     Ok(body)
@@ -40,6 +40,8 @@ struct Parser {
     /// Set while parsing a `while`/`until` condition so a trailing `do`
     /// terminates the condition instead of opening a block.
     no_do_block: bool,
+    /// In a block's body, not a `def` or `class` in it: `return` is refused.
+    in_block: bool,
 }
 
 impl Parser {
@@ -126,6 +128,9 @@ impl Parser {
                 return self.err("case/when is outside the subset; use if/elsif")
             }
             TokenKind::KwReturn => {
+                if self.in_block {
+                    return self.err("return inside a block is outside the subset");
+                }
                 self.bump();
                 let value =
                     if self.stmt_ends_here() { None } else { Some(Box::new(self.parse_expr()?)) };
@@ -201,8 +206,7 @@ impl Parser {
                 }
             }
         }
-        let body = self.parse_stmts(&[TokenKind::KwEnd])?;
-        self.expect(&TokenKind::KwEnd)?;
+        let body = self.scope_body(false, TokenKind::KwEnd)?;
         Ok(Node::MethodDef { name, params, body: Box::new(body), on_self })
     }
 
@@ -263,8 +267,7 @@ impl Parser {
         } else {
             None
         };
-        let body = self.parse_stmts(&[TokenKind::KwEnd])?;
-        self.expect(&TokenKind::KwEnd)?;
+        let body = self.scope_body(false, TokenKind::KwEnd)?;
         Ok(Node::ClassDef { name, superclass, body: Box::new(body) })
     }
 
@@ -498,21 +501,24 @@ impl Parser {
     }
 
     fn maybe_block(&mut self) -> Result<Option<BlockDef>, ParseError> {
-        if self.peek() == &TokenKind::LBrace {
-            self.bump();
-            let params = self.block_params()?;
-            let body = self.parse_stmts(&[TokenKind::RBrace])?;
-            self.expect(&TokenKind::RBrace)?;
-            return Ok(Some(BlockDef { params, body: Box::new(body) }));
-        }
-        if self.peek() == &TokenKind::KwDo && !self.no_do_block {
-            self.bump();
-            let params = self.block_params()?;
-            let body = self.parse_stmts(&[TokenKind::KwEnd])?;
-            self.expect(&TokenKind::KwEnd)?;
-            return Ok(Some(BlockDef { params, body: Box::new(body) }));
-        }
-        Ok(None)
+        let close = match self.peek() {
+            TokenKind::LBrace => TokenKind::RBrace,
+            TokenKind::KwDo if !self.no_do_block => TokenKind::KwEnd,
+            _ => return Ok(None),
+        };
+        self.bump();
+        let params = self.block_params()?;
+        let body = self.scope_body(true, close)?;
+        Ok(Some(BlockDef { params, body: Box::new(body) }))
+    }
+
+    /// The body of a block (`in_block`), method or class, through `close`.
+    fn scope_body(&mut self, in_block: bool, close: TokenKind) -> Result<Node, ParseError> {
+        let outer = std::mem::replace(&mut self.in_block, in_block);
+        let body = self.parse_stmts(std::slice::from_ref(&close))?;
+        self.expect(&close)?;
+        self.in_block = outer;
+        Ok(body)
     }
 
     fn block_params(&mut self) -> Result<Vec<String>, ParseError> {
@@ -583,8 +589,13 @@ impl Parser {
                 Ok(e)
             }
             TokenKind::LBracket => {
+                let line = self.line();
                 self.bump();
                 let elems = self.parse_args(&TokenKind::RBracket)?;
+                if elems.len() > usize::from(u16::MAX) {
+                    let msg = "an array literal holds at most 65535 elements".into();
+                    return Err(ParseError { msg, line });
+                }
                 self.expect(&TokenKind::RBracket)?;
                 Ok(Node::ArrayLit(elems))
             }
@@ -890,6 +901,17 @@ mod tests {
         assert!(e.line >= 1);
         let e = parse_program("case x\nwhen 1\nend").unwrap_err();
         assert!(e.msg.contains("case"));
+    }
+
+    /// `return` is refused in a block's body, with its line, but not in a
+    /// method or class body inside a block.
+    #[test]
+    fn return_inside_a_block_is_refused_but_a_def_resets_the_rule() {
+        let e = parse_program("def f(a)\n  a.each do |x|\n    return x\n  end\nend").unwrap_err();
+        assert_eq!((&*e.msg, e.line), ("return inside a block is outside the subset", 3));
+        let e = parse_program("f { |x| x }\ng { |x|\n  return x }").unwrap_err();
+        assert_eq!(e.line, 3);
+        parse_program("a.each do |x|\n  def f()\n    return 1\n  end\n  class C\n    def g()\n      return 2\n    end\n  end\nend\nreturn 3").expect("a def resets the rule");
     }
 
     #[test]

@@ -3,9 +3,19 @@
 //! workload (`tests/sim_counters.rs`) and what a boot that compiled its
 //! program must share with one that did not (`tests/compile_once.rs`).
 
+use htm_gil::core::Category;
 use htm_gil::{Executor, RunReport};
 
+/// The cycle ledger: every cycle on a thread's clock is booked to exactly
+/// one Fig. 8 category — the check that holds where `debug_assert`s are
+/// compiled out.
+pub fn assert_ledger_balances(ex: &Executor, r: &RunReport) {
+    let busy: u64 = (0..ex.sched.len()).map(|t| ex.sched.busy(t)).sum();
+    assert_eq!(r.breakdown.total(), busy, "booked cycles vs busy cycles: {:?}", r.breakdown);
+}
+
 pub fn point_counters(ex: &Executor, r: &RunReport) -> Vec<(&'static str, u64)> {
+    assert_ledger_balances(ex, r);
     let mut out = vec![
         ("elapsed_cycles", r.elapsed_cycles),
         ("committed_insns", r.committed_insns),
@@ -24,16 +34,7 @@ pub fn point_counters(ex: &Executor, r: &RunReport) -> Vec<(&'static str, u64)> 
     out.extend(r.htm.abort_breakdown());
     // Where the simulated cycles went (Fig. 8): the category a charge lands
     // in, which `elapsed_cycles` alone cannot see.
-    let b = &r.breakdown;
-    out.extend([
-        ("tx_begin_end", b.tx_begin_end),
-        ("tx_success", b.tx_success),
-        ("gil_held", b.gil_held),
-        ("aborted", b.aborted),
-        ("gil_wait", b.gil_wait),
-        ("io_wait", b.io_wait),
-        ("other", b.other),
-    ]);
+    out.extend(Category::TABLE.map(|(c, key, _)| (key, r.breakdown[c])));
     // Host work, not simulated state: how the run was carved into
     // scheduler picks and bursts (burst length = bytecodes / bursts).
     let host = [

@@ -4,6 +4,7 @@
 //! absolute numbers.
 
 use htm_gil::bench_workloads as workloads;
+use htm_gil::core::Category;
 use htm_gil::{
     ExecConfig, Executor, LengthPolicy, MachineProfile, RunReport, RuntimeMode, VmConfig,
 };
@@ -79,7 +80,7 @@ fn htm1_has_more_begin_overhead_than_htm16() {
         r16.htm.begins
     );
     assert!(
-        r1.breakdown.tx_begin_end > r16.breakdown.tx_begin_end,
+        r1.breakdown[Category::TxBeginEnd] > r16.breakdown[Category::TxBeginEnd],
         "HTM-1 must spend more cycles in begin/end"
     );
 }

@@ -223,6 +223,7 @@ fn a_form_outside_the_subset_is_an_error_with_its_line() {
         let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
         Executor::new(source, VmConfig::default(), profile.clone(), cfg)
     };
+    let long_array = format!("[{}]", "0, ".repeat(65_536));
     for form in [
         "a ? 1 : 2",
         ":s",
@@ -237,11 +238,13 @@ fn a_form_outside_the_subset_is_an_error_with_its_line() {
         "~1",
         "-x",
         "a[0] += 1",
+        "a.each { |y| return y }",
+        &long_array,
     ] {
         match boot(&format!("a = [1]\nx = 1\n{form}\n")) {
-            Err(RunError::Boot(m)) => assert!(m.contains("at line 3"), "{form}: {m}"),
-            Err(other) => panic!("{form}: expected a boot error, got {other}"),
-            Ok(_) => panic!("{form} must not compile"),
+            Err(RunError::Boot(m)) => assert!(m.contains("at line 3"), "{form:.40}: {m}"),
+            Err(other) => panic!("{form:.40}: expected a boot error, got {other}"),
+            Ok(_) => panic!("{form:.40} must not compile"),
         }
     }
     for pattern in ["a|b", "[^a]", "\\\\d"] {

@@ -12,7 +12,9 @@
 //!   the benchmark's own ratio with `==`). The simulated keys include the
 //!   Fig. 8 cycle breakdown (`tx_begin_end` … `other`, after the abort
 //!   reasons), so a charge booked to the wrong category fails here even
-//!   when the clock it lands on is right. The eleven keys before the
+//!   when the clock it lands on is right; one booked nowhere fails at
+//!   every point, where `point_counters` holds the categories' sum to the
+//!   threads' busy cycles (so do the oversubscribed runs). The eleven keys before the
 //!   headline pair are the exception that proves it: deterministic counts
 //!   of the host's own work (`Executor::host_counters`: picks by kind,
 //!   bursts and their bytecodes, steps looked ahead and rewinds;
@@ -56,7 +58,7 @@ use htm_gil::machine::ExploreCtl;
 use htm_gil::{
     ExecConfig, Executor, LengthPolicy, MachineProfile, RunReport, RuntimeMode, SchedPath, VmConfig,
 };
-use point_counters::point_counters;
+use point_counters::{assert_ledger_balances, point_counters};
 
 const SEED: u64 = 1;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_counters.json");
@@ -255,7 +257,9 @@ fn oversubscribed_runs_match_with_and_without_an_empty_path_controller() {
                 cfg.explore = explore;
                 let vm = VmConfig { max_threads: threads + 2, ..VmConfig::default() };
                 let mut ex = Executor::new(source, vm, profile, cfg).expect("boot");
-                ex.run().unwrap_or_else(|e| panic!("{name} {}: {e}", mode.label()))
+                let r = ex.run().unwrap_or_else(|e| panic!("{name} {}: {e}", mode.label()));
+                assert_ledger_balances(&ex, &r);
+                r
             };
             let bare = run(None);
             let ctl = run(Some(ExploreCtl::new(SchedPath::empty(), false)));
