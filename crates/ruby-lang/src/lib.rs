@@ -18,7 +18,9 @@
 //! * blocks (`do |x| … end` and `{ |x| … }`) and `yield` — the machinery
 //!   behind the paper's Iterator micro-benchmark;
 //! * method calls require parentheses except for zero-argument calls
-//!   (a deliberate simplification; the bundled workloads comply).
+//!   (a deliberate simplification; the bundled workloads comply);
+//! * nesting up to [`parser::MAX_DEPTH`] levels, and lists (arguments,
+//!   array elements) of up to 65 535 items (65 534 inside `a[…]`).
 //!
 //! Nothing the workloads do not build is kept: the ternary, symbols (and
 //! so `attr_accessor`), hash literals (`Hash.new` stays), class variables,

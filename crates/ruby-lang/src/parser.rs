@@ -25,10 +25,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest tree the parser builds: brackets, argument lists, bodies,
+/// `!`/`not` operands and each link of an operator or call chain count a
+/// level ([`Parser::nest`], [`Parser::link`]). The parser and the compiler
+/// recurse a few frames per level, so the bound keeps both on a 2 MB host
+/// stack in a debug build; it is the deepest nesting the prelude, the
+/// workloads, the examples and the figures reach (NPB LU's).
+pub const MAX_DEPTH: usize = 22;
+
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> Result<Node, ParseError> {
     let tokens = Lexer::new(src).tokenize().map_err(|e| ParseError { msg: e.msg, line: e.line })?;
-    let mut p = Parser { toks: tokens, pos: 0, no_do_block: false, in_block: false };
+    let mut p =
+        Parser { toks: tokens, pos: 0, no_do_block: false, in_block: false, depth: 0, peak: 0 };
     let body = p.parse_stmts(&[TokenKind::Eof])?;
     p.expect(&TokenKind::Eof)?;
     Ok(body)
@@ -42,6 +51,10 @@ struct Parser {
     no_do_block: bool,
     /// In a block's body, not a `def` or `class` in it: `return` is refused.
     in_block: bool,
+    /// Levels of [`Parser::nest`] open.
+    depth: usize,
+    /// The deepest level of the subtree being built, its links included.
+    peak: usize,
 }
 
 impl Parser {
@@ -84,6 +97,64 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { msg: msg.into(), line: self.line() })
+    }
+
+    /// Parse one level deeper.
+    fn nest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth = self.deeper(self.depth)?;
+        self.peak = self.peak.max(self.depth);
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Parse a chain (`a + b + c`, `a.b.c`): its [`Parser::link`]s deepen
+    /// what it built so far, not what its enclosing expression holds.
+    fn chain(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Node, ParseError>,
+    ) -> Result<Node, ParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let parsed = f(self);
+        self.peak = self.peak.max(outer);
+        parsed
+    }
+
+    /// The chain so far becomes the left operand of a new node.
+    fn link(&mut self) -> Result<(), ParseError> {
+        self.peak = self.deeper(self.peak)?;
+        Ok(())
+    }
+
+    /// One level below `level`, or the refusal past [`MAX_DEPTH`].
+    fn deeper(&self, level: usize) -> Result<usize, ParseError> {
+        if level == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(level + 1)
+    }
+
+    /// A left-associative binary chain over `operand`, its operators read
+    /// by `op` and joined by `join`.
+    fn binary<O>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Node, ParseError>,
+        op: fn(&TokenKind) -> Option<O>,
+        join: fn(O, Node, Node) -> Node,
+    ) -> Result<Node, ParseError> {
+        self.chain(|p| {
+            let mut l = operand(p)?;
+            while let Some(o) = op(p.peek()) {
+                p.bump();
+                let r = operand(p)?;
+                p.link()?;
+                l = join(o, l, r);
+            }
+            Ok(l)
+        })
     }
 
     fn skip_terms(&mut self) {
@@ -274,7 +345,7 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Node, ParseError> {
-        self.parse_assignment()
+        self.nest(Self::parse_assignment)
     }
 
     fn parse_assignment(&mut self) -> Result<Node, ParseError> {
@@ -296,7 +367,7 @@ impl Parser {
             return self.err("`op=` takes a local, @ivar or $global; write `a[i] = a[i] + v`");
         }
         self.bump();
-        let value = self.parse_assignment()?; // right-associative
+        let value = self.parse_expr()?; // right-associative
         match op {
             None => Ok(Node::Assign { target: Box::new(lhs), value: Box::new(value) }),
             Some(op) => Ok(Node::OpAssign { target: Box::new(lhs), op, value: Box::new(value) }),
@@ -306,21 +377,15 @@ impl Parser {
     /// Lowest precedence: `and` / `or` / `not` keywords.
     fn parse_keyword_logic(&mut self) -> Result<Node, ParseError> {
         if self.eat(&TokenKind::KwNot) {
-            let e = self.parse_keyword_logic()?;
+            let e = self.nest(Self::parse_keyword_logic)?;
             return Ok(Node::UnExpr { op: UnOp::Not, e: Box::new(e) });
         }
-        let mut l = self.parse_range()?;
-        loop {
-            let is_and = match self.peek() {
-                TokenKind::KwAnd => true,
-                TokenKind::KwOr => false,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_range()?;
-            l = Node::Logical { is_and, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        let op = |t: &TokenKind| match t {
+            TokenKind::KwAnd => Some(true),
+            TokenKind::KwOr => Some(false),
+            _ => None,
+        };
+        self.binary(Self::parse_range, op, logical)
     }
 
     fn parse_range(&mut self) -> Result<Node, ParseError> {
@@ -336,93 +401,54 @@ impl Parser {
     }
 
     fn parse_oror(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_andand()?;
-        while self.eat(&TokenKind::OrOr) {
-            let r = self.parse_andand()?;
-            l = Node::Logical { is_and: false, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        self.binary(Self::parse_andand, |t| (t == &TokenKind::OrOr).then_some(false), logical)
     }
 
     fn parse_andand(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_equality()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let r = self.parse_equality()?;
-            l = Node::Logical { is_and: true, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        self.binary(Self::parse_equality, |t| (t == &TokenKind::AndAnd).then_some(true), logical)
     }
 
     fn parse_equality(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_comparison()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Eq => BinOp::Eq,
-                TokenKind::Ne => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_comparison()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        let op = |t: &TokenKind| match t {
+            TokenKind::Eq => Some(BinOp::Eq),
+            TokenKind::Ne => Some(BinOp::Ne),
+            _ => None,
+        };
+        self.binary(Self::parse_comparison, op, binary)
     }
 
     fn parse_comparison(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_shift()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_shift()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        let op = |t: &TokenKind| match t {
+            TokenKind::Lt => Some(BinOp::Lt),
+            TokenKind::Le => Some(BinOp::Le),
+            TokenKind::Gt => Some(BinOp::Gt),
+            TokenKind::Ge => Some(BinOp::Ge),
+            _ => None,
+        };
+        self.binary(Self::parse_shift, op, binary)
     }
 
     fn parse_shift(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_additive()?;
-        while self.eat(&TokenKind::Shl) {
-            let r = self.parse_additive()?;
-            l = Node::BinExpr { op: BinOp::Shl, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        self.binary(Self::parse_additive, |t| (t == &TokenKind::Shl).then_some(BinOp::Shl), binary)
     }
 
     fn parse_additive(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_multiplicative()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        let op = |t: &TokenKind| match t {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        };
+        self.binary(Self::parse_multiplicative, op, binary)
     }
 
     fn parse_multiplicative(&mut self) -> Result<Node, ParseError> {
-        let mut l = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let r = self.parse_unary()?;
-            l = Node::BinExpr { op, l: Box::new(l), r: Box::new(r) };
-        }
-        Ok(l)
+        let op = |t: &TokenKind| match t {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Percent => Some(BinOp::Mod),
+            _ => None,
+        };
+        self.binary(Self::parse_unary, op, binary)
     }
 
     fn parse_unary(&mut self) -> Result<Node, ParseError> {
@@ -438,11 +464,11 @@ impl Parser {
                     _ => return self.err("unary minus takes a numeric literal; write `0 - x`"),
                 };
                 self.bump();
-                self.parse_postfix_from(lit)
+                self.chain(|p| p.parse_postfix_from(lit))
             }
             TokenKind::Bang => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nest(Self::parse_unary)?;
                 Ok(Node::UnExpr { op: UnOp::Not, e: Box::new(e) })
             }
             _ => self.parse_postfix(),
@@ -450,12 +476,14 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Node, ParseError> {
-        let e = self.parse_primary()?;
-        self.parse_postfix_from(e)
+        self.chain(|p| {
+            let e = p.parse_primary()?;
+            p.parse_postfix_from(e)
+        })
     }
 
     /// Postfix continuation (`.m`, `[...]`) applied to an already-parsed
-    /// base expression.
+    /// base expression, inside its [`Parser::chain`].
     fn parse_postfix_from(&mut self, e: Node) -> Result<Node, ParseError> {
         let mut e = e;
         loop {
@@ -465,19 +493,22 @@ impl Parser {
                     let name = self.method_name()?;
                     let args = if self.peek() == &TokenKind::LParen {
                         self.bump();
-                        let args = self.parse_args(&TokenKind::RParen)?;
+                        let args = self.parse_args(&TokenKind::RParen, u16::MAX)?;
                         self.expect(&TokenKind::RParen)?;
                         args
                     } else {
                         Vec::new()
                     };
                     let block = self.maybe_block()?;
+                    self.link()?;
                     e = Node::Call { recv: Some(Box::new(e)), name, args, block };
                 }
                 TokenKind::LBracket => {
                     self.bump();
-                    let args = self.parse_args(&TokenKind::RBracket)?;
+                    // One slot is the value's, should this be `a[…] = v`.
+                    let args = self.parse_args(&TokenKind::RBracket, u16::MAX - 1)?;
                     self.expect(&TokenKind::RBracket)?;
+                    self.link()?;
                     e = Node::Index { recv: Box::new(e), args };
                 }
                 _ => break,
@@ -486,8 +517,10 @@ impl Parser {
         Ok(e)
     }
 
-    fn parse_args(&mut self, stop: &TokenKind) -> Result<Vec<Node>, ParseError> {
-        let mut args = Vec::new();
+    /// Comma-separated expressions up to `stop`, at most `most` of them:
+    /// a count goes into an instruction's 16-bit lane.
+    fn parse_args(&mut self, stop: &TokenKind, most: u16) -> Result<Vec<Node>, ParseError> {
+        let (mut args, line) = (Vec::new(), self.line());
         self.skip_terms();
         while self.peek() != stop {
             args.push(self.parse_expr()?);
@@ -496,6 +529,9 @@ impl Parser {
                 break;
             }
             self.skip_terms();
+        }
+        if args.len() > usize::from(most) {
+            return Err(ParseError { msg: format!("a list of more than {most} items"), line });
         }
         Ok(args)
     }
@@ -572,7 +608,7 @@ impl Parser {
             TokenKind::KwYield => {
                 self.bump();
                 let args = if self.eat(&TokenKind::LParen) {
-                    let a = self.parse_args(&TokenKind::RParen)?;
+                    let a = self.parse_args(&TokenKind::RParen, u16::MAX)?;
                     self.expect(&TokenKind::RParen)?;
                     a
                 } else {
@@ -589,13 +625,8 @@ impl Parser {
                 Ok(e)
             }
             TokenKind::LBracket => {
-                let line = self.line();
                 self.bump();
-                let elems = self.parse_args(&TokenKind::RBracket)?;
-                if elems.len() > usize::from(u16::MAX) {
-                    let msg = "an array literal holds at most 65535 elements".into();
-                    return Err(ParseError { msg, line });
-                }
+                let elems = self.parse_args(&TokenKind::RBracket, u16::MAX)?;
                 self.expect(&TokenKind::RBracket)?;
                 Ok(Node::ArrayLit(elems))
             }
@@ -604,7 +635,7 @@ impl Parser {
                 self.bump();
                 if self.peek() == &TokenKind::LParen {
                     self.bump();
-                    let args = self.parse_args(&TokenKind::RParen)?;
+                    let args = self.parse_args(&TokenKind::RParen, u16::MAX)?;
                     self.expect(&TokenKind::RParen)?;
                     let block = self.maybe_block()?;
                     return Ok(Node::Call { recv: None, name, args, block });
@@ -646,7 +677,7 @@ impl Parser {
         let _ = self.eat(&TokenKind::KwThen);
         let then = self.parse_stmts(&[TokenKind::KwElsif, TokenKind::KwElse, TokenKind::KwEnd])?;
         let els = match self.peek() {
-            TokenKind::KwElsif => Some(Box::new(self.parse_if(false)?)),
+            TokenKind::KwElsif => Some(Box::new(self.nest(|p| p.parse_if(false))?)),
             TokenKind::KwElse => {
                 self.bump();
                 let e = self.parse_stmts(&[TokenKind::KwEnd])?;
@@ -676,6 +707,14 @@ impl Parser {
         let cond = if negate { Node::UnExpr { op: UnOp::Not, e: Box::new(cond) } } else { cond };
         Ok(Node::While { cond: Box::new(cond), body: Box::new(body) })
     }
+}
+
+fn logical(is_and: bool, l: Node, r: Node) -> Node {
+    Node::Logical { is_and, l: Box::new(l), r: Box::new(r) }
+}
+
+fn binary(op: BinOp, l: Node, r: Node) -> Node {
+    Node::BinExpr { op, l: Box::new(l), r: Box::new(r) }
 }
 
 // parse_if consumes its own `end` in the elsif-chain case; `parse_if(false)`

@@ -3,6 +3,7 @@
 //! round-trip structurally.
 
 use proptest::prelude::*;
+use ruby_lang::parser::MAX_DEPTH;
 use ruby_lang::{parse_program, Lexer, Node};
 
 proptest! {
@@ -75,12 +76,15 @@ proptest! {
         }
     }
 
-    /// Deeply nested parentheses neither crash nor mis-parse.
+    /// Deeply nested parentheses neither crash nor mis-parse: within the
+    /// bound (the statement is a level) they parse, past it they are
+    /// refused with their line.
     #[test]
     fn nested_parens(depth in 1usize..40) {
         let src = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
         match parse_program(&src) {
-            Ok(Node::Int(1)) => {}
+            Ok(Node::Int(1)) if depth < MAX_DEPTH => {}
+            Err(e) if depth >= MAX_DEPTH => prop_assert!(e.line == 1 && e.msg.contains("nesting")),
             other => prop_assert!(false, "parsed {:?}", other),
         }
     }

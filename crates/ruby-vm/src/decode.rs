@@ -1,29 +1,23 @@
-//! Pre-decoded threaded bytecode.
+//! The instruction format: the one the compiler emits and the
+//! interpreter runs.
 //!
-//! [`crate::program::Program::finalize`] lowers every [`Insn`] into one
-//! fixed-width (16-byte) [`DecodedInsn`] in a single flat array indexed by
-//! global pc (`iseq_base[iseq] + pc`). The lowering is a pure
-//! representation change — the decoded stream is 1:1 with the original
-//! code and one decoded instruction is one step, so cycle charges,
-//! simulated memory traffic and yield-point placement are exactly those
-//! of the bytecode (asserted by the yield-point proptest and the pinned
-//! counters). What it buys the *host*:
+//! [`crate::compile`] emits every instruction as one fixed-width (16-byte)
+//! [`DecodedInsn`] into a single flat array indexed by global pc
+//! (`Program::base + pc`); one instruction is one step. Opcode names mirror
+//! CRuby 1.9's, because the paper's extra yield points are defined on
+//! bytecode *types* (§4.2). What the format buys the host:
 //!
-//! * dispatch is a dense `u8` opcode match over a `Copy` struct — no
-//!   per-step `Insn` clone, no nested `Vec` indexing;
-//! * operands are pre-unpacked: depth-0 locals carry their frame offset,
-//!   branch targets are absolute, `Send` has name/argc/block/ic in fixed
-//!   lanes, the `opt_*` operators carry their pre-resolved fallback
-//!   selector;
-//! * both yield-point policies are precomputed as flag bits, so the
-//!   executor's per-step yield classification is a single load instead of
-//!   an `Insn` fetch + `kind()` match; a third bit marks the frame-local
-//!   instructions a thread may run ahead of the lock-step horizon
-//!   ([`LOCAL`], `Vm::run_leased`).
+//! * dispatch is a dense `u8` opcode match over a `Copy` struct;
+//! * operands sit in fixed lanes: depth-0 locals carry their frame offset,
+//!   branch targets are absolute, `Send` has name/argc/block/ic, the
+//!   `opt_*` operators carry their fallback selector (resolved by
+//!   [`crate::program::Program::finalize`]);
+//! * both yield-point policies are flag bits, set at emission, so the
+//!   executor's per-step yield classification is a single load; a third
+//!   bit marks the frame-local instructions a thread may run ahead of the
+//!   lock-step horizon ([`LOCAL`], `Vm::run_leased`).
 
-use crate::bytecode::{ISeq, Insn};
-use crate::interp::{FRAME_WORDS, F_SELF};
-use crate::symbols::SymbolTable;
+use crate::interp::F_SELF;
 
 /// Flag bit: original-policy yield point (backward branch / leave).
 pub const YP_ORIG: u8 = 1 << 0;
@@ -33,12 +27,13 @@ pub const YP_EXT: u8 = 1 << 1;
 pub const LOCAL: u8 = 1 << 2;
 
 /// Sentinel in the selector lane of an `opt_*` instruction whose generic
-/// fallback selector was not interned at decode time: no method bears the
-/// name, so the fallback send raises "undefined method" (`Vm::op_send`).
+/// fallback selector was not interned when the program was finalized: no
+/// method bears the name, so the fallback send raises "undefined method"
+/// (`Vm::op_send`).
 pub const NO_SYM: u32 = u32::MAX;
 
-/// Dense opcode of the decoded stream (one per [`Insn`] variant, with
-/// depth-0 local accesses split out as their own hot opcodes).
+/// Dense opcode (CRuby's instruction set, with depth-0 local accesses
+/// split out as their own hot opcodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Op {
@@ -48,9 +43,10 @@ pub enum Op {
     PutSelf,
     /// `a` = the i64 literal (bit-cast).
     PutInt,
-    /// `a` = literal-pool index.
+    /// `a` = literal-pool index: a shared frozen literal (a float).
     PutPooled,
-    /// `a` = string-pool index.
+    /// `a` = string-pool index: a fresh String per execution, as CRuby's
+    /// `putstring` allocates.
     PutString,
     /// `a` = raw `SymId`.
     PutSym,
@@ -108,7 +104,7 @@ pub enum Op {
     DefineClass,
 }
 
-/// One pre-decoded instruction: 16 bytes, `Copy`, operands in fixed lanes.
+/// One instruction: 16 bytes, `Copy`, operands in fixed lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedInsn {
     pub op: Op,
@@ -132,147 +128,76 @@ impl DecodedInsn {
     }
 }
 
-/// Lower one instruction (yield flags + operands).
-fn lower(insn: &Insn, pc: usize, symbols: &SymbolTable) -> DecodedInsn {
-    let sym_or = |s: &str| symbols.lookup(s).map_or(NO_SYM, |id| id.0);
-    let mut d = DecodedInsn { op: Op::PutNil, flags: 0, b: 0, c: 0, a: 0 };
-    let kind = insn.kind();
-    if kind.is_original_yield_point() {
-        d.flags |= YP_ORIG;
+impl Op {
+    /// The method an `opt_*` operator sends when its fast path does not
+    /// apply.
+    pub fn selector(self) -> Option<&'static str> {
+        Some(match self {
+            Op::OptPlus => "+",
+            Op::OptMinus => "-",
+            Op::OptMult => "*",
+            Op::OptDiv => "/",
+            Op::OptMod => "%",
+            Op::OptEq => "==",
+            Op::OptNeq => "!=",
+            Op::OptLt => "<",
+            Op::OptLe => "<=",
+            Op::OptGt => ">",
+            Op::OptGe => ">=",
+            Op::OptAref => "[]",
+            Op::OptAset => "[]=",
+            Op::OptShl => "<<",
+            _ => return None,
+        })
     }
-    if kind.is_extended_yield_point() {
-        d.flags |= YP_EXT;
+}
+
+impl DecodedInsn {
+    /// An instruction with the flags its op implies: `leave` is an
+    /// original yield point, and the paper's extended set (§4.2) adds
+    /// `getlocal`, `getinstancevariable`, `send`, `opt_plus`, `opt_minus`,
+    /// `opt_mult` and `opt_aref` (`getclassvariable` is outside the
+    /// subset). A branch's flags wait for its target (`Emit::patch`).
+    pub fn new(op: Op, a: u64, b: u16, c: u32) -> Self {
+        let flags = match op {
+            Op::Leave => YP_ORIG | YP_EXT,
+            Op::GetLocal0 | Op::GetLocalUp | Op::GetIvar | Op::Send => YP_EXT,
+            Op::OptPlus | Op::OptMinus | Op::OptMult | Op::OptAref => YP_EXT,
+            _ => 0,
+        };
+        let d = DecodedInsn { op, flags, b, c, a };
+        DecodedInsn { flags: flags | if frame_local(&d, 0, 0).is_some() { LOCAL } else { 0 }, ..d }
     }
-    match *insn {
-        Insn::PutNil => d.op = Op::PutNil,
-        Insn::PutTrue => d.op = Op::PutTrue,
-        Insn::PutFalse => d.op = Op::PutFalse,
-        Insn::PutSelf => d.op = Op::PutSelf,
-        Insn::PutInt(i) => {
-            d.op = Op::PutInt;
-            d.a = i as u64;
-        }
-        Insn::PutPooled(i) => {
-            d.op = Op::PutPooled;
-            d.a = u64::from(i);
-        }
-        Insn::PutString(i) => {
-            d.op = Op::PutString;
-            d.a = u64::from(i);
-        }
-        Insn::PutSym(s) => {
-            d.op = Op::PutSym;
-            d.a = u64::from(s.0);
-        }
-        Insn::Pop => d.op = Op::Pop,
-        Insn::Dup => d.op = Op::Dup,
-        Insn::GetLocal { idx, depth } => {
-            if depth == 0 {
-                d.op = Op::GetLocal0;
-                d.a = (FRAME_WORDS + idx as usize) as u64;
-            } else {
-                d.op = Op::GetLocalUp;
-                d.a = u64::from(idx);
-                d.b = u16::from(depth);
-            }
-        }
-        Insn::SetLocal { idx, depth } => {
-            if depth == 0 {
-                d.op = Op::SetLocal0;
-                d.a = (FRAME_WORDS + idx as usize) as u64;
-            } else {
-                d.op = Op::SetLocalUp;
-                d.a = u64::from(idx);
-                d.b = u16::from(depth);
-            }
-        }
-        Insn::GetIvar { name, ic } => {
-            d.op = Op::GetIvar;
-            d.a = u64::from(name.0);
-            d.c = ic;
-        }
-        Insn::SetIvar { name, ic } => {
-            d.op = Op::SetIvar;
-            d.a = u64::from(name.0);
-            d.c = ic;
-        }
-        Insn::GetGlobal { name } => {
-            d.op = Op::GetGlobal;
-            d.a = u64::from(name.0);
-        }
-        Insn::SetGlobal { name } => {
-            d.op = Op::SetGlobal;
-            d.a = u64::from(name.0);
-        }
-        Insn::GetConst { name } => {
-            d.op = Op::GetConst;
-            d.a = u64::from(name.0);
-        }
-        Insn::SetConst { name } => {
-            d.op = Op::SetConst;
-            d.a = u64::from(name.0);
-        }
-        Insn::NewArray { n } => {
-            d.op = Op::NewArray;
-            d.b = n;
-        }
-        Insn::NewRange { excl } => {
-            d.op = Op::NewRange;
-            d.b = u16::from(excl);
-        }
-        Insn::Send { name, argc, block, ic } => {
-            d.op = Op::Send;
-            d.a = u64::from(name.0) | u64::from(block.map_or(0, |b| b.0 + 1)) << 32;
-            d.b = u16::from(argc);
-            d.c = ic;
-        }
-        Insn::InvokeBlock { argc } => {
-            d.op = Op::InvokeBlock;
-            d.b = u16::from(argc);
-        }
-        Insn::OptPlus { ic } => (d.op, d.a, d.c) = (Op::OptPlus, u64::from(sym_or("+")), ic),
-        Insn::OptMinus { ic } => (d.op, d.a, d.c) = (Op::OptMinus, u64::from(sym_or("-")), ic),
-        Insn::OptMult { ic } => (d.op, d.a, d.c) = (Op::OptMult, u64::from(sym_or("*")), ic),
-        Insn::OptDiv { ic } => (d.op, d.a, d.c) = (Op::OptDiv, u64::from(sym_or("/")), ic),
-        Insn::OptMod { ic } => (d.op, d.a, d.c) = (Op::OptMod, u64::from(sym_or("%")), ic),
-        Insn::OptEq { ic } => (d.op, d.a, d.c) = (Op::OptEq, u64::from(sym_or("==")), ic),
-        Insn::OptNeq { ic } => (d.op, d.a, d.c) = (Op::OptNeq, u64::from(sym_or("!=")), ic),
-        Insn::OptLt { ic } => (d.op, d.a, d.c) = (Op::OptLt, u64::from(sym_or("<")), ic),
-        Insn::OptLe { ic } => (d.op, d.a, d.c) = (Op::OptLe, u64::from(sym_or("<=")), ic),
-        Insn::OptGt { ic } => (d.op, d.a, d.c) = (Op::OptGt, u64::from(sym_or(">")), ic),
-        Insn::OptGe { ic } => (d.op, d.a, d.c) = (Op::OptGe, u64::from(sym_or(">=")), ic),
-        Insn::OptAref { ic } => (d.op, d.a, d.c) = (Op::OptAref, u64::from(sym_or("[]")), ic),
-        Insn::OptAset { ic } => (d.op, d.a, d.c) = (Op::OptAset, u64::from(sym_or("[]=")), ic),
-        Insn::OptShl { ic } => (d.op, d.a, d.c) = (Op::OptShl, u64::from(sym_or("<<")), ic),
-        Insn::OptNot => d.op = Op::OptNot,
-        Insn::Jump(off) => {
-            d.op = Op::Jump;
-            d.a = (pc as i64 + i64::from(off)) as u64;
-        }
-        Insn::BranchIf(off) => {
-            d.op = Op::BranchIf;
-            d.a = (pc as i64 + i64::from(off)) as u64;
-        }
-        Insn::BranchUnless(off) => {
-            d.op = Op::BranchUnless;
-            d.a = (pc as i64 + i64::from(off)) as u64;
-        }
-        Insn::Leave => d.op = Op::Leave,
-        Insn::DefineMethod { name, iseq, on_self } => {
-            d.op = Op::DefineMethod;
-            d.a = u64::from(name.0) | u64::from(iseq.0) << 32;
-            d.b = u16::from(on_self);
-        }
-        Insn::DefineClass { name, superclass, body } => {
-            d.op = Op::DefineClass;
-            d.a = u64::from(name.0) | u64::from(body.0) << 32;
-            d.c = superclass.map_or(0, |s| s.0 + 1);
+
+    /// Net operand-stack effect (conservative for calls: receiver and
+    /// arguments become one result).
+    fn stack_effect(&self) -> i64 {
+        use Op::*;
+        let n = i64::from(self.b);
+        match self.op {
+            Jump | Leave | DefineMethod | OptNot => 0,
+            PutNil | PutTrue | PutFalse | PutSelf | PutInt | PutPooled | PutString | PutSym => 1,
+            Dup | GetLocal0 | GetLocalUp | GetIvar | GetGlobal | GetConst | DefineClass => 1,
+            Pop | SetLocal0 | SetLocalUp | SetIvar | SetGlobal | SetConst | NewRange => -1,
+            BranchIf | BranchUnless => -1,
+            NewArray | InvokeBlock => 1 - n,
+            Send => -n,
+            OptPlus | OptMinus | OptMult | OptDiv | OptMod | OptEq | OptNeq | OptLt | OptLe
+            | OptGt | OptGe | OptAref | OptShl => -1,
+            OptAset => -2,
         }
     }
-    if frame_local(&d, 0, 0).is_some() {
-        d.flags |= LOCAL;
+}
+
+/// Worst-case operand-stack depth of one iseq's code — a conservative
+/// static bound used to size frames, over the stack effects in code order.
+pub fn max_stack(code: &[DecodedInsn]) -> usize {
+    let (mut depth, mut max) = (0i64, 8i64); // headroom for call glue
+    for d in code {
+        depth = (depth + d.stack_effect()).max(0);
+        max = max.max(depth);
     }
-    d
+    max as usize + 8
 }
 
 /// Words a frame-local instruction touches: how many it reads off the stack
@@ -298,10 +223,4 @@ pub fn frame_local(d: &DecodedInsn, fp: usize, sp: usize) -> Option<Footprint> {
         }
         _ => return None,
     })
-}
-
-/// Append one iseq's decoded instructions to the flat stream, 1:1 with
-/// `Program::global_pc` indexing.
-pub fn decode_into(iseq: &ISeq, symbols: &SymbolTable, out: &mut Vec<DecodedInsn>) {
-    out.extend(iseq.code.iter().enumerate().map(|(pc, insn)| lower(insn, pc, symbols)));
 }

@@ -1,12 +1,13 @@
 //! # ruby-vm
 //!
 //! A from-scratch reimplementation of the parts of CRuby 1.9.3 that the
-//! paper's GIL-elision experiments exercise: a YARV-like stack bytecode and
-//! compiler, a slot heap with free-list allocation and mark-&-lazy-sweep
-//! GC, method/ivar inline caches with the paper's original and improved
-//! policies, Ruby threads with `Mutex`/`Barrier`, and the builtin classes
-//! the workloads need (including a small regex engine and a tiny relational
-//! store for the Rails model).
+//! paper's GIL-elision experiments exercise: a compiler that emits YARV-like
+//! stack bytecode as one flat stream of fixed-width instructions, the one
+//! format the interpreter runs ([`decode`]), a slot heap with free-list
+//! allocation and mark-&-lazy-sweep GC, method/ivar inline caches with the
+//! paper's original and improved policies, Ruby threads with
+//! `Mutex`/`Barrier`, and the builtin classes the workloads need (including
+//! a small regex engine and a tiny relational store for the Rails model).
 //!
 //! ## The memory discipline that makes the reproduction work
 //!
@@ -53,7 +54,7 @@ pub mod symbols;
 pub mod value;
 pub mod vm;
 
-pub use bytecode::{ISeq, Insn, IseqId};
+pub use bytecode::{ISeq, IseqId};
 pub use layout::{AttributionMap, LineOwner};
 pub use program::Program;
 pub use symbols::{SymId, SymbolTable};

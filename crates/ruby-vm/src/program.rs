@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::bytecode::{ISeq, IseqId};
 use crate::compile::{compile_source, CompileError};
-use crate::decode::DecodedInsn;
+use crate::decode::{DecodedInsn, NO_SYM};
 use crate::symbols::{SymId, SymbolTable};
 
 /// A literal destined for the constant-object pool (shared, frozen).
@@ -35,16 +35,15 @@ pub struct Program {
     pub strings: Vec<Arc<str>>,
     /// Total inline-cache sites allocated by the compiler.
     pub ic_count: u32,
-    /// Prefix offsets of each finalized iseq into the global pc numbering.
+    /// Global pc of each iseq's first instruction (a flat table: the
+    /// interpreter reads it on every call and return).
     iseq_base: Vec<u32>,
-    /// Total instruction count across the finalized iseqs.
-    total_insns: u32,
-    /// Per-iseq operand-stack bounds (computed by [`Program::finalize`]).
-    max_stacks: Vec<usize>,
-    /// Pre-decoded stream indexed by global pc (see [`crate::decode`]), in
-    /// two runs: `shared` with every clone of the program that froze it
+    /// Instructions whose selectors [`Program::finalize`] has resolved.
+    finalized: u32,
+    /// The instruction stream indexed by global pc (see [`crate::decode`]),
+    /// in two runs: `shared` with every clone of the program that froze it
     /// ([`Program::share_decoded`]: the prelude's), then `decoded`,
-    /// extended by [`Program::finalize`].
+    /// extended by [`Program::push_iseq`].
     shared: Arc<[DecodedInsn]>,
     decoded: Vec<DecodedInsn>,
 }
@@ -94,19 +93,19 @@ impl Program {
         }))
     }
 
-    /// Extend the global pc numbering over the iseqs added since the last
-    /// call and lower them into the flat decoded stream.
+    /// Resolve the fallback selector of every `opt_*` instruction emitted
+    /// since the last call against the names interned by now, so an
+    /// operator method defined further down the text still binds.
     pub fn finalize(&mut self) {
-        let new = &self.iseqs[self.iseq_base.len()..];
-        // Exactly: a memo entry lives as long as the process.
-        self.decoded.reserve_exact(new.iter().map(|iseq| iseq.code.len()).sum());
-        for iseq in new {
-            self.iseq_base.push(self.total_insns);
-            self.total_insns += iseq.code.len() as u32;
-            self.max_stacks.push(iseq.max_stack());
-            crate::decode::decode_into(iseq, &self.symbols, &mut self.decoded);
+        let from = (self.finalized as usize) - self.shared.len();
+        for d in &mut self.decoded[from..] {
+            if let Some(name) = d.op.selector() {
+                d.a = u64::from(self.symbols.lookup(name).map_or(NO_SYM, |id| id.0));
+            }
         }
-        debug_assert_eq!(self.shared.len() + self.decoded.len(), self.total_insns as usize);
+        self.finalized = self.total_insns();
+        // Exactly: a memo entry lives as long as the process.
+        self.decoded.shrink_to_fit();
     }
 
     /// Global-pc base of an iseq in the decoded stream.
@@ -139,21 +138,18 @@ impl Program {
     /// Operand-stack bound of an iseq (frame sizing).
     #[inline]
     pub fn max_stack(&self, id: IseqId) -> usize {
-        self.max_stacks
-            .get(id.0 as usize)
-            .copied()
-            .unwrap_or_else(|| self.iseqs[id.0 as usize].max_stack())
+        self.iseq(id).max_stack
     }
 
     /// Dense global id of the instruction at (`iseq`, `pc`) — the paper's
     /// per-yield-point table key.
     pub fn global_pc(&self, iseq: IseqId, pc: usize) -> u32 {
-        self.iseq_base[iseq.0 as usize] + pc as u32
+        self.base(iseq) + pc as u32
     }
 
     /// Total instructions across all iseqs (size of per-pc tables).
     pub fn total_insns(&self) -> u32 {
-        self.total_insns
+        (self.shared.len() + self.decoded.len()) as u32
     }
 
     /// Fetch an iseq.
@@ -162,12 +158,21 @@ impl Program {
         &self.iseqs[id.0 as usize]
     }
 
-    /// Register an iseq, returning its id.
-    pub fn push_iseq(&mut self, mut iseq: ISeq) -> IseqId {
-        let id = IseqId(self.iseqs.len() as u32);
-        iseq.id = id;
-        self.iseqs.push(Arc::new(iseq));
-        id
+    /// Register an iseq and append its code to the stream, returning its
+    /// id.
+    pub fn push_iseq(
+        &mut self,
+        name: String,
+        nparams: usize,
+        nlocals: usize,
+        is_block: bool,
+        code: &[DecodedInsn],
+    ) -> IseqId {
+        let max_stack = crate::decode::max_stack(code);
+        self.iseqs.push(Arc::new(ISeq { name, nparams, nlocals, is_block, max_stack }));
+        self.iseq_base.push(self.total_insns());
+        self.decoded.extend_from_slice(code);
+        IseqId(self.iseqs.len() as u32 - 1)
     }
 
     /// Intern a symbol.
@@ -205,24 +210,17 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::Insn;
+    use crate::decode::Op;
 
-    fn mk_iseq(n: usize) -> ISeq {
-        ISeq {
-            id: IseqId(0),
-            name: "t".into(),
-            nparams: 0,
-            nlocals: 0,
-            code: vec![Insn::PutNil; n],
-            is_block: false,
-        }
+    fn push_nils(p: &mut Program, n: usize) -> IseqId {
+        p.push_iseq("t".into(), 0, 0, false, &vec![DecodedInsn::new(Op::PutNil, 0, 0, 0); n])
     }
 
     #[test]
     fn global_pc_numbering() {
         let mut p = Program::default();
-        let a = p.push_iseq(mk_iseq(3));
-        let b = p.push_iseq(mk_iseq(5));
+        let a = push_nils(&mut p, 3);
+        let b = push_nils(&mut p, 5);
         p.finalize();
         assert_eq!(p.global_pc(a, 0), 0);
         assert_eq!(p.global_pc(a, 2), 2);

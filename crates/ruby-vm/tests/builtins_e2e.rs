@@ -181,7 +181,12 @@ puts(t.one + t.two)
 
 #[test]
 fn operator_method_definitions() {
+    // `get` is compiled before `def []` interns its name: the call still
+    // binds it (the fallback selector is resolved once the text is whole).
     let src = r#"
+def get(v)
+  v[2]
+end
 class Vec
   def x
     @x
@@ -199,8 +204,9 @@ end
 v = Vec.new(3) + Vec.new(4)
 puts(v.x)
 puts(v[2])
+puts(get(Vec.new(3)))
 "#;
-    assert_eq!(run(src), "7\n14");
+    assert_eq!(run(src), "7\n14\n6");
 }
 
 #[test]

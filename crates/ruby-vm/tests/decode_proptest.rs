@@ -1,7 +1,7 @@
-//! Property tests for the pre-decoded instruction stream: on arbitrary
-//! generated programs, decoding must be 1:1 with the bytecode, preserve
-//! the exact yield-point sequence of both policies index-by-index, and
-//! keep branch targets inside their iseq.
+//! Property tests for the instruction stream the compiler emits: on
+//! arbitrary generated programs, every instruction carries exactly the
+//! yield-point flags the paper's list gives its op (and, for a branch, its
+//! direction), and every branch target stays inside its iseq.
 //!
 //! Programs are assembled from known-good source templates with random
 //! parameters and random ordering, so every generated program compiles
@@ -9,22 +9,47 @@
 //! class/ivar traffic and compare+branch pairs.
 
 use proptest::prelude::*;
-use ruby_vm::bytecode::InsnKind;
 use ruby_vm::compile::compile_source;
-use ruby_vm::decode::{Op, YP_EXT, YP_ORIG};
-use ruby_vm::{Insn, Program};
+use ruby_vm::decode::{DecodedInsn, Op, YP_EXT, YP_ORIG};
+use ruby_vm::{IseqId, Program};
 
-/// The yield-point flag bits `kind` should carry under each policy.
-fn yield_flags_of_kind(kind: InsnKind) -> u8 {
-    let orig = if kind.is_original_yield_point() { YP_ORIG } else { 0 };
-    orig | if kind.is_extended_yield_point() { YP_EXT } else { 0 }
+/// The paper's extended yield points beyond the original ones (§4.2):
+/// `getlocal` (both of its ops here), `getinstancevariable`, `send`,
+/// `opt_plus`, `opt_minus`, `opt_mult`, `opt_aref`. `getclassvariable` is
+/// outside the subset.
+const EXTENDED: [Op; 8] = [
+    Op::GetLocal0,
+    Op::GetLocalUp,
+    Op::GetIvar,
+    Op::Send,
+    Op::OptPlus,
+    Op::OptMinus,
+    Op::OptMult,
+    Op::OptAref,
+];
+
+fn is_branch(op: Op) -> bool {
+    matches!(op, Op::Jump | Op::BranchIf | Op::BranchUnless)
+}
+
+/// The flags the instruction at iseq-relative `pc` should carry: CRuby's
+/// original yield points are `leave` and the branches whose target lies
+/// before them (loop back-edges); the extended policy adds [`EXTENDED`].
+fn want_flags(d: &DecodedInsn, pc: usize) -> u8 {
+    if d.op == Op::Leave || (is_branch(d.op) && (d.a as usize) < pc) {
+        YP_ORIG | YP_EXT
+    } else if EXTENDED.contains(&d.op) {
+        YP_EXT
+    } else {
+        0
+    }
 }
 
 /// One known-good source fragment, parameterised on a unique fragment
 /// index (for collision-free names) and two small integers.
 fn fragment(choice: u8, i: usize, n: u32, m: u32) -> String {
     match choice % 8 {
-        0 => format!("a{i} = {n}\na{i} += a{i} * {m}\n"),
+        0 => format!("a{i} = {n}\na{i} += a{i} * {m} - 1\n"),
         1 => format!("w{i} = 0\nwhile w{i} < {n}\n  w{i} += 1\nend\n"),
         2 => format!("def m{i}(x)\n  x + {n}\nend\nr{i} = m{i}({m})\n"),
         3 => format!("t{i} = 0\n{n}.times do |j|\n  t{i} += j\nend\n"),
@@ -47,92 +72,66 @@ fn compile_fragments(parts: &[(u8, u32, u32)]) -> Program {
     prog
 }
 
-/// The pc sequence of yield points under a policy, read from the
-/// *undecoded* bytecode via `InsnKind` classification.
-fn reference_yield_pcs(prog: &Program, bit: u8) -> Vec<u32> {
-    let mut pcs = Vec::new();
-    for iseq in &prog.iseqs {
-        let base = prog.base(iseq.id);
-        for (pc, insn) in iseq.code.iter().enumerate() {
-            if yield_flags_of_kind(insn.kind()) & bit != 0 {
-                pcs.push(base + pc as u32);
-            }
-        }
-    }
-    pcs
+/// Each iseq's instructions, in id order: the iseqs tile the stream.
+fn iseq_code(prog: &Program) -> Vec<(usize, Vec<DecodedInsn>)> {
+    let bases: Vec<u32> = (0..prog.iseqs.len()).map(|i| prog.base(IseqId(i as u32))).collect();
+    let ends = bases.iter().skip(1).copied().chain([prog.total_insns()]);
+    bases
+        .iter()
+        .zip(ends)
+        .enumerate()
+        .map(|(id, (&base, end))| {
+            assert!(base < end, "iseq {id} is empty or out of order");
+            (id, (base..end).map(|gpc| prog.decoded_at(gpc as usize)).collect())
+        })
+        .collect()
 }
 
-/// The same sequence read from the decoded stream's flag bytes.
-fn decoded_yield_pcs(prog: &Program, bit: u8) -> Vec<u32> {
-    (0..prog.total_insns()).filter(|&gpc| prog.decoded_at(gpc as usize).flags & bit != 0).collect()
+/// The eight fragments together reach every op of the list, a back-edge
+/// and a forward branch, so the properties below are tested on each.
+#[test]
+fn the_fragments_reach_every_listed_op() {
+    let prog = compile_fragments(&(0..8).map(|c| (c, 3, 2)).collect::<Vec<_>>());
+    let all: Vec<(usize, DecodedInsn)> =
+        iseq_code(&prog).into_iter().flat_map(|(_, code)| code.into_iter().enumerate()).collect();
+    for op in EXTENDED.into_iter().chain([Op::Leave]) {
+        assert!(all.iter().any(|(_, d)| d.op == op), "{op:?} is never emitted");
+    }
+    assert!(all.iter().any(|&(pc, d)| is_branch(d.op) && (d.a as usize) < pc), "a back-edge");
+    assert!(all.iter().any(|&(pc, d)| is_branch(d.op) && (d.a as usize) > pc), "a forward branch");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The decoded stream is 1:1 and yield-point flags agree with the
-    /// `InsnKind` classification at every index, for both policies.
+    /// Index by index, the yield-point flags are exactly what the paper's
+    /// list and the branch direction give, for both policies.
     #[test]
-    fn decoding_preserves_the_yield_point_sequence(
+    fn yield_flags_follow_the_papers_list(
         parts in proptest::collection::vec((any::<u8>(), 1u32..20, 1u32..20), 1..12),
     ) {
         let prog = compile_fragments(&parts);
-        let total: usize = prog.iseqs.iter().map(|i| i.code.len()).sum();
-        // (`finalize` debug-asserts the decoded stream is as long.)
-        prop_assert_eq!(prog.total_insns() as usize, total, "pc numbering must be 1:1");
-        prop_assert_eq!(prog.total_insns() as usize, total);
-
-        // Index-by-index: the flag byte is exactly the kind classification.
-        for iseq in &prog.iseqs {
-            for (pc, insn) in iseq.code.iter().enumerate() {
-                let gpc = prog.global_pc(iseq.id, pc) as usize;
-                let got = prog.decoded_at(gpc).flags & (YP_ORIG | YP_EXT);
-                let want = yield_flags_of_kind(insn.kind());
-                prop_assert_eq!(
-                    got, want,
-                    "iseq {:?} pc {}: {:?} decoded flags {:#x}, kind says {:#x}",
-                    iseq.id, pc, insn, got, want
-                );
+        for (id, code) in iseq_code(&prog) {
+            let last = code.last().map(|d| d.op);
+            prop_assert_eq!(last, Some(Op::Leave), "iseq {} ends in leave", id);
+            for (pc, d) in code.iter().enumerate() {
+                let (got, want) = (d.flags & (YP_ORIG | YP_EXT), want_flags(d, pc));
+                prop_assert_eq!(got, want, "iseq {} pc {}: {:?}", id, pc, d);
             }
-        }
-
-        // And as whole sequences: same yield pcs, same order, no extras.
-        for bit in [YP_ORIG, YP_EXT] {
-            prop_assert_eq!(
-                decoded_yield_pcs(&prog, bit),
-                reference_yield_pcs(&prog, bit),
-                "yield-point sequence diverged for policy bit {:#x}", bit
-            );
         }
     }
 
-    /// Decoded branch targets are absolute, match `pc + offset`, and stay
-    /// inside their iseq.
+    /// Branch targets are iseq-relative pcs inside the branch's own iseq.
     #[test]
-    fn decoded_branch_targets_are_absolute_and_in_bounds(
+    fn branch_targets_stay_in_their_iseq(
         parts in proptest::collection::vec((any::<u8>(), 1u32..20, 1u32..20), 1..12),
     ) {
         let prog = compile_fragments(&parts);
-        for iseq in &prog.iseqs {
-            for (pc, insn) in iseq.code.iter().enumerate() {
-                let d = prog.decoded_at(prog.global_pc(iseq.id, pc) as usize);
-                let off = match *insn {
-                    Insn::Jump(off) | Insn::BranchIf(off) | Insn::BranchUnless(off) => off,
-                    _ => continue,
-                };
-                prop_assert!(matches!(d.op, Op::Jump | Op::BranchIf | Op::BranchUnless));
-                let want = (pc as i64 + i64::from(off)) as u64;
-                prop_assert_eq!(d.a, want, "target of {:?} at pc {}", insn, pc);
+        for (id, code) in iseq_code(&prog) {
+            for (pc, d) in code.iter().enumerate().filter(|(_, d)| is_branch(d.op)) {
                 prop_assert!(
-                    (d.a as usize) < iseq.code.len(),
-                    "target {} escapes iseq of {} insns", d.a, iseq.code.len()
-                );
-                // A backward branch is exactly the original-policy yield
-                // point; forward ones never are.
-                prop_assert_eq!(
-                    d.flags & YP_ORIG != 0,
-                    insn.kind() == InsnKind::BranchBack,
-                    "backward-branch classification at pc {}", pc
+                    (d.a as usize) < code.len() && d.a as usize != pc,
+                    "iseq {} pc {}: target {} of an iseq of {} insns", id, pc, d.a, code.len()
                 );
             }
         }

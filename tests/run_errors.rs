@@ -214,8 +214,10 @@ fn every_integer_operator_over_edge_values_ends_ok_or_in_a_vm_error() {
 }
 
 /// Each form the front end no longer compiles — syntax no figure,
-/// workload or example builds — is refused with its line, never read as
-/// something else; and so is each deleted regexp feature, at run time.
+/// workload or example builds, nesting past the parser's bound — is
+/// refused with its line, never read as something else; and so is each
+/// deleted regexp feature, at run time. Nesting at the bound compiles and
+/// runs on a test thread's stack, in a debug build too.
 #[test]
 fn a_form_outside_the_subset_is_an_error_with_its_line() {
     let profile = MachineProfile::generic(2);
@@ -224,6 +226,8 @@ fn a_form_outside_the_subset_is_an_error_with_its_line() {
         Executor::new(source, VmConfig::default(), profile.clone(), cfg)
     };
     let long_array = format!("[{}]", "0, ".repeat(65_536));
+    let long_call = format!("puts({})", "0, ".repeat(65_536));
+    let [parens, blocks, chain] = nested(1);
     for form in [
         "a ? 1 : 2",
         ":s",
@@ -240,6 +244,10 @@ fn a_form_outside_the_subset_is_an_error_with_its_line() {
         "a[0] += 1",
         "a.each { |y| return y }",
         &long_array,
+        &long_call,
+        &parens,
+        &blocks,
+        &chain,
     ] {
         match boot(&format!("a = [1]\nx = 1\n{form}\n")) {
             Err(RunError::Boot(m)) => assert!(m.contains("at line 3"), "{form:.40}: {m}"),
@@ -247,11 +255,52 @@ fn a_form_outside_the_subset_is_an_error_with_its_line() {
             Ok(_) => panic!("{form:.40} must not compile"),
         }
     }
+    let [parens, blocks, chain] = nested(0);
+    for (form, want) in [(parens, "1"), (blocks, "2"), (chain, "21")] {
+        let mut ex = boot(&format!("a = [1]\nx = 1\n{form}\nputs(x) if x > 1\n"))
+            .unwrap_or_else(|e| panic!("{form:.40}: {e}"));
+        assert_eq!(ex.run().expect("runs").stdout, want, "{form:.40}");
+    }
     for pattern in ["a|b", "[^a]", "\\\\d"] {
         let mut ex = boot(&format!("r = Regexp.new(\"{pattern}\")\nputs(r.match(\"a\").nil?)"))
             .expect("boot");
         let msg = vm_error(ex.run()).unwrap_or_else(|| panic!("/{pattern}/ must not compile"));
         assert!(msg.contains("regex error"), "/{pattern}/: {msg}");
+    }
+}
+
+/// Forms nested `MAX_DEPTH` levels deep on line 3, plus `over` levels:
+/// parentheses, `1.times do` blocks (two levels each: the call's link and
+/// its body) and a `+` chain.
+fn nested(over: usize) -> [String; 3] {
+    let levels = htm_gil::lang::parser::MAX_DEPTH - 2 + over; // statement and argument
+    let (open, close) = ("(".repeat(levels), ")".repeat(levels));
+    let blocks = levels.div_ceil(2);
+    [
+        format!("puts({open}1{close})"),
+        format!("{}x += 1{}", "1.times do ".repeat(blocks), " end".repeat(blocks)),
+        format!("puts({})", vec!["1"; levels + 1].join(" + ")),
+    ]
+}
+
+/// A call's argument count has no narrower limit than an array's: a
+/// 256-parameter method gets its first and its last argument.
+#[test]
+fn a_call_with_256_arguments_passes_every_one() {
+    let profile = MachineProfile::generic(2);
+    for n in [255, 256] {
+        let params: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
+        let args: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+        let source = format!(
+            "def g({})\n  p{} + p0\nend\nputs(g({}))",
+            params.join(", "),
+            n - 1,
+            args.join(", ")
+        );
+        let cfg = ExecConfig::new(RuntimeMode::Gil, &profile);
+        let mut ex =
+            Executor::new(&source, VmConfig::default(), profile.clone(), cfg).expect("boot");
+        assert_eq!(ex.run().expect("runs").stdout, (n - 1).to_string());
     }
 }
 
