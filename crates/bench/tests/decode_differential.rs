@@ -13,19 +13,42 @@
 //! divergence here means one of them leaked into simulated behaviour.
 
 use bench::{run_workload_with, vm_config_for};
-use htm_gil_core::{ExecConfig, Json, LengthPolicy, RuntimeMode};
+use htm_gil_core::{ExecConfig, Json, LengthPolicy, RunReport, RuntimeMode};
 use machine_sim::MachineProfile;
 use ruby_vm::VmConfig;
 use workloads::Workload;
 
 const DYNAMIC: RuntimeMode = RuntimeMode::Htm { length: LengthPolicy::Dynamic };
 
-/// Run `w` in `mode` on the given access path and return the report JSON,
-/// less the two counters that describe the path itself.
-fn report(w: &Workload, profile: &MachineProfile, mode: RuntimeMode, word: bool) -> Json {
-    let cfg = ExecConfig::new(mode, profile);
+/// The cycle limit of the GIL twin below: far past any run of the slices,
+/// whose runs take at most 1.9 times their twin's cycles.
+const TWIN_LIMIT: u64 = 100_000_000;
+
+/// Run `w` in `mode` on the given access path, stopped at `max_cycles` (0:
+/// never).
+fn run(
+    w: &Workload,
+    profile: &MachineProfile,
+    mode: RuntimeMode,
+    word: bool,
+    max_cycles: u64,
+) -> RunReport {
+    let cfg = ExecConfig { max_cycles, ..ExecConfig::new(mode, profile) };
     let vm_config = VmConfig { force_word_access: word, ..vm_config_for(w.threads) };
-    without_lease_counters(run_workload_with(w, profile, cfg, vm_config).to_json())
+    run_workload_with(w, profile, cfg, vm_config)
+}
+
+/// Run `w` in `mode` on the given access path, stopped at `max_cycles`,
+/// and return the report JSON, less the two counters that describe the
+/// path itself.
+fn report(
+    w: &Workload,
+    profile: &MachineProfile,
+    mode: RuntimeMode,
+    word: bool,
+    max_cycles: u64,
+) -> Json {
+    without_lease_counters(run(w, profile, mode, word, max_cycles).to_json())
 }
 
 fn without_lease_counters(j: Json) -> Json {
@@ -42,8 +65,14 @@ fn without_lease_counters(j: Json) -> Json {
     }
 }
 
+/// Both paths stop at a few times the cycles of their GIL twin (the
+/// per-word path under the GIL), so a run that loops ends in
+/// `RunError::CycleLimit` with its dump instead of hanging the suite; a
+/// limit that is not reached moves nothing.
 fn assert_paths_agree_on(w: &Workload, profile: &MachineProfile, mode: RuntimeMode) {
-    let (want, got) = (report(w, profile, mode, false), report(w, profile, mode, true));
+    let limit = 4 * run(w, profile, RuntimeMode::Gil, true, TWIN_LIMIT).elapsed_cycles;
+    let report = |word| report(w, profile, mode, word, limit);
+    let (want, got) = (report(false), report(true));
     if want == got {
         return;
     }

@@ -1347,27 +1347,31 @@ impl Executor {
     /// Take back `v`'s steps run ahead that lock-step order puts after
     /// `to`: its clock, escrowed work and bytecodes, counted accesses, `pc`
     /// and `sp` go back to where the first of them started, and — unless a
-    /// doom already rolled it back — the memory it wrote.
+    /// doom already rolled it back — the memory it wrote: each word a step
+    /// replaced, and Fig. 2's counter, its value plus the countdowns taken
+    /// back.
     fn rewind(&mut self, v: ThreadId, to: (Cycles, ThreadId)) {
         let log = &mut self.tle[v].ahead;
         let keep = log.partition_point(|s| (s.clock, v) < to);
         let Some(&first) = log.get(keep) else { return };
-        let (steps, mut reads, mut writes) = ((log.len() - keep) as u64, 0, 0);
+        let (steps, mut reads, mut writes, mut countdowns) = ((log.len() - keep) as u64, 0, 0, 0);
         let counter = self.vm.layout.thread_struct(v) + ruby_vm::layout::ts::YIELD_COUNTER;
         let doomed = self.vm.mem.is_doomed(v);
         for s in log.drain(keep..).rev() {
-            reads += u64::from(s.reads);
-            writes += u64::from(s.counter.is_some()) + u64::from(s.wrote.is_some());
-            if let Some((addr, old)) = s.wrote.filter(|_| !doomed) {
-                self.vm.mem.materialize(addr, old);
+            let (r, wrote, countdown) = self.vm.leased_effects(v, &s, self.yp_bit);
+            (reads, writes) = (reads + r, writes + u64::from(wrote.is_some()));
+            countdowns += u64::from(countdown);
+            if let Some(addr) = wrote.filter(|_| !doomed) {
+                self.vm.mem.materialize(addr, s.old);
             }
-            if let Some(old) = s.counter.filter(|_| !doomed) {
-                self.vm.mem.materialize(counter, old);
-            }
+        }
+        if countdowns != 0 && !doomed {
+            let now = self.vm.mem.peek(counter).as_int().expect("a countdown leaves an Int");
+            self.vm.mem.materialize(counter, Word::Int(now + countdowns as i64));
         }
         let ctx = &mut self.vm.threads[v];
         (ctx.pc, ctx.sp) = (first.pc as usize, first.sp as usize);
-        self.vm.mem.uncount_leased(reads, writes);
+        self.vm.mem.uncount_leased(reads, writes + countdowns);
         let back = self.sched.clock(v) - first.clock;
         self.sched.rewind(v, first.clock);
         if let Some(tx) = self.tle[v].tx.as_mut() {
@@ -1866,37 +1870,106 @@ puts(counters)
     /// smaller thread id came first.
     #[test]
     fn a_rewind_boundary_that_ties_on_clock_is_decided_by_tid() {
-        let src = "t = Thread.new() do\n  i = 0\n  while i < 50\n    i += 1\n  end\nend\nt.join()";
-        let profile = MachineProfile::generic(4);
-        let cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Fixed(4) }, &profile);
-        let mut ex = Executor::new(src, VmConfig::default(), profile, cfg).unwrap();
-        while ex.tle.len() < 2 || ex.sched.busy(1) < 100 {
-            let t = ex.sched.next().unwrap();
-            ex.step_htm(t).unwrap();
-        }
-        ex.rewind_all((0, 0));
-        // Three steps of thread 1, ten cycles each, starting at `c`, as
-        // `look_ahead` logs and charges them.
-        let c = ex.sched.clock(1);
-        let (pc, sp) = (ex.vm.threads[1].pc as u32, ex.vm.threads[1].sp as u32);
-        for k in 0..3 {
-            let step =
-                LeasedStep { clock: c + 10 * k, pc, sp, reads: 0, counter: None, wrote: None };
-            ex.tle[1].ahead.push(step);
-        }
-        ex.sched.advance(1, 30);
-        if let Some(tx) = ex.tle[1].tx.as_mut() {
-            (tx.escrow.work, tx.escrow.insns) = (tx.escrow.work + 30, tx.escrow.insns + 3);
-        }
-        (ex.pending, ex.stalled_steps) = (3, ex.stalled_steps + 3);
-        // An aggressor with a larger id starting at `c + 10` came after
-        // the step that starts there too.
-        ex.rewind(1, (c + 10, 2));
-        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (2, c + 20));
+        let mut ex = window_executor();
+        drive_to_window(&mut ex, 1 << 20);
+        let log = ex.tle[1].ahead.clone();
+        // An aggressor with a larger id starting where thread 1's second
+        // step starts came after that step.
+        ex.rewind(1, (log[1].clock, 2));
+        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (2, log[2].clock));
         // One with a smaller id at the same clock came before it.
-        ex.rewind(1, (c + 10, 0));
-        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (1, c + 10));
-        assert_eq!(ex.pending, 1);
+        ex.rewind(1, (log[1].clock, 0));
+        assert_eq!((ex.tle[1].ahead.len(), ex.sched.clock(1)), (1, log[1].clock));
+        assert_eq!(ex.pending, ex.tle.iter().map(|x| x.ahead.len() as u64).sum::<u64>());
+    }
+
+    /// Two workers summing in a loop, for the compressed-rewind check.
+    const WINDOW_SRC: &str = r#"
+def w()
+  x = 0
+  i = 0
+  while i < 300
+    x += i
+    i += 1
+  end
+  x
+end
+a = Thread.new() do
+  w()
+end
+b = Thread.new() do
+  w()
+end
+a.join()
+b.join()
+"#;
+
+    /// Run lock-step rounds as `run_rounds` does, `calls` picks, or until
+    /// thread 1 has just run a window of at least 24 steps with two
+    /// countdowns in it; the picks made.
+    fn drive_to_window(ex: &mut Executor, calls: usize) -> usize {
+        for call in 1..=calls {
+            ex.sync_ahead();
+            let t = ex.sched.next().unwrap();
+            ex.round = (ex.sched.clock(t), t);
+            ex.pending -= ex.tle[t].ahead.len() as u64;
+            ex.tle[t].ahead.clear();
+            ex.step_htm(t).unwrap();
+            let log = &ex.tle[t].ahead;
+            let countdown = |s: &LeasedStep| ex.vm.leased_effects(t, s, ex.yp_bit).2;
+            if t == 1 && log.len() >= 24 && log.iter().filter(|s| countdown(s)).count() >= 2 {
+                return call;
+            }
+        }
+        calls
+    }
+
+    fn window_executor() -> Executor {
+        let profile = MachineProfile::generic(4);
+        let cfg = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Fixed(64) }, &profile);
+        Executor::new(WINDOW_SRC, VmConfig::default(), profile, cfg).unwrap()
+    }
+
+    /// Thread 1's stack words, Fig. 2's counter, `pc` and `sp`, clock and
+    /// escrow, and the counted `reads`, `writes` and `lease_hits`.
+    type WindowState = (Vec<Word>, Word, (usize, usize), u64, (u64, u64), [u64; 3]);
+
+    /// What a window leaves behind on thread 1.
+    fn window_state(ex: &mut Executor) -> WindowState {
+        ex.vm.mem.flush_lease_stats();
+        let c = &ex.vm.threads[1];
+        let words = (c.stack_base..c.stack_end).map(|a| *ex.vm.mem.peek(a)).collect();
+        let counter = ex.vm.layout.thread_struct(1) + ruby_vm::layout::ts::YIELD_COUNTER;
+        let escrow = ex.tle[1].tx.as_ref().map(|tx| (tx.escrow.work, tx.escrow.insns)).unwrap();
+        let h = ex.vm.mem.stats();
+        let counted = [h.reads, h.writes, h.lease_hits];
+        (words, *ex.vm.mem.peek(counter), (c.pc, c.sp), ex.sched.clock(1), escrow, counted)
+    }
+
+    /// A log entry holds the clock, `pc`, `sp` and the word a step replaced;
+    /// `rewind` recomputes the rest from the instruction at `pc`. Cut at
+    /// any step k of a window that writes and counts down, it leaves what
+    /// the same window stopped before step k leaves.
+    #[test]
+    fn a_rewound_window_matches_one_stopped_at_the_cut() {
+        let mut full = window_executor();
+        let calls = drive_to_window(&mut full, 1 << 20);
+        let log = full.tle[1].ahead.clone();
+        assert!(log.len() >= 24, "no window of 24 steps in {calls} picks");
+        assert!(log.iter().any(|s| full.vm.leased_effects(1, s, full.yp_bit).1.is_some()));
+        for (k, cut) in log.iter().enumerate() {
+            let mut rewound = window_executor();
+            assert_eq!(drive_to_window(&mut rewound, calls), calls);
+            rewound.rewind(1, (cut.clock, 1));
+            assert_eq!(rewound.tle[1].ahead.len(), k);
+            // The cycle limit ends the same window where step k would start.
+            let mut stopped = window_executor();
+            drive_to_window(&mut stopped, calls - 1);
+            stopped.cfg.max_cycles = cut.clock - 1;
+            drive_to_window(&mut stopped, 1);
+            assert_eq!(stopped.tle[1].ahead.len(), k);
+            assert_eq!(window_state(&mut rewound), window_state(&mut stopped), "cut at step {k}");
+        }
     }
 
     #[test]

@@ -876,11 +876,18 @@ impl<W: Clone> TxMemory<W> {
     ) -> R {
         debug_assert!(self.lease_valid(lease), "read through a stale lease");
         debug_assert!(!lease.write && lease.covers(self.line_of(addr)), "wrong lease for a read");
-        let Some(word) = self.words.get(addr) else {
-            out_of_bounds("read", addr, addr >> self.line_shift, self.words.len());
-        };
+        f(self.tier1_read(addr))
+    }
+
+    /// The body of every tier-1 read: count it, hand back the word. The
+    /// caller has proven a valid read lease on `addr`'s line.
+    #[inline(always)]
+    pub fn tier1_read(&mut self, addr: usize) -> &W {
         self.pending_reads += 1;
-        f(word)
+        let size = self.words.len();
+        self.words
+            .get(addr)
+            .unwrap_or_else(|| out_of_bounds("read", addr, addr >> self.line_shift, size))
     }
 
     /// [`Self::lease_write_logged`] with an empty mask: every write inside
@@ -899,20 +906,28 @@ impl<W: Clone> TxMemory<W> {
     pub fn lease_write_logged(&mut self, lease: &LineLease, logged: &mut u64, addr: usize, w: W) {
         debug_assert!(self.lease_valid(lease), "write through a stale lease");
         debug_assert!(lease.write && lease.covers(self.line_of(addr)), "wrong lease for a write");
+        // slot == owner exactly for in-transaction leases (the plain slot
+        // is one past the last thread index).
+        let tx = (lease.slot == lease.owner).then_some(lease.owner as usize);
+        self.tier1_write(tx, logged, addr, w);
+    }
+
+    /// The body of every tier-1 write: count it; in transaction `tx`,
+    /// undo-log the old word unless its bit in `logged` is set (then set
+    /// it); store, handing back the word replaced. The caller has proven a
+    /// valid write lease on `addr`'s line and passes the mask kept beside it.
+    #[inline(always)]
+    pub fn tier1_write(&mut self, tx: Option<ThreadId>, logged: &mut u64, addr: usize, w: W) -> W {
         if addr >= self.words.len() {
             out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
         }
         self.pending_writes += 1;
-        // slot == owner exactly for in-transaction leases (the plain slot
-        // is one past the last thread index).
-        if lease.slot == lease.owner {
-            let bit = self.logged_bit(addr);
-            if *logged & bit == 0 {
-                *logged |= bit;
-                self.txs[lease.owner as usize].undo.push((addr, self.words[addr].clone()));
-            }
+        let bit = self.logged_bit(addr);
+        if let Some(t) = tx.filter(|_| *logged & bit == 0) {
+            *logged |= bit;
+            self.txs[t].undo.push((addr, self.words[addr].clone()));
         }
-        self.words[addr] = w;
+        std::mem::replace(&mut self.words[addr], w)
     }
 
     /// The mask a write lease starts with: `addr`'s bit when the owner's

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use machine_sim::ThreadId;
 
 use crate::bytecode::IseqId;
-use crate::decode::NO_SYM;
+use crate::decode::{frame_local, DecodedInsn, Op, NO_SYM};
 use crate::object::MethodEntry;
 use crate::symbols::SymId;
 use crate::value::{ruby_shl, Addr, ObjKind, Word};
@@ -55,18 +55,18 @@ pub const FLAG_BLOCK: i64 = 2;
 /// so environment promotion can recover a frame's local count.
 pub const FLAG_ISEQ_SHIFT: u32 = 3;
 
-/// One step [`Vm::run_leased`] ran, all it takes to take it back: the clock,
-/// `pc` and `sp` it started at, its counted reads, Fig. 2's counter before
-/// a countdown that ran with it, and the word it overwrote with its value.
+/// One step [`Vm::run_leased`] ran: the clock, `pc` and `sp` it started at
+/// and the word its write replaced. The rest of what takes it back follows
+/// from the instruction at `pc` ([`Vm::leased_effects`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LeasedStep {
     pub clock: u64,
     pub pc: u32,
     pub sp: u32,
-    pub reads: u8,
-    pub counter: Option<Word>,
-    pub wrote: Option<(Addr, Word)>,
+    pub old: Word,
 }
+
+const _: () = assert!(std::mem::size_of::<LeasedStep>() == 32);
 
 /// What a builtin asks the interpreter to do.
 pub enum BResult {
@@ -350,15 +350,17 @@ impl Vm {
     }
 
     /// Run `t`, in a live transaction, step after step while its next
-    /// bytecode is frame-local ([`crate::decode::frame_local`]) and touches
+    /// bytecode is frame-local ([`frame_local`]) and touches
     /// only lines of one run on which it holds valid read and write leases
     /// ([`Vm::widen`]): tier-1 steps, which change no directory entry and
-    /// doom nobody. At an instruction flagged `yield_bit`, Fig. 2's
-    /// countdown runs first, in line — an untimed read and write of the
-    /// counter, `2 · mem_ref` — if it is leased too and would not restart.
-    /// Stops when `log` holds `until.1` steps or `clock`, advanced by each
-    /// step's cost, reaches `until.0`. Logs each step; leaves the step
-    /// counters as they were.
+    /// doom nobody, and move no frame. Once proven, a step is one arm for
+    /// its op over bare tier-1 accesses, `pc` and `sp` in registers. At an
+    /// instruction flagged `yield_bit`, Fig. 2's countdown runs with the
+    /// step — an untimed read and write of the counter, `2 · mem_ref` — if
+    /// it would not restart and the counter is leased, which the window's
+    /// first countdown tests for all of them. Stops when `log` holds
+    /// `until.1` steps or `clock`, advanced by each step's cost, reaches
+    /// `until.0`. Logs each step.
     pub fn run_leased(
         &mut self,
         t: ThreadId,
@@ -368,86 +370,112 @@ impl Vm {
         log: &mut Vec<LeasedStep>,
     ) {
         let counter = self.layout.thread_struct(t) + crate::layout::ts::YIELD_COUNTER;
-        let (refs, mut frame) = (self.step_mem_refs, Range { start: Addr::MAX, end: 0 });
+        let c = &self.threads[t];
+        let (base, fp, floor, ceil) = (c.base as usize, c.fp, c.stack_base, c.stack_end);
+        let (mut pc, mut sp, mut count) = (c.pc, c.sp, None);
+        let (mut frame, unit) = (Range { start: Addr::MAX, end: 0 }, self.step_unit);
         while log.len() < until.1 && *clock < until.0 {
-            let c = &self.threads[t];
-            let d = self.code[c.base as usize + c.pc];
-            let Some((depth, local, write)) = crate::decode::frame_local(&d, c.fp, c.sp) else {
+            let d = self.code[base + pc];
+            let countdown = d.flags & yield_bit != 0;
+            // The window's first countdown tests the counter's leases for all.
+            let leased =
+                || self.mem.peek(counter).as_int().filter(|_| self.leased(t, counter, true));
+            if countdown && *count.get_or_insert_with(|| leased().unwrap_or(0)) <= 1 {
                 break;
+            }
+            // Does the step's footprint lie on the stack and the leased run?
+            let mut prove = |vm: &Vm, depth: usize, local: Option<Addr>, write: Option<Addr>| {
+                debug_assert_eq!(frame_local(&d, fp, sp), Some((depth, local, write)));
+                let mut inside = |a: Addr| frame.contains(&a) || vm.widen(t, &mut frame, a);
+                sp >= floor + depth
+                    && (write != Some(sp) || sp < ceil)
+                    && (depth == 0 || (inside(sp - depth) && inside(sp - 1)))
+                    && local.is_none_or(&mut inside)
+                    && write.is_none_or(&mut inside)
             };
-            let (sp, pc, countdown) = (c.sp, c.pc, d.flags & yield_bit != 0);
-            let count = if countdown { self.mem.peek(counter).as_int().unwrap_or(0) } else { 2 };
-            if sp < c.stack_base + depth
-                || (write == Some(sp) && sp >= c.stack_end)
-                || count <= 1
-                || countdown && !self.leased(t, counter, true)
-            {
-                break;
+            let (a, loc) = (d.a as usize, fp + d.a as usize);
+            // One arm per op, once its footprint is proven: the word it
+            // writes, where `pc` and `sp` go, its counted reads.
+            let step = match d.op {
+                Op::Jump => prove(self, 0, None, None).then_some((None, a, sp, 0)),
+                Op::PutNil | Op::PutTrue | Op::PutFalse | Op::PutInt => {
+                    prove(self, 0, None, Some(sp))
+                        .then(|| (Some((sp, literal(&d))), pc + 1, sp + 1, 0))
+                }
+                Op::PutSelf => prove(self, 0, Some(fp + F_SELF), Some(sp))
+                    .then(|| (Some((sp, self.get_leased(t, fp + F_SELF))), pc + 1, sp + 1, 1)),
+                Op::GetLocal0 => prove(self, 0, Some(loc), Some(sp))
+                    .then(|| (Some((sp, self.get_leased(t, loc))), pc + 1, sp + 1, 1)),
+                Op::Dup => prove(self, 1, None, Some(sp))
+                    .then(|| (Some((sp, self.get_leased(t, sp - 1))), pc + 1, sp + 1, 1)),
+                Op::SetLocal0 => prove(self, 1, Some(loc), Some(loc))
+                    .then(|| (Some((loc, self.get_leased(t, sp - 1))), pc + 1, sp - 1, 1)),
+                Op::Pop | Op::BranchIf | Op::BranchUnless => {
+                    prove(self, 1, None, None).then(|| {
+                        let truthy = self.get_leased(t, sp - 1).truthy();
+                        let taken = d.op != Op::Pop && truthy == (d.op == Op::BranchIf);
+                        (None, if taken { a } else { pc + 1 }, sp - 1, 1)
+                    })
+                }
+                op @ (Op::OptPlus | Op::OptMinus | Op::OptMult | Op::OptEq | Op::OptNeq)
+                | op @ (Op::OptLt | Op::OptLe | Op::OptGt | Op::OptGe) => {
+                    let ints = |vm: &Vm| (1..=2).all(|i| vm.mem.peek(sp - i).as_int().is_some());
+                    (prove(self, 2, None, Some(sp - 2)) && ints(self)).then(|| {
+                        let (b, a) = (self.get_leased(t, sp - 1), self.get_leased(t, sp - 2));
+                        let w = int_binop(op, a.as_int().unwrap_or(0), b.as_int().unwrap_or(0));
+                        (w.map(|w| (sp - 2, w)), pc + 1, sp - 1, 2)
+                    })
+                }
+                _ => None,
+            };
+            let Some((write, next, top, reads)) = step else { break };
+            let start = *clock;
+            if let Some(n) = count.as_mut().filter(|_| countdown) {
+                self.mem.tier1_read(counter);
+                *n -= 1;
+                self.put_leased(t, counter, Word::Int(*n), true);
+                *clock += 2 * unit[1];
             }
-            let mut inside = |a: Addr| frame.contains(&a) || self.widen(t, &mut frame, a);
-            let leased = (depth == 0 || (inside(sp - depth) && inside(sp - 1)))
-                && local.is_none_or(&mut inside)
-                && write.is_none_or(&mut inside);
-            let ints = || (1..=2).all(|i| self.mem.peek(sp - i).as_int().is_some());
-            if !leased || depth == 2 && !ints() {
-                break;
-            }
-            let misses = (self.mem.stats().lease_misses, self.mem.dir_probes());
-            let (start, wrote) = (*clock, write.map(|a| (a, *self.mem.peek(a))));
-            if countdown {
-                let read = self.rd_untimed(t, counter);
-                let counted = read.and(self.wr_untimed(t, counter, Word::Int(count - 1)));
-                debug_assert!(counted.is_ok(), "a leased countdown aborted");
-                *clock += 2 * self.step_unit[1];
-            }
-            let before = self.step_mem_refs;
-            let ran = self.exec_decoded(t, &d);
-            let accesses = self.step_mem_refs - before;
-            let reads = (accesses - u32::from(write.is_some())) as u8;
-            let footprint = depth + usize::from(local.is_some() && local != write);
-            debug_assert!(
-                matches!(ran, Ok(StepOk::Normal))
-                    && usize::from(reads) == footprint
-                    && misses == (self.mem.stats().lease_misses, self.mem.dir_probes()),
-                "{:?} ran off its footprint or its leases: {ran:?}",
-                d.op
-            );
-            let (pc, sp, reads) = (pc as u32, sp as u32, reads + u8::from(countdown));
-            let counter = countdown.then_some(Word::Int(count));
-            log.push(LeasedStep { clock: start, pc, sp, reads, counter, wrote });
-            *clock += self.step_unit[0] + self.step_unit[1] * u64::from(accesses);
+            let old = write.map_or(Word::Uninit, |(a, w)| self.put_leased(t, a, w, false));
+            log.push(LeasedStep { clock: start, pc: pc as u32, sp: sp as u32, old });
+            *clock += unit[0] + unit[1] * (reads + u64::from(write.is_some()));
+            (pc, sp) = (next, top);
         }
-        self.step_mem_refs = refs;
+        let c = &mut self.threads[t];
+        (c.pc, c.sp) = (pc, sp);
+    }
+
+    /// What the step `s` of `t` logged by [`Vm::run_leased`] did besides
+    /// moving `pc` and `sp`: its counted reads, the word it wrote, and
+    /// whether Fig. 2's countdown (one read and one write of the counter)
+    /// ran with it — from the instruction at its `pc` on `t`'s frame, which
+    /// no window step moves.
+    pub fn leased_effects(
+        &self,
+        t: ThreadId,
+        s: &LeasedStep,
+        bit: u8,
+    ) -> (u64, Option<Addr>, bool) {
+        let c = &self.threads[t];
+        let d = &self.code[c.base as usize + s.pc as usize];
+        let footprint = frame_local(d, c.fp, s.sp as usize);
+        let (depth, local, write) = footprint.expect("a logged step is frame-local");
+        let countdown = d.flags & bit != 0;
+        let reads = depth + usize::from(local.is_some() && local != write) + usize::from(countdown);
+        (reads as u64, write, countdown)
     }
 
     /// Execute one pre-decoded instruction.
     #[inline(always)]
-    fn exec_decoded(
-        &mut self,
-        t: ThreadId,
-        d: &crate::decode::DecodedInsn,
-    ) -> Result<StepOk, VmAbort> {
-        use crate::decode::Op;
+    fn exec_decoded(&mut self, t: ThreadId, d: &DecodedInsn) -> Result<StepOk, VmAbort> {
         match d.op {
-            Op::PutNil => {
-                self.push(t, Word::Nil)?;
-                self.advance(t);
-            }
-            Op::PutTrue => {
-                self.push(t, Word::True)?;
-                self.advance(t);
-            }
-            Op::PutFalse => {
-                self.push(t, Word::False)?;
+            Op::PutNil | Op::PutTrue | Op::PutFalse | Op::PutInt => {
+                self.push(t, literal(d))?;
                 self.advance(t);
             }
             Op::PutSelf => {
                 let s = self.frame_self(t)?;
                 self.push(t, s)?;
-                self.advance(t);
-            }
-            Op::PutInt => {
-                self.push(t, Word::Int(d.a as i64))?;
                 self.advance(t);
             }
             Op::PutPooled => {
@@ -565,20 +593,15 @@ impl Vm {
             Op::InvokeBlock => {
                 return self.do_invoke_block(t, d.b as usize);
             }
-            Op::OptPlus => return self.op_arith(t, ArithOp::Add, d.a_lo(), d.c),
-            Op::OptMinus => return self.op_arith(t, ArithOp::Sub, d.a_lo(), d.c),
-            Op::OptMult => return self.op_arith(t, ArithOp::Mul, d.a_lo(), d.c),
-            Op::OptDiv => return self.op_arith(t, ArithOp::Div, d.a_lo(), d.c),
-            Op::OptMod => return self.op_arith(t, ArithOp::Mod, d.a_lo(), d.c),
-            Op::OptEq => return self.op_cmp(t, CmpOp::Eq, d.a_lo(), d.c),
-            Op::OptNeq => return self.op_cmp(t, CmpOp::Ne, d.a_lo(), d.c),
-            Op::OptLt => return self.op_cmp(t, CmpOp::Lt, d.a_lo(), d.c),
-            Op::OptLe => return self.op_cmp(t, CmpOp::Le, d.a_lo(), d.c),
-            Op::OptGt => return self.op_cmp(t, CmpOp::Gt, d.a_lo(), d.c),
-            Op::OptGe => return self.op_cmp(t, CmpOp::Ge, d.a_lo(), d.c),
-            Op::OptAref => return self.op_aref(t, d.a_lo(), d.c),
-            Op::OptAset => return self.op_aset(t, d.a_lo(), d.c),
-            Op::OptShl => return self.op_shl(t, d.a_lo(), d.c),
+            Op::OptPlus | Op::OptMinus | Op::OptMult | Op::OptDiv | Op::OptMod => {
+                return self.op_binary(t, d)
+            }
+            Op::OptEq | Op::OptNeq | Op::OptLt | Op::OptLe | Op::OptGt | Op::OptGe => {
+                return self.op_binary(t, d)
+            }
+            Op::OptAref => return self.op_aref(t, d),
+            Op::OptAset => return self.op_aset(t, d),
+            Op::OptShl => return self.op_shl(t, d),
             Op::OptNot => {
                 let w = self.pop(t)?;
                 self.push(t, if w.truthy() { Word::False } else { Word::True })?;
@@ -983,22 +1006,15 @@ impl Vm {
 
     // ---- specialized operators -------------------------------------------------
 
-    /// The generic send an operator falls back to, its receiver and `argc`
-    /// arguments pushed. A selector nothing interned before decoding
+    /// The generic send operator `d` falls back to, its receiver and
+    /// `argc` arguments pushed. A selector nothing interned before decoding
     /// ([`NO_SYM`]) names no method, so that send fails as `do_send` would.
-    fn op_send(
-        &mut self,
-        t: ThreadId,
-        sym: u32,
-        name: &str,
-        argc: usize,
-        ic: u32,
-    ) -> Result<StepOk, VmAbort> {
-        if sym == NO_SYM {
+    fn op_send(&mut self, t: ThreadId, d: &DecodedInsn, argc: usize) -> Result<StepOk, VmAbort> {
+        if d.a_lo() == NO_SYM {
             let recv = self.peek_n(t, argc)?;
-            return Err(self.undefined_method(t, name, &recv));
+            return Err(self.undefined_method(t, d.op.selector().unwrap_or_default(), &recv));
         }
-        self.do_send(t, SymId(sym), argc, None, ic)
+        self.do_send(t, SymId(d.a_lo()), argc, None, d.c)
     }
 
     /// Pop the two operands of a binary operator, classifying each as an
@@ -1017,149 +1033,92 @@ impl Vm {
         Ok((lhs, rhs))
     }
 
-    fn op_arith(&mut self, t: ThreadId, op: ArithOp, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
-        let (lhs, rhs) = self.pop_binop_operands(t)?;
-        if let (&Ok(a), &Ok(b)) = (&lhs, &rhs) {
-            let r = match op {
-                ArithOp::Add => a.wrapping_add(b),
-                ArithOp::Sub => a.wrapping_sub(b),
-                ArithOp::Mul => a.wrapping_mul(b),
-                ArithOp::Div => {
-                    if b == 0 {
-                        return Err(self.fatal("divided by 0"));
-                    }
-                    crate::value::ruby_div(a, b)
-                }
-                ArithOp::Mod => {
-                    if b == 0 {
-                        return Err(self.fatal("divided by 0"));
-                    }
-                    crate::value::ruby_mod(a, b)
-                }
-            };
-            self.push(t, Word::Int(r))?;
-            self.advance(t);
-            return Ok(StepOk::Normal);
-        }
-        let lhs = match lhs {
-            Ok(i) => Word::Int(i),
-            Err(w) => w,
-        };
-        let rhs = match rhs {
-            Ok(i) => Word::Int(i),
-            Err(w) => w,
-        };
-        // Float path (heap-allocates the result, CRuby 1.9 style).
-        let lf = self.as_number(t, &lhs)?;
-        let rf = self.as_number(t, &rhs)?;
-        if let (Some(a), Some(b)) = (lf, rf) {
-            let r = match op {
-                ArithOp::Add => a + b,
-                ArithOp::Sub => a - b,
-                ArithOp::Mul => a * b,
-                ArithOp::Div => a / b,
-                ArithOp::Mod => a.rem_euclid(b),
-            };
-            let w = self.make_float(t, r)?;
-            self.push(t, w)?;
-            self.advance(t);
-            return Ok(StepOk::Normal);
-        }
-        // String + String.
-        if op == ArithOp::Add {
-            if let (Word::Obj(a), Word::Obj(b)) = (&lhs, &rhs) {
-                if self.kind_of(t, *a)? == ObjKind::String
-                    && self.kind_of(t, *b)? == ObjKind::String
-                {
-                    let sa = self.string_content(t, *a)?;
-                    let sb = self.string_content(t, *b)?;
-                    let joined = self.build_text(|_, out| {
-                        out.push_str(&sa);
-                        out.push_str(&sb);
-                        Ok(())
-                    })?;
-                    self.step_native_cost += (joined.len() / 8) as u64;
-                    let w = self.make_string(t, joined)?;
-                    self.push(t, w)?;
-                    self.advance(t);
-                    return Ok(StepOk::Normal);
-                }
-                if self.kind_of(t, *a)? == ObjKind::Array && self.kind_of(t, *b)? == ObjKind::Array
-                {
-                    let mut elems = Vec::new();
-                    for i in 0..self.array_len(t, *a)? {
-                        elems.push(self.array_get(t, *a, i as i64)?);
-                    }
-                    for i in 0..self.array_len(t, *b)? {
-                        elems.push(self.array_get(t, *b, i as i64)?);
-                    }
-                    let w = self.make_array(t, &elems)?;
-                    self.push(t, w)?;
-                    self.advance(t);
-                    return Ok(StepOk::Normal);
-                }
+    /// An arithmetic or comparison operator: the `(Int, Int)` lane
+    /// ([`int_binop`]), then floats, `String`/`Array` `+`, `String`
+    /// ordering and `==`, then the generic send.
+    fn op_binary(&mut self, t: ThreadId, d: &DecodedInsn) -> Result<StepOk, VmAbort> {
+        let op = d.op;
+        let (lhs, rhs) = match self.pop_binop_operands(t)? {
+            (Ok(a), Ok(b)) => {
+                let w = int_binop(op, a, b).ok_or_else(|| self.fatal("divided by 0"))?;
+                self.push(t, w)?;
+                self.advance(t);
+                return Ok(StepOk::Normal);
             }
-        }
-        // Generic dispatch to a user-defined operator.
-        self.push(t, lhs)?;
-        self.push(t, rhs)?;
-        self.op_send(t, sym, op.name(), 1, ic)
-    }
-
-    fn op_cmp(&mut self, t: ThreadId, op: CmpOp, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
-        let (lhs, rhs) = self.pop_binop_operands(t)?;
-        if let (&Ok(a), &Ok(b)) = (&lhs, &rhs) {
-            let hit = op.apply_ord(a.cmp(&b));
-            self.push(t, if hit { Word::True } else { Word::False })?;
-            self.advance(t);
-            return Ok(StepOk::Normal);
-        }
-        let lhs = match lhs {
-            Ok(i) => Word::Int(i),
-            Err(w) => w,
+            (lhs, rhs) => (lhs.map_or_else(|w| w, Word::Int), rhs.map_or_else(|w| w, Word::Int)),
         };
-        let rhs = match rhs {
-            Ok(i) => Word::Int(i),
-            Err(w) => w,
-        };
-        let result: Option<bool> = match op {
-            CmpOp::Eq => Some(self.words_eq(t, &lhs, &rhs)?),
-            CmpOp::Ne => Some(!self.words_eq(t, &lhs, &rhs)?),
-            _ => {
-                let lf = self.as_number(t, &lhs)?;
-                let rf = self.as_number(t, &rhs)?;
-                if let (Some(a), Some(b)) = (lf, rf) {
-                    a.partial_cmp(&b).map(|o| op.apply_ord(o))
-                } else if let (Word::Obj(a), Word::Obj(b)) = (&lhs, &rhs) {
-                    if self.kind_of(t, *a)? == ObjKind::String
-                        && self.kind_of(t, *b)? == ObjKind::String
-                    {
-                        let sa = self.string_content(t, *a)?;
-                        let sb = self.string_content(t, *b)?;
-                        Some(op.apply_ord(sa.cmp(&sb)))
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                }
+        let cmp = !matches!(op, Op::OptPlus | Op::OptMinus | Op::OptMult | Op::OptDiv | Op::OptMod);
+        let result = match op {
+            Op::OptEq | Op::OptNeq => {
+                Some(truth(self.words_eq(t, &lhs, &rhs)? == (op == Op::OptEq)))
             }
+            _ => match (self.as_number(t, &lhs)?, self.as_number(t, &rhs)?) {
+                (Some(a), Some(b)) if cmp => a.partial_cmp(&b).map(|o| truth(ord_holds(op, o))),
+                // Float path (heap-allocates the result, CRuby 1.9 style).
+                (Some(a), Some(b)) => Some(self.make_float(t, float_op(op, a, b))?),
+                _ => self.objects_binop(t, op, &lhs, &rhs)?,
+            },
         };
         match result {
-            Some(b) => {
-                self.push(t, if b { Word::True } else { Word::False })?;
+            Some(w) => {
+                self.push(t, w)?;
                 self.advance(t);
                 Ok(StepOk::Normal)
             }
+            // Generic dispatch to a user-defined operator.
             None => {
                 self.push(t, lhs)?;
                 self.push(t, rhs)?;
-                self.op_send(t, sym, op.name(), 1, ic)
+                self.op_send(t, d, 1)
             }
         }
     }
 
-    fn op_aref(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    /// [`Vm::op_binary`] on two heap objects: `String` ordering, `String +
+    /// String`, `Array + Array`; `None` for anything else. Reads each kind
+    /// only as far as the answer needs.
+    fn objects_binop(
+        &mut self,
+        t: ThreadId,
+        op: Op,
+        lhs: &Word,
+        rhs: &Word,
+    ) -> Result<Option<Word>, VmAbort> {
+        let (&Word::Obj(a), &Word::Obj(b)) = (lhs, rhs) else { return Ok(None) };
+        if !matches!(op, Op::OptPlus | Op::OptLt | Op::OptLe | Op::OptGt | Op::OptGe) {
+            return Ok(None);
+        }
+        if self.kind_of(t, a)? == ObjKind::String && self.kind_of(t, b)? == ObjKind::String {
+            let sa = self.string_content(t, a)?;
+            let sb = self.string_content(t, b)?;
+            if op != Op::OptPlus {
+                return Ok(Some(truth(ord_holds(op, sa.cmp(&sb)))));
+            }
+            let joined = self.build_text(|_, out| {
+                out.push_str(&sa);
+                out.push_str(&sb);
+                Ok(())
+            })?;
+            self.step_native_cost += (joined.len() / 8) as u64;
+            return self.make_string(t, joined).map(Some);
+        }
+        if op == Op::OptPlus
+            && self.kind_of(t, a)? == ObjKind::Array
+            && self.kind_of(t, b)? == ObjKind::Array
+        {
+            let mut elems = Vec::new();
+            for i in 0..self.array_len(t, a)? {
+                elems.push(self.array_get(t, a, i as i64)?);
+            }
+            for i in 0..self.array_len(t, b)? {
+                elems.push(self.array_get(t, b, i as i64)?);
+            }
+            return self.make_array(t, &elems).map(Some);
+        }
+        Ok(None)
+    }
+
+    fn op_aref(&mut self, t: ThreadId, d: &DecodedInsn) -> Result<StepOk, VmAbort> {
         let idx = self.pop(t)?;
         let recv = self.pop(t)?;
         if let Word::Obj(slot) = recv {
@@ -1211,10 +1170,10 @@ impl Vm {
         // Generic `[]`.
         self.push(t, recv)?;
         self.push(t, idx)?;
-        self.op_send(t, sym, "[]", 1, ic)
+        self.op_send(t, d, 1)
     }
 
-    fn op_aset(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_aset(&mut self, t: ThreadId, d: &DecodedInsn) -> Result<StepOk, VmAbort> {
         let value = self.pop(t)?;
         let idx = self.pop(t)?;
         let recv = self.pop(t)?;
@@ -1240,10 +1199,10 @@ impl Vm {
         self.push(t, recv)?;
         self.push(t, idx)?;
         self.push(t, value)?;
-        self.op_send(t, sym, "[]=", 2, ic)
+        self.op_send(t, d, 2)
     }
 
-    fn op_shl(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_shl(&mut self, t: ThreadId, d: &DecodedInsn) -> Result<StepOk, VmAbort> {
         let rhs = self.pop(t)?;
         let lhs = self.pop(t)?;
         match &lhs {
@@ -1276,7 +1235,7 @@ impl Vm {
                 _ => {
                     self.push(t, lhs)?;
                     self.push(t, rhs)?;
-                    self.op_send(t, sym, "<<", 1, ic)
+                    self.op_send(t, d, 1)
                 }
             },
             _ => Err(self.fatal("unsupported << receiver")),
@@ -1291,58 +1250,60 @@ enum FrameArgs<'a> {
     Words(&'a [Word]),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl ArithOp {
-    fn name(self) -> &'static str {
-        match self {
-            ArithOp::Add => "+",
-            ArithOp::Sub => "-",
-            ArithOp::Mul => "*",
-            ArithOp::Div => "/",
-            ArithOp::Mod => "%",
-        }
+/// The word a literal instruction (`PutNil`, `PutTrue`, `PutFalse`,
+/// `PutInt`) pushes.
+fn literal(d: &DecodedInsn) -> Word {
+    match d.op {
+        Op::PutNil => Word::Nil,
+        Op::PutTrue => Word::True,
+        Op::PutFalse => Word::False,
+        _ => Word::Int(d.a as i64),
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+/// The `(Int, Int)` lane of an arithmetic or comparison operator, which
+/// [`Vm::op_binary`] and the window kernel ([`Vm::run_leased`]) share:
+/// `None` for a division by zero.
+#[inline(always)]
+fn int_binop(op: Op, a: i64, b: i64) -> Option<Word> {
+    Some(Word::Int(match op {
+        Op::OptPlus => a.wrapping_add(b),
+        Op::OptMinus => a.wrapping_sub(b),
+        Op::OptMult => a.wrapping_mul(b),
+        Op::OptDiv | Op::OptMod if b == 0 => return None,
+        Op::OptDiv => crate::value::ruby_div(a, b),
+        Op::OptMod => crate::value::ruby_mod(a, b),
+        cmp => return Some(truth(ord_holds(cmp, a.cmp(&b)))),
+    }))
 }
 
-impl CmpOp {
-    fn name(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
+/// An arithmetic operator on two floats.
+fn float_op(op: Op, a: f64, b: f64) -> f64 {
+    match op {
+        Op::OptPlus => a + b,
+        Op::OptMinus => a - b,
+        Op::OptMult => a * b,
+        Op::OptDiv => a / b,
+        _ => a.rem_euclid(b),
     }
+}
 
-    fn apply_ord(self, o: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        match self {
-            CmpOp::Eq => o == Equal,
-            CmpOp::Ne => o != Equal,
-            CmpOp::Lt => o == Less,
-            CmpOp::Le => o != Greater,
-            CmpOp::Gt => o == Greater,
-            CmpOp::Ge => o != Less,
-        }
+/// Whether comparison `op` holds of two operands ordered `o`.
+fn ord_holds(op: Op, o: std::cmp::Ordering) -> bool {
+    match op {
+        Op::OptEq => o.is_eq(),
+        Op::OptNeq => o.is_ne(),
+        Op::OptLt => o.is_lt(),
+        Op::OptLe => o.is_le(),
+        Op::OptGt => o.is_gt(),
+        _ => o.is_ge(),
+    }
+}
+
+fn truth(b: bool) -> Word {
+    if b {
+        Word::True
+    } else {
+        Word::False
     }
 }

@@ -752,6 +752,23 @@ impl Vm {
         Ok(())
     }
 
+    /// A read by `t`, in its transaction, that [`Vm::leased`] has proven
+    /// tier 1 for the lease cache's life: no lookup, no validation.
+    #[inline(always)]
+    pub(crate) fn get_leased(&mut self, t: ThreadId, addr: Addr) -> Word {
+        debug_assert!(self.leased(t, addr, false), "{addr} read off its lease");
+        *self.mem.tier1_read(addr)
+    }
+
+    /// The write beside [`Vm::get_leased`], through [`RUNTIME_WAY`] when
+    /// `runtime`: logged through its way's mask; returns the word it replaced.
+    #[inline(always)]
+    pub(crate) fn put_leased(&mut self, t: ThreadId, addr: Addr, w: Word, runtime: bool) -> Word {
+        debug_assert!(self.leased(t, addr, runtime), "{addr} written off its lease");
+        let way = if runtime { RUNTIME_WAY } else { self.mem.line_of(addr) & LEASE_MASK };
+        self.mem.tier1_write(Some(t), &mut self.leases[t][way].logged, addr, w)
+    }
+
     /// Would a read and a write of `addr` by `t` both take tier 1, through
     /// its mapped way or, `runtime` (`rd_untimed`, `wr_untimed`), [`RUNTIME_WAY`]?
     pub(crate) fn leased(&self, t: ThreadId, addr: Addr, runtime: bool) -> bool {

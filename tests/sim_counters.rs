@@ -107,14 +107,24 @@ fn check(section: &str, measured: Json) {
     pin(Path::new(GOLDEN), Path::new(REWRITE), section, measured).unwrap_or_else(|e| panic!("{e}"));
 }
 
-fn run(input: &recipe::Input, mode: RuntimeMode) -> (Executor, RunReport) {
-    let mut ex = Executor::new(
-        &input.source,
-        input.vm_config(SEED),
-        input.profile.clone(),
-        input.exec_config(mode, SEED),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", input.label));
+/// The golden as committed.
+fn golden() -> Json {
+    let text = std::fs::read_to_string(GOLDEN).expect("the golden");
+    Json::parse(&text).expect("the golden parses")
+}
+
+/// A run checked against `pinned` cycles stops at a few times them, so one
+/// that loops ends in `RunError::CycleLimit` with its dump instead of
+/// hanging the suite. A limit that is not reached moves nothing, host keys
+/// included; a run nothing pins yet (a new section) gets none.
+fn cycle_limit(pinned: Option<&Json>) -> u64 {
+    pinned.and_then(Json::as_u64).map_or(0, |cycles| 4 * cycles)
+}
+
+fn run(input: &recipe::Input, mode: RuntimeMode, max_cycles: u64) -> (Executor, RunReport) {
+    let cfg = ExecConfig { max_cycles, ..input.exec_config(mode, SEED) };
+    let mut ex = Executor::new(&input.source, input.vm_config(SEED), input.profile.clone(), cfg)
+        .unwrap_or_else(|e| panic!("{}: {e}", input.label));
     let report = ex.run().unwrap_or_else(|e| panic!("{}: {e}", input.label));
     if let Some(want) = &input.expected_stdout {
         assert_eq!(report.stdout, *want, "{}", input.label);
@@ -126,16 +136,24 @@ fn run(input: &recipe::Input, mode: RuntimeMode) -> (Executor, RunReport) {
 /// ending in its headline pair: the cycles of the points that count toward
 /// the speedup (`Workload::is_headline`), and the cycles of their inputs
 /// under the GIL — the workload's own GIL point of an input where it has
-/// one, else one GIL run, as the benchmark's oracle run measures it.
+/// one, else one GIL run, as the benchmark's oracle run measures it. No
+/// run may take more than a few times the larger of the workload's two
+/// pinned sums.
 fn measure(tiny: bool) -> Json {
-    let mut doc = Json::obj();
+    let (mut doc, golden) = (Json::obj(), golden());
     for name in recipe::NAMES {
         let w = recipe::build(name, tiny).expect("a benchmark workload");
+        let pinned = golden.get(if tiny { "tiny" } else { "full" }).and_then(|s| s.get(name));
+        let limit = ["elapsed_cycles", "headline_gil_cycles"]
+            .map(|k| cycle_limit(pinned.and_then(|w| w.get(k))))
+            .into_iter()
+            .max()
+            .unwrap_or(0);
         let mut sums: Vec<(&'static str, u64)> = Vec::new();
         let mut gil_cycles: Vec<Option<u64>> = vec![None; w.inputs.len()];
         let mut headline = [0; 2];
         for p in &w.points {
-            let (ex, report) = run(&w.inputs[p.input], p.mode);
+            let (ex, report) = run(&w.inputs[p.input], p.mode, limit);
             if p.mode == RuntimeMode::Gil {
                 gil_cycles[p.input] = Some(report.elapsed_cycles);
             }
@@ -150,8 +168,9 @@ fn measure(tiny: bool) -> Json {
             }
         }
         for p in w.points.iter().filter(|p| w.is_headline(p)) {
-            headline[1] += *gil_cycles[p.input]
-                .get_or_insert_with(|| run(&w.inputs[p.input], RuntimeMode::Gil).1.elapsed_cycles);
+            headline[1] += *gil_cycles[p.input].get_or_insert_with(|| {
+                run(&w.inputs[p.input], RuntimeMode::Gil, limit).1.elapsed_cycles
+            });
         }
         sums.extend(HEADLINE_KEYS.into_iter().zip(headline));
         let entry = sums.into_iter().fold(Json::obj(), |o, (k, v)| o.field(k, v));
@@ -248,12 +267,14 @@ fn oversubscribed_runs_match_with_and_without_an_empty_path_controller() {
         RuntimeMode::Htm { length: LengthPolicy::Fixed(16) },
         RuntimeMode::Htm { length: LengthPolicy::Dynamic },
     ];
-    let mut cycles = Json::obj();
+    let (mut cycles, golden) = (Json::obj(), golden());
     for (name, source, profile, threads) in points {
         for mode in modes {
+            let at = format!("{name} x{threads} on {} under {}", profile().name, mode.label());
+            let limit = cycle_limit(golden.get("oversubscribed").and_then(|s| s.get(&at)));
             let run = |explore: Option<ExploreCtl>| {
                 let profile = profile();
-                let mut cfg = ExecConfig::new(mode, &profile);
+                let mut cfg = ExecConfig { max_cycles: limit, ..ExecConfig::new(mode, &profile) };
                 cfg.explore = explore;
                 let vm = VmConfig { max_threads: threads + 2, ..VmConfig::default() };
                 let mut ex = Executor::new(source, vm, profile, cfg).expect("boot");
@@ -263,7 +284,6 @@ fn oversubscribed_runs_match_with_and_without_an_empty_path_controller() {
             };
             let bare = run(None);
             let ctl = run(Some(ExploreCtl::new(SchedPath::empty(), false)));
-            let at = format!("{name} x{threads} on {} under {}", bare.machine, mode.label());
             assert_eq!(bare.to_json().to_compact(), ctl.to_json().to_compact(), "{at}");
             cycles = cycles.field(&at, bare.elapsed_cycles);
         }
@@ -277,8 +297,7 @@ fn oversubscribed_runs_match_with_and_without_an_empty_path_controller() {
 /// fails here, in tier 1, even where only the ignored full sizes read it.
 #[test]
 fn the_golden_is_the_writers_output() {
-    let text = std::fs::read_to_string(GOLDEN).expect("the golden");
-    let golden = Json::parse(&text).expect("the golden parses");
+    let (text, golden) = (std::fs::read_to_string(GOLDEN).expect("the golden"), golden());
     assert!(text == format!("{}\n", golden.to_pretty()), "{GOLDEN} is not in the writer's bytes");
     let names = |doc: &Json| match doc {
         Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
